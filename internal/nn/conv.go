@@ -57,12 +57,13 @@ func (c *Conv2d) OutSize(n int) int {
 }
 
 // Forward convolves x [N, InC, H, W] producing [N, OutC, H', W'].
-// Output pixels whose window lies fully inside the input go through an
-// im2col gather + blocked GEMM (kernels.GemmT); the padded border ring
-// keeps the direct skip-on-pad loop. Both paths accumulate products in
-// the same (ic, ky, kx) order from a bias-seeded accumulator, so the
-// result is bit-identical to the all-direct reference (forwardDirect),
-// which the differential tests pin it against.
+// Every output pixel goes through im2col + a blocked GEMM. Pixels are
+// grouped into tap classes, and each class gathers and packs only its
+// in-bounds taps: padding is skipped, never multiplied in as zeros
+// (−0 + +0 and 0·Inf would change the bits). The GEMM thus forms the
+// direct skip-on-pad loop's products in its (ic, ky, kx) order from a
+// bias-seeded accumulator, bit-identical to forwardDirect, which the
+// differential tests pin it against.
 func (c *Conv2d) Forward(x *tensor.Tensor) *tensor.Tensor { return c.ForwardArena(nil, x) }
 
 // ForwardArena implements ArenaForwarder: the output, the im2col
@@ -82,143 +83,164 @@ func (c *Conv2d) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor 
 	return c.QS.applyOut(y)
 }
 
-// interior returns the output rows/cols [y0,y1)×[x0,x1) whose K×K
-// window is fully inside the input (no padding touched). With Pad == 0
-// that is the whole output.
-func (c *Conv2d) interior(h, w, oh, ow int) (y0, y1, x0, x1 int) {
-	y0 = (c.Pad + c.Stride - 1) / c.Stride
-	x0 = y0
-	y1 = (h-c.K+c.Pad)/c.Stride + 1
-	x1 = (w-c.K+c.Pad)/c.Stride + 1
-	if y1 > oh {
-		y1 = oh
-	}
-	if x1 > ow {
-		x1 = ow
-	}
-	if y1 < y0 {
-		y1 = y0
-	}
-	if x1 < x0 {
-		x1 = x0
-	}
-	return
+// tapClass is a rectangle of output pixels [y0,y1)×[x0,x1) whose K×K
+// windows all keep the same in-bounds kernel taps [ky0,ky1)×[kx0,kx1).
+// With Pad == 0 the whole output is one class; 3×3/pad 1 gives at most
+// nine (the interior, four edges, four corners).
+type tapClass struct {
+	y0, y1, x0, x1     int
+	ky0, ky1, kx0, kx1 int
 }
 
-// forwardInto dispatches between the im2col+GEMM interior and the
-// direct border path.
+func (t tapClass) pixels() int { return (t.y1 - t.y0) * (t.x1 - t.x0) }
+func (t tapClass) taps() int   { return (t.ky1 - t.ky0) * (t.kx1 - t.kx0) }
+
+// tapRun returns the run [o0,o1) of output indices along one axis (on
+// outputs over n inputs) whose windows keep o0's in-bounds kernel taps
+// [k0,k1). The range is empty where a window misses the input entirely
+// (e.g. the corners of K=1, Pad=1).
+func (c *Conv2d) tapRun(o0, on, n int) (o1, k0, k1 int) {
+	taps := func(o int) (int, int) {
+		i0 := o*c.Stride - c.Pad
+		lo := max(0, -i0)
+		return lo, max(lo, min(c.K, n-i0))
+	}
+	k0, k1 = taps(o0)
+	for o1 = o0 + 1; o1 < on; o1++ {
+		if a, b := taps(o1); a != k0 || b != k1 {
+			break
+		}
+	}
+	return o1, k0, k1
+}
+
+// eachClass calls fn for the tap classes tiling an oh×ow output over an
+// h×w input. Both tap bounds are monotone in the output index, so equal
+// ranges form one contiguous run per axis.
+func (c *Conv2d) eachClass(h, w, oh, ow int, fn func(tapClass)) {
+	for y0 := 0; y0 < oh; {
+		y1, ky0, ky1 := c.tapRun(y0, oh, h)
+		for x0 := 0; x0 < ow; {
+			x1, kx0, kx1 := c.tapRun(x0, ow, w)
+			fn(tapClass{y0, y1, x0, x1, ky0, ky1, kx0, kx1})
+			x0 = x1
+		}
+		y0 = y1
+	}
+}
+
+// forwardInto runs each tap class through im2col + GEMM.
 func (c *Conv2d) forwardInto(a *tensor.Arena, y, x *tensor.Tensor, n, h, w, oh, ow int) {
-	y0, y1, x0, x1 := c.interior(h, w, oh, ow)
-	npix := (y1 - y0) * (x1 - x0)
 	icg := c.InC / c.Groups
 	ocg := c.OutC / c.Groups
-	kdim := icg * c.K * c.K
 	// Degenerate GEMMs (depthwise: ocg=1, kdim=K²) spend more on the
-	// gather/pack/scatter round trip than the multiply; the direct loop
-	// wins there. Both paths are bit-identical, so this is purely a
-	// performance dispatch: the GEMMs below pass NoFused so the kernel
-	// keeps two-rounding semantics under every variant, matching the
-	// scalar convPixel loop this dispatch (and the border ring) runs.
-	// Convolution outputs are therefore variant-independent.
-	if npix == 0 || ocg*kdim < 64 {
+	// gather/pack/scatter round trip than the multiply, so they take the
+	// bit-identical direct loop instead.
+	if ocg*icg*c.K*c.K < 64 {
 		c.forwardDirect(y, x, n, h, w, oh, ow)
 		return
 	}
 
+	// One buffer per forward, from the arena when planned and the pool
+	// otherwise: patches, GEMM output, the class's weight taps and their
+	// packed panel, each sized by the largest class.
+	var maxPix, maxTaps int
+	c.eachClass(h, w, oh, ow, func(t tapClass) {
+		maxPix, maxTaps = max(maxPix, t.pixels()), max(maxTaps, t.taps())
+	})
+	kd := icg * maxTaps
+	size := (maxPix+ocg)*kd + maxPix*ocg + kernels.PanelFloats(kd, ocg)
+	var buf []float32
 	if a != nil {
-		// Arena path: same buffers, same GEMMs, carved instead of
-		// pooled, run serially (plan-per-worker parallelism).
-		patches := a.Alloc(npix * kdim)
-		scratch := a.Alloc(npix * ocg)
-		panel := a.Alloc(kernels.PanelFloats(kdim, ocg))
+		buf = a.Alloc(size)
+	} else {
+		p := kernels.GetScratch(size)
+		defer kernels.PutScratch(p)
+		buf = *p
+	}
+	patches, buf := buf[:maxPix*kd], buf[maxPix*kd:]
+	out, buf := buf[:maxPix*ocg], buf[maxPix*ocg:]
+	wtaps, panel := buf[:ocg*kd], buf[ocg*kd:]
+
+	c.eachClass(h, w, oh, ow, func(t tapClass) {
+		kd := icg * t.taps()
+		// The accumulator starts at the bias and NoFused keeps two
+		// roundings under every variant, as in convPixel. Only the
+		// interior class (all K×K taps) fans out over the worker pool;
+		// the border classes are thin, and plans run one per worker.
+		opt := kernels.Opt{Prologue: true, NoFused: true,
+			Serial: a != nil || t.taps() < c.K*c.K}
 		for g := 0; g < c.Groups; g++ {
-			var bias []float32
 			if c.B != nil {
-				bias = c.B[g*ocg : (g+1)*ocg]
+				opt.Bias = c.B[g*ocg : (g+1)*ocg]
 			}
-			wg := c.W.Data[g*ocg*kdim : (g+1)*ocg*kdim]
-			kernels.PackTInto(panel, wg, kdim, ocg)
+			kernels.PackTInto(panel, c.tapWeights(wtaps, g, t), kd, ocg)
 			for ni := 0; ni < n; ni++ {
-				c.im2col(patches, x, ni, g, h, w, y0, y1, x0, x1)
-				kernels.GemmPacked(scratch, patches, panel, npix, kdim, ocg,
-					kernels.Opt{Bias: bias, Prologue: true, Serial: true, NoFused: true})
-				c.scatter(y, scratch, ni, g, oh, ow, y0, y1, x0, x1)
+				c.im2col(patches, x, ni, g, h, w, t)
+				kernels.GemmPacked(out, patches, panel, t.pixels(), kd, ocg, opt)
+				c.scatter(y, out, ni, g, oh, ow, t)
 			}
 		}
-		if y1-y0 < oh || x1-x0 < ow {
-			c.forwardBorder(y, x, n, h, w, oh, ow, y0, y1, x0, x1)
+	})
+}
+
+// tapWeights returns group g's weights restricted to t's taps as a
+// row-major [ocg, icg·taps] matrix in (ic, ky, kx) order, copied into
+// dst unless t keeps every tap.
+func (c *Conv2d) tapWeights(dst []float32, g int, t tapClass) []float32 {
+	k := c.K
+	rows := c.OutC / c.Groups * (c.InC / c.Groups) // one K×K block per (oc, ic)
+	wg := c.W.Data[g*rows*k*k : (g+1)*rows*k*k]
+	if t.taps() == k*k {
+		return wg
+	}
+	kw := t.kx1 - t.kx0
+	i := 0
+	for r := 0; r < rows; r++ {
+		for ky := t.ky0; ky < t.ky1; ky++ {
+			off := (r*k+ky)*k + t.kx0
+			i += copy(dst[i:i+kw], wg[off:off+kw])
 		}
+	}
+	return dst[:i]
+}
+
+// im2col gathers class t's patches of sample ni, group g into dst as a
+// row-major [pixels, icg·taps] matrix. Only in-bounds taps are read, in
+// the direct loop's (ic, ky, kx) order, so the GEMM reduction replays
+// convPixel exactly.
+func (c *Conv2d) im2col(dst []float32, x *tensor.Tensor, ni, g, h, w int, t tapClass) {
+	if t.taps() == 0 {
 		return
 	}
-
-	patches := kernels.GetScratch(npix * kdim)
-	scratch := kernels.GetScratch(npix * ocg)
-	defer kernels.PutScratch(patches)
-	defer kernels.PutScratch(scratch)
-
-	for g := 0; g < c.Groups; g++ {
-		var bias []float32
-		if c.B != nil {
-			bias = c.B[g*ocg : (g+1)*ocg]
-		}
-		// Pack the group's weight panel once and reuse it across the
-		// batch; the per-sample GEMM runs against the packed form.
-		wg := c.W.Data[g*ocg*kdim : (g+1)*ocg*kdim]
-		panel := kernels.PackT(wg, kdim, ocg)
-		for ni := 0; ni < n; ni++ {
-			c.im2col(*patches, x, ni, g, h, w, y0, y1, x0, x1)
-			// Prologue bias: the accumulator starts at the bias, exactly
-			// like the direct loop's acc := bias.
-			kernels.GemmPacked(*scratch, *patches, *panel, npix, kdim, ocg,
-				kernels.Opt{Bias: bias, Prologue: true, NoFused: true})
-			c.scatter(y, *scratch, ni, g, oh, ow, y0, y1, x0, x1)
-		}
-		kernels.PutScratch(panel)
-	}
-	if y1-y0 < oh || x1-x0 < ow {
-		c.forwardBorder(y, x, n, h, w, oh, ow, y0, y1, x0, x1)
-	}
-}
-
-// im2col gathers the interior patches of sample ni, group g into dst
-// as a row-major [npix, icg*K*K] matrix. The patch element order is
-// (ic, ky, kx) — the direct loop's accumulation order — and every
-// element is a genuine input read (no zero padding), so the GEMM
-// reduction replays the direct loop exactly.
-func (c *Conv2d) im2col(dst []float32, x *tensor.Tensor, ni, g, h, w, y0, y1, x0, x1 int) {
 	icg := c.InC / c.Groups
-	k := c.K
-	kdim := icg * k * k
-	idx := 0
-	for oy := y0; oy < y1; oy++ {
-		iy0 := oy*c.Stride - c.Pad
-		for ox := x0; ox < x1; ox++ {
-			ix0 := ox*c.Stride - c.Pad
-			p := dst[idx*kdim : (idx+1)*kdim]
-			pi := 0
+	src := x.Data[(ni*c.InC+g*icg)*h*w : (ni*c.InC+(g+1)*icg)*h*w]
+	kw := t.kx1 - t.kx0
+	i := 0
+	for oy := t.y0; oy < t.y1; oy++ {
+		iy := oy*c.Stride - c.Pad
+		for ox := t.x0; ox < t.x1; ox++ {
+			ix := ox*c.Stride - c.Pad + t.kx0
 			for ic := 0; ic < icg; ic++ {
-				base := ((ni*c.InC+g*icg+ic)*h + iy0) * w
-				for ky := 0; ky < k; ky++ {
-					row := x.Data[base+ky*w+ix0 : base+ky*w+ix0+k]
-					copy(p[pi:pi+k], row)
-					pi += k
+				for ky := t.ky0; ky < t.ky1; ky++ {
+					off := (ic*h+iy+ky)*w + ix
+					i += copy(dst[i:i+kw], src[off:off+kw])
 				}
 			}
-			idx++
 		}
 	}
 }
 
-// scatter copies the GEMM output (row-major [npix, ocg]) into the
-// interior rectangle of y's channel planes.
-func (c *Conv2d) scatter(y *tensor.Tensor, src []float32, ni, g, oh, ow, y0, y1, x0, x1 int) {
+// scatter copies the GEMM output (row-major [pixels, ocg]) into class
+// t's rectangle of y's channel planes.
+func (c *Conv2d) scatter(y *tensor.Tensor, src []float32, ni, g, oh, ow int, t tapClass) {
 	ocg := c.OutC / c.Groups
-	cols := x1 - x0
+	cols := t.x1 - t.x0
 	for oc := 0; oc < ocg; oc++ {
 		plane := y.Data[(ni*c.OutC+g*ocg+oc)*oh*ow:]
-		for oy := y0; oy < y1; oy++ {
-			row := plane[oy*ow+x0 : oy*ow+x1]
-			base := ((oy-y0)*cols)*ocg + oc
+		for oy := t.y0; oy < t.y1; oy++ {
+			row := plane[oy*ow+t.x0 : oy*ow+t.x1]
+			base := (oy-t.y0)*cols*ocg + oc
 			for j := range row {
 				row[j] = src[base+j*ocg]
 			}
@@ -226,35 +248,10 @@ func (c *Conv2d) scatter(y *tensor.Tensor, src []float32, ni, g, oh, ow, y0, y1,
 	}
 }
 
-// forwardBorder runs the direct loop over every output pixel outside
-// the interior rectangle (the ring that touches padding).
-func (c *Conv2d) forwardBorder(y, x *tensor.Tensor, n, h, w, oh, ow, y0, y1, x0, x1 int) {
-	icg := c.InC / c.Groups
-	ocg := c.OutC / c.Groups
-	for ni := 0; ni < n; ni++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			g := oc / ocg
-			var bias float32
-			if c.B != nil {
-				bias = c.B[oc]
-			}
-			for oy := 0; oy < oh; oy++ {
-				inY := oy >= y0 && oy < y1
-				for ox := 0; ox < ow; ox++ {
-					if inY && ox >= x0 && ox < x1 {
-						ox = x1 - 1 // skip the interior span
-						continue
-					}
-					y.Data[((ni*c.OutC+oc)*oh+oy)*ow+ox] =
-						c.convPixel(x, ni, oc, g, icg, h, w, oy, ox, bias)
-				}
-			}
-		}
-	}
-}
-
 // convPixel is the direct skip-on-pad accumulation for one output
-// element — the shared reference order for both forward paths.
+// element, the reference order the tap-class GEMM replays. The explicit
+// float32 conversion rounds the product before the add, so no target
+// fuses it into a multiply-add.
 func (c *Conv2d) convPixel(x *tensor.Tensor, ni, oc, g, icg, h, w, oy, ox int, bias float32) float32 {
 	acc := bias
 	for ic := 0; ic < icg; ic++ {
@@ -271,15 +268,15 @@ func (c *Conv2d) convPixel(x *tensor.Tensor, ni, oc, g, icg, h, w, oy, ox int, b
 				if ix < 0 || ix >= w {
 					continue
 				}
-				acc += xRow[ix] * wRow[kx]
+				acc += float32(xRow[ix] * wRow[kx])
 			}
 		}
 	}
 	return acc
 }
 
-// forwardDirect is the original 7-deep direct convolution, kept as the
-// differential-test oracle for the im2col path.
+// forwardDirect is the original 7-deep direct convolution: the path for
+// degenerate shapes and the differential-test oracle for im2col.
 func (c *Conv2d) forwardDirect(y, x *tensor.Tensor, n, h, w, oh, ow int) {
 	icg := c.InC / c.Groups
 	ocg := c.OutC / c.Groups

@@ -7,8 +7,10 @@ import (
 )
 
 // convBenchCases span the shapes that dominate the CNN zoo: a padded
-// 3x3 over a mid-size feature map, a strided downsampler, and a
-// depthwise 3x3 (the MobileNet-style op).
+// 3x3 over a mid-size feature map, a strided downsampler, a depthwise
+// 3x3 (the MobileNet-style op), and the small deep-layer maps where the
+// padded border is most of the output (12 of 16 pixels on 4x4, all of
+// them on 2x2).
 var convBenchCases = []struct {
 	name                              string
 	inC, outC, k, stride, pad, groups int
@@ -17,6 +19,8 @@ var convBenchCases = []struct {
 	{"3x3pad1_16c16x16", 16, 16, 3, 1, 1, 1, 4, 16, 16},
 	{"3x3s2_32c32x32", 32, 32, 3, 2, 1, 1, 1, 32, 32},
 	{"dw3x3_64c16x16", 64, 64, 3, 1, 1, 64, 1, 16, 16},
+	{"3x3pad1_64c4x4", 64, 64, 3, 1, 1, 1, 8, 4, 4},
+	{"3x3pad1_32c2x2", 32, 32, 3, 1, 1, 1, 8, 2, 2},
 }
 
 func benchConv(b *testing.B, idx int, direct bool) {

@@ -109,6 +109,12 @@ func TestConv2dForwardMatchesDirectOracle(t *testing.T) {
 		{2, 3, 3, 3, 1, 1, 1, 10, 10},  // stride > pad: interior col 0 empty
 		{1, 1, 4, 2, 2, 1, 1, 6, 8},    // even kernel, pad 2
 		{2, 2, 3, 1, 1, 1, 1, 3, 3},    // 3x3 output: single interior pixel
+		{8, 8, 3, 1, 1, 1, 2, 1, 1},    // 1x1 map: one centre-tap class
+		{8, 8, 3, 1, 1, 1, 2, 2, 2},    // 2x2 map: four corner classes
+		{4, 6, 5, 1, 2, 1, 1, 3, 3},    // K=5/pad 2 on 3x3: nine 1-pixel classes
+		{8, 8, 1, 1, 1, 1, 2, 4, 5},    // K=1/pad 1: zero-tap border
+		{6, 8, 3, 2, 1, 1, 2, 9, 7},    // stride 2, odd sizes
+		{6, 8, 3, 2, 1, 2, 1, 8, 5},    // stride 2, even/odd, grouped
 	}
 	for _, tc := range cases {
 		c := NewConv2d(tc.inC, tc.outC, tc.k, tc.stride, tc.pad, tc.groups)
@@ -118,30 +124,56 @@ func TestConv2dForwardMatchesDirectOracle(t *testing.T) {
 		}
 		x := tensor.New(tc.n, tc.inC, tc.h, tc.w)
 		fillTensor(x, rng, 1)
-		got := c.Forward(x)
-		oh, ow := c.OutSize(tc.h), c.OutSize(tc.w)
-		want := tensor.New(tc.n, tc.outC, oh, ow)
-		c.forwardDirect(want, x, tc.n, tc.h, tc.w, oh, ow)
-		requireBitsEqual(t, got.Data, want.Data,
-			fmt.Sprintf("Conv2d %+v", tc))
+		requireConvMatchesDirect(t, c, x, fmt.Sprintf("Conv2d %+v", tc))
 	}
 }
 
-// TestConv2dInfWeightBitIdentical guards the reason the border ring
-// avoids zero-filled im2col: with an Inf weight (IEEE formats overflow
-// to Inf under fake-quant), a zero-padded patch would turn skip-on-pad
-// into 0·Inf = NaN.
+// requireConvMatchesDirect checks that the unplanned and planned
+// (Compile) forwards both equal forwardDirect bit for bit under
+// GOMAXPROCS 1, 2 and 8, which changes how the GEMMs fan out.
+func requireConvMatchesDirect(t *testing.T, c *Conv2d, x *tensor.Tensor, what string) {
+	t.Helper()
+	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
+	oh, ow := c.OutSize(h), c.OutSize(w)
+	want := tensor.New(n, c.OutC, oh, ow)
+	c.forwardDirect(want, x, n, h, w, oh, ow)
+	plan := Compile(c, x.Shape...)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		requireBitsEqual(t, c.Forward(x).Data, want.Data,
+			fmt.Sprintf("%s unplanned GOMAXPROCS=%d", what, procs))
+		requireBitsEqual(t, plan.Forward(x).Data, want.Data,
+			fmt.Sprintf("%s planned GOMAXPROCS=%d", what, procs))
+	}
+}
+
+// TestConv2dInfWeightBitIdentical guards why tap classes gather only
+// in-bounds taps instead of zero-filling im2col: with an Inf weight
+// (IEEE formats overflow to Inf under fake-quant), a zero-padded patch
+// would turn skip-on-pad into 0·Inf = NaN. Every tap position gets the
+// Inf in turn, so each border class meets it. A −0 bias over an
+// all-zero input pins the other half: a padded zero product would turn
+// the zero-tap outputs of K=1/pad 1 from −0 into +0.
 func TestConv2dInfWeightBitIdentical(t *testing.T) {
 	rng := tensor.NewRNG(0x1FF)
-	c := NewConv2d(2, 3, 3, 1, 1, 1)
-	fillTensor(c.W, rng, 0.3)
-	c.W.Data[4] = float32(math.Inf(1)) // center tap of channel 0
-	x := tensor.New(1, 2, 6, 6)
-	fillTensor(x, rng, 1)
-	got := c.Forward(x)
-	want := tensor.New(1, 3, 6, 6)
-	c.forwardDirect(want, x, 1, 6, 6, 6, 6)
-	requireBitsEqual(t, got.Data, want.Data, "Conv2d with Inf weight")
+	for tap := 0; tap < 9; tap++ {
+		c := NewConv2d(8, 8, 3, 1, 1, 1)
+		fillTensor(c.W, rng, 0.3)
+		c.W.Data[tap] = float32(math.Inf(1)) // output 0, input channel 0
+		x := tensor.New(1, 8, 6, 6)
+		fillTensor(x, rng, 1)
+		requireConvMatchesDirect(t, c, x, fmt.Sprintf("Conv2d with Inf weight at tap %d", tap))
+	}
+	for _, k := range []int{1, 3} {
+		c := NewConv2d(8, 8, k, 1, 1, 1)
+		fillTensor(c.W, rng, 0.3)
+		for i := range c.B {
+			c.B[i] = float32(math.Copysign(0, -1))
+		}
+		x := tensor.New(2, 8, 5, 5)
+		requireConvMatchesDirect(t, c, x, fmt.Sprintf("Conv2d K=%d with -0 bias, zero input", k))
+	}
 }
 
 // batchMatMulOracle is the pre-kernel BatchMatMul loop pair, built on

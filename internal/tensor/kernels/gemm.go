@@ -58,10 +58,10 @@ type Opt struct {
 	// NoFused pins the call to two-rounding semantics under every
 	// variant: when the active tier is fused (avx2) the call falls back
 	// to the best non-fused tier (sse on amd64, generic elsewhere).
-	// Convolution sets it because its interior-GEMM vs direct-border
-	// dispatch is a pure performance choice whose two paths must agree
-	// bit for bit — and the scalar border loop cannot cheaply reproduce
-	// fused rounding. Conv results are therefore variant-independent.
+	// Convolution sets it so its outputs are variant-independent: equal,
+	// bit for bit, to the direct two-rounding loop it is tested against
+	// (and still dispatches to for depthwise-sized shapes), and to the
+	// conv results already recorded under every tier.
 	NoFused bool
 }
 
@@ -249,22 +249,21 @@ func run(y, x, panel []float32, rows, in, out int, opt Opt) {
 		}
 		return
 	}
-	if opt.Serial {
-		// The closure below escapes into the worker pool, costing one
-		// heap allocation per call; the serial path (planned forwards,
-		// per-batch BMMs) calls the range body directly so steady-state
-		// planned GEMMs allocate nothing.
-		runRange(y, x, panel, 0, rows, in, out, opt)
-		return
-	}
-	body := func(lo, hi int) {
-		runRange(y, x, panel, lo, hi, in, out, opt)
-	}
 	grain := 1
 	if w := in * out; w < minParallelOps {
 		grain = (minParallelOps + w - 1) / w
 	}
-	tensor.ParallelFor(rows, grain, body)
+	if opt.Serial || rows <= grain {
+		// The closure below escapes into the worker pool, costing one
+		// heap allocation per call; serial calls (planned forwards,
+		// per-batch BMMs) and calls too small to fan out run the range
+		// body directly and allocate nothing.
+		runRange(y, x, panel, 0, rows, in, out, opt)
+		return
+	}
+	tensor.ParallelFor(rows, grain, func(lo, hi int) {
+		runRange(y, x, panel, lo, hi, in, out, opt)
+	})
 }
 
 // runRange computes output rows [lo, hi) in blocks of the dispatched

@@ -264,8 +264,8 @@ func TestGemmPackedMatchesGemmT(t *testing.T) {
 // TestNoFusedPinsTwoRounding proves Opt.NoFused yields the two-rounding
 // oracle's bytes under every variant — including a fused active tier,
 // where it must fall back to the best non-fused tier. This is the
-// contract convolution relies on to keep its interior-GEMM and direct
-// border paths bit-identical regardless of dispatch.
+// contract convolution relies on to stay bit-identical to its direct
+// two-rounding loop under every tier.
 func TestNoFusedPinsTwoRounding(t *testing.T) {
 	forEachVariant(t, func(t *testing.T, v Variant) {
 		madd := RefMadd(VariantGeneric) // two roundings, always
@@ -288,6 +288,26 @@ func TestNoFusedPinsTwoRounding(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestGemmPackedInlineAllocatesNothing pins that a non-serial call too
+// small to fan out (rows ≤ grain) runs inline without building the
+// worker-pool closure, so it makes no heap allocation.
+func TestGemmPackedInlineAllocatesNothing(t *testing.T) {
+	rows, in, out := 8, 64, 64 // grain = minParallelOps/(in·out) = 8 rows
+	rng := tensor.NewRNG(0xA11)
+	x := make([]float32, rows*in)
+	w := make([]float32, out*in)
+	fillMixed(x, rng)
+	fillMixed(w, rng)
+	panel := PackT(w, in, out)
+	defer PutScratch(panel)
+	y := make([]float32, rows*out)
+	if a := testing.AllocsPerRun(100, func() {
+		GemmPacked(y, x, *panel, rows, in, out, Opt{})
+	}); a != 0 {
+		t.Fatalf("non-serial GemmPacked with rows <= grain: %v allocs/op, want 0", a)
+	}
 }
 
 func TestScratchPoolReuse(t *testing.T) {
