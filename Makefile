@@ -26,19 +26,19 @@ vet:
 vet-contracts:
 	$(GO) run ./cmd/fp8vet ./...
 
-# Fused multiply-add audit, Conv2d slice: cross-compile internal/nn for
-# arm64 with the assembly listing and fail on any fused multiply-add
-# inside an nn.(*Conv2d) symbol. amd64 emits none, so one there would
-# let arm64 conv outputs round differently. A listing with no Conv2d
-# symbol fails too, so the check cannot pass vacuously.
+# Fused multiply-add audit: cross-compile internal/nn for arm64 with the
+# assembly listing and fail on any fused multiply-add inside an nn
+# symbol. amd64 emits none, so one there would let arm64 layer outputs
+# round differently. A listing with no nn symbol fails too, so the
+# check cannot pass vacuously.
 fma-audit:
 	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
 	GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn 2> "$$out" || { cat "$$out"; exit 1; }; \
-	awk '/ STEXT / { sym = $$1; conv = sym ~ /nn\.\(\*Conv2d\)/; seen += conv } \
-		conv && /\tFN?M(ADD|SUB)[SD]\t/ { print "fma-audit: fused op in " sym ":" $$0; bad++ } \
-		END { if (!seen) { print "fma-audit: no nn.(*Conv2d) symbol in the arm64 listing"; exit 1 } \
+	awk '/ STEXT / { sym = $$1; nn = sym ~ /^fp8quant\/internal\/nn\./; seen += nn } \
+		nn && /\tFN?M(ADD|SUB)[SD]\t/ { print "fma-audit: fused op in " sym ":" $$0; bad++ } \
+		END { if (!seen) { print "fma-audit: no nn. symbol in the arm64 listing"; exit 1 } \
 			if (bad) exit 1; \
-			printf "fma-audit: %d nn.(*Conv2d) symbols, no fused multiply-add (arm64)\n", seen }' "$$out"
+			printf "fma-audit: %d nn symbols, no fused multiply-add (arm64)\n", seen }' "$$out"
 
 # Umbrella for every static check.
 lint: vet fmt-check vet-contracts

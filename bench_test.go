@@ -391,7 +391,7 @@ func BenchmarkLinearForward(b *testing.B) {
 	x.FillNormal(tensor.NewRNG(5), 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = l.Forward(x)
+		_ = l.Forward(nil, x)
 	}
 }
 
@@ -403,7 +403,7 @@ func BenchmarkLinearForwardQuantized(b *testing.B) {
 	x.FillNormal(tensor.NewRNG(5), 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = l.Forward(x)
+		_ = l.Forward(nil, x)
 	}
 }
 
@@ -414,7 +414,7 @@ func BenchmarkConv2dForward(b *testing.B) {
 	x.FillNormal(tensor.NewRNG(7), 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.Forward(x)
+		_ = c.Forward(nil, x)
 	}
 }
 
@@ -428,7 +428,7 @@ func BenchmarkAttentionForward(b *testing.B) {
 	x.FillNormal(r, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = a.Forward(x)
+		_ = a.Forward(nil, x)
 	}
 }
 

@@ -27,32 +27,11 @@ const (
 // stages with a skip connection, plus a prompt-conditioning projection
 // added to the bottleneck (a stand-in for cross-attention).
 type Denoiser struct {
-	Enc1, Enc2 *gnConv
-	Dec1       *gnConv
+	Enc1, Enc2 *nn.GNConv
+	Dec1       *nn.GNConv
 	Out        *nn.Conv2d
 	CondProj   *nn.Linear
 	condDim    int
-}
-
-// gnConv is Conv → GroupNorm → SiLU.
-type gnConv struct {
-	Conv *nn.Conv2d
-	GN   *nn.GroupNorm
-}
-
-// Kind implements nn.Module.
-func (g *gnConv) Kind() string { return "GNConv" }
-
-// Visit implements nn.Container.
-func (g *gnConv) Visit(path string, v nn.Visitor) {
-	nn.WalkChild(path+"/conv", g.Conv, v)
-	nn.WalkChild(path+"/gn", g.GN, v)
-}
-
-// Forward runs the unit.
-func (g *gnConv) Forward(x *tensor.Tensor) *tensor.Tensor {
-	var act nn.SiLU
-	return act.Forward(g.GN.Forward(g.Conv.Forward(x)))
 }
 
 // Kind implements nn.Module.
@@ -68,19 +47,19 @@ func (d *Denoiser) Visit(path string, v nn.Visitor) {
 }
 
 // Forward denoises latents without conditioning (Module interface).
-func (d *Denoiser) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return d.Denoise(x, nil)
+func (d *Denoiser) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	return d.Denoise(a, x, nil)
 }
 
 // Denoise predicts the denoised latent given the current latent and an
-// optional conditioning vector [N, condDim].
-func (d *Denoiser) Denoise(x *tensor.Tensor, cond *tensor.Tensor) *tensor.Tensor {
-	h := d.Enc1.Forward(x)
-	h2 := d.Enc2.Forward(h)
+// optional conditioning vector [N, condDim], carving from a.
+func (d *Denoiser) Denoise(a *tensor.Arena, x, cond *tensor.Tensor) *tensor.Tensor {
+	h := d.Enc1.Forward(a, x)
+	h2 := d.Enc2.Forward(a, h)
 	if cond != nil {
 		// Project the prompt embedding and add per-channel at the
 		// bottleneck.
-		c := d.CondProj.Forward(cond) // [N, C2]
+		c := d.CondProj.Forward(a, cond) // [N, C2]
 		n, ch := c.Shape[0], c.Shape[1]
 		hw := h2.Len() / (n * ch)
 		for ni := 0; ni < n; ni++ {
@@ -93,15 +72,13 @@ func (d *Denoiser) Denoise(x *tensor.Tensor, cond *tensor.Tensor) *tensor.Tensor
 			}
 		}
 	}
-	dcd := d.Dec1.Forward(h2)
-	joined := nn.ConcatChannels(dcd, h)
-	return d.Out.Forward(joined)
+	return d.Out.Forward(a, nn.ConcatChannels(a, d.Dec1.Forward(a, h2), h))
 }
 
 // NewDenoiser builds a denoiser with structured synthetic weights.
 func NewDenoiser(seed uint64) *Denoiser {
 	r := tensor.NewRNG(seed)
-	mk := func(in, out int) *gnConv {
+	mk := func(in, out int) *nn.GNConv {
 		c := nn.NewConv2d(in, out, 3, 1, 1, 1)
 		fillConv(c, r)
 		gn := nn.NewGroupNorm(out, 2)
@@ -112,7 +89,7 @@ func NewDenoiser(seed uint64) *Denoiser {
 		for i := range gn.Gamma {
 			gn.Gamma[i] = float32(math.Exp(1.0 * r.Norm()))
 		}
-		return &gnConv{Conv: c, GN: gn}
+		return &nn.GNConv{Conv: c, GN: gn}
 	}
 	d := &Denoiser{
 		Enc1:     mk(LatentC, 8),
@@ -233,7 +210,7 @@ func (p *Pipeline) Run(s data.Sample) *tensor.Tensor {
 	}
 	x := s.X.Clone()
 	x.Scale(SigmaIn(0))
-	return p.Net.Denoise(x, cond)
+	return p.Net.Denoise(nil, x, cond)
 }
 
 // CalibData returns a latent-noise dataset for calibration.
@@ -278,7 +255,7 @@ func (p *Pipeline) Generate(nImages int) *tensor.Tensor {
 				cin := SigmaIn(step)
 				inp := x.Clone()
 				inp.Scale(cin)
-				pred := p.Net.Denoise(inp, cond)
+				pred := p.Net.Denoise(nil, inp, cond)
 				alpha := float32(0.6)
 				inv := 1 / cin
 				for i := range x.Data {

@@ -1,8 +1,10 @@
 package diffusion
 
 import (
+	"math"
 	"testing"
 
+	"fp8quant/internal/nn"
 	"fp8quant/internal/quant"
 )
 
@@ -12,6 +14,27 @@ func TestDenoiserShapes(t *testing.T) {
 	out := p.Run(s)
 	if out.Shape[1] != LatentC || out.Shape[2] != LatentH {
 		t.Fatalf("denoiser output shape %v", out.Shape)
+	}
+}
+
+// TestDenoiserPlanned runs the denoiser under a compiled plan: its
+// output is the unplanned forward's bytes, and a warm planned forward
+// allocates nothing.
+func TestDenoiserPlanned(t *testing.T) {
+	p := NewPipeline(4, 2)
+	x := p.CalibData().Batch(0).X
+	want := p.Net.Forward(nil, x)
+	plan := nn.Compile(p.Net, x.Shape...)
+	for cycle := 0; cycle < 3; cycle++ {
+		got := plan.Forward(x)
+		for i := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("cycle %d: planned output differs at %d: %g vs %g", cycle, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(5, func() { plan.Forward(x) }); avg != 0 {
+		t.Errorf("planned denoiser allocates %.1f times per run, want 0", avg)
 	}
 }
 

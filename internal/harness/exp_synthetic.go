@@ -264,12 +264,12 @@ func fig8Spec() GridSpec {
 func runFig8Cell(c Cell) evalx.Result {
 	cfg := fig8Cfgs[c.Index]
 	l, x := fig8Layer()
-	refOut := l.Forward(x)
+	refOut := l.Forward(nil, x)
 	xq := x.Clone()
 	fn := quant.StaticFP8Func(cfg.act.Format(), xq.AbsMax())
 	fn(xq.Data, xq.Data)
 	master := quant.QuantizeWeightPerChannel(l.W, 0, cfg.wgt)
-	outQ := l.Forward(xq)
+	outQ := l.Forward(nil, xq)
 	return evalx.Result{
 		Model: "bert_linear", Recipe: cfg.name,
 		Metrics: map[string]float64{

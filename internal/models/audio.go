@@ -36,15 +36,10 @@ func (a *audioNet) Visit(path string, v nn.Visitor) {
 
 // Forward transcribes a waveform batch [N,1,T] to frame logits pooled
 // to [N, classes].
-func (a *audioNet) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return a.ForwardArena(nil, x)
-}
-
-// ForwardArena implements nn.ArenaForwarder.
-func (a *audioNet) ForwardArena(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (a *audioNet) Forward(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	var act nn.GELU
 	for _, c := range a.Convs {
-		x = act.ForwardArena(ar, c.ForwardArena(ar, x))
+		x = act.Forward(ar, c.Forward(ar, x))
 	}
 	// [N, D, T'] -> tokens [N, T', D]
 	n, d, t := x.Shape[0], x.Shape[1], x.Shape[2]
@@ -57,11 +52,11 @@ func (a *audioNet) ForwardArena(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tens
 			}
 		}
 	}
-	toks = a.LN.ForwardArena(ar, toks)
+	toks = a.LN.Forward(ar, toks)
 	for _, l := range a.Layers {
-		toks = l.ForwardArena(ar, toks)
+		toks = l.Forward(ar, toks)
 	}
-	return a.Head.ForwardArena(ar, meanPoolSeqArena(ar, toks))
+	return a.Head.Forward(ar, meanPoolSeq(ar, toks))
 }
 
 func buildAudio(info Info, seed uint64, dim, layers, classes int, outlier float64) *Network {
@@ -93,7 +88,7 @@ func buildAudio(info Info, seed uint64, dim, layers, classes int, outlier float6
 	return &Network{
 		Meta:      info,
 		root:      net,
-		fwd:       func(s data.Sample) *tensor.Tensor { return net.Forward(s.X) },
+		fwd:       func(s data.Sample) *tensor.Tensor { return net.Forward(nil, s.X) },
 		Data:      &data.AudioDataset{N: 8, T: 256, NumBatches: nlpBatches, Seed: seed ^ 0xA0D10},
 		Classes:   classes,
 		plannable: true,

@@ -68,15 +68,10 @@ func (c *convBN) Visit(path string, v nn.Visitor) {
 }
 
 // Forward runs conv → BN → act.
-func (c *convBN) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return c.ForwardArena(nil, x)
-}
-
-// ForwardArena implements nn.ArenaForwarder.
-func (c *convBN) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	x = c.BN.ForwardArena(a, c.Conv.ForwardArena(a, x))
+func (c *convBN) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	x = c.BN.Forward(a, c.Conv.Forward(a, x))
 	if c.Act != nil {
-		x = nn.ForwardWith(a, c.Act, x)
+		x = c.Act.Forward(a, x)
 	}
 	return x
 }
@@ -97,15 +92,10 @@ func (b *inceptionBlock) Visit(path string, v nn.Visitor) {
 }
 
 // Forward concatenates branch outputs along channels.
-func (b *inceptionBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return b.ForwardArena(nil, x)
-}
-
-// ForwardArena implements nn.ArenaForwarder.
-func (b *inceptionBlock) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	out := nn.ForwardWith(a, b.Branches[0], x)
+func (b *inceptionBlock) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	out := b.Branches[0].Forward(a, x)
 	for _, br := range b.Branches[1:] {
-		out = nn.ConcatChannelsArena(a, out, nn.ForwardWith(a, br, x))
+		out = nn.ConcatChannels(a, out, br.Forward(a, x))
 	}
 	return out
 }
@@ -126,14 +116,9 @@ func (f *fireBlock) Visit(path string, v nn.Visitor) {
 }
 
 // Forward runs squeeze then concatenated 1x1/3x3 expands.
-func (f *fireBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return f.ForwardArena(nil, x)
-}
-
-// ForwardArena implements nn.ArenaForwarder.
-func (f *fireBlock) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	s := f.Squeeze.ForwardArena(a, x)
-	return nn.ConcatChannelsArena(a, f.Expand1.ForwardArena(a, s), f.Expand3.ForwardArena(a, s))
+func (f *fireBlock) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	s := f.Squeeze.Forward(a, x)
+	return nn.ConcatChannels(a, f.Expand1.Forward(a, s), f.Expand3.Forward(a, s))
 }
 
 // invertedResidual is the MobileNetV2/V3 and EfficientNet MBConv block:
@@ -166,23 +151,18 @@ func (b *invertedResidual) Visit(path string, v nn.Visitor) {
 }
 
 // Forward runs the block.
-func (b *invertedResidual) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return b.ForwardArena(nil, x)
-}
-
-// ForwardArena implements nn.ArenaForwarder.
-func (b *invertedResidual) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (b *invertedResidual) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	h := x
 	if b.Expand != nil {
-		h = b.Expand.ForwardArena(a, h)
+		h = b.Expand.Forward(a, h)
 	}
-	h = b.DW.ForwardArena(a, h)
+	h = b.DW.Forward(a, h)
 	if b.SE != nil {
-		h = b.SE.ForwardArena(a, h)
+		h = b.SE.Forward(a, h)
 	}
-	h = b.Project.ForwardArena(a, h)
+	h = b.Project.Forward(a, h)
 	if b.Skip != nil {
-		h = b.Skip.ApplyArena(a, h, x)
+		h = b.Skip.Apply(a, h, x)
 	}
 	return h
 }
@@ -224,14 +204,9 @@ func (d *denseBlock) Visit(path string, v nn.Visitor) {
 }
 
 // Forward concatenates each layer's output onto its input.
-func (d *denseBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return d.ForwardArena(nil, x)
-}
-
-// ForwardArena implements nn.ArenaForwarder.
-func (d *denseBlock) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (d *denseBlock) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	for _, l := range d.Layers {
-		x = nn.ConcatChannelsArena(a, x, l.ForwardArena(a, x))
+		x = nn.ConcatChannels(a, x, l.Forward(a, x))
 	}
 	return x
 }
@@ -253,12 +228,7 @@ type channelShuffle struct{ Groups int }
 func (c channelShuffle) Kind() string { return "ChannelShuffle" }
 
 // Forward interleaves channel groups.
-func (c channelShuffle) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return c.ForwardArena(nil, x)
-}
-
-// ForwardArena implements nn.ArenaForwarder.
-func (c channelShuffle) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (c channelShuffle) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	n, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	g := c.Groups
 	if ch%g != 0 {
@@ -307,7 +277,7 @@ func buildCNN(info Info, seed uint64, body func(r *tensor.RNG, seq *nn.Sequentia
 	net := &Network{
 		Meta:      info,
 		root:      seq,
-		fwd:       func(s data.Sample) *tensor.Tensor { return seq.Forward(s.X) },
+		fwd:       func(s data.Sample) *tensor.Tensor { return seq.Forward(nil, s.X) },
 		Data:      cvDataset(seed ^ 0xDA7A),
 		Classes:   classes,
 		plannable: true,

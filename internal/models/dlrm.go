@@ -32,15 +32,15 @@ func (d *dlrmNet) Visit(path string, v nn.Visitor) {
 }
 
 // Forward is unsupported; DLRM consumes a dense+sparse sample.
-func (d *dlrmNet) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (d *dlrmNet) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 	panic("models: dlrmNet consumes dense+sparse samples; use Predict")
 }
 
 // Predict scores a batch: dense [N, DenseDim] plus categorical bags.
 func (d *dlrmNet) Predict(s data.Sample) *tensor.Tensor {
 	var relu nn.ReLU
-	dense := relu.Forward(d.Bottom1.Forward(s.X))
-	dense = relu.Forward(d.Bottom2.Forward(dense)) // [N, dim]
+	dense := relu.Forward(nil, d.Bottom1.Forward(nil, s.X))
+	dense = relu.Forward(nil, d.Bottom2.Forward(nil, dense)) // [N, dim]
 	n := dense.Shape[0]
 
 	// Feature vectors: dense + one per bag table.
@@ -61,7 +61,7 @@ func (d *dlrmNet) Predict(s data.Sample) *tensor.Tensor {
 				fi := feats[i].Data[ni*d.dim : (ni+1)*d.dim]
 				fj := feats[j].Data[ni*d.dim : (ni+1)*d.dim]
 				for z := range fi {
-					dot += fi[z] * fj[z]
+					dot += float32(fi[z] * fj[z])
 				}
 				top.Data[ni*(d.dim+nPairs)+k] = dot
 				k++
@@ -69,8 +69,8 @@ func (d *dlrmNet) Predict(s data.Sample) *tensor.Tensor {
 		}
 	}
 	var sig nn.Sigmoid
-	h := relu.Forward(d.Top1.Forward(top))
-	return sig.Forward(d.Top2.Forward(h)) // [N, 1] CTR score
+	h := relu.Forward(nil, d.Top1.Forward(nil, top))
+	return sig.Forward(nil, d.Top2.Forward(nil, h)) // [N, 1] CTR score
 }
 
 func buildDLRM(info Info, seed uint64) *Network {

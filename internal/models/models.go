@@ -110,9 +110,9 @@ type Network struct {
 	Classes int
 	// Eval selects the agreement metric.
 	Eval EvalKind
-	// plannable marks networks whose forward is a pure function of the
-	// dense input s.X through an ArenaForwarder root (CV/ViT/audio
-	// families); token- and bag-driven models (GPT, DLRM) are not.
+	// plannable marks networks whose forward is the root's Forward over
+	// the dense input s.X (CV/ViT/audio families); token- and
+	// bag-driven models (GPT, DLRM) are not.
 	plannable bool
 	// plan, when installed, routes Run through a compiled execution
 	// plan (preallocated scratch arenas, byte-identical math).

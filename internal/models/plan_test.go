@@ -72,11 +72,11 @@ func TestPlannedForwardBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPlanSteadyStateZeroAlloc checks the perf contract on a whole
-// model: after the recording cycles, a planned forward performs no heap
-// allocations.
+// TestPlanSteadyStateZeroAlloc checks the perf contract on every
+// plannable topology: after the recording cycles, a planned forward
+// performs no heap allocations.
 func TestPlanSteadyStateZeroAlloc(t *testing.T) {
-	for _, name := range []string{"vgg11", "cifar_resnet20", "vit_small"} {
+	for _, name := range planModels {
 		net, err := Build(name)
 		if err != nil {
 			t.Fatal(err)

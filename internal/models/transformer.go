@@ -46,19 +46,19 @@ func (e *encoderNet) Visit(path string, v nn.Visitor) {
 }
 
 // Forward is unsupported; encoder models consume tokens via Predict.
-func (e *encoderNet) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (e *encoderNet) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 	panic("models: encoderNet consumes tokens; use Predict")
 }
 
 // Predict runs the full pipeline on token input.
 func (e *encoderNet) Predict(tokens [][]int) *tensor.Tensor {
 	x := e.Emb.Lookup(tokens)
-	x = e.Pos.Forward(x)
-	x = e.EmbLN.Forward(x)
+	x = e.Pos.Forward(nil, x)
+	x = e.EmbLN.Forward(nil, x)
 	for _, l := range e.Layers {
-		x = l.Forward(x)
+		x = l.Forward(nil, x)
 	}
-	return e.Head.Forward(meanPoolSeq(x))
+	return e.Head.Forward(nil, meanPoolSeq(nil, x))
 }
 
 // addTensors returns a + b element-wise (FP32 residual join).
@@ -70,13 +70,8 @@ func addTensors(a, b *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
-// meanPoolSeq averages [B,T,D] over T, returning [B,D].
-func meanPoolSeq(x *tensor.Tensor) *tensor.Tensor {
-	return meanPoolSeqArena(nil, x)
-}
-
-// meanPoolSeqArena is meanPoolSeq with the output carved from a.
-func meanPoolSeqArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+// meanPoolSeq averages [B,T,D] over T, returning [B,D] carved from a.
+func meanPoolSeq(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	b, t, d := x.Shape[0], x.Shape[1], x.Shape[2]
 	y := a.New(b, d)
 	inv := 1 / float32(t)
@@ -85,7 +80,7 @@ func meanPoolSeqArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 			src := x.Data[(bi*t+ti)*d : (bi*t+ti+1)*d]
 			dst := y.Data[bi*d : (bi+1)*d]
 			for i, v := range src {
-				dst[i] += v * inv
+				dst[i] += float32(v * inv)
 			}
 		}
 	}
@@ -181,28 +176,33 @@ func (d *decoderNet) Visit(path string, v nn.Visitor) {
 }
 
 // Forward is unsupported; decoder models consume tokens.
-func (d *decoderNet) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (d *decoderNet) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 	panic("models: decoderNet consumes tokens; use Logits")
 }
 
 // Hidden runs the decoder trunk, returning [B,T,D] hidden states.
 func (d *decoderNet) Hidden(tokens [][]int) *tensor.Tensor {
 	x := d.Emb.Lookup(tokens)
-	x = d.Pos.Forward(x)
+	x = d.Pos.Forward(nil, x)
 	for _, l := range d.Layers {
-		x = l.Forward(x)
+		x = l.Forward(nil, x)
 	}
-	return d.Final.Forward(x)
+	return d.Final.Forward(nil, x)
 }
 
 // Logits returns next-token logits at every position: [B,T,V].
 func (d *decoderNet) Logits(tokens [][]int) *tensor.Tensor {
-	return d.LMHead.Forward(d.Hidden(tokens))
+	return d.LMHead.Forward(nil, d.Hidden(tokens))
 }
 
 // LastLogits returns the final-position logits [B,V].
 func (d *decoderNet) LastLogits(tokens [][]int) *tensor.Tensor {
-	lg := d.Logits(tokens)
+	return lastPosition(d.Logits(tokens))
+}
+
+// lastPosition copies the final position of each sequence out of
+// logits [B,T,V], returning [B,V].
+func lastPosition(lg *tensor.Tensor) *tensor.Tensor {
 	b, t, v := lg.Shape[0], lg.Shape[1], lg.Shape[2]
 	y := tensor.New(b, v)
 	for bi := 0; bi < b; bi++ {
@@ -386,7 +386,7 @@ func (e *encDecNet) Visit(path string, v nn.Visitor) {
 }
 
 // Forward is unsupported; enc-dec models consume tokens.
-func (e *encDecNet) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (e *encDecNet) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 	panic("models: encDecNet consumes tokens; use Translate")
 }
 
@@ -394,23 +394,16 @@ func (e *encDecNet) Forward(x *tensor.Tensor) *tensor.Tensor {
 // same tokens, standing in for a translation pair), returning final-
 // position logits [B,V].
 func (e *encDecNet) Translate(tokens [][]int) *tensor.Tensor {
-	mem := e.EncPos.Forward(e.EncEmb.Lookup(tokens))
+	mem := e.EncPos.Forward(nil, e.EncEmb.Lookup(tokens))
 	for _, l := range e.Enc {
-		mem = l.Forward(mem)
+		mem = l.Forward(nil, mem)
 	}
-	x := e.DecPos.Forward(e.DecEmb.Lookup(tokens))
+	x := e.DecPos.Forward(nil, e.DecEmb.Lookup(tokens))
 	for i, l := range e.DecSelf {
-		x = l.Forward(x)
-		x = e.CrossLN[i].Forward(addTensors(x, e.Cross[i].Attend(x, mem)))
+		x = l.Forward(nil, x)
+		x = e.CrossLN[i].Forward(nil, addTensors(x, e.Cross[i].Attend(nil, x, mem)))
 	}
-	x = e.Final.Forward(x)
-	lg := e.LMHead.Forward(x)
-	b, t, v := lg.Shape[0], lg.Shape[1], lg.Shape[2]
-	y := tensor.New(b, v)
-	for bi := 0; bi < b; bi++ {
-		copy(y.Data[bi*v:], lg.Data[(bi*t+t-1)*v:(bi*t+t)*v])
-	}
-	return y
+	return lastPosition(e.LMHead.Forward(nil, e.Final.Forward(nil, x)))
 }
 
 func buildEncDec(info Info, seed uint64, dim, heads, ff, layers int, outlier float64) *Network {

@@ -35,19 +35,14 @@ func (u *unetNet) Visit(path string, v nn.Visitor) {
 // Forward segments x [N,C,H,W], returning per-pixel logits flattened to
 // [N*H*W, classes] so the standard argmax-agreement evaluation applies
 // per pixel.
-func (u *unetNet) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return u.ForwardArena(nil, x)
-}
-
-// ForwardArena implements nn.ArenaForwarder.
-func (u *unetNet) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	e1 := nn.ForwardWith(a, u.Enc1, x)                          // [N, c1, H, W]
-	e2 := nn.ForwardWith(a, u.Enc2, u.Pool.ForwardArena(a, e1)) // [N, c2, H/2, W/2]
-	b := nn.ForwardWith(a, u.Bottleneck, e2)
-	d := u.Up.ForwardArena(a, b) // back to [.., H, W]
-	d = nn.ConcatChannelsArena(a, d, e1)
-	d = nn.ForwardWith(a, u.Dec1, d)
-	lg := u.OutConv.ForwardArena(a, d) // [N, classes, H, W]
+func (u *unetNet) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	e1 := u.Enc1.Forward(a, x)                     // [N, c1, H, W]
+	e2 := u.Enc2.Forward(a, u.Pool.Forward(a, e1)) // [N, c2, H/2, W/2]
+	b := u.Bottleneck.Forward(a, e2)
+	d := u.Up.Forward(a, b) // back to [.., H, W]
+	d = nn.ConcatChannels(a, d, e1)
+	d = u.Dec1.Forward(a, d)
+	lg := u.OutConv.Forward(a, d) // [N, classes, H, W]
 	n, c, h, w := lg.Shape[0], lg.Shape[1], lg.Shape[2], lg.Shape[3]
 	out := a.New(n*h*w, c)
 	for ni := 0; ni < n; ni++ {
@@ -61,40 +56,14 @@ func (u *unetNet) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor
 	return out
 }
 
-// groupNormConv is Conv → GroupNorm → SiLU (diffusion style).
-type groupNormConv struct {
-	Conv *nn.Conv2d
-	GN   *nn.GroupNorm
-}
-
-// Kind implements nn.Module.
-func (g *groupNormConv) Kind() string { return "GNConv" }
-
-// Visit implements nn.Container.
-func (g *groupNormConv) Visit(path string, v nn.Visitor) {
-	nn.WalkChild(path+"/conv", g.Conv, v)
-	nn.WalkChild(path+"/gn", g.GN, v)
-}
-
-// Forward runs the unit.
-func (g *groupNormConv) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return g.ForwardArena(nil, x)
-}
-
-// ForwardArena implements nn.ArenaForwarder.
-func (g *groupNormConv) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	var act nn.SiLU
-	return act.ForwardArena(a, g.GN.ForwardArena(a, g.Conv.ForwardArena(a, x)))
-}
-
-func newGNConv(r *tensor.RNG, inC, outC int) *groupNormConv {
+func newGNConv(r *tensor.RNG, inC, outC int) *nn.GNConv {
 	c := nn.NewConv2d(inC, outC, 3, 1, 1, 1)
 	initConv(c, r)
 	gn := nn.NewGroupNorm(outC, 2)
 	for i := range gn.Gamma {
 		gn.Gamma[i] = float32(1 + 0.1*r.Norm())
 	}
-	return &groupNormConv{Conv: c, GN: gn}
+	return &nn.GNConv{Conv: c, GN: gn}
 }
 
 func buildUNet(info Info, seed uint64, classes int, diffusionStyle bool) *Network {
@@ -120,7 +89,7 @@ func buildUNet(info Info, seed uint64, classes int, diffusionStyle bool) *Networ
 	n := &Network{
 		Meta:      info,
 		root:      net,
-		fwd:       func(s data.Sample) *tensor.Tensor { return net.Forward(s.X) },
+		fwd:       func(s data.Sample) *tensor.Tensor { return net.Forward(nil, s.X) },
 		Data:      cvDataset(seed ^ 0x0E7),
 		Classes:   classes,
 		plannable: true,

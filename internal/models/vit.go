@@ -33,13 +33,8 @@ func (v *vitNet) Visit(path string, vis nn.Visitor) {
 }
 
 // Forward classifies an image batch [N,C,H,W].
-func (v *vitNet) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return v.ForwardArena(nil, x)
-}
-
-// ForwardArena implements nn.ArenaForwarder.
-func (v *vitNet) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	p := v.Patch.ForwardArena(a, x) // [N, D, h, w]
+func (v *vitNet) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	p := v.Patch.Forward(a, x) // [N, D, h, w]
 	n, d, h, w := p.Shape[0], p.Shape[1], p.Shape[2], p.Shape[3]
 	// To token sequence [N, h*w, D].
 	toks := a.New(n, h*w, d)
@@ -51,11 +46,11 @@ func (v *vitNet) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor 
 			}
 		}
 	}
-	toks = v.Pos.ForwardArena(a, toks)
+	toks = v.Pos.Forward(a, toks)
 	for _, l := range v.Layers {
-		toks = l.ForwardArena(a, toks)
+		toks = l.Forward(a, toks)
 	}
-	return v.Head.ForwardArena(a, meanPoolSeqArena(a, toks))
+	return v.Head.Forward(a, meanPoolSeq(a, toks))
 }
 
 func buildViT(info Info, seed uint64, dim, heads, ff, layers, classes int, window int) *Network {
@@ -87,7 +82,7 @@ func buildViT(info Info, seed uint64, dim, heads, ff, layers, classes int, windo
 	return &Network{
 		Meta:      info,
 		root:      net,
-		fwd:       func(s data.Sample) *tensor.Tensor { return net.Forward(s.X) },
+		fwd:       func(s data.Sample) *tensor.Tensor { return net.Forward(nil, s.X) },
 		Data:      cvDataset(seed ^ 0x517),
 		Classes:   classes,
 		plannable: true,

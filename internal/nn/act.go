@@ -13,10 +13,7 @@ type ReLU struct{}
 func (ReLU) Kind() string { return "ReLU" }
 
 // Forward applies the activation.
-func (r ReLU) Forward(x *tensor.Tensor) *tensor.Tensor { return r.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (ReLU) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (ReLU) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	y := cloneInto(a, x)
 	for i, v := range y.Data {
 		if v < 0 {
@@ -34,15 +31,12 @@ type GELU struct{}
 func (GELU) Kind() string { return "GELU" }
 
 // Forward applies the activation.
-func (g GELU) Forward(x *tensor.Tensor) *tensor.Tensor { return g.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (GELU) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (GELU) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	y := cloneInto(a, x)
 	const c = 0.7978845608028654 // sqrt(2/pi)
 	for i, v := range y.Data {
 		f := float64(v)
-		y.Data[i] = float32(0.5 * f * (1 + math.Tanh(c*(f+0.044715*f*f*f))))
+		y.Data[i] = float32(0.5 * f * (1 + math.Tanh(c*(f+float64(0.044715*f*f*f)))))
 	}
 	return y
 }
@@ -55,10 +49,7 @@ type SiLU struct{}
 func (SiLU) Kind() string { return "SiLU" }
 
 // Forward applies the activation.
-func (s SiLU) Forward(x *tensor.Tensor) *tensor.Tensor { return s.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (SiLU) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (SiLU) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	y := cloneInto(a, x)
 	for i, v := range y.Data {
 		f := float64(v)
@@ -74,10 +65,7 @@ type Sigmoid struct{}
 func (Sigmoid) Kind() string { return "Sigmoid" }
 
 // Forward applies the activation.
-func (s Sigmoid) Forward(x *tensor.Tensor) *tensor.Tensor { return s.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (Sigmoid) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (Sigmoid) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	y := cloneInto(a, x)
 	for i, v := range y.Data {
 		y.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
@@ -92,10 +80,7 @@ type Tanh struct{}
 func (Tanh) Kind() string { return "Tanh" }
 
 // Forward applies the activation.
-func (t Tanh) Forward(x *tensor.Tensor) *tensor.Tensor { return t.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (Tanh) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (Tanh) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	y := cloneInto(a, x)
 	for i, v := range y.Data {
 		y.Data[i] = float32(math.Tanh(float64(v)))
@@ -110,10 +95,7 @@ type HardSwish struct{}
 func (HardSwish) Kind() string { return "HardSwish" }
 
 // Forward applies the activation.
-func (h HardSwish) Forward(x *tensor.Tensor) *tensor.Tensor { return h.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (HardSwish) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (HardSwish) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	y := cloneInto(a, x)
 	for i, v := range y.Data {
 		r := v + 3
@@ -134,10 +116,7 @@ type Softmax struct{}
 func (Softmax) Kind() string { return "Softmax" }
 
 // Forward applies a numerically-stable softmax over the last dim.
-func (s Softmax) Forward(x *tensor.Tensor) *tensor.Tensor { return s.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (Softmax) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (Softmax) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	y := a.New(x.Shape...)
 	SoftmaxInto(y.Data, x.Data, x.Shape[x.Rank()-1])
 	return y
@@ -176,29 +155,24 @@ type AddOp struct {
 }
 
 // Kind implements Module.
-func (a *AddOp) Kind() string { return "Add" }
+func (op *AddOp) Kind() string { return "Add" }
 
 // Q returns the first operand's QState.
-func (a *AddOp) Q() *QState { return &a.QA }
+func (op *AddOp) Q() *QState { return &op.QA }
 
 // Forward is unsupported: AddOp is binary. Use Apply.
-func (a *AddOp) Forward(x *tensor.Tensor) *tensor.Tensor {
-	panic("nn: AddOp is binary; call Apply(a, b)")
+func (op *AddOp) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
+	panic("nn: AddOp is binary; call Apply(a, x, y)")
 }
 
-// Apply returns x + y element-wise.
-func (a *AddOp) Apply(x, y *tensor.Tensor) *tensor.Tensor {
-	return a.ApplyArena(nil, x, y)
-}
-
-// ApplyArena is Apply with the output carved from ar.
-func (a *AddOp) ApplyArena(ar *tensor.Arena, x, y *tensor.Tensor) *tensor.Tensor {
+// Apply returns x + y element-wise, carved from a.
+func (op *AddOp) Apply(a *tensor.Arena, x, y *tensor.Tensor) *tensor.Tensor {
 	if x.Len() != y.Len() {
 		panic("nn: AddOp size mismatch")
 	}
-	x = a.QA.applyIn(ar, x)
-	y = a.QB.applyIn(ar, y)
-	out := ar.New(x.Shape...)
+	x = op.QA.applyIn(a, x)
+	y = op.QB.applyIn(a, y)
+	out := a.New(x.Shape...)
 	for i := range out.Data {
 		out.Data[i] = x.Data[i] + y.Data[i]
 	}
@@ -217,22 +191,17 @@ func (m *MulOp) Kind() string { return "Mul" }
 func (m *MulOp) Q() *QState { return &m.QA }
 
 // Forward is unsupported: MulOp is binary. Use Apply.
-func (m *MulOp) Forward(x *tensor.Tensor) *tensor.Tensor {
-	panic("nn: MulOp is binary; call Apply(a, b)")
+func (m *MulOp) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
+	panic("nn: MulOp is binary; call Apply(a, x, y)")
 }
 
-// Apply returns x * y element-wise. If y has exactly one value per
-// leading row of x (e.g. per-channel SE scale [N,C] against [N,C,H,W]),
-// it broadcasts.
-func (m *MulOp) Apply(x, y *tensor.Tensor) *tensor.Tensor {
-	return m.ApplyArena(nil, x, y)
-}
-
-// ApplyArena is Apply with the output carved from ar.
-func (m *MulOp) ApplyArena(ar *tensor.Arena, x, y *tensor.Tensor) *tensor.Tensor {
-	x = m.QA.applyIn(ar, x)
-	y = m.QB.applyIn(ar, y)
-	out := ar.New(x.Shape...)
+// Apply returns x * y element-wise, carved from a. If y has exactly one
+// value per leading row of x (e.g. per-channel SE scale [N,C] against
+// [N,C,H,W]), it broadcasts.
+func (m *MulOp) Apply(a *tensor.Arena, x, y *tensor.Tensor) *tensor.Tensor {
+	x = m.QA.applyIn(a, x)
+	y = m.QB.applyIn(a, y)
+	out := a.New(x.Shape...)
 	switch {
 	case x.Len() == y.Len():
 		for i := range out.Data {

@@ -39,65 +39,67 @@ func NewMultiHeadAttention(dim, heads int) *MultiHeadAttention {
 }
 
 // Kind implements Module.
-func (a *MultiHeadAttention) Kind() string { return "MultiHeadAttention" }
+func (m *MultiHeadAttention) Kind() string { return "MultiHeadAttention" }
 
 // Visit implements Container.
-func (a *MultiHeadAttention) Visit(path string, v Visitor) {
-	walk(path+"/wq", a.WQ, v)
-	walk(path+"/wk", a.WK, v)
-	walk(path+"/wv", a.WV, v)
-	walk(path+"/wo", a.WO, v)
-	walk(path+"/qk", &a.QK, v)
-	walk(path+"/pv", &a.PV, v)
+func (m *MultiHeadAttention) Visit(path string, v Visitor) {
+	walk(path+"/wq", m.WQ, v)
+	walk(path+"/wk", m.WK, v)
+	walk(path+"/wv", m.WV, v)
+	walk(path+"/wo", m.WO, v)
+	walk(path+"/qk", &m.QK, v)
+	walk(path+"/pv", &m.PV, v)
 }
 
 // Forward runs self-attention over x [B,T,D].
-func (a *MultiHeadAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return a.ForwardArena(nil, x)
+func (m *MultiHeadAttention) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	return m.attend(a, x, x)
 }
 
-// ForwardArena implements ArenaForwarder.
-func (a *MultiHeadAttention) ForwardArena(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	if x.Rank() != 3 || x.Shape[2] != a.Dim {
-		panic(fmt.Sprintf("nn: attention expects [B,T,%d], got %v", a.Dim, x.Shape))
+// attend runs attention with queries from x [B,Tq,D] and keys/values
+// from kv [B,Tk,D]: self-attention passes kv = x. Causal and Window
+// mask the scores; cross-attention leaves both unset.
+func (m *MultiHeadAttention) attend(a *tensor.Arena, x, kv *tensor.Tensor) *tensor.Tensor {
+	if x.Rank() != 3 || x.Shape[2] != m.Dim {
+		panic(fmt.Sprintf("nn: attention expects [B,T,%d], got %v", m.Dim, x.Shape))
 	}
-	b, t := x.Shape[0], x.Shape[1]
-	hd := a.Dim / a.Heads
+	tq, tk := x.Shape[1], kv.Shape[1]
+	hd := m.Dim / m.Heads
 
-	q := splitHeads(ar, a.WQ.ForwardArena(ar, x), a.Heads) // [B,H,T,hd]
-	k := splitHeads(ar, a.WK.ForwardArena(ar, x), a.Heads)
-	v := splitHeads(ar, a.WV.ForwardArena(ar, x), a.Heads)
+	q := splitHeads(a, m.WQ.Forward(a, x), m.Heads) // [B,H,Tq,hd]
+	k := splitHeads(a, m.WK.Forward(a, kv), m.Heads)
+	v := splitHeads(a, m.WV.Forward(a, kv), m.Heads)
 
-	scores := a.QK.ApplyArena(ar, q, k) // [B,H,T,T]
+	scores := m.QK.Apply(a, q, k) // [B,H,Tq,Tk]
 	scale := float32(1 / math.Sqrt(float64(hd)))
 	for i := range scores.Data {
 		scores.Data[i] *= scale
 	}
-	a.mask(scores, b, t)
+	m.mask(scores, tq, tk)
 
-	probs := ar.New(scores.Shape...)
-	SoftmaxInto(probs.Data, scores.Data, t)
+	probs := a.New(scores.Shape...)
+	SoftmaxInto(probs.Data, scores.Data, tk)
 
-	ctx := a.PV.ApplyArena(ar, probs, v) // [B,H,T,hd]
-	return a.WO.ForwardArena(ar, mergeHeads(ar, ctx))
+	ctx := m.PV.Apply(a, probs, v) // [B,H,Tq,hd]
+	return m.WO.Forward(a, mergeHeads(a, ctx))
 }
 
-// mask applies causal and/or sliding-window masking in place.
-func (a *MultiHeadAttention) mask(scores *tensor.Tensor, b, t int) {
-	if !a.Causal && a.Window <= 0 {
+// mask applies causal and/or sliding-window masking in place to scores
+// [B,H,Tq,Tk].
+func (m *MultiHeadAttention) mask(scores *tensor.Tensor, tq, tk int) {
+	if !m.Causal && m.Window <= 0 {
 		return
 	}
 	const negInf = float32(-1e30)
-	heads := a.Heads
-	for bi := 0; bi < b*heads; bi++ {
-		m := scores.Data[bi*t*t : (bi+1)*t*t]
-		for i := 0; i < t; i++ {
-			for j := 0; j < t; j++ {
-				if a.Causal && j > i {
-					m[i*t+j] = negInf
+	for off := 0; off < scores.Len(); off += tq * tk {
+		s := scores.Data[off : off+tq*tk]
+		for i := 0; i < tq; i++ {
+			for j := 0; j < tk; j++ {
+				if m.Causal && j > i {
+					s[i*tk+j] = negInf
 				}
-				if a.Window > 0 && abs(i-j) > a.Window {
-					m[i*t+j] = negInf
+				if m.Window > 0 && abs(i-j) > m.Window {
+					s[i*tk+j] = negInf
 				}
 			}
 		}
@@ -160,25 +162,7 @@ func NewCrossAttention(dim, heads int) *CrossAttention {
 func (c *CrossAttention) Kind() string { return "CrossAttention" }
 
 // Attend runs attention with queries from x [B,Tq,D] and keys/values
-// from mem [B,Tk,D].
-func (c *CrossAttention) Attend(x, mem *tensor.Tensor) *tensor.Tensor {
-	b, tq := x.Shape[0], x.Shape[1]
-	tk := mem.Shape[1]
-	hd := c.Dim / c.Heads
-
-	q := splitHeads(nil, c.WQ.Forward(x), c.Heads)
-	k := splitHeads(nil, c.WK.Forward(mem), c.Heads)
-	v := splitHeads(nil, c.WV.Forward(mem), c.Heads)
-
-	scores := c.QK.Apply(q, k) // [B,H,Tq,Tk]
-	scale := float32(1 / math.Sqrt(float64(hd)))
-	for i := range scores.Data {
-		scores.Data[i] *= scale
-	}
-	probs := tensor.New(scores.Shape...)
-	SoftmaxInto(probs.Data, scores.Data, tk)
-	ctx := c.PV.Apply(probs, v)
-	_ = b
-	_ = tq
-	return c.WO.Forward(mergeHeads(nil, ctx))
+// from mem [B,Tk,D], carving from a.
+func (c *CrossAttention) Attend(a *tensor.Arena, x, mem *tensor.Tensor) *tensor.Tensor {
+	return c.attend(a, x, mem)
 }

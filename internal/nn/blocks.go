@@ -41,21 +41,13 @@ func (s *Sequential) Visit(path string, v Visitor) {
 	}
 }
 
-// Forward runs the chain.
-func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
+// Forward runs the chain, every child against the same arena.
+// (Plan.Forward additionally ping-pongs two arenas across the top-level
+// chain so dead intermediates are reclaimed; inside a single child the
+// one-arena chain is used.)
+func (s *Sequential) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	for _, m := range s.Modules {
-		x = m.Forward(x)
-	}
-	return x
-}
-
-// ForwardArena implements ArenaForwarder: every child runs against the
-// same arena. (Plan.Forward additionally ping-pongs two arenas across
-// the top-level chain so dead intermediates are reclaimed; inside a
-// single child the one-arena chain is used.)
-func (s *Sequential) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	for _, m := range s.Modules {
-		x = ForwardWith(a, m, x)
+		x = m.Forward(a, x)
 	}
 	return x
 }
@@ -103,18 +95,15 @@ func (b *ResidualBlock) Visit(path string, v Visitor) {
 }
 
 // Forward runs the block with ReLU activations.
-func (b *ResidualBlock) Forward(x *tensor.Tensor) *tensor.Tensor { return b.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (b *ResidualBlock) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (b *ResidualBlock) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	var relu ReLU
-	h := relu.ForwardArena(a, b.BN1.ForwardArena(a, b.Conv1.ForwardArena(a, x)))
-	h = b.BN2.ForwardArena(a, b.Conv2.ForwardArena(a, h))
+	h := relu.Forward(a, b.BN1.Forward(a, b.Conv1.Forward(a, x)))
+	h = b.BN2.Forward(a, b.Conv2.Forward(a, h))
 	skip := x
 	if b.Proj != nil {
-		skip = b.ProjBN.ForwardArena(a, b.Proj.ForwardArena(a, x))
+		skip = b.ProjBN.Forward(a, b.Proj.Forward(a, x))
 	}
-	return relu.ForwardArena(a, b.Skip.ApplyArena(a, h, skip))
+	return relu.Forward(a, b.Skip.Apply(a, h, skip))
 }
 
 // SEBlock is a squeeze-and-excitation channel-attention block
@@ -148,15 +137,12 @@ func (s *SEBlock) Visit(path string, v Visitor) {
 }
 
 // Forward scales channels of x [N,C,H,W] by learned gates.
-func (s *SEBlock) Forward(x *tensor.Tensor) *tensor.Tensor { return s.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (s *SEBlock) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (s *SEBlock) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	var relu ReLU
 	var sig Sigmoid
-	z := s.Squeeze.ForwardArena(a, x) // [N,C]
-	z = sig.ForwardArena(a, s.FC2.ForwardArena(a, relu.ForwardArena(a, s.FC1.ForwardArena(a, z))))
-	return s.Gate.ApplyArena(a, x, z)
+	z := s.Squeeze.Forward(a, x) // [N,C]
+	z = sig.Forward(a, s.FC2.Forward(a, relu.Forward(a, s.FC1.Forward(a, z))))
+	return s.Gate.Apply(a, x, z)
 }
 
 // FFN is the transformer feed-forward block: fc1 → activation → fc2.
@@ -180,11 +166,8 @@ func (f *FFN) Visit(path string, v Visitor) {
 }
 
 // Forward runs the block.
-func (f *FFN) Forward(x *tensor.Tensor) *tensor.Tensor { return f.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (f *FFN) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	return f.FC2.ForwardArena(a, ForwardWith(a, f.Act, f.FC1.ForwardArena(a, x)))
+func (f *FFN) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	return f.FC2.Forward(a, f.Act.Forward(a, f.FC1.Forward(a, x)))
 }
 
 // SwiGLU is the gated feed-forward used by LLaMA: (SiLU(xW1) * xW3)W2.
@@ -212,13 +195,9 @@ func (s *SwiGLU) Visit(path string, v Visitor) {
 }
 
 // Forward runs the gated block.
-func (s *SwiGLU) Forward(x *tensor.Tensor) *tensor.Tensor { return s.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (s *SwiGLU) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (s *SwiGLU) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	var silu SiLU
-	return s.W2.ForwardArena(a,
-		s.Gate.ApplyArena(a, silu.ForwardArena(a, s.W1.ForwardArena(a, x)), s.W3.ForwardArena(a, x)))
+	return s.W2.Forward(a, s.Gate.Apply(a, silu.Forward(a, s.W1.Forward(a, x)), s.W3.Forward(a, x)))
 }
 
 // TransformerEncoderLayer is a post-norm encoder block (BERT style):
@@ -254,14 +233,9 @@ func (l *TransformerEncoderLayer) Visit(path string, v Visitor) {
 }
 
 // Forward runs the layer.
-func (l *TransformerEncoderLayer) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return l.ForwardArena(nil, x)
-}
-
-// ForwardArena implements ArenaForwarder.
-func (l *TransformerEncoderLayer) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	x = l.LN1.ForwardArena(a, l.Res1.ApplyArena(a, x, l.Attn.ForwardArena(a, x)))
-	return l.LN2.ForwardArena(a, l.Res2.ApplyArena(a, x, l.FF.ForwardArena(a, x)))
+func (l *TransformerEncoderLayer) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	x = l.LN1.Forward(a, l.Res1.Apply(a, x, l.Attn.Forward(a, x)))
+	return l.LN2.Forward(a, l.Res2.Apply(a, x, l.FF.Forward(a, x)))
 }
 
 // TransformerDecoderLayer is a pre-norm causal decoder block (GPT
@@ -311,14 +285,9 @@ func (l *TransformerDecoderLayer) Visit(path string, v Visitor) {
 }
 
 // Forward runs the layer.
-func (l *TransformerDecoderLayer) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return l.ForwardArena(nil, x)
-}
-
-// ForwardArena implements ArenaForwarder.
-func (l *TransformerDecoderLayer) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	x = l.Res1.ApplyArena(a, x, ForwardWith(a, l.Attn, ForwardWith(a, l.LN1, x)))
-	return l.Res2.ApplyArena(a, x, ForwardWith(a, l.FF, ForwardWith(a, l.LN2, x)))
+func (l *TransformerDecoderLayer) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	x = l.Res1.Apply(a, x, l.Attn.Forward(a, l.LN1.Forward(a, x)))
+	return l.Res2.Apply(a, x, l.FF.Forward(a, l.LN2.Forward(a, x)))
 }
 
 // DepthwiseSeparable is the MobileNet building block: depthwise 3×3
@@ -352,12 +321,29 @@ func (d *DepthwiseSeparable) Visit(path string, v Visitor) {
 }
 
 // Forward runs the block.
-func (d *DepthwiseSeparable) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return d.ForwardArena(nil, x)
+func (d *DepthwiseSeparable) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	x = d.Act.Forward(a, d.BN1.Forward(a, d.DW.Forward(a, x)))
+	return d.Act.Forward(a, d.BN2.Forward(a, d.PW.Forward(a, x)))
 }
 
-// ForwardArena implements ArenaForwarder.
-func (d *DepthwiseSeparable) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	x = ForwardWith(a, d.Act, d.BN1.ForwardArena(a, d.DW.ForwardArena(a, x)))
-	return ForwardWith(a, d.Act, d.BN2.ForwardArena(a, d.PW.ForwardArena(a, x)))
+// GNConv is Conv → GroupNorm → SiLU, the diffusion U-Net unit. Callers
+// build the two layers with their own weight initialization.
+type GNConv struct {
+	Conv *Conv2d
+	GN   *GroupNorm
+}
+
+// Kind implements Module.
+func (g *GNConv) Kind() string { return "GNConv" }
+
+// Visit implements Container.
+func (g *GNConv) Visit(path string, v Visitor) {
+	walk(path+"/conv", g.Conv, v)
+	walk(path+"/gn", g.GN, v)
+}
+
+// Forward runs the unit.
+func (g *GNConv) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	var act SiLU
+	return act.Forward(a, g.GN.Forward(a, g.Conv.Forward(a, x)))
 }

@@ -64,11 +64,7 @@ func (c *Conv2d) OutSize(n int) int {
 // direct skip-on-pad loop's products in its (ic, ky, kx) order from a
 // bias-seeded accumulator, bit-identical to forwardDirect, which the
 // differential tests pin it against.
-func (c *Conv2d) Forward(x *tensor.Tensor) *tensor.Tensor { return c.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder: the output, the im2col
-// patch/scratch buffers and the packed weight panel all carve from a.
-func (c *Conv2d) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2d) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2d expects [N,%d,H,W], got %v", c.InC, x.Shape))
 	}
@@ -149,15 +145,8 @@ func (c *Conv2d) forwardInto(a *tensor.Arena, y, x *tensor.Tensor, n, h, w, oh, 
 		maxPix, maxTaps = max(maxPix, t.pixels()), max(maxTaps, t.taps())
 	})
 	kd := icg * maxTaps
-	size := (maxPix+ocg)*kd + maxPix*ocg + kernels.PanelFloats(kd, ocg)
-	var buf []float32
-	if a != nil {
-		buf = a.Alloc(size)
-	} else {
-		p := kernels.GetScratch(size)
-		defer kernels.PutScratch(p)
-		buf = *p
-	}
+	buf, pooled := scratch(a, (maxPix+ocg)*kd+maxPix*ocg+kernels.PanelFloats(kd, ocg))
+	defer kernels.PutScratch(pooled)
 	patches, buf := buf[:maxPix*kd], buf[maxPix*kd:]
 	out, buf := buf[:maxPix*ocg], buf[maxPix*ocg:]
 	wtaps, panel := buf[:ocg*kd], buf[ocg*kd:]
@@ -306,12 +295,7 @@ type MaxPool2d struct {
 func (p *MaxPool2d) Kind() string { return "MaxPool2d" }
 
 // Forward pools x [N,C,H,W].
-func (p *MaxPool2d) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return pool2d(nil, x, p.K, p.Stride, true)
-}
-
-// ForwardArena implements ArenaForwarder.
-func (p *MaxPool2d) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (p *MaxPool2d) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	return pool2d(a, x, p.K, p.Stride, true)
 }
 
@@ -324,12 +308,7 @@ type AvgPool2d struct {
 func (p *AvgPool2d) Kind() string { return "AvgPool2d" }
 
 // Forward pools x [N,C,H,W].
-func (p *AvgPool2d) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return pool2d(nil, x, p.K, p.Stride, false)
-}
-
-// ForwardArena implements ArenaForwarder.
-func (p *AvgPool2d) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (p *AvgPool2d) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	return pool2d(a, x, p.K, p.Stride, false)
 }
 
@@ -390,10 +369,7 @@ type GlobalAvgPool struct{}
 func (GlobalAvgPool) Kind() string { return "GlobalAvgPool" }
 
 // Forward averages each channel plane.
-func (g GlobalAvgPool) Forward(x *tensor.Tensor) *tensor.Tensor { return g.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (GlobalAvgPool) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (GlobalAvgPool) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic("nn: GlobalAvgPool expects NCHW")
 	}
@@ -419,12 +395,9 @@ type Flatten struct{}
 // Kind implements Module.
 func (Flatten) Kind() string { return "Flatten" }
 
-// Forward flattens all but the leading dimension.
-func (f Flatten) Forward(x *tensor.Tensor) *tensor.Tensor { return f.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder: the reshaped view's header
-// carves from the arena; the data is shared with x either way.
-func (Flatten) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+// Forward flattens all but the leading dimension. Only the reshaped
+// view's header carves from a; the data is shared with x.
+func (Flatten) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	return a.View(x.Data, x.Shape[0], x.Len()/x.Shape[0])
 }
 
@@ -436,10 +409,7 @@ type Upsample2x struct{}
 func (Upsample2x) Kind() string { return "Upsample2x" }
 
 // Forward duplicates each pixel into a 2×2 block.
-func (u Upsample2x) Forward(x *tensor.Tensor) *tensor.Tensor { return u.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (Upsample2x) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (Upsample2x) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	y := a.New(n, c, 2*h, 2*w)
 	for ni := 0; ni < n; ni++ {
@@ -461,24 +431,19 @@ func (Upsample2x) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor
 }
 
 // ConcatChannels concatenates two NCHW tensors along the channel dim
-// (U-Net skip connections).
-func ConcatChannels(a, b *tensor.Tensor) *tensor.Tensor {
-	return ConcatChannelsArena(nil, a, b)
-}
-
-// ConcatChannelsArena is ConcatChannels with the output carved from ar.
-func ConcatChannelsArena(ar *tensor.Arena, a, b *tensor.Tensor) *tensor.Tensor {
-	if a.Rank() != 4 || b.Rank() != 4 || a.Shape[0] != b.Shape[0] ||
-		a.Shape[2] != b.Shape[2] || a.Shape[3] != b.Shape[3] {
-		panic(fmt.Sprintf("nn: ConcatChannels shape mismatch %v vs %v", a.Shape, b.Shape))
+// (U-Net skip connections), carving the output from a.
+func ConcatChannels(a *tensor.Arena, x, y *tensor.Tensor) *tensor.Tensor {
+	if x.Rank() != 4 || y.Rank() != 4 || x.Shape[0] != y.Shape[0] ||
+		x.Shape[2] != y.Shape[2] || x.Shape[3] != y.Shape[3] {
+		panic(fmt.Sprintf("nn: ConcatChannels shape mismatch %v vs %v", x.Shape, y.Shape))
 	}
-	n, ca, cb := a.Shape[0], a.Shape[1], b.Shape[1]
-	h, w := a.Shape[2], a.Shape[3]
-	y := ar.New(n, ca+cb, h, w)
+	n, cx, cy := x.Shape[0], x.Shape[1], y.Shape[1]
+	h, w := x.Shape[2], x.Shape[3]
+	out := a.New(n, cx+cy, h, w)
 	hw := h * w
 	for ni := 0; ni < n; ni++ {
-		copy(y.Data[ni*(ca+cb)*hw:], a.Data[ni*ca*hw:(ni+1)*ca*hw])
-		copy(y.Data[(ni*(ca+cb)+ca)*hw:], b.Data[ni*cb*hw:(ni+1)*cb*hw])
+		copy(out.Data[ni*(cx+cy)*hw:], x.Data[ni*cx*hw:(ni+1)*cx*hw])
+		copy(out.Data[(ni*(cx+cy)+cx)*hw:], y.Data[ni*cy*hw:(ni+1)*cy*hw])
 	}
-	return y
+	return out
 }

@@ -47,10 +47,7 @@ func (c *Conv1d) OutChannelDim() int { return 0 }
 func (c *Conv1d) OutSize(t int) int { return (t+2*c.Pad-c.K)/c.Stride + 1 }
 
 // Forward convolves x [N, InC, T] producing [N, OutC, T'].
-func (c *Conv1d) Forward(x *tensor.Tensor) *tensor.Tensor { return c.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (c *Conv1d) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (c *Conv1d) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: Conv1d expects [N,%d,T], got %v", c.InC, x.Shape))
 	}
@@ -77,7 +74,7 @@ func (c *Conv1d) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor 
 						if ix < 0 || ix >= t {
 							continue
 						}
-						acc += xRow[ix] * wRow[k]
+						acc += float32(xRow[ix] * wRow[k])
 					}
 				}
 				y.Data[(ni*c.OutC+oc)*ot+ox] = acc

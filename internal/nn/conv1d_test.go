@@ -11,7 +11,7 @@ func TestConv1dIdentity(t *testing.T) {
 	c.W.Data[0] = 1
 	x := tensor.New(1, 1, 8)
 	x.FillNormal(tensor.NewRNG(1), 0, 1)
-	y := c.Forward(x)
+	y := c.Forward(nil, x)
 	for i := range x.Data {
 		if y.Data[i] != x.Data[i] {
 			t.Fatal("identity conv1d mismatch")
@@ -22,7 +22,7 @@ func TestConv1dIdentity(t *testing.T) {
 func TestConv1dStride(t *testing.T) {
 	c := NewConv1d(2, 4, 5, 4, 2)
 	x := tensor.New(2, 2, 64)
-	y := c.Forward(x)
+	y := c.Forward(nil, x)
 	if y.Shape[0] != 2 || y.Shape[1] != 4 || y.Shape[2] != c.OutSize(64) {
 		t.Fatalf("shape %v", y.Shape)
 	}
@@ -35,7 +35,7 @@ func TestConv1dSumKernel(t *testing.T) {
 	c := NewConv1d(1, 1, 3, 1, 0)
 	c.W.Data[0], c.W.Data[1], c.W.Data[2] = 1, 1, 1
 	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 4)
-	y := c.Forward(x)
+	y := c.Forward(nil, x)
 	want := []float32{6, 9}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -51,7 +51,7 @@ func TestConv1dQuantHooks(t *testing.T) {
 	c.QS.Observe = func([]float32) { called = true }
 	x := tensor.New(1, 1, 4)
 	x.Fill(1)
-	c.Forward(x)
+	c.Forward(nil, x)
 	if !called {
 		t.Error("observer not invoked")
 	}
@@ -60,7 +60,7 @@ func TestConv1dQuantHooks(t *testing.T) {
 			dst[i] = 0
 		}
 	}
-	y := c.Forward(x)
+	y := c.Forward(nil, x)
 	if y.Data[0] != 0 {
 		t.Error("input quant hook not applied")
 	}

@@ -38,7 +38,7 @@ func benchConv(b *testing.B, idx int, direct bool) {
 			y := tensor.New(tc.n, tc.outC, oh, ow)
 			c.forwardDirect(y, x, tc.n, tc.h, tc.w, oh, ow)
 		} else {
-			_ = c.Forward(x)
+			_ = c.Forward(nil, x)
 		}
 	}
 }
@@ -83,7 +83,7 @@ func BenchmarkBatchMatMul(b *testing.B) {
 			b.SetBytes(int64((a.Len() + bm.Len() + tc.b1*tc.m*tc.n) * 4))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = BatchMatMul(a, bm, tc.transB)
+				_ = batchMatMul(nil, a, bm, tc.transB, nil)
 			}
 		})
 	}

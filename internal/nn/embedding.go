@@ -34,7 +34,7 @@ func (e *Embedding) WeightTensor() *tensor.Tensor { return e.W }
 func (e *Embedding) OutChannelDim() int { return 0 }
 
 // Forward is unsupported; embeddings consume token IDs. Use Lookup.
-func (e *Embedding) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (e *Embedding) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 	panic("nn: Embedding consumes token IDs; call Lookup(ids)")
 }
 
@@ -88,7 +88,7 @@ func (e *EmbeddingBag) WeightTensor() *tensor.Tensor { return e.W }
 func (e *EmbeddingBag) OutChannelDim() int { return 0 }
 
 // Forward is unsupported; use LookupBags.
-func (e *EmbeddingBag) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (e *EmbeddingBag) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 	panic("nn: EmbeddingBag consumes token bags; call LookupBags(bags)")
 }
 
@@ -135,12 +135,7 @@ func (p *PositionalEmbedding) Kind() string { return "PositionalEmbedding" }
 // clamp to the final table row, so autoregressive generation can run
 // past the training context (the graceful long-context behaviour of
 // ALiBi-style models).
-func (p *PositionalEmbedding) Forward(x *tensor.Tensor) *tensor.Tensor {
-	return p.ForwardArena(nil, x)
-}
-
-// ForwardArena implements ArenaForwarder.
-func (p *PositionalEmbedding) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (p *PositionalEmbedding) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Shape[2] != p.Dim {
 		panic(fmt.Sprintf("nn: PositionalEmbedding expects [B,T,%d], got %v", p.Dim, x.Shape))
 	}

@@ -89,7 +89,7 @@ func TestLinearForwardMatchesOracle(t *testing.T) {
 		}
 		x := tensor.New(tc.shape...)
 		fillTensor(x, rng, 1)
-		got := l.Forward(x)
+		got := l.Forward(nil, x)
 		want := linearOracle(l, x)
 		requireBitsEqual(t, got.Data, want, fmt.Sprintf("Linear %v->%d bias=%v", tc.shape, tc.out, tc.bias))
 	}
@@ -141,7 +141,7 @@ func requireConvMatchesDirect(t *testing.T, c *Conv2d, x *tensor.Tensor, what st
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		requireBitsEqual(t, c.Forward(x).Data, want.Data,
+		requireBitsEqual(t, c.Forward(nil, x).Data, want.Data,
 			fmt.Sprintf("%s unplanned GOMAXPROCS=%d", what, procs))
 		requireBitsEqual(t, plan.Forward(x).Data, want.Data,
 			fmt.Sprintf("%s planned GOMAXPROCS=%d", what, procs))
@@ -231,7 +231,7 @@ func TestBatchMatMulMatchesOracle(t *testing.T) {
 		b := tensor.New(tc.bShape...)
 		fillTensor(a, rng, 1)
 		fillTensor(b, rng, 0.5)
-		got := BatchMatMul(a, b, tc.transB)
+		got := batchMatMul(nil, a, b, tc.transB, nil)
 		want := batchMatMulOracle(a, b, tc.transB)
 		requireBitsEqual(t, got.Data, want,
 			fmt.Sprintf("BatchMatMul %v x %v transB=%v", tc.aShape, tc.bShape, tc.transB))
@@ -259,9 +259,9 @@ func TestLayerKernelsDeterministicAcrossWorkers(t *testing.T) {
 	type result struct{ lin, conv, bmm []float32 }
 	runAll := func() result {
 		return result{
-			lin:  l.Forward(xl).Data,
-			conv: cv.Forward(xc).Data,
-			bmm:  BatchMatMul(ba, bb, false).Data,
+			lin:  l.Forward(nil, xl).Data,
+			conv: cv.Forward(nil, xc).Data,
+			bmm:  batchMatMul(nil, ba, bb, false, nil).Data,
 		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -284,8 +284,8 @@ func TestPool2dMatchesReference(t *testing.T) {
 	fillTensor(x, rng, 1)
 	for _, k := range []int{2, 3} {
 		for _, stride := range []int{1, 2, 3} {
-			gotMax := (&MaxPool2d{K: k, Stride: stride}).Forward(x)
-			gotAvg := (&AvgPool2d{K: k, Stride: stride}).Forward(x)
+			gotMax := (&MaxPool2d{K: k, Stride: stride}).Forward(nil, x)
+			gotAvg := (&AvgPool2d{K: k, Stride: stride}).Forward(nil, x)
 			wantMax, wantAvg := pool2dRef(x, k, stride)
 			requireBitsEqual(t, gotMax.Data, wantMax.Data, fmt.Sprintf("MaxPool2d k=%d s=%d", k, stride))
 			requireBitsEqual(t, gotAvg.Data, wantAvg.Data, fmt.Sprintf("AvgPool2d k=%d s=%d", k, stride))

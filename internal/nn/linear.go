@@ -38,33 +38,25 @@ func (l *Linear) WeightTensor() *tensor.Tensor { return l.W }
 func (l *Linear) OutChannelDim() int { return 0 }
 
 // Forward computes x·Wᵀ + b. x may have any leading shape as long as
-// the final dimension equals In; the output replaces it with Out.
-func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor { return l.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder. The weight panel is repacked
-// into arena scratch on every call — packing is a pure copy, and the
-// weights themselves may be requantized in place between calls, so
+// the final dimension equals In; the output replaces it with Out. The
+// weight panel is repacked on every call — packing is a pure copy, and
+// the weights themselves may be requantized in place between calls, so
 // panels are never cached.
-func (l *Linear) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (l *Linear) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	rows, cols := flatten2D(x)
 	if cols != l.In {
 		panic(fmt.Sprintf("nn: Linear expects last dim %d, got shape %v", l.In, x.Shape))
 	}
 	x = l.QS.applyIn(a, x)
 	y := newLike(a, x, l.Out)
-	// Bias rides in the GEMM epilogue: acc = Σ_k x·w, then acc += b —
-	// the same operation order as the old separate per-row pass.
-	if a == nil {
-		kernels.GemmT(y.Data, x.Data, l.W.Data, rows, l.In, l.Out, kernels.Opt{Bias: l.B})
-	} else {
-		// Planned forwards run the kernel serially (the pooled-closure
-		// fan-out allocates); parallelism comes from one plan per
-		// worker, and the PR 5 contract makes serial vs fanned-out runs
-		// byte-identical.
-		panel := a.Alloc(kernels.PanelFloats(l.In, l.Out))
-		kernels.PackTInto(panel, l.W.Data, l.In, l.Out)
-		kernels.GemmPacked(y.Data, x.Data, panel, rows, l.In, l.Out, kernels.Opt{Bias: l.B, Serial: true})
-	}
+	panel, pooled := scratch(a, kernels.PanelFloats(l.In, l.Out))
+	defer kernels.PutScratch(pooled)
+	kernels.PackTInto(panel, l.W.Data, l.In, l.Out)
+	// Bias rides in the GEMM epilogue: acc = Σ_k x·w, then acc += b.
+	// Planned forwards run serially (the pooled-closure fan-out
+	// allocates); parallelism comes from one plan per worker, and the
+	// kernels make serial and fanned-out runs byte-identical.
+	kernels.GemmPacked(y.Data, x.Data, panel, rows, l.In, l.Out, kernels.Opt{Bias: l.B, Serial: a != nil})
 	return l.QS.applyOut(y)
 }
 
@@ -72,7 +64,7 @@ func (l *Linear) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor 
 // buffers: x is [rows, in], w is [out, in], y is [rows, out].
 // Accumulation is float32, matching typical FP8-with-FP32-accumulate
 // hardware behaviour emulated by the paper. It is the scalar oracle
-// the blocked kernels.GemmT path is pinned against by the
+// the packed-GEMM Linear path is pinned against by the
 // differential tests in kernels_diff_test.go: a single accumulator in
 // ascending-k order, using the active variant's multiply-accumulate
 // (two roundings on the generic/sse tiers, the exactly-rounded fused
@@ -109,28 +101,28 @@ func (m *MatMulOp) Kind() string { return "MatMul" }
 func (m *MatMulOp) Q() *QState { return &m.QA }
 
 // Forward is unsupported: MatMulOp is binary. Use Apply.
-func (m *MatMulOp) Forward(x *tensor.Tensor) *tensor.Tensor {
-	panic("nn: MatMulOp is binary; call Apply(a, b)")
+func (m *MatMulOp) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
+	panic("nn: MatMulOp is binary; call Apply(a, x, y)")
 }
 
-// Apply multiplies a [.., M, K] by b [.., K, N] treating leading
-// dimensions as batch (they must match); returns [.., M, N].
-func (m *MatMulOp) Apply(a, b *tensor.Tensor) *tensor.Tensor {
-	return m.ApplyArena(nil, a, b)
+// Apply multiplies x [.., M, K] by y [.., K, N] treating leading
+// dimensions as batch (they must match); returns [.., M, N] carved
+// from a. The y operand is the one the GEMM packs into panels, so when
+// its QState carries a fused quantizer the fake-quant folds into
+// packing — no quantized copy of y is materialized, and the result is
+// bit-identical to the copy path by the RowQuantFactory contract.
+func (m *MatMulOp) Apply(a *tensor.Arena, x, y *tensor.Tensor) *tensor.Tensor {
+	return applyMatMul(a, &m.QA, &m.QB, x, y, false)
 }
 
-// ApplyArena is Apply with intermediates carved from ar. The b operand
-// is the one the GEMM packs into panels, so when its QState carries a
-// fused quantizer the fake-quant folds into packing — no quantized
-// copy of b is materialized, and the result is bit-identical to the
-// copy path by the RowQuantFactory contract.
-func (m *MatMulOp) ApplyArena(ar *tensor.Arena, a, b *tensor.Tensor) *tensor.Tensor {
-	a = m.QA.applyIn(ar, a)
-	if q := m.QB.fusedQuant(b); q != nil {
-		return batchMatMul(ar, a, b, false, q)
+// applyMatMul runs a binary matmul leaf's input hooks and multiply,
+// fusing y's fake-quant into panel packing when it has a fused form.
+func applyMatMul(a *tensor.Arena, qx, qy *QState, x, y *tensor.Tensor, transB bool) *tensor.Tensor {
+	x = qx.applyIn(a, x)
+	if q := qy.fusedQuant(y); q != nil {
+		return batchMatMul(a, x, y, transB, q)
 	}
-	b = m.QB.applyIn(ar, b)
-	return batchMatMul(ar, a, b, false, nil)
+	return batchMatMul(a, x, qy.applyIn(a, y), transB, nil)
 }
 
 // BatchMatMulOp is the BMM leaf used inside attention (QKᵀ and PV).
@@ -147,111 +139,96 @@ func (m *BatchMatMulOp) Kind() string { return "BatchMatMul" }
 func (m *BatchMatMulOp) Q() *QState { return &m.QA }
 
 // Forward is unsupported: BatchMatMulOp is binary. Use Apply.
-func (m *BatchMatMulOp) Forward(x *tensor.Tensor) *tensor.Tensor {
-	panic("nn: BatchMatMulOp is binary; call Apply(a, b)")
+func (m *BatchMatMulOp) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
+	panic("nn: BatchMatMulOp is binary; call Apply(a, x, y)")
 }
 
-// Apply performs the batched multiply.
-func (m *BatchMatMulOp) Apply(a, b *tensor.Tensor) *tensor.Tensor {
-	return m.ApplyArena(nil, a, b)
+// Apply performs the batched multiply of x by y (or yᵀ when
+// TransposeB), carving from a; like MatMulOp, a fused quantizer on the
+// y operand folds into panel packing.
+func (m *BatchMatMulOp) Apply(a *tensor.Arena, x, y *tensor.Tensor) *tensor.Tensor {
+	return applyMatMul(a, &m.QA, &m.QB, x, y, m.TransposeB)
 }
 
-// ApplyArena is Apply with intermediates carved from ar; like
-// MatMulOp, a fused quantizer on the b operand folds into panel
-// packing.
-func (m *BatchMatMulOp) ApplyArena(ar *tensor.Arena, a, b *tensor.Tensor) *tensor.Tensor {
-	a = m.QA.applyIn(ar, a)
-	if q := m.QB.fusedQuant(b); q != nil {
-		return batchMatMul(ar, a, b, m.TransposeB, q)
-	}
-	b = m.QB.applyIn(ar, b)
-	return batchMatMul(ar, a, b, m.TransposeB, nil)
-}
-
-// BatchMatMul multiplies batched matrices: a is [batch..., M, K] and b
-// is [batch..., K, N] (or [batch..., N, K] when transB). Leading batch
-// dims must match exactly.
-func BatchMatMul(a, b *tensor.Tensor, transB bool) *tensor.Tensor {
-	return BatchMatMulArena(nil, a, b, transB)
-}
-
-// BatchMatMulArena is BatchMatMul with the output (and one packed
-// panel, reused across batch elements) carved from ar. The arena path
-// runs batch elements serially through the same packed kernels the
-// parallel path uses; the kernels' bit-identity contract makes the
-// results byte-equal for any fan-out.
-func BatchMatMulArena(ar *tensor.Arena, a, b *tensor.Tensor, transB bool) *tensor.Tensor {
-	return batchMatMul(ar, a, b, transB, nil)
-}
-
-// batchMatMul is the shared batched-multiply body. A non-nil q is a
-// chunkable fake-quantizer (whole-tensor statistics already bound, see
-// QState.fusedQuant) applied to b during panel packing — the fused
-// form of quantize-b-then-multiply, byte-identical to it.
-func batchMatMul(ar *tensor.Arena, a, b *tensor.Tensor, transB bool, q kernels.QuantFunc) *tensor.Tensor {
-	if a.Rank() < 2 || b.Rank() < 2 {
+// batchMatMul multiplies batched matrices: x is [batch..., M, K] and y
+// is [batch..., K, N] (or [batch..., N, K] when transB); leading batch
+// dims must match exactly. A non-nil q is a chunkable fake-quantizer
+// (whole-tensor statistics already bound, see QState.fusedQuant)
+// applied to y during panel packing — the fused form of
+// quantize-y-then-multiply, byte-identical to it.
+func batchMatMul(a *tensor.Arena, x, y *tensor.Tensor, transB bool, q kernels.QuantFunc) *tensor.Tensor {
+	if x.Rank() < 2 || y.Rank() < 2 {
 		panic("nn: BatchMatMul needs rank >= 2")
 	}
-	M := a.Shape[a.Rank()-2]
-	K := a.Shape[a.Rank()-1]
-	var N, bK int
+	M := x.Shape[x.Rank()-2]
+	K := x.Shape[x.Rank()-1]
+	var N, yK int
 	if transB {
-		N = b.Shape[b.Rank()-2]
-		bK = b.Shape[b.Rank()-1]
+		N = y.Shape[y.Rank()-2]
+		yK = y.Shape[y.Rank()-1]
 	} else {
-		bK = b.Shape[b.Rank()-2]
-		N = b.Shape[b.Rank()-1]
+		yK = y.Shape[y.Rank()-2]
+		N = y.Shape[y.Rank()-1]
 	}
-	if bK != K {
-		panic(fmt.Sprintf("nn: BatchMatMul inner dims mismatch: %v x %v (transB=%v)", a.Shape, b.Shape, transB))
+	if yK != K {
+		panic(fmt.Sprintf("nn: BatchMatMul inner dims mismatch: %v x %v (transB=%v)", x.Shape, y.Shape, transB))
 	}
-	batch := a.Len() / (M * K)
-	if b.Len()/(bqSize(transB, K, N)) != batch {
-		panic(fmt.Sprintf("nn: BatchMatMul batch mismatch: %v x %v", a.Shape, b.Shape))
+	batch := x.Len() / (M * K)
+	if y.Len()/(K*N) != batch {
+		panic(fmt.Sprintf("nn: BatchMatMul batch mismatch: %v x %v", x.Shape, y.Shape))
 	}
-	y := newLike2(ar, a, M, N)
-	// Both layouts route through the packed GEMM kernels; per output
-	// element the accumulation stays ascending-k, matching the old
-	// matmulT (transB) and k-outer (natural) loops bit for bit.
-	if ar != nil {
-		panel := ar.Alloc(kernels.PanelFloats(K, N))
-		var stage []float32
-		if q != nil {
-			stage = ar.Alloc(kernels.QuantStageFloats(K, N))
+	out := newLike2(a, x, M, N)
+	m := bmm{out: out.Data, x: x.Data, y: y.Data, M: M, K: K, N: N, transB: transB, q: q}
+	// Planned forwards and single matrices run the batch loop inline
+	// (the GEMM itself fans out over rows when unplanned); unplanned
+	// batches fan out over batch elements, one panel per chunk.
+	if a != nil || batch == 1 {
+		m.run(a, 0, batch, a != nil)
+		return out
+	}
+	tensor.ParallelFor(batch, 1, func(lo, hi int) { m.run(nil, lo, hi, true) })
+	return out
+}
+
+// bmm is one batched multiply's operands and geometry.
+type bmm struct {
+	out, x, y []float32
+	M, K, N   int
+	transB    bool
+	q         kernels.QuantFunc
+}
+
+// run multiplies batch elements [lo, hi) through one panel (plus the
+// fused quantizer's stage) from scratch. Both layouts route through the
+// packed GEMM; per output element the accumulation stays ascending-k,
+// matching the matmulT (transB) and k-outer (natural) oracles bit for
+// bit.
+func (m bmm) run(a *tensor.Arena, lo, hi int, serial bool) {
+	M, K, N := m.M, m.K, m.N
+	np, ns := kernels.PanelFloats(K, N), 0
+	if m.q != nil {
+		ns = kernels.QuantStageFloats(K, N)
+	}
+	buf, pooled := scratch(a, np+ns)
+	defer kernels.PutScratch(pooled)
+	panel, stage := buf[:np], buf[np:]
+	for bi := lo; bi < hi; bi++ {
+		ym := m.y[bi*K*N : (bi+1)*K*N]
+		// Repacking overwrites the panel fully (including the zero
+		// tail), so reuse across batch elements is exact.
+		switch {
+		case m.q != nil && m.transB:
+			kernels.PackTQuantInto(panel, stage, ym, K, N, m.q)
+		case m.q != nil:
+			kernels.PackNQuantInto(panel, stage, ym, K, N, m.q)
+		case m.transB:
+			kernels.PackTInto(panel, ym, K, N)
+		default:
+			kernels.PackNInto(panel, ym, K, N)
 		}
-		for bi := 0; bi < batch; bi++ {
-			am := a.Data[bi*M*K : (bi+1)*M*K]
-			bm := b.Data[bi*K*N : (bi+1)*K*N]
-			ym := y.Data[bi*M*N : (bi+1)*M*N]
-			// Repacking overwrites the panel fully (including the
-			// zero tail), so reuse across batch elements is exact.
-			switch {
-			case q != nil && transB:
-				kernels.PackTQuantInto(panel, stage, bm, K, N, q)
-			case q != nil:
-				kernels.PackNQuantInto(panel, stage, bm, K, N, q)
-			case transB:
-				kernels.PackTInto(panel, bm, K, N)
-			default:
-				kernels.PackNInto(panel, bm, K, N)
-			}
-			kernels.GemmPacked(ym, am, panel, M, K, N, kernels.Opt{Serial: true})
-		}
-		return y
+		kernels.GemmPacked(m.out[bi*M*N:(bi+1)*M*N], m.x[bi*M*K:(bi+1)*M*K], panel, M, K, N,
+			kernels.Opt{Serial: serial})
 	}
-	if batch == 1 {
-		batchMatMulOne(y.Data, a.Data, b.Data, M, K, N, transB, false, q)
-		return y
-	}
-	tensor.ParallelFor(batch, 1, func(lo, hi int) {
-		for bi := lo; bi < hi; bi++ {
-			am := a.Data[bi*M*K : (bi+1)*M*K]
-			bm := b.Data[bi*K*N : (bi+1)*K*N]
-			ym := y.Data[bi*M*N : (bi+1)*M*N]
-			batchMatMulOne(ym, am, bm, M, K, N, transB, true, q)
-		}
-	})
-	return y
 }
 
 // newLike2 carves the [.., M, N] output shape for a batched matmul
@@ -267,23 +244,3 @@ func newLike2(ar *tensor.Arena, a *tensor.Tensor, M, N int) *tensor.Tensor {
 	buf[r-2], buf[r-1] = M, N
 	return ar.New(buf[:r]...)
 }
-
-// batchMatMulOne multiplies one batch element through the blocked
-// kernels; serial kernels are used when the batch loop itself is the
-// parallel axis. A non-nil q routes through the fused-quant entry
-// points (quantize-during-pack).
-func batchMatMulOne(y, a, b []float32, M, K, N int, transB, serial bool, q kernels.QuantFunc) {
-	opt := kernels.Opt{Serial: serial}
-	switch {
-	case q != nil && transB:
-		kernels.GemmTQuant(y, a, b, M, K, N, q, opt)
-	case q != nil:
-		kernels.GemmNQuant(y, a, b, M, K, N, q, opt)
-	case transB:
-		kernels.GemmT(y, a, b, M, K, N, opt)
-	default:
-		kernels.GemmN(y, a, b, M, K, N, opt)
-	}
-}
-
-func bqSize(transB bool, k, n int) int { return k * n }

@@ -12,6 +12,12 @@
 // fake-quantizes activations on the fly and weights are fake-quantized
 // in place (with FP32 masters retained for restore). This mirrors how
 // the paper's emulation framework interposes on FP32 compute.
+//
+// Outputs are byte-identical on every architecture: a product that
+// feeds an add is rounded explicitly (float32(x*y) or float64(x*y)),
+// which the Go spec says prevents fusing it into a multiply-add. Targets
+// such as arm64 would otherwise fuse where amd64 does not; make
+// fma-audit checks the arm64 listing of every nn symbol.
 package nn
 
 import (
@@ -110,32 +116,12 @@ type Module interface {
 	// "LayerNorm", ...) used by quantization schemes to select a
 	// per-operator policy.
 	Kind() string
-	// Forward computes the module output for input x.
-	Forward(x *tensor.Tensor) *tensor.Tensor
-}
-
-// ArenaForwarder is implemented by modules whose forward path can
-// carve every intermediate from a preallocated tensor.Arena instead of
-// the heap. The contract is strict bit-identity: ForwardArena(a, x)
-// must run exactly the same kernels in exactly the same accumulation
-// order as Forward(x) — the arena only replaces make — so planned and
-// unplanned outputs compare byte-equal. ForwardArena(nil, x) must
-// equal Forward(x) exactly (every implementation here defines Forward
-// as that call).
-type ArenaForwarder interface {
-	Module
-	ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor
-}
-
-// ForwardWith runs m on x, carving intermediates from a when m
-// supports it. Modules without an arena path fall back to their heap
-// Forward — still correct, just allocating — so a plan can execute any
-// module tree.
-func ForwardWith(a *tensor.Arena, m Module, x *tensor.Tensor) *tensor.Tensor {
-	if af, ok := m.(ArenaForwarder); ok {
-		return af.ForwardArena(a, x)
-	}
-	return m.Forward(x)
+	// Forward computes the module output for input x, carving every
+	// intermediate and the output from a. A nil a means the heap
+	// (tensor.Arena's nil semantics); a plan passes its arenas. Both run
+	// the same kernels in the same accumulation order — the arena only
+	// replaces make — so planned and unplanned outputs are byte-equal.
+	Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor
 }
 
 // Visitor is called for every module in a tree with its slash-separated
@@ -211,6 +197,18 @@ func newLike(a *tensor.Arena, x *tensor.Tensor, out int) *tensor.Tensor {
 	copy(buf[:r], x.Shape)
 	buf[r-1] = out
 	return a.New(buf[:r]...)
+}
+
+// scratch returns n floats for GEMM panels and patches: carved from a
+// when planned, borrowed from the kernels' pool otherwise. The second
+// result is the pooled buffer (nil for an arena), to be handed back
+// with kernels.PutScratch once the floats are dead.
+func scratch(a *tensor.Arena, n int) ([]float32, *[]float32) {
+	if a != nil {
+		return a.Alloc(n), nil
+	}
+	p := kernels.GetScratch(n)
+	return *p, p
 }
 
 // cloneInto is Clone with the copy carved from a: New + copy, the exact

@@ -16,7 +16,7 @@ func TestLinearForward(t *testing.T) {
 	copy(l.W.Data, []float32{1, 0, 0, 1, 1, 1})
 	copy(l.B, []float32{0, 1, 2})
 	x := tensor.FromSlice([]float32{2, 3}, 1, 2)
-	y := l.Forward(x)
+	y := l.Forward(nil, x)
 	want := []float32{2, 4, 7}
 	for i, w := range want {
 		if y.Data[i] != w {
@@ -30,13 +30,13 @@ func TestLinearBatchedLeadingDims(t *testing.T) {
 	l.W.FillNormal(tensor.NewRNG(1), 0, 1)
 	x := tensor.New(2, 3, 4)
 	x.FillNormal(tensor.NewRNG(2), 0, 1)
-	y := l.Forward(x)
+	y := l.Forward(nil, x)
 	if y.Shape[0] != 2 || y.Shape[1] != 3 || y.Shape[2] != 2 {
 		t.Fatalf("shape = %v, want [2 3 2]", y.Shape)
 	}
 	// Row 0 of the flattened input should match a 1-row forward.
 	x0 := tensor.FromSlice(x.Data[:4], 1, 4)
-	y0 := l.Forward(x0)
+	y0 := l.Forward(nil, x0)
 	for i := range y0.Data {
 		if !almostEq(float64(y.Data[i]), float64(y0.Data[i]), 1e-6) {
 			t.Errorf("batched row 0 differs at %d", i)
@@ -50,7 +50,7 @@ func TestLinearQuantHooks(t *testing.T) {
 	var observed []float32
 	l.QS.Observe = func(v []float32) { observed = append(observed, v...) }
 	x := tensor.FromSlice([]float32{0.4, 0.6}, 1, 2)
-	l.Forward(x)
+	l.Forward(nil, x)
 	if len(observed) != 2 {
 		t.Fatalf("observer saw %d values, want 2", len(observed))
 	}
@@ -60,7 +60,7 @@ func TestLinearQuantHooks(t *testing.T) {
 			dst[i] = 0
 		}
 	}
-	y := l.Forward(x)
+	y := l.Forward(nil, x)
 	if y.Data[0] != 0 {
 		t.Errorf("input hook not applied: y = %v", y.Data[0])
 	}
@@ -69,7 +69,7 @@ func TestLinearQuantHooks(t *testing.T) {
 		t.Error("input tensor mutated by quant hook")
 	}
 	l.QS.Reset()
-	if y := l.Forward(x); y.Data[0] != 1.0 {
+	if y := l.Forward(nil, x); y.Data[0] != 1.0 {
 		t.Errorf("Reset did not restore FP32 path: %v", y.Data[0])
 	}
 }
@@ -79,7 +79,7 @@ func TestConv2dIdentityKernel(t *testing.T) {
 	c.W.Set(1, 0, 0, 1, 1) // centre tap
 	x := tensor.New(1, 1, 4, 4)
 	x.FillNormal(tensor.NewRNG(3), 0, 1)
-	y := c.Forward(x)
+	y := c.Forward(nil, x)
 	for i := range x.Data {
 		if !almostEq(float64(y.Data[i]), float64(x.Data[i]), 1e-6) {
 			t.Fatalf("identity conv mismatch at %d", i)
@@ -90,7 +90,7 @@ func TestConv2dIdentityKernel(t *testing.T) {
 func TestConv2dStridePad(t *testing.T) {
 	c := NewConv2d(2, 4, 3, 2, 1, 1)
 	x := tensor.New(1, 2, 8, 8)
-	y := c.Forward(x)
+	y := c.Forward(nil, x)
 	if y.Shape[1] != 4 || y.Shape[2] != 4 || y.Shape[3] != 4 {
 		t.Errorf("shape = %v, want [1 4 4 4]", y.Shape)
 	}
@@ -101,7 +101,7 @@ func TestConv2dSumKernel(t *testing.T) {
 	c := NewConv2d(1, 1, 2, 1, 0, 1)
 	c.W.Fill(1)
 	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
-	y := c.Forward(x)
+	y := c.Forward(nil, x)
 	if y.Len() != 1 || y.Data[0] != 10 {
 		t.Errorf("sum conv = %v, want [10]", y.Data)
 	}
@@ -113,7 +113,7 @@ func TestDepthwiseConvGroups(t *testing.T) {
 	c.W.Set(2, 0, 0, 0, 0) // channel 0 scale 2
 	c.W.Set(3, 1, 0, 0, 0) // channel 1 scale 3
 	x := tensor.FromSlice([]float32{1, 1, 1, 1, 2, 2, 2, 2}, 1, 2, 2, 2)
-	y := c.Forward(x)
+	y := c.Forward(nil, x)
 	for i := 0; i < 4; i++ {
 		if y.Data[i] != 2 {
 			t.Errorf("ch0[%d] = %v, want 2", i, y.Data[i])
@@ -127,15 +127,15 @@ func TestDepthwiseConvGroups(t *testing.T) {
 func TestPooling(t *testing.T) {
 	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
 	mp := &MaxPool2d{K: 2, Stride: 2}
-	if y := mp.Forward(x); y.Data[0] != 4 {
+	if y := mp.Forward(nil, x); y.Data[0] != 4 {
 		t.Errorf("maxpool = %v, want 4", y.Data[0])
 	}
 	ap := &AvgPool2d{K: 2, Stride: 2}
-	if y := ap.Forward(x); y.Data[0] != 2.5 {
+	if y := ap.Forward(nil, x); y.Data[0] != 2.5 {
 		t.Errorf("avgpool = %v, want 2.5", y.Data[0])
 	}
 	var gap GlobalAvgPool
-	if y := gap.Forward(x); y.Data[0] != 2.5 {
+	if y := gap.Forward(nil, x); y.Data[0] != 2.5 {
 		t.Errorf("gap = %v, want 2.5", y.Data[0])
 	}
 }
@@ -145,7 +145,7 @@ func TestBatchNormNormalizes(t *testing.T) {
 	bn.Mean[0] = 2
 	bn.Var[0] = 4
 	x := tensor.FromSlice([]float32{2, 4, 0, 6}, 1, 1, 2, 2)
-	y := bn.Forward(x)
+	y := bn.Forward(nil, x)
 	want := []float32{0, 1, -1, 2} // (x-2)/2
 	for i := range want {
 		if !almostEq(float64(y.Data[i]), float64(want[i]), 1e-3) {
@@ -163,7 +163,7 @@ func TestBatchNormCalibration(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		x := tensor.New(2, 1, 4, 4)
 		x.FillNormal(r, 3, 2)
-		bn.Forward(x)
+		bn.Forward(nil, x)
 	}
 	bn.FinishCalibration()
 	if !almostEq(float64(bn.Mean[0]), 3, 0.3) {
@@ -180,7 +180,7 @@ func TestBatchNormCalibration(t *testing.T) {
 func TestLayerNormOutput(t *testing.T) {
 	ln := NewLayerNorm(4)
 	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 4)
-	y := ln.Forward(x)
+	y := ln.Forward(nil, x)
 	// Output must have ~zero mean and ~unit variance.
 	var mu float64
 	for _, v := range y.Data {
@@ -202,7 +202,7 @@ func TestLayerNormOutput(t *testing.T) {
 func TestRMSNorm(t *testing.T) {
 	rn := NewRMSNorm(2)
 	x := tensor.FromSlice([]float32{3, 4}, 1, 2)
-	y := rn.Forward(x)
+	y := rn.Forward(nil, x)
 	// RMS = sqrt(25/2); y = x / rms.
 	rms := math.Sqrt(12.5)
 	if !almostEq(float64(y.Data[0]), 3/rms, 1e-4) {
@@ -214,7 +214,7 @@ func TestGroupNorm(t *testing.T) {
 	gn := NewGroupNorm(4, 2)
 	x := tensor.New(1, 4, 2, 2)
 	x.FillNormal(tensor.NewRNG(6), 5, 3)
-	y := gn.Forward(x)
+	y := gn.Forward(nil, x)
 	// Each group of 2 channels should be ~N(0,1) after norm.
 	for g := 0; g < 2; g++ {
 		seg := y.Data[g*8 : (g+1)*8]
@@ -231,30 +231,30 @@ func TestGroupNorm(t *testing.T) {
 
 func TestActivations(t *testing.T) {
 	x := tensor.FromSlice([]float32{-2, 0, 2}, 3)
-	if y := (ReLU{}).Forward(x); y.Data[0] != 0 || y.Data[2] != 2 {
+	if y := (ReLU{}).Forward(nil, x); y.Data[0] != 0 || y.Data[2] != 2 {
 		t.Errorf("relu = %v", y.Data)
 	}
-	if y := (Sigmoid{}).Forward(x); !almostEq(float64(y.Data[1]), 0.5, 1e-6) {
+	if y := (Sigmoid{}).Forward(nil, x); !almostEq(float64(y.Data[1]), 0.5, 1e-6) {
 		t.Errorf("sigmoid(0) = %v", y.Data[1])
 	}
-	if y := (Tanh{}).Forward(x); !almostEq(float64(y.Data[1]), 0, 1e-6) {
+	if y := (Tanh{}).Forward(nil, x); !almostEq(float64(y.Data[1]), 0, 1e-6) {
 		t.Errorf("tanh(0) = %v", y.Data[1])
 	}
-	y := (GELU{}).Forward(x)
+	y := (GELU{}).Forward(nil, x)
 	if !almostEq(float64(y.Data[1]), 0, 1e-6) || y.Data[2] < 1.9 {
 		t.Errorf("gelu = %v", y.Data)
 	}
-	if y := (SiLU{}).Forward(x); !almostEq(float64(y.Data[1]), 0, 1e-6) {
+	if y := (SiLU{}).Forward(nil, x); !almostEq(float64(y.Data[1]), 0, 1e-6) {
 		t.Errorf("silu(0) = %v", y.Data[1])
 	}
-	if y := (HardSwish{}).Forward(tensor.FromSlice([]float32{-4, 0, 4}, 3)); y.Data[0] != 0 || y.Data[2] != 4 {
+	if y := (HardSwish{}).Forward(nil, tensor.FromSlice([]float32{-4, 0, 4}, 3)); y.Data[0] != 0 || y.Data[2] != 4 {
 		t.Errorf("hardswish = %v", y.Data)
 	}
 }
 
 func TestSoftmaxRows(t *testing.T) {
 	x := tensor.FromSlice([]float32{1, 1, 1, 0, 0, 100}, 2, 3)
-	y := (Softmax{}).Forward(x)
+	y := (Softmax{}).Forward(nil, x)
 	for r := 0; r < 2; r++ {
 		var s float64
 		for c := 0; c < 3; c++ {
@@ -276,12 +276,12 @@ func TestAddMulOps(t *testing.T) {
 	a := tensor.FromSlice([]float32{1, 2}, 2)
 	b := tensor.FromSlice([]float32{10, 20}, 2)
 	var add AddOp
-	y := add.Apply(a, b)
+	y := add.Apply(nil, a, b)
 	if y.Data[0] != 11 || y.Data[1] != 22 {
 		t.Errorf("add = %v", y.Data)
 	}
 	var mul MulOp
-	y = mul.Apply(a, b)
+	y = mul.Apply(nil, a, b)
 	if y.Data[0] != 10 || y.Data[1] != 40 {
 		t.Errorf("mul = %v", y.Data)
 	}
@@ -289,7 +289,7 @@ func TestAddMulOps(t *testing.T) {
 	x := tensor.New(1, 2, 2, 2)
 	x.Fill(1)
 	s := tensor.FromSlice([]float32{2, 3}, 1, 2)
-	y = mul.Apply(x, s)
+	y = mul.Apply(nil, x, s)
 	if y.Data[0] != 2 || y.Data[7] != 3 {
 		t.Errorf("broadcast mul = %v", y.Data)
 	}
@@ -332,19 +332,19 @@ func TestAttentionShapesAndCausality(t *testing.T) {
 	}
 	x := tensor.New(2, 5, 8)
 	x.FillNormal(r, 0, 1)
-	y := a.Forward(x)
+	y := a.Forward(nil, x)
 	if y.Shape[0] != 2 || y.Shape[1] != 5 || y.Shape[2] != 8 {
 		t.Fatalf("attention shape %v", y.Shape)
 	}
 	// Causal: output at position 0 must not change when we perturb
 	// positions > 0.
 	a.Causal = true
-	y1 := a.Forward(x)
+	y1 := a.Forward(nil, x)
 	x2 := x.Clone()
 	for i := 8; i < x2.Len(); i++ {
 		x2.Data[i] += 5
 	}
-	y2 := a.Forward(x2)
+	y2 := a.Forward(nil, x2)
 	for d := 0; d < 8; d++ {
 		if !almostEq(float64(y1.At(0, 0, d)), float64(y2.At(0, 0, d)), 1e-5) {
 			t.Fatalf("causal mask leaked future info at dim %d", d)
@@ -361,14 +361,14 @@ func TestSlidingWindowAttention(t *testing.T) {
 	}
 	x := tensor.New(1, 6, 4)
 	x.FillNormal(r, 0, 1)
-	y1 := a.Forward(x)
+	y1 := a.Forward(nil, x)
 	// Perturbing position 5 must not affect output at position 0
 	// (distance 5 > window 1).
 	x2 := x.Clone()
 	for d := 0; d < 4; d++ {
 		x2.Set(x2.At(0, 5, d)+3, 0, 5, d)
 	}
-	y2 := a.Forward(x2)
+	y2 := a.Forward(nil, x2)
 	for d := 0; d < 4; d++ {
 		if !almostEq(float64(y1.At(0, 0, d)), float64(y2.At(0, 0, d)), 1e-5) {
 			t.Fatalf("window mask leaked at dim %d", d)
@@ -379,7 +379,7 @@ func TestSlidingWindowAttention(t *testing.T) {
 func TestBatchMatMul(t *testing.T) {
 	a := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
 	b := tensor.FromSlice([]float32{5, 6, 7, 8}, 1, 2, 2)
-	y := BatchMatMul(a, b, false)
+	y := batchMatMul(nil, a, b, false, nil)
 	want := []float32{19, 22, 43, 50}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -387,7 +387,7 @@ func TestBatchMatMul(t *testing.T) {
 		}
 	}
 	// transB: a · bᵀ
-	y = BatchMatMul(a, b, true)
+	y = batchMatMul(nil, a, b, true, nil)
 	want = []float32{17, 23, 39, 53}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -419,7 +419,7 @@ func TestResidualBlockShapes(t *testing.T) {
 	b.Proj.W.FillNormal(tensor.NewRNG(11), 0, 0.1)
 	x := tensor.New(1, 4, 8, 8)
 	x.FillNormal(tensor.NewRNG(12), 0, 1)
-	y := b.Forward(x)
+	y := b.Forward(nil, x)
 	if y.Shape[1] != 8 || y.Shape[2] != 4 {
 		t.Errorf("residual shape %v", y.Shape)
 	}
@@ -437,7 +437,7 @@ func TestEncoderDecoderLayers(t *testing.T) {
 	initTransformer(t, r, enc.Attn, enc.FF.FC1, enc.FF.FC2)
 	x := tensor.New(1, 4, 8)
 	x.FillNormal(r, 0, 1)
-	y := enc.Forward(x)
+	y := enc.Forward(nil, x)
 	if y.Shape[2] != 8 {
 		t.Errorf("encoder shape %v", y.Shape)
 	}
@@ -446,7 +446,7 @@ func TestEncoderDecoderLayers(t *testing.T) {
 	sw := dec.FF.(*SwiGLU)
 	initTransformer(t, r, dec.Attn, sw.W1, sw.W2)
 	sw.W3.W.FillNormal(r, 0, 0.2)
-	y = dec.Forward(x)
+	y = dec.Forward(nil, x)
 	if y.Shape[2] != 8 {
 		t.Errorf("decoder shape %v", y.Shape)
 	}
@@ -471,7 +471,7 @@ func TestSEBlockGating(t *testing.T) {
 	se.FC2.W.FillNormal(tensor.NewRNG(15), 0, 0.5)
 	x := tensor.New(1, 4, 2, 2)
 	x.Fill(1)
-	y := se.Forward(x)
+	y := se.Forward(nil, x)
 	// Gates are in (0,1), so output magnitudes shrink.
 	for i, v := range y.Data {
 		if v <= 0 || v >= 1 {
@@ -483,11 +483,11 @@ func TestSEBlockGating(t *testing.T) {
 func TestUpsampleConcat(t *testing.T) {
 	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
 	var up Upsample2x
-	y := up.Forward(x)
+	y := up.Forward(nil, x)
 	if y.Shape[2] != 4 || y.At(0, 0, 0, 1) != 1 || y.At(0, 0, 3, 3) != 4 {
 		t.Errorf("upsample: %v %v", y.Shape, y.Data)
 	}
-	z := ConcatChannels(x, x)
+	z := ConcatChannels(nil, x, x)
 	if z.Shape[1] != 2 || z.Data[4] != 1 {
 		t.Errorf("concat: %v %v", z.Shape, z.Data)
 	}
@@ -503,10 +503,24 @@ func TestCrossAttention(t *testing.T) {
 	q.FillNormal(r, 0, 1)
 	mem := tensor.New(1, 7, 8)
 	mem.FillNormal(r, 0, 1)
-	y := ca.Attend(q, mem)
+	y := ca.Attend(nil, q, mem)
 	if y.Shape[0] != 1 || y.Shape[1] != 3 || y.Shape[2] != 8 {
 		t.Errorf("cross attention shape %v", y.Shape)
 	}
+}
+
+// TestCrossAttendSelfMatchesForward pins the shared attention body:
+// unmasked cross-attention over its own input is self-attention, bit
+// for bit.
+func TestCrossAttendSelfMatchesForward(t *testing.T) {
+	ca := NewCrossAttention(8, 2)
+	r := tensor.NewRNG(17)
+	for _, l := range []*Linear{ca.WQ, ca.WK, ca.WV, ca.WO} {
+		l.W.FillNormal(r, 0, 0.3)
+	}
+	x := tensor.New(2, 5, 8)
+	x.FillNormal(r, 0, 1)
+	bitsEqual(t, ca.Attend(nil, x, x), ca.Forward(nil, x), "Attend(x, x) vs Forward(x)")
 }
 
 func TestBinaryOpsPanicOnForward(t *testing.T) {
@@ -517,7 +531,7 @@ func TestBinaryOpsPanicOnForward(t *testing.T) {
 					t.Errorf("%s.Forward should panic", m.Kind())
 				}
 			}()
-			m.Forward(tensor.New(1))
+			m.Forward(nil, tensor.New(1))
 		}()
 	}
 }
@@ -526,7 +540,7 @@ func TestPositionalEmbedding(t *testing.T) {
 	p := NewPositionalEmbedding(4, 2)
 	p.W.Set(1, 1, 0) // position 1 gets +1 on dim 0
 	x := tensor.New(1, 2, 2)
-	y := p.Forward(x)
+	y := p.Forward(nil, x)
 	if y.At(0, 1, 0) != 1 || y.At(0, 0, 0) != 0 {
 		t.Errorf("positional add wrong: %v", y.Data)
 	}

@@ -67,7 +67,7 @@ func (bn *BatchNorm2d) FinishCalibration() {
 	n := float64(bn.count)
 	for c := 0; c < bn.C; c++ {
 		mu := bn.sum[c] / n
-		v := bn.sumSq[c]/n - mu*mu
+		v := bn.sumSq[c]/n - float64(mu*mu)
 		if v < 0 {
 			v = 0
 		}
@@ -81,10 +81,7 @@ func (bn *BatchNorm2d) FinishCalibration() {
 func (bn *BatchNorm2d) Calibrating() bool { return bn.calibrating }
 
 // Forward normalizes x [N,C,H,W] with the running statistics.
-func (bn *BatchNorm2d) Forward(x *tensor.Tensor) *tensor.Tensor { return bn.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (bn *BatchNorm2d) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (bn *BatchNorm2d) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 || x.Shape[1] != bn.C {
 		panic(fmt.Sprintf("nn: BatchNorm2d expects [N,%d,H,W], got %v", bn.C, x.Shape))
 	}
@@ -96,7 +93,7 @@ func (bn *BatchNorm2d) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.T
 				plane := x.Data[(ni*bn.C+c)*hw : (ni*bn.C+c+1)*hw]
 				for _, v := range plane {
 					bn.sum[c] += float64(v)
-					bn.sumSq[c] += float64(v) * float64(v)
+					bn.sumSq[c] += float64(float64(v) * float64(v))
 				}
 			}
 		}
@@ -106,11 +103,11 @@ func (bn *BatchNorm2d) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.T
 	for ni := 0; ni < n; ni++ {
 		for c := 0; c < bn.C; c++ {
 			inv := bn.Gamma[c] / float32(math.Sqrt(float64(bn.Var[c])+float64(bn.Eps)))
-			shift := bn.Beta[c] - bn.Mean[c]*inv
+			shift := bn.Beta[c] - float32(bn.Mean[c]*inv)
 			src := x.Data[(ni*bn.C+c)*hw : (ni*bn.C+c+1)*hw]
 			dst := y.Data[(ni*bn.C+c)*hw : (ni*bn.C+c+1)*hw]
 			for i, v := range src {
-				dst[i] = v*inv + shift
+				dst[i] = float32(v*inv) + shift
 			}
 		}
 	}
@@ -144,10 +141,7 @@ func (ln *LayerNorm) Kind() string { return "LayerNorm" }
 func (ln *LayerNorm) Q() *QState { return &ln.QS }
 
 // Forward normalizes each trailing-dim vector of x.
-func (ln *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor { return ln.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (ln *LayerNorm) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (ln *LayerNorm) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	rows, cols := flatten2D(x)
 	if cols != ln.Dim {
 		panic(fmt.Sprintf("nn: LayerNorm expects last dim %d, got %v", ln.Dim, x.Shape))
@@ -164,12 +158,12 @@ func (ln *LayerNorm) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Ten
 		var va float64
 		for _, v := range src {
 			d := float64(v) - mu
-			va += d * d
+			va += float64(d * d)
 		}
 		va /= float64(cols)
 		inv := float32(1 / math.Sqrt(va+float64(ln.Eps)))
 		for i, v := range src {
-			dst[i] = (v-float32(mu))*inv*ln.Gamma[i] + ln.Beta[i]
+			dst[i] = float32((v-float32(mu))*inv*ln.Gamma[i]) + ln.Beta[i]
 		}
 	}
 	return ln.QS.applyOut(y)
@@ -199,10 +193,7 @@ func (rn *RMSNorm) Kind() string { return "RMSNorm" }
 func (rn *RMSNorm) Q() *QState { return &rn.QS }
 
 // Forward normalizes each trailing-dim vector by its RMS.
-func (rn *RMSNorm) Forward(x *tensor.Tensor) *tensor.Tensor { return rn.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (rn *RMSNorm) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (rn *RMSNorm) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	rows, cols := flatten2D(x)
 	if cols != rn.Dim {
 		panic(fmt.Sprintf("nn: RMSNorm expects last dim %d, got %v", rn.Dim, x.Shape))
@@ -213,7 +204,7 @@ func (rn *RMSNorm) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tenso
 		dst := y.Data[r*cols : (r+1)*cols]
 		var ss float64
 		for _, v := range src {
-			ss += float64(v) * float64(v)
+			ss += float64(float64(v) * float64(v))
 		}
 		inv := float32(1 / math.Sqrt(ss/float64(cols)+float64(rn.Eps)))
 		for i, v := range src {
@@ -251,10 +242,7 @@ func (gn *GroupNorm) Kind() string { return "GroupNorm" }
 func (gn *GroupNorm) Q() *QState { return &gn.QS }
 
 // Forward normalizes each channel group of x [N,C,H,W].
-func (gn *GroupNorm) Forward(x *tensor.Tensor) *tensor.Tensor { return gn.ForwardArena(nil, x) }
-
-// ForwardArena implements ArenaForwarder.
-func (gn *GroupNorm) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+func (gn *GroupNorm) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 || x.Shape[1] != gn.C {
 		panic(fmt.Sprintf("nn: GroupNorm expects [N,%d,H,W], got %v", gn.C, x.Shape))
 	}
@@ -275,7 +263,7 @@ func (gn *GroupNorm) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Ten
 			var va float64
 			for _, v := range seg {
 				d := float64(v) - mu
-				va += d * d
+				va += float64(d * d)
 			}
 			va /= float64(len(seg))
 			inv := float32(1 / math.Sqrt(va+float64(gn.Eps)))
@@ -284,7 +272,7 @@ func (gn *GroupNorm) ForwardArena(a *tensor.Arena, x *tensor.Tensor) *tensor.Ten
 				src := x.Data[(ni*gn.C+ch)*hw : (ni*gn.C+ch+1)*hw]
 				dst := y.Data[(ni*gn.C+ch)*hw : (ni*gn.C+ch+1)*hw]
 				for i, v := range src {
-					dst[i] = (v-float32(mu))*inv*gn.Gamma[ch] + gn.Beta[ch]
+					dst[i] = float32((v-float32(mu))*inv*gn.Gamma[ch]) + gn.Beta[ch]
 				}
 			}
 		}

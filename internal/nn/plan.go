@@ -5,12 +5,13 @@ import "fp8quant/internal/tensor"
 // Plan is a compiled execution plan for one module tree: a pair of
 // ping-ponged arenas sized by running the module once over each input
 // shape (the recording cycle sizes the slabs through the arenas'
-// high-water tracking; Reset then pins them). On the steady path a
-// planned Forward carves every intermediate — tensors, headers, shape
-// slices, im2col patches and packed weight panels — out of preallocated
-// slabs, performing zero heap allocations while running kernels in
-// exactly the same float operation order as the unplanned path, so
-// planned and unplanned outputs are byte-identical.
+// high-water tracking; Reset then pins them). Plan.Forward(x) is the
+// module's Forward with a plan arena where an unplanned caller passes
+// nil. On the steady path it carves every intermediate — tensors,
+// headers, shape slices, im2col patches and packed weight panels — out
+// of preallocated slabs, performing zero heap allocations while running
+// kernels in exactly the same float operation order as the unplanned
+// path, so planned and unplanned outputs are byte-identical.
 //
 // Ping-pong: for a top-level Sequential the plan alternates two arenas
 // between consecutive children. Child k writes into one arena while its
@@ -63,7 +64,7 @@ func (p *Plan) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	p.front.Reset()
 	p.back.Reset()
-	return ForwardWith(&p.front, p.m, x)
+	return p.m.Forward(&p.front, x)
 }
 
 // forwardSeq ping-pongs the two arenas across the top-level chain.
@@ -86,7 +87,7 @@ func (p *Plan) forwardSeq(s *Sequential, x *tensor.Tensor) *tensor.Tensor {
 		// earlier this forward (e.g. a view header whose data lives in
 		// the other side) stay valid until the next Forward.
 		side.ResetFloats()
-		out := ForwardWith(side, m, cur)
+		out := m.Forward(side, cur)
 		// View modules return a tensor aliasing cur's storage; the
 		// output then stays attributed to cur's side so the next step
 		// does not reset the slab under it.

@@ -45,11 +45,11 @@ func forwardBenchCases() []struct {
 func BenchmarkForwardUnplanned(b *testing.B) {
 	for _, c := range forwardBenchCases() {
 		b.Run(c.name, func(b *testing.B) {
-			c.m.Forward(c.x)
+			c.m.Forward(nil, c.x)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.m.Forward(c.x)
+				c.m.Forward(nil, c.x)
 			}
 		})
 	}

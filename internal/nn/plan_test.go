@@ -61,10 +61,10 @@ func bitsEqual(t *testing.T, got, want *tensor.Tensor, what string) {
 func TestPlanBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	m := planTestNet()
 	x := planTestInput(4, 7)
-	want := m.Forward(x).Clone()
+	want := m.Forward(nil, x).Clone()
 	for _, procs := range []int{1, 2, 8} {
 		prev := runtime.GOMAXPROCS(procs)
-		unplanned := m.Forward(x)
+		unplanned := m.Forward(nil, x)
 		bitsEqual(t, unplanned, want, "unplanned forward")
 		p := Compile(m, x.Shape...)
 		for i := 0; i < 3; i++ {
@@ -85,7 +85,7 @@ func TestPlanBatchedRowsMatchSingle(t *testing.T) {
 	outs := make([]*tensor.Tensor, 5)
 	for i := range singles {
 		singles[i] = planTestInput(1, uint64(100+i))
-		outs[i] = m.Forward(singles[i]).Clone()
+		outs[i] = m.Forward(nil, singles[i]).Clone()
 	}
 	batch := tensor.StackBatch(singles)
 	p := Compile(m, batch.Shape...)
@@ -113,9 +113,9 @@ func TestPlanOutputAliasing(t *testing.T) {
 	}
 	out2 := p.Forward(x2)
 	// The clone must still hold x1's result, not x2's.
-	want1 := m.Forward(x1)
+	want1 := m.Forward(nil, x1)
 	bitsEqual(t, kept, want1, "clone survives next Forward")
-	want2 := m.Forward(x2)
+	want2 := m.Forward(nil, x2)
 	bitsEqual(t, out2, want2, "second planned forward")
 }
 
@@ -131,7 +131,7 @@ func TestPlanShapeChangeRerecords(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for i, x := range xs {
 			got := p.Forward(x).Clone()
-			want := m.Forward(x)
+			want := m.Forward(nil, x)
 			bitsEqual(t, got, want, "shape-change forward")
 			_ = i
 		}

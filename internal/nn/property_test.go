@@ -18,10 +18,10 @@ func TestLinearHomogeneity(t *testing.T) {
 			return true
 		}
 		x := tensor.FromSlice([]float32{v0, v1, v2, v3}, 1, 4)
-		y1 := l.Forward(x)
+		y1 := l.Forward(nil, x)
 		xs := x.Clone()
 		xs.Scale(a)
-		y2 := l.Forward(xs)
+		y2 := l.Forward(nil, xs)
 		for i := range y1.Data {
 			want := float64(y1.Data[i]) * float64(a)
 			if math.Abs(float64(y2.Data[i])-want) > 1e-2*(math.Abs(want)+1) {
@@ -49,7 +49,7 @@ func TestLinearAdditivity(t *testing.T) {
 		xa := tensor.FromSlice([]float32{a0, a1, a2}, 1, 3)
 		xb := tensor.FromSlice([]float32{b0, b1, b2}, 1, 3)
 		xs := tensor.FromSlice([]float32{a0 + b0, a1 + b1, a2 + b2}, 1, 3)
-		ya, yb, ys := l.Forward(xa), l.Forward(xb), l.Forward(xs)
+		ya, yb, ys := l.Forward(nil, xa), l.Forward(nil, xb), l.Forward(nil, xs)
 		for i := range ys.Data {
 			want := float64(ya.Data[i]) + float64(yb.Data[i])
 			if math.Abs(float64(ys.Data[i])-want) > 1e-2*(math.Abs(want)+1) {
@@ -74,12 +74,12 @@ func TestLayerNormInvariance(t *testing.T) {
 		scale := float32(1 + int(scaleSeed%50))
 		x := tensor.New(1, 6)
 		x.FillNormal(r, 0, 1)
-		y1 := ln.Forward(x)
+		y1 := ln.Forward(nil, x)
 		x2 := x.Clone()
 		for i := range x2.Data {
 			x2.Data[i] = x2.Data[i]*scale + shift
 		}
-		y2 := ln.Forward(x2)
+		y2 := ln.Forward(nil, x2)
 		for i := range y1.Data {
 			if math.Abs(float64(y1.Data[i]-y2.Data[i])) > 1e-2 {
 				return false
@@ -101,7 +101,7 @@ func TestSoftmaxSimplex(t *testing.T) {
 			}
 		}
 		x := tensor.FromSlice([]float32{a, b, c, d}, 1, 4)
-		y := (Softmax{}).Forward(x)
+		y := (Softmax{}).Forward(nil, x)
 		sum := 0.0
 		for _, v := range y.Data {
 			if v < 0 || bad(v) {
@@ -124,8 +124,8 @@ func TestReLUProperties(t *testing.T) {
 			return true
 		}
 		x := tensor.FromSlice([]float32{a, b}, 2)
-		y := relu.Forward(x)
-		yy := relu.Forward(y)
+		y := relu.Forward(nil, x)
+		yy := relu.Forward(nil, y)
 		if yy.Data[0] != y.Data[0] || yy.Data[1] != y.Data[1] {
 			return false
 		}
@@ -148,9 +148,9 @@ func TestBatchNormWhitens(t *testing.T) {
 	x := tensor.New(4, 2, 6, 6)
 	x.FillNormal(r, 3, 2)
 	bn.StartCalibration()
-	bn.Forward(x)
+	bn.Forward(nil, x)
 	bn.FinishCalibration()
-	y := bn.Forward(x)
+	y := bn.Forward(nil, x)
 	for c := 0; c < 2; c++ {
 		var s, s2 float64
 		n := 0
@@ -176,7 +176,7 @@ func TestConvDeltaKernel(t *testing.T) {
 	c.W.Set(1, 0, 0, 0, 0) // top-left tap: shifts image down-right
 	x := tensor.New(1, 1, 5, 5)
 	x.FillNormal(tensor.NewRNG(5), 0, 1)
-	y := c.Forward(x)
+	y := c.Forward(nil, x)
 	for yy := 1; yy < 5; yy++ {
 		for xx := 1; xx < 5; xx++ {
 			if y.At(0, 0, yy, xx) != x.At(0, 0, yy-1, xx-1) {

@@ -91,12 +91,12 @@ func TestFusedQuantMatchesUnfused(t *testing.T) {
 				fused.QB.Input = fn
 				fused.QB.InputFused = factory
 
-				want := unfused.Apply(a, b)
-				got := fused.Apply(a, b)
+				want := unfused.Apply(nil, a, b)
+				got := fused.Apply(nil, a, b)
 				bitsEq(t, tc.name+"/heap", got.Data, want.Data)
 
 				ar := &tensor.Arena{}
-				gotAr := fused.ApplyArena(ar, a, b)
+				gotAr := fused.Apply(ar, a, b)
 				bitsEq(t, tc.name+"/arena", gotAr.Data, want.Data)
 				ar.Reset()
 			}
@@ -110,7 +110,7 @@ func TestFusedQuantMatchesUnfused(t *testing.T) {
 			fusedOp := &nn.MatMulOp{}
 			fusedOp.QB.Input = fn
 			fusedOp.QB.InputFused = factory
-			bitsEq(t, tc.name+"/matmul", fusedOp.Apply(a, b).Data, unfused.Apply(a, b).Data)
+			bitsEq(t, tc.name+"/matmul", fusedOp.Apply(nil, a, b).Data, unfused.Apply(nil, a, b).Data)
 		})
 	}
 }

@@ -27,7 +27,7 @@ func newTestMLP(seed uint64) *testMLP {
 func (m *testMLP) Root() nn.Module { return m.seq }
 func (m *testMLP) IsCNN() bool     { return false }
 func (m *testMLP) Run(s data.Sample) *tensor.Tensor {
-	return m.seq.Forward(s.X)
+	return m.seq.Forward(nil, s.X)
 }
 
 type vecDataset struct {
@@ -86,7 +86,7 @@ func newTestCNN(seed uint64) *testCNN {
 func (m *testCNN) Root() nn.Module { return m.seq }
 func (m *testCNN) IsCNN() bool     { return true }
 func (m *testCNN) Run(s data.Sample) *tensor.Tensor {
-	return m.seq.Forward(s.X)
+	return m.seq.Forward(nil, s.X)
 }
 
 type imgDataset struct {

@@ -8,10 +8,11 @@ package tensor
 // zero heap allocations on the steady path.
 //
 // A nil *Arena is valid and falls back to ordinary heap allocation
-// (tensor.New semantics), so arena-aware forward paths need no
-// branching at call sites and stay byte-identical whether or not a
-// plan is installed: Arena.New zeroes every carved region, exactly
-// like make, and hands out the same shapes to the same kernels.
+// (tensor.New semantics). Every nn forward takes an arena, and
+// unplanned callers pass nil, so one forward body serves both and stays
+// byte-identical whether or not a plan is installed: Arena.New zeroes
+// every carved region, exactly like make, and hands out the same shapes
+// to the same kernels.
 //
 // Arenas are not safe for concurrent use; a plan (and its arenas)
 // belongs to one worker at a time. Tensors carved from an arena are

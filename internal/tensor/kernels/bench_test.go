@@ -47,7 +47,7 @@ func benchGemm(b *testing.B, rows, in, out int, naive bool) {
 		if naive {
 			matmulTNaive(y, x, w, rows, in, out)
 		} else {
-			GemmT(y, x, w, rows, in, out, Opt{})
+			gemmPacked(PackTInto, y, x, w, rows, in, out, Opt{})
 		}
 	}
 }

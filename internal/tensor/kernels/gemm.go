@@ -81,36 +81,18 @@ func GetScratch(n int) *[]float32 {
 	return &s
 }
 
-// PutScratch returns a buffer obtained from GetScratch to the pool.
-func PutScratch(p *[]float32) { panelPool.Put(p) }
-
-// GemmT computes y[r,o] = Σ_k x[r,k]·w[o,k] (+ bias): x is row-major
-// [rows, in], w is row-major [out, in] (i.e. Bᵀ, the Linear weight
-// layout), y is row-major [rows, out].
-func GemmT(y, x, w []float32, rows, in, out int, opt Opt) {
-	if rows <= 0 || out <= 0 {
-		return
+// PutScratch returns a buffer obtained from GetScratch to the pool. A
+// nil p is ignored, so callers holding arena memory instead can defer
+// it unconditionally.
+func PutScratch(p *[]float32) {
+	if p != nil {
+		panelPool.Put(p)
 	}
-	pp := PackT(w, in, out)
-	run(y, x, *pp, rows, in, out, opt)
-	PutScratch(pp)
-}
-
-// PackT packs w (row-major [out, in]) into the micro-panel layout the
-// microkernels consume, in a pooled buffer. Callers multiplying the
-// same weights against several row blocks (e.g. one panel per
-// convolution group reused across the batch) pack once and run
-// GemmPacked per block; return the buffer with PutScratch.
-func PackT(w []float32, in, out int) *[]float32 {
-	npan := (out + nr - 1) / nr
-	pp := GetScratch(npan * in * nr)
-	packT(*pp, w, in, out)
-	return pp
 }
 
 // PanelFloats returns the float32 length of the packed panel for a
 // [rows=out, cols=in] weight (both packT and packN layouts). Callers
-// carving panels from a preallocated arena size them with this.
+// size the panel buffer they pack into with this.
 func PanelFloats(in, out int) int {
 	npan := (out + nr - 1) / nr
 	return npan * in * nr
@@ -126,25 +108,16 @@ func PackTInto(panel, w []float32, in, out int) { packT(panel, w, in, out) }
 // into panel, which must have at least PanelFloats(in, out) elements.
 func PackNInto(panel, b []float32, in, out int) { packN(panel, b, in, out) }
 
-// GemmPacked is GemmT against a panel already packed by PackT.
+// GemmPacked computes y[r,o] = Σ_k x[r,k]·B[k,o] (+ bias) against B
+// packed into panel by one of the Pack*Into functions: x is row-major
+// [rows, in], y is row-major [rows, out]. Callers multiplying the same
+// B against several row blocks (a convolution group across the batch)
+// pack once and call GemmPacked per block.
 func GemmPacked(y, x, panel []float32, rows, in, out int, opt Opt) {
 	if rows <= 0 || out <= 0 {
 		return
 	}
 	run(y, x, panel, rows, in, out, opt)
-}
-
-// GemmN computes y[r,o] = Σ_k x[r,k]·b[k,o] (+ bias): b is row-major
-// [in, out] (the natural matmul layout).
-func GemmN(y, x, b []float32, rows, in, out int, opt Opt) {
-	if rows <= 0 || out <= 0 {
-		return
-	}
-	npan := (out + nr - 1) / nr
-	pp := GetScratch(npan * in * nr)
-	packN(*pp, b, in, out)
-	run(y, x, *pp, rows, in, out, opt)
-	PutScratch(pp)
 }
 
 // packT packs w (row-major [out, in]; rows are output columns) into

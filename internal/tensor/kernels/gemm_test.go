@@ -18,9 +18,31 @@ type maddFunc func(acc, x, b float32) float32
 // the avx2 tier.
 func maddFor(v Variant) maddFunc { return RefMadd(v) }
 
-// gemmTRef is the scalar oracle for GemmT: the exact naive loop the
-// kernels must match bit for bit (single accumulator, ascending k,
-// the variant's multiply-accumulate).
+// packFunc is one of the panel layouts: PackTInto for a row-major
+// [out, in] B (the Linear weight), PackNInto for a row-major [in, out]
+// one.
+type packFunc func(panel, b []float32, in, out int)
+
+// gemmPacked packs b into a pooled panel and runs GemmPacked over it,
+// the call sequence of every nn layer.
+func gemmPacked(pack packFunc, y, x, b []float32, rows, in, out int, opt Opt) {
+	panel := GetScratch(PanelFloats(in, out))
+	defer PutScratch(panel)
+	pack(*panel, b, in, out)
+	GemmPacked(y, x, *panel, rows, in, out, opt)
+}
+
+// quantPack is the fused-quant form of a layout: b is quantized through
+// q while it is packed.
+func quantPack(pack func(panel, stage, b []float32, in, out int, q QuantFunc), q QuantFunc) packFunc {
+	return func(panel, b []float32, in, out int) {
+		pack(panel, make([]float32, QuantStageFloats(in, out)), b, in, out, q)
+	}
+}
+
+// gemmTRef is the scalar oracle for a PackTInto GEMM: the exact naive
+// loop the kernels must match bit for bit (single accumulator,
+// ascending k, the variant's multiply-accumulate).
 func gemmTRef(y, x, w []float32, rows, in, out int, opt Opt, madd maddFunc) {
 	for r := 0; r < rows; r++ {
 		for o := 0; o < out; o++ {
@@ -39,7 +61,8 @@ func gemmTRef(y, x, w []float32, rows, in, out int, opt Opt, madd maddFunc) {
 	}
 }
 
-// gemmNRef is the scalar oracle for GemmN (b row-major [in, out]).
+// gemmNRef is the scalar oracle for a PackNInto GEMM (b row-major
+// [in, out]).
 func gemmNRef(y, x, b []float32, rows, in, out int, opt Opt, madd maddFunc) {
 	for r := 0; r < rows; r++ {
 		for o := 0; o < out; o++ {
@@ -135,10 +158,10 @@ func TestGemmTMatchesOracleBitExact(t *testing.T) {
 			} {
 				got := make([]float32, s.rows*s.out)
 				want := make([]float32, s.rows*s.out)
-				GemmT(got, x, w, s.rows, s.in, s.out, opt)
+				gemmPacked(PackTInto, got, x, w, s.rows, s.in, s.out, opt)
 				gemmTRef(want, x, w, s.rows, s.in, s.out, opt, madd)
 				if !bitsEqual(got, want) {
-					t.Errorf("GemmT %dx%dx%d opt=%+v diverges from oracle", s.rows, s.in, s.out, opt)
+					t.Errorf("PackTInto GEMM %dx%dx%d opt=%+v diverges from oracle", s.rows, s.in, s.out, opt)
 					firstDiff(t, got, want)
 				}
 			}
@@ -165,10 +188,10 @@ func TestGemmNMatchesOracleBitExact(t *testing.T) {
 			} {
 				got := make([]float32, s.rows*s.out)
 				want := make([]float32, s.rows*s.out)
-				GemmN(got, x, b, s.rows, s.in, s.out, opt)
+				gemmPacked(PackNInto, got, x, b, s.rows, s.in, s.out, opt)
 				gemmNRef(want, x, b, s.rows, s.in, s.out, opt, madd)
 				if !bitsEqual(got, want) {
-					t.Errorf("GemmN %dx%dx%d opt=%+v diverges from oracle", s.rows, s.in, s.out, opt)
+					t.Errorf("PackNInto GEMM %dx%dx%d opt=%+v diverges from oracle", s.rows, s.in, s.out, opt)
 					firstDiff(t, got, want)
 				}
 			}
@@ -195,7 +218,7 @@ func TestGemmSpecialValues(t *testing.T) {
 		x[4*in+8] = nan
 		got := make([]float32, rows*out)
 		want := make([]float32, rows*out)
-		GemmT(got, x, w, rows, in, out, Opt{})
+		gemmPacked(PackTInto, got, x, w, rows, in, out, Opt{})
 		gemmTRef(want, x, w, rows, in, out, Opt{}, maddFor(v))
 		if !bitsEqual(got, want) {
 			firstDiff(t, got, want)
@@ -218,12 +241,12 @@ func TestGemmDeterministicAcrossWorkers(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 		runtime.GOMAXPROCS(1)
 		ref := make([]float32, rows*out)
-		GemmT(ref, x, w, rows, in, out, Opt{})
+		gemmPacked(PackTInto, ref, x, w, rows, in, out, Opt{})
 
 		for _, procs := range []int{2, 8} {
 			runtime.GOMAXPROCS(procs)
 			got := make([]float32, rows*out)
-			GemmT(got, x, w, rows, in, out, Opt{})
+			gemmPacked(PackTInto, got, x, w, rows, in, out, Opt{})
 			if !bitsEqual(got, ref) {
 				t.Errorf("GOMAXPROCS=%d diverges from serial result", procs)
 				firstDiff(t, got, ref)
@@ -232,9 +255,9 @@ func TestGemmDeterministicAcrossWorkers(t *testing.T) {
 	})
 }
 
-// TestGemmPackedMatchesGemmT proves the pack-once path (PackT +
-// GemmPacked, the convolution batch pattern) produces the same bytes
-// as the self-packing GemmT call.
+// TestGemmPackedMatchesGemmT proves the pack-once path (one PackTInto,
+// GemmPacked per row block: the convolution and batched-matmul pattern)
+// produces the oracle's bytes on every reuse of the panel.
 func TestGemmPackedMatchesGemmT(t *testing.T) {
 	forEachVariant(t, func(t *testing.T, v Variant) {
 		rng := tensor.NewRNG(0x9AC)
@@ -247,14 +270,14 @@ func TestGemmPackedMatchesGemmT(t *testing.T) {
 		fillMixed(bias, rng)
 		opt := Opt{Bias: bias, Prologue: true}
 		want := make([]float32, rows*out)
-		GemmT(want, x, w, rows, in, out, opt)
-		panel := PackT(w, in, out)
-		defer PutScratch(panel)
+		gemmTRef(want, x, w, rows, in, out, opt, maddFor(v))
+		panel := make([]float32, PanelFloats(in, out))
+		PackTInto(panel, w, in, out)
 		for i := 0; i < 2; i++ { // reuse the panel like a batch loop does
 			got := make([]float32, rows*out)
-			GemmPacked(got, x, *panel, rows, in, out, opt)
+			GemmPacked(got, x, panel, rows, in, out, opt)
 			if !bitsEqual(got, want) {
-				t.Errorf("GemmPacked pass %d diverges from GemmT", i)
+				t.Errorf("GemmPacked pass %d diverges from the oracle", i)
 				firstDiff(t, got, want)
 			}
 		}
@@ -280,10 +303,10 @@ func TestNoFusedPinsTwoRounding(t *testing.T) {
 			opt := Opt{Bias: bias, Prologue: true, NoFused: true}
 			got := make([]float32, s.rows*s.out)
 			want := make([]float32, s.rows*s.out)
-			GemmT(got, x, w, s.rows, s.in, s.out, opt)
+			gemmPacked(PackTInto, got, x, w, s.rows, s.in, s.out, opt)
 			gemmTRef(want, x, w, s.rows, s.in, s.out, opt, madd)
 			if !bitsEqual(got, want) {
-				t.Errorf("NoFused GemmT %dx%dx%d diverges from two-rounding oracle", s.rows, s.in, s.out)
+				t.Errorf("NoFused PackTInto GEMM %dx%dx%d diverges from two-rounding oracle", s.rows, s.in, s.out)
 				firstDiff(t, got, want)
 			}
 		}
@@ -300,11 +323,11 @@ func TestGemmPackedInlineAllocatesNothing(t *testing.T) {
 	w := make([]float32, out*in)
 	fillMixed(x, rng)
 	fillMixed(w, rng)
-	panel := PackT(w, in, out)
-	defer PutScratch(panel)
+	panel := make([]float32, PanelFloats(in, out))
+	PackTInto(panel, w, in, out)
 	y := make([]float32, rows*out)
 	if a := testing.AllocsPerRun(100, func() {
-		GemmPacked(y, x, *panel, rows, in, out, Opt{})
+		GemmPacked(y, x, panel, rows, in, out, Opt{})
 	}); a != 0 {
 		t.Fatalf("non-serial GemmPacked with rows <= grain: %v allocs/op, want 0", a)
 	}

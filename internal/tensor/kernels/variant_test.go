@@ -74,7 +74,7 @@ func TestVariantsActuallyDiffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		y := make([]float32, rows*out)
-		GemmT(y, x, w, rows, in, out, Opt{})
+		gemmPacked(PackTInto, y, x, w, rows, in, out, Opt{})
 		res[v] = y
 	}
 	if bitsEqual(res[VariantSSE], res[VariantAVX2]) {
@@ -196,8 +196,8 @@ func TestPackQuantMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestGemmQuantMatchesUnfused: the fused-quant GEMM entry points must
-// produce the bytes of quantize-then-GemmT/GemmN, for every variant.
+// TestGemmQuantMatchesUnfused: GEMMs over fused-quant panels must
+// produce the bytes of quantize-then-pack GEMMs, for every variant.
 func TestGemmQuantMatchesUnfused(t *testing.T) {
 	forEachVariant(t, func(t *testing.T, v Variant) {
 		rng := tensor.NewRNG(0x52)
@@ -214,17 +214,17 @@ func TestGemmQuantMatchesUnfused(t *testing.T) {
 		got := make([]float32, rows*out)
 		want := make([]float32, rows*out)
 
-		GemmTQuant(got, x, w, rows, in, out, truncQuant, opt)
-		GemmT(want, x, qw, rows, in, out, opt)
+		gemmPacked(quantPack(PackTQuantInto, truncQuant), got, x, w, rows, in, out, opt)
+		gemmPacked(PackTInto, want, x, qw, rows, in, out, opt)
 		if !bitsEqual(got, want) {
-			t.Error("GemmTQuant diverges from quantize-then-GemmT")
+			t.Error("PackTQuantInto GEMM diverges from quantize-then-PackTInto")
 			firstDiff(t, got, want)
 		}
 
-		GemmNQuant(got, x, w, rows, in, out, truncQuant, opt)
-		GemmN(want, x, qw, rows, in, out, opt)
+		gemmPacked(quantPack(PackNQuantInto, truncQuant), got, x, w, rows, in, out, opt)
+		gemmPacked(PackNInto, want, x, qw, rows, in, out, opt)
 		if !bitsEqual(got, want) {
-			t.Error("GemmNQuant diverges from quantize-then-GemmN")
+			t.Error("PackNQuantInto GEMM diverges from quantize-then-PackNInto")
 			firstDiff(t, got, want)
 		}
 	})
