@@ -20,9 +20,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The determinism-contract analyzer suite (cmd/fp8vet): mapiter,
-# nondeterm, floatorder, atomicwrite, cellpurity. A hard CI gate —
-# any unsuppressed finding fails the build.
+# The contract analyzer suite (cmd/fp8vet): mapiter, nondeterm,
+# floatorder, atomicwrite, cellpurity, unused. A hard CI gate — any
+# unsuppressed finding fails the build.
 vet-contracts:
 	$(GO) run ./cmd/fp8vet ./...
 
@@ -275,11 +275,15 @@ serve-smoke:
 		-workers 1,2 -requests 64 -batch 4
 
 # Short bounded pass over each native fuzz target (the codec oracle
-# equivalence); run with a larger FUZZTIME locally to dig deeper.
+# equivalence, the fault-plan round trip, and read-path/fsck agreement
+# on arbitrary cell-file bytes); run with a larger FUZZTIME locally to
+# dig deeper.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzEncodeRoundTrip -fuzztime=$(FUZZTIME) ./internal/fp8
 	$(GO) test -run=NONE -fuzz=FuzzQuantizeScaledSlice -fuzztime=$(FUZZTIME) ./internal/fp8
+	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=$(FUZZTIME) ./internal/faultline
+	$(GO) test -run=NONE -fuzz=FuzzCellFile -fuzztime=$(FUZZTIME) ./internal/resultstore
 
 # Full-suite coverage profile + combined floor check for the
 # floor-governed packages (harness, resultstore, kernels, analyzers,

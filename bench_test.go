@@ -56,6 +56,17 @@ var benchSubset = []string{
 	"distilbert_mrpc", "tinybert_mrpc", "bloom_560m", "dlrm_criteo",
 }
 
+// evaluateRecipes evaluates several recipes on one model against one
+// shared FP32 reference, as the sweep cells of a model do.
+func evaluateRecipes(net *models.Network, bases []quant.Recipe, paperDefaults bool) []evalx.Result {
+	ref := evalx.ComputeReference(net)
+	out := make([]evalx.Result, len(bases))
+	for i, b := range bases {
+		out[i] = evalx.EvaluateWithRef(net, b, paperDefaults, ref)
+	}
+	return out
+}
+
 // BenchmarkTable2PassRate runs the Table 2 recipe set over a reduced
 // model subset (full 75-model sweep: fp8bench -exp table2).
 func BenchmarkTable2PassRate(b *testing.B) {
@@ -69,7 +80,7 @@ func BenchmarkTable2PassRate(b *testing.B) {
 				quant.StandardFP8(quant.E4M3),
 				quant.StandardINT8(net.Meta.Domain != models.CV),
 			}
-			res := evalx.EvaluateRecipes(net, recipes, true)
+			res := evaluateRecipes(net, recipes, true)
 			_ = evalx.AggregatePassRates(res)
 		}
 	}
@@ -98,7 +109,7 @@ func BenchmarkTable3RepresentativeAccuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, name := range []string{"distilbert_mrpc", "cifar_resnet20"} {
 			net, _ := models.Build(name)
-			_ = evalx.EvaluateRecipes(net, []quant.Recipe{
+			_ = evaluateRecipes(net, []quant.Recipe{
 				quant.StandardFP8(quant.E4M3),
 				quant.StandardFP8(quant.E3M4),
 			}, true)
@@ -183,7 +194,7 @@ func BenchmarkTable5MixedFormats(b *testing.B) {
 	net, _ := models.Build("bert_base_mrpc")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = evalx.EvaluateRecipes(net, []quant.Recipe{
+		_ = evaluateRecipes(net, []quant.Recipe{
 			quant.StandardFP8(quant.E4M3),
 			quant.MixedFP8(),
 		}, true)
@@ -196,7 +207,7 @@ func BenchmarkTable6StaticVsDynamic(b *testing.B) {
 	net, _ := models.Build("bert_base_cola")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = evalx.EvaluateRecipes(net, []quant.Recipe{
+		_ = evaluateRecipes(net, []quant.Recipe{
 			quant.DynamicFP8(quant.E4M3),
 			quant.StandardFP8(quant.E4M3),
 		}, true)
@@ -209,7 +220,7 @@ func BenchmarkFig9ExtendedOps(b *testing.B) {
 	net, _ := models.Build("distilbert_sst2")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = evalx.EvaluateRecipes(net, []quant.Recipe{
+		_ = evaluateRecipes(net, []quant.Recipe{
 			quant.StandardFP8(quant.E4M3),
 			quant.StandardFP8(quant.E4M3).WithExtendedOps(),
 		}, true)
@@ -230,7 +241,7 @@ func BenchmarkFirstLastAblation(b *testing.B) {
 	net, _ := models.Build("cifar_resnet20")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = evalx.EvaluateRecipes(net, []quant.Recipe{
+		_ = evaluateRecipes(net, []quant.Recipe{
 			quant.StandardFP8(quant.E3M4),
 			quant.StandardFP8(quant.E3M4).WithFirstLast(),
 		}, true)
@@ -289,7 +300,9 @@ func BenchmarkQuantizeSliceScalar(b *testing.B) {
 	b.SetBytes(int64(len(src) * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fp8.E4M3.QuantizeSliceRef(dst, src)
+		for j, v := range src {
+			dst[j] = float32(fp8.E4M3.Quantize(float64(v)))
+		}
 	}
 }
 
@@ -299,8 +312,10 @@ func BenchmarkQuantizeSliceFast(b *testing.B) {
 	dst := make([]float32, len(src))
 	b.SetBytes(int64(len(src) * 4))
 	b.ResetTimer()
+	c := fp8.E4M3.Codec()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fp8.E4M3.QuantizeSlice(dst, src)
+		c.QuantizeSlice(dst, src)
 	}
 }
 
@@ -327,10 +342,14 @@ var benchSink uint8
 func benchmarkSweep(b *testing.B, workers int) {
 	harness.SetWorkers(workers)
 	defer harness.SetWorkers(0)
+	e, _ := harness.Get("table2")
+	sel := harness.Filter{"model": benchSubset}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		harness.ClearMemo()
-		_ = harness.Sweep(benchSubset)
+		if _, _, err := harness.RunGrid(e, sel, harness.Shard{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -362,9 +381,10 @@ func BenchmarkQuantizeSliceE4M3(b *testing.B) {
 	for i := range src {
 		src[i] = float32(r.Norm())
 	}
+	c := fp8.E4M3.Codec()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fp8.E4M3.QuantizeSlice(dst, src)
+		c.QuantizeSlice(dst, src)
 	}
 	b.SetBytes(4096 * 4)
 }

@@ -16,6 +16,8 @@
 //	             temp+rename helper
 //	cellpurity   RunCell bodies (and their direct in-package callees)
 //	             must not assign package-level variables
+//	unused       every internal/ function or method has a caller in
+//	             the module's non-test code
 //
 // A finding is suppressed by an allowlist comment on the same line or
 // the line above:
@@ -63,6 +65,7 @@ func All() []*Analyzer {
 		floatorderAnalyzer(),
 		atomicwriteAnalyzer(),
 		cellpurityAnalyzer(),
+		unusedAnalyzer(),
 	}
 }
 

@@ -1,9 +1,13 @@
 package analyzers
 
 import (
+	"fmt"
+	"go/importer"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -27,13 +31,39 @@ func loadFixture(t *testing.T, dirs ...string) []*Package {
 	t.Helper()
 	var pkgs []*Package
 	for _, d := range dirs {
-		p, err := LoadDir(filepath.Join("testdata", d))
+		p, err := loadDir(filepath.Join("testdata", d))
 		if err != nil {
-			t.Fatalf("LoadDir(%s): %v", d, err)
+			t.Fatalf("loadDir(%s): %v", d, err)
 		}
 		pkgs = append(pkgs, p)
 	}
 	return pkgs
+}
+
+// loadDir loads the single package in dir (every non-test .go file) —
+// the fixture-package entry point of the golden tests. The
+// importer resolves from source, so fixtures may import the stdlib but
+// nothing else.
+func loadDir(dir string) (*Package, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []string
+	for _, e := range ents {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		files = append(files, filepath.Join(dir, name))
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("analyzers: no .go files in %s", dir)
+	}
+	sort.Strings(files)
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "source", nil)
+	return loadFiles(fset, imp, filepath.Base(dir), dir, files)
 }
 
 func fixtureWants(pkgs []*Package) []wantMark {
@@ -59,7 +89,13 @@ func fixtureWants(pkgs []*Package) []wantMark {
 // findings against the want markers and the expected ignore count.
 func checkFixture(t *testing.T, check string, wantIgnored int, dirs ...string) {
 	t.Helper()
-	pkgs := loadFixture(t, dirs...)
+	checkPkgs(t, loadFixture(t, dirs...), check, wantIgnored)
+}
+
+// checkPkgs is checkFixture over loaded packages; extra marks findings
+// a trailing want comment cannot (a directive's own line).
+func checkPkgs(t *testing.T, pkgs []*Package, check string, wantIgnored int, extra ...wantMark) {
+	t.Helper()
 	as, err := ByName(check)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +107,7 @@ func checkFixture(t *testing.T, check string, wantIgnored int, dirs ...string) {
 		got = append(got, r.Findings...)
 		ignored += r.Ignored
 	}
-	wants := fixtureWants(pkgs)
+	wants := append(fixtureWants(pkgs), extra...)
 	matched := make([]bool, len(wants))
 	for _, f := range got {
 		ok := false
@@ -104,6 +140,28 @@ func TestAtomicwriteFixture(t *testing.T) {
 	checkFixture(t, "atomicwrite", 2, "resultstore", "storeclient")
 }
 func TestCellpurityFixture(t *testing.T) { checkFixture(t, "cellpurity", 1, "cellpurity") }
+
+// TestUnusedFixture loads testdata/unused as the module it is, so a
+// call from its cmd/app package counts as a reference and its
+// lib_test.go is left out. The ignore without a reason suppresses
+// nothing and is reported on its own line.
+func TestUnusedFixture(t *testing.T) {
+	pkgs, err := Load(filepath.Join("testdata", "unused"), "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := filepath.Abs(filepath.Join("testdata", "unused", "internal", "lib", "lib.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _, _ := strings.Cut(string(src), "//fp8vet:ignore unused\n")
+	line := 1 + strings.Count(before, "\n")
+	checkPkgs(t, pkgs, "unused", 1, wantMark{file: lib, line: line, check: "directive", substr: "has no reason"})
+}
 
 // TestDirectiveHygiene: a reason-less or unknown-check ignore is
 // itself a finding, and suppresses nothing.

@@ -1,8 +1,8 @@
 // Package loading for the fp8vet analyzers: packages are discovered
 // with `go list -json` (so the set fp8vet sees is exactly the set the
-// build sees), parsed with go/parser and type-checked with go/types
-// using the source importer — stdlib only, no external analysis
-// framework. Test files are excluded: the determinism contracts govern
+// build sees), parsed with go/parser and type-checked with go/types —
+// each listed package once, imports of anything else through the
+// source importer — stdlib only, no external analysis framework. Test files are excluded: the determinism contracts govern
 // the code that computes and persists results, not the code that
 // checks it. Build-tag-excluded files (the other configuration's
 // kernels) are analyzed too, via variant packages — see
@@ -19,7 +19,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
@@ -87,14 +86,18 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	sort.Slice(listed, func(i, j int) bool { return listed[i].ImportPath < listed[j].ImportPath })
 
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	imp := &moduleImporter{
+		std:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		fset:   fset,
+		listed: map[string]listedPackage{},
+		done:   map[string]*Package{},
+	}
+	for _, lp := range listed {
+		imp.listed[lp.ImportPath] = lp
+	}
 	var pkgs []*Package
 	for _, lp := range listed {
-		files := make([]string, len(lp.GoFiles))
-		for i, f := range lp.GoFiles {
-			files[i] = filepath.Join(lp.Dir, f)
-		}
-		pkg, err := loadFiles(fset, imp, lp.ImportPath, lp.Dir, files)
+		pkg, err := imp.load(lp)
 		if err != nil {
 			return nil, err
 		}
@@ -106,6 +109,52 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		pkgs = append(pkgs, variants...)
 	}
 	return pkgs, nil
+}
+
+// moduleImporter resolves an import of a listed package to that
+// package as Load type-checks it, checking it first if need be, and
+// every other import through the source importer. Module packages are
+// thus checked once, share one set of type objects, and resolve by
+// what `go list` reported in Load's directory rather than by the
+// process's working directory.
+type moduleImporter struct {
+	std    types.ImporterFrom
+	fset   *token.FileSet
+	listed map[string]listedPackage
+	done   map[string]*Package
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	return m.ImportFrom(path, "", 0)
+}
+
+func (m *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	lp, ok := m.listed[path]
+	if !ok {
+		return m.std.ImportFrom(path, dir, mode)
+	}
+	p, err := m.load(lp)
+	if err != nil {
+		return nil, err
+	}
+	return p.Types, nil
+}
+
+// load type-checks a listed package once.
+func (m *moduleImporter) load(lp listedPackage) (*Package, error) {
+	if p, ok := m.done[lp.ImportPath]; ok {
+		return p, nil
+	}
+	files := make([]string, len(lp.GoFiles))
+	for i, f := range lp.GoFiles {
+		files[i] = filepath.Join(lp.Dir, f)
+	}
+	p, err := loadFiles(m.fset, m, lp.ImportPath, lp.Dir, files)
+	if err != nil {
+		return nil, err
+	}
+	m.done[lp.ImportPath] = p
+	return p, nil
 }
 
 // loadIgnoredVariants analyzes the package's build-tag-excluded files
@@ -199,32 +248,6 @@ func overlaps(a, b map[string]bool) bool {
 		}
 	}
 	return false
-}
-
-// LoadDir loads the single package in dir (every non-test .go file) —
-// the fixture-package entry point used by the golden tests. The
-// importer resolves from source, so fixtures may import the stdlib but
-// nothing else.
-func LoadDir(dir string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		files = append(files, filepath.Join(dir, name))
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analyzers: no .go files in %s", dir)
-	}
-	sort.Strings(files)
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	return loadFiles(fset, imp, filepath.Base(dir), dir, files)
 }
 
 // loadFiles parses and type-checks one package's files.

@@ -511,8 +511,8 @@ func TestCostModelRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := LoadCostModel(store, CostSidecarName)
-	if got.Observations() != 2 {
-		t.Fatalf("loaded observations = %d, want 2", got.Observations())
+	if got.all.N != 2 {
+		t.Fatalf("loaded observations = %d, want 2", got.all.N)
 	}
 	if a, b := m.EstimateMs("f1", axes), got.EstimateMs("f1", axes); a != b {
 		t.Fatalf("estimate changed across persist round trip: %v vs %v", a, b)
@@ -538,7 +538,7 @@ func TestCostModelRoundTrip(t *testing.T) {
 	if err := store.SaveSidecar(CostSidecarName, []byte("not json")); err != nil {
 		t.Fatal(err)
 	}
-	if m := LoadCostModel(store, CostSidecarName); m.Observations() != 0 {
+	if m := LoadCostModel(store, CostSidecarName); m.all.N != 0 {
 		t.Fatal("corrupt sidecar should load as an empty model")
 	}
 }
@@ -655,8 +655,8 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	// The cost model persisted through the push: a fresh load sees the
 	// observation.
-	if m := LoadCostModel(store, CostSidecarName); m.Observations() != 1 {
-		t.Fatalf("persisted cost observations = %d, want 1", m.Observations())
+	if m := LoadCostModel(store, CostSidecarName); m.all.N != 1 {
+		t.Fatalf("persisted cost observations = %d, want 1", m.all.N)
 	}
 }
 

@@ -126,13 +126,6 @@ func (m *CostModel) EstimateMs(fp string, axes []resultstore.AxisValue) float64 
 	return defaultCostMs
 }
 
-// Observations reports how many cell durations have been folded in.
-func (m *CostModel) Observations() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.all.N
-}
-
 // costSidecar is the persisted layout. Both maps serialize through
 // encoding/json, which sorts keys, so the sidecar bytes are
 // deterministic for a given model state.

@@ -425,10 +425,6 @@ func (c *Coordinator) PersistCost() error {
 	return c.cost.Persist(c.cfg.Store, c.cfg.CostSidecar)
 }
 
-// Cost exposes the learned model (estimates drive lease order; tests
-// and fp8coord's summary read it).
-func (c *Coordinator) Cost() *CostModel { return c.cost }
-
 // FailedCells returns "exp cell: reason" lines for permanently failed
 // cells, in schedule order.
 func (c *Coordinator) FailedCells() []string {

@@ -28,17 +28,6 @@ type Sample struct {
 	Bags [][]int
 }
 
-// BatchSize returns the number of examples in the sample.
-func (s Sample) BatchSize() int {
-	if s.Tokens != nil {
-		return len(s.Tokens)
-	}
-	if s.X != nil {
-		return s.X.Shape[0]
-	}
-	return len(s.Bags)
-}
-
 // Dataset deterministically generates batches by index.
 type Dataset interface {
 	// Batch returns the i-th batch; the same index always returns the

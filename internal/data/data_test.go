@@ -28,8 +28,8 @@ func TestImageDatasetDeterministic(t *testing.T) {
 	if same {
 		t.Error("different batch indices must differ")
 	}
-	if a.BatchSize() != 2 {
-		t.Errorf("BatchSize = %d", a.BatchSize())
+	if a.X.Shape[0] != 2 {
+		t.Errorf("batch size = %d", a.X.Shape[0])
 	}
 }
 
@@ -108,9 +108,6 @@ func TestTabularDataset(t *testing.T) {
 	if s.X.Shape[1] != 13 || len(s.Bags) != 8 || len(s.Bags[0]) != 3 {
 		t.Fatalf("tabular shapes wrong")
 	}
-	if s.BatchSize() != 8 {
-		t.Errorf("BatchSize = %d", s.BatchSize())
-	}
 }
 
 func TestAudioDatasetBounded(t *testing.T) {
@@ -177,35 +174,6 @@ func TestArgmaxAndAccuracy(t *testing.T) {
 	am := ArgmaxRows(tl)
 	if am[0] != 2 || am[1] != 0 {
 		t.Errorf("argmax rows = %v", am)
-	}
-	if got := Accuracy([]int{1, 2, 3}, []int{1, 0, 3}); math.Abs(got-2.0/3) > 1e-9 {
-		t.Errorf("accuracy = %v", got)
-	}
-}
-
-func TestTopKAccuracy(t *testing.T) {
-	logits := tensor.FromSlice([]float32{5, 4, 3, 2}, 1, 4)
-	if got := TopKAccuracy(logits, []int{2}, 1); got != 0 {
-		t.Errorf("top1 = %v", got)
-	}
-	if got := TopKAccuracy(logits, []int{2}, 3); got != 1 {
-		t.Errorf("top3 = %v", got)
-	}
-}
-
-func TestF1AndMCC(t *testing.T) {
-	pred := []int{1, 1, 0, 0, 1}
-	lab := []int{1, 0, 0, 1, 1}
-	// tp=2 fp=1 fn=1 -> F1 = 4/6.
-	if got := F1Binary(pred, lab); math.Abs(got-2.0/3) > 1e-9 {
-		t.Errorf("f1 = %v", got)
-	}
-	if got := MatthewsCorr(pred, pred); math.Abs(got-1) > 1e-9 {
-		t.Errorf("mcc self = %v", got)
-	}
-	inv := []int{0, 0, 1, 1, 0}
-	if got := MatthewsCorr(pred, inv); math.Abs(got+1) > 1e-9 {
-		t.Errorf("mcc inverse = %v", got)
 	}
 }
 

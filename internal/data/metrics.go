@@ -29,84 +29,6 @@ func ArgmaxRows(t *tensor.Tensor) []int {
 	return out
 }
 
-// Accuracy returns the fraction of matching predictions.
-func Accuracy(pred, label []int) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	hit := 0
-	for i := range pred {
-		if pred[i] == label[i] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(pred))
-}
-
-// TopKAccuracy returns the fraction of rows whose label appears in the
-// k largest logits.
-func TopKAccuracy(logits *tensor.Tensor, label []int, k int) float64 {
-	cols := logits.Shape[logits.Rank()-1]
-	rows := logits.Len() / cols
-	hit := 0
-	for r := 0; r < rows; r++ {
-		row := logits.Data[r*cols : (r+1)*cols]
-		lv := row[label[r]]
-		greater := 0
-		for _, v := range row {
-			if v > lv {
-				greater++
-			}
-		}
-		if greater < k {
-			hit++
-		}
-	}
-	return float64(hit) / float64(rows)
-}
-
-// F1Binary returns the binary F1 score treating class 1 as positive.
-func F1Binary(pred, label []int) float64 {
-	var tp, fp, fn float64
-	for i := range pred {
-		switch {
-		case pred[i] == 1 && label[i] == 1:
-			tp++
-		case pred[i] == 1 && label[i] == 0:
-			fp++
-		case pred[i] == 0 && label[i] == 1:
-			fn++
-		}
-	}
-	if 2*tp+fp+fn == 0 {
-		return 0
-	}
-	return 2 * tp / (2*tp + fp + fn)
-}
-
-// MatthewsCorr returns the Matthews correlation coefficient (the CoLA
-// metric).
-func MatthewsCorr(pred, label []int) float64 {
-	var tp, tn, fp, fn float64
-	for i := range pred {
-		switch {
-		case pred[i] == 1 && label[i] == 1:
-			tp++
-		case pred[i] == 0 && label[i] == 0:
-			tn++
-		case pred[i] == 1 && label[i] == 0:
-			fp++
-		default:
-			fn++
-		}
-	}
-	den := math.Sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
-	if den == 0 {
-		return 0
-	}
-	return (tp*tn - fp*fn) / den
-}
-
 // Pearson returns the Pearson correlation between two score vectors
 // (the STS-B metric).
 func Pearson(a, b []float64) float64 {

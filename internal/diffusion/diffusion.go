@@ -169,14 +169,6 @@ func NewPipeline(seed uint64, nPrompts int) *Pipeline {
 	return &Pipeline{Net: NewDenoiser(seed), Prompts: p, seed: seed}
 }
 
-// Clone returns an independent pipeline with identical weights and
-// prompts, rebuilt deterministically from the seed. Construction is
-// cheap (the denoiser is small), so grid experiments give every cell
-// its own clone and quantize without cross-cell interference.
-func (p *Pipeline) Clone() *Pipeline {
-	return NewPipeline(p.seed, p.Prompts.Shape[0])
-}
-
 // Root implements quant.Model.
 func (p *Pipeline) Root() nn.Module { return p.Net }
 

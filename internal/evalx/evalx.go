@@ -7,8 +7,6 @@ package evalx
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"fp8quant/internal/data"
 	"fp8quant/internal/models"
@@ -207,52 +205,6 @@ func EvaluateWithRef(net *models.Network, base quant.Recipe, paperDefaults bool,
 		RelLoss: rl,
 		Pass:    data.Passes(1.0, acc),
 	}
-}
-
-// EvaluateRecipes evaluates several recipes on one model, computing the
-// FP32 reference once.
-func EvaluateRecipes(net *models.Network, bases []quant.Recipe, paperDefaults bool) []Result {
-	ref := ComputeReference(net)
-	out := make([]Result, len(bases))
-	for i, b := range bases {
-		out[i] = EvaluateWithRef(net, b, paperDefaults, ref)
-	}
-	return out
-}
-
-// EvaluateNames evaluates a recipe over a list of registry model names
-// in parallel (one worker per core), returning results in input order.
-func EvaluateNames(names []string, base quant.Recipe, paperDefaults bool) []Result {
-	results := make([]Result, len(names))
-	workers := runtime.NumCPU()
-	if workers > len(names) {
-		workers = len(names)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				net, err := models.Build(names[i])
-				if err != nil {
-					results[i] = Result{Model: names[i], Recipe: base.Name()}
-					continue
-				}
-				results[i] = Evaluate(net, base, paperDefaults)
-			}
-		}()
-	}
-	for i := range names {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return results
 }
 
 // PassRates aggregates Table 2-style pass percentages.

@@ -61,11 +61,9 @@ func TestEvaluateRecipesSharesReference(t *testing.T) {
 		quant.StandardFP8(quant.E4M3),
 		quant.StandardFP8(quant.E3M4),
 	}
-	res := EvaluateRecipes(net, rs, true)
-	if len(res) != 2 {
-		t.Fatalf("results = %d", len(res))
-	}
-	for _, r := range res {
+	ref := ComputeReference(net)
+	for _, b := range rs {
+		r := EvaluateWithRef(net, b, true, ref)
 		if r.QAcc <= 0 || r.QAcc > 1 {
 			t.Errorf("%s acc out of range: %v", r.Recipe, r.QAcc)
 		}
@@ -128,31 +126,17 @@ func TestComputeLossStats(t *testing.T) {
 	}
 }
 
-func TestEvaluateNamesParallel(t *testing.T) {
-	names := []string{"distilbert_mrpc", "tinybert_mrpc", "cifar_resnet20"}
-	res := EvaluateNames(names, quant.StandardFP8(quant.E3M4), true)
-	if len(res) != 3 {
-		t.Fatalf("results = %d", len(res))
-	}
-	for i, r := range res {
-		if r.Model != names[i] {
-			t.Errorf("order not preserved: %v", r.Model)
-		}
-	}
-}
-
 // TestFormatOrderingOnOutlierNLP is the core Table 2 shape invariant on
 // one representative outlier-heavy NLP model: FP8 static beats the
 // unsmoothed dynamic INT8 baseline.
 func TestFormatOrderingOnOutlierNLP(t *testing.T) {
 	net, _ := models.Build("bloom_560m")
-	res := EvaluateRecipes(net, []quant.Recipe{
-		quant.StandardFP8(quant.E4M3),
-		quant.StandardINT8(true),
-	}, true)
-	if res[0].QAcc <= res[1].QAcc {
+	ref := ComputeReference(net)
+	fp8 := EvaluateWithRef(net, quant.StandardFP8(quant.E4M3), true, ref)
+	int8 := EvaluateWithRef(net, quant.StandardINT8(true), true, ref)
+	if fp8.QAcc <= int8.QAcc {
 		t.Errorf("E4M3 static (%.4f) should beat dynamic INT8 (%.4f) on outlier NLP",
-			res[0].QAcc, res[1].QAcc)
+			fp8.QAcc, int8.QAcc)
 	}
 }
 

@@ -26,7 +26,8 @@
 // <kind> is err, enospc, delay (param: duration), torn (param: kept
 // fraction), corrupt (param: kept fraction), crash, http500 or drop;
 // @<from> makes the rule eligible from the from-th hit on (default 1);
-// %<prob> injects with that per-hit probability (default 1); and
+// %<prob> injects with that per-hit probability in (0, 1] (default
+// 1; a rule is muted by leaving it out, not by %0); and
 // x<max> caps the rule's total injections (default unlimited).
 //
 // Failpoints decide which fault kinds they can express: error-bearing
@@ -78,7 +79,7 @@ const (
 )
 
 // Sentinel errors callers branch on. Every injected error wraps the
-// base ErrInjected, so `faultline.Injected(err)` distinguishes a
+// base ErrInjected, so `errors.Is(err, ErrInjected)` distinguishes a
 // simulated fault from a real one (e.g. to skip temp-file cleanup the
 // way a genuine crash would).
 var (
@@ -90,9 +91,6 @@ var (
 	// ErrDrop tells an HTTP failpoint to drop the connection.
 	ErrDrop = fmt.Errorf("dropped connection: %w", ErrInjected)
 )
-
-// Injected reports whether err came from an armed failpoint.
-func Injected(err error) bool { return errors.Is(err, ErrInjected) }
 
 // CrashExitCode is the exit status KindCrash terminates with —
 // distinct from 1/2 so scripts can tell an injected crash from an
@@ -116,7 +114,8 @@ type Rule struct {
 	// From is the 1-based hit number the rule becomes eligible at
 	// (0 means 1: eligible from the first hit).
 	From int
-	// Prob is the per-hit injection probability (0 means 1: always).
+	// Prob is the per-hit injection probability in (0, 1); 0 means
+	// always, and ParsePlan stores %1 as 0 so Plan.String round-trips.
 	Prob float64
 	// Max caps the rule's total injections (0 = unlimited).
 	Max int
@@ -149,9 +148,6 @@ type state struct {
 // failpoint is this one atomic load.
 var active atomic.Pointer[state]
 
-// Enabled reports whether a plan is armed.
-func Enabled() bool { return active.Load() != nil }
-
 // Arm installs a plan (replacing any armed one). An empty plan arms
 // nothing but still counts hits, which tests use to assert coverage.
 func Arm(p Plan) error {
@@ -178,6 +174,8 @@ func Arm(p Plan) error {
 }
 
 // Disarm removes the armed plan; every failpoint reverts to a no-op.
+//
+//fp8vet:ignore unused coord's fleet tests disarm their chaos plan
 func Disarm() { active.Store(nil) }
 
 // EnvVar is the environment variable ArmFromEnv reads.
@@ -213,7 +211,7 @@ func (r *Rule) validate() error {
 			return fmt.Errorf("faultline: rule %s: delay needs a positive duration parameter", r.Pattern)
 		}
 	case KindTorn, KindCorrupt:
-		if r.Frac <= 0 || r.Frac >= 1 {
+		if !(r.Frac > 0 && r.Frac < 1) { // also rejects NaN
 			return fmt.Errorf("faultline: rule %s: %s needs a kept-fraction parameter in (0,1)", r.Pattern, r.Kind)
 		}
 	default:
@@ -315,8 +313,11 @@ func parseRule(pattern, rhs string) (Rule, error) {
 			r.From = n
 		case '%':
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
-				return Rule{}, fmt.Errorf("faultline: rule %s: bad %%prob %q", pattern, val)
+			if err != nil || !(f > 0 && f <= 1) {
+				return Rule{}, fmt.Errorf("faultline: rule %s: bad %%prob %q (want (0, 1])", pattern, val)
+			}
+			if f == 1 {
+				f = 0 // always: the default
 			}
 			r.Prob = f
 		case 'x':

@@ -27,8 +27,8 @@ func TestDisarmedIsNoop(t *testing.T) {
 	if err != nil || string(b) != "payload" {
 		t.Fatalf("disarmed WriteBytes = %q, %v", b, err)
 	}
-	if Enabled() {
-		t.Fatal("Enabled() true while disarmed")
+	if active.Load() != nil {
+		t.Fatal("plan armed after Disarm")
 	}
 	if got := Report(); got != "" {
 		t.Fatalf("disarmed Report = %q", got)
@@ -58,17 +58,17 @@ func TestErrKindAndSentinels(t *testing.T) {
 		{Pattern: "a.h500", Kind: KindHTTP500},
 		{Pattern: "a.drop", Kind: KindDrop},
 	}})
-	if err := Hit("a.err"); !Injected(err) {
+	if err := Hit("a.err"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("err kind: %v", err)
 	}
 	err := Hit("a.enospc")
-	if !Injected(err) || !errors.Is(err, syscall.ENOSPC) {
+	if !errors.Is(err, ErrInjected) || !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("enospc kind: %v", err)
 	}
-	if err := Hit("a.h500"); !errors.Is(err, ErrHTTP500) || !Injected(err) {
+	if err := Hit("a.h500"); !errors.Is(err, ErrHTTP500) || !errors.Is(err, ErrInjected) {
 		t.Fatalf("http500 kind: %v", err)
 	}
-	if err := Hit("a.drop"); !errors.Is(err, ErrDrop) || !Injected(err) {
+	if err := Hit("a.drop"); !errors.Is(err, ErrDrop) || !errors.Is(err, ErrInjected) {
 		t.Fatalf("drop kind: %v", err)
 	}
 	// Unmatched names stay clean.
@@ -149,7 +149,7 @@ func TestPrefixPatternAndFirstMatchWins(t *testing.T) {
 	if err := Hit("store.save.rename"); err == nil || errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("second hit should fall through to prefix rule: %v", err)
 	}
-	if err := Hit("store.load.read"); !Injected(err) {
+	if err := Hit("store.load.read"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("prefix rule: %v", err)
 	}
 	if err := Hit("coord.lease"); err != nil {
@@ -164,7 +164,7 @@ func TestTornAndCorruptWrites(t *testing.T) {
 	}})
 	payload := []byte("0123456789")
 	b, err := WriteBytes("w.torn", payload)
-	if !errors.Is(err, ErrTorn) || !Injected(err) {
+	if !errors.Is(err, ErrTorn) || !errors.Is(err, ErrInjected) {
 		t.Fatalf("torn err = %v", err)
 	}
 	if len(b) != 5 || string(b) != "01234" {
@@ -178,7 +178,7 @@ func TestTornAndCorruptWrites(t *testing.T) {
 		t.Fatalf("corrupt kept %q (must be strict non-empty prefix)", b)
 	}
 	// Torn at a plain Hit point degrades to a generic error.
-	if err := Hit("w.torn"); !Injected(err) || errors.Is(err, ErrTorn) {
+	if err := Hit("w.torn"); !errors.Is(err, ErrInjected) || errors.Is(err, ErrTorn) {
 		t.Fatalf("Hit on torn rule = %v", err)
 	}
 }
@@ -272,6 +272,9 @@ func TestParsePlanRejects(t *testing.T) {
 		"p=err:5",             // param on paramless kind
 		"p=err@0",             // from < 1
 		"p=err%1.5",           // prob > 1
+		"a=err%0",             // prob 0 would mean always, not never
+		"p=err%NaN",           // prob not a number
+		"p=torn:NaN",          // fraction not a number
 		"p=errx0",             // max < 1
 		"just-a-name",         // no '='
 		"=err",                // empty pattern
@@ -294,7 +297,7 @@ func TestArmFromEnv(t *testing.T) {
 		t.Fatalf("ArmFromEnv: %v %v", armed, err)
 	}
 	t.Cleanup(Disarm)
-	if err := Hit("p"); !Injected(err) {
+	if err := Hit("p"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("env-armed plan inert: %v", err)
 	}
 	t.Setenv(EnvVar, "p=bogus")

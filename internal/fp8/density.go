@@ -16,25 +16,3 @@ func (f Format) Density(n float64) float64 {
 	}
 	return math.Ldexp(1, int(f.ManBits)-int(math.Floor(math.Log2(n))))
 }
-
-// StepAt returns the grid spacing (quantization step) of the format at
-// magnitude n: the reciprocal of Density in the normal range, clamped
-// to the subnormal step below MinNormal.
-func (f Format) StepAt(n float64) float64 {
-	n = math.Abs(n)
-	if n < f.MinNormal() {
-		return f.MinSubnormal()
-	}
-	if n > f.MaxValue() {
-		n = f.MaxValue()
-	}
-	return 1 / f.Density(n)
-}
-
-// Int8Step returns the uniform step size of a symmetric INT8 grid with
-// the given calibrated absmax (absmax/127), for contrast with the
-// magnitude-dependent FP8 step. Outliers stretch this step linearly,
-// which is the core INT8 weakness the paper discusses in Section 2.
-func Int8Step(absmax float64) float64 {
-	return NewInt8Symmetric(absmax).Scale
-}

@@ -44,6 +44,21 @@ func TestMoreMantissaDenser(t *testing.T) {
 	}
 }
 
+// StepAt returns the grid spacing (quantization step) of the format at
+// magnitude n: the reciprocal of Density in the normal range, clamped
+// to the subnormal step below MinNormal. It is the error-bound oracle
+// of the quantization property tests.
+func (f Format) StepAt(n float64) float64 {
+	n = math.Abs(n)
+	if n < f.MinNormal() {
+		return f.MinSubnormal()
+	}
+	if n > f.MaxValue() {
+		n = f.MaxValue()
+	}
+	return 1 / f.Density(n)
+}
+
 // TestStepMatchesGrid verifies StepAt agrees with actual adjacent grid
 // point spacing in the normal range.
 func TestStepMatchesGrid(t *testing.T) {

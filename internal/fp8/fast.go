@@ -75,10 +75,6 @@ func newCodec(f Format) *Codec {
 // Format returns the format this codec encodes.
 func (c *Codec) Format() Format { return c.format }
 
-// Decode converts an 8-bit code to its float32 value via the lookup
-// table (exact: every representable value fits float32).
-func (c *Codec) Decode(b uint8) float32 { return c.dec[b] }
-
 // Encode converts a float32 to the nearest representable 8-bit code
 // using round-to-nearest-even, operating directly on the IEEE-754 bit
 // pattern. It is bit-identical to Format.Encode(float64(x)).

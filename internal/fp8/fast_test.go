@@ -37,7 +37,7 @@ func TestDecodeLUTExhaustive(t *testing.T) {
 	for _, f := range testFormats(t) {
 		c := f.Codec()
 		for b := 0; b < 256; b++ {
-			got := c.Decode(uint8(b))
+			got := c.dec[uint8(b)]
 			want := f.Decode(uint8(b))
 			if !sameFloat32(got, float32(want)) {
 				t.Errorf("%s: Decode(%#02x) LUT %v != ref %v", f, b, got, want)
@@ -99,7 +99,7 @@ func TestEncodeFastRoundTrip(t *testing.T) {
 		c := f.Codec()
 		for b := 0; b < 256; b++ {
 			code := uint8(b)
-			v := c.Decode(code)
+			v := c.dec[code]
 			got := c.Encode(v)
 			switch {
 			case f.IsNaN(code):
@@ -176,12 +176,21 @@ func mixedTestSlice(n int, f Format) []float32 {
 	return src
 }
 
+// QuantizeSliceRef is the scalar float64 reference path, the
+// bit-exactness oracle for the fast codec.
+func (f Format) QuantizeSliceRef(dst, src []float32) []float32 {
+	for i, v := range src {
+		dst[i] = float32(f.Quantize(float64(v)))
+	}
+	return dst
+}
+
 // TestQuantizeSliceMatchesRef pins the fast QuantizeSlice to the scalar
 // reference path bit-for-bit.
 func TestQuantizeSliceMatchesRef(t *testing.T) {
 	for _, f := range testFormats(t) {
 		src := mixedTestSlice(100000, f)
-		fast := f.QuantizeSlice(make([]float32, len(src)), src)
+		fast := f.Codec().QuantizeSlice(make([]float32, len(src)), src)
 		ref := f.QuantizeSliceRef(make([]float32, len(src)), src)
 		for i := range src {
 			if !sameFloat32(fast[i], ref[i]) {
@@ -197,7 +206,7 @@ func TestQuantizeSliceMatchesRef(t *testing.T) {
 func TestQuantizeSliceParallelMatchesSerial(t *testing.T) {
 	for _, n := range []int{0, 1, 100, quantGrain - 1, quantGrain + 1, 1<<20 + 3} {
 		src := mixedTestSlice(max(n, 8), E4M3)[:n]
-		serial := E4M3.QuantizeSlice(make([]float32, n), src)
+		serial := E4M3.Codec().QuantizeSlice(make([]float32, n), src)
 		par := E4M3.QuantizeSliceParallel(make([]float32, n), src)
 		for i := range src {
 			if !sameFloat32(serial[i], par[i]) {

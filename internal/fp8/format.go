@@ -21,10 +21,7 @@
 // Emulation Toolkit the paper relies on.
 package fp8
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Format describes an 8-bit floating-point binary format with a sign bit,
 // ExpBits exponent bits and ManBits mantissa bits (ExpBits+ManBits == 7).
@@ -56,19 +53,6 @@ var (
 // Formats lists the three paper formats in the order used throughout the
 // evaluation tables.
 var Formats = []Format{E5M2, E4M3, E3M4}
-
-// ByName returns the format with the given EeMm name.
-func ByName(name string) (Format, error) {
-	switch name {
-	case "E5M2", "e5m2":
-		return E5M2, nil
-	case "E4M3", "e4m3":
-		return E4M3, nil
-	case "E3M4", "e3m4":
-		return E3M4, nil
-	}
-	return Format{}, fmt.Errorf("fp8: unknown format %q", name)
-}
 
 // String returns the format name.
 func (f Format) String() string { return f.Name }
@@ -267,29 +251,11 @@ func (f Format) Quantize(x float64) float64 {
 	return f.Decode(f.Encode(x))
 }
 
-// QuantizeSlice applies Quantize element-wise to a float32 slice,
-// writing results into dst (which may alias src). It returns dst. The
-// work runs through the format's fast codec (see fast.go), which is
-// bit-identical to QuantizeSliceRef.
-func (f Format) QuantizeSlice(dst, src []float32) []float32 {
-	return f.Codec().QuantizeSlice(dst, src)
-}
-
-// QuantizeSliceParallel is QuantizeSlice fanned out over the shared
-// worker pool; large tensors quantize on all cores, small slices run
-// inline. Results are bit-identical to QuantizeSlice.
+// QuantizeSliceParallel is Codec.QuantizeSlice fanned out over the
+// shared worker pool; large tensors quantize on all cores, small slices
+// run inline. Results are bit-identical to the serial codec.
 func (f Format) QuantizeSliceParallel(dst, src []float32) []float32 {
 	return f.Codec().QuantizeSliceParallel(dst, src)
-}
-
-// QuantizeSliceRef is the scalar float64 reference path, kept as the
-// bit-exactness oracle for the fast codec (and for benchmarks
-// quantifying the codec speedup).
-func (f Format) QuantizeSliceRef(dst, src []float32) []float32 {
-	for i, v := range src {
-		dst[i] = float32(f.Quantize(float64(v)))
-	}
-	return dst
 }
 
 // GridPoints returns all non-negative finite representable values in

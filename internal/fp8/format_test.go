@@ -249,17 +249,6 @@ func TestGridPoints(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, n := range []string{"E5M2", "E4M3", "E3M4", "e4m3"} {
-		if _, err := ByName(n); err != nil {
-			t.Errorf("ByName(%q) error: %v", n, err)
-		}
-	}
-	if _, err := ByName("E2M5"); err == nil {
-		t.Error("ByName(E2M5) should fail")
-	}
-}
-
 // Property: quantization is idempotent — Quantize(Quantize(x)) ==
 // Quantize(x) for all finite x.
 func TestQuantizeIdempotent(t *testing.T) {
@@ -326,7 +315,7 @@ func TestQuantizeErrorBound(t *testing.T) {
 func TestQuantizeSlice(t *testing.T) {
 	src := []float32{0, 0.1, -0.5, 3.2, 500, -500}
 	dst := make([]float32, len(src))
-	E4M3.QuantizeSlice(dst, src)
+	E4M3.Codec().QuantizeSlice(dst, src)
 	for i, v := range src {
 		want := float32(E4M3.Quantize(float64(v)))
 		if dst[i] != want {
@@ -335,7 +324,7 @@ func TestQuantizeSlice(t *testing.T) {
 	}
 	// In-place aliasing works.
 	cp := append([]float32(nil), src...)
-	E4M3.QuantizeSlice(cp, cp)
+	E4M3.Codec().QuantizeSlice(cp, cp)
 	for i := range cp {
 		if cp[i] != dst[i] {
 			t.Errorf("in-place QuantizeSlice[%d] = %v, want %v", i, cp[i], dst[i])

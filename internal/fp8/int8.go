@@ -95,14 +95,6 @@ func (q Int8Asymmetric) Decode(c uint8) float64 {
 // Quantize rounds x to its nearest representable value.
 func (q Int8Asymmetric) Quantize(x float64) float64 { return q.Decode(q.Encode(x)) }
 
-// QuantizeSlice applies Quantize element-wise, writing into dst.
-func (q Int8Asymmetric) QuantizeSlice(dst, src []float32) []float32 {
-	for i, v := range src {
-		dst[i] = float32(q.Quantize(float64(v)))
-	}
-	return dst
-}
-
 // Int8GridPoints returns the non-negative representable values of a
 // symmetric INT8 quantizer, for grid-density comparisons (Figure 1).
 func Int8GridPoints(absmax float64) []float64 {

@@ -48,6 +48,8 @@ func Store() *resultstore.Store {
 // store is untouched). Tests use it to simulate a process boundary and
 // force store round trips and cold builds; long-lived embedders can use
 // it to release sweep memory.
+//
+//fp8vet:ignore unused the bench module's tests force cold builds with it
 func ClearMemo() {
 	cacheMu.Lock()
 	memo = map[string]evalx.Result{}
@@ -79,22 +81,16 @@ func lookupCell(k resultstore.CellKey) (evalx.Result, bool) {
 	return evalx.Result{}, false
 }
 
-// cachedCell returns the result for the cell key, trying the
+// cachedCellFresh returns the result for the cell key, trying the
 // in-process memo, then the disk store, then computing it (and
 // persisting the result). Errored cells (Err != "") are memoized for
 // the process but never persisted — a deterministic failure is cheap
 // to re-derive and must not outlive the code that caused it.
 // Concurrent callers with the same key may compute twice; both arrive
-// at identical results, so last-write-wins is safe.
-func cachedCell(k resultstore.CellKey, compute func() evalx.Result) evalx.Result {
-	r, _ := cachedCellFresh(k, compute)
-	return r
-}
-
-// cachedCellFresh is cachedCell plus a flag reporting whether the cell
-// was computed fresh rather than served from a cache layer — the
-// provenance signal: only fresh cells carry the current kernel
-// variant's bits into the store.
+// at identical results, so last-write-wins is safe. The flag reports
+// whether the cell was computed fresh rather than served from a cache
+// layer — the provenance signal: only fresh cells carry the current
+// kernel variant's bits into the store.
 func cachedCellFresh(k resultstore.CellKey, compute func() evalx.Result) (evalx.Result, bool) {
 	fp := k.Fingerprint()
 	cacheMu.Lock()

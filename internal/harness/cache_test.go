@@ -10,6 +10,12 @@ import (
 	"fp8quant/internal/resultstore"
 )
 
+// cachedCell is cachedCellFresh without the provenance flag.
+func cachedCell(k resultstore.CellKey, compute func() evalx.Result) evalx.Result {
+	r, _ := cachedCellFresh(k, compute)
+	return r
+}
+
 // withCleanCache isolates a test from the package-level cache state.
 func withCleanCache(t *testing.T) {
 	t.Helper()

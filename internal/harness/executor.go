@@ -33,6 +33,8 @@ const ErrNotInShard = "cell assigned to another shard and absent from the store"
 
 // Run executes the experiment end to end: every grid cell through the
 // cache layers on the sweep worker pool, then Render.
+//
+//fp8vet:ignore unused coord's and the root package's tests run whole experiments
 func Run(e Experiment) *Report {
 	g, _, err := RunGrid(e, nil, Shard{})
 	if err != nil {
@@ -90,7 +92,7 @@ func RunGrid(e Experiment, f Filter, sh Shard) (*Grid, []int, error) {
 		// recipe] grid selects every 6th index), which would starve all
 		// but one shard. Position-based slicing always balances within
 		// one cell, and for an unfiltered run (sel = identity) it
-		// coincides with GridSpec.Shard.
+		// coincides with round-robin over absolute grid indices.
 		mine = make([]int, 0, len(sel)/sh.Count+1)
 		for k, idx := range sel {
 			if sh.Owns(k) {
@@ -144,7 +146,7 @@ func ComputeCell(e Experiment, idx int) (resultstore.CellKey, evalx.Result, bool
 		return k, r, false
 	}
 	// A concurrent computation of the same cell between the lookup and
-	// here just means cachedCell returns the (identical) memoized
+	// here just means cachedCellFresh returns the (identical) memoized
 	// result; reporting it as fresh is harmless — the duration is real.
 	r, _ := cachedCellFresh(k, func() evalx.Result {
 		return runCellSafe(e, spec, c)

@@ -57,23 +57,19 @@ func recipeLabels(rs []struct {
 	return out
 }
 
-// sweepSpecFor declares the Table-2-recipe sweep over the named
-// models. Model weights derive from per-name seeds, so the
-// experiment-level seed is constant.
-func sweepSpecFor(names []string) GridSpec {
+// sweepSpec is the all-model sweep grid that table2, fig4 and fig5 all
+// declare: because the grid id and axes are identical, the three
+// experiments share memoized and persisted cells. Model weights derive
+// from per-name seeds, so the experiment-level seed is constant.
+func sweepSpec() GridSpec {
 	return GridSpec{
 		ID: "table2-sweep",
 		Axes: []Axis{
-			{Name: "model", Values: names},
+			{Name: "model", Values: models.Names()},
 			{Name: "recipe", Values: table2Labels},
 		},
 	}
 }
-
-// sweepSpec is the all-model sweep grid that table2, fig4 and fig5 all
-// declare: because the grid id and axes are identical, the three
-// experiments share memoized and persisted cells.
-func sweepSpec() GridSpec { return sweepSpecFor(models.Names()) }
 
 // runSweepCell evaluates one (model, recipe) cell of the sweep.
 func runSweepCell(c Cell) evalx.Result {

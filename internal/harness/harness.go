@@ -115,30 +115,6 @@ func newTable(cols ...string) *table { return &table{header: cols} }
 
 func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
 
-// addf formats one row and splits it into cells on "|". A literal pipe
-// inside a cell is written as `\|` (Table 2's "INT8 Static CV \|
-// Dynamic NLP" label); a bare backslash is any backslash not escaping
-// a pipe.
-func (t *table) addf(format string, args ...interface{}) {
-	s := fmt.Sprintf(format, args...)
-	var cells []string
-	var cur strings.Builder
-	for i := 0; i < len(s); i++ {
-		switch {
-		case s[i] == '\\' && i+1 < len(s) && s[i+1] == '|':
-			cur.WriteByte('|')
-			i++
-		case s[i] == '|':
-			cells = append(cells, cur.String())
-			cur.Reset()
-		default:
-			cur.WriteByte(s[i])
-		}
-	}
-	cells = append(cells, cur.String())
-	t.add(cells...)
-}
-
 func (t *table) String() string {
 	widths := make([]int, len(t.header))
 	for i, h := range t.header {

@@ -46,34 +46,6 @@ func TestTableFormatting(t *testing.T) {
 	}
 }
 
-// TestAddfEscapedPipe is the regression test for labels containing a
-// literal pipe: splitting on bare "|" used to shear the Table 2 recipe
-// label "INT8 Static CV | Dynamic NLP" across three cells.
-func TestAddfEscapedPipe(t *testing.T) {
-	tb := newTable("recipe", "pass rate")
-	tb.addf(`INT8 Static CV \| Dynamic NLP|%.2f%%`, 85.0)
-	if len(tb.rows) != 1 {
-		t.Fatalf("addf added %d rows, want 1", len(tb.rows))
-	}
-	row := tb.rows[0]
-	if len(row) != 2 {
-		t.Fatalf("escaped pipe split the row into %d cells: %q", len(row), row)
-	}
-	if row[0] != "INT8 Static CV | Dynamic NLP" {
-		t.Errorf("label cell = %q, want the literal-pipe label", row[0])
-	}
-	if row[1] != "85.00%" {
-		t.Errorf("value cell = %q", row[1])
-	}
-
-	// Plain splitting still works, bare backslashes pass through.
-	tb2 := newTable("a", "b", "c")
-	tb2.addf(`x\y|%d|%s`, 7, "z")
-	if got := tb2.rows[0]; len(got) != 3 || got[0] != `x\y` || got[1] != "7" || got[2] != "z" {
-		t.Errorf("addf cells = %q", got)
-	}
-}
-
 // TestFig1Shape checks the headline Figure 1 invariants on the actual
 // experiment output: E3M4 < INT8 at the paper's outlier magnitude, and
 // both E4M3 and E3M4 < INT8 at the LLM-scale magnitude; E5M2 worst FP8.

@@ -43,30 +43,9 @@ func (sh Shard) String() string {
 }
 
 // Owns reports whether the plan assigns selection position k to this
-// shard — the single definition of the round-robin rule, shared by the
-// executor (over filtered-selection positions) and GridSpec.Shard
-// (over the full cell range). The zero (unsharded) plan owns every
-// position.
+// shard — the single definition of the round-robin rule the executor
+// applies over filtered-selection positions. The zero (unsharded) plan
+// owns every position.
 func (sh Shard) Owns(k int) bool {
 	return !sh.Enabled() || k%sh.Count == sh.Index
-}
-
-// Shard returns the i-th of n disjoint subsets of the spec's row-major
-// cell indices (0 <= i < n). The n subsets are pairwise disjoint,
-// jointly cover every cell, are stable for a given spec, and differ in
-// size by at most one. Invalid arguments panic: a shard plan reaching
-// this point has already passed Shard.Validate.
-func (s GridSpec) Shard(i, n int) []int {
-	if n < 1 || i < 0 || i >= n {
-		panic(fmt.Sprintf("harness: GridSpec.Shard(%d, %d) out of range", i, n))
-	}
-	num := s.NumCells()
-	sh := Shard{Index: i, Count: n}
-	out := make([]int, 0, (num+n-1)/n)
-	for j := 0; j < num; j++ {
-		if sh.Owns(j) {
-			out = append(out, j)
-		}
-	}
-	return out
 }

@@ -9,6 +9,25 @@ import (
 	"fp8quant/internal/resultstore"
 )
 
+// Shard returns the i-th of n disjoint subsets of the spec's row-major
+// cell indices (0 <= i < n), by Shard.Owns over the full cell range:
+// the oracle the executor's filtered sharding is checked against.
+// Invalid arguments panic.
+func (s GridSpec) Shard(i, n int) []int {
+	if n < 1 || i < 0 || i >= n {
+		panic(fmt.Sprintf("harness: GridSpec.Shard(%d, %d) out of range", i, n))
+	}
+	num := s.NumCells()
+	sh := Shard{Index: i, Count: n}
+	out := make([]int, 0, (num+n-1)/n)
+	for j := 0; j < num; j++ {
+		if sh.Owns(j) {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
 // TestShardDisjointComplete proves the shard plan's core contract on
 // real experiment grids and the synthetic one: for several n, the n
 // subsets are pairwise disjoint, jointly cover every cell exactly

@@ -11,8 +11,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"fp8quant/internal/evalx"
 )
 
 // sweepWorkers is the configured cell-level parallelism; 0 selects
@@ -66,33 +64,4 @@ func forEachCell(n int, cell func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// collectCells evaluates fn over [0, n) on the worker pool and returns
-// the results in input order.
-func collectCells[T any](n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	forEachCell(n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// Sweep evaluates the Table 2 recipe set over the named models on the
-// worker pool — the building block of the table2/fig4/fig5 experiments,
-// exported for callers (and benchmarks) that want the raw cells without
-// the memo/store layers. It does share the process-wide per-model FP32
-// reference cache; benchmarks comparing repeated Sweep calls should
-// ClearMemo between runs to keep the measured work equal. Results are
-// indexed [model][recipe] in input order; a model that fails to build
-// yields Err-marked results in its row.
-func Sweep(names []string) [][]evalx.Result {
-	spec := sweepSpecFor(names)
-	out := make([][]evalx.Result, len(names))
-	for i := range out {
-		out[i] = make([]evalx.Result, len(table2Labels))
-	}
-	forEachCell(spec.NumCells(), func(i int) {
-		c := spec.CellAt(i)
-		out[c.Coords[0]][c.Coords[1]] = runSweepCell(c)
-	})
-	return out
 }

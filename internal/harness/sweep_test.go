@@ -28,7 +28,8 @@ func TestCollectCellsDeterministicOrder(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3, 16} {
 		SetWorkers(workers)
-		got := collectCells(len(want), func(i int) int { return i * i })
+		got := make([]int, len(want))
+		forEachCell(len(got), func(i int) { got[i] = i * i })
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, got[i], want[i])

@@ -112,7 +112,4 @@ func TestInstallPlanRestoresUnplanned(t *testing.T) {
 	if !bitEqual(got, want) {
 		t.Fatal("uninstalling plan changed outputs")
 	}
-	if plan.Footprint() == 0 {
-		t.Fatal("compiled plan reports zero footprint")
-	}
 }

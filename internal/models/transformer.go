@@ -307,7 +307,6 @@ type GenLM struct {
 	Net *decoderNet
 	// DataSet provides calibration batches.
 	DataSet data.Dataset
-	seed    uint64
 }
 
 // NewGenLM builds a Bloom-style generative LM for the Table 4 text
@@ -327,14 +326,8 @@ func NewGenLM(seed uint64) *GenLM {
 	return &GenLM{
 		Net:     net,
 		DataSet: nlpDataset(seed ^ 0x9E41),
-		seed:    seed,
 	}
 }
-
-// Clone returns an independent generator with identical weights,
-// rebuilt deterministically from the seed — cheap enough that grid
-// experiments build one per cell instead of sharing a mutated LM.
-func (g *GenLM) Clone() *GenLM { return NewGenLM(g.seed) }
 
 // NextLogits implements textgen.LM.
 func (g *GenLM) NextLogits(tokens [][]int) *tensor.Tensor {

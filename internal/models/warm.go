@@ -86,6 +86,8 @@ func ClearWarmMemo() {
 }
 
 // WarmMemoLen reports how many warm-ups are memoized.
+//
+//fp8vet:ignore unused harness's plan tests check that ClearMemo empties the warm-up memo
 func WarmMemoLen() int {
 	n := 0
 	warmMemo.Range(func(_, _ any) bool {

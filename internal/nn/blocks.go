@@ -290,42 +290,6 @@ func (l *TransformerDecoderLayer) Forward(a *tensor.Arena, x *tensor.Tensor) *te
 	return l.Res2.Apply(a, x, l.FF.Forward(a, l.LN2.Forward(a, x)))
 }
 
-// DepthwiseSeparable is the MobileNet building block: depthwise 3×3
-// conv + pointwise 1×1 conv, each followed by BatchNorm.
-type DepthwiseSeparable struct {
-	DW, PW   *Conv2d
-	BN1, BN2 *BatchNorm2d
-	Act      Module
-}
-
-// NewDepthwiseSeparable builds the block with the given stride.
-func NewDepthwiseSeparable(inC, outC, stride int) *DepthwiseSeparable {
-	return &DepthwiseSeparable{
-		DW:  NewConv2d(inC, inC, 3, stride, 1, inC),
-		PW:  NewConv2d(inC, outC, 1, 1, 0, 1),
-		BN1: NewBatchNorm2d(inC),
-		BN2: NewBatchNorm2d(outC),
-		Act: ReLU{},
-	}
-}
-
-// Kind implements Module.
-func (d *DepthwiseSeparable) Kind() string { return "DepthwiseSeparable" }
-
-// Visit implements Container.
-func (d *DepthwiseSeparable) Visit(path string, v Visitor) {
-	walk(path+"/dw", d.DW, v)
-	walk(path+"/bn1", d.BN1, v)
-	walk(path+"/pw", d.PW, v)
-	walk(path+"/bn2", d.BN2, v)
-}
-
-// Forward runs the block.
-func (d *DepthwiseSeparable) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	x = d.Act.Forward(a, d.BN1.Forward(a, d.DW.Forward(a, x)))
-	return d.Act.Forward(a, d.BN2.Forward(a, d.PW.Forward(a, x)))
-}
-
 // GNConv is Conv → GroupNorm → SiLU, the diffusion U-Net unit. Callers
 // build the two layers with their own weight initialization.
 type GNConv struct {

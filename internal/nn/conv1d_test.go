@@ -50,7 +50,7 @@ func TestConv1dQuantHooks(t *testing.T) {
 	called := false
 	c.QS.Observe = func([]float32) { called = true }
 	x := tensor.New(1, 1, 4)
-	x.Fill(1)
+	fillOnes(x.Data)
 	c.Forward(nil, x)
 	if !called {
 		t.Error("observer not invoked")

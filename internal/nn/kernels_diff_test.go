@@ -16,6 +16,30 @@ import (
 // the tile remainders, grouped/strided/padded convolutions and rank>2
 // linear inputs.
 
+// matmulT computes y[r,o] = sum_k x[r,k] * w[o,k] for row-major
+// buffers: x is [rows, in], w is [out, in], y is [rows, out].
+// Accumulation is float32, matching typical FP8-with-FP32-accumulate
+// hardware behaviour emulated by the paper. It is the scalar oracle
+// the packed-GEMM Linear and BatchMatMul paths are pinned against: a
+// single accumulator in ascending-k order, using the active variant's
+// multiply-accumulate (two roundings on the generic/sse tiers, the
+// exactly-rounded fused step on avx2).
+func matmulT(y, x, w []float32, rows, in, out int) {
+	madd := kernels.RefMadd(kernels.Active())
+	for r := 0; r < rows; r++ {
+		xr := x[r*in : (r+1)*in]
+		yr := y[r*out : (r+1)*out]
+		for o := 0; o < out; o++ {
+			wo := w[o*in : (o+1)*in]
+			var acc float32
+			for k := range xr {
+				acc = madd(acc, xr[k], wo[k])
+			}
+			yr[o] = acc
+		}
+	}
+}
+
 func fillTensor(t *tensor.Tensor, rng *tensor.RNG, scale float64) {
 	for i := range t.Data {
 		v := rng.Norm() * scale

@@ -60,71 +60,6 @@ func (l *Linear) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	return l.QS.applyOut(y)
 }
 
-// matmulT computes y[r,o] = sum_k x[r,k] * w[o,k] for row-major
-// buffers: x is [rows, in], w is [out, in], y is [rows, out].
-// Accumulation is float32, matching typical FP8-with-FP32-accumulate
-// hardware behaviour emulated by the paper. It is the scalar oracle
-// the packed-GEMM Linear path is pinned against by the
-// differential tests in kernels_diff_test.go: a single accumulator in
-// ascending-k order, using the active variant's multiply-accumulate
-// (two roundings on the generic/sse tiers, the exactly-rounded fused
-// step on avx2).
-func matmulT(y, x, w []float32, rows, in, out int) {
-	madd := kernels.RefMadd(kernels.Active())
-	for r := 0; r < rows; r++ {
-		xr := x[r*in : (r+1)*in]
-		yr := y[r*out : (r+1)*out]
-		for o := 0; o < out; o++ {
-			wo := w[o*in : (o+1)*in]
-			var acc float32
-			for k := range xr {
-				acc = madd(acc, xr[k], wo[k])
-			}
-			yr[o] = acc
-		}
-	}
-}
-
-// MatMulOp is an explicit activation×activation matrix multiply leaf
-// (torch.matmul between two tensors), quantized only by the extended
-// scheme. Both operands are activations, so it carries two input hooks.
-type MatMulOp struct {
-	// QA and QB quantize the two operands.
-	QA, QB QState
-}
-
-// Kind implements Module.
-func (m *MatMulOp) Kind() string { return "MatMul" }
-
-// Q returns the first operand's QState (Quantizable interface); use QB
-// for the second operand.
-func (m *MatMulOp) Q() *QState { return &m.QA }
-
-// Forward is unsupported: MatMulOp is binary. Use Apply.
-func (m *MatMulOp) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
-	panic("nn: MatMulOp is binary; call Apply(a, x, y)")
-}
-
-// Apply multiplies x [.., M, K] by y [.., K, N] treating leading
-// dimensions as batch (they must match); returns [.., M, N] carved
-// from a. The y operand is the one the GEMM packs into panels, so when
-// its QState carries a fused quantizer the fake-quant folds into
-// packing — no quantized copy of y is materialized, and the result is
-// bit-identical to the copy path by the RowQuantFactory contract.
-func (m *MatMulOp) Apply(a *tensor.Arena, x, y *tensor.Tensor) *tensor.Tensor {
-	return applyMatMul(a, &m.QA, &m.QB, x, y, false)
-}
-
-// applyMatMul runs a binary matmul leaf's input hooks and multiply,
-// fusing y's fake-quant into panel packing when it has a fused form.
-func applyMatMul(a *tensor.Arena, qx, qy *QState, x, y *tensor.Tensor, transB bool) *tensor.Tensor {
-	x = qx.applyIn(a, x)
-	if q := qy.fusedQuant(y); q != nil {
-		return batchMatMul(a, x, y, transB, q)
-	}
-	return batchMatMul(a, x, qy.applyIn(a, y), transB, nil)
-}
-
 // BatchMatMulOp is the BMM leaf used inside attention (QKᵀ and PV).
 type BatchMatMulOp struct {
 	QA, QB QState
@@ -144,10 +79,17 @@ func (m *BatchMatMulOp) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 }
 
 // Apply performs the batched multiply of x by y (or yᵀ when
-// TransposeB), carving from a; like MatMulOp, a fused quantizer on the
-// y operand folds into panel packing.
+// TransposeB), carving from a, after the operands' input hooks. The y
+// operand is the one the GEMM packs into panels, so when its QState
+// carries a fused quantizer the fake-quant folds into packing — no
+// quantized copy of y is materialized, and the result is bit-identical
+// to the copy path by the RowQuantFactory contract.
 func (m *BatchMatMulOp) Apply(a *tensor.Arena, x, y *tensor.Tensor) *tensor.Tensor {
-	return applyMatMul(a, &m.QA, &m.QB, x, y, m.TransposeB)
+	x = m.QA.applyIn(a, x)
+	if q := m.QB.fusedQuant(y); q != nil {
+		return batchMatMul(a, x, y, m.TransposeB, q)
+	}
+	return batchMatMul(a, x, m.QB.applyIn(a, y), m.TransposeB, nil)
 }
 
 // batchMatMul multiplies batched matrices: x is [batch..., M, K] and y

@@ -77,9 +77,6 @@ func (bn *BatchNorm2d) FinishCalibration() {
 	bn.sum, bn.sumSq = nil, nil
 }
 
-// Calibrating reports whether statistics accumulation is active.
-func (bn *BatchNorm2d) Calibrating() bool { return bn.calibrating }
-
 // Forward normalizes x [N,C,H,W] with the running statistics.
 func (bn *BatchNorm2d) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 || x.Shape[1] != bn.C {

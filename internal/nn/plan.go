@@ -43,18 +43,12 @@ func Compile(m Module, inShape ...int) *Plan {
 	return p
 }
 
-// Module returns the module the plan currently executes.
-func (p *Plan) Module() Module { return p.m }
-
 // Bind points the plan at a different module (typically the same
 // architecture with different weights — e.g. a pooled plan reused
 // across sweep cells, where the arenas are already sized right).
 // Binding nil detaches the module so a pooled plan does not keep a
 // whole network reachable.
 func (p *Plan) Bind(m Module) { p.m = m }
-
-// Footprint returns the total float32 capacity of the plan's arenas.
-func (p *Plan) Footprint() int { return p.front.Floats() + p.back.Floats() }
 
 // Forward runs the planned module over x. The input must not itself be
 // arena memory from this plan's previous call.

@@ -104,14 +104,16 @@ func TestPlanOutputAliasing(t *testing.T) {
 	x2 := planTestInput(2, 13)
 	p := Compile(m, x1.Shape...)
 	out1 := p.Forward(x1)
-	if !p.front.Owns(out1.Data) && !p.back.Owns(out1.Data) {
-		t.Fatal("steady-state planned output does not live in an arena")
-	}
 	kept := out1.Clone()
-	if p.front.Owns(kept.Data) || p.back.Owns(kept.Data) {
+	if &kept.Data[0] == &out1.Data[0] {
 		t.Fatal("Clone of a planned output still aliases arena memory")
 	}
 	out2 := p.Forward(x2)
+	// A heap forward would return fresh memory while out1 is still
+	// live; the planned one reuses the same arena storage.
+	if &out2.Data[0] != &out1.Data[0] {
+		t.Fatal("steady-state planned output does not live in an arena")
+	}
 	// The clone must still hold x1's result, not x2's.
 	want1 := m.Forward(nil, x1)
 	bitsEqual(t, kept, want1, "clone survives next Forward")
@@ -155,9 +157,6 @@ func TestArenaHeapFallback(t *testing.T) {
 		t.Fatal("nil-arena View copied data")
 	}
 	a.Reset() // must not panic
-	if a.Owns(s) {
-		t.Fatal("nil arena claims ownership")
-	}
 }
 
 // TestArenaZeroesCarvedMemory: carved regions must read as zero even

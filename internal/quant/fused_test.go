@@ -58,7 +58,7 @@ func bitsEq(t *testing.T, tag string, got, want []float32) {
 }
 
 // TestFusedQuantMatchesUnfused proves the quantize-during-pack route is
-// invisible: a MatMulOp/BatchMatMulOp whose b-operand QState carries
+// invisible: a BatchMatMulOp whose b-operand QState carries
 // both Input and InputFused produces byte-identical outputs to one
 // carrying only Input (the materialize-a-quantized-copy path), for
 // every recipe, on both the heap and arena forward paths, including
@@ -100,17 +100,6 @@ func TestFusedQuantMatchesUnfused(t *testing.T) {
 				bitsEq(t, tc.name+"/arena", gotAr.Data, want.Data)
 				ar.Reset()
 			}
-
-			// MatMulOp drives the same route; cover its entry point once
-			// per recipe (natural layout).
-			b := tensor.New(batch, K, N)
-			fillFused(b.Data, rng)
-			unfused := &nn.MatMulOp{}
-			unfused.QB.Input = fn
-			fusedOp := &nn.MatMulOp{}
-			fusedOp.QB.Input = fn
-			fusedOp.QB.InputFused = factory
-			bitsEq(t, tc.name+"/matmul", fusedOp.Apply(nil, a, b).Data, unfused.Apply(nil, a, b).Data)
 		})
 	}
 }
@@ -120,7 +109,7 @@ func TestFusedQuantMatchesUnfused(t *testing.T) {
 // fused factory — and that SmoothQuant leaves it nil (position-
 // dependent divisors are not chunkable).
 func TestQuantizeInstallsFusedHook(t *testing.T) {
-	mm := &nn.MatMulOp{}
+	mm := &nn.BatchMatMulOp{}
 	// The hooks are installed by target conversion; drive it directly.
 	r := Recipe{Act: E4M3, Wgt: FP32, Approach: Dynamic, ExtendedOps: true}
 	tg := &target{path: "mm#b", kind: mm.Kind(), qs: &mm.QB}

@@ -284,11 +284,6 @@ func collectTargets(m Model, r Recipe, h *Handle) ([]*target, []*nn.BatchNorm2d)
 				add(&target{path: e.path + "#a", kind: mod.Kind(), qs: &mod.QA})
 				add(&target{path: e.path + "#b", kind: mod.Kind(), qs: &mod.QB})
 			}
-		case *nn.MatMulOp:
-			if r.ExtendedOps {
-				add(&target{path: e.path + "#a", kind: mod.Kind(), qs: &mod.QA})
-				add(&target{path: e.path + "#b", kind: mod.Kind(), qs: &mod.QB})
-			}
 		case *nn.BatchMatMulOp:
 			if r.ExtendedOps {
 				add(&target{path: e.path + "#a", kind: mod.Kind(), qs: &mod.QA})

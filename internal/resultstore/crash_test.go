@@ -7,6 +7,7 @@ package resultstore
 // reports/repairs whatever the simulated crash left on the floor.
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,7 +79,7 @@ func TestCrashAtEverySaveStage(t *testing.T) {
 				if saveErr != nil {
 					t.Fatalf("corrupt save must look successful, got %v", saveErr)
 				}
-			} else if !faultline.Injected(saveErr) {
+			} else if !errors.Is(saveErr, faultline.ErrInjected) {
 				t.Fatalf("save error = %v, want injected", saveErr)
 			}
 
@@ -164,7 +165,7 @@ func TestCrashDuringManifestAndSidecarWrites(t *testing.T) {
 				kind, frac = faultline.KindTorn, 0.5
 			}
 			armOnce(t, st.point, kind, frac)
-			if err := st.write(s); !faultline.Injected(err) {
+			if err := st.write(s); !errors.Is(err, faultline.ErrInjected) {
 				t.Fatalf("write error = %v, want injected", err)
 			}
 			if len(tmpFiles(t, dir)) == 0 {
@@ -223,7 +224,7 @@ func TestIngestFaultsAreRetryable(t *testing.T) {
 	}
 	fp := k.Fingerprint()
 	armOnce(t, "resultstore.ingest.begin", faultline.KindErr, 0)
-	if _, err := s.IngestCell(fp, payload); !faultline.Injected(err) {
+	if _, err := s.IngestCell(fp, payload); !errors.Is(err, faultline.ErrInjected) {
 		t.Fatalf("ingest error = %v, want injected", err)
 	}
 	if _, err := os.Stat(filepath.Join(s.Dir(), "c-"+fp+".json")); !os.IsNotExist(err) {
@@ -242,7 +243,7 @@ func TestIngestFaultsAreRetryable(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = s.IngestCell(fp, payload2)
-	if !IsCellConflict(err) || faultline.Injected(err) {
+	if !IsCellConflict(err) || errors.Is(err, faultline.ErrInjected) {
 		t.Fatalf("conflict error = %v", err)
 	}
 }

@@ -105,33 +105,6 @@ func (a *Arena) Alloc(n int) []float32 {
 	return a.floats(n)
 }
 
-// Floats returns the float32 capacity of the backing slab — the
-// high-water footprint after at least one recorded cycle.
-func (a *Arena) Floats() int {
-	if a == nil {
-		return 0
-	}
-	return len(a.slab)
-}
-
-// Owns reports whether data's first element lives inside the arena's
-// current slab. Used by aliasing tests and the plan's ping-pong logic.
-func (a *Arena) Owns(data []float32) bool {
-	if a == nil || len(data) == 0 || len(a.slab) == 0 {
-		return false
-	}
-	return &data[0] == &a.slab[0] || (len(a.slab) > 1 && sliceWithin(data, a.slab))
-}
-
-func sliceWithin(inner, outer []float32) bool {
-	for i := range outer {
-		if &outer[i] == &inner[0] {
-			return true
-		}
-	}
-	return false
-}
-
 // floats carves n zeroed floats, falling back to the heap when the
 // slab is exhausted (the recording cycle, or a shape larger than any
 // seen before). Zeroing keeps carved memory byte-identical to make:

@@ -72,6 +72,8 @@ func Active() Variant { return active.variant }
 // Differential tests outside this package build their naive oracle
 // loops on RefMadd(Active()) so they pin to whichever variant the host
 // dispatched.
+//
+//fp8vet:ignore unused nn's differential tests build their scalar matmul oracle on it
 func RefMadd(v Variant) func(acc, x, b float32) float32 {
 	if v == VariantAVX2 {
 		return func(acc, x, b float32) float32 { return fmaRef(x, b, acc) }

