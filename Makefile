@@ -43,10 +43,10 @@ fma-audit:
 # Allocation audit: escape analysis (-gcflags=-m) of the packages a
 # sweep cell runs through must report no "... argument escapes to
 # heap", a variadic argument slice heap-allocated at every call
-# (Tensor.At/Set indices once cost ~445k objects a CNN cell). A listing
-# without one of the packages fails too, so the check cannot pass
-# vacuously.
-ALLOC_AUDIT_PKGS = data nn models quant evalx diffusion
+# (Tensor.At/Set indices once cost ~445k objects a CNN cell). tensor
+# holds the arena every planned forward carves from. A listing without
+# one of the packages fails too, so the check cannot pass vacuously.
+ALLOC_AUDIT_PKGS = data nn models quant evalx diffusion tensor
 alloc-audit:
 	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
 	$(GO) build -gcflags=-m $(addprefix ./internal/,$(ALLOC_AUDIT_PKGS)) 2> "$$out" || { cat "$$out"; exit 1; }; \
@@ -275,15 +275,16 @@ serve-smoke:
 		-workers 1,2 -requests 64 -batch 4
 
 # Short bounded pass over each native fuzz target (the codec oracle
-# equivalence, the fault-plan round trip, and read-path/fsck agreement
-# on arbitrary cell-file bytes); run with a larger FUZZTIME locally to
-# dig deeper.
+# equivalence, the fault-plan round trip, read-path/fsck agreement on
+# arbitrary cell-file bytes, and arena scopes against a heap model);
+# run with a larger FUZZTIME locally to dig deeper.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzEncodeRoundTrip -fuzztime=$(FUZZTIME) ./internal/fp8
 	$(GO) test -run=NONE -fuzz=FuzzQuantizeScaledSlice -fuzztime=$(FUZZTIME) ./internal/fp8
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=$(FUZZTIME) ./internal/faultline
 	$(GO) test -run=NONE -fuzz=FuzzCellFile -fuzztime=$(FUZZTIME) ./internal/resultstore
+	$(GO) test -run=NONE -fuzz=FuzzArenaScopes -fuzztime=$(FUZZTIME) ./internal/tensor
 
 # Full-suite coverage profile + combined floor check for the
 # floor-governed packages (harness, resultstore, kernels, analyzers,

@@ -1,7 +1,7 @@
 // Command fp8serve is a saturation demo for compiled execution plans:
 // it serves batched inference over a quantized zoo model with a
-// configurable worker pool, each worker owning one plan (a pair of
-// preallocated scratch arenas), and reports p50/p99 service latency
+// configurable worker pool, each worker owning one plan (a scoped
+// scratch arena), and reports p50/p99 service latency
 // plus throughput per worker count.
 //
 //	fp8serve -model cifar_resnet20 -recipe e4m3 -workers 1,4
@@ -40,7 +40,7 @@ import (
 )
 
 func main() {
-	model := flag.String("model", "cifar_resnet20", "zoo model to serve (must be plannable)")
+	model := flag.String("model", "cifar_resnet20", "zoo model to serve (must take a dense input)")
 	recipe := flag.String("recipe", "e4m3", "quantization recipe: e5m2|e4m3|e3m4|int8|fp32")
 	workers := flag.String("workers", "1,4", "comma-separated worker counts to sweep")
 	requests := flag.Int("requests", 256, "requests to serve per worker count")
@@ -112,7 +112,7 @@ func buildServing(model, recipeName string) (*models.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !net.Plannable() {
+	if net.Data.Batch(0).X == nil {
 		return nil, fmt.Errorf("model %s is not plannable (token/bag-driven forward)", model)
 	}
 	base, err := parseRecipe(recipeName)
@@ -193,23 +193,21 @@ func serve(model, recipeName string, pool []*tensor.Tensor, refOut []*tensor.Ten
 	var mismatches atomic.Int64
 	lats := make([][]time.Duration, nWorkers)
 	nets := make([]*models.Network, nWorkers)
-	plans := make([]*nn.Plan, nWorkers)
 
 	// Replica setup (excluded from the measured window): fresh build,
-	// identical quantization, plan compile + warmup to steady state.
+	// identical quantization, plan install + warmup to steady state.
 	for w := 0; w < nWorkers; w++ {
 		net, err := buildServing(model, recipeName)
 		if err != nil {
 			return serveResult{}, err
 		}
 		shape := append([]int{batch}, pool[0].Shape[1:]...)
-		plan := nn.Compile(net.Root(), shape...)
-		net.InstallPlan(plan)
+		net.InstallPlan(nn.NewPlan(nil))
 		wu := data.Sample{X: tensor.New(shape...)}
 		for i := 0; i < warmup; i++ {
 			net.Run(wu)
 		}
-		nets[w], plans[w] = net, plan
+		nets[w] = net
 	}
 
 	var wg sync.WaitGroup
@@ -245,9 +243,8 @@ func serve(model, recipeName string, pool []*tensor.Tensor, refOut []*tensor.Ten
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	for w := range nets {
-		nets[w].InstallPlan(nil)
-		plans[w].Bind(nil)
+	for _, net := range nets {
+		net.InstallPlan(nil)
 	}
 	if n := mismatches.Load(); n > 0 {
 		return serveResult{}, fmt.Errorf("%d workers: %d served rows differ from the unplanned reference", nWorkers, n)

@@ -17,14 +17,14 @@ func TestDenoiserShapes(t *testing.T) {
 	}
 }
 
-// TestDenoiserPlanned runs the denoiser under a compiled plan: its
+// TestDenoiserPlanned runs the denoiser under an execution plan: its
 // output is the unplanned forward's bytes, and a warm planned forward
 // allocates nothing.
 func TestDenoiserPlanned(t *testing.T) {
 	p := NewPipeline(4, 2)
 	x := p.CalibData().Batch(0).X
 	want := p.Net.Forward(nil, x)
-	plan := nn.Compile(p.Net, x.Shape...)
+	plan := nn.NewPlan(p.Net)
 	for cycle := 0; cycle < 3; cycle++ {
 		got := plan.Forward(x)
 		for i := range want.Data {

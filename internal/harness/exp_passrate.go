@@ -78,7 +78,7 @@ func runSweepCell(c Cell) evalx.Result {
 	if err != nil {
 		return evalx.Failed(name, c.Values[1], err)
 	}
-	defer withPlan(name, net)()
+	defer withPlan(net)()
 	return evalx.EvaluateWithRef(net, sweepRecipes[ri].recipe(net), true, modelRef(name, net))
 }
 
@@ -211,7 +211,7 @@ func runTable3Cell(c Cell) evalx.Result {
 	if err != nil {
 		return evalx.Failed(name, c.Values[1], err)
 	}
-	defer withPlan(name, net)()
+	defer withPlan(net)()
 	return evalx.EvaluateWithRef(net, table3Recipes[ri].recipe(net), true, modelRef(name, net))
 }
 
@@ -298,7 +298,7 @@ func runFig7Cell(c Cell) evalx.Result {
 	if !net.Meta.HasBN {
 		return evalx.Failed(name, cfg.label, errNoBatchNorm)
 	}
-	defer withPlan(name, net)()
+	defer withPlan(net)()
 	ref := modelRef(name, net)
 	// Batches of 16 images -> sample count / 16 BN batches.
 	bnBatches := cfg.samples / 16
@@ -390,7 +390,7 @@ func runTable5Cell(c Cell) evalx.Result {
 	if err != nil {
 		return evalx.Failed(name, c.Values[1], err)
 	}
-	defer withPlan(name, net)()
+	defer withPlan(net)()
 	return evalx.EvaluateWithRef(net, table5Recipes[ri].recipe(net), true, modelRef(name, net))
 }
 
@@ -458,7 +458,7 @@ func runTable6Cell(c Cell) evalx.Result {
 	if err != nil {
 		return evalx.Failed(cs.model, c.Values[1], err)
 	}
-	defer withPlan(cs.model, net)()
+	defer withPlan(net)()
 	var r quant.Recipe
 	if c.Coords[1] == 0 {
 		r = quant.DynamicFP8(cs.format)
@@ -559,7 +559,7 @@ func runFig9Cell(c Cell) evalx.Result {
 	if err != nil {
 		return evalx.Failed(name, g.label, err)
 	}
-	defer withPlan(name, net)()
+	defer withPlan(net)()
 	r := quant.StandardFP8(g.format)
 	if g.altOps {
 		if g.domain == "CV" {
@@ -630,7 +630,7 @@ func runFirstLastCell(c Cell) evalx.Result {
 	if err != nil {
 		return evalx.Failed(name, c.Values[0]+" "+c.Values[1], err)
 	}
-	defer withPlan(name, net)()
+	defer withPlan(net)()
 	r := quant.StandardFP8(firstLastFormats[c.Coords[0]])
 	if c.Coords[1] == 1 {
 		r = r.WithFirstLast()

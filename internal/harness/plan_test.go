@@ -2,10 +2,14 @@ package harness
 
 import (
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
+	"fp8quant/internal/data"
 	"fp8quant/internal/evalx"
 	"fp8quant/internal/models"
+	"fp8quant/internal/nn"
 	"fp8quant/internal/quant"
 )
 
@@ -37,7 +41,7 @@ func TestWithPlanPreservesResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		release := withPlan(name, net)
+		release := withPlan(net)
 		got := evalx.EvaluateWithRef(net, recipe, true, modelRef(name, net))
 		release()
 		if !reflect.DeepEqual(got, want) {
@@ -46,15 +50,100 @@ func TestWithPlanPreservesResults(t *testing.T) {
 	}
 }
 
-// TestWithPlanNonPlannable checks token-driven models are left alone.
-func TestWithPlanNonPlannable(t *testing.T) {
-	net, err := models.Build("bert_base_mrpc")
-	if err != nil {
-		t.Fatal(err)
+// idlePlans returns the free list's plans.
+func idlePlans() []*nn.Plan {
+	plansMu.Lock()
+	defer plansMu.Unlock()
+	return append([]*nn.Plan(nil), freePlans...)
+}
+
+// mallocs counts the heap allocations f performs, on one P so that no
+// other goroutine's allocations are counted.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs
+}
+
+// TestWithPlanReusesAcrossModels runs two consecutive cells of
+// different token models: the second takes the plan the first returned
+// to the free list, and its forwards allocate nothing, because the
+// chunks the first cell's larger model appended already hold them.
+func TestWithPlanReusesAcrossModels(t *testing.T) {
+	withCleanCache(t)
+	var first *nn.Plan
+	for i, name := range []string{"bloom_176b", "bert_base_mrpc"} {
+		net, err := models.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var batches []data.Sample
+		for b := evalx.EvalStart; b < evalx.EvalEnd; b++ {
+			batches = append(batches, net.Data.Batch(b))
+		}
+		release := withPlan(net)
+		if n := len(idlePlans()); n != 0 {
+			t.Fatalf("cell %d: %d plans idle while the cell holds one", i, n)
+		}
+		n := mallocs(func() {
+			for _, s := range batches {
+				net.Run(s)
+			}
+		})
+		release()
+		plans := idlePlans()
+		if len(plans) != 1 {
+			t.Fatalf("cell %d: %d idle plans after release, want 1", i, len(plans))
+		}
+		if i == 0 {
+			first = plans[0]
+			continue
+		}
+		if plans[0] != first {
+			t.Error("the second cell did not reuse the first cell's plan")
+		}
+		if n != 0 {
+			t.Errorf("%s: forwards on the reused plan allocated %d times, want 0", name, n)
+		}
 	}
-	if net.Plannable() {
-		t.Fatal("bert_base_mrpc unexpectedly plannable")
+}
+
+// TestWithPlanConcurrentCells runs cells on several goroutines at once:
+// each holds its own plan, so the free list ends with at most one plan
+// per goroutine, every one distinct.
+func TestWithPlanConcurrentCells(t *testing.T) {
+	withCleanCache(t)
+	const workers, cells = 4, 3
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for c := 0; c < cells; c++ {
+				net, err := models.Build("tinybert_mrpc")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				release := withPlan(net)
+				net.Run(net.Data.Batch(c))
+				release()
+			}
+		}()
 	}
-	release := withPlan("bert_base_mrpc", net)
-	release() // must be a harmless no-op
+	wg.Wait()
+	plans := idlePlans()
+	if len(plans) == 0 || len(plans) > workers {
+		t.Fatalf("%d idle plans after %d concurrent workers, want 1..%d", len(plans), workers, workers)
+	}
+	seen := map[*nn.Plan]bool{}
+	for _, p := range plans {
+		if seen[p] {
+			t.Fatal("a plan is on the free list twice")
+		}
+		seen[p] = true
+	}
 }

@@ -1,10 +1,10 @@
-// Per-model execution-plan pool. A compiled plan's arenas are sized by
-// the model's forward footprint, which depends only on the architecture
-// and the (fixed per model) eval batch shape — so a plan warmed by one
-// sweep cell can be rebound to the next cell's freshly built network of
-// the same model and run with zero steady-state allocations. Pooling is
-// per model name; sync.Pool keeps one plan per concurrently running
-// cell without serializing the executor.
+// Execution-plan free list. A plan is one scoped arena whose chunks
+// persist across forwards and models (nn.Plan), so any idle plan serves
+// any sweep cell: a cell takes one, its forwards carve from chunks an
+// earlier cell already allocated, and it hands the plan back. The
+// process holds one plan per concurrently running cell, and a plain
+// mutex-guarded list (not sync.Pool) never lets GC drop a warm plan
+// that the next cell would have to grow again.
 
 package harness
 
@@ -15,28 +15,38 @@ import (
 	"fp8quant/internal/nn"
 )
 
-var planPools sync.Map // model name -> *sync.Pool of *nn.Plan
+var (
+	plansMu   sync.Mutex
+	freePlans []*nn.Plan
+)
 
-// withPlan installs a pooled execution plan on net (a no-op for
-// non-plannable models) and returns a release function that detaches
-// the plan and returns it to the pool. Planned forwards are
-// byte-identical to unplanned ones, so cell results are unaffected.
-func withPlan(name string, net *models.Network) func() {
-	if !net.Plannable() {
-		return func() {}
-	}
-	pi, _ := planPools.LoadOrStore(name, &sync.Pool{})
-	pool := pi.(*sync.Pool)
+// withPlan installs an idle execution plan on net and returns a release
+// function that detaches the plan and returns it to the free list.
+// Planned forwards are byte-identical to unplanned ones, so cell results
+// are unaffected.
+func withPlan(net *models.Network) func() {
+	plansMu.Lock()
 	var p *nn.Plan
-	if v := pool.Get(); v != nil {
-		p = v.(*nn.Plan)
+	if n := len(freePlans); n > 0 {
+		//fp8vet:ignore cellpurity mutex-guarded pool of scratch arenas; a planned forward is byte-identical whichever plan, warm or cold, a cell takes, so cell order cannot matter
+		p, freePlans = freePlans[n-1], freePlans[:n-1]
 	} else {
 		p = nn.NewPlan(nil)
 	}
+	plansMu.Unlock()
 	net.InstallPlan(p)
 	return func() {
 		net.InstallPlan(nil)
-		p.Bind(nil) // do not keep the network reachable from the pool
-		pool.Put(p)
+		plansMu.Lock()
+		//fp8vet:ignore cellpurity mutex-guarded pool of scratch arenas; a planned forward is byte-identical whichever plan, warm or cold, a cell takes, so cell order cannot matter
+		freePlans = append(freePlans, p)
+		plansMu.Unlock()
 	}
+}
+
+// clearPlans drops every idle plan, so the next cell starts cold.
+func clearPlans() {
+	plansMu.Lock()
+	freePlans = nil
+	plansMu.Unlock()
 }

@@ -275,12 +275,11 @@ func buildCNN(info Info, seed uint64, body func(r *tensor.RNG, seq *nn.Sequentia
 		})
 	}
 	net := &Network{
-		Meta:      info,
-		root:      seq,
-		fwd:       func(s data.Sample) *tensor.Tensor { return seq.Forward(nil, s.X) },
-		Data:      cvDataset(seed ^ 0xDA7A),
-		Classes:   classes,
-		plannable: true,
+		Meta:    info,
+		root:    seq,
+		fwd:     func(a *tensor.Arena, s data.Sample) *tensor.Tensor { return seq.Forward(a, s.X) },
+		Data:    cvDataset(seed ^ 0xDA7A),
+		Classes: classes,
 	}
 	return net
 }

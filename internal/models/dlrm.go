@@ -36,22 +36,25 @@ func (d *dlrmNet) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 	panic("models: dlrmNet consumes dense+sparse samples; use Predict")
 }
 
-// Predict scores a batch: dense [N, DenseDim] plus categorical bags.
-func (d *dlrmNet) Predict(s data.Sample) *tensor.Tensor {
+// Predict scores a batch: dense [N, DenseDim] plus categorical bags,
+// carving from a.
+func (d *dlrmNet) Predict(a *tensor.Arena, s data.Sample) *tensor.Tensor {
 	var relu nn.ReLU
-	dense := relu.Forward(nil, d.Bottom1.Forward(nil, s.X))
-	dense = relu.Forward(nil, d.Bottom2.Forward(nil, dense)) // [N, dim]
+	dense := relu.Forward(a, d.Bottom1.Forward(a, s.X))
+	dense = relu.Forward(a, d.Bottom2.Forward(a, dense)) // [N, dim]
 	n := dense.Shape[0]
 
-	// Feature vectors: dense + one per bag table.
-	feats := []*tensor.Tensor{dense}
+	// Feature vectors: dense + one per bag table. The fixed capacity
+	// keeps the list on the stack.
+	feats := make([]*tensor.Tensor, 0, 8)
+	feats = append(feats, dense)
 	for _, bag := range d.Bags {
-		feats = append(feats, bag.LookupBags(s.Bags))
+		feats = append(feats, bag.LookupBags(a, s.Bags))
 	}
 	// Pairwise dot-product interactions + dense passthrough.
 	nf := len(feats)
 	nPairs := nf * (nf - 1) / 2
-	top := tensor.New(n, d.dim+nPairs)
+	top := a.New(n, d.dim+nPairs)
 	for ni := 0; ni < n; ni++ {
 		copy(top.Data[ni*(d.dim+nPairs):], dense.Data[ni*d.dim:(ni+1)*d.dim])
 		k := d.dim
@@ -69,8 +72,8 @@ func (d *dlrmNet) Predict(s data.Sample) *tensor.Tensor {
 		}
 	}
 	var sig nn.Sigmoid
-	h := relu.Forward(nil, d.Top1.Forward(nil, top))
-	return sig.Forward(nil, d.Top2.Forward(nil, h)) // [N, 1] CTR score
+	h := relu.Forward(a, d.Top1.Forward(a, top))
+	return sig.Forward(a, d.Top2.Forward(a, h)) // [N, 1] CTR score
 }
 
 func buildDLRM(info Info, seed uint64) *Network {
@@ -95,7 +98,7 @@ func buildDLRM(info Info, seed uint64) *Network {
 	return &Network{
 		Meta: info,
 		root: net,
-		fwd:  func(s data.Sample) *tensor.Tensor { return net.Predict(s) },
+		fwd:  func(a *tensor.Arena, s data.Sample) *tensor.Tensor { return net.Predict(a, s) },
 		Data: &data.TabularDataset{N: 32, DenseDim: denseDim, Vocab: vocab,
 			BagSize: 3, NumBatches: nlpBatches, Seed: seed ^ 0xD12A},
 		Classes: 1,

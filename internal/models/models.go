@@ -103,19 +103,16 @@ const (
 type Network struct {
 	Meta Info
 	root nn.Module
-	fwd  func(s data.Sample) *tensor.Tensor
+	// fwd runs the model on a sample, carving from a (nil: the heap).
+	fwd func(a *tensor.Arena, s data.Sample) *tensor.Tensor
 	// Data generates calibration and evaluation batches.
 	Data data.Dataset
 	// Classes is the logit dimensionality of the output.
 	Classes int
 	// Eval selects the agreement metric.
 	Eval EvalKind
-	// plannable marks networks whose forward is the root's Forward over
-	// the dense input s.X (CV/ViT/audio families); token- and
-	// bag-driven models (GPT, DLRM) are not.
-	plannable bool
-	// plan, when installed, routes Run through a compiled execution
-	// plan (preallocated scratch arenas, byte-identical math).
+	// plan, when installed, lends Run its arena (byte-identical math,
+	// no steady-state allocation).
 	plan *nn.Plan
 }
 
@@ -125,29 +122,20 @@ func (n *Network) Root() nn.Module { return n.root }
 // IsCNN implements quant.Model.
 func (n *Network) IsCNN() bool { return n.Meta.IsCNN }
 
-// Plannable reports whether the network's forward can run under a
-// compiled execution plan.
-func (n *Network) Plannable() bool { return n.plannable }
+// Plannable reports whether the network's forward can run under an
+// execution plan. Every zoo network can.
+//
+//fp8vet:ignore unused bench/cellpath.go calls it
+func (n *Network) Plannable() bool { return true }
 
-// InstallPlan routes Run through p (binding p to the network's root);
-// installing nil restores the unplanned path. Outputs of a planned Run
-// are valid only until the next Run — Clone to retain.
-func (n *Network) InstallPlan(p *nn.Plan) {
-	if p != nil {
-		if !n.plannable {
-			panic(fmt.Sprintf("models: %s is not plannable", n.Meta.Name))
-		}
-		p.Bind(n.root)
-	}
-	n.plan = p
-}
+// InstallPlan routes Run through p's arena; installing nil restores the
+// unplanned path. Outputs of a planned Run are valid only until the
+// next Run — Clone to retain.
+func (n *Network) InstallPlan(p *nn.Plan) { n.plan = p }
 
 // Run implements quant.Model.
 func (n *Network) Run(s data.Sample) *tensor.Tensor {
-	if n.plan != nil && s.X != nil {
-		return n.plan.Forward(s.X)
-	}
-	return n.fwd(s)
+	return n.fwd(n.plan.Begin(), s)
 }
 
 // Builder constructs a Network deterministically from a seed.

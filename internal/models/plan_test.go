@@ -1,10 +1,14 @@
-package models
+package models_test
 
 import (
 	"math"
 	"testing"
 
+	"fp8quant/internal/data"
+	"fp8quant/internal/evalx"
+	"fp8quant/internal/models"
 	"fp8quant/internal/nn"
+	"fp8quant/internal/quant"
 	"fp8quant/internal/tensor"
 )
 
@@ -22,94 +26,97 @@ func bitEqual(a, b *tensor.Tensor) bool {
 	return true
 }
 
-// planModels covers every plannable forward topology: plain Sequential
-// chains (VGG), residual and SE blocks, concat blocks (Inception, Fire,
-// Dense), channel shuffle, depthwise/inverted residuals, ViT attention
-// stacks (global and windowed), Conv1d+transformer audio nets, and the
-// U-Net skip-connection graph in both norm styles.
-var planModels = []string{
-	"vgg11", "cifar_resnet20", "se_resnext50", "googlenet", "squeezenet",
-	"densenet121", "shufflenet_v2", "mobilenet_v3", "efficientnet_b0",
-	"vit_small", "swin_tiny", "wav2vec2_librispeech",
-	"unet_carvana", "stable_diffusion_unet",
+func build(t *testing.T, name string) *models.Network {
+	t.Helper()
+	net, err := models.Build(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
 }
 
-// TestPlannedForwardBitIdentical proves the tentpole contract: a planned
-// forward is byte-for-byte the unplanned forward, over several cycles
-// (so arena reuse, not just the recording cycle, is exercised).
+// e4m3 quantizes net with the static E4M3 PaperRecipe: SmoothQuant on
+// NLP and audio models, BatchNorm calibration on CV models with
+// BatchNorm. A planned network calibrates planned, so its observers and
+// quantized input copies run inside the forwards' arena scopes.
+func e4m3(net *models.Network) {
+	quant.Quantize(net, net.Data, evalx.PaperRecipe(quant.StandardFP8(quant.E4M3), net))
+}
+
+// samples returns up to three of net's batches.
+func samples(net *models.Network) []data.Sample {
+	out := make([]data.Sample, min(3, net.Data.Batches()))
+	for i := range out {
+		out[i] = net.Data.Batch(i)
+	}
+	return out
+}
+
+// TestPlannedForwardBitIdentical proves the plan contract on every zoo
+// network: a planned forward is byte-for-byte the unplanned forward,
+// over three cycles (so chunk reuse and scope release, not just the
+// first forward, are exercised), in FP32 and after calibrating and
+// quantizing both networks with the static E4M3 + SmoothQuant recipe.
 func TestPlannedForwardBitIdentical(t *testing.T) {
-	for _, name := range planModels {
+	for _, name := range models.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			net, err := Build(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !net.Plannable() {
-				t.Fatalf("%s: expected plannable", name)
-			}
-			batches := net.Data.Batches()
-			if batches > 3 {
-				batches = 3
-			}
-			want := make([]*tensor.Tensor, batches)
-			for i := 0; i < batches; i++ {
-				want[i] = net.Run(net.Data.Batch(i)).Clone()
-			}
-			s0 := net.Data.Batch(0)
-			plan := nn.Compile(net.Root(), s0.X.Shape...)
-			net.InstallPlan(plan)
-			defer net.InstallPlan(nil)
-			for cycle := 0; cycle < 3; cycle++ {
-				for i := 0; i < batches; i++ {
-					got := net.Run(net.Data.Batch(i))
-					if !bitEqual(got, want[i]) {
-						t.Fatalf("%s: planned forward differs from unplanned (cycle %d batch %d)", name, cycle, i)
+			t.Parallel()
+			ref, net := build(t, name), build(t, name)
+			net.InstallPlan(nn.NewPlan(nil))
+			ss := samples(ref)
+			check := func(stage string) {
+				want := make([]*tensor.Tensor, len(ss))
+				for i, s := range ss {
+					want[i] = ref.Run(s).Clone()
+				}
+				for cycle := 0; cycle < 3; cycle++ {
+					for i, s := range ss {
+						if !bitEqual(net.Run(s), want[i]) {
+							t.Fatalf("%s: planned forward differs from unplanned (cycle %d batch %d)", stage, cycle, i)
+						}
 					}
 				}
 			}
+			check("fp32")
+			e4m3(ref)
+			e4m3(net)
+			check("e4m3")
 		})
 	}
 }
 
-// TestPlanSteadyStateZeroAlloc checks the perf contract on every
-// plannable topology: after the recording cycles, a planned forward
-// performs no heap allocations.
+// TestPlanSteadyStateZeroAlloc checks the perf contract on every zoo
+// network: once its first forward has appended the chunks it needs, a
+// planned forward performs no heap allocation, in FP32 and quantized.
 func TestPlanSteadyStateZeroAlloc(t *testing.T) {
-	for _, name := range planModels {
-		net, err := Build(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, name := range models.Names() {
+		net := build(t, name)
+		net.InstallPlan(nn.NewPlan(nil))
 		s := net.Data.Batch(0)
-		plan := nn.Compile(net.Root(), s.X.Shape...)
-		net.InstallPlan(plan)
-		// One more warm forward: slabs grow lazily at Reset, so the
-		// first post-Compile forward may still allocate once.
-		net.Run(s)
-		avg := testing.AllocsPerRun(5, func() { net.Run(s) })
-		net.InstallPlan(nil)
-		if avg != 0 {
-			t.Errorf("%s: planned forward allocates %.1f times per run, want 0", name, avg)
+		for _, stage := range []string{"fp32", "e4m3"} {
+			if stage == "e4m3" {
+				e4m3(net)
+			}
+			// AllocsPerRun adds one unmeasured forward: the first,
+			// which may append chunks.
+			if avg := testing.AllocsPerRun(3, func() { net.Run(s) }); avg != 0 {
+				t.Errorf("%s %s: planned forward allocates %.1f times per run, want 0", name, stage, avg)
+			}
 		}
 	}
 }
 
-// TestInstallPlanRestoresUnplanned checks nil uninstall falls back to
-// the original fwd closure.
+// TestInstallPlanRestoresUnplanned checks that uninstalling a plan
+// returns Run to the heap path with unchanged outputs.
 func TestInstallPlanRestoresUnplanned(t *testing.T) {
-	net, err := Build("cifar_resnet20")
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := build(t, "cifar_resnet20")
 	s := net.Data.Batch(0)
 	want := net.Run(s).Clone()
-	plan := nn.Compile(net.Root(), s.X.Shape...)
-	net.InstallPlan(plan)
+	net.InstallPlan(nn.NewPlan(nil))
 	net.Run(s)
 	net.InstallPlan(nil)
-	got := net.Run(s)
-	if !bitEqual(got, want) {
+	if !bitEqual(net.Run(s), want) {
 		t.Fatal("uninstalling plan changed outputs")
 	}
 }

@@ -50,24 +50,25 @@ func (e *encoderNet) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 	panic("models: encoderNet consumes tokens; use Predict")
 }
 
-// Predict runs the full pipeline on token input.
-func (e *encoderNet) Predict(tokens [][]int) *tensor.Tensor {
-	x := e.Emb.Lookup(tokens)
-	x = e.Pos.Forward(nil, x)
-	x = e.EmbLN.Forward(nil, x)
+// Predict runs the full pipeline on token input, carving from a.
+func (e *encoderNet) Predict(a *tensor.Arena, tokens [][]int) *tensor.Tensor {
+	x := e.Emb.Lookup(a, tokens)
+	x = e.Pos.Forward(a, x)
+	x = e.EmbLN.Forward(a, x)
 	for _, l := range e.Layers {
-		x = l.Forward(nil, x)
+		x = l.Forward(a, x)
 	}
-	return e.Head.Forward(nil, meanPoolSeq(nil, x))
+	return e.Head.Forward(a, meanPoolSeq(a, x))
 }
 
-// addTensors returns a + b element-wise (FP32 residual join).
-func addTensors(a, b *tensor.Tensor) *tensor.Tensor {
-	y := tensor.New(a.Shape...)
-	for i := range y.Data {
-		y.Data[i] = a.Data[i] + b.Data[i]
+// addTensors returns x + y element-wise (FP32 residual join), carved
+// from a.
+func addTensors(a *tensor.Arena, x, y *tensor.Tensor) *tensor.Tensor {
+	z := a.New(x.Shape...)
+	for i := range z.Data {
+		z.Data[i] = x.Data[i] + y.Data[i]
 	}
-	return y
+	return z
 }
 
 // meanPoolSeq averages [B,T,D] over T, returning [B,D] carved from a.
@@ -127,7 +128,7 @@ func buildEncoder(info Info, seed uint64, cfg encoderCfg) *Network {
 	n := &Network{
 		Meta:    info,
 		root:    net,
-		fwd:     func(s data.Sample) *tensor.Tensor { return net.Predict(s.Tokens) },
+		fwd:     func(a *tensor.Arena, s data.Sample) *tensor.Tensor { return net.Predict(a, s.Tokens) },
 		Data:    nlpDataset(seed ^ 0x7E57),
 		Classes: cfg.classes,
 	}
@@ -180,31 +181,22 @@ func (d *decoderNet) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 	panic("models: decoderNet consumes tokens; use Logits")
 }
 
-// Hidden runs the decoder trunk, returning [B,T,D] hidden states.
-func (d *decoderNet) Hidden(tokens [][]int) *tensor.Tensor {
-	x := d.Emb.Lookup(tokens)
-	x = d.Pos.Forward(nil, x)
+// LastLogits returns the final-position next-token logits [B,V],
+// carving from a.
+func (d *decoderNet) LastLogits(a *tensor.Arena, tokens [][]int) *tensor.Tensor {
+	x := d.Emb.Lookup(a, tokens)
+	x = d.Pos.Forward(a, x)
 	for _, l := range d.Layers {
-		x = l.Forward(nil, x)
+		x = l.Forward(a, x)
 	}
-	return d.Final.Forward(nil, x)
-}
-
-// Logits returns next-token logits at every position: [B,T,V].
-func (d *decoderNet) Logits(tokens [][]int) *tensor.Tensor {
-	return d.LMHead.Forward(nil, d.Hidden(tokens))
-}
-
-// LastLogits returns the final-position logits [B,V].
-func (d *decoderNet) LastLogits(tokens [][]int) *tensor.Tensor {
-	return lastPosition(d.Logits(tokens))
+	return lastPosition(a, d.LMHead.Forward(a, d.Final.Forward(a, x)))
 }
 
 // lastPosition copies the final position of each sequence out of
-// logits [B,T,V], returning [B,V].
-func lastPosition(lg *tensor.Tensor) *tensor.Tensor {
+// logits [B,T,V], returning [B,V] carved from a.
+func lastPosition(a *tensor.Arena, lg *tensor.Tensor) *tensor.Tensor {
 	b, t, v := lg.Shape[0], lg.Shape[1], lg.Shape[2]
-	y := tensor.New(b, v)
+	y := a.New(b, v)
 	for bi := 0; bi < b; bi++ {
 		copy(y.Data[bi*v:], lg.Data[(bi*t+t-1)*v:(bi*t+t)*v])
 	}
@@ -294,7 +286,7 @@ func buildDecoder(info Info, seed uint64, cfg decoderCfg) *Network {
 	return &Network{
 		Meta:    info,
 		root:    net,
-		fwd:     func(s data.Sample) *tensor.Tensor { return net.LastLogits(s.Tokens) },
+		fwd:     func(a *tensor.Arena, s data.Sample) *tensor.Tensor { return net.LastLogits(a, s.Tokens) },
 		Data:    nlpDataset(seed ^ 0x6707),
 		Classes: nlpVocab,
 	}
@@ -329,9 +321,11 @@ func NewGenLM(seed uint64) *GenLM {
 	}
 }
 
-// NextLogits implements textgen.LM.
+// NextLogits implements textgen.LM. Generation runs unplanned: beam
+// search grows the sequence every step, so no two forwards share a
+// shape.
 func (g *GenLM) NextLogits(tokens [][]int) *tensor.Tensor {
-	return g.Net.LastLogits(tokens)
+	return g.Net.LastLogits(nil, tokens)
 }
 
 // Vocab implements textgen.LM.
@@ -344,7 +338,7 @@ func (g *GenLM) Root() nn.Module { return g.Net }
 func (g *GenLM) IsCNN() bool { return false }
 
 // Run implements quant.Model.
-func (g *GenLM) Run(s data.Sample) *tensor.Tensor { return g.Net.LastLogits(s.Tokens) }
+func (g *GenLM) Run(s data.Sample) *tensor.Tensor { return g.Net.LastLogits(nil, s.Tokens) }
 
 // encDecNet is a Marian/Pegasus-style encoder-decoder. The decoder
 // attends over encoder memory through cross-attention.
@@ -385,18 +379,20 @@ func (e *encDecNet) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 
 // Translate encodes src tokens and decodes them (teacher forcing on the
 // same tokens, standing in for a translation pair), returning final-
-// position logits [B,V].
-func (e *encDecNet) Translate(tokens [][]int) *tensor.Tensor {
-	mem := e.EncPos.Forward(nil, e.EncEmb.Lookup(tokens))
+// position logits [B,V] carved from a.
+func (e *encDecNet) Translate(a *tensor.Arena, tokens [][]int) *tensor.Tensor {
+	mem := e.EncPos.Forward(a, e.EncEmb.Lookup(a, tokens))
 	for _, l := range e.Enc {
-		mem = l.Forward(nil, mem)
+		mem = l.Forward(a, mem)
 	}
-	x := e.DecPos.Forward(nil, e.DecEmb.Lookup(tokens))
+	x := e.DecPos.Forward(a, e.DecEmb.Lookup(a, tokens))
 	for i, l := range e.DecSelf {
-		x = l.Forward(nil, x)
-		x = e.CrossLN[i].Forward(nil, addTensors(x, e.Cross[i].Attend(nil, x, mem)))
+		x = l.Forward(a, x)
+		// The cross block leaves only its normalized output behind.
+		m := a.Mark()
+		x = a.Keep(m, e.CrossLN[i].Forward(a, addTensors(a, x, e.Cross[i].Attend(a, x, mem))))
 	}
-	return lastPosition(e.LMHead.Forward(nil, e.Final.Forward(nil, x)))
+	return lastPosition(a, e.LMHead.Forward(a, e.Final.Forward(a, x)))
 }
 
 func buildEncDec(info Info, seed uint64, dim, heads, ff, layers int, outlier float64) *Network {
@@ -442,7 +438,7 @@ func buildEncDec(info Info, seed uint64, dim, heads, ff, layers int, outlier flo
 	return &Network{
 		Meta:    info,
 		root:    net,
-		fwd:     func(s data.Sample) *tensor.Tensor { return net.Translate(s.Tokens) },
+		fwd:     func(a *tensor.Arena, s data.Sample) *tensor.Tensor { return net.Translate(a, s.Tokens) },
 		Data:    nlpDataset(seed ^ 0xE2CD),
 		Classes: nlpVocab,
 	}

@@ -87,12 +87,11 @@ func buildUNet(info Info, seed uint64, classes int, diffusionStyle bool) *Networ
 		OutConv: out, Pool: &nn.MaxPool2d{K: 2, Stride: 2}, classes: classes,
 	}
 	n := &Network{
-		Meta:      info,
-		root:      net,
-		fwd:       func(s data.Sample) *tensor.Tensor { return net.Forward(nil, s.X) },
-		Data:      cvDataset(seed ^ 0x0E7),
-		Classes:   classes,
-		plannable: true,
+		Meta:    info,
+		root:    net,
+		fwd:     func(a *tensor.Arena, s data.Sample) *tensor.Tensor { return net.Forward(a, s.X) },
+		Data:    cvDataset(seed ^ 0x0E7),
+		Classes: classes,
 	}
 	return n
 }

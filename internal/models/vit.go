@@ -80,12 +80,11 @@ func buildViT(info Info, seed uint64, dim, heads, ff, layers, classes int, windo
 	}
 	initLinear(net.Head, r)
 	return &Network{
-		Meta:      info,
-		root:      net,
-		fwd:       func(s data.Sample) *tensor.Tensor { return net.Forward(nil, s.X) },
-		Data:      cvDataset(seed ^ 0x517),
-		Classes:   classes,
-		plannable: true,
+		Meta:    info,
+		root:    net,
+		fwd:     func(a *tensor.Arena, s data.Sample) *tensor.Tensor { return net.Forward(a, s.X) },
+		Data:    cvDataset(seed ^ 0x517),
+		Classes: classes,
 	}
 }
 

@@ -66,13 +66,11 @@ func warmMemoized(n *Network, warmUp func(*Network)) {
 	}
 }
 
-// warmPlanned runs WarmBatchNorms under a temporary compiled plan: the
+// warmPlanned runs WarmBatchNorms under a temporary plan: the
 // same bytes as heap forwards, without their allocations.
 func warmPlanned(n *Network) {
-	if n.plannable {
-		n.InstallPlan(nn.NewPlan(nil))
-		defer n.InstallPlan(nil)
-	}
+	n.InstallPlan(nn.NewPlan(nil))
+	defer n.InstallPlan(nil)
 	WarmBatchNorms(n, warmBatches)
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"fp8quant/internal/tensor"
 )
 
 // warmMemoModels cover BatchNorm in each zoo topology: a residual
@@ -18,6 +20,19 @@ var warmMemoModels = []string{
 func buildRaw(name string) *Network { return registry[name](nameSeed(name)) }
 
 func bnStats(n *Network) [][]float32 { return snapshotBN(batchNorms(n.root)) }
+
+// bitEqual compares tensors bit for bit (NaN-safe, distinguishes ±0).
+func bitEqual(a, b *tensor.Tensor) bool {
+	if len(a.Data) != len(b.Data) {
+		return false
+	}
+	for i := range a.Data {
+		if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // statsBitEqual compares BatchNorm statistics bit for bit.
 func statsBitEqual(a, b [][]float32) bool {

@@ -58,13 +58,16 @@ func (m *MultiHeadAttention) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.
 
 // attend runs attention with queries from x [B,Tq,D] and keys/values
 // from kv [B,Tk,D]: self-attention passes kv = x. Causal and Window
-// mask the scores; cross-attention leaves both unset.
+// mask the scores; cross-attention leaves both unset. Only the output
+// projection outlives the call; the projections, scores and context
+// are released from a.
 func (m *MultiHeadAttention) attend(a *tensor.Arena, x, kv *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Shape[2] != m.Dim {
 		panic(fmt.Sprintf("nn: attention expects [B,T,%d], got %v", m.Dim, x.Shape))
 	}
 	tq, tk := x.Shape[1], kv.Shape[1]
 	hd := m.Dim / m.Heads
+	mark := a.Mark()
 
 	q := splitHeads(a, m.WQ.Forward(a, x), m.Heads) // [B,H,Tq,hd]
 	k := splitHeads(a, m.WK.Forward(a, kv), m.Heads)
@@ -81,7 +84,7 @@ func (m *MultiHeadAttention) attend(a *tensor.Arena, x, kv *tensor.Tensor) *tens
 	SoftmaxInto(probs.Data, scores.Data, tk)
 
 	ctx := m.PV.Apply(a, probs, v) // [B,H,Tq,hd]
-	return m.WO.Forward(a, mergeHeads(a, ctx))
+	return a.Keep(mark, m.WO.Forward(a, mergeHeads(a, ctx)))
 }
 
 // mask applies causal and/or sliding-window masking in place to scores

@@ -41,13 +41,13 @@ func (s *Sequential) Visit(path string, v Visitor) {
 	}
 }
 
-// Forward runs the chain, every child against the same arena.
-// (Plan.Forward additionally ping-pongs two arenas across the top-level
-// chain so dead intermediates are reclaimed; inside a single child the
-// one-arena chain is used.)
+// Forward runs the chain. Each child's output moves down over its
+// input (Arena.Keep), so a planned chain holds one activation plus the
+// running child's temporaries, never the whole chain's.
 func (s *Sequential) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	for _, m := range s.Modules {
-		x = m.Forward(a, x)
+	m := a.Mark()
+	for _, mod := range s.Modules {
+		x = a.Keep(m, mod.Forward(a, x))
 	}
 	return x
 }
@@ -165,9 +165,10 @@ func (f *FFN) Visit(path string, v Visitor) {
 	walk(path+"/fc2", f.FC2, v)
 }
 
-// Forward runs the block.
+// Forward runs the block, releasing the hidden activation from a.
 func (f *FFN) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	return f.FC2.Forward(a, f.Act.Forward(a, f.FC1.Forward(a, x)))
+	m := a.Mark()
+	return a.Keep(m, f.FC2.Forward(a, f.Act.Forward(a, f.FC1.Forward(a, x))))
 }
 
 // SwiGLU is the gated feed-forward used by LLaMA: (SiLU(xW1) * xW3)W2.
@@ -194,10 +195,12 @@ func (s *SwiGLU) Visit(path string, v Visitor) {
 	walk(path+"/gate", &s.Gate, v)
 }
 
-// Forward runs the gated block.
+// Forward runs the gated block, releasing the hidden activations from
+// a.
 func (s *SwiGLU) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	var silu SiLU
-	return s.W2.Forward(a, s.Gate.Apply(a, silu.Forward(a, s.W1.Forward(a, x)), s.W3.Forward(a, x)))
+	m := a.Mark()
+	return a.Keep(m, s.W2.Forward(a, s.Gate.Apply(a, silu.Forward(a, s.W1.Forward(a, x)), s.W3.Forward(a, x))))
 }
 
 // TransformerEncoderLayer is a post-norm encoder block (BERT style):
@@ -232,10 +235,12 @@ func (l *TransformerEncoderLayer) Visit(path string, v Visitor) {
 	walk(path+"/res2", &l.Res2, v)
 }
 
-// Forward runs the layer.
+// Forward runs the layer. Each half's output moves down over its
+// input, so the layer leaves one activation behind in a.
 func (l *TransformerEncoderLayer) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	x = l.LN1.Forward(a, l.Res1.Apply(a, x, l.Attn.Forward(a, x)))
-	return l.LN2.Forward(a, l.Res2.Apply(a, x, l.FF.Forward(a, x)))
+	m := a.Mark()
+	x = a.Keep(m, l.LN1.Forward(a, l.Res1.Apply(a, x, l.Attn.Forward(a, x))))
+	return a.Keep(m, l.LN2.Forward(a, l.Res2.Apply(a, x, l.FF.Forward(a, x))))
 }
 
 // TransformerDecoderLayer is a pre-norm causal decoder block (GPT
@@ -284,10 +289,12 @@ func (l *TransformerDecoderLayer) Visit(path string, v Visitor) {
 	walk(path+"/res2", &l.Res2, v)
 }
 
-// Forward runs the layer.
+// Forward runs the layer. Each half's output moves down over its
+// input, so the layer leaves one activation behind in a.
 func (l *TransformerDecoderLayer) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
-	x = l.Res1.Apply(a, x, l.Attn.Forward(a, l.LN1.Forward(a, x)))
-	return l.Res2.Apply(a, x, l.FF.Forward(a, l.LN2.Forward(a, x)))
+	m := a.Mark()
+	x = a.Keep(m, l.Res1.Apply(a, x, l.Attn.Forward(a, l.LN1.Forward(a, x))))
+	return a.Keep(m, l.Res2.Apply(a, x, l.FF.Forward(a, l.LN2.Forward(a, x))))
 }
 
 // GNConv is Conv → GroupNorm → SiLU, the diffusion U-Net unit. Callers

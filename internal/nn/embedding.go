@@ -35,17 +35,17 @@ func (e *Embedding) OutChannelDim() int { return 0 }
 
 // Forward is unsupported; embeddings consume token IDs. Use Lookup.
 func (e *Embedding) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
-	panic("nn: Embedding consumes token IDs; call Lookup(ids)")
+	panic("nn: Embedding consumes token IDs; call Lookup(a, ids)")
 }
 
 // Lookup gathers rows for a batch of token sequences, returning
-// [B, T, Dim].
-func (e *Embedding) Lookup(ids [][]int) *tensor.Tensor {
+// [B, T, Dim] carved from a.
+func (e *Embedding) Lookup(a *tensor.Arena, ids [][]int) *tensor.Tensor {
 	if len(ids) == 0 {
 		panic("nn: Embedding.Lookup with empty batch")
 	}
 	b, t := len(ids), len(ids[0])
-	y := tensor.New(b, t, e.Dim)
+	y := a.New(b, t, e.Dim)
 	for bi, seq := range ids {
 		if len(seq) != t {
 			panic("nn: ragged token batch")
@@ -89,13 +89,13 @@ func (e *EmbeddingBag) OutChannelDim() int { return 0 }
 
 // Forward is unsupported; use LookupBags.
 func (e *EmbeddingBag) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
-	panic("nn: EmbeddingBag consumes token bags; call LookupBags(bags)")
+	panic("nn: EmbeddingBag consumes token bags; call LookupBags(a, bags)")
 }
 
 // LookupBags reduces each bag of ids to a single vector, returning
-// [B, Dim].
-func (e *EmbeddingBag) LookupBags(bags [][]int) *tensor.Tensor {
-	y := tensor.New(len(bags), e.Dim)
+// [B, Dim] carved from a.
+func (e *EmbeddingBag) LookupBags(a *tensor.Arena, bags [][]int) *tensor.Tensor {
+	y := a.New(len(bags), e.Dim)
 	for bi, bag := range bags {
 		dst := y.Data[bi*e.Dim : (bi+1)*e.Dim]
 		for _, id := range bag {

@@ -153,7 +153,7 @@ func TestConv2dForwardMatchesDirectOracle(t *testing.T) {
 }
 
 // requireConvMatchesDirect checks that the unplanned and planned
-// (Compile) forwards both equal forwardDirect bit for bit under
+// (NewPlan) forwards both equal forwardDirect bit for bit under
 // GOMAXPROCS 1, 2 and 8, which changes how the GEMMs fan out.
 func requireConvMatchesDirect(t *testing.T, c *Conv2d, x *tensor.Tensor, what string) {
 	t.Helper()
@@ -161,7 +161,7 @@ func requireConvMatchesDirect(t *testing.T, c *Conv2d, x *tensor.Tensor, what st
 	oh, ow := c.OutSize(h), c.OutSize(w)
 	want := tensor.New(n, c.OutC, oh, ow)
 	c.forwardDirect(want, x, n, h, w, oh, ow)
-	plan := Compile(c, x.Shape...)
+	plan := NewPlan(c)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)

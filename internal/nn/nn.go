@@ -118,7 +118,7 @@ type Module interface {
 	Kind() string
 	// Forward computes the module output for input x, carving every
 	// intermediate and the output from a. A nil a means the heap
-	// (tensor.Arena's nil semantics); a plan passes its arenas. Both run
+	// (tensor.Arena's nil semantics); a plan passes its arena. Both run
 	// the same kernels in the same accumulation order — the arena only
 	// replaces make — so planned and unplanned outputs are byte-equal.
 	Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor

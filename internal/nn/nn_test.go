@@ -305,7 +305,7 @@ func TestEmbeddingLookup(t *testing.T) {
 	e := NewEmbedding(10, 2)
 	e.W.Set(1.5, 3, 0)
 	e.W.Set(2.5, 3, 1)
-	y := e.Lookup([][]int{{3, 3}, {0, 3}})
+	y := e.Lookup(nil, [][]int{{3, 3}, {0, 3}})
 	if y.Shape[0] != 2 || y.Shape[1] != 2 || y.Shape[2] != 2 {
 		t.Fatalf("shape %v", y.Shape)
 	}
@@ -319,12 +319,12 @@ func TestEmbeddingBag(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e.W.Set(float32(i), i, 0)
 	}
-	y := e.LookupBags([][]int{{1, 2, 3}, {0}})
+	y := e.LookupBags(nil, [][]int{{1, 2, 3}, {0}})
 	if y.At(0, 0) != 6 || y.At(1, 0) != 0 {
 		t.Errorf("bag sums = %v", y.Data)
 	}
 	e.Mean = true
-	y = e.LookupBags([][]int{{1, 3}})
+	y = e.LookupBags(nil, [][]int{{1, 3}})
 	if y.At(0, 0) != 2 {
 		t.Errorf("bag mean = %v", y.At(0, 0))
 	}

@@ -60,8 +60,8 @@ func BenchmarkForwardUnplanned(b *testing.B) {
 func BenchmarkForwardPlanned(b *testing.B) {
 	for _, c := range forwardBenchCases() {
 		b.Run(c.name, func(b *testing.B) {
-			p := Compile(c.m, c.x.Shape...)
-			p.Forward(c.x) // slabs grow lazily; one more run reaches steady state
+			p := NewPlan(c.m)
+			p.Forward(c.x) // the first forward appends the arena's chunks
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -10,8 +10,8 @@ import (
 
 // planTestNet builds a module chain exercising every arena mechanism:
 // conv (im2col + packed panels), BatchNorm, pooling, a Flatten view
-// (arena header aliasing another side's data under ping-pong), packed
-// linear layers and elementwise activations.
+// (a header aliasing its input's data, which the chain's scope then
+// moves over itself), packed linear layers and elementwise activations.
 func planTestNet() *Sequential {
 	r := tensor.NewRNG(0x9E3779B97F4A7C15)
 	conv := NewConv2d(3, 8, 3, 1, 1, 1)
@@ -66,7 +66,7 @@ func TestPlanBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		unplanned := m.Forward(nil, x)
 		bitsEqual(t, unplanned, want, "unplanned forward")
-		p := Compile(m, x.Shape...)
+		p := NewPlan(m)
 		for i := 0; i < 3; i++ {
 			bitsEqual(t, p.Forward(x), want, "planned forward")
 		}
@@ -88,7 +88,7 @@ func TestPlanBatchedRowsMatchSingle(t *testing.T) {
 		outs[i] = m.Forward(nil, singles[i]).Clone()
 	}
 	batch := tensor.StackBatch(singles)
-	p := Compile(m, batch.Shape...)
+	p := NewPlan(m)
 	got := p.Forward(batch)
 	for i := range singles {
 		bitsEqual(t, got.Slice0(i, i+1), outs[i], "batched row")
@@ -96,13 +96,13 @@ func TestPlanBatchedRowsMatchSingle(t *testing.T) {
 }
 
 // TestPlanOutputAliasing verifies the memory-safety contract: planned
-// outputs live in the plan's arenas, Clone moves them to the heap, and
+// outputs live in the plan's arena, Clone moves them to the heap, and
 // a later Forward does not disturb the clone.
 func TestPlanOutputAliasing(t *testing.T) {
 	m := planTestNet()
 	x1 := planTestInput(2, 11)
 	x2 := planTestInput(2, 13)
-	p := Compile(m, x1.Shape...)
+	p := NewPlan(m)
 	out1 := p.Forward(x1)
 	kept := out1.Clone()
 	if &kept.Data[0] == &out1.Data[0] {
@@ -110,7 +110,7 @@ func TestPlanOutputAliasing(t *testing.T) {
 	}
 	out2 := p.Forward(x2)
 	// A heap forward would return fresh memory while out1 is still
-	// live; the planned one reuses the same arena storage.
+	// live; the planned one reuses the same arena chunk.
 	if &out2.Data[0] != &out1.Data[0] {
 		t.Fatal("steady-state planned output does not live in an arena")
 	}
@@ -122,8 +122,8 @@ func TestPlanOutputAliasing(t *testing.T) {
 }
 
 // TestPlanShapeChangeRerecords runs one plan across alternating input
-// shapes; each shape re-records (slabs grow monotonically) and results
-// stay bit-identical to the unplanned path.
+// shapes; a larger shape appends chunks, a smaller one reuses them, and
+// results stay bit-identical to the unplanned path.
 func TestPlanShapeChangeRerecords(t *testing.T) {
 	m := planTestNet()
 	xs := []*tensor.Tensor{
@@ -160,7 +160,7 @@ func TestArenaHeapFallback(t *testing.T) {
 }
 
 // TestArenaZeroesCarvedMemory: carved regions must read as zero even
-// after a previous cycle dirtied the slab (forward paths accumulate
+// after a previous cycle dirtied the chunk (forward paths accumulate
 // into freshly-"allocated" outputs).
 func TestArenaZeroesCarvedMemory(t *testing.T) {
 	var a tensor.Arena

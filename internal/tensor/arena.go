@@ -1,70 +1,135 @@
 package tensor
 
-// Arena is a bump allocator for forward-pass intermediates. A compiled
-// execution plan owns one (or two, ping-ponged) per worker: the first
-// forward over a given input shape records how much memory each cycle
-// needs, Reset grows the backing slabs to the high-water mark, and
-// every later cycle carves the same tensors out of the same storage —
-// zero heap allocations on the steady path.
+// Arena is a scoped bump allocator for forward-pass intermediates. A
+// compiled execution plan owns one per worker and rewinds it at the
+// start of every forward; the forward then carves each tensor, header,
+// shape slice, im2col patch and packed weight panel out of storage the
+// arena already holds, so a repeated forward performs zero heap
+// allocations.
+//
+// Storage is a list of chunks per kind (floats, Tensor headers, shape
+// ints), appended on demand and never moved or freed: a carve that does
+// not fit the current chunk's remainder moves on to the next chunk that
+// holds it, or appends one of max(n, floor) elements. The first forward
+// over a shape therefore allocates only the chunks its peak live set
+// needs, and every later identical forward walks the same chunks.
+//
+// Scopes keep that peak small. A block that produces one tensor from
+// many temporaries brackets its body:
+//
+//	m := a.Mark()
+//	... carve temporaries, compute y ...
+//	return a.Keep(m, y)
+//
+// Keep moves y down to m with one exact copy and releases everything
+// carved after m, so a transformer layer or a Sequential child leaves
+// only its output behind.
 //
 // A nil *Arena is valid and falls back to ordinary heap allocation
-// (tensor.New semantics). Every nn forward takes an arena, and
-// unplanned callers pass nil, so one forward body serves both and stays
-// byte-identical whether or not a plan is installed: Arena.New zeroes
-// every carved region, exactly like make, and hands out the same shapes
-// to the same kernels.
+// (tensor.New semantics; Mark and Keep do nothing). Every nn forward
+// takes an arena, and unplanned callers pass nil, so one forward body
+// serves both and stays byte-identical whether or not a plan is
+// installed: New zeroes every carved region, exactly like make, Keep
+// copies bits verbatim, and the same shapes reach the same kernels.
 //
-// Arenas are not safe for concurrent use; a plan (and its arenas)
+// Arenas are not safe for concurrent use; a plan (and its arena)
 // belongs to one worker at a time. Tensors carved from an arena are
-// valid until the arena's next Reset — callers that retain an output
-// past the next forward must Clone it first.
+// valid until the arena's next Reset, or until a Keep to an earlier
+// mark releases them — callers that retain an output past the next
+// forward must Clone it first.
 type Arena struct {
-	slab []float32 // float storage, carved front to back
-	off  int
-	hdrs []Tensor // Tensor headers, so &Tensor{...} does not escape
-	hoff int
-	ints []int // shape storage
-	ioff int
-
-	// High-water demand of the current cycle; Reset sizes the slabs
-	// from these, so the first (recording) cycle allocates through the
-	// heap fallback and every following cycle hits the slab.
-	needF, needH, needI int
+	f chunks[float32]
+	h chunks[Tensor] // headers, so &Tensor{...} does not escape
+	i chunks[int]
 }
 
-// Reset ends the current cycle: it grows the backing slabs to the
-// cycle's high-water demand and rewinds the bump offsets. Every tensor
-// carved since the previous Reset becomes invalid. Safe on nil.
+// Chunk floors per storage kind. floatChunk (64Ki floats, 256 KiB)
+// holds every intermediate of a zoo token model, so those forwards run
+// over a handful of equal chunks; larger CNN activations get a chunk of
+// their own size.
+const (
+	floatChunk  = 64 << 10
+	headerChunk = 256
+	intChunk    = 1024
+)
+
+// chunks is one kind's storage: carving is a stack over the
+// concatenation of list, at chunk cur, element off.
+type chunks[T any] struct {
+	list     [][]T
+	cur, off int
+}
+
+// pos is a position in a chunks stack.
+type pos struct{ cur, off int }
+
+func (c *chunks[T]) at() pos { return pos{c.cur, c.off} }
+
+func (c *chunks[T]) rewind(p pos) { c.cur, c.off = p.cur, p.off }
+
+// carve returns the next n elements, not cleared. Chunks whose
+// remainder is too small are skipped (and reused by the next forward);
+// when none is left, a chunk of max(n, floor) elements is appended.
+func (c *chunks[T]) carve(n, floor int) []T {
+	for ; c.cur < len(c.list); c.cur, c.off = c.cur+1, 0 {
+		if s := c.list[c.cur]; c.off+n <= len(s) {
+			c.off += n
+			return s[c.off-n : c.off : c.off]
+		}
+	}
+	c.list = append(c.list, make([]T, max(n, floor)))
+	c.off = n
+	return c.list[c.cur][:n:n]
+}
+
+// Mark is a position in an arena, taken by Mark and released to by
+// Keep.
+type Mark struct{ f, h, i pos }
+
+// Reset starts a new cycle: it rewinds every chunk stack to its start,
+// keeping the chunks. Every tensor carved since the previous Reset
+// becomes invalid. Safe on nil.
 func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
-	a.ResetFloats()
-	if a.needH > len(a.hdrs) {
-		a.hdrs = make([]Tensor, a.needH)
-	}
-	if a.needI > len(a.ints) {
-		a.ints = make([]int, a.needI)
-	}
-	a.hoff, a.ioff = 0, 0
-	a.needH, a.needI = 0, 0
+	a.release(Mark{})
 }
 
-// ResetFloats rewinds only the float slab, leaving headers and shape
-// storage live. A plan ping-ponging two arenas across a module chain
-// resets the floats of the side about to be overwritten each step, but
-// headers only once per forward (a view module's header can carve from
-// one side while its data aliases the other, so headers must outlive
-// the per-step float recycling). Safe on nil.
-func (a *Arena) ResetFloats() {
+// Mark returns the arena's current position, opening a scope. Safe on
+// nil.
+func (a *Arena) Mark() Mark {
 	if a == nil {
-		return
+		return Mark{}
 	}
-	if a.needF > len(a.slab) {
-		a.slab = make([]float32, a.needF)
+	return Mark{a.f.at(), a.h.at(), a.i.at()}
+}
+
+// Keep closes the scope opened at m: it releases everything carved
+// since m and returns y moved down to m (a fresh header, shape and data
+// carved at m, the data one exact copy of y's). y may live anywhere:
+// inside the scope, before it, or on the heap. On a nil arena Keep
+// returns y unchanged.
+func (a *Arena) Keep(m Mark, y *Tensor) *Tensor {
+	if a == nil {
+		return y
 	}
-	a.off = 0
-	a.needF = 0
+	shape, data := y.Shape, y.Data
+	a.release(m)
+	t := a.header()
+	// The destination may overlap y's own storage, which the rewind
+	// just released: copy moves like memmove, and nothing is cleared
+	// first, so the bits arrive intact.
+	t.Data = a.f.carve(len(data), floatChunk)
+	copy(t.Data, data)
+	t.Shape = a.shapeOf(shape)
+	return t
+}
+
+func (a *Arena) release(m Mark) {
+	a.f.rewind(m.f)
+	a.h.rewind(m.h)
+	a.i.rewind(m.i)
 }
 
 // New carves a zeroed tensor of the given shape. On a nil arena it is
@@ -75,7 +140,7 @@ func (a *Arena) New(shape ...int) *Tensor {
 	}
 	t := a.header()
 	t.Shape = a.shapeOf(shape)
-	t.Data = a.floats(NumElements(shape))
+	t.Data = a.Alloc(NumElements(shape))
 	return t
 }
 
@@ -97,46 +162,24 @@ func (a *Arena) View(data []float32, shape ...int) *Tensor {
 }
 
 // Alloc carves a zeroed raw float slice (im2col patches, packed weight
-// panels). On a nil arena it is make([]float32, n).
+// panels). On a nil arena it is make([]float32, n). Zeroing keeps
+// carved memory byte-identical to make: some forward paths accumulate
+// into their output.
 func (a *Arena) Alloc(n int) []float32 {
 	if a == nil {
 		return make([]float32, n)
 	}
-	return a.floats(n)
+	s := a.f.carve(n, floatChunk)
+	clear(s)
+	return s
 }
 
-// floats carves n zeroed floats, falling back to the heap when the
-// slab is exhausted (the recording cycle, or a shape larger than any
-// seen before). Zeroing keeps carved memory byte-identical to make:
-// some forward paths accumulate into their output.
-func (a *Arena) floats(n int) []float32 {
-	a.needF += n
-	if a.off+n <= len(a.slab) {
-		s := a.slab[a.off : a.off+n : a.off+n]
-		a.off += n
-		clear(s)
-		return s
-	}
-	return make([]float32, n)
-}
+func (a *Arena) header() *Tensor { return &a.h.carve(1, headerChunk)[0] }
 
-func (a *Arena) header() *Tensor {
-	a.needH++
-	if a.hoff < len(a.hdrs) {
-		t := &a.hdrs[a.hoff]
-		a.hoff++
-		return t
-	}
-	return new(Tensor)
-}
-
+// shapeOf carves a copy of shape; shape may overlap the carved region
+// (Keep), which copy handles.
 func (a *Arena) shapeOf(shape []int) []int {
-	a.needI += len(shape)
-	if a.ioff+len(shape) <= len(a.ints) {
-		s := a.ints[a.ioff : a.ioff+len(shape) : a.ioff+len(shape)]
-		a.ioff += len(shape)
-		copy(s, shape)
-		return s
-	}
-	return append([]int(nil), shape...)
+	s := a.i.carve(len(shape), intChunk)
+	copy(s, shape)
+	return s
 }

@@ -1,0 +1,208 @@
+package tensor
+
+import (
+	"math"
+	"testing"
+)
+
+// arenaOp is one step of an arena program: carve a tensor, open a scope,
+// or close the innermost scope keeping one live tensor.
+type arenaOp struct {
+	kind byte // opNew, opMark or opKeep
+	n    int  // opNew: element count
+	pick int  // opKeep: which live tensor to keep, modulo the live count
+}
+
+const (
+	opNew byte = iota
+	opMark
+	opKeep
+)
+
+// decodeArenaOps turns fuzz bytes into a program, three bytes a step.
+// Sizes cover empty and small tensors, tensors that fill or overrun a
+// chunk's remainder, and tensors larger than a whole chunk.
+func decodeArenaOps(b []byte) []arenaOp {
+	const maxOps = 24
+	var ops []arenaOp
+	for ; len(b) >= 3 && len(ops) < maxOps; b = b[3:] {
+		op := arenaOp{pick: int(b[2])}
+		switch b[0] % 4 {
+		case 0, 1:
+			op.kind = opNew
+			d := int(b[2])
+			switch b[1] % 4 {
+			case 0:
+				op.n = d
+			case 1:
+				op.n = floatChunk/2 + 61*d
+			case 2:
+				op.n = floatChunk - d
+			default:
+				op.n = floatChunk + 1 + 257*d
+			}
+		case 2:
+			op.kind = opMark
+		default:
+			op.kind = opKeep
+		}
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// arenaShape gives n elements a rank-2 shape when it splits evenly, so
+// shapes of both ranks move through Keep.
+func arenaShape(n int) (int, int, bool) {
+	if n > 0 && n%2 == 0 {
+		return 2, n / 2, true
+	}
+	return n, 0, false
+}
+
+// fill writes a pattern unique to (seq, i) into s.
+func fill(s []float32, seq int) {
+	for i := range s {
+		s[i] = math.Float32frombits(uint32(seq)<<22 ^ uint32(i))
+	}
+}
+
+// runArenaOps runs a program on a, keeping the live set in live and
+// the open scopes in marks and nlive (each of capacity len(ops)). check,
+// when non-nil, audits the arena after every step; with check nil the
+// run performs no allocation of its own.
+func runArenaOps(a *Arena, ops []arenaOp, live []*Tensor, marks []Mark, nlive []int, check func(step int, live []*Tensor, keptFrom int)) {
+	for step, op := range ops {
+		keptFrom := -1
+		switch op.kind {
+		case opNew:
+			var t *Tensor
+			if r, c, two := arenaShape(op.n); two {
+				t = a.New(r, c)
+			} else {
+				t = a.New(r)
+			}
+			live = append(live, t)
+		case opMark:
+			marks = append(marks, a.Mark())
+			nlive = append(nlive, len(live))
+		case opKeep:
+			if len(marks) == 0 || len(live) == 0 {
+				continue
+			}
+			top := len(marks) - 1
+			keptFrom = op.pick % len(live)
+			y := a.Keep(marks[top], live[keptFrom])
+			live = append(live[:nlive[top]], y)
+			marks, nlive = marks[:top], nlive[:top]
+		}
+		if check != nil {
+			check(step, live, keptFrom)
+		}
+	}
+}
+
+// FuzzArenaScopes runs random nested Mark/New/Keep programs against a
+// heap model of what every live tensor must hold: kept tensors stay byte
+// for byte intact (Keep's destination may overlap its source, so a
+// clear-then-copy would corrupt it), carved tensors come out zeroed and
+// disjoint from every live one, wherever a chunk boundary or an
+// oversized tensor puts them, and an identical second cycle allocates
+// nothing.
+func FuzzArenaScopes(f *testing.F) {
+	f.Add([]byte{})
+	// A scope whose kept tensor overlaps the keep destination.
+	f.Add([]byte{2, 0, 0, 0, 0, 3, 0, 0, 200, 3, 0, 1})
+	// Remainder fills and an oversized tensor across nested scopes.
+	f.Add([]byte{0, 2, 5, 2, 0, 0, 0, 1, 9, 2, 0, 0, 0, 3, 7, 0, 2, 1, 3, 0, 1, 3, 0, 0})
+	f.Add([]byte{0, 3, 255, 2, 0, 0, 0, 3, 255, 3, 0, 0, 0, 0, 3, 3, 0, 1})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ops := decodeArenaOps(b)
+		var a Arena
+		var model [][]float32 // expected contents of each live tensor
+		var shapes [][]int
+		check := func(step int, live []*Tensor, keptFrom int) {
+			switch op := ops[step]; op.kind {
+			case opNew:
+				tt := live[len(live)-1]
+				for i, v := range tt.Data {
+					if v != 0 {
+						t.Fatalf("step %d: carved element %d is %g, not zeroed", step, i, v)
+					}
+				}
+				fill(tt.Data, step)
+				model = append(model, append([]float32(nil), tt.Data...))
+				shapes = append(shapes, append([]int(nil), tt.Shape...))
+			case opKeep:
+				if keptFrom < 0 {
+					return
+				}
+				want, shape := model[keptFrom], shapes[keptFrom]
+				model = append(model[:len(live)-1], want)
+				shapes = append(shapes[:len(live)-1], shape)
+			}
+			for i, tt := range live {
+				if len(tt.Data) != NumElements(tt.Shape) || cap(tt.Data) != len(tt.Data) {
+					t.Fatalf("step %d: tensor %d has len %d cap %d for shape %v", step, i, len(tt.Data), cap(tt.Data), tt.Shape)
+				}
+				if len(tt.Shape) != len(shapes[i]) {
+					t.Fatalf("step %d: tensor %d shape %v, want %v", step, i, tt.Shape, shapes[i])
+				}
+				for j := range tt.Shape {
+					if tt.Shape[j] != shapes[i][j] {
+						t.Fatalf("step %d: tensor %d shape %v, want %v", step, i, tt.Shape, shapes[i])
+					}
+				}
+				for j, v := range tt.Data {
+					if math.Float32bits(v) != math.Float32bits(model[i][j]) {
+						t.Fatalf("step %d: tensor %d element %d is %x, want %x", step, i, j, math.Float32bits(v), math.Float32bits(model[i][j]))
+					}
+				}
+			}
+		}
+		live := make([]*Tensor, 0, len(ops))
+		marks := make([]Mark, 0, len(ops))
+		nlive := make([]int, 0, len(ops))
+		runArenaOps(&a, ops, live, marks, nlive, check)
+
+		if n := testing.AllocsPerRun(1, func() {
+			a.Reset()
+			runArenaOps(&a, ops, live[:0], marks[:0], nlive[:0], nil)
+		}); n != 0 {
+			t.Fatalf("an identical second cycle allocated %.0f times, want 0", n)
+		}
+	})
+}
+
+// TestArenaKeepOverlapping pins the overlap case: the kept tensor sits
+// just past the mark, so its new home overlaps its old one.
+func TestArenaKeepOverlapping(t *testing.T) {
+	var a Arena
+	m := a.Mark()
+	head := a.New(3)
+	y := a.New(10)
+	fill(y.Data, 1)
+	want := append([]float32(nil), y.Data...)
+	k := a.Keep(m, y)
+	if &k.Data[0] != &head.Data[0] {
+		t.Fatal("Keep did not move the tensor down to the mark")
+	}
+	for i := range want {
+		if math.Float32bits(k.Data[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("element %d lost in the overlapping move", i)
+		}
+	}
+	if len(k.Shape) != 1 || k.Shape[0] != 10 {
+		t.Fatalf("kept shape %v, want [10]", k.Shape)
+	}
+}
+
+// TestArenaNilScopes checks that Mark and Keep are no-ops on the heap
+// arena.
+func TestArenaNilScopes(t *testing.T) {
+	var a *Arena
+	y := New(4)
+	if a.Keep(a.Mark(), y) != y {
+		t.Fatal("nil-arena Keep did not return its argument")
+	}
+}
