@@ -72,6 +72,7 @@ import (
 	"fp8quant/internal/faultline"
 	"fp8quant/internal/harness"
 	"fp8quant/internal/models"
+	"fp8quant/internal/profile"
 	"fp8quant/internal/resultstore"
 	"fp8quant/internal/tensor/kernels"
 )
@@ -96,7 +97,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "with -exp, write a CPU profile of the run to `file`")
 	memProfile := flag.String("memprofile", "", "with -exp, write a heap profile to `file` after the run")
 	flag.Parse()
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

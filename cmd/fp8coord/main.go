@@ -14,6 +14,7 @@
 //	fp8coord -addr 127.0.0.1:0 -addr-file a.txt ephemeral port for scripts
 //	fp8coord -exp table3 -once                  exit when the schedule completes
 //	fp8bench -worker http://host:8123           ...then point workers at it
+//	fp8coord -exp table3 -cpuprofile cpu.out -memprofile mem.out   profile the coordinator
 //
 // Workers pull: the coordinator never needs their addresses, and a
 // crashed worker costs one lease timeout (-lease-ttl), after which the
@@ -42,6 +43,7 @@ import (
 	"fp8quant/internal/coord"
 	"fp8quant/internal/faultline"
 	"fp8quant/internal/harness"
+	"fp8quant/internal/profile"
 	"fp8quant/internal/resultstore"
 )
 
@@ -59,7 +61,16 @@ func run() int {
 	once := flag.Bool("once", false, "exit once every scheduled cell is done or failed")
 	linger := flag.Duration("linger", 5*time.Second, "with -once, keep serving this long after completion so workers observe 'done'")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on SIGINT/SIGTERM, how long to wait for in-flight leases before exiting")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the coordinator's run to `file`")
+	memProfile := flag.String("memprofile", "", "write a heap profile to `file` when the coordinator exits")
 	flag.Parse()
+
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fp8coord: %v\n", err)
+		return 1
+	}
+	defer stopProfiles()
 
 	if armed, err := faultline.ArmFromEnv(); err != nil {
 		fmt.Fprintf(os.Stderr, "fp8coord: %v\n", err)

@@ -7,6 +7,7 @@
 //	fp8serve -model cifar_resnet20 -recipe e4m3 -workers 1,4
 //	fp8serve -model vit_small -requests 512 -batch 8
 //	fp8serve -model squeezenet -check=false   # skip the bit-identity audit
+//	fp8serve -cpuprofile cpu.out -memprofile mem.out   # profile the run
 //
 // Requests are single samples drawn from the model's deterministic
 // eval stream; workers coalesce them into fixed-size batches (the
@@ -35,6 +36,7 @@ import (
 	"fp8quant/internal/evalx"
 	"fp8quant/internal/models"
 	"fp8quant/internal/nn"
+	"fp8quant/internal/profile"
 	"fp8quant/internal/quant"
 	"fp8quant/internal/tensor"
 )
@@ -47,9 +49,16 @@ func main() {
 	batch := flag.Int("batch", 4, "requests coalesced per planned forward")
 	warmup := flag.Int("warmup", 8, "warmup forwards per worker (excluded from stats)")
 	check := flag.Bool("check", true, "bit-compare every served row against an unplanned forward")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
+	memProfile := flag.String("memprofile", "", "write a heap profile to `file` after the run")
 	flag.Parse()
 
-	if err := run(*model, *recipe, *workers, *requests, *batch, *warmup, *check); err != nil {
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
+	if err == nil {
+		err = run(*model, *recipe, *workers, *requests, *batch, *warmup, *check)
+		stopProfiles()
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fp8serve:", err)
 		os.Exit(1)
 	}
@@ -112,8 +121,8 @@ func buildServing(model, recipeName string) (*models.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if net.Data.Batch(0).X == nil {
-		return nil, fmt.Errorf("model %s is not plannable (token/bag-driven forward)", model)
+	if s := net.Data.Batch(0); s.X == nil || s.Tokens != nil || s.Bags != nil {
+		return nil, fmt.Errorf("model %s takes token or bag inputs; fp8serve serves dense-input models only", model)
 	}
 	base, err := parseRecipe(recipeName)
 	if err != nil {
@@ -167,9 +176,6 @@ func requestPool(net *models.Network) []*tensor.Tensor {
 	}
 	for b := 0; b < batches; b++ {
 		s := net.Data.Batch(b)
-		if s.X == nil {
-			return nil
-		}
 		for i := 0; i < s.X.Shape[0]; i++ {
 			pool = append(pool, s.X.Slice0(i, i+1))
 		}

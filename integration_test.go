@@ -23,7 +23,7 @@ func TestEndToEndPTQAcrossDomains(t *testing.T) {
 		recipe quant.Recipe
 		// minAcc relaxes the pass criterion for Score-metric models
 		// (Pearson degrades quadratically in noise and has no margin
-		// filter; see DESIGN.md §5).
+		// filter; see README, "Evaluation protocol").
 		minAcc float64
 	}{
 		{"cifar_resnet20", quant.StandardFP8(quant.E3M4), 0.99},  // CV: E3M4 recommended

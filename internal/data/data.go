@@ -4,11 +4,12 @@
 // correlation, Pearson, FID, …).
 //
 // Real datasets (ImageNet, GLUE, LibriSpeech, Criteo, …) are not
-// available in this offline reproduction; per DESIGN.md the evaluation
-// is teacher-is-truth: inputs come from these generators, and labels
-// are defined by the FP32 model's own outputs, so the quantized model's
-// "accuracy" is its agreement with the FP32 reference — the quantity
-// the paper's pass-rate actually probes.
+// available in this offline reproduction; the evaluation is
+// teacher-is-truth (README, "Evaluation protocol"): inputs come from
+// these generators, and labels are defined by the FP32 model's own
+// outputs, so the quantized model's "accuracy" is its agreement with
+// the FP32 reference — the quantity the paper's pass-rate actually
+// probes.
 package data
 
 import (
@@ -31,7 +32,8 @@ type Sample struct {
 // Dataset deterministically generates batches by index.
 type Dataset interface {
 	// Batch returns the i-th batch; the same index always returns the
-	// same data.
+	// same data. The returned Sample may be shared with other callers
+	// (models.Build memoizes batches), so it must not be mutated.
 	Batch(i int) Sample
 	// Batches returns how many batches the dataset provides.
 	Batches() int

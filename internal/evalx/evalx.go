@@ -28,7 +28,8 @@ const (
 // trained) networks whose decision margins are uniformly small, while
 // the real pretrained models the paper evaluates are confident on most
 // inputs. Filtering to the top (100-MarginKeepPct)% of FP32 margins
-// restores a trained-model-like margin distribution; see DESIGN.md.
+// restores a trained-model-like margin distribution; see README,
+// "Evaluation protocol".
 const MarginKeepPct = 70.0
 
 // Result is one (model, recipe) evaluation. Accuracy experiments fill

@@ -44,8 +44,8 @@ func Store() *resultstore.Store {
 
 // ClearMemo drops every in-process cache — the cell memo, the
 // per-model FP32 reference cache, the fig6/table4 generation
-// references, the models' memoized BatchNorm warm-ups and the idle
-// execution plans (the disk store is untouched). Tests use it to
+// references, the models' memoized BatchNorm warm-ups and input
+// batches, and the idle execution plans (the disk store is untouched). Tests use it to
 // simulate a process boundary and force store round trips and cold
 // builds; long-lived embedders can use it to release sweep memory.
 //
@@ -56,7 +56,7 @@ func ClearMemo() {
 	cacheMu.Unlock()
 	clearRefs()
 	clearGenRefs()
-	models.ClearWarmMemo()
+	models.ClearMemo()
 	clearPlans()
 }
 

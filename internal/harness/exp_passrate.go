@@ -250,7 +250,8 @@ func renderTable3(g *Grid) *Report {
 
 // fig7Models are BatchNorm CV models from the Figure 7 list (the
 // cheaper half — the full list is available in the zoo but the single
-// pass-rate protocol already covers it; see DESIGN.md on runtime).
+// pass-rate protocol already covers it; see README, "Evaluation
+// protocol").
 var fig7Models = []string{
 	"resnet18", "peleenet", "mobilenet_v2", "googlenet",
 	"shufflenet_v2", "densenet121", "efficientnet_b0", "squeezenet",
@@ -258,8 +259,8 @@ var fig7Models = []string{
 
 // fig7Cfgs is the sample-size x transform calibration grid: {300, 3K,
 // 10K} paper sample counts scaled down ~3x to match the zoo's
-// scaled-down models (see DESIGN.md §5), plus 3K with the inference
-// transform.
+// scaled-down models (see README, "Evaluation protocol"), plus 3K with
+// the inference transform.
 var fig7Cfgs = []struct {
 	label     string
 	samples   int

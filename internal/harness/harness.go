@@ -8,9 +8,9 @@
 // fan-out, in-process memoization and per-cell persistence for all of
 // them.
 //
-// Experiment ids match DESIGN.md's per-experiment index: fig1, fig3,
-// table2, fig4, table3, fig5, fig6, table4, fig7, fig8, table5,
-// table6, fig9, fig10, firstlast.
+// Experiment ids name the paper's tables and figures (README,
+// "Evaluation protocol"): fig1, fig3, table2, fig4, table3, fig5, fig6,
+// table4, fig7, fig8, table5, table6, fig9, fig10, firstlast.
 package harness
 
 import (

@@ -18,7 +18,8 @@ import (
 // plan contract is byte-identical math, so even float fields match
 // exactly). The pooled plan is exercised twice to cover arena reuse
 // across cells, and a third time behind a ClearMemo process boundary,
-// whose cold Build re-runs the BatchNorm warm-up.
+// whose cold Build re-runs the BatchNorm warm-up and regenerates the
+// model's batches.
 func TestWithPlanPreservesResults(t *testing.T) {
 	const name = "cifar_resnet20"
 	recipe := quant.StandardFP8(quant.E4M3)
@@ -32,9 +33,12 @@ func TestWithPlanPreservesResults(t *testing.T) {
 
 	for cell := 0; cell < 3; cell++ {
 		if cell == 2 {
+			if _, sets := models.MemoLens(); sets == 0 {
+				t.Fatal("the cells left no memoized batch set")
+			}
 			ClearMemo()
-			if n := models.WarmMemoLen(); n != 0 {
-				t.Fatalf("ClearMemo kept %d memoized BatchNorm warm-ups", n)
+			if warm, sets := models.MemoLens(); warm != 0 || sets != 0 {
+				t.Fatalf("ClearMemo kept %d memoized BatchNorm warm-ups and %d batch sets", warm, sets)
 			}
 		}
 		net, err := models.Build(name)

@@ -1,0 +1,128 @@
+// Batch memo. Every pass over a model reads the same synthetic batches:
+// the BatchNorm warm-up, the FP32 reference, calibration and each
+// recipe's evaluation. A model's dataset depends only on its name, so
+// Build wraps the network's Data in a memo that generates each batch
+// index once per process and hands every later caller the same
+// read-only Sample. The memo holds at most batchBudget bytes of batch
+// data; past it, the batch set of the least recently built model is
+// dropped. Dropping only removes the memo's reference: networks that
+// hold the set keep using it, and the next Build of the model
+// generates identical bytes again.
+
+package models
+
+import (
+	"math/bits"
+	"slices"
+	"sync"
+
+	"fp8quant/internal/data"
+)
+
+// batchBudget bounds the memoized batch bytes. It holds every batch a
+// sweep cell reads for five CNNs (756 KiB each) or sixteen token models
+// (42 KiB each), so a sweep's hits do not depend on its cell order.
+const batchBudget = 4 << 20
+
+// batchSet is one model's memoized batches.
+type batchSet struct {
+	name    string
+	mu      sync.Mutex
+	batches map[int]data.Sample // guarded by mu
+	bytes   int                 // guarded by batchMemo.mu
+}
+
+var batchMemo struct {
+	mu    sync.Mutex
+	sets  []*batchSet // least recently built first
+	bytes int
+}
+
+// memoDataset is the Dataset Build installs: inner's batches, each
+// generated once per set.
+type memoDataset struct {
+	inner data.Dataset
+	set   *batchSet
+}
+
+// Batches implements data.Dataset.
+func (d *memoDataset) Batches() int { return d.inner.Batches() }
+
+// Batch implements data.Dataset. The returned Sample is shared by every
+// network of the model.
+func (d *memoDataset) Batch(i int) data.Sample {
+	set := d.set
+	set.mu.Lock()
+	defer set.mu.Unlock()
+	if s, ok := set.batches[i]; ok {
+		return s
+	}
+	s := d.inner.Batch(i)
+	set.batches[i] = s
+	chargeBatch(set, sampleBytes(s))
+	return s
+}
+
+// memoBatches routes n's batches through its model's batch set, making
+// that set the most recently built.
+func memoBatches(n *Network) {
+	batchMemo.mu.Lock()
+	defer batchMemo.mu.Unlock()
+	var set *batchSet
+	if i := slices.IndexFunc(batchMemo.sets, func(s *batchSet) bool { return s.name == n.Meta.Name }); i >= 0 {
+		set = dropSet(i)
+	} else {
+		set = &batchSet{name: n.Meta.Name, batches: map[int]data.Sample{}}
+	}
+	batchMemo.sets = append(batchMemo.sets, set)
+	n.Data = &memoDataset{inner: n.Data, set: set}
+}
+
+// chargeBatch adds a newly generated batch of set to the memo's bytes,
+// unless set was already dropped, then drops least recently built sets
+// until the memo fits its budget.
+func chargeBatch(set *batchSet, n int) {
+	batchMemo.mu.Lock()
+	defer batchMemo.mu.Unlock()
+	if !slices.Contains(batchMemo.sets, set) {
+		return
+	}
+	set.bytes += n
+	batchMemo.bytes += n
+	for batchMemo.bytes > batchBudget {
+		batchMemo.bytes -= dropSet(0).bytes
+	}
+}
+
+// dropSet removes and returns the i-th memoized set, clearing the
+// vacated slot so the memo's array does not keep it alive.
+func dropSet(i int) *batchSet {
+	sets := batchMemo.sets
+	s := sets[i]
+	copy(sets[i:], sets[i+1:])
+	sets[len(sets)-1] = nil
+	batchMemo.sets = sets[:len(sets)-1]
+	return s
+}
+
+// sampleBytes is the size of s's input data.
+func sampleBytes(s data.Sample) int {
+	n := 0
+	if s.X != nil {
+		n += 4 * len(s.X.Data)
+	}
+	for _, ids := range [][][]int{s.Tokens, s.Bags} {
+		for _, row := range ids {
+			n += len(row) * bits.UintSize / 8
+		}
+	}
+	return n
+}
+
+// clearBatchMemo drops every memoized batch set.
+func clearBatchMemo() {
+	batchMemo.mu.Lock()
+	defer batchMemo.mu.Unlock()
+	batchMemo.sets = nil
+	batchMemo.bytes = 0
+}

@@ -8,8 +8,8 @@
 // per-channel-varied fan-in scaling (normal, precision-bound — Figure 3
 // right panel) and NLP models inject the LayerNorm-amplified sparse
 // channel outliers that make INT8 activation quantization fail
-// (Figure 3 left panel, Section 2). Per DESIGN.md the evaluation is
-// teacher-is-truth: the FP32 network defines the labels.
+// (Figure 3 left panel, Section 2). The evaluation is teacher-is-truth
+// (README, "Evaluation protocol"): the FP32 network defines the labels.
 package models
 
 import (
@@ -183,6 +183,7 @@ func InfoFor(name string) (Info, bool) {
 }
 
 // Build constructs the named model with a deterministic per-name seed.
+// Its Data generates each batch once per process (batches.go), and
 // BatchNorm networks come with warmed statistics (warm.go): the first
 // Build of a model in a process runs the warm-up, later ones copy it.
 func Build(name string) (*Network, error) {
@@ -191,8 +192,30 @@ func Build(name string) (*Network, error) {
 		return nil, fmt.Errorf("models: unknown model %q", name)
 	}
 	n := b(nameSeed(name))
+	memoBatches(n)
 	warmMemoized(n, warmPlanned)
 	return n, nil
+}
+
+// ClearMemo drops the memoized BatchNorm warm-ups and batches, so the
+// next Build of each model runs as in a new process.
+func ClearMemo() {
+	clearWarmMemo()
+	clearBatchMemo()
+}
+
+// MemoLens reports how many BatchNorm warm-ups and model batch sets are
+// memoized.
+//
+//fp8vet:ignore unused harness's plan tests check that ClearMemo empties both memos
+func MemoLens() (warmUps, batchSets int) {
+	warmMemo.Range(func(_, _ any) bool {
+		warmUps++
+		return true
+	})
+	batchMemo.mu.Lock()
+	defer batchMemo.mu.Unlock()
+	return warmUps, len(batchMemo.sets)
 }
 
 // nameSeed derives a stable seed from the model name (FNV-1a).

@@ -35,12 +35,18 @@ func build(t *testing.T, name string) *models.Network {
 	return net
 }
 
-// e4m3 quantizes net with the static E4M3 PaperRecipe: SmoothQuant on
-// NLP and audio models, BatchNorm calibration on CV models with
-// BatchNorm. A planned network calibrates planned, so its observers and
-// quantized input copies run inside the forwards' arena scopes.
-func e4m3(net *models.Network) {
-	quant.Quantize(net, net.Data, evalx.PaperRecipe(quant.StandardFP8(quant.E4M3), net))
+// quantize quantizes net with base's PaperRecipe: SmoothQuant on
+// static NLP and audio quantization, BatchNorm calibration on CV models
+// with BatchNorm. A planned network calibrates planned, so its
+// observers and quantized input copies run inside the forwards' arena
+// scopes.
+func quantize(net *models.Network, base quant.Recipe) *quant.Handle {
+	return quant.Quantize(net, net.Data, evalx.PaperRecipe(base, net))
+}
+
+// e4m3 quantizes net with the static E4M3 PaperRecipe.
+func e4m3(net *models.Network) *quant.Handle {
+	return quantize(net, quant.StandardFP8(quant.E4M3))
 }
 
 // samples returns up to three of net's batches.
@@ -57,6 +63,10 @@ func samples(net *models.Network) []data.Sample {
 // over three cycles (so chunk reuse and scope release, not just the
 // first forward, are exercised), in FP32 and after calibrating and
 // quantizing both networks with the static E4M3 + SmoothQuant recipe.
+// It then quantizes and runs the planned network with dynamic E4M3 and
+// with INT8, and proves the batch memo's read-only contract: every
+// memoized batch the two networks ran is bit-identical to a fresh
+// generation.
 func TestPlannedForwardBitIdentical(t *testing.T) {
 	for _, name := range models.Names() {
 		name := name
@@ -80,8 +90,29 @@ func TestPlannedForwardBitIdentical(t *testing.T) {
 			}
 			check("fp32")
 			e4m3(ref)
-			e4m3(net)
+			h := e4m3(net)
 			check("e4m3")
+			for _, base := range []quant.Recipe{
+				quant.DynamicFP8(quant.E4M3),
+				quant.StandardINT8(net.Meta.Domain != models.CV),
+			} {
+				h.Release()
+				h = quantize(net, base)
+				for _, s := range ss {
+					net.Run(s)
+				}
+			}
+			for _, n := range []*models.Network{ref, net} {
+				memo, fresh := models.MemoBatches(n)
+				if len(memo) == 0 {
+					t.Fatal("the network ran no memoized batch")
+				}
+				for i, s := range memo {
+					if !models.SampleBitEqual(s, fresh[i]) {
+						t.Fatalf("memoized batch %d differs from a fresh generation: a forward mutated its input", i)
+					}
+				}
+			}
 		})
 	}
 }

@@ -74,25 +74,12 @@ func warmPlanned(n *Network) {
 	WarmBatchNorms(n, warmBatches)
 }
 
-// ClearWarmMemo drops every memoized warm-up, so the next Build of each
-// model warms cold, as in a new process.
-func ClearWarmMemo() {
+// clearWarmMemo drops every memoized warm-up.
+func clearWarmMemo() {
 	warmMemo.Range(func(k, _ any) bool {
 		warmMemo.Delete(k)
 		return true
 	})
-}
-
-// WarmMemoLen reports how many warm-ups are memoized.
-//
-//fp8vet:ignore unused harness's plan tests check that ClearMemo empties the warm-up memo
-func WarmMemoLen() int {
-	n := 0
-	warmMemo.Range(func(_, _ any) bool {
-		n++
-		return true
-	})
-	return n
 }
 
 // WarmBatchNorms replaces n's BatchNorm statistics with the true FP32

@@ -60,13 +60,13 @@ func TestWarmMemoMatchesUnplannedWarm(t *testing.T) {
 	for _, name := range warmMemoModels {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			ClearWarmMemo()
-			t.Cleanup(ClearWarmMemo)
+			ClearMemo()
+			t.Cleanup(ClearMemo)
 			cold, err := Build(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := WarmMemoLen(); n != 1 {
+			if n, _ := MemoLens(); n != 1 {
 				t.Fatalf("cold Build left %d memo entries, want 1", n)
 			}
 			// Build's own path, with a warm-up that must not run.
@@ -101,8 +101,8 @@ func TestWarmMemoMatchesUnplannedWarm(t *testing.T) {
 // bit-identical statistics.
 func TestConcurrentBuildsWarmOnce(t *testing.T) {
 	const name = "cifar_resnet20"
-	ClearWarmMemo()
-	t.Cleanup(ClearWarmMemo)
+	ClearMemo()
+	t.Cleanup(ClearMemo)
 	nets := make([]*Network, 4)
 	var wg sync.WaitGroup
 	for i := range nets {
@@ -121,7 +121,7 @@ func TestConcurrentBuildsWarmOnce(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if n := WarmMemoLen(); n != 1 {
+	if n, _ := MemoLens(); n != 1 {
 		t.Errorf("%d concurrent Builds left %d memo entries, want 1", len(nets), n)
 	}
 	want := bnStats(nets[0])
@@ -136,8 +136,8 @@ func TestConcurrentBuildsWarmOnce(t *testing.T) {
 // and leaves no statistics-less entry behind: the next Build warms anew.
 func TestWarmPanicLeavesNoEntry(t *testing.T) {
 	const name = "cifar_resnet20"
-	ClearWarmMemo()
-	t.Cleanup(ClearWarmMemo)
+	ClearMemo()
+	t.Cleanup(ClearMemo)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -146,7 +146,7 @@ func TestWarmPanicLeavesNoEntry(t *testing.T) {
 		}()
 		warmMemoized(buildRaw(name), func(*Network) { panic("injected warm-up failure") })
 	}()
-	if n := WarmMemoLen(); n != 0 {
+	if n, _ := MemoLens(); n != 0 {
 		t.Fatalf("a panicked warm-up left %d memo entries", n)
 	}
 	net, err := Build(name)

@@ -1,4 +1,7 @@
-package main
+// Package profile writes the pprof profiles behind the commands'
+// -cpuprofile and -memprofile flags. Only commands import it: no cell
+// code can reach it, so profiling never touches a result.
+package profile
 
 import (
 	"fmt"
@@ -8,12 +11,10 @@ import (
 	"sync"
 )
 
-// startProfiles starts the -cpuprofile CPU profile and returns the
-// function that stops it and writes the -memprofile heap profile (each
-// only when its path is set). The stop function is idempotent.
-// Profiling lives in this command only: no cell code can reach it, so
-// it never touches a result.
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+// Start starts the -cpuprofile CPU profile and returns the function
+// that stops it and writes the -memprofile heap profile (each only when
+// its path is set). The stop function is idempotent.
+func Start(cpuPath, memPath string) (stop func(), err error) {
 	var cpu *os.File
 	if cpuPath != "" {
 		if cpu, err = os.Create(cpuPath); err != nil {
