@@ -276,7 +276,8 @@ serve-smoke:
 
 # Short bounded pass over each native fuzz target (the codec oracle
 # equivalence, the fault-plan round trip, read-path/fsck agreement on
-# arbitrary cell-file bytes, and arena scopes against a heap model);
+# arbitrary cell-file bytes, arena scopes against a heap model, and the
+# coordinator's push and lease bodies);
 # run with a larger FUZZTIME locally to dig deeper.
 FUZZTIME ?= 15s
 fuzz:
@@ -285,6 +286,8 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParsePlan -fuzztime=$(FUZZTIME) ./internal/faultline
 	$(GO) test -run=NONE -fuzz=FuzzCellFile -fuzztime=$(FUZZTIME) ./internal/resultstore
 	$(GO) test -run=NONE -fuzz=FuzzArenaScopes -fuzztime=$(FUZZTIME) ./internal/tensor
+	$(GO) test -run=NONE -fuzz=FuzzPushBody -fuzztime=$(FUZZTIME) ./internal/coord
+	$(GO) test -run=NONE -fuzz=FuzzLeaseBody -fuzztime=$(FUZZTIME) ./internal/coord
 
 # Full-suite coverage profile + combined floor check for the
 # floor-governed packages (harness, resultstore, kernels, analyzers,

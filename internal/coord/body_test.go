@@ -1,0 +1,171 @@
+package coord
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"fp8quant/internal/harness"
+	"fp8quant/internal/resultstore"
+)
+
+// sizedBody returns a JSON object {"worker":"aaa..."} of exactly n bytes,
+// so a decoder reads all of it before the object closes.
+func sizedBody(n int) []byte {
+	const open, close = `{"worker":"`, `"}`
+	return []byte(open + strings.Repeat("a", n-len(open)-len(close)) + close)
+}
+
+// TestBodyCap: every endpoint that decodes a request body answers 413
+// to one byte over maxBodyBytes, and a body of exactly maxBodyBytes is
+// decoded as usual.
+func TestBodyCap(t *testing.T) {
+	withHarnessState(t)
+	e, _ := newTestExp("cap")
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t)})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	over := sizedBody(maxBodyBytes + 1)
+	for _, path := range []string{"/v1/lease", "/v1/push", "/v1/workers"} {
+		if code := post(path, over); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body = %d, want 413", path, len(over), code)
+		}
+	}
+	if code := post("/v1/lease", sizedBody(maxBodyBytes)); code != http.StatusOK {
+		t.Errorf("POST /v1/lease with a %d-byte body = %d, want 200", maxBodyBytes, code)
+	}
+}
+
+// fuzzCoord is one fuzz input's coordinator: a fresh store over the
+// 3x2 test grid whose manifest already records the sse tier (cell 0
+// pushed from an sse worker).
+func fuzzCoord(t *testing.T, e testExp) (*Coordinator, *resultstore.Store) {
+	t.Helper()
+	store := openStore(t)
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: store})
+	fp, payload := payloadFor(t, e, 0)
+	if _, code, msg := c.push(PushRequest{Fingerprint: fp, Payload: payload, Computed: true, KernelVariant: "sse"}); code != http.StatusOK {
+		t.Fatalf("seeding push = %d %s", code, msg)
+	}
+	return c, store
+}
+
+// realPush is the push a worker sends for cell idx of e, computed
+// through harness.ComputeCell.
+func realPush(t testing.TB, e testExp, idx int, variant string) []byte {
+	t.Helper()
+	k, r, _ := harness.ComputeCell(e, idx)
+	payload, err := resultstore.EncodeCell(k, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(PushRequest{Worker: "w", Fingerprint: k.Fingerprint(), Payload: payload,
+		Computed: true, DurationMs: 3, KernelVariant: variant})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// serve POSTs body to path through the coordinator's handler and checks
+// the answer is one the protocol defines.
+func serve(t *testing.T, c *Coordinator, path string, body []byte) *httptest.ResponseRecorder {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	switch rec.Code {
+	case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed,
+		http.StatusConflict, http.StatusRequestEntityTooLarge, http.StatusInternalServerError:
+	default:
+		t.Fatalf("POST %s %q answered %d", path, body, rec.Code)
+	}
+	return rec
+}
+
+// FuzzPushBody POSTs arbitrary bytes to /v1/push. The handler must not
+// panic and must answer a protocol status; a 200 for a payload push
+// must leave a cell that loads, and the store must stay fsck-clean.
+func FuzzPushBody(f *testing.F) {
+	withHarnessState(f)
+	e, _ := newTestExp("fuzzpush")
+	valid := realPush(f, e, 1, "sse")
+	f.Add(valid)
+	f.Add([]byte("{}"))
+	f.Add(valid[:len(valid)/2])
+	f.Add(realPush(f, e, 2, "avx2"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c, store := fuzzCoord(t, e)
+		if serve(t, c, "/v1/push", body).Code == http.StatusOK {
+			var req PushRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				t.Fatalf("200 for an undecodable push: %v", err)
+			}
+			if req.Err == "" {
+				k, ok := cellKey(e.spec, req.Fingerprint)
+				if !ok {
+					t.Fatalf("200 for a push to unknown cell %s", req.Fingerprint)
+				}
+				if _, ok := store.LoadCell(k); !ok {
+					t.Fatalf("200 push left cell %s unloadable", req.Fingerprint)
+				}
+			}
+		}
+		rep, err := store.Fsck(resultstore.FsckOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Healthy() {
+			t.Fatalf("push %q left a damaged store: %+v", body, rep.Findings)
+		}
+	})
+}
+
+// FuzzLeaseBody POSTs arbitrary bytes to /v1/lease: no panic, a
+// protocol status, and a 200 that carries a known lease status.
+func FuzzLeaseBody(f *testing.F) {
+	withHarnessState(f)
+	e, _ := newTestExp("fuzzlease")
+	f.Add([]byte(`{"worker":"w"}`))
+	f.Add([]byte("{}"))
+	f.Add([]byte(`{"worker":"w`))
+	f.Add(realPush(f, e, 2, "avx2"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c, _ := fuzzCoord(t, e)
+		rec := serve(t, c, "/v1/lease", body)
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var lr LeaseResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &lr); err != nil {
+			t.Fatalf("200 lease answer %q: %v", rec.Body.Bytes(), err)
+		}
+		switch lr.Status {
+		case StatusLease, StatusWait, StatusDone, StatusDraining:
+		default:
+			t.Fatalf("200 lease answer has status %q", lr.Status)
+		}
+	})
+}
+
+// cellKey finds the key of spec's cell with fingerprint fp.
+func cellKey(spec harness.GridSpec, fp string) (resultstore.CellKey, bool) {
+	for i := 0; i < spec.NumCells(); i++ {
+		if k := spec.CellKey(spec.CellAt(i)); k.Fingerprint() == fp {
+			return k, true
+		}
+	}
+	return resultstore.CellKey{}, false
+}

@@ -327,7 +327,7 @@ func (w *Worker) call(ctx context.Context, path string, req, out interface{}) er
 			lastErr = err // connection refused, reset, timeout: transient
 			continue
 		}
-		respBody, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+		respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 		resp.Body.Close()
 		if err != nil {
 			lastErr = err

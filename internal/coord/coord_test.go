@@ -66,7 +66,7 @@ func newTestExp(id string) (testExp, *atomic.Int64) {
 }
 
 // withHarnessState isolates the process-global harness cache layers.
-func withHarnessState(t *testing.T) {
+func withHarnessState(t testing.TB) {
 	t.Helper()
 	harness.ClearMemo()
 	harness.SetStore(nil)
@@ -107,7 +107,7 @@ func resolveOnly(exps ...harness.Experiment) func(string) (harness.Experiment, b
 }
 
 // payloadFor encodes a cell's store envelope the way a worker would.
-func payloadFor(t *testing.T, e testExp, idx int) (string, []byte) {
+func payloadFor(t testing.TB, e testExp, idx int) (string, []byte) {
 	t.Helper()
 	spec := e.spec
 	c := spec.CellAt(idx)

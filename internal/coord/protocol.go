@@ -19,6 +19,11 @@ package coord
 
 import "encoding/json"
 
+// maxBodyBytes caps the bodies both sides read from the other: the
+// coordinator answers 413 to a request body over it, and workers read
+// at most this much of a lease, push or cell response.
+const maxBodyBytes = 16 << 20
+
 // Lease statuses returned by POST /v1/lease.
 const (
 	// StatusLease carries a granted cell lease.

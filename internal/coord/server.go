@@ -622,6 +622,23 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	_ = enc.Encode(v)
 }
 
+// decodeBody decodes r's JSON body into v, reading at most
+// maxBodyBytes of it. On failure it answers 413 (body over the cap) or
+// 400 (malformed, the message prefixed by what) and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{fmt.Sprintf("%s: body exceeds %d bytes", what, maxBodyBytes)})
+		return false
+	}
+	writeJSON(w, http.StatusBadRequest, errorResponse{what + ": " + err.Error()})
+	return false
+}
+
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if inject(w, "lease") {
 		return
@@ -631,8 +648,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad lease request: " + err.Error()})
+	if !decodeBody(w, r, &req, "bad lease request") {
 		return
 	}
 	writeJSON(w, http.StatusOK, c.lease(req.Worker))
@@ -647,8 +663,7 @@ func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PushRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad push request: " + err.Error()})
+	if !decodeBody(w, r, &req, "bad push request") {
 		return
 	}
 	resp, code, msg := c.push(req)
@@ -668,8 +683,7 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var h WorkerHello
-		if err := json.NewDecoder(r.Body).Decode(&h); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{"bad hello: " + err.Error()})
+		if !decodeBody(w, r, &h, "bad hello") {
 			return
 		}
 		if h.Worker == "" {

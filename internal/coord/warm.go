@@ -95,7 +95,7 @@ func fetchCell(ctx context.Context, client *http.Client, base, fp string) ([]byt
 		return nil, false, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	if err != nil {
 		return nil, false, err
 	}

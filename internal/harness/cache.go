@@ -93,18 +93,7 @@ func lookupCell(k resultstore.CellKey) (evalx.Result, bool) {
 // layer — the provenance signal: only fresh cells carry the current
 // kernel variant's bits into the store.
 func cachedCellFresh(k resultstore.CellKey, compute func() evalx.Result) (evalx.Result, bool) {
-	fp := k.Fingerprint()
-	cacheMu.Lock()
-	r, ok := memo[fp]
-	s := store
-	cacheMu.Unlock()
-	if ok {
-		return r, false
-	}
-	if r, ok := s.LoadCell(k); ok {
-		cacheMu.Lock()
-		memo[fp] = r
-		cacheMu.Unlock()
+	if r, ok := lookupCell(k); ok {
 		return r, false
 	}
 	// A compute-side failpoint for chaos runs: delay and crash rules act
@@ -113,11 +102,11 @@ func cachedCellFresh(k resultstore.CellKey, compute func() evalx.Result) (evalx.
 	// may slow, kill or un-persist a cell, never change its value (and
 	// the coordinator treats reported cell failures as permanent).
 	_ = faultline.Hit("harness.cell.compute")
-	r = compute()
+	r := compute()
 	if r.Err == "" {
 		err := faultline.Hit("harness.cell.persist")
 		if err == nil {
-			err = s.SaveCell(k, r)
+			err = Store().SaveCell(k, r)
 		}
 		if err != nil {
 			// A failed persist (full/unwritable cache dir) must not go
@@ -126,7 +115,7 @@ func cachedCellFresh(k resultstore.CellKey, compute func() evalx.Result) (evalx.
 		}
 	}
 	cacheMu.Lock()
-	memo[fp] = r
+	memo[k.Fingerprint()] = r
 	cacheMu.Unlock()
 	return r, true
 }

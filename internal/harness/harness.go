@@ -149,11 +149,4 @@ func (t *table) String() string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func pct(x float64) string { return fmt.Sprintf("%.2f%%", x) }

@@ -83,7 +83,7 @@ func BenchmarkBatchMatMul(b *testing.B) {
 			b.SetBytes(int64((a.Len() + bm.Len() + tc.b1*tc.m*tc.n) * 4))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = batchMatMul(nil, a, bm, tc.transB, nil)
+				_ = batchMatMul(nil, a, bm, tc.transB)
 			}
 		})
 	}

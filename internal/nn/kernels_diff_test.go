@@ -255,7 +255,7 @@ func TestBatchMatMulMatchesOracle(t *testing.T) {
 		b := tensor.New(tc.bShape...)
 		fillTensor(a, rng, 1)
 		fillTensor(b, rng, 0.5)
-		got := batchMatMul(nil, a, b, tc.transB, nil)
+		got := batchMatMul(nil, a, b, tc.transB)
 		want := batchMatMulOracle(a, b, tc.transB)
 		requireBitsEqual(t, got.Data, want,
 			fmt.Sprintf("BatchMatMul %v x %v transB=%v", tc.aShape, tc.bShape, tc.transB))
@@ -285,7 +285,7 @@ func TestLayerKernelsDeterministicAcrossWorkers(t *testing.T) {
 		return result{
 			lin:  l.Forward(nil, xl).Data,
 			conv: cv.Forward(nil, xc).Data,
-			bmm:  batchMatMul(nil, ba, bb, false, nil).Data,
+			bmm:  batchMatMul(nil, ba, bb, false).Data,
 		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

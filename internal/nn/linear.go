@@ -79,26 +79,15 @@ func (m *BatchMatMulOp) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 }
 
 // Apply performs the batched multiply of x by y (or yᵀ when
-// TransposeB), carving from a, after the operands' input hooks. The y
-// operand is the one the GEMM packs into panels, so when its QState
-// carries a fused quantizer the fake-quant folds into packing — no
-// quantized copy of y is materialized, and the result is bit-identical
-// to the copy path by the RowQuantFactory contract.
+// TransposeB), carving from a, after the operands' input hooks.
 func (m *BatchMatMulOp) Apply(a *tensor.Arena, x, y *tensor.Tensor) *tensor.Tensor {
-	x = m.QA.applyIn(a, x)
-	if q := m.QB.fusedQuant(y); q != nil {
-		return batchMatMul(a, x, y, m.TransposeB, q)
-	}
-	return batchMatMul(a, x, m.QB.applyIn(a, y), m.TransposeB, nil)
+	return batchMatMul(a, m.QA.applyIn(a, x), m.QB.applyIn(a, y), m.TransposeB)
 }
 
 // batchMatMul multiplies batched matrices: x is [batch..., M, K] and y
 // is [batch..., K, N] (or [batch..., N, K] when transB); leading batch
-// dims must match exactly. A non-nil q is a chunkable fake-quantizer
-// (whole-tensor statistics already bound, see QState.fusedQuant)
-// applied to y during panel packing — the fused form of
-// quantize-y-then-multiply, byte-identical to it.
-func batchMatMul(a *tensor.Arena, x, y *tensor.Tensor, transB bool, q kernels.QuantFunc) *tensor.Tensor {
+// dims must match exactly.
+func batchMatMul(a *tensor.Arena, x, y *tensor.Tensor, transB bool) *tensor.Tensor {
 	if x.Rank() < 2 || y.Rank() < 2 {
 		panic("nn: BatchMatMul needs rank >= 2")
 	}
@@ -120,7 +109,7 @@ func batchMatMul(a *tensor.Arena, x, y *tensor.Tensor, transB bool, q kernels.Qu
 		panic(fmt.Sprintf("nn: BatchMatMul batch mismatch: %v x %v", x.Shape, y.Shape))
 	}
 	out := newLike2(a, x, M, N)
-	m := bmm{out: out.Data, x: x.Data, y: y.Data, M: M, K: K, N: N, transB: transB, q: q}
+	m := bmm{out: out.Data, x: x.Data, y: y.Data, M: M, K: K, N: N, transB: transB}
 	// Planned forwards and single matrices run the batch loop inline
 	// (the GEMM itself fans out over rows when unplanned); unplanned
 	// batches fan out over batch elements, one panel per chunk.
@@ -137,35 +126,23 @@ type bmm struct {
 	out, x, y []float32
 	M, K, N   int
 	transB    bool
-	q         kernels.QuantFunc
 }
 
-// run multiplies batch elements [lo, hi) through one panel (plus the
-// fused quantizer's stage) from scratch. Both layouts route through the
-// packed GEMM; per output element the accumulation stays ascending-k,
-// matching the matmulT (transB) and k-outer (natural) oracles bit for
-// bit.
+// run multiplies batch elements [lo, hi) through one panel from
+// scratch. Both layouts route through the packed GEMM; per output
+// element the accumulation stays ascending-k, matching the matmulT
+// (transB) and k-outer (natural) oracles bit for bit.
 func (m bmm) run(a *tensor.Arena, lo, hi int, serial bool) {
 	M, K, N := m.M, m.K, m.N
-	np, ns := kernels.PanelFloats(K, N), 0
-	if m.q != nil {
-		ns = kernels.QuantStageFloats(K, N)
-	}
-	buf, pooled := scratch(a, np+ns)
+	panel, pooled := scratch(a, kernels.PanelFloats(K, N))
 	defer kernels.PutScratch(pooled)
-	panel, stage := buf[:np], buf[np:]
 	for bi := lo; bi < hi; bi++ {
 		ym := m.y[bi*K*N : (bi+1)*K*N]
 		// Repacking overwrites the panel fully (including the zero
 		// tail), so reuse across batch elements is exact.
-		switch {
-		case m.q != nil && m.transB:
-			kernels.PackTQuantInto(panel, stage, ym, K, N, m.q)
-		case m.q != nil:
-			kernels.PackNQuantInto(panel, stage, ym, K, N, m.q)
-		case m.transB:
+		if m.transB {
 			kernels.PackTInto(panel, ym, K, N)
-		default:
+		} else {
 			kernels.PackNInto(panel, ym, K, N)
 		}
 		kernels.GemmPacked(m.out[bi*M*N:(bi+1)*M*N], m.x[bi*M*K:(bi+1)*M*K], panel, M, K, N,

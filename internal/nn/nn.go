@@ -29,17 +29,6 @@ import (
 // QuantFunc means "keep FP32".
 type QuantFunc func(dst, src []float32)
 
-// RowQuantFactory builds a chunkable fake-quant function for one
-// concrete tensor: it is called once per forward with the tensor's full
-// backing slice, binds any whole-tensor statistics there (a dynamic
-// recipe's absmax scale), and returns an elementwise-pure QuantFunc the
-// GEMM kernels may apply to arbitrary sub-slices during panel packing
-// (see kernels.PackTQuantInto). The returned func applied chunk by
-// chunk must produce exactly the bytes of the module's Input hook
-// applied to the whole slice — that equivalence is what lets the fused
-// path skip the quantized intermediate copy without perturbing results.
-type RowQuantFactory func(src []float32) QuantFunc
-
 // ObserveFunc records activation values during calibration runs.
 type ObserveFunc func(values []float32)
 
@@ -48,14 +37,6 @@ type ObserveFunc func(values []float32)
 type QState struct {
 	// Input fake-quantizes the input activation before compute.
 	Input QuantFunc
-	// InputFused, when set alongside Input, is the fused-packing form
-	// of the same quantization: matmul operands that feed straight into
-	// a packed GEMM quantize during panel packing instead of
-	// materializing a quantized copy. It must be bit-equivalent to
-	// Input (see RowQuantFactory); position-dependent transforms (e.g.
-	// SmoothQuant's per-column divisors) cannot be expressed here and
-	// leave it nil.
-	InputFused RowQuantFactory
 	// Output fake-quantizes the module output (used by the extended
 	// scheme for memory-bound ops like LayerNorm whose value is the
 	// output tensor itself).
@@ -79,21 +60,6 @@ func (q *QState) applyIn(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	out := a.New(x.Shape...)
 	q.Input(out.Data, x.Data)
 	return out
-}
-
-// fusedQuant runs the calibration hook on x and returns the chunkable
-// quantizer for fusing x's fake-quant into GEMM panel packing, or nil
-// when the operand must go through applyIn instead (no quantization,
-// or no fused form of it). The non-nil return has already bound any
-// whole-tensor statistics over x, so callers apply it only to x's data.
-func (q *QState) fusedQuant(x *tensor.Tensor) kernels.QuantFunc {
-	if q.Input == nil || q.InputFused == nil {
-		return nil
-	}
-	if q.Observe != nil {
-		q.Observe(x.Data)
-	}
-	return kernels.QuantFunc(q.InputFused(x.Data))
 }
 
 // applyOut runs the output-side hooks in place on y and returns it.

@@ -385,7 +385,7 @@ func TestSlidingWindowAttention(t *testing.T) {
 func TestBatchMatMul(t *testing.T) {
 	a := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
 	b := tensor.FromSlice([]float32{5, 6, 7, 8}, 1, 2, 2)
-	y := batchMatMul(nil, a, b, false, nil)
+	y := batchMatMul(nil, a, b, false)
 	want := []float32{19, 22, 43, 50}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -393,7 +393,7 @@ func TestBatchMatMul(t *testing.T) {
 		}
 	}
 	// transB: a · bᵀ
-	y = batchMatMul(nil, a, b, true, nil)
+	y = batchMatMul(nil, a, b, true)
 	want = []float32{17, 23, 39, 53}
 	for i := range want {
 		if y.Data[i] != want[i] {

@@ -35,10 +35,7 @@ func DirectFP8Func(f fp8.Format) nn.QuantFunc {
 }
 
 // sliceAbsMax is the absmax reduction every dynamic quantizer scales
-// by. The fused factories (ActQuantFused) bind their whole-tensor
-// scale through this same function so fused and unfused paths derive
-// bit-identical scales (max is order-independent; NaN compares false
-// and is skipped in both).
+// by (NaN compares false and is skipped).
 func sliceAbsMax(src []float32) float64 {
 	am := 0.0
 	for _, v := range src {
@@ -106,59 +103,6 @@ func ActQuantFunc(r Recipe, threshold, min, max float64) nn.QuantFunc {
 		return DynamicFP8Func(r.Act.Format())
 	default:
 		return StaticFP8Func(r.Act.Format(), threshold)
-	}
-}
-
-// ActQuantFused builds the fused-packing form of ActQuantFunc: a
-// factory the nn layer calls once per forward with the operand's full
-// data, returning a chunkable elementwise quantizer the GEMM kernels
-// apply during panel packing. Static and direct recipes are already
-// elementwise, so the factory ignores src and returns the constant
-// function; dynamic recipes bind the whole-tensor absmax scale in the
-// factory (through the same sliceAbsMax reduction and codec kernels as
-// the unfused funcs), after which the remaining per-element map is
-// chunkable. Every returned func applied chunk by chunk writes exactly
-// the bytes ActQuantFunc's func writes over the whole slice — the
-// fp8.Codec slice kernels are strictly elementwise, and their
-// length-dependent fast paths (rescaleMin, quantBatch4 lanes) are
-// pinned bit-identical to the per-element reference.
-func ActQuantFused(r Recipe, threshold, min, max float64) nn.RowQuantFactory {
-	switch {
-	case r.Act == FP32:
-		return nil
-	case r.Act == INT8:
-		if r.Approach == Dynamic {
-			return func(src []float32) nn.QuantFunc {
-				q := fp8.NewInt8Symmetric(sliceAbsMax(src))
-				return func(dst, src []float32) {
-					for i, v := range src {
-						dst[i] = float32(q.Quantize(float64(v)))
-					}
-				}
-			}
-		}
-		fn := StaticInt8Func(min, max)
-		return func([]float32) nn.QuantFunc { return fn }
-	case r.Approach == Direct:
-		fn := DirectFP8Func(r.Act.Format())
-		return func([]float32) nn.QuantFunc { return fn }
-	case r.Approach == Dynamic:
-		f := r.Act.Format()
-		c := f.Codec()
-		return func(src []float32) nn.QuantFunc {
-			am := sliceAbsMax(src)
-			if am == 0 {
-				return func(dst, src []float32) { copy(dst, src) }
-			}
-			scale := float32(f.MaxValue() / am)
-			inv := 1 / scale
-			return func(dst, src []float32) {
-				c.QuantizeScaledSlice(dst, src, scale, inv)
-			}
-		}
-	default:
-		fn := StaticFP8Func(r.Act.Format(), threshold)
-		return func([]float32) nn.QuantFunc { return fn }
 	}
 }
 

@@ -352,20 +352,13 @@ func (t *target) convert(r Recipe, h *Handle) {
 	if fn == nil {
 		return
 	}
-	// The fused-packing form rides along on input sites; SmoothQuant's
-	// per-column divisors are position-dependent (i%in over the flat
-	// slice), which the chunkable contract cannot express, so smoothed
-	// sites stay on the copy path.
-	fused := ActQuantFused(r, threshold, mn, mx)
 	if t.smooth != nil {
 		fn = composeSmooth(t.smooth, fn)
-		fused = nil
 	}
 	if t.output {
 		t.qs.Output = fn
 	} else {
 		t.qs.Input = fn
-		t.qs.InputFused = fused
 	}
 	h.Report.QuantizedOps[t.kind]++
 }

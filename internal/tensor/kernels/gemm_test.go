@@ -32,14 +32,6 @@ func gemmPacked(pack packFunc, y, x, b []float32, rows, in, out int, opt Opt) {
 	GemmPacked(y, x, *panel, rows, in, out, opt)
 }
 
-// quantPack is the fused-quant form of a layout: b is quantized through
-// q while it is packed.
-func quantPack(pack func(panel, stage, b []float32, in, out int, q QuantFunc), q QuantFunc) packFunc {
-	return func(panel, b []float32, in, out int) {
-		pack(panel, make([]float32, QuantStageFloats(in, out)), b, in, out, q)
-	}
-}
-
 // gemmTRef is the scalar oracle for a PackTInto GEMM: the exact naive
 // loop the kernels must match bit for bit (single accumulator,
 // ascending k, the variant's multiply-accumulate).

@@ -155,77 +155,3 @@ func TestFmaRefExactlyRounded(t *testing.T) {
 		}
 	}
 }
-
-// truncQuant is a hand-rolled elementwise quantizer for the fused-pack
-// differentials: snap to a coarse grid, chunk-independent by
-// construction.
-func truncQuant(dst, src []float32) {
-	for i, v := range src {
-		dst[i] = float32(math.Trunc(float64(v)*8) / 8)
-	}
-}
-
-// TestPackQuantMatchesUnfused: the fused quantize-while-packing paths
-// must write byte-identical panels to the unfused quantize-whole-slice
-// then pack expression, for both layouts and ragged widths.
-func TestPackQuantMatchesUnfused(t *testing.T) {
-	rng := tensor.NewRNG(0x51)
-	for _, s := range []struct{ in, out int }{{1, 1}, {5, 3}, {16, 8}, {17, 29}, {64, 130}} {
-		w := make([]float32, s.in*s.out)
-		fillMixed(w, rng)
-		qw := make([]float32, len(w))
-		truncQuant(qw, w)
-		n := PanelFloats(s.in, s.out)
-		stage := make([]float32, QuantStageFloats(s.in, s.out))
-
-		want := make([]float32, n)
-		got := make([]float32, n)
-		PackTInto(want, qw, s.in, s.out)
-		PackTQuantInto(got, stage, w, s.in, s.out, truncQuant)
-		if !bitsEqual(got, want) {
-			t.Errorf("PackTQuantInto %dx%d diverges from quantize-then-pack", s.in, s.out)
-			firstDiff(t, got, want)
-		}
-
-		PackNInto(want, qw, s.in, s.out)
-		PackNQuantInto(got, stage, w, s.in, s.out, truncQuant)
-		if !bitsEqual(got, want) {
-			t.Errorf("PackNQuantInto %dx%d diverges from quantize-then-pack", s.in, s.out)
-			firstDiff(t, got, want)
-		}
-	}
-}
-
-// TestGemmQuantMatchesUnfused: GEMMs over fused-quant panels must
-// produce the bytes of quantize-then-pack GEMMs, for every variant.
-func TestGemmQuantMatchesUnfused(t *testing.T) {
-	forEachVariant(t, func(t *testing.T, v Variant) {
-		rng := tensor.NewRNG(0x52)
-		rows, in, out := 13, 37, 21
-		x := make([]float32, rows*in)
-		w := make([]float32, in*out)
-		bias := make([]float32, out)
-		fillMixed(x, rng)
-		fillMixed(w, rng)
-		fillMixed(bias, rng)
-		qw := make([]float32, len(w))
-		truncQuant(qw, w)
-		opt := Opt{Bias: bias}
-		got := make([]float32, rows*out)
-		want := make([]float32, rows*out)
-
-		gemmPacked(quantPack(PackTQuantInto, truncQuant), got, x, w, rows, in, out, opt)
-		gemmPacked(PackTInto, want, x, qw, rows, in, out, opt)
-		if !bitsEqual(got, want) {
-			t.Error("PackTQuantInto GEMM diverges from quantize-then-PackTInto")
-			firstDiff(t, got, want)
-		}
-
-		gemmPacked(quantPack(PackNQuantInto, truncQuant), got, x, w, rows, in, out, opt)
-		gemmPacked(PackNInto, want, x, qw, rows, in, out, opt)
-		if !bitsEqual(got, want) {
-			t.Error("PackNQuantInto GEMM diverges from quantize-then-PackNInto")
-			firstDiff(t, got, want)
-		}
-	})
-}
