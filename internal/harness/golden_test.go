@@ -20,13 +20,24 @@ import (
 // golden test pins.
 var goldenReports = []string{"fig1", "fig3", "fig8", "fig10", "ablation-wgt", "ablation-calib"}
 
-// goldenCells are fig9 cells whose store payloads the golden test pins:
-// the extended-ops BERT cells, whose BatchMatMul operands are
-// fake-quantized and whose losses are nonzero.
-var goldenCells = []string{
-	"NLP/E5M2/alt/bert_base_stsb",
-	"NLP/E4M3/alt/bert_base_stsb",
-	"NLP/E3M4/alt/bert_base_stsb",
+// goldenCells are the grid cells whose store payloads the golden test
+// pins, one or more from each model×recipe grid, named by experiment
+// and by the cell's axis values joined with "/". Every one has a
+// nonzero loss, so it pins the quantized path: the fig9 extended-ops
+// BERT cells fake-quantize BatchMatMul operands, and the
+// efficientnet_b0 cells run both the BatchNorm warm-up and BatchNorm
+// calibration.
+var goldenCells = []struct{ exp, cell string }{
+	{"fig9", "NLP/E5M2/alt/bert_base_stsb"},
+	{"fig9", "NLP/E4M3/alt/bert_base_stsb"},
+	{"fig9", "NLP/E3M4/alt/bert_base_stsb"},
+	{"fig9", "CV/E4M3/alt/efficientnet_b0"},
+	{"table2", "efficientnet_b0/E4M3 Static"},
+	{"table3", "bert_base_stsb/E3M4"},
+	{"table5", "bert_base_mrpc/Mixed"},
+	{"table6", "bert_base_mrpc/Static"},
+	{"fig7", "efficientnet_b0/100 Samples + Training"},
+	{"firstlast", "E3M4/first/last/efficientnet_b0"},
 }
 
 // TestGoldenDigests recomputes, under every kernel variant the host
@@ -81,43 +92,48 @@ func TestGoldenDigests(t *testing.T) {
 }
 
 // goldenDigests computes the digest of every pinned output under the
-// active variant, keyed "report/<id>" and "fig9/<config>".
+// active variant, keyed "report/<id>" and "<experiment>/<cell>".
 func goldenDigests(t *testing.T) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	for _, id := range goldenReports {
-		e, ok := Get(id)
-		if !ok {
-			t.Fatalf("experiment %s not registered", id)
-		}
-		out["report/"+id] = digest([]byte(reportBytes(Run(e))))
+		out["report/"+id] = digest([]byte(reportBytes(Run(goldenExp(t, id)))))
 	}
-	e, _ := Get("fig9")
-	configs := e.Spec().Axes[0].Values
-	for _, cfg := range goldenCells {
+	for _, gc := range goldenCells {
+		e := goldenExp(t, gc.exp)
+		spec := e.Spec()
 		idx := -1
-		for i, v := range configs {
-			if v == cfg {
+		for i := 0; i < spec.NumCells(); i++ {
+			if strings.Join(spec.CellAt(i).Values, "/") == gc.cell {
 				idx = i
 			}
 		}
 		if idx < 0 {
-			t.Fatalf("fig9 has no cell %s", cfg)
+			t.Fatalf("%s has no cell %s", gc.exp, gc.cell)
 		}
 		k, r, _ := ComputeCell(e, idx)
 		if r.Err != "" {
-			t.Fatalf("fig9 %s: %s", cfg, r.Err)
+			t.Fatalf("%s %s: %s", gc.exp, gc.cell, r.Err)
 		}
 		if r.RelLoss == 0 {
-			t.Errorf("fig9 %s: zero loss pins nothing about the quantized path", cfg)
+			t.Errorf("%s %s: zero loss pins nothing about the quantized path", gc.exp, gc.cell)
 		}
 		payload, err := resultstore.EncodeCell(k, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out["fig9/"+cfg] = digest(payload)
+		out[gc.exp+"/"+gc.cell] = digest(payload)
 	}
 	return out
+}
+
+func goldenExp(t *testing.T, id string) Experiment {
+	t.Helper()
+	e, ok := Get(id)
+	if !ok {
+		t.Fatalf("experiment %s not registered", id)
+	}
+	return e
 }
 
 // reportBytes serializes a report: its text, then its values in key
