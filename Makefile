@@ -26,19 +26,22 @@ vet:
 vet-contracts:
 	$(GO) run ./cmd/fp8vet ./...
 
-# Fused multiply-add audit: cross-compile internal/nn for arm64 with the
-# assembly listing and fail on any fused multiply-add inside an nn
-# symbol. amd64 emits none, so one there would let arm64 layer outputs
-# round differently. A listing with no nn symbol fails too, so the
-# check cannot pass vacuously.
+# Fused multiply-add audit: cross-compile internal/nn, internal/quant
+# and internal/evalx for arm64 with the assembly listing and fail on any
+# fused multiply-add inside one of their symbols. amd64 emits none, so
+# one there would let arm64 layer outputs, calibration thresholds or
+# report statistics round differently. A listing without a symbol of
+# one of the packages fails too, so the check cannot pass vacuously.
 fma-audit:
-	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
-	GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn 2> "$$out" || { cat "$$out"; exit 1; }; \
-	awk '/ STEXT / { sym = $$1; nn = sym ~ /^fp8quant\/internal\/nn\./; seen += nn } \
-		nn && /\tFN?M(ADD|SUB)[SD]\t/ { print "fma-audit: fused op in " sym ":" $$0; bad++ } \
-		END { if (!seen) { print "fma-audit: no nn. symbol in the arm64 listing"; exit 1 } \
+	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; pkgs="nn quant evalx"; \
+	GOARCH=arm64 $(GO) build -gcflags=-S $$(for p in $$pkgs; do echo ./internal/$$p; done) 2> "$$out" || { cat "$$out"; exit 1; }; \
+	awk -v pkgs="$$pkgs" ' \
+		BEGIN { n = split(pkgs, p, " "); for (i = 1; i <= n; i++) audited["fp8quant/internal/" p[i]] = 1 } \
+		/ STEXT / { sym = $$1; pkg = sym; sub(/\.[^\/]*$$/, "", pkg); in_pkg = pkg in audited; if (in_pkg) { seen[pkg]++; total++ } } \
+		in_pkg && /\tFN?M(ADD|SUB)[SD]\t/ { print "fma-audit: fused op in " sym ":" $$0; bad++ } \
+		END { for (d in audited) if (!seen[d]) { print "fma-audit: no " d " symbol in the arm64 listing"; bad++ } \
 			if (bad) exit 1; \
-			printf "fma-audit: %d nn symbols, no fused multiply-add (arm64)\n", seen }' "$$out"
+			printf "fma-audit: %d symbols in %d packages, no fused multiply-add (arm64)\n", total, n }' "$$out"
 
 # Allocation audit: escape analysis (-gcflags=-m) of the packages a
 # sweep cell runs through must report no "... argument escapes to

@@ -79,15 +79,14 @@ type Reference struct {
 func ComputeReference(net *models.Network) Reference {
 	var ref Reference
 	var margins []float32
-	for b := EvalStart; b < EvalEnd; b++ {
-		out := net.Run(net.Data.Batch(b))
+	runEvalSplit(net, func(out *tensor.Tensor) {
 		if net.Eval == models.Argmax {
 			ref.Labels = append(ref.Labels, data.ArgmaxRows(out)...)
 			margins = append(margins, rowMargins(out)...)
 		} else {
 			ref.Scores = append(ref.Scores, out.Data...)
 		}
-	}
+	})
 	if len(margins) > 0 {
 		thr := tensor.Percentile(margins, MarginKeepPct)
 		ref.Keep = make([]bool, len(margins))
@@ -96,6 +95,14 @@ func ComputeReference(net *models.Network) Reference {
 		}
 	}
 	return ref
+}
+
+// runEvalSplit runs the eval split [EvalStart, EvalEnd) through net in
+// batch order, handing each batch's output to f.
+func runEvalSplit(net *models.Network, f func(out *tensor.Tensor)) {
+	for b := EvalStart; b < EvalEnd; b++ {
+		f(net.Run(net.Data.Batch(b)))
+	}
 }
 
 // rowMargins returns the top1-top2 logit gap per row of [rows, C].
@@ -127,10 +134,7 @@ func rowMargins(t *tensor.Tensor) []float32 {
 func AccuracyAgainst(net *models.Network, ref Reference) float64 {
 	if net.Eval == models.Argmax {
 		var preds []int
-		for b := EvalStart; b < EvalEnd; b++ {
-			out := net.Run(net.Data.Batch(b))
-			preds = append(preds, data.ArgmaxRows(out)...)
-		}
+		runEvalSplit(net, func(out *tensor.Tensor) { preds = append(preds, data.ArgmaxRows(out)...) })
 		kept, hit := 0, 0
 		for i := range preds {
 			if ref.Keep != nil && !ref.Keep[i] {
@@ -147,10 +151,7 @@ func AccuracyAgainst(net *models.Network, ref Reference) float64 {
 		return float64(hit) / float64(kept)
 	}
 	var scores []float32
-	for b := EvalStart; b < EvalEnd; b++ {
-		out := net.Run(net.Data.Batch(b))
-		scores = append(scores, out.Data...)
-	}
+	runEvalSplit(net, func(out *tensor.Tensor) { scores = append(scores, out.Data...) })
 	a := make([]float64, len(scores))
 	bb := make([]float64, len(scores))
 	for i := range scores {
@@ -270,7 +271,7 @@ func ComputeLossStats(losses []float64) LossStats {
 	mn, mx := losses[0], losses[0]
 	for _, v := range losses {
 		s += v
-		s2 += v * v
+		s2 += float64(v * v)
 		if v < mn {
 			mn = v
 		}
@@ -280,7 +281,7 @@ func ComputeLossStats(losses []float64) LossStats {
 	}
 	n := float64(len(losses))
 	mean := s / n
-	va := s2/n - mean*mean
+	va := s2/n - float64(mean*mean)
 	if va < 0 {
 		va = 0
 	}

@@ -11,28 +11,111 @@ import (
 )
 
 func init() {
+	sweepSpec, runSweepCell := recipeGrid("table2-sweep", models.Names(), sweepRecipes)
+	table3Spec, runTable3Cell := recipeGrid("table3", table3Models, table3Recipes)
+	table5Spec, runTable5Cell := recipeGrid("table5", table5Models, table5Recipes)
 	registerGrid("table2", "Table 2: workload pass rate", sweepSpec, runSweepCell, renderTable2)
 	registerGrid("fig4", "Figure 4: accuracy-loss variability CV vs NLP", sweepSpec, runSweepCell, renderFig4)
-	registerGrid("table3", "Table 3: representative model accuracy", table3Spec, runTable3Cell, renderTable3)
+	registerGrid("table3", "Table 3: representative model accuracy", table3Spec, runTable3Cell, renderAccuracyTable(
+		"Table 3 reproduction: teacher-is-truth accuracy of representative models\n"+
+			"(FP32 reference accuracy is 1.0 by construction; paper reports task metrics)."))
 	registerGrid("fig5", "Figure 5: accuracy loss by model size", sweepSpec, runSweepCell, renderFig5)
 	registerGrid("fig7", "Figure 7: BatchNorm calibration sample size and transform", fig7Spec, runFig7Cell, renderFig7)
-	registerGrid("table5", "Table 5: single vs mixed FP8 formats", table5Spec, runTable5Cell, renderTable5)
+	registerGrid("table5", "Table 5: single vs mixed FP8 formats", table5Spec, runTable5Cell, renderAccuracyTable(
+		"Table 5 reproduction: single vs mixed FP8 formats (E4M3 activations +\n"+
+			"E3M4 weights) on the paper's mixed-format study models."))
 	registerGrid("table6", "Table 6: static vs dynamic quantization", table6Spec, runTable6Cell, renderTable6)
 	registerGrid("fig9", "Figure 9: extended quantization recipes", fig9Spec, runFig9Cell, renderFig9)
 	registerGrid("firstlast", "Section 4.3.1: quantizing first and last operators", firstLastSpec, runFirstLastCell, renderFirstLast)
 }
 
+// ---- the model cell ----
+
+// withModelCell runs the steps every model cell shares: it builds the
+// named model, installs an execution plan, takes the model's FP32
+// reference and hands the network and reference to eval. A model that
+// fails to build yields a Failed result under label.
+func withModelCell(name, label string, eval func(*models.Network, evalx.Reference) evalx.Result) evalx.Result {
+	net, err := models.Build(name)
+	if err != nil {
+		return evalx.Failed(name, label, err)
+	}
+	defer withPlan(net)()
+	return eval(net, modelRef(name, net))
+}
+
+// evalModelCell evaluates the named model under recipe(net), with the
+// paper's per-domain settings, against its FP32 reference.
+func evalModelCell(name, label string, recipe func(*models.Network) quant.Recipe) evalx.Result {
+	return withModelCell(name, label, func(net *models.Network, ref evalx.Reference) evalx.Result {
+		return evalx.EvaluateWithRef(net, recipe(net), true, ref)
+	})
+}
+
+// recipeColumn is one recipe column of a model×recipe grid. Its label
+// becomes part of the persisted cell identity, so label and recipe
+// live in one value and can never be reordered independently.
+type recipeColumn struct {
+	label  string
+	recipe func(*models.Network) quant.Recipe
+}
+
+// recipeGrid declares the model×recipe grid id over the named models
+// and the recipe columns cols, and returns its spec and cell runner.
+func recipeGrid(id string, names []string, cols []recipeColumn) (func() GridSpec, func(Cell) evalx.Result) {
+	labels := make([]string, len(cols))
+	for i, c := range cols {
+		labels[i] = c.label
+	}
+	spec := func() GridSpec {
+		return GridSpec{ID: id, Axes: []Axis{
+			{Name: "model", Values: names},
+			{Name: "recipe", Values: labels},
+		}}
+	}
+	cell := func(c Cell) evalx.Result {
+		return evalModelCell(c.Values[0], c.Values[1], cols[c.Coords[1]].recipe)
+	}
+	return spec, cell
+}
+
+// renderAccuracyTable renders a model×recipe accuracy grid (Tables 3
+// and 5): one row per fully evaluated model, with each column's
+// quantized accuracy, under the caption text.
+func renderAccuracyTable(text string) func(*Grid) *Report {
+	return func(g *Grid) *Report {
+		labels := g.Spec.Axes[1].Values
+		tb := newTable(append([]string{"Model", "Task", "FP32"}, labels...)...)
+		vals := map[string]float64{}
+	rows:
+		for mi, name := range g.Spec.Axes[0].Values {
+			info, _ := models.InfoFor(name)
+			row := []string{name, info.Task, "1.0000"}
+			for ri := range labels {
+				r := g.At(mi, ri)
+				if r.Err != "" {
+					continue rows
+				}
+				row = append(row, fmt.Sprintf("%.4f", r.QAcc))
+			}
+			tb.add(row...)
+			for ri, label := range labels {
+				vals[name+"_"+label] = g.At(mi, ri).QAcc
+			}
+		}
+		return &Report{Text: text + "\n\n" + tb.String(), Values: vals}
+	}
+}
+
 // ---- the shared Table-2 sweep grid (table2, fig4, fig5) ----
 
-// sweepRecipes pairs each Table 2 column label with its recipe
-// constructor in one slice — the label becomes part of the persisted
-// cell identity, so label and recipe must be impossible to reorder
-// independently. The INT8 column follows the paper: static on CV,
-// dynamic on NLP-like workloads.
-var sweepRecipes = []struct {
-	label  string
-	recipe func(net *models.Network) quant.Recipe
-}{
+// sweepRecipes are the Table 2 columns. table2, fig4 and fig5 all
+// declare the "table2-sweep" grid over every zoo model: because the
+// grid id and axes are identical, the three experiments share memoized
+// and persisted cells. Model weights derive from per-name seeds, so
+// the experiment-level seed is constant. The INT8 column follows the
+// paper: static on CV, dynamic on NLP-like workloads.
+var sweepRecipes = []recipeColumn{
 	{"E5M2 Direct", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E5M2) }},
 	{"E4M3 Static", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E4M3) }},
 	{"E4M3 Dynamic", func(*models.Network) quant.Recipe { return quant.DynamicFP8(quant.E4M3) }},
@@ -41,45 +124,6 @@ var sweepRecipes = []struct {
 	{"INT8 Static CV | Dynamic NLP", func(net *models.Network) quant.Recipe {
 		return quant.StandardINT8(net.Meta.Domain != models.CV)
 	}},
-}
-
-var table2Labels = recipeLabels(sweepRecipes)
-
-// recipeLabels projects the label column of a label+constructor slice.
-func recipeLabels(rs []struct {
-	label  string
-	recipe func(net *models.Network) quant.Recipe
-}) []string {
-	out := make([]string, len(rs))
-	for i, r := range rs {
-		out[i] = r.label
-	}
-	return out
-}
-
-// sweepSpec is the all-model sweep grid that table2, fig4 and fig5 all
-// declare: because the grid id and axes are identical, the three
-// experiments share memoized and persisted cells. Model weights derive
-// from per-name seeds, so the experiment-level seed is constant.
-func sweepSpec() GridSpec {
-	return GridSpec{
-		ID: "table2-sweep",
-		Axes: []Axis{
-			{Name: "model", Values: models.Names()},
-			{Name: "recipe", Values: table2Labels},
-		},
-	}
-}
-
-// runSweepCell evaluates one (model, recipe) cell of the sweep.
-func runSweepCell(c Cell) evalx.Result {
-	name, ri := c.Values[0], c.Coords[1]
-	net, err := models.Build(name)
-	if err != nil {
-		return evalx.Failed(name, c.Values[1], err)
-	}
-	defer withPlan(net)()
-	return evalx.EvaluateWithRef(net, sweepRecipes[ri].recipe(net), true, modelRef(name, net))
 }
 
 // gridColumn returns the evaluable results of one recipe column,
@@ -98,7 +142,7 @@ func gridColumn(g *Grid, ri int) []evalx.Result {
 func renderTable2(g *Grid) *Report {
 	tb := newTable("Data Type / Approach", "Pass Rate (CV)", "Pass Rate (NLP)", "Pass Rate (All)")
 	vals := map[string]float64{}
-	for ri, label := range table2Labels {
+	for ri, label := range g.Spec.Axes[1].Values {
 		pr := evalx.AggregatePassRates(gridColumn(g, ri))
 		tb.add(label, pct(pr.CV), pct(pr.NLP), pct(pr.All))
 		vals["cv_"+label] = pr.CV
@@ -181,69 +225,14 @@ var table3Models = []string{
 	"bloom_7b1", "bloom_176b", "llama_65b",
 }
 
-// table3Recipes pairs column labels with recipe constructors (see
-// sweepRecipes on why they live in one slice).
-var table3Recipes = []struct {
-	label  string
-	recipe func(net *models.Network) quant.Recipe
-}{
+// table3Recipes are the Table 3 columns.
+var table3Recipes = []recipeColumn{
 	{"E5M2", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E5M2) }},
 	{"E4M3", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E4M3) }},
 	{"E3M4", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E3M4) }},
 	{"INT8", func(net *models.Network) quant.Recipe {
 		return quant.StandardINT8(net.Meta.Domain != models.CV)
 	}},
-}
-
-func table3Spec() GridSpec {
-	return GridSpec{
-		ID: "table3",
-		Axes: []Axis{
-			{Name: "model", Values: table3Models},
-			{Name: "recipe", Values: recipeLabels(table3Recipes)},
-		},
-	}
-}
-
-func runTable3Cell(c Cell) evalx.Result {
-	name, ri := c.Values[0], c.Coords[1]
-	net, err := models.Build(name)
-	if err != nil {
-		return evalx.Failed(name, c.Values[1], err)
-	}
-	defer withPlan(net)()
-	return evalx.EvaluateWithRef(net, table3Recipes[ri].recipe(net), true, modelRef(name, net))
-}
-
-func renderTable3(g *Grid) *Report {
-	tb := newTable("Model", "Task", "FP32", "E5M2", "E4M3", "E3M4", "INT8")
-	vals := map[string]float64{}
-	for mi, name := range table3Models {
-		res := make([]evalx.Result, len(table3Recipes))
-		ok := true
-		for ri := range table3Recipes {
-			res[ri] = g.At(mi, ri)
-			if res[ri].Err != "" {
-				ok = false
-			}
-		}
-		if !ok {
-			continue
-		}
-		info, _ := models.InfoFor(name)
-		tb.add(name, info.Task, "1.0000",
-			fmt.Sprintf("%.4f", res[0].QAcc), fmt.Sprintf("%.4f", res[1].QAcc),
-			fmt.Sprintf("%.4f", res[2].QAcc), fmt.Sprintf("%.4f", res[3].QAcc))
-		vals[name+"_E4M3"] = res[1].QAcc
-		vals[name+"_E3M4"] = res[2].QAcc
-		vals[name+"_INT8"] = res[3].QAcc
-		vals[name+"_E5M2"] = res[0].QAcc
-	}
-	return &Report{
-		Text: "Table 3 reproduction: teacher-is-truth accuracy of representative models\n" +
-			"(FP32 reference accuracy is 1.0 by construction; paper reports task metrics).\n\n" + tb.String(),
-		Values: vals,
-	}
 }
 
 // ---- fig7 ----
@@ -290,32 +279,26 @@ func fig7Spec() GridSpec {
 }
 
 func runFig7Cell(c Cell) evalx.Result {
-	name, ci := c.Values[0], c.Coords[1]
-	cfg := fig7Cfgs[ci]
-	net, err := models.Build(name)
-	if err != nil {
-		return evalx.Failed(name, cfg.label, err)
-	}
-	if !net.Meta.HasBN {
-		return evalx.Failed(name, cfg.label, errNoBatchNorm)
-	}
-	defer withPlan(net)()
-	ref := modelRef(name, net)
-	// Batches of 16 images -> sample count / 16 BN batches.
-	bnBatches := cfg.samples / 16
-	if bnBatches < 1 {
-		bnBatches = 1
-	}
-	ds := &data.ImageDataset{N: 16, C: 3, H: 12, W: 12,
-		NumBatches: bnBatches, Seed: 0xF167, Transform: cfg.transform}
-	r := quant.StandardFP8(quant.E4M3)
-	r.CalibBatches = evalx.CalibBatches
-	r = r.WithBNCalib(bnBatches)
-	loss := evaluateBNConfig(net, ds, r, ref)
-	return evalx.Result{
-		Model: name, Domain: net.Meta.Domain, Recipe: cfg.label,
-		BaseAcc: 1, QAcc: 1 - loss, RelLoss: loss, Pass: data.Passes(1.0, 1-loss),
-	}
+	name, cfg := c.Values[0], fig7Cfgs[c.Coords[1]]
+	return withModelCell(name, cfg.label, func(net *models.Network, ref evalx.Reference) evalx.Result {
+		if !net.Meta.HasBN {
+			return evalx.Failed(name, cfg.label, errNoBatchNorm)
+		}
+		// Batches of 16 images -> sample count / 16 BN batches.
+		bnBatches := max(cfg.samples/16, 1)
+		ds := &data.ImageDataset{N: 16, C: 3, H: 12, W: 12,
+			NumBatches: bnBatches, Seed: 0xF167, Transform: cfg.transform}
+		r := quant.StandardFP8(quant.E4M3)
+		r.CalibBatches = evalx.CalibBatches
+		h := quant.Quantize(net, ds, r.WithBNCalib(bnBatches))
+		acc := evalx.AccuracyAgainst(net, ref)
+		h.Release()
+		loss := data.RelativeLoss(1.0, acc)
+		return evalx.Result{
+			Model: name, Domain: net.Meta.Domain, Recipe: cfg.label,
+			BaseAcc: 1, QAcc: 1 - loss, RelLoss: loss, Pass: data.Passes(1.0, 1-loss),
+		}
+	})
 }
 
 func renderFig7(g *Grid) *Report {
@@ -349,81 +332,17 @@ func renderFig7(g *Grid) *Report {
 	}
 }
 
-// evaluateBNConfig quantizes with the given dataset (which carries the
-// augmentation transform) and returns the relative accuracy loss.
-func evaluateBNConfig(net *models.Network, ds data.Dataset, r quant.Recipe, ref evalx.Reference) float64 {
-	h := quant.Quantize(net, ds, r)
-	acc := evalx.AccuracyAgainst(net, ref)
-	h.Release()
-	return data.RelativeLoss(1.0, acc)
-}
-
 // ---- table5 ----
 
 // table5Models are the mixed-format study models of Table 5.
 var table5Models = []string{"bert_base_mrpc", "bert_large_rte", "funnel_mrpc", "longformer_mrpc"}
 
-// table5Recipes pairs column labels with recipe constructors (see
-// sweepRecipes on why they live in one slice).
-var table5Recipes = []struct {
-	label  string
-	recipe func(net *models.Network) quant.Recipe
-}{
+// table5Recipes are the Table 5 columns.
+var table5Recipes = []recipeColumn{
 	{"E5M2", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E5M2) }},
 	{"E4M3", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E4M3) }},
 	{"E3M4", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E3M4) }},
 	{"Mixed", func(*models.Network) quant.Recipe { return quant.MixedFP8() }},
-}
-
-func table5Spec() GridSpec {
-	return GridSpec{
-		ID: "table5",
-		Axes: []Axis{
-			{Name: "model", Values: table5Models},
-			{Name: "recipe", Values: recipeLabels(table5Recipes)},
-		},
-	}
-}
-
-func runTable5Cell(c Cell) evalx.Result {
-	name, ri := c.Values[0], c.Coords[1]
-	net, err := models.Build(name)
-	if err != nil {
-		return evalx.Failed(name, c.Values[1], err)
-	}
-	defer withPlan(net)()
-	return evalx.EvaluateWithRef(net, table5Recipes[ri].recipe(net), true, modelRef(name, net))
-}
-
-func renderTable5(g *Grid) *Report {
-	tb := newTable("Model", "Task", "FP32", "E5M2", "E4M3", "E3M4", "Mixed")
-	vals := map[string]float64{}
-	for mi, name := range table5Models {
-		res := make([]evalx.Result, len(table5Recipes))
-		ok := true
-		for ri := range table5Recipes {
-			res[ri] = g.At(mi, ri)
-			if res[ri].Err != "" {
-				ok = false
-			}
-		}
-		if !ok {
-			continue
-		}
-		info, _ := models.InfoFor(name)
-		tb.add(name, info.Task, "1.0000",
-			fmt.Sprintf("%.4f", res[0].QAcc), fmt.Sprintf("%.4f", res[1].QAcc),
-			fmt.Sprintf("%.4f", res[2].QAcc), fmt.Sprintf("%.4f", res[3].QAcc))
-		vals[name+"_E5M2"] = res[0].QAcc
-		vals[name+"_E4M3"] = res[1].QAcc
-		vals[name+"_E3M4"] = res[2].QAcc
-		vals[name+"_Mixed"] = res[3].QAcc
-	}
-	return &Report{
-		Text: "Table 5 reproduction: single vs mixed FP8 formats (E4M3 activations +\n" +
-			"E3M4 weights) on the paper's mixed-format study models.\n\n" + tb.String(),
-		Values: vals,
-	}
 }
 
 // ---- table6 ----
@@ -455,18 +374,12 @@ func table6Spec() GridSpec {
 
 func runTable6Cell(c Cell) evalx.Result {
 	cs := table6Cases[c.Coords[0]]
-	net, err := models.Build(cs.model)
-	if err != nil {
-		return evalx.Failed(cs.model, c.Values[1], err)
-	}
-	defer withPlan(net)()
-	var r quant.Recipe
-	if c.Coords[1] == 0 {
-		r = quant.DynamicFP8(cs.format)
-	} else {
-		r = quant.StandardFP8(cs.format)
-	}
-	return evalx.EvaluateWithRef(net, r, true, modelRef(cs.model, net))
+	return evalModelCell(cs.model, c.Values[1], func(*models.Network) quant.Recipe {
+		if c.Coords[1] == 0 {
+			return quant.DynamicFP8(cs.format)
+		}
+		return quant.StandardFP8(cs.format)
+	})
 }
 
 func renderTable6(g *Grid) *Report {
@@ -553,14 +466,7 @@ func fig9Spec() GridSpec {
 }
 
 func runFig9Cell(c Cell) evalx.Result {
-	groups := fig9Groups()
-	g := groups[c.Index/fig9GroupSize]
-	name := g.names[c.Index%fig9GroupSize]
-	net, err := models.Build(name)
-	if err != nil {
-		return evalx.Failed(name, g.label, err)
-	}
-	defer withPlan(net)()
+	g := fig9Groups()[c.Index/fig9GroupSize]
 	r := quant.StandardFP8(g.format)
 	if g.altOps {
 		if g.domain == "CV" {
@@ -569,7 +475,7 @@ func runFig9Cell(c Cell) evalx.Result {
 			r = r.WithExtendedOps()
 		}
 	}
-	return evalx.EvaluateWithRef(net, r, true, modelRef(name, net))
+	return evalModelCell(g.names[c.Index%fig9GroupSize], g.label, func(*models.Network) quant.Recipe { return r })
 }
 
 func renderFig9(g *Grid) *Report {
@@ -626,17 +532,11 @@ func firstLastSpec() GridSpec {
 }
 
 func runFirstLastCell(c Cell) evalx.Result {
-	name := c.Values[2]
-	net, err := models.Build(name)
-	if err != nil {
-		return evalx.Failed(name, c.Values[0]+" "+c.Values[1], err)
-	}
-	defer withPlan(net)()
 	r := quant.StandardFP8(firstLastFormats[c.Coords[0]])
 	if c.Coords[1] == 1 {
 		r = r.WithFirstLast()
 	}
-	return evalx.EvaluateWithRef(net, r, true, modelRef(name, net))
+	return evalModelCell(c.Values[2], c.Values[0]+" "+c.Values[1], func(*models.Network) quant.Recipe { return r })
 }
 
 func renderFirstLast(g *Grid) *Report {

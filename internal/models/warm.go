@@ -10,7 +10,6 @@
 package models
 
 import (
-	"math"
 	"sync"
 
 	"fp8quant/internal/nn"
@@ -38,7 +37,7 @@ var warmMemo sync.Map // warmKey -> *warmEntry
 // statistics: the memoized ones of its model, or, for the first Build of
 // the model in this process, those warmUp computes on n itself.
 func warmMemoized(n *Network, warmUp func(*Network)) {
-	bns := batchNorms(n.root)
+	bns := nn.BatchNorms(n.root)
 	if len(bns) == 0 {
 		return
 	}
@@ -55,10 +54,10 @@ func warmMemoized(n *Network, warmUp func(*Network)) {
 				}
 			}()
 			warmUp(n)
-			e.stats = snapshotBN(bns)
+			e.stats = nn.SnapshotBatchNorms(bns)
 		})
 		if e.stats != nil {
-			restoreBN(bns, e.stats)
+			nn.RestoreBatchNorms(bns, e.stats)
 			return
 		}
 		// The Build that ran e's warm-up panicked and dropped e; warm
@@ -86,78 +85,14 @@ func clearWarmMemo() {
 // data statistics by running calibration batches through the network.
 // Without this the FP32 reference would be inconsistent with its own
 // data and BatchNorm re-calibration (Figure 7) would have nothing
-// meaningful to restore.
+// meaningful to restore. Each estimation cycle runs the first batches
+// batches of n.Data; the cycle cap is generous, since the statistics
+// start from random values.
 func WarmBatchNorms(n *Network, batches int) {
-	bns := batchNorms(n.root)
-	if len(bns) == 0 {
-		return
-	}
-	// One estimation cycle updates each BN from data flowing through
-	// the *previous* cycle's statistics, so stats go stale for
-	// downstream layers whenever upstream layers change; iterate until
-	// the statistics reach a fixed point (bounded by a generous cap).
-	prev := snapshotBN(bns)
-	cap := 2*len(bns) + 8
-	if cap > 40 {
-		cap = 40
-	}
-	for cycle := 0; cycle < cap; cycle++ {
-		for _, bn := range bns {
-			bn.StartCalibration()
-		}
+	bns := nn.BatchNorms(n.root)
+	nn.CalibrateBatchNorms(bns, min(2*len(bns)+8, 40), func() {
 		for i := 0; i < batches; i++ {
 			n.Run(n.Data.Batch(i % n.Data.Batches()))
 		}
-		for _, bn := range bns {
-			bn.FinishCalibration()
-		}
-		cur := snapshotBN(bns)
-		if bnConverged(prev, cur, 0.01) {
-			return
-		}
-		prev = cur
-	}
-}
-
-// batchNorms lists the BatchNorms under root in walk order.
-func batchNorms(root nn.Module) []*nn.BatchNorm2d {
-	var bns []*nn.BatchNorm2d
-	nn.Walk(root, func(_ string, m nn.Module) {
-		if bn, ok := m.(*nn.BatchNorm2d); ok {
-			bns = append(bns, bn)
-		}
 	})
-	return bns
-}
-
-func snapshotBN(bns []*nn.BatchNorm2d) [][]float32 {
-	var out [][]float32
-	for _, bn := range bns {
-		s := make([]float32, 0, 2*bn.C)
-		s = append(s, bn.Mean...)
-		s = append(s, bn.Var...)
-		out = append(out, s)
-	}
-	return out
-}
-
-// restoreBN copies a snapshotBN result back into bns.
-func restoreBN(bns []*nn.BatchNorm2d, stats [][]float32) {
-	for i, bn := range bns {
-		copy(bn.Mean, stats[i][:bn.C])
-		copy(bn.Var, stats[i][bn.C:])
-	}
-}
-
-func bnConverged(a, b [][]float32, tol float64) bool {
-	for i := range a {
-		for j := range a[i] {
-			d := math.Abs(float64(a[i][j] - b[i][j]))
-			scale := math.Abs(float64(a[i][j])) + 1e-3
-			if d/scale > tol {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"fp8quant/internal/nn"
 	"fp8quant/internal/tensor"
 )
 
@@ -19,7 +20,7 @@ var warmMemoModels = []string{
 // warm-up: the random initial BatchNorm statistics.
 func buildRaw(name string) *Network { return registry[name](nameSeed(name)) }
 
-func bnStats(n *Network) [][]float32 { return snapshotBN(batchNorms(n.root)) }
+func bnStats(n *Network) [][]float32 { return nn.SnapshotBatchNorms(nn.BatchNorms(n.root)) }
 
 // bitEqual compares tensors bit for bit (NaN-safe, distinguishes ±0).
 func bitEqual(a, b *tensor.Tensor) bool {

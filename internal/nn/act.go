@@ -160,6 +160,9 @@ func (op *AddOp) Kind() string { return "Add" }
 // Q returns the first operand's QState.
 func (op *AddOp) Q() *QState { return &op.QA }
 
+// Operands returns the first and second operand's QStates.
+func (op *AddOp) Operands() (a, b *QState) { return &op.QA, &op.QB }
+
 // Forward is unsupported: AddOp is binary. Use Apply.
 func (op *AddOp) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 	panic("nn: AddOp is binary; call Apply(a, x, y)")
@@ -189,6 +192,9 @@ func (m *MulOp) Kind() string { return "Mul" }
 
 // Q returns the first operand's QState.
 func (m *MulOp) Q() *QState { return &m.QA }
+
+// Operands returns the first and second operand's QStates.
+func (m *MulOp) Operands() (a, b *QState) { return &m.QA, &m.QB }
 
 // Forward is unsupported: MulOp is binary. Use Apply.
 func (m *MulOp) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {

@@ -73,6 +73,9 @@ func (m *BatchMatMulOp) Kind() string { return "BatchMatMul" }
 // Q returns the first operand's QState.
 func (m *BatchMatMulOp) Q() *QState { return &m.QA }
 
+// Operands returns the first and second operand's QStates.
+func (m *BatchMatMulOp) Operands() (a, b *QState) { return &m.QA, &m.QB }
+
 // Forward is unsupported: BatchMatMulOp is binary. Use Apply.
 func (m *BatchMatMulOp) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 	panic("nn: BatchMatMulOp is binary; call Apply(a, x, y)")

@@ -164,14 +164,14 @@ func TestBatchNormCalibration(t *testing.T) {
 	bn := NewBatchNorm2d(1)
 	bn.Mean[0] = 100 // wildly wrong stats
 	bn.Var[0] = 1
-	bn.StartCalibration()
+	bn.startCalibration()
 	r := tensor.NewRNG(5)
 	for i := 0; i < 10; i++ {
 		x := tensor.New(2, 1, 4, 4)
 		x.FillNormal(r, 3, 2)
 		bn.Forward(nil, x)
 	}
-	bn.FinishCalibration()
+	bn.finishCalibration()
 	if !almostEq(float64(bn.Mean[0]), 3, 0.3) {
 		t.Errorf("recalibrated mean = %v, want ~3", bn.Mean[0])
 	}
@@ -180,6 +180,41 @@ func TestBatchNormCalibration(t *testing.T) {
 	}
 	if bn.calibrating {
 		t.Error("calibration flag not cleared")
+	}
+}
+
+// TestCalibrateBatchNorms pins the estimator's cycle rules: it stops at
+// the first cycle that leaves the statistics within tolerance, never
+// runs more than maxCycles, never runs over no BatchNorm, and a
+// snapshot restores the statistics it copied.
+func TestCalibrateBatchNorms(t *testing.T) {
+	bn := NewBatchNorm2d(1)
+	bns := []*BatchNorm2d{bn}
+	before := SnapshotBatchNorms(bns)
+	x := tensor.New(2, 1, 4, 4)
+	x.FillNormal(tensor.NewRNG(5), 3, 2)
+	passes := 0
+	CalibrateBatchNorms(bns, 5, func() { passes++; bn.Forward(nil, x) })
+	// Cycle 1 moves the mean from 0 to ~3; cycle 2 sees the same data.
+	if passes != 2 {
+		t.Errorf("fixed data: %d passes, want 2", passes)
+	}
+	passes = 0
+	CalibrateBatchNorms(bns, 3, func() {
+		passes++
+		y := x.Clone()
+		for i := range y.Data {
+			y.Data[i] += float32(10 * passes)
+		}
+		bn.Forward(nil, y)
+	})
+	if passes != 3 {
+		t.Errorf("drifting data: %d passes, want the cap 3", passes)
+	}
+	CalibrateBatchNorms(nil, 3, func() { t.Error("pass ran with no BatchNorm") })
+	RestoreBatchNorms(bns, before)
+	if bn.Mean[0] != 0 || bn.Var[0] != 1 {
+		t.Errorf("restored stats = %v, %v; want 0, 1", bn.Mean[0], bn.Var[0])
 	}
 }
 

@@ -48,18 +48,18 @@ func (bn *BatchNorm2d) Kind() string { return "BatchNorm" }
 // Q implements Quantizable.
 func (bn *BatchNorm2d) Q() *QState { return &bn.QS }
 
-// StartCalibration begins accumulating batch statistics on every
-// Forward call until FinishCalibration.
-func (bn *BatchNorm2d) StartCalibration() {
+// startCalibration begins accumulating batch statistics on every
+// Forward call until finishCalibration.
+func (bn *BatchNorm2d) startCalibration() {
 	bn.calibrating = true
 	bn.sum = make([]float64, bn.C)
 	bn.sumSq = make([]float64, bn.C)
 	bn.count = 0
 }
 
-// FinishCalibration replaces the running mean and variance with the
-// statistics accumulated since StartCalibration.
-func (bn *BatchNorm2d) FinishCalibration() {
+// finishCalibration replaces the running mean and variance with the
+// statistics accumulated since startCalibration.
+func (bn *BatchNorm2d) finishCalibration() {
 	bn.calibrating = false
 	if bn.count == 0 {
 		return
@@ -75,6 +75,80 @@ func (bn *BatchNorm2d) FinishCalibration() {
 		bn.Var[c] = float32(v)
 	}
 	bn.sum, bn.sumSq = nil, nil
+}
+
+// BatchNorms lists the BatchNorms under root in walk order.
+func BatchNorms(root Module) []*BatchNorm2d {
+	var bns []*BatchNorm2d
+	Walk(root, func(_ string, m Module) {
+		if bn, ok := m.(*BatchNorm2d); ok {
+			bns = append(bns, bn)
+		}
+	})
+	return bns
+}
+
+// CalibrateBatchNorms re-estimates the running statistics of bns from
+// the data that pass feeds through the network containing them. One
+// cycle re-estimates every BatchNorm from data flowing through the
+// previous cycle's statistics, so statistics go stale downstream
+// whenever upstream ones move; the cycles repeat until no statistic
+// moves by more than 1% (relative) or maxCycles have run.
+func CalibrateBatchNorms(bns []*BatchNorm2d, maxCycles int, pass func()) {
+	if len(bns) == 0 {
+		return
+	}
+	prev := SnapshotBatchNorms(bns)
+	for cycle := 0; cycle < maxCycles; cycle++ {
+		for _, bn := range bns {
+			bn.startCalibration()
+		}
+		pass()
+		for _, bn := range bns {
+			bn.finishCalibration()
+		}
+		cur := SnapshotBatchNorms(bns)
+		if statsConverged(prev, cur, 0.01) {
+			return
+		}
+		prev = cur
+	}
+}
+
+// SnapshotBatchNorms copies the running statistics of bns: per
+// BatchNorm, its Mean followed by its Var.
+func SnapshotBatchNorms(bns []*BatchNorm2d) [][]float32 {
+	out := make([][]float32, 0, len(bns))
+	for _, bn := range bns {
+		s := make([]float32, 0, 2*bn.C)
+		s = append(s, bn.Mean...)
+		s = append(s, bn.Var...)
+		out = append(out, s)
+	}
+	return out
+}
+
+// RestoreBatchNorms copies a SnapshotBatchNorms result back into bns.
+func RestoreBatchNorms(bns []*BatchNorm2d, stats [][]float32) {
+	for i, bn := range bns {
+		copy(bn.Mean, stats[i][:bn.C])
+		copy(bn.Var, stats[i][bn.C:])
+	}
+}
+
+// statsConverged reports whether two snapshots agree within a relative
+// tolerance.
+func statsConverged(a, b [][]float32, tol float64) bool {
+	for i := range a {
+		for j := range a[i] {
+			d := math.Abs(float64(a[i][j] - b[i][j]))
+			scale := math.Abs(float64(a[i][j])) + 1e-3
+			if d/scale > tol {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Forward normalizes x [N,C,H,W] with the running statistics.

@@ -147,9 +147,9 @@ func TestBatchNormWhitens(t *testing.T) {
 	r := tensor.NewRNG(4)
 	x := tensor.New(4, 2, 6, 6)
 	x.FillNormal(r, 3, 2)
-	bn.StartCalibration()
+	bn.startCalibration()
 	bn.Forward(nil, x)
-	bn.FinishCalibration()
+	bn.finishCalibration()
 	y := bn.Forward(nil, x)
 	for c := 0; c < 2; c++ {
 		var s, s2 float64

@@ -282,9 +282,9 @@ func (o *HistogramObserver) MSEThreshold(mk func(threshold float64) Quantizer) f
 			if c == 0 {
 				continue
 			}
-			v := (float64(j) + 0.5) * o.width
+			v := float64((float64(j) + 0.5) * o.width)
 			d := quant.Quantize(v) - v
-			mse += c * d * d
+			mse += float64(c * d * d)
 			total += c
 		}
 		if total > 0 {

@@ -24,10 +24,13 @@ type Model interface {
 // Handle tracks the reversible state of a quantized model. Release
 // restores the original FP32 model exactly.
 type Handle struct {
-	states    []*nn.QState
-	weights   map[*tensor.Tensor][]float32
-	rounded   map[*tensor.Tensor]bool
-	bnBackups map[*nn.BatchNorm2d][2][]float32
+	states  []*nn.QState
+	weights map[*tensor.Tensor][]float32
+	rounded map[*tensor.Tensor]bool
+	// bns and bnStats are the re-calibrated BatchNorms and their FP32
+	// statistics (nn.SnapshotBatchNorms).
+	bns     []*nn.BatchNorm2d
+	bnStats [][]float32
 	// Report summarizes what was quantized, for logs and tests.
 	Report Report
 }
@@ -49,10 +52,7 @@ func (h *Handle) Release() {
 	for w, master := range h.weights {
 		copy(w.Data, master)
 	}
-	for bn, b := range h.bnBackups {
-		copy(bn.Mean, b[0])
-		copy(bn.Var, b[1])
-	}
+	nn.RestoreBatchNorms(h.bns, h.bnStats)
 	for _, q := range h.states {
 		q.Reset()
 	}
@@ -79,16 +79,15 @@ type target struct {
 // place (fake-quant hooks installed, weights rounded).
 func Quantize(m Model, ds data.Dataset, r Recipe) *Handle {
 	h := &Handle{
-		weights:   make(map[*tensor.Tensor][]float32),
-		rounded:   make(map[*tensor.Tensor]bool),
-		bnBackups: make(map[*nn.BatchNorm2d][2][]float32),
-		Report:    Report{QuantizedOps: make(map[string]int)},
+		weights: make(map[*tensor.Tensor][]float32),
+		rounded: make(map[*tensor.Tensor]bool),
+		Report:  Report{QuantizedOps: make(map[string]int)},
 	}
 	if r.Act == FP32 && r.Wgt == FP32 {
 		return h
 	}
 
-	targets, bns := collectTargets(m, r, h)
+	targets := collectTargets(m, r, h)
 
 	// Phase 1: calibration (static approaches that need ranges).
 	needCalib := r.Approach == Static && r.Act != FP32
@@ -110,70 +109,19 @@ func Quantize(m Model, ds data.Dataset, r Recipe) *Handle {
 	}
 
 	// Phase 3: BatchNorm re-calibration on the quantized graph.
-	if r.BNCalib && len(bns) > 0 {
-		for _, bn := range bns {
-			h.bnBackups[bn] = [2][]float32{
-				append([]float32(nil), bn.Mean...),
-				append([]float32(nil), bn.Var...),
-			}
-		}
-		// Iterate estimation to a fixed point: each cycle re-estimates
-		// every BN from data flowing through the previous cycle's
-		// statistics, so stacked BNs need several cycles before the
-		// stats stop shifting (the same staleness issue arises when
-		// initializing the FP32 statistics).
-		prev := snapshotBNStats(bns)
-		// Warm-started statistics converge in a few cycles; cap the
-		// loop tightly since each cycle costs full calibration passes
-		// (and with large calibration sets a single pass already
-		// averages away staleness).
+	// Warm-started statistics converge in a few cycles; cap the cycles
+	// tightly since each costs full calibration passes (and with large
+	// calibration sets a single pass already averages away staleness).
+	if r.BNCalib {
+		h.bns = nn.BatchNorms(m.Root())
+		h.bnStats = nn.SnapshotBatchNorms(h.bns)
 		cycles := 4
 		if r.BNCalibBatches >= 32 {
 			cycles = 2
 		}
-		for cycle := 0; cycle < cycles; cycle++ {
-			for _, bn := range bns {
-				bn.StartCalibration()
-			}
-			runBatches(m, ds, r.BNCalibBatches)
-			for _, bn := range bns {
-				bn.FinishCalibration()
-			}
-			cur := snapshotBNStats(bns)
-			if bnStatsConverged(prev, cur, 0.01) {
-				break
-			}
-			prev = cur
-		}
+		nn.CalibrateBatchNorms(h.bns, cycles, func() { runBatches(m, ds, r.BNCalibBatches) })
 	}
 	return h
-}
-
-// snapshotBNStats copies the running statistics of a set of BNs.
-func snapshotBNStats(bns []*nn.BatchNorm2d) [][]float32 {
-	out := make([][]float32, 0, len(bns))
-	for _, bn := range bns {
-		s := make([]float32, 0, 2*bn.C)
-		s = append(s, bn.Mean...)
-		s = append(s, bn.Var...)
-		out = append(out, s)
-	}
-	return out
-}
-
-// bnStatsConverged reports whether two stat snapshots agree within a
-// relative tolerance.
-func bnStatsConverged(a, b [][]float32, tol float64) bool {
-	for i := range a {
-		for j := range a[i] {
-			d := math.Abs(float64(a[i][j] - b[i][j]))
-			scale := math.Abs(float64(a[i][j])) + 1e-3
-			if d/scale > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // runBatches feeds n batches (cycling if the dataset is smaller)
@@ -191,20 +139,22 @@ func runBatches(m Model, ds data.Dataset, n int) {
 	}
 }
 
+// binaryOp is a two-operand leaf (AddOp, MulOp, BatchMatMulOp); the
+// extended scheme quantizes each operand on its own.
+type binaryOp interface {
+	Operands() (a, b *nn.QState)
+}
+
 // collectTargets walks the model and builds the quantization site list
 // according to the recipe's scheme.
-func collectTargets(m Model, r Recipe, h *Handle) ([]*target, []*nn.BatchNorm2d) {
+func collectTargets(m Model, r Recipe, h *Handle) []*target {
 	type entry struct {
 		path string
 		mod  nn.Module
 	}
 	var order []entry
-	var bns []*nn.BatchNorm2d
 	nn.Walk(m.Root(), func(path string, mod nn.Module) {
 		order = append(order, entry{path, mod})
-		if bn, ok := mod.(*nn.BatchNorm2d); ok {
-			bns = append(bns, bn)
-		}
 	})
 
 	// First conv / last linear exclusion (CNNs, standard scheme).
@@ -237,61 +187,31 @@ func collectTargets(m Model, r Recipe, h *Handle) ([]*target, []*nn.BatchNorm2d)
 			continue
 		}
 		switch mod := e.mod.(type) {
-		case *nn.Linear:
-			add(&target{path: e.path, kind: mod.Kind(), qs: &mod.QS,
-				weight: mod.W, wgtDim: 0, linear: mod})
-		case *nn.Conv2d:
-			add(&target{path: e.path, kind: mod.Kind(), qs: &mod.QS,
-				weight: mod.W, wgtDim: 0})
-		case *nn.Conv1d:
-			add(&target{path: e.path, kind: mod.Kind(), qs: &mod.QS,
-				weight: mod.W, wgtDim: 0})
-		case *nn.Embedding:
-			t := &target{path: e.path, kind: mod.Kind(), qs: &mod.QS,
-				weight: mod.W, wgtDim: 0, output: true}
+		case *nn.Linear, *nn.Conv2d, *nn.Conv1d:
+			p := mod.(nn.Parametric)
+			t := &target{path: e.path, kind: mod.Kind(), qs: mod.(nn.Quantizable).Q(),
+				weight: p.WeightTensor(), wgtDim: p.OutChannelDim()}
+			t.linear, _ = mod.(*nn.Linear)
+			add(t)
+		case *nn.Embedding, *nn.EmbeddingBag:
 			// Standard scheme: weight-only; extended also quantizes
 			// the gathered output tensor.
-			t.obsOnly = !r.ExtendedOps
-			add(t)
-		case *nn.EmbeddingBag:
-			t := &target{path: e.path, kind: mod.Kind(), qs: &mod.QS,
-				weight: mod.W, wgtDim: 0, output: true}
-			t.obsOnly = !r.ExtendedOps
-			add(t)
-		case *nn.LayerNorm:
+			p := mod.(nn.Parametric)
+			add(&target{path: e.path, kind: mod.Kind(), qs: mod.(nn.Quantizable).Q(),
+				weight: p.WeightTensor(), wgtDim: p.OutChannelDim(), output: true, obsOnly: !r.ExtendedOps})
+		case *nn.LayerNorm, *nn.RMSNorm, *nn.GroupNorm, *nn.BatchNorm2d:
 			if r.ExtendedOps {
-				add(&target{path: e.path, kind: mod.Kind(), qs: &mod.QS, output: true})
+				add(&target{path: e.path, kind: mod.Kind(), qs: mod.(nn.Quantizable).Q(), output: true})
 			}
-		case *nn.RMSNorm:
+		case *nn.AddOp, *nn.MulOp, *nn.BatchMatMulOp:
 			if r.ExtendedOps {
-				add(&target{path: e.path, kind: mod.Kind(), qs: &mod.QS, output: true})
-			}
-		case *nn.GroupNorm:
-			if r.ExtendedOps {
-				add(&target{path: e.path, kind: mod.Kind(), qs: &mod.QS, output: true})
-			}
-		case *nn.BatchNorm2d:
-			if r.ExtendedOps {
-				add(&target{path: e.path, kind: mod.Kind(), qs: &mod.QS, output: true})
-			}
-		case *nn.AddOp:
-			if r.ExtendedOps {
-				add(&target{path: e.path + "#a", kind: mod.Kind(), qs: &mod.QA})
-				add(&target{path: e.path + "#b", kind: mod.Kind(), qs: &mod.QB})
-			}
-		case *nn.MulOp:
-			if r.ExtendedOps {
-				add(&target{path: e.path + "#a", kind: mod.Kind(), qs: &mod.QA})
-				add(&target{path: e.path + "#b", kind: mod.Kind(), qs: &mod.QB})
-			}
-		case *nn.BatchMatMulOp:
-			if r.ExtendedOps {
-				add(&target{path: e.path + "#a", kind: mod.Kind(), qs: &mod.QA})
-				add(&target{path: e.path + "#b", kind: mod.Kind(), qs: &mod.QB})
+				qa, qb := mod.(binaryOp).Operands()
+				add(&target{path: e.path + "#a", kind: mod.Kind(), qs: qa})
+				add(&target{path: e.path + "#b", kind: mod.Kind(), qs: qb})
 			}
 		}
 	}
-	return targets, bns
+	return targets
 }
 
 // attachObservers wires calibration hooks for the target.
