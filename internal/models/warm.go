@@ -85,9 +85,9 @@ func clearWarmMemo() {
 // data statistics by running calibration batches through the network.
 // Without this the FP32 reference would be inconsistent with its own
 // data and BatchNorm re-calibration (Figure 7) would have nothing
-// meaningful to restore. Each estimation cycle runs the first batches
-// batches of n.Data; the cycle cap is generous, since the statistics
-// start from random values.
+// meaningful to restore. Each estimation cycle runs batches batches of
+// n.Data; the cycle cap is generous, since the statistics start from
+// random values.
 func WarmBatchNorms(n *Network, batches int) {
 	bns := nn.BatchNorms(n.root)
 	nn.CalibrateBatchNorms(bns, min(2*len(bns)+8, 40), func() {

@@ -108,7 +108,7 @@ func CalibrateBatchNorms(bns []*BatchNorm2d, maxCycles int, pass func()) {
 			bn.finishCalibration()
 		}
 		cur := SnapshotBatchNorms(bns)
-		if statsConverged(prev, cur, 0.01) {
+		if statsConverged(prev, cur) {
 			return
 		}
 		prev = cur
@@ -136,14 +136,14 @@ func RestoreBatchNorms(bns []*BatchNorm2d, stats [][]float32) {
 	}
 }
 
-// statsConverged reports whether two snapshots agree within a relative
-// tolerance.
-func statsConverged(a, b [][]float32, tol float64) bool {
+// statsConverged reports whether two snapshots agree within 1%
+// (relative).
+func statsConverged(a, b [][]float32) bool {
 	for i := range a {
 		for j := range a[i] {
 			d := math.Abs(float64(a[i][j] - b[i][j]))
 			scale := math.Abs(float64(a[i][j])) + 1e-3
-			if d/scale > tol {
+			if d/scale > 0.01 {
 				return false
 			}
 		}
