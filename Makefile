@@ -10,7 +10,7 @@ GO ?= go
 # below this.
 COVER_FLOOR ?= 71.0
 
-.PHONY: all build vet vet-contracts fma-audit alloc-audit lint fmt fmt-check test bench bench-json bench-gate bench-kernels bench-trend smoke shard-smoke serve-smoke coord-smoke chaos-smoke fuzz cover-check ci
+.PHONY: all build vet vet-contracts fma-audit alloc-audit lint fmt fmt-check test bench bench-json bench-gate bench-kernels bench-trend smoke shard-smoke serve-smoke coord-smoke chaos-smoke fuzz exhaustive cover-check ci
 
 all: build
 
@@ -26,14 +26,15 @@ vet:
 vet-contracts:
 	$(GO) run ./cmd/fp8vet ./...
 
-# Fused multiply-add audit: cross-compile internal/nn, internal/quant
-# and internal/evalx for arm64 with the assembly listing and fail on any
-# fused multiply-add inside one of their symbols. amd64 emits none, so
-# one there would let arm64 layer outputs, calibration thresholds or
-# report statistics round differently. A listing without a symbol of
-# one of the packages fails too, so the check cannot pass vacuously.
+# Fused multiply-add audit: cross-compile internal/nn, internal/quant,
+# internal/evalx and internal/fp8 for arm64 with the assembly listing
+# and fail on any fused multiply-add inside one of their symbols. amd64
+# emits none, so one there would let arm64 layer outputs, calibration
+# thresholds, report statistics or the FP8 oracle round differently. A
+# listing without a symbol of one of the packages fails too, so the
+# check cannot pass vacuously.
 fma-audit:
-	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; pkgs="nn quant evalx"; \
+	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; pkgs="nn quant evalx fp8"; \
 	GOARCH=arm64 $(GO) build -gcflags=-S $$(for p in $$pkgs; do echo ./internal/$$p; done) 2> "$$out" || { cat "$$out"; exit 1; }; \
 	awk -v pkgs="$$pkgs" ' \
 		BEGIN { n = split(pkgs, p, " "); for (i = 1; i <= n; i++) audited["fp8quant/internal/" p[i]] = 1 } \
@@ -82,10 +83,10 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
 # The kernel-layer micro-benchmarks (blocked GEMM vs the naive loop,
-# im2col conv vs the direct loop, 4-lane batch encode vs per-element
-# calls, planned vs unplanned module forwards — the planned ones must
-# hold 0 allocs/op under bench-gate). One fast iteration set; used as
-# the CI smoke step.
+# im2col conv vs the direct loop, the FP8 fake-quant slice loop vs
+# per-element calls, planned vs unplanned module forwards — the
+# planned ones must hold 0 allocs/op under bench-gate). One fast
+# iteration set; used as the CI smoke step.
 KERNEL_BENCH = BenchmarkMatmulT|BenchmarkMatmulTNaive|BenchmarkConv2dIm2col|BenchmarkConv2dDirect|BenchmarkBatchMatMul|BenchmarkBatchEncode|BenchmarkForwardUnplanned|BenchmarkForwardPlanned
 bench-kernels:
 	$(GO) test -run xxx -bench '$(KERNEL_BENCH)' -benchtime 1x \
@@ -291,6 +292,13 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzArenaScopes -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run=NONE -fuzz=FuzzPushBody -fuzztime=$(FUZZTIME) ./internal/coord
 	$(GO) test -run=NONE -fuzz=FuzzLeaseBody -fuzztime=$(FUZZTIME) ./internal/coord
+
+# Exhaustive codec proof: TestQuantizeMatchesOracle with stride 1 (the
+# exhaustive build tag) checks Codec.Quantize and QuantizeSlice against
+# the float64 oracle on all 2^32 float32 inputs for every test format
+# (~17 min on 2 vCPUs). Tier-1 runs the same test on every 4097th input.
+exhaustive:
+	$(GO) test -tags exhaustive -count=1 -run TestQuantizeMatchesOracle -timeout 60m ./internal/fp8
 
 # Full-suite coverage profile + combined floor check for the
 # floor-governed packages (harness, resultstore, kernels, analyzers,

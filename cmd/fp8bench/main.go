@@ -44,8 +44,8 @@
 //
 // All model forward math runs on the blocked compute kernels in
 // internal/tensor/kernels (packed-panel GEMM behind Linear, im2col
-// Conv2d and the attention matmuls, plus the 4-lane batch FP8
-// encode). The kernels are bit-identical to the scalar reference
+// Conv2d and the attention matmuls, plus the FP8 fake-quant bit map
+// in internal/fp8). The kernels are bit-identical to the scalar reference
 // loops for any worker count, so reports — and the content addresses
 // the store and -merge rely on — are unchanged from the pre-kernel
 // code, just several times faster to compute cold (`make bench-json`

@@ -7,30 +7,29 @@ import (
 	"fp8quant/internal/tensor"
 )
 
-// TestQuantBatch4LaneBoundaries pins the 4-lane batch kernel to the
-// per-element Encode reference at every length around the unroll
-// width, with special values (NaN, ±Inf, ±0, subnormals, overflow)
-// planted in each lane position and in the scalar tail.
-func TestQuantBatch4LaneBoundaries(t *testing.T) {
+// TestQuantizeSliceLengths pins QuantizeSlice to the per-element
+// oracle at every length up to 13, with special values (NaN, ±Inf, ±0,
+// subnormals, overflow) planted in every position, so each element
+// takes the loop's inline normal-range body or the Quantize call in
+// every neighbourhood.
+func TestQuantizeSliceLengths(t *testing.T) {
 	specials := []float32{
 		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
 		0, float32(math.Copysign(0, -1)),
 		float32(E4M3.MinSubnormal()), -float32(E4M3.MinSubnormal() / 2),
 		1e30, -1e30, 1.5, -0.375,
 	}
-	c := E4M3.Codec()
-	for n := 0; n <= 13; n++ {
-		for rot := 0; rot < len(specials); rot++ {
-			src := make([]float32, n)
-			for i := range src {
-				src[i] = specials[(i+rot)%len(specials)]
-			}
-			got := c.QuantizeSlice(make([]float32, n), src)
-			for i, v := range src {
-				want := c.dec[c.Encode(v)]
-				if !sameFloat32(got[i], want) {
-					t.Fatalf("n=%d rot=%d: batch[%d]=%v (in %v) != %v", n, rot, i, got[i], v, want)
+	for _, f := range testFormats {
+		c := f.Codec()
+		for n := 0; n <= 13; n++ {
+			for rot := 0; rot < len(specials); rot++ {
+				src := make([]float32, n)
+				want := make([]float32, n)
+				for i := range src {
+					src[i] = specials[(i+rot)%len(specials)]
+					want[i] = oracle(f, src[i])
 				}
+				checkSlice(t, "QuantizeSlice", f, src, c.QuantizeSlice(make([]float32, n), src), want)
 			}
 		}
 	}
@@ -73,8 +72,7 @@ func batchBenchSrc() []float32 {
 	return src
 }
 
-// BenchmarkBatchEncode measures the 4-lane batch fake-quant kernel
-// (the QuantizeSlice hot path).
+// BenchmarkBatchEncode measures the QuantizeSlice fake-quant loop.
 func BenchmarkBatchEncode(b *testing.B) {
 	src := batchBenchSrc()
 	dst := make([]float32, len(src))
@@ -86,8 +84,8 @@ func BenchmarkBatchEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchEncodeScalar is the pre-batch baseline: one
-// (non-inlined) Encode call per element.
+// BenchmarkBatchEncodeScalar is the per-element baseline: one
+// (non-inlined) Quantize call per element.
 func BenchmarkBatchEncodeScalar(b *testing.B) {
 	src := batchBenchSrc()
 	dst := make([]float32, len(src))
@@ -96,7 +94,7 @@ func BenchmarkBatchEncodeScalar(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, v := range src {
-			dst[j] = c.dec[c.Encode(v)]
+			dst[j] = c.Quantize(v)
 		}
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"fp8quant/internal/tensor"
 )
 
-// testFormats are the codec-eligible formats the equivalence suite
-// pins: the three paper formats plus generic and bias-shifted variants.
-func testFormats(t *testing.T) []Format {
-	t.Helper()
+// testFormats are the codec-eligible formats the equivalence suite and
+// both fuzz targets pin: the three paper formats plus generic and
+// bias-shifted variants.
+var testFormats = func() []Format {
 	fs := []Format{E5M2, E4M3, E3M4}
 	if g, err := New(2, 5, false); err == nil {
 		fs = append(fs, g)
@@ -18,44 +18,68 @@ func testFormats(t *testing.T) []Format {
 	if g, err := New(5, 2, false); err == nil {
 		fs = append(fs, g) // E5M2 grid with extended specials
 	}
-	fs = append(fs, E4M3.WithBias(11), E3M4.WithBias(1))
-	return fs
-}
+	return append(fs, E4M3.WithBias(11), E3M4.WithBias(1))
+}()
 
-// sameFloat32 compares bit-for-bit modulo NaN payloads.
-func sameFloat32(a, b float32) bool {
-	if math.IsNaN(float64(a)) || math.IsNaN(float64(b)) {
-		return math.IsNaN(float64(a)) && math.IsNaN(float64(b))
+// oracle is the scalar float64 reference Codec.Quantize must equal bit
+// for bit, NaN bits included.
+func oracle(f Format, x float32) float32 { return float32(f.Quantize(float64(x))) }
+
+// checkQuantize asserts fast == oracle for one input. It is called for
+// millions of inputs, so it skips t.Helper (a stack walk per call); the
+// message names the format and the input instead of the caller.
+func checkQuantize(t *testing.T, f Format, c *Codec, x float32) {
+	got, want := c.Quantize(x), oracle(f, x)
+	if math.Float32bits(got) != math.Float32bits(want) {
+		t.Fatalf("%s: Quantize(%v = %#08x) fast %v (%#08x) != ref %v (%#08x)",
+			f, x, math.Float32bits(x), got, math.Float32bits(got), want, math.Float32bits(want))
 	}
-	return math.Float32bits(a) == math.Float32bits(b)
 }
 
-// TestDecodeLUTExhaustive checks all 256 codes of every format: the
-// codec table must match the reference Decode exactly (every
-// representable value fits float32, so float32 storage loses nothing).
-func TestDecodeLUTExhaustive(t *testing.T) {
-	for _, f := range testFormats(t) {
-		c := f.Codec()
-		for b := 0; b < 256; b++ {
-			got := c.dec[uint8(b)]
-			want := f.Decode(uint8(b))
-			if !sameFloat32(got, float32(want)) {
-				t.Errorf("%s: Decode(%#02x) LUT %v != ref %v", f, b, got, want)
-			}
-			if !math.IsNaN(want) && float64(got) != want {
-				t.Errorf("%s: Decode(%#02x) loses precision in float32: %v vs %v", f, b, got, want)
-			}
+// checkSlice asserts got[i] and want[i] have the same bits.
+func checkSlice(t *testing.T, what string, f Format, src, got, want []float32) {
+	t.Helper()
+	for i := range src {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s %s n=%d: [%d]=%v (in %v) != %v", f, what, len(src), i, got[i], src[i], want[i])
 		}
 	}
 }
 
-// checkEncode asserts fast == reference for one input.
-func checkEncode(t *testing.T, f Format, c *Codec, x float32) {
-	t.Helper()
-	got, want := c.Encode(x), f.Encode(float64(x))
-	if got != want {
-		t.Fatalf("%s: Encode(%v = %#08x) fast %#02x != ref %#02x",
-			f, x, math.Float32bits(x), got, want)
+// TestQuantizeMatchesOracle compares Quantize and QuantizeSlice with
+// the oracle on every oracleStride-th float32 bit pattern (every
+// pattern under the exhaustive build tag: `make exhaustive`).
+func TestQuantizeMatchesOracle(t *testing.T) {
+	for _, f := range testFormats {
+		f := f
+		t.Run(f.Name, func(t *testing.T) {
+			t.Parallel()
+			c := f.Codec()
+			var dec [256]uint32 // float32(f.Decode(code)) bits, memoized
+			for code := range dec {
+				dec[code] = math.Float32bits(float32(f.Decode(uint8(code))))
+			}
+			src := make([]float32, 0, 4096)
+			dst := make([]float32, cap(src))
+			for b := uint64(0); b < 1<<32; b += oracleStride {
+				src = append(src, math.Float32frombits(uint32(b)))
+				if len(src) < cap(src) && b+oracleStride < 1<<32 {
+					continue
+				}
+				c.QuantizeSlice(dst, src)
+				for i, x := range src {
+					want := dec[f.Encode(float64(x))]
+					if math.Float32bits(c.Quantize(x)) != want {
+						checkQuantize(t, f, c, x) // reports the mismatch
+					}
+					if got := math.Float32bits(dst[i]); got != want {
+						t.Fatalf("%s: QuantizeSlice(%v = %#08x) = %#08x, want %#08x",
+							f, x, math.Float32bits(x), got, want)
+					}
+				}
+				src = src[:0]
+			}
+		})
 	}
 }
 
@@ -63,7 +87,7 @@ func checkEncode(t *testing.T, f Format, c *Codec, x float32) {
 // zeros, infinities, NaN payloads, ±max, the overflow midpoints, and
 // the subnormal boundaries.
 func TestEncodeFastSpecials(t *testing.T) {
-	for _, f := range testFormats(t) {
+	for _, f := range testFormats {
 		c := f.Codec()
 		max := f.MaxValue()
 		ulp := math.Ldexp(1, f.maxRawExp()-f.Bias-int(f.ManBits))
@@ -79,80 +103,74 @@ func TestEncodeFastSpecials(t *testing.T) {
 			5.877471754111438e-39,       // float32 subnormal with high bits
 		}
 		for _, v := range specials {
-			checkEncode(t, f, c, float32(v))
-			checkEncode(t, f, c, -float32(v))
+			checkQuantize(t, f, c, float32(v))
+			checkQuantize(t, f, c, -float32(v))
 		}
 		for _, nan := range []float32{
 			float32(math.NaN()),
 			math.Float32frombits(0x7FC00001),
 			math.Float32frombits(0xFF800001), // negative signalling payload
 		} {
-			checkEncode(t, f, c, nan)
+			checkQuantize(t, f, c, nan)
 		}
 	}
 }
 
-// TestEncodeFastRoundTrip checks that every finite code survives an
-// encode(decode(code)) round trip and that NaN codes stay NaN.
+// TestEncodeFastRoundTrip checks every one of the 256 codes: its value
+// must be exact in float32 (the bit map rounds on float32's grid) and a
+// fixed point of Quantize, and NaN codes must quantize to NaN.
 func TestEncodeFastRoundTrip(t *testing.T) {
-	for _, f := range testFormats(t) {
+	for _, f := range testFormats {
 		c := f.Codec()
 		for b := 0; b < 256; b++ {
 			code := uint8(b)
-			v := c.dec[code]
-			got := c.Encode(v)
+			ref := f.Decode(code)
+			v := float32(ref)
+			got := c.Quantize(v)
 			switch {
 			case f.IsNaN(code):
-				if !f.IsNaN(got) {
-					t.Errorf("%s: NaN code %#02x re-encoded to %#02x", f, code, got)
+				if !math.IsNaN(float64(got)) {
+					t.Errorf("%s: NaN code %#02x quantized to %v", f, code, got)
 				}
-			default:
-				if got != code {
-					t.Errorf("%s: code %#02x (%v) round-tripped to %#02x", f, code, v, got)
-				}
+			case float64(v) != ref:
+				t.Errorf("%s: Decode(%#02x) loses precision in float32: %v vs %v", f, code, v, ref)
+			case math.Float32bits(got) != math.Float32bits(v):
+				t.Errorf("%s: code %#02x (%v) quantized to %v", f, code, v, got)
 			}
+			checkQuantize(t, f, c, v)
 		}
 	}
 }
 
-// TestEncodeFastDenseSweep compares the fast encoder against the
-// reference over a dense structured float32 sweep: every float32
-// exponent (subnormals included), all 512 top-mantissa patterns, and
-// boundary low bits that decide round-to-nearest-even ties.
+// TestEncodeFastDenseSweep compares Quantize with the oracle over a
+// dense structured float32 sweep: every float32 exponent (subnormals
+// included), all 512 top-mantissa patterns, and boundary low bits that
+// decide round-to-nearest-even ties.
 func TestEncodeFastDenseSweep(t *testing.T) {
 	lowBits := []uint32{0x0000, 0x0001, 0x1FFF, 0x2000, 0x2001, 0x3FFF}
-	for _, f := range testFormats(t) {
+	for _, f := range testFormats {
 		c := f.Codec()
 		for e32 := uint32(0); e32 <= 254; e32++ {
 			for hi := uint32(0); hi < 512; hi++ {
 				for _, lo := range lowBits {
-					mant := hi<<14 | lo
-					bits := e32<<23 | mant
-					x := math.Float32frombits(bits)
-					if got, want := c.Encode(x), f.Encode(float64(x)); got != want {
-						t.Fatalf("%s: Encode(%v = %#08x) fast %#02x != ref %#02x",
-							f, x, bits, got, want)
-					}
-					xn := math.Float32frombits(bits | 0x80000000)
-					if got, want := c.Encode(xn), f.Encode(float64(xn)); got != want {
-						t.Fatalf("%s: Encode(%v = %#08x) fast %#02x != ref %#02x",
-							f, xn, bits|0x80000000, got, want)
-					}
+					bits := e32<<23 | hi<<14 | lo
+					checkQuantize(t, f, c, math.Float32frombits(bits))
+					checkQuantize(t, f, c, math.Float32frombits(bits|0x80000000))
 				}
 			}
 		}
 	}
 }
 
-// TestEncodeFastRandom fuzzes the encoder with uniform random bit
-// patterns (covering NaN payloads and both infinities by construction).
+// TestEncodeFastRandom fuzzes Quantize with uniform random bit patterns
+// (covering NaN payloads and both infinities by construction).
 func TestEncodeFastRandom(t *testing.T) {
 	r := tensor.NewRNG(0xFA57)
-	for _, f := range testFormats(t) {
+	for _, f := range testFormats {
 		c := f.Codec()
 		for i := 0; i < 200000; i++ {
 			bits := uint32(r.Intn(1<<16))<<16 | uint32(r.Intn(1<<16))
-			checkEncode(t, f, c, math.Float32frombits(bits))
+			checkQuantize(t, f, c, math.Float32frombits(bits))
 		}
 	}
 }
@@ -176,27 +194,16 @@ func mixedTestSlice(n int, f Format) []float32 {
 	return src
 }
 
-// QuantizeSliceRef is the scalar float64 reference path, the
-// bit-exactness oracle for the fast codec.
-func (f Format) QuantizeSliceRef(dst, src []float32) []float32 {
-	for i, v := range src {
-		dst[i] = float32(f.Quantize(float64(v)))
-	}
-	return dst
-}
-
-// TestQuantizeSliceMatchesRef pins the fast QuantizeSlice to the scalar
-// reference path bit-for-bit.
+// TestQuantizeSliceMatchesRef pins QuantizeSlice to the oracle bit for
+// bit.
 func TestQuantizeSliceMatchesRef(t *testing.T) {
-	for _, f := range testFormats(t) {
+	for _, f := range testFormats {
 		src := mixedTestSlice(100000, f)
-		fast := f.Codec().QuantizeSlice(make([]float32, len(src)), src)
-		ref := f.QuantizeSliceRef(make([]float32, len(src)), src)
-		for i := range src {
-			if !sameFloat32(fast[i], ref[i]) {
-				t.Fatalf("%s: QuantizeSlice[%d]=%v (in %v) != ref %v", f, i, fast[i], src[i], ref[i])
-			}
+		want := make([]float32, len(src))
+		for i, v := range src {
+			want[i] = oracle(f, v)
 		}
+		checkSlice(t, "QuantizeSlice", f, src, f.Codec().QuantizeSlice(make([]float32, len(src)), src), want)
 	}
 }
 
@@ -207,62 +214,36 @@ func TestQuantizeSliceParallelMatchesSerial(t *testing.T) {
 	for _, n := range []int{0, 1, 100, quantGrain - 1, quantGrain + 1, 1<<20 + 3} {
 		src := mixedTestSlice(max(n, 8), E4M3)[:n]
 		serial := E4M3.Codec().QuantizeSlice(make([]float32, n), src)
-		par := E4M3.QuantizeSliceParallel(make([]float32, n), src)
-		for i := range src {
-			if !sameFloat32(serial[i], par[i]) {
-				t.Fatalf("n=%d: parallel[%d]=%v != serial %v", n, i, par[i], serial[i])
-			}
-		}
-		// In-place (dst aliasing src) must work too.
+		checkSlice(t, "parallel", E4M3, src, E4M3.QuantizeSliceParallel(make([]float32, n), src), serial)
 		inPlace := append([]float32(nil), src...)
-		E4M3.QuantizeSliceParallel(inPlace, inPlace)
-		for i := range inPlace {
-			if !sameFloat32(inPlace[i], serial[i]) {
-				t.Fatalf("n=%d: in-place parallel[%d]=%v != serial %v", n, i, inPlace[i], serial[i])
-			}
-		}
+		checkSlice(t, "in-place parallel", E4M3, src, E4M3.QuantizeSliceParallel(inPlace, inPlace), serial)
 	}
 }
 
-// TestQuantizeScaledSliceMatchesUnfused pins the fused
-// scale→quantize→rescale kernel to the unfused per-element expression
-// Quantize(v*scale)*inv bit-for-bit, across sizes on both sides of the
-// rescale-table threshold, every test format (slow fallbacks included),
-// and in-place aliasing.
+// TestQuantizeScaledSliceMatchesUnfused pins the scaled kernel to the
+// per-element oracle oracle(v*scale)*inv bit for bit, across lengths,
+// every test format, and in-place aliasing.
 func TestQuantizeScaledSliceMatchesUnfused(t *testing.T) {
-	for _, f := range testFormats(t) {
+	for _, f := range testFormats {
 		c := f.Codec()
-		threshold := 3.7
-		scale := float32(f.MaxValue() / threshold)
+		scale := float32(f.MaxValue() / 3.7)
 		inv := 1 / scale
-		for _, n := range []int{0, 1, 8, rescaleMin - 1, rescaleMin, rescaleMin + 3, 4096} {
+		for _, n := range []int{0, 1, 8, 255, 256, 259, 4096} {
 			src := mixedTestSlice(max(n, 8), f)[:n]
 			want := make([]float32, n)
 			for i, v := range src {
-				want[i] = c.Quantize(v*scale) * inv
+				want[i] = oracle(f, v*scale) * inv
 			}
-			got := c.QuantizeScaledSlice(make([]float32, n), src, scale, inv)
-			for i := range src {
-				if !sameFloat32(got[i], want[i]) {
-					t.Fatalf("%s n=%d: fused[%d]=%v (in %v) != unfused %v",
-						f, n, i, got[i], src[i], want[i])
-				}
-			}
+			checkSlice(t, "scaled", f, src, c.QuantizeScaledSlice(make([]float32, n), src, scale, inv), want)
 			inPlace := append([]float32(nil), src...)
-			c.QuantizeScaledSlice(inPlace, inPlace, scale, inv)
-			for i := range inPlace {
-				if !sameFloat32(inPlace[i], want[i]) {
-					t.Fatalf("%s n=%d: in-place fused[%d]=%v != unfused %v",
-						f, n, i, inPlace[i], want[i])
-				}
-			}
+			checkSlice(t, "in-place scaled", f, src, c.QuantizeScaledSlice(inPlace, inPlace, scale, inv), want)
 		}
 	}
 }
 
-// The fused-vs-unfused pair quantifies the QuantizeScaledSlice win on a
-// static-fake-quant-sized activation slice (run with -bench to compare;
-// the fused path folds the rescale into the decode table).
+// The fused-vs-unfused pair compares QuantizeScaledSlice, whose loop
+// inlines the normal-range rounding, with a per-element Quantize call
+// on a static-fake-quant-sized activation slice.
 func benchScaledSrc() ([]float32, []float32, float32, float32) {
 	src := make([]float32, 1<<14)
 	r := tensor.NewRNG(0xF05E)
@@ -306,11 +287,4 @@ func TestCodecCached(t *testing.T) {
 	if E4M3.WithBias(11).Codec() == E4M3.Codec() {
 		t.Error("bias-shifted format must not share the base codec")
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -194,9 +194,11 @@ func (f Format) Encode(x float64) uint8 {
 	if x > max {
 		// Overflow policy: IEEE formats round to Inf once past the
 		// midpoint between max and the next (unrepresentable) grid
-		// step; extended formats always saturate to ±max.
+		// step; extended formats always saturate to ±max. float64(...)
+		// rounds the (exact) half-ulp product explicitly, so arm64
+		// cannot fuse it into the add.
 		ulp := math.Ldexp(1, f.maxRawExp()-f.Bias-int(f.ManBits))
-		if f.IEEE && x >= max+ulp/2 {
+		if f.IEEE && x >= max+float64(ulp/2) {
 			return sign | uint8(f.expField())<<f.ManBits
 		}
 		return sign | f.maxCode()
@@ -224,7 +226,9 @@ func (f Format) Encode(x float64) uint8 {
 		e++
 	}
 	frac := x/math.Ldexp(1, e) - 1 // in [0,1)
-	q := roundHalfEven(frac * float64(int64(1)<<f.ManBits))
+	// An exact power-of-two product, rounded explicitly so arm64 cannot
+	// fuse it into roundHalfEven's subtraction.
+	q := roundHalfEven(float64(frac * float64(int64(1)<<f.ManBits)))
 	if q == 1<<f.ManBits {
 		// Mantissa overflowed; bump exponent.
 		q = 0

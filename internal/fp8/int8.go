@@ -21,9 +21,14 @@ func NewInt8Symmetric(absmax float64) Int8Symmetric {
 	return Int8Symmetric{Scale: absmax / 127}
 }
 
-// Encode quantizes x to an int8 code.
+// Encode quantizes x to an int8 code. NaN maps to code 0 explicitly:
+// converting a NaN float64 to an integer is implementation-dependent in
+// Go (0 on amd64, 0x7FFFFFFF on riscv64).
 func (q Int8Symmetric) Encode(x float64) int8 {
 	v := math.RoundToEven(x / q.Scale)
+	if math.IsNaN(v) {
+		return 0
+	}
 	if v > 127 {
 		v = 127
 	} else if v < -127 {
@@ -76,9 +81,13 @@ func NewInt8Asymmetric(min, max float64) Int8Asymmetric {
 	return Int8Asymmetric{Scale: scale, ZeroPoint: zp}
 }
 
-// Encode quantizes x to an unsigned 8-bit code.
+// Encode quantizes x to an unsigned 8-bit code. NaN maps to code 0
+// explicitly, as in Int8Symmetric.Encode.
 func (q Int8Asymmetric) Encode(x float64) uint8 {
 	v := math.RoundToEven(x/q.Scale) + float64(q.ZeroPoint)
+	if math.IsNaN(v) {
+		return 0
+	}
 	if v > 255 {
 		v = 255
 	} else if v < 0 {

@@ -21,6 +21,29 @@ func TestInt8SymmetricBasics(t *testing.T) {
 	}
 }
 
+// TestInt8SymmetricNaN pins NaN to code 0 on every architecture (a
+// bare int8(NaN) conversion is implementation-dependent).
+func TestInt8SymmetricNaN(t *testing.T) {
+	q := NewInt8Symmetric(10)
+	if c := q.Encode(math.NaN()); c != 0 {
+		t.Errorf("Encode(NaN) = %d, want 0", c)
+	}
+	if c := (Int8Symmetric{Scale: math.Inf(1)}).Encode(math.Inf(-1)); c != 0 {
+		t.Errorf("Encode(-Inf/Inf) = %d, want 0", c)
+	}
+}
+
+// TestInt8AsymmetricNaN pins NaN to code 0 on every architecture.
+func TestInt8AsymmetricNaN(t *testing.T) {
+	q := NewInt8Asymmetric(-1, 3)
+	if c := q.Encode(math.NaN()); c != 0 {
+		t.Errorf("Encode(NaN) = %d, want 0", c)
+	}
+	if c := (Int8Asymmetric{Scale: math.Inf(1), ZeroPoint: 64}).Encode(math.Inf(1)); c != 0 {
+		t.Errorf("Encode(Inf/Inf) = %d, want 0", c)
+	}
+}
+
 func TestInt8SymmetricDegenerate(t *testing.T) {
 	for _, absmax := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		q := NewInt8Symmetric(absmax)
