@@ -3,14 +3,13 @@ GO ?= go
 # Minimum combined statement coverage (%) for internal/harness +
 # internal/resultstore + internal/tensor/kernels + internal/analyzers +
 # internal/coord + internal/faultline. 71.2% was measured when the
-# sharding subsystem landed (PR 4); the kernels package joined the
-# floor in PR 5, the fp8vet analyzer suite in PR 6, the sweep
-# coordinator in PR 8, the fault-injection layer in PR 10, none
-# lowering it. cover-check fails CI if the combined figure regresses
-# below this.
+# floor was introduced with the harness and result store; the kernels
+# package, the fp8vet analyzer suite, the sweep coordinator and the
+# fault-injection layer joined it later, none lowering it. cover-check
+# fails CI if the combined figure regresses below this.
 COVER_FLOOR ?= 71.0
 
-.PHONY: all build vet vet-contracts fma-audit alloc-audit lint fmt fmt-check test bench bench-json bench-gate bench-kernels bench-trend smoke shard-smoke serve-smoke coord-smoke chaos-smoke fuzz exhaustive cover-check ci
+.PHONY: all build vet vet-contracts fma-audit alloc-audit lint fmt fmt-check test bench bench-json bench-gate bench-kernels bench-trend smoke serve-smoke coord-smoke chaos-smoke fuzz exhaustive cover-check ci
 
 all: build
 
@@ -137,31 +136,6 @@ smoke:
 	grep -v "^(" "$$d/run1.txt" > "$$d/r1"; grep -v "^(" "$$d/run2.txt" > "$$d/r2"; \
 	cmp "$$d/r1" "$$d/r2" || { echo "smoke: warm report differs from cold"; exit 1; }; \
 	echo "smoke: warm run identical, 0 misses"
-
-# Distributed-sweep smoke: compute table3 as 3 disjoint shards into 3
-# separate stores, merge them, and check (a) -coverage reports the
-# merged store complete, (b) a warm full run against it has 0 misses,
-# and (c) its report is byte-identical to an unsharded workers=1 run
-# (timing/cache footer lines, which start with "(", are excluded).
-shard-smoke:
-	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
-	$(GO) build -o "$$d/fp8bench" ./cmd/fp8bench; \
-	for i in 1 2 3; do \
-		"$$d/fp8bench" -exp table3 -shard $$i/3 -cache-dir "$$d/shard$$i" > /dev/null; \
-	done; \
-	"$$d/fp8bench" -merge "$$d/shard1,$$d/shard2,$$d/shard3" -cache-dir "$$d/merged"; \
-	"$$d/fp8bench" -exp table3 -coverage -cache-dir "$$d/merged" | tee "$$d/cov.txt"; \
-	grep -q "all experiment grids complete" "$$d/cov.txt" || { \
-		echo "shard-smoke: merged store incomplete"; exit 1; }; \
-	"$$d/fp8bench" -exp table3 -workers 1 -no-cache > "$$d/ref.txt"; \
-	"$$d/fp8bench" -exp table3 -workers 1 -cache-dir "$$d/merged" > "$$d/warm.txt"; \
-	grep -q ", 0 misses," "$$d/warm.txt" || { \
-		echo "shard-smoke: warm run over merged store had misses:"; \
-		grep "result store" "$$d/warm.txt"; exit 1; }; \
-	grep -v "^(" "$$d/ref.txt" > "$$d/r1"; grep -v "^(" "$$d/warm.txt" > "$$d/r2"; \
-	cmp "$$d/r1" "$$d/r2" || { \
-		echo "shard-smoke: merged report differs from unsharded run"; exit 1; }; \
-	echo "shard-smoke: 3 shards merged, coverage complete, report identical, 0 misses"
 
 # Coordinated-sweep smoke: fp8coord + pull-based fp8bench workers
 # complete table3 over HTTP into a fresh store. One worker is killed
@@ -314,4 +288,4 @@ cover-check:
 			printf "harness+resultstore+kernels+analyzers+coord+faultline combined coverage: %.1f%% (floor %.1f%%)\n", pct, floor; \
 			exit (pct < floor) }' coverage.out
 
-ci: build lint alloc-audit test serve-smoke coord-smoke chaos-smoke
+ci: build lint fma-audit alloc-audit test smoke serve-smoke coord-smoke chaos-smoke

@@ -348,7 +348,7 @@ func benchmarkSweep(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		harness.ClearMemo()
-		if _, _, err := harness.RunGrid(e, sel, harness.Shard{}); err != nil {
+		if _, _, err := harness.RunGrid(e, sel); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,8 +9,6 @@
 //	fp8bench -exp table2 -workers 4      bound the sweep worker pool
 //	fp8bench -exp table2 -filter "model=resnet50;densenet121"   run a sub-grid
 //	fp8bench -exp table2 -json           machine-readable report on stdout
-//	fp8bench -exp table2 -shard 2/3      compute only the 2nd of 3 grid shards
-//	fp8bench -merge dir1,dir2            merge shard stores into -cache-dir
 //	fp8bench -exp table2 -coverage       report done/missing cells per grid
 //	fp8bench -cache-clear                prune stale/old-schema store entries
 //	fp8bench -models                     list the 75-model zoo with metadata
@@ -27,29 +25,25 @@
 // experiment footer reports its cell cache traffic, and a progress
 // line on stderr shows cells done/total while a grid executes.
 //
-// Besides static sharding, a sweep can run under a coordinator:
+// A sweep too slow for one machine runs under a coordinator:
 // -worker <url> turns this process into a pull-based worker that
 // leases one cell at a time from a running fp8coord, computes it
 // through the same cache layers as a local run, and pushes the store
 // payload back over HTTP. SIGINT/SIGTERM drain gracefully — the
 // in-flight cell is finished and pushed before the worker exits.
-//
-// A sweep too slow for one machine shards: -shard i/n computes only
-// the i-th of n disjoint slices of each grid into this process's
-// store, -merge folds the resulting stores together (cells are
-// content-addressed, so merging is copying), and -coverage diffs each
-// grid's manifest against the merged store to show what is still
-// missing. A warm run against the merged store then renders the full
-// report, byte-identical to an unsharded run.
+// -warm-from <url> fills -cache-dir with the cells the coordinator
+// holds, and -coverage diffs each grid's manifest against the store to
+// show what is still missing. A warm run against a complete store then
+// renders the full report, byte-identical to a local run.
 //
 // All model forward math runs on the blocked compute kernels in
 // internal/tensor/kernels (packed-panel GEMM behind Linear, im2col
 // Conv2d and the attention matmuls, plus the FP8 fake-quant bit map
 // in internal/fp8). The kernels are bit-identical to the scalar reference
 // loops for any worker count, so reports — and the content addresses
-// the store and -merge rely on — are unchanged from the pre-kernel
-// code, just several times faster to compute cold (`make bench-json`
-// tracks the kernel trajectory in BENCH_kernels.json).
+// the store relies on — are unchanged from the pre-kernel code, just
+// several times faster to compute cold (`make bench-json` tracks the
+// kernel trajectory in BENCH_kernels.json).
 package main
 
 import (
@@ -61,7 +55,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -88,8 +81,6 @@ func main() {
 	cacheMaxAge := flag.Duration("cache-max-age", 0, "with -cache-clear, also remove entries older than this age (0 = schema-stale only)")
 	filterFlag := flag.String("filter", "", `run only matching cells, e.g. "model=resnet50;densenet121,recipe=E4M3 Static"`)
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report on stdout")
-	shardFlag := flag.String("shard", "", `compute only the i-th of n disjoint grid slices, e.g. "2/3" (1-based)`)
-	mergeFlag := flag.String("merge", "", "comma-separated store directories to merge into -cache-dir")
 	coverage := flag.Bool("coverage", false, "report done/missing cells per experiment instead of running (exits nonzero if any grid is incomplete)")
 	workerURL := flag.String("worker", "", "run as a pull-based sweep worker against this fp8coord URL")
 	workerName := flag.String("worker-name", "", "worker identity reported to the coordinator (default host-pid-n)")
@@ -115,7 +106,7 @@ func main() {
 	if v := os.Getenv("FP8_KERNEL"); v != "" {
 		// Pin the GEMM tier before any cell runs — a mixed-hardware
 		// worker fleet forces one variant so every store cell carries
-		// the same rounding (merges reject variant mixes).
+		// the same rounding (pushes and warms reject variant mixes).
 		if err := kernels.ForceVariant(kernels.Variant(v)); err != nil {
 			fmt.Fprintf(os.Stderr, "FP8_KERNEL: %v\n", err)
 			os.Exit(1)
@@ -128,26 +119,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "warning: result store disabled: %v\n", err)
 		} else {
 			harness.SetStore(s)
-		}
-	}
-	shard, err := parseShard(*shardFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-shard: %v\n", err)
-		os.Exit(1)
-	}
-	if shard.Enabled() && harness.Store() == nil {
-		// A shard's whole output is its store; without one the computed
-		// cells would be discarded and the slices could never merge.
-		fmt.Fprintln(os.Stderr, "-shard: no result store configured (set -cache-dir, drop -no-cache)")
-		os.Exit(1)
-	}
-	if *mergeFlag != "" {
-		if err := mergeStores(harness.Store(), *mergeFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "-merge: %v\n", err)
-			os.Exit(1)
-		}
-		if *exp == "" && !*coverage && !*list && !*listModels && !*cacheClear {
-			return
 		}
 	}
 	if *cacheClear {
@@ -198,7 +169,7 @@ func main() {
 			os.Exit(1)
 		}
 		if incomplete > 0 {
-			// Nonzero exit so scripts can gate "merge done?" on the
+			// Nonzero exit so scripts can gate "sweep done?" on the
 			// status instead of grepping the report text.
 			os.Exit(1)
 		}
@@ -246,7 +217,7 @@ func main() {
 					continue
 				}
 			}
-			o := runOne(id, filter, shard, *jsonOut)
+			o := runOne(id, filter, *jsonOut)
 			if o.Error != "" {
 				failed++
 			}
@@ -382,7 +353,7 @@ type expReport struct {
 	Values     map[string]float64 `json:"values,omitempty"`
 	Cache      *cacheReport       `json:"cache,omitempty"`
 	// KernelVariant is the GEMM tier this process dispatched (avx2, sse
-	// or generic) — the provenance consumers compare before merging
+	// or generic) — the provenance consumers compare before combining
 	// reports computed on different machines.
 	KernelVariant string `json:"kernel_variant,omitempty"`
 }
@@ -398,51 +369,6 @@ type cacheReport struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	Writes int64 `json:"writes"`
-}
-
-// parseShard parses the -shard flag: "i/n" with 1 <= i <= n selects
-// the i-th of n disjoint grid slices ("" means unsharded).
-func parseShard(s string) (harness.Shard, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return harness.Shard{}, nil
-	}
-	parts := strings.Split(s, "/")
-	if len(parts) != 2 {
-		return harness.Shard{}, fmt.Errorf("bad shard %q (want i/n, e.g. 2/3)", s)
-	}
-	i, err1 := strconv.Atoi(strings.TrimSpace(parts[0]))
-	n, err2 := strconv.Atoi(strings.TrimSpace(parts[1]))
-	if err1 != nil || err2 != nil {
-		return harness.Shard{}, fmt.Errorf("bad shard %q (want i/n, e.g. 2/3)", s)
-	}
-	if n < 1 || i < 1 || i > n {
-		return harness.Shard{}, fmt.Errorf("shard %q out of range (want 1 <= i <= n)", s)
-	}
-	return harness.Shard{Index: i - 1, Count: n}, nil
-}
-
-// mergeStores folds each comma-separated source store into dst.
-func mergeStores(dst *resultstore.Store, dirs string) error {
-	if dst == nil {
-		return fmt.Errorf("no destination store configured (set -cache-dir, drop -no-cache)")
-	}
-	for _, dir := range strings.Split(dirs, ",") {
-		dir = strings.TrimSpace(dir)
-		if dir == "" {
-			continue
-		}
-		src, err := resultstore.Open(dir)
-		if err != nil {
-			return err
-		}
-		st, err := dst.Merge(src)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "merged %s into %s: %s\n", dir, dst.Dir(), st)
-	}
-	return nil
 }
 
 // validateFilterAxes rejects a filter naming an axis no requested
@@ -496,9 +422,9 @@ func validateFilterAxes(ids []string, f harness.Filter) error {
 
 // printCoverage diffs each experiment's grid manifest against the
 // store's on-disk cells and returns how many grids are incomplete.
-// The stored manifest is preferred (it is what a completed or sharded
-// run recorded, including shard provenance); a grid never run against
-// this store falls back to the schedule derived from its spec.
+// The stored manifest is preferred (it is what a completed run
+// recorded, including kernel-variant provenance); a grid never run
+// against this store falls back to the schedule derived from its spec.
 // Experiments sharing a grid share coverage; each is still listed,
 // matching -exp semantics. Scalar experiments have no cells and are
 // skipped.
@@ -506,8 +432,8 @@ func printCoverage(s *resultstore.Store, ids []string) (int, error) {
 	if s == nil {
 		return 0, fmt.Errorf("no result store configured (set -cache-dir, drop -no-cache)")
 	}
-	fmt.Printf("%-14s %-22s %7s %7s %8s %9s  %-8s %s\n",
-		"experiment", "grid", "cells", "done", "missing", "complete", "variant", "shards")
+	fmt.Printf("%-14s %-22s %7s %7s %8s %9s  %s\n",
+		"experiment", "grid", "cells", "done", "missing", "complete", "variant")
 	incomplete := 0
 	for _, id := range ids {
 		e, ok := harness.Get(id)
@@ -526,20 +452,12 @@ func printCoverage(s *resultstore.Store, ids []string) (int, error) {
 		if !cov.Complete() {
 			incomplete++
 		}
-		shards := "-"
-		if len(m.Shards) > 0 {
-			var parts []string
-			for _, r := range m.Shards {
-				parts = append(parts, fmt.Sprintf("%d/%d", r.Index+1, r.Count))
-			}
-			shards = strings.Join(parts, ",")
-		}
 		variant := "-"
 		if len(m.KernelVariants) > 0 {
 			variant = strings.Join(m.KernelVariants, ",")
 		}
-		fmt.Printf("%-14s %-22s %7d %7d %8d %8.1f%%  %-8s %s\n",
-			id, spec.ID, cov.Total, cov.Done, len(cov.Missing), cov.Percent(), variant, shards)
+		fmt.Printf("%-14s %-22s %7d %7d %8d %8.1f%%  %s\n",
+			id, spec.ID, cov.Total, cov.Done, len(cov.Missing), cov.Percent(), variant)
 	}
 	if incomplete > 0 {
 		fmt.Printf("%d experiment grid(s) incomplete in %s\n", incomplete, s.Dir())
@@ -554,7 +472,7 @@ func printCoverage(s *resultstore.Store, ids []string) (int, error) {
 // reported per experiment, so one failing experiment cannot abort an
 // -exp all batch, and the elapsed-time and cache footers are printed
 // either way.
-func runOne(id string, f harness.Filter, sh harness.Shard, jsonMode bool) (out expReport) {
+func runOne(id string, f harness.Filter, jsonMode bool) (out expReport) {
 	e, ok := harness.Get(id)
 	if !ok {
 		return expReport{ID: id, Error: "unknown experiment"}
@@ -564,11 +482,7 @@ func runOne(id string, f harness.Filter, sh harness.Shard, jsonMode bool) (out e
 	before := s.Stats()
 	t0 := time.Now()
 	if !jsonMode {
-		if sh.Enabled() {
-			fmt.Printf("=== %s — %s (shard %s) ===\n", id, e.Title(), sh)
-		} else {
-			fmt.Printf("=== %s — %s ===\n", id, e.Title())
-		}
+		fmt.Printf("=== %s — %s ===\n", id, e.Title())
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -598,7 +512,7 @@ func runOne(id string, f harness.Filter, sh harness.Shard, jsonMode bool) (out e
 			fmt.Println()
 		}
 	}()
-	grid, sel, err := harness.RunGrid(e, f, sh)
+	grid, sel, err := harness.RunGrid(e, f)
 	if err != nil {
 		out.Error = err.Error()
 		return out

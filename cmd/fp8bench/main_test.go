@@ -1,16 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
-
-	"fp8quant/internal/evalx"
-	"fp8quant/internal/resultstore"
 	"strings"
 	"testing"
 
+	"fp8quant/internal/evalx"
 	"fp8quant/internal/harness"
+	"fp8quant/internal/resultstore"
 )
 
 // TestProfileFlags runs fp8bench (this test binary re-entering main)
@@ -38,52 +38,6 @@ func TestProfileFlags(t *testing.T) {
 		}
 		if fi.Size() == 0 {
 			t.Errorf("%s is empty", filepath.Base(p))
-		}
-	}
-}
-
-// TestParseShard covers the -shard flag syntax: 1-based "i/n" mapped
-// to the harness's 0-based plan, with malformed and out-of-range specs
-// rejected.
-func TestParseShard(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    harness.Shard
-		wantErr bool
-	}{
-		{in: "", want: harness.Shard{}},
-		{in: "  ", want: harness.Shard{}},
-		{in: "1/1", want: harness.Shard{Index: 0, Count: 1}},
-		{in: "1/3", want: harness.Shard{Index: 0, Count: 3}},
-		{in: "3/3", want: harness.Shard{Index: 2, Count: 3}},
-		{in: " 2 / 3 ", want: harness.Shard{Index: 1, Count: 3}},
-		{in: "0/3", wantErr: true}, // 1-based
-		{in: "4/3", wantErr: true}, // out of range
-		{in: "-1/3", wantErr: true},
-		{in: "1/0", wantErr: true},
-		{in: "1/-2", wantErr: true},
-		{in: "1", wantErr: true},
-		{in: "1/2/3", wantErr: true},
-		{in: "a/b", wantErr: true},
-		{in: "1/n", wantErr: true},
-	}
-	for _, tc := range cases {
-		got, err := parseShard(tc.in)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("parseShard(%q) = %+v, want error", tc.in, got)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("parseShard(%q): %v", tc.in, err)
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("parseShard(%q) = %+v, want %+v", tc.in, got, tc.want)
-		}
-		if err := got.Validate(); err != nil {
-			t.Errorf("parseShard(%q) produced invalid plan: %v", tc.in, err)
 		}
 	}
 }
@@ -141,7 +95,103 @@ func TestResolveIDs(t *testing.T) {
 // incomplete; a store holding every scheduled cell reports zero; a nil
 // store is a hard error.
 func TestPrintCoverageCountsIncompleteGrids(t *testing.T) {
-	// The smallest registered grid keeps the fill loop cheap.
+	id, spec := smallestGrid(t)
+	silenceStdout(t)
+
+	s, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	incomplete, err := printCoverage(s, []string{id})
+	if err != nil || incomplete != 1 {
+		t.Fatalf("empty store: incomplete = %d, %v; want 1 (drives the nonzero exit)", incomplete, err)
+	}
+
+	// Fill every scheduled cell (coverage checks presence and validity,
+	// not values) and the grid reads complete.
+	fillCells(t, s, spec)
+	incomplete, err = printCoverage(s, []string{id})
+	if err != nil || incomplete != 0 {
+		t.Fatalf("full store: incomplete = %d, %v; want 0", incomplete, err)
+	}
+
+	if _, err := printCoverage(nil, []string{id}); err == nil {
+		t.Fatal("nil store must be a hard -coverage error")
+	}
+}
+
+// TestLegacyManifestStillWorks pins that a manifest written by an older
+// store, which carries a provenance array this version no longer
+// declares, keeps working: LoadManifest accepts it, its schedule
+// matches the spec's, a fully warm RunGrid leaves its bytes untouched,
+// fsck calls the store healthy and -coverage counts the grid complete.
+func TestLegacyManifestStillWorks(t *testing.T) {
+	id, spec := smallestGrid(t)
+	e, _ := harness.Get(id)
+	silenceStdout(t)
+	s, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillCells(t, s, spec)
+
+	// The older layout: the retired provenance array between the cells
+	// and the kernel variants, written by the same envelope encoder.
+	if err := s.SaveManifest(harness.ManifestFor(spec)); err != nil {
+		t.Fatal(err)
+	}
+	path := s.ManifestPath(spec.ID, spec.Seed)
+	cur, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(cur, []byte("]}}")) {
+		t.Fatalf("unexpected manifest layout: %s", cur)
+	}
+	legacy := append(cur[:len(cur)-2:len(cur)-2],
+		`,"shards":[{"index":0,"count":3},{"index":2,"count":3}],"kernel_variants":["sse"]}}`...)
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m, ok := s.LoadManifest(spec.ID, spec.Seed)
+	if !ok {
+		t.Fatal("LoadManifest rejected the legacy manifest")
+	}
+	if !m.SameSchedule(harness.ManifestFor(spec)) {
+		t.Fatal("legacy manifest's schedule does not match the spec's")
+	}
+	if len(m.KernelVariants) != 1 || m.KernelVariants[0] != "sse" {
+		t.Fatalf("legacy manifest variants = %v, want [sse]", m.KernelVariants)
+	}
+
+	harness.SetStore(s)
+	t.Cleanup(func() { harness.SetStore(nil); harness.ClearMemo() })
+	harness.ClearMemo()
+	before := s.Stats()
+	if _, _, err := harness.RunGrid(e, nil); err != nil {
+		t.Fatal(err)
+	}
+	if d := s.Stats(); d.Misses != before.Misses || d.Writes != before.Writes {
+		t.Fatalf("warm RunGrid store traffic = %+v after %+v, want hits only", d, before)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, legacy) {
+		t.Fatalf("warm RunGrid rewrote the legacy manifest (err %v)", err)
+	}
+
+	rep, err := s.Fsck(resultstore.FsckOptions{})
+	if err != nil || !rep.Healthy() {
+		t.Fatalf("fsck on the legacy store = %+v, %v; want healthy", rep, err)
+	}
+	if incomplete, err := printCoverage(s, []string{id}); err != nil || incomplete != 0 {
+		t.Fatalf("coverage on the legacy store: incomplete = %d, %v; want 0", incomplete, err)
+	}
+}
+
+// smallestGrid returns the registered grid experiment with the fewest
+// cells, which keeps fill loops cheap.
+func smallestGrid(t *testing.T) (string, harness.GridSpec) {
+	t.Helper()
 	var id string
 	smallest := 1 << 30
 	for _, eid := range harness.IDs() {
@@ -155,40 +205,29 @@ func TestPrintCoverageCountsIncompleteGrids(t *testing.T) {
 		t.Fatal("no grid experiments registered")
 	}
 	e, _ := harness.Get(id)
-	spec := e.Spec()
+	return id, e.Spec()
+}
 
-	// printCoverage writes its table to stdout; swallow it.
+// fillCells stores a placeholder result for every cell of spec
+// (coverage and warm runs check presence and validity, not values).
+func fillCells(t *testing.T, s *resultstore.Store, spec harness.GridSpec) {
+	t.Helper()
+	for i := 0; i < spec.NumCells(); i++ {
+		if err := s.SaveCell(spec.CellKey(spec.CellAt(i)), evalx.Result{QAcc: 1, BaseAcc: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// silenceStdout discards what printCoverage writes for the rest of the
+// test.
+func silenceStdout(t *testing.T) {
+	t.Helper()
 	old := os.Stdout
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	os.Stdout = devnull
-	defer func() { os.Stdout = old; devnull.Close() }()
-
-	s, err := resultstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	incomplete, err := printCoverage(s, []string{id})
-	if err != nil || incomplete != 1 {
-		t.Fatalf("empty store: incomplete = %d, %v; want 1 (drives the nonzero exit)", incomplete, err)
-	}
-
-	// Fill every scheduled cell (coverage checks presence and validity,
-	// not values) and the grid reads complete.
-	for i := 0; i < spec.NumCells(); i++ {
-		cell := spec.CellAt(i)
-		if err := s.SaveCell(spec.CellKey(cell), evalx.Result{QAcc: 1, BaseAcc: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	incomplete, err = printCoverage(s, []string{id})
-	if err != nil || incomplete != 0 {
-		t.Fatalf("full store: incomplete = %d, %v; want 0", incomplete, err)
-	}
-
-	if _, err := printCoverage(nil, []string{id}); err == nil {
-		t.Fatal("nil store must be a hard -coverage error")
-	}
+	t.Cleanup(func() { os.Stdout = old; devnull.Close() })
 }

@@ -3,9 +3,9 @@
 // cell set from the requested experiments, leases cells to pull-based
 // fp8bench workers (most expensive first, by a cost model learned from
 // observed durations and persisted as a store sidecar), ingests pushed
-// payloads into its content-addressed result store under the exact
-// -merge conflict rules, and serves live coverage over a long-poll
-// endpoint.
+// payloads into its content-addressed result store under the store's
+// ingest conflict rules, and serves live coverage over a long-poll
+// endpoint. It is how a sweep spans machines.
 //
 // Usage:
 //
@@ -23,7 +23,8 @@
 // cost model is persisted, and the final coverage table is printed.
 // Results land in the same store layout as local runs, so a warm
 // `fp8bench -exp ...` against the store renders reports byte-identical
-// to an unsharded run, and -coverage/-merge work unchanged.
+// to a local run, -coverage works unchanged, and `fp8bench -warm-from`
+// copies the cells into another machine's store.
 package main
 
 import (

@@ -7,7 +7,7 @@
 //	fp8vet -list                 describe the checks
 //
 // The suite enforces the source-level invariants the result store,
-// the merge protocol and the kernel bit-identity proofs rest on —
+// its ingest protocol and the kernel bit-identity proofs rest on —
 // mapiter, nondeterm, floatorder, atomicwrite and cellpurity — plus
 // unused, which keeps internal/ free of code only tests reach; see
 // internal/analyzers for the individual checks. Findings print as

@@ -1,7 +1,7 @@
 // Package analyzers implements fp8vet, the project's determinism-
 // contract checker suite. Every load-bearing guarantee of this
-// reproduction — memoized cells, content-addressed store merges that
-// hard-error on differing payloads, kernels proven byte-identical to
+// reproduction — memoized cells, content-addressed store ingest that
+// hard-errors on differing payloads, kernels proven byte-identical to
 // the naive oracle — rests on source-level invariants that ordinary
 // tests only probe after the fact. Each analyzer makes one of those
 // invariants machine-checked on every push:

@@ -4,8 +4,8 @@
 // The store's whole crash-safety story is that readers only ever see
 // complete entries: writeAtomic stages bytes in a temp file and
 // renames it into place. A direct os.WriteFile/os.Create against a
-// store path reintroduces torn reads — a concurrent shard would read
-// half a cell and treat it as a corrupt miss at best, and Merge's
+// store path reintroduces torn reads — a concurrent process would read
+// half a cell and treat it as a corrupt miss at best, and IngestCell's
 // byte-equality conflict detection at worst compares against garbage.
 // The check flags any direct file-creation call (a) anywhere inside a
 // resultstore package except the writeAtomic helper itself, and (b) in

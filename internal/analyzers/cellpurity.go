@@ -2,12 +2,12 @@
 //
 // The executor's contract is that RunCell is pure — it may build
 // anything it likes, but its writes stay cell-local, so any worker
-// count, shard plan or cell order computes the same grid. An
+// count, fleet or cell order computes the same grid. An
 // assignment to a package-level variable from a RunCell body (or from
 // a function it calls directly in the same package — the helpers a
 // cell leans on) couples cells through hidden state: results then
-// depend on execution order, which the memo, the store and Merge all
-// assume away. Deliberate deterministic caches (compute-once
+// depend on execution order, which the memo, the store and its ingest
+// all assume away. Deliberate deterministic caches (compute-once
 // reference data guarded by a mutex) are the sanctioned exception —
 // annotate them with an fp8vet:ignore stating why order cannot
 // matter.

@@ -1,10 +1,10 @@
 // nondeterm: no environment reads on cell or kernel paths.
 //
 // Every RunCell result is persisted under a content address and later
-// byte-compared across shards by Store.Merge; a wall-clock read, an
-// environment variable, a CPU count or a global-RNG draw anywhere on
-// that path turns "merge conflict means fingerprint collision" into
-// "merge conflict means Tuesday". The check walks the statically
+// byte-compared across workers by Store.IngestCell; a wall-clock read,
+// an environment variable, a CPU count or a global-RNG draw anywhere
+// on that path turns "cell conflict means fingerprint collision" into
+// "cell conflict means Tuesday". The check walks the statically
 // resolvable call graph from every RunCell implementation (and every
 // function in the fp8/kernels packages, which are under the same
 // contract) and reports calls to the banned set.

@@ -225,7 +225,7 @@ func TestRealGridSubSweep(t *testing.T) {
 	harness.ClearMemo()
 	harness.SetStore(coordStore)
 	before := coordStore.Stats()
-	if _, _, err := harness.RunGrid(e, filter, harness.Shard{}); err != nil {
+	if _, _, err := harness.RunGrid(e, filter); err != nil {
 		t.Fatal(err)
 	}
 	after := coordStore.Stats()

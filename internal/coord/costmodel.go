@@ -12,7 +12,7 @@
 // The model is operational state, not results: it is persisted as a
 // store *sidecar* (atomic temp+rename, see resultstore.SaveSidecar) and
 // never inside content-addressed payloads, so stored cells and rendered
-// reports stay byte-identical whether a sweep ran locally, sharded, or
+// reports stay byte-identical whether a sweep ran locally or
 // coordinated.
 
 package coord

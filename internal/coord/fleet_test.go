@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -258,6 +259,59 @@ func TestCellEndpointAndWarm(t *testing.T) {
 	cov := cold.Coverage(resultstore.Manifest{Cells: manifestFPs(e)})
 	if !cov.Complete() {
 		t.Fatalf("warmed store coverage = %+v, want complete", cov)
+	}
+}
+
+// TestWarmRefusesOtherKernelVariant pins the one-tier rule on the warm
+// path: /v1/cell names the variants the coordinator's store records
+// for the cell's grid, a local store recording a different variant
+// refuses the warm before any cell lands, and an empty local store
+// ends up recording the coordinator's variant.
+func TestWarmRefusesOtherKernelVariant(t *testing.T) {
+	withHarnessState(t)
+	e, _ := newTestExp("tier")
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t)})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	for i := 0; i < e.spec.NumCells(); i++ {
+		fp, payload := payloadFor(t, e, i)
+		if _, code, msg := c.push(PushRequest{Fingerprint: fp, Payload: payload, Computed: true, KernelVariant: "sse"}); code != 200 {
+			t.Fatalf("push %d = %d %s", i, code, msg)
+		}
+	}
+	fp0, _ := payloadFor(t, e, 0)
+	resp, err := http.Get(srv.URL + "/v1/cell/" + fp0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get(VariantsHeader); got != "sse" {
+		t.Fatalf("GET cell %s = %q, want sse", VariantsHeader, got)
+	}
+
+	avx := openStore(t)
+	m := harness.ManifestFor(e.spec)
+	m.KernelVariants = []string{"avx2"}
+	if err := avx.SaveManifest(m); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Warm(context.Background(), srv.URL, avx, []harness.Experiment{e}, nil)
+	if !errors.Is(err, resultstore.ErrVariantConflict) {
+		t.Fatalf("warm sse cells into an avx2 store = %+v, %v; want a kernel variant conflict", st, err)
+	}
+	if cov := avx.Coverage(m); st.Fetched != 0 || cov.Done != 0 {
+		t.Fatalf("refused warm landed cells: %+v, coverage %+v", st, cov)
+	}
+	if got, _ := avx.LoadManifest(e.spec.ID, e.spec.Seed); len(got.KernelVariants) != 1 || got.KernelVariants[0] != "avx2" {
+		t.Fatalf("refused warm changed the local variants to %v", got.KernelVariants)
+	}
+
+	empty := openStore(t)
+	if st, err := Warm(context.Background(), srv.URL, empty, []harness.Experiment{e}, nil); err != nil || st.Fetched != e.spec.NumCells() {
+		t.Fatalf("warm into an empty store = %+v, %v", st, err)
+	}
+	if got, _ := empty.LoadManifest(e.spec.ID, e.spec.Seed); len(got.KernelVariants) != 1 || got.KernelVariants[0] != "sse" {
+		t.Fatalf("warmed store records variants %v, want [sse]", got.KernelVariants)
 	}
 }
 

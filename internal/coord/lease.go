@@ -3,7 +3,7 @@
 // experiments (experiments sharing a grid share cells, exactly like
 // the local memo) — and hands them out as deadline-bearing leases.
 // Expired leases requeue their cell, so a crashed or wedged worker
-// costs one timeout rather than a shard; cells whose push reports a
+// costs one timeout rather than the sweep; cells whose push reports a
 // deterministic failure are marked failed instead of looping forever.
 
 package coord

@@ -3,7 +3,7 @@
 // cell lease, compute it with the same harness code a local run uses,
 // and push the resulting store payload back — so the coordinator never
 // needs to know worker addresses, and a crashed worker costs exactly
-// one lease timeout instead of a shard.
+// one lease timeout.
 //
 // Endpoints (all under /v1):
 //
@@ -11,7 +11,8 @@
 //	POST /v1/push      PushRequest   -> PushResponse
 //	POST /v1/workers   WorkerHello   -> WorkerAck (register/heartbeat)
 //	GET  /v1/workers   -> WorkersSnapshot (fleet view)
-//	GET  /v1/cell/<fp> -> raw stored cell envelope (200) or 404
+//	GET  /v1/cell/<fp> -> raw stored cell envelope (200, with the grid's
+//	                      recorded kernel variants in VariantsHeader) or 404
 //	GET  /v1/progress  ?gen=N&timeout_ms=M  -> ProgressSnapshot (long-poll)
 //	GET  /v1/coverage  -> text coverage table (fp8bench -coverage style)
 //	GET  /v1/healthz   -> "ok"
@@ -23,6 +24,12 @@ import "encoding/json"
 // coordinator answers 413 to a request body over it, and workers read
 // at most this much of a lease, push or cell response.
 const maxBodyBytes = 16 << 20
+
+// VariantsHeader carries, on a GET /v1/cell/<fp> response, the kernel
+// variants the coordinator's store records for the grid that schedules
+// the cell, comma-separated (absent when none is recorded). A warming
+// store checks it before the cell lands.
+const VariantsHeader = "X-Kernel-Variants"
 
 // Lease statuses returned by POST /v1/lease.
 const (

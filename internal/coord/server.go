@@ -4,8 +4,8 @@
 // seeded done from whatever the store already holds, so restarting a
 // coordinator over a half-full store schedules only the missing
 // cells), leases cells to pull-based workers most-expensive-first via
-// the learned cost model, ingests pushed payloads under Store.Merge's
-// exact conflict rules, and publishes live coverage over a long-poll
+// the learned cost model, ingests pushed payloads under IngestCell's
+// conflict rules, and publishes live coverage over a long-poll
 // endpoint. All state lives behind one mutex; handlers are thin.
 //
 // Wall-clock use (lease deadlines, cost observations) is confined to
@@ -48,7 +48,7 @@ type Config struct {
 	Store *resultstore.Store
 	// LeaseTTL is how long a worker may hold a cell before the lease
 	// expires and the cell requeues. Default 5m — generous against the
-	// zoo's slowest cells, small against a lost shard.
+	// zoo's slowest cells, small against a whole sweep.
 	LeaseTTL time.Duration
 	// CostSidecar names the cost-model sidecar file in the store.
 	// Default CostSidecarName.
@@ -109,8 +109,8 @@ type workerRec struct {
 
 // New builds the schedule and seeds it from the store. The store's
 // grid manifests are written up front (full schedules only, like a
-// local run), so -coverage and merges can reason about the sweep while
-// it is still running.
+// local run), so -coverage can reason about the sweep while it is
+// still running.
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("coord: a result store is required (pushed cells have nowhere to go)")
@@ -187,8 +187,8 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // saveManifest records a grid's full schedule, preserving an existing
-// manifest whose schedule already matches (it may carry shard
-// provenance from earlier distributed runs).
+// manifest whose schedule already matches (it may carry kernel-variant
+// provenance from earlier runs).
 func saveManifest(s *resultstore.Store, spec harness.GridSpec) {
 	m := harness.ManifestFor(spec)
 	if old, ok := s.LoadManifest(spec.ID, spec.Seed); ok && old.SameSchedule(m) {
@@ -200,7 +200,7 @@ func saveManifest(s *resultstore.Store, spec harness.GridSpec) {
 }
 
 // seedFromStore marks every scheduled cell the store already holds as
-// done, so a restarted coordinator (or one pointed at a merged store)
+// done, so a restarted coordinator (or one pointed at a warmed store)
 // leases only the missing cells.
 func (c *Coordinator) seedFromStore() {
 	c.mu.Lock()
@@ -549,7 +549,7 @@ func (c *Coordinator) push(req PushRequest) (PushResponse, int, string) {
 	// time instead of poisoning the store.
 	if req.Computed && req.KernelVariant != "" {
 		if spec, ok := c.specs[it.grid]; ok {
-			if err := stampVariant(c.cfg.Store, spec, req.KernelVariant); err != nil {
+			if err := c.cfg.Store.StampVariants(spec.ID, spec.Seed, []string{req.KernelVariant}); err != nil {
 				finishLease()
 				return PushResponse{}, http.StatusConflict, err.Error()
 			}
@@ -586,31 +586,6 @@ func (c *Coordinator) push(req PushRequest) (PushResponse, int, string) {
 		return PushResponse{Status: PushIdentical}, http.StatusOK, ""
 	}
 	return PushResponse{Status: PushStored}, http.StatusOK, ""
-}
-
-// stampVariant unions a worker-reported kernel tier into the grid's
-// manifest, mirroring the local executor's provenance rule (only fresh
-// computes stamp; warm traffic leaves manifest bytes untouched) and
-// Store.Merge's mixing rule: a second distinct tier is an error (pin
-// FP8_KERNEL on every worker to run a sweep on mixed hardware).
-func stampVariant(s *resultstore.Store, spec harness.GridSpec, variant string) error {
-	m, ok := s.LoadManifest(spec.ID, spec.Seed)
-	if !ok {
-		return nil
-	}
-	merged := resultstore.UnionVariants(m.KernelVariants, []string{variant})
-	if len(merged) > 1 {
-		return fmt.Errorf("kernel variant %q conflicts with the store's recorded %v for grid %s: a sweep must stay on one tier (set FP8_KERNEL on every worker)",
-			variant, m.KernelVariants, spec.ID)
-	}
-	if len(merged) == len(m.KernelVariants) {
-		return nil
-	}
-	m.KernelVariants = merged
-	// A failed manifest write only degrades provenance reporting; the
-	// cell payloads are still content-addressed and safe.
-	_ = s.SaveManifest(m)
-	return nil
 }
 
 // ---- HTTP plumbing ----
@@ -723,8 +698,29 @@ func (c *Coordinator) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{"cell not in store"})
 		return
 	}
+	if v := c.recordedVariants(fp); len(v) > 0 {
+		w.Header().Set(VariantsHeader, strings.Join(v, ","))
+	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(b)
+}
+
+// recordedVariants returns the kernel variants the store's manifest
+// records for the grid that schedules fp (none for a cell outside the
+// schedule or a grid without a manifest).
+func (c *Coordinator) recordedVariants(fp string) []string {
+	c.mu.Lock()
+	it, ok := c.items[fp]
+	var spec harness.GridSpec
+	if ok {
+		spec = c.specs[it.grid]
+	}
+	c.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	m, _ := c.cfg.Store.LoadManifest(spec.ID, spec.Seed)
+	return m.KernelVariants
 }
 
 // handleProgress long-polls: with ?gen=N it blocks until the state

@@ -39,9 +39,12 @@ func (s WarmStats) String() string {
 // store is missing from the coordinator at url, ingesting them under
 // the store's usual conflict rules. Manifests are written locally from
 // the specs (the same full-schedule rule local runs use), so coverage
-// tooling works on the warmed store immediately. Fetches are single
-// requests — an unreachable coordinator fails the warm; a missing cell
-// does not.
+// tooling works on the warmed store immediately. Before a fetched cell
+// lands, the kernel variants the coordinator records for its grid are
+// stamped into the local manifest under the store's one-tier rule, so
+// cells from another tier are refused instead of mixed in. Fetches are
+// single requests — an unreachable coordinator fails the warm; a
+// missing cell does not.
 func Warm(ctx context.Context, url string, store *resultstore.Store, exps []harness.Experiment, log io.Writer) (WarmStats, error) {
 	var st WarmStats
 	if store == nil {
@@ -61,13 +64,16 @@ func Warm(ctx context.Context, url string, store *resultstore.Store, exps []harn
 				st.Present++
 				continue
 			}
-			b, found, err := fetchCell(ctx, client, base, fp)
+			b, variants, found, err := fetchCell(ctx, client, base, fp)
 			if err != nil {
 				return st, fmt.Errorf("coord: warm %s cell %d: %w", e.ID(), i, err)
 			}
 			if !found {
 				st.Absent++
 				continue
+			}
+			if err := store.StampVariants(spec.ID, spec.Seed, variants); err != nil {
+				return st, fmt.Errorf("coord: warm %s cell %d: %w", e.ID(), i, err)
 			}
 			if _, err := store.IngestCell(fp, b); err != nil {
 				return st, fmt.Errorf("coord: warm %s cell %d: %w", e.ID(), i, err)
@@ -81,30 +87,34 @@ func Warm(ctx context.Context, url string, store *resultstore.Store, exps []harn
 	return st, nil
 }
 
-// fetchCell GETs one cell's stored bytes; found=false on 404.
-func fetchCell(ctx context.Context, client *http.Client, base, fp string) ([]byte, bool, error) {
-	if err := faultline.Hit("coord.client.cell"); err != nil {
-		return nil, false, err
+// fetchCell GETs one cell's stored bytes and the kernel variants the
+// coordinator records for its grid; found=false on 404.
+func fetchCell(ctx context.Context, client *http.Client, base, fp string) (b []byte, variants []string, found bool, err error) {
+	if err = faultline.Hit("coord.client.cell"); err != nil {
+		return nil, nil, false, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/cell/"+fp, nil)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	b, err = io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
-		return b, true, nil
+		if h := resp.Header.Get(VariantsHeader); h != "" {
+			variants = strings.Split(h, ",")
+		}
+		return b, variants, true, nil
 	case http.StatusNotFound:
-		return nil, false, nil
+		return nil, nil, false, nil
 	default:
-		return nil, false, fmt.Errorf("GET /v1/cell/%s: HTTP %d: %s", fp, resp.StatusCode, strings.TrimSpace(string(b)))
+		return nil, nil, false, fmt.Errorf("GET /v1/cell/%s: HTTP %d: %s", fp, resp.StatusCode, strings.TrimSpace(string(b)))
 	}
 }

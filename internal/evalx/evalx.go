@@ -38,11 +38,11 @@ const MarginKeepPct = 70.0
 // as named Metrics instead. Results are serialized as-is by
 // internal/resultstore, so every field must JSON round-trip exactly —
 // keep NaN/Inf out of the float fields (mark failures via Err) — and
-// the encoding must be byte-deterministic: distributed shards that
-// compute the same cell must produce byte-identical store entries for
-// Store.Merge to recognize as duplicates. Map-valued fields are safe
-// (encoding/json sorts keys); do not add fields whose encoding depends
-// on iteration or insertion order.
+// the encoding must be byte-deterministic: two workers that compute
+// the same cell must produce byte-identical store entries for
+// Store.IngestCell to recognize as duplicates. Map-valued fields are
+// safe (encoding/json sorts keys); do not add fields whose encoding
+// depends on iteration or insertion order.
 type Result struct {
 	Model   string        `json:"model"`
 	Domain  models.Domain `json:"domain"`

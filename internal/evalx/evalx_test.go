@@ -141,9 +141,9 @@ func TestFormatOrderingOnOutlierNLP(t *testing.T) {
 }
 
 // TestResultJSONByteDeterministic pins the serialization contract the
-// distributed-sweep store merge relies on: two shards computing the
-// same cell must emit byte-identical JSON, or Store.Merge would flag
-// every shared cell as a conflict. Map-valued Metrics are the risky
+// store's ingest relies on: two workers computing the same cell must
+// emit byte-identical JSON, or Store.IngestCell would flag every
+// re-pushed cell as a conflict. Map-valued Metrics are the risky
 // part — encoding/json must sort the keys regardless of insertion
 // order.
 func TestResultJSONByteDeterministic(t *testing.T) {

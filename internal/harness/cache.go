@@ -61,9 +61,8 @@ func ClearMemo() {
 }
 
 // lookupCell returns the cell's result if the memo or the store
-// already holds it, without ever computing. Sharded runs use it to
-// render sibling shards' cells when present; an absent cell counts a
-// store miss, which is exactly what it is.
+// already holds it, without ever computing; an absent cell counts a
+// store miss.
 func lookupCell(k resultstore.CellKey) (evalx.Result, bool) {
 	fp := k.Fingerprint()
 	cacheMu.Lock()

@@ -25,18 +25,12 @@ import (
 // by the filter; renderers skip them like any other errored cell.
 const ErrNotSelected = "cell not selected by the filter"
 
-// ErrNotInShard marks the cells a sharded run neither computed (they
-// belong to another shard) nor found in the store; renderers skip
-// them. Once the sibling shards' stores are merged, a warm run fills
-// every cell and the sentinel disappears.
-const ErrNotInShard = "cell assigned to another shard and absent from the store"
-
 // Run executes the experiment end to end: every grid cell through the
 // cache layers on the sweep worker pool, then Render.
 //
 //fp8vet:ignore unused coord's and the root package's tests run whole experiments
 func Run(e Experiment) *Report {
-	g, _, err := RunGrid(e, nil, Shard{})
+	g, _, err := RunGrid(e, nil)
 	if err != nil {
 		// Unreachable with a nil filter; keep the report well-formed.
 		return &Report{Text: "error: " + err.Error(), Values: map[string]float64{}}
@@ -44,24 +38,20 @@ func Run(e Experiment) *Report {
 	return e.Render(g)
 }
 
+// Shard is an empty placeholder for RunGrid's trailing argument. It
+// has no fields and the executor ignores it: it exists only so the
+// end-to-end benchmark module's call in bench/child.go, which passes
+// Shard{}, keeps compiling until that module is next re-baselined.
+type Shard struct{}
+
 // RunGrid evaluates the cells of e selected by the filter (nil or
 // empty = all) and returns the grid plus the selected row-major
 // indices. Unselected cells stay zero-valued in the grid. A non-empty
 // filter that matches no cell, or one naming an axis the grid does not
 // declare, is an error.
-//
-// A non-trivial shard plan restricts computation to this shard's slice
-// of the selection: other shards' cells are filled from the memo or
-// the store when present and marked ErrNotInShard when not, so the
-// render shows whatever is known locally without recomputing sibling
-// work. The returned selection still covers the whole filtered
-// sub-grid — sharding changes who computes, not what the grid means.
-func RunGrid(e Experiment, f Filter, sh Shard) (*Grid, []int, error) {
+func RunGrid(e Experiment, f Filter, _ ...Shard) (*Grid, []int, error) {
 	spec := e.Spec()
 	n := spec.NumCells()
-	if err := sh.Validate(); err != nil {
-		return nil, nil, err
-	}
 	if err := spec.ValidateFilter(f); err != nil {
 		return nil, nil, err
 	}
@@ -84,44 +74,24 @@ func RunGrid(e Experiment, f Filter, sh Shard) (*Grid, []int, error) {
 	if len(sel) == 0 {
 		return g, sel, nil
 	}
-	mine := sel
-	if sh.Enabled() {
-		// Round-robin over the *positions* of the selected cells, not
-		// their absolute grid indices: a filter can select indices that
-		// all share a residue class (one recipe column of a [model,
-		// recipe] grid selects every 6th index), which would starve all
-		// but one shard. Position-based slicing always balances within
-		// one cell, and for an unfiltered run (sel = identity) it
-		// coincides with round-robin over absolute grid indices.
-		mine = make([]int, 0, len(sel)/sh.Count+1)
-		for k, idx := range sel {
-			if sh.Owns(k) {
-				mine = append(mine, idx)
-			} else if r, ok := lookupCell(spec.CellKey(spec.CellAt(idx))); ok {
-				g.Results[idx] = r
-			} else {
-				g.Results[idx] = evalx.Result{Err: ErrNotInShard}
-			}
-		}
-	}
 	var done, fresh atomic.Int64
-	reportProgress(e.ID(), 0, len(mine))
-	forEachCell(len(mine), func(k int) {
-		c := spec.CellAt(mine[k])
+	reportProgress(e.ID(), 0, len(sel))
+	forEachCell(len(sel), func(k int) {
+		c := spec.CellAt(sel[k])
 		r, computed := cachedCellFresh(spec.CellKey(c), func() evalx.Result {
 			return runCellSafe(e, spec, c)
 		})
-		g.Results[mine[k]] = r
+		g.Results[sel[k]] = r
 		if computed {
 			fresh.Add(1)
 		}
-		reportProgress(e.ID(), int(done.Add(1)), len(mine))
+		reportProgress(e.ID(), int(done.Add(1)), len(sel))
 	})
-	// A full-schedule run (sharded or not) knows the complete cell set;
-	// record it so coverage tooling and store merges can reason about
-	// the sweep without re-deriving the spec.
+	// A full-schedule run knows the complete cell set; record it so
+	// coverage tooling can reason about the sweep without re-deriving
+	// the spec.
 	if s := Store(); s != nil && len(sel) == n {
-		saveManifest(s, spec, sh, fresh.Load() > 0)
+		saveManifest(s, spec, fresh.Load() > 0)
 	}
 	return g, sel, nil
 }
@@ -220,28 +190,15 @@ func formatMetrics(m map[string]float64) string {
 // manifest that no longer matches the spec — the grid's axes can
 // legitimately change without a schema bump (a model added to the
 // zoo), and a stale manifest would misreport store coverage forever.
-// A sharded run stamps its shard record into the manifest's provenance
-// (preserving records already there), so a store can tell which slices
-// of a distributed sweep have run against it; a run that computed at
-// least one fresh cell stamps the active kernel variant the same way
-// (a fully warm run contributes no new bits, so its variant is not
-// provenance — in particular it leaves a pre-variant store's manifest
-// byte-identical). The load-union-save is
-// not atomic across processes: two shards finishing simultaneously
-// against the *same* store can each miss the other's record (the
-// intended deployment is one store per shard, merged afterwards, where
-// Merge performs the union race-free). Only the provenance column of
-// -coverage is affected — cells are content-addressed and unharmed.
-func saveManifest(s *resultstore.Store, spec GridSpec, sh Shard, computedFresh bool) {
+// A run that computed at least one fresh cell stamps the active kernel
+// variant into the manifest's provenance (a fully warm run contributes
+// no new bits, so its variant is not provenance — in particular it
+// leaves a pre-variant store's manifest byte-identical).
+func saveManifest(s *resultstore.Store, spec GridSpec, computedFresh bool) {
 	m := ManifestFor(spec)
 	old, ok := s.LoadManifest(spec.ID, spec.Seed)
 	if ok && old.SameSchedule(m) {
-		m.Shards = old.Shards
 		m.KernelVariants = old.KernelVariants
-	}
-	if sh.Enabled() {
-		rec := resultstore.ShardRecord{Index: sh.Index, Count: sh.Count}
-		m.Shards = resultstore.UnionShards(m.Shards, []resultstore.ShardRecord{rec})
 	}
 	if computedFresh {
 		m.KernelVariants = resultstore.UnionVariants(m.KernelVariants, []string{string(kernels.Active())})

@@ -63,10 +63,12 @@ func requireSameReport(t *testing.T, a, b *Report, what string) {
 }
 
 // TestResumeRecomputesOnlyMissingCells is the end-to-end per-cell
-// resume contract: delete a subset of cell files from a warm store and
-// re-run — the executor must recompute exactly the deleted cells
-// (store misses == deleted cells) and the rendered report must be
-// byte-identical to the cold run, serially and at full parallelism.
+// resume contract: a cold run, then a warm render with 0 misses that
+// is byte-identical to a storeless workers=1 run; then delete a subset
+// of cell files and re-run — the executor must recompute exactly the
+// deleted cells (store misses == deleted cells) and the rendered report
+// must be byte-identical to the cold run, serially and at full
+// parallelism.
 func TestResumeRecomputesOnlyMissingCells(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -77,6 +79,13 @@ func TestResumeRecomputesOnlyMissingCells(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Reference: a storeless workers=1 run.
+			SetWorkers(1)
+			refExp, _ := newExecTestExp()
+			ref := Run(refExp)
+			ClearMemo()
+			SetWorkers(workers)
+
 			SetStore(s)
 			e, computes := newExecTestExp()
 			spec := e.Spec()
@@ -98,10 +107,11 @@ func TestResumeRecomputesOnlyMissingCells(t *testing.T) {
 			if got := computes.Load(); got != 0 {
 				t.Fatalf("warm run computed %d cells, want 0", got)
 			}
-			if d := s.Stats(); d.Hits-beforeWarm.Hits != int64(n) {
-				t.Fatalf("warm run hits = %d, want %d", d.Hits-beforeWarm.Hits, n)
+			if d := s.Stats(); d.Hits-beforeWarm.Hits != int64(n) || d.Misses != beforeWarm.Misses {
+				t.Fatalf("warm run hits/misses = %d/%d, want %d/0", d.Hits-beforeWarm.Hits, d.Misses-beforeWarm.Misses, n)
 			}
 			requireSameReport(t, cold, warm, "warm vs cold")
+			requireSameReport(t, ref, warm, "warm vs storeless workers=1")
 
 			// Interrupt simulation: drop a subset of cells, re-run.
 			deleted := []int{1, 4}
@@ -157,7 +167,7 @@ func TestRunGridRecoversCellPanic(t *testing.T) {
 		}
 		e := gridExp{id: "panic-test", title: "panic test", spec: spec, cell: cell,
 			render: func(g *Grid) *Report { return &Report{Text: "ok", Values: map[string]float64{}} }}
-		g, _, err := RunGrid(e, nil, Shard{})
+		g, _, err := RunGrid(e, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +191,7 @@ func TestRunGridFilterSelectsSubGrid(t *testing.T) {
 	SetStore(nil)
 	e, computes := newExecTestExp()
 	f := Filter{"model": {"mb"}}
-	g, sel, err := RunGrid(e, f, Shard{})
+	g, sel, err := RunGrid(e, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +224,10 @@ func TestRunGridFilterNoMatch(t *testing.T) {
 	withCleanCache(t)
 	SetStore(nil)
 	e, computes := newExecTestExp()
-	if _, _, err := RunGrid(e, Filter{"model": {"nope"}}, Shard{}); err == nil {
+	if _, _, err := RunGrid(e, Filter{"model": {"nope"}}); err == nil {
 		t.Fatal("unmatched filter should error")
 	}
-	if _, _, err := RunGrid(e, Filter{"no-such-axis": {"x"}}, Shard{}); err == nil {
+	if _, _, err := RunGrid(e, Filter{"no-such-axis": {"x"}}); err == nil {
 		t.Fatal("unknown filter axis should error")
 	}
 	if got := computes.Load(); got != 0 {
@@ -226,7 +236,7 @@ func TestRunGridFilterNoMatch(t *testing.T) {
 	// A filter can never apply to an axis-less (scalar) experiment —
 	// that must error too, not silently succeed with zero cells.
 	scalar, _ := Get("fig1")
-	if _, _, err := RunGrid(scalar, Filter{"model": {"resnet50"}}, Shard{}); err == nil {
+	if _, _, err := RunGrid(scalar, Filter{"model": {"resnet50"}}); err == nil {
 		t.Fatal("filter on a scalar experiment should error")
 	}
 }
@@ -382,5 +392,80 @@ func TestSharedGridExperimentsShareCells(t *testing.T) {
 	k2 := s2.CellKey(s2.CellAt(0)).Fingerprint()
 	if k2 != s4.CellKey(s4.CellAt(0)).Fingerprint() || k2 != s5.CellKey(s5.CellAt(0)).Fingerprint() {
 		t.Error("table2/fig4/fig5 should share cell fingerprints")
+	}
+}
+
+// TestCoverageAfterDeletionAndResume mirrors the fp8bench -coverage
+// acceptance check at the library layer: a completed store reports
+// 100%, deleting k cells reports exactly those k missing, and a resume
+// run restores 100%.
+func TestCoverageAfterDeletionAndResume(t *testing.T) {
+	withCleanCache(t)
+	SetWorkers(1)
+	defer SetWorkers(0)
+	s, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetStore(s)
+	e, _ := newExecTestExp()
+	spec := e.Spec()
+	Run(e)
+	m, ok := s.LoadManifest(spec.ID, spec.Seed)
+	if !ok {
+		t.Fatal("completed run must leave a manifest")
+	}
+	if cov := s.Coverage(m); !cov.Complete() || cov.Percent() != 100 {
+		t.Fatalf("completed store coverage = %+v, want complete", cov)
+	}
+
+	deleted := []int{0, 3, 5}
+	for _, i := range deleted {
+		if err := os.Remove(s.CellPath(spec.CellKey(spec.CellAt(i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cov := s.Coverage(m)
+	if len(cov.Missing) != len(deleted) || cov.Done != spec.NumCells()-len(deleted) {
+		t.Fatalf("coverage after deleting %v = %+v, want exactly those missing", deleted, cov)
+	}
+	for i, idx := range cov.Missing {
+		if idx != deleted[i] {
+			t.Errorf("missing[%d] = %d, want %d (row-major index of the deleted cell)", i, idx, deleted[i])
+		}
+	}
+
+	ClearMemo()
+	Run(e) // resume recomputes the deleted cells
+	if cov := s.Coverage(m); !cov.Complete() {
+		t.Fatalf("coverage after resume = %+v, want 100%%", cov)
+	}
+}
+
+// TestValidateFilterListsAxes checks the unknown-axis error names the
+// grid's real axes — the fix for silently-empty filtered sub-grids.
+func TestValidateFilterListsAxes(t *testing.T) {
+	e, _ := newExecTestExp()
+	spec := e.Spec()
+	if err := spec.ValidateFilter(Filter{"model": {"ma"}}); err != nil {
+		t.Errorf("declared axis rejected: %v", err)
+	}
+	err := spec.ValidateFilter(Filter{"modle": {"ma"}})
+	if err == nil {
+		t.Fatal("unknown axis must be rejected")
+	}
+	for _, want := range []string{"modle", "model", "recipe", "exec-test"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q should mention %q", err, want)
+		}
+	}
+	// RunGrid surfaces it instead of running an empty sub-grid.
+	if _, _, err := RunGrid(e, Filter{"modle": {"ma"}}); err == nil || !strings.Contains(err.Error(), "model, recipe") {
+		t.Errorf("RunGrid unknown-axis error = %v, want the axis list", err)
+	}
+	// Scalar experiments say so rather than listing nothing.
+	scalar, _ := Get("fig1")
+	if err := scalar.Spec().ValidateFilter(Filter{"model": {"x"}}); err == nil || !strings.Contains(err.Error(), "no axes") {
+		t.Errorf("scalar ValidateFilter = %v, want a no-axes explanation", err)
 	}
 }

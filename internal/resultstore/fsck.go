@@ -21,7 +21,7 @@ import (
 
 // QuarantineDir is the subdirectory damaged entries are moved into by
 // a repair run. It lives inside the store so the evidence travels with
-// the directory, and every store walk (Merge, Prune, Fsck itself)
+// the directory, and every store walk (Prune, Coverage, Fsck itself)
 // skips directories, so quarantined files can never be mistaken for
 // live entries.
 const QuarantineDir = "quarantine"

@@ -257,41 +257,36 @@ func TestFsckDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestMergeAndPruneSkipQuarantine(t *testing.T) {
-	srcDir, dstDir := t.TempDir(), t.TempDir()
-	src, err := Open(srcDir)
+// TestPruneSkipsQuarantine: a quarantined cell stays where fsck -repair
+// put it — Prune leaves the quarantine directory alone, and the cell
+// never reads back as a hit.
+func TestPruneSkipsQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := Open(dstDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := src.SaveCell(testKey(), testResult()); err != nil {
+	if err := s.SaveCell(testKey(), testResult()); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt a second cell and quarantine it.
 	bad := "c-" + strings.Repeat("aa", 16) + ".json"
-	if err := os.WriteFile(filepath.Join(srcDir, bad), []byte("junk"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, bad), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Fsck(FsckOptions{Repair: true}); err != nil {
+	if _, err := s.Fsck(FsckOptions{Repair: true}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := dst.Merge(src)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, bad)); !os.IsNotExist(err) {
+		t.Fatal("repair left the corrupt cell in the store")
 	}
-	if st.CellsCopied != 1 {
-		t.Fatalf("merge stats = %+v", st)
+	if n, err := s.Prune(0); err != nil || n != 0 {
+		t.Fatalf("Prune = %d, %v; want nothing removed", n, err)
 	}
-	if _, err := os.Stat(filepath.Join(dstDir, bad)); !os.IsNotExist(err) {
-		t.Fatal("merge propagated a quarantined cell")
-	}
-	if _, err := src.Prune(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(srcDir, QuarantineDir, bad)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, QuarantineDir, bad)); err != nil {
 		t.Fatalf("prune touched quarantine: %v", err)
+	}
+	if _, ok := s.LoadCell(testKey()); !ok {
+		t.Fatal("prune dropped the healthy cell")
 	}
 }

@@ -1,0 +1,147 @@
+package resultstore
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+)
+
+// keyFor builds a distinct cell key per model name.
+func keyFor(model string) CellKey {
+	k := testKey()
+	k.Cell[0].Value = model
+	return k
+}
+
+// assertNoTmpFiles fails if any temp files leaked into dir.
+func assertNoTmpFiles(t *testing.T, dir string) {
+	t.Helper()
+	tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	hidden, _ := filepath.Glob(filepath.Join(dir, ".*.tmp"))
+	if all := append(tmps, hidden...); len(all) != 0 {
+		t.Errorf("temp files leaked in %s: %v", dir, all)
+	}
+}
+
+// TestStampVariants pins the one-kernel-tier rule: an absent manifest
+// records nothing, a legacy variant-less manifest takes the first
+// variant, the same variant again writes nothing, and a second
+// distinct variant is an ErrVariantConflict that leaves the manifest
+// untouched.
+func TestStampVariants(t *testing.T) {
+	s, _ := Open(t.TempDir())
+	m := testManifest()
+	if err := s.StampVariants(m.Grid, m.Seed, []string{"sse"}); err != nil {
+		t.Fatalf("absent manifest: %v", err)
+	}
+	if _, ok := s.LoadManifest(m.Grid, m.Seed); ok {
+		t.Fatal("stamping an absent manifest created one")
+	}
+	if err := s.SaveManifest(m); err != nil { // legacy: no variant recorded
+		t.Fatal(err)
+	}
+	path := s.ManifestPath(m.Grid, m.Seed)
+	if err := s.StampVariants(m.Grid, m.Seed, []string{"sse", ""}); err != nil {
+		t.Fatalf("legacy ∪ sse: %v", err)
+	}
+	got, _ := s.LoadManifest(m.Grid, m.Seed)
+	if len(got.KernelVariants) != 1 || got.KernelVariants[0] != "sse" {
+		t.Fatalf("variants = %v, want [sse]", got.KernelVariants)
+	}
+	before, _ := os.ReadFile(path)
+	if err := s.StampVariants(m.Grid, m.Seed, []string{"sse"}); err != nil {
+		t.Fatalf("same variant again: %v", err)
+	}
+	err := s.StampVariants(m.Grid, m.Seed, []string{"avx2"})
+	if !errors.Is(err, ErrVariantConflict) || !strings.Contains(err.Error(), "kernel variant") {
+		t.Fatalf("sse ∪ avx2 = %v, want ErrVariantConflict", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
+		t.Error("a same-variant stamp or a refused one rewrote the manifest")
+	}
+}
+
+// TestPruneKeepsManifestReferencedCells: an age-bounded prune must
+// never drop cells a live manifest references (a store filled by
+// pushes or -warm-from holds files with whatever mtime they landed
+// with), while unreferenced cells still age out and manifests
+// themselves are never age-pruned.
+func TestPruneKeepsManifestReferencedCells(t *testing.T) {
+	// One referenced cell + its manifest, and an unreferenced cell.
+	dir := t.TempDir()
+	dst, _ := Open(dir)
+	ref := testKey()
+	if err := dst.SaveCell(ref, testResult()); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.SaveManifest(testManifest()); err != nil { // references ref only
+		t.Fatal(err)
+	}
+	loose := keyFor("unreferenced")
+	if err := dst.SaveCell(loose, testResult()); err != nil {
+		t.Fatal(err)
+	}
+
+	// Age every file past the prune horizon.
+	old := time.Now().Add(-3 * time.Hour)
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		if err := os.Chtimes(filepath.Join(dir, e.Name()), old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := dst.Prune(time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 {
+		t.Errorf("Prune removed %d files, want 1 (the unreferenced cell only)", n)
+	}
+	if _, ok := dst.LoadCell(ref); !ok {
+		t.Error("manifest-referenced cell must survive an age-bounded prune")
+	}
+	if _, ok := dst.LoadCell(loose); ok {
+		t.Error("unreferenced aged cell should be pruned")
+	}
+	if _, ok := dst.LoadManifest("table2-sweep", 0); !ok {
+		t.Error("manifests must never age out")
+	}
+	assertNoTmpFiles(t, dir)
+}
+
+func TestCoverageCountsValidCells(t *testing.T) {
+	s, _ := Open(t.TempDir())
+	m := testManifest()
+	// Empty store: everything missing.
+	cov := s.Coverage(m)
+	if cov.Done != 0 || len(cov.Missing) != 1 || cov.Complete() {
+		t.Errorf("empty-store coverage = %+v", cov)
+	}
+	if err := s.SaveCell(testKey(), testResult()); err != nil {
+		t.Fatal(err)
+	}
+	cov = s.Coverage(m)
+	if !cov.Complete() || cov.Percent() != 100 {
+		t.Errorf("full-store coverage = %+v, want complete", cov)
+	}
+	// A torn cell is as missing as no cell: a resume would recompute it.
+	if err := os.WriteFile(s.CellPath(testKey()), []byte(`{"sch`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cov = s.Coverage(m)
+	if cov.Done != 0 {
+		t.Errorf("corrupt-cell coverage = %+v, want missing", cov)
+	}
+	// Empty manifest is trivially complete; nil store has nothing.
+	if cov := s.Coverage(Manifest{}); !cov.Complete() || cov.Percent() != 100 {
+		t.Errorf("empty-manifest coverage = %+v", cov)
+	}
+	var nilStore *Store
+	if cov := nilStore.Coverage(m); cov.Done != 0 || len(cov.Missing) != 1 {
+		t.Errorf("nil-store coverage = %+v, want all missing", cov)
+	}
+}

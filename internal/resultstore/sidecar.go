@@ -1,14 +1,14 @@
 // Sidecar files: small named artifacts that live next to a store's
 // content-addressed cells without being part of them — the sweep
 // coordinator's learned cost model is the canonical example. Results
-// and manifests must stay byte-identical across local, sharded and
-// coordinated runs, so operational state like observed cell durations
-// can never ride inside cell payloads; a sidecar gives it the same
-// atomic temp+rename durability without touching content addresses.
+// and manifests must stay byte-identical across local and coordinated
+// runs, so operational state like observed cell durations can never
+// ride inside cell payloads; a sidecar gives it the same atomic
+// temp+rename durability without touching content addresses.
 // Sidecar names are deliberately constrained so they can never collide
-// with the store's own "c-*/m-*" files (Merge and Prune skip them as
-// foreign, which is exactly right: a cost model is per-deployment
-// state, not shared results).
+// with the store's own "c-*/m-*" files (Prune and Fsck leave them
+// alone, which is exactly right: a cost model is per-deployment state,
+// not shared results).
 
 package resultstore
 

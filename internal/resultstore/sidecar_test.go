@@ -67,44 +67,37 @@ func TestSidecarNameValidation(t *testing.T) {
 	}
 }
 
-// TestSidecarSurvivesMergeAndPrune: sidecars are per-deployment state,
-// not shared results — Merge must not copy them, Prune must not delete
-// them.
-func TestSidecarSurvivesMergeAndPrune(t *testing.T) {
-	src, err := Open(t.TempDir())
+// TestSidecarSurvivesPrune: sidecars are per-deployment state, not
+// results — Prune must not delete them, and a cell ingested next to
+// one leaves it untouched.
+func TestSidecarSurvivesPrune(t *testing.T) {
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := Open(t.TempDir())
+	if err := s.SaveSidecar("costmodel.json", []byte(`{"schema":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	k := sidecarTestKey("m1")
+	payload, err := EncodeCell(k, evalx.Result{Model: "m1", QAcc: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.SaveCell(sidecarTestKey("m1"), evalx.Result{Model: "m1", QAcc: 1}); err != nil {
+	if _, err := s.IngestCell(k.Fingerprint(), payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.SaveSidecar("costmodel.json", []byte(`{"schema":1}`)); err != nil {
-		t.Fatal(err)
+	if n, err := s.Prune(0); err != nil || n != 0 {
+		t.Fatalf("Prune = %d, %v; want nothing removed", n, err)
 	}
-	st, err := dst.Merge(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CellsCopied != 1 || st.Skipped != 1 {
-		t.Fatalf("merge stats = %+v, want 1 copied cell and the sidecar skipped", st)
-	}
-	if _, ok := dst.LoadSidecar("costmodel.json"); ok {
-		t.Fatal("merge copied a sidecar across stores")
-	}
-	if _, err := src.Prune(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := src.LoadSidecar("costmodel.json"); !ok {
-		t.Fatal("prune deleted a sidecar")
+	if got, ok := s.LoadSidecar("costmodel.json"); !ok || string(got) != `{"schema":1}` {
+		t.Fatal("prune or ingest touched a sidecar")
 	}
 }
 
-// TestIngestCell covers the push-side ingest contract directly: the
-// same conflict rules as Merge, for one cell handed over as raw bytes.
+// TestIngestCell covers the ingest contract for one cell handed over
+// as raw bytes: invalid payloads never land, an identical duplicate is
+// skipped, a valid payload replaces a corrupt entry, and two differing
+// valid payloads are a conflict.
 func TestIngestCell(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {

@@ -74,32 +74,22 @@ type Manifest struct {
 	Axes   []ManifestAxis `json:"axes"`
 	// Cells are the row-major cell fingerprints of the full grid.
 	Cells []string `json:"cells"`
-	// Shards records which shard plans have contributed cells to this
-	// store — provenance for distributed sweeps. It is not part of the
-	// schedule: Merge unions it across stores whose schedules agree.
-	Shards []ShardRecord `json:"shards,omitempty"`
 	// KernelVariants records which GEMM kernel variants produced cells
 	// in this store (empty for pre-variant stores and runs that served
-	// everything from cache). Like Shards it is provenance, not
-	// schedule — but Merge refuses a union of more than one distinct
-	// variant, because the avx2 tier's fused rounding makes its cells
+	// everything from cache). It is provenance, not schedule — but
+	// StampVariants refuses to record more than one distinct variant,
+	// because the avx2 tier's fused rounding makes its cells
 	// bit-incompatible with two-rounding tiers' and a mixed store would
-	// poison warm-run byte-identity silently.
+	// poison warm-run byte-identity silently. Manifests written by
+	// older versions may carry fields this struct no longer declares;
+	// decoding ignores them.
 	KernelVariants []string `json:"kernel_variants,omitempty"`
 }
 
-// ShardRecord identifies one slice of a sharded grid run: the 0-based
-// shard index out of a count of disjoint shards.
-type ShardRecord struct {
-	Index int `json:"index"`
-	Count int `json:"count"`
-}
-
 // SameSchedule reports whether two manifests declare the identical cell
-// schedule (everything except the Shards and KernelVariants provenance).
+// schedule (everything except the KernelVariants provenance).
 func (m Manifest) SameSchedule(o Manifest) bool {
 	a, b := m, o
-	a.Shards, b.Shards = nil, nil
 	a.KernelVariants, b.KernelVariants = nil, nil
 	ab, _ := json.Marshal(a)
 	bb, _ := json.Marshal(b)
@@ -207,8 +197,8 @@ func (s *Store) LoadCell(k CellKey) (evalx.Result, bool) {
 // (key, result) pair — the canonical on-disk cell envelope. Remote
 // workers encode their payloads through it so a pushed cell is
 // byte-identical to the file a local run would have produced, which is
-// what lets IngestCell apply Merge's byte-equality conflict rules to
-// pushed payloads.
+// what lets IngestCell's byte-equality conflict rules apply to pushed
+// payloads.
 func EncodeCell(k CellKey, r evalx.Result) ([]byte, error) {
 	b, err := json.Marshal(cellEnvelope{Schema: k.Schema, Key: k, Result: r})
 	if err != nil {
@@ -303,9 +293,9 @@ var storeFilePattern = regexp.MustCompile(`^(c-|m-)?[0-9a-f]{32}\.json$`)
 // other schema versions (including the pre-cell whole-grid blobs of
 // schema 1). With maxAge > 0 it also removes current-schema cells
 // whose file is older than maxAge — except cells referenced by a live
-// (current-schema) manifest, which a merged store may have received
-// with an arbitrary mtime and which a resume or coverage check still
-// expects to find. Manifests themselves never age out: they are tiny
+// (current-schema) manifest, which a warmed or pushed-to store may
+// have received with an arbitrary mtime and which a resume or coverage
+// check still expects to find. Manifests themselves never age out: they are tiny
 // and carry the schedule that gives the cells meaning. Returns the
 // number of files removed. Files the store did not name are left
 // alone.

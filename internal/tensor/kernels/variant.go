@@ -12,7 +12,7 @@ import "fmt"
 // "avx2" uses fused multiply-adds that round once per update — its
 // results legitimately differ from the SSE tier in the last bits. Any
 // artifact derived from kernel output (store cells, reports) therefore
-// records the producing variant, and store merges refuse to mix
+// records the producing variant, and the store refuses to mix
 // variants silently.
 type Variant string
 
