@@ -62,13 +62,56 @@ func requireSameReport(t *testing.T, a, b *Report, what string) {
 	}
 }
 
+// TestWarmStoreMatchesStorelessReport checks a store filled by one
+// run serves the next process in full: the warm render computes
+// nothing, misses nothing, and is byte-identical to a storeless
+// workers=1 run, serially and at full parallelism.
+func TestWarmStoreMatchesStorelessReport(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			withCleanCache(t)
+			defer SetWorkers(0)
+
+			// Reference: a storeless workers=1 run.
+			SetWorkers(1)
+			SetStore(nil)
+			refExp, _ := newExecTestExp()
+			ref := Run(refExp)
+			ClearMemo()
+
+			SetWorkers(workers)
+			s, err := resultstore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			SetStore(s)
+			e, computes := newExecTestExp()
+			n := e.Spec().NumCells()
+			Run(e)
+			if got := computes.Load(); got != int64(n) {
+				t.Fatalf("cold run computed %d cells, want %d", got, n)
+			}
+
+			ClearMemo() // the warm run is a fresh process
+			computes.Store(0)
+			before := s.Stats()
+			warm := Run(e)
+			if got := computes.Load(); got != 0 {
+				t.Errorf("warm run computed %d cells, want 0", got)
+			}
+			if d := s.Stats(); d.Misses != before.Misses || d.Hits-before.Hits != int64(n) {
+				t.Errorf("warm run hits/misses = %d/%d, want %d/0", d.Hits-before.Hits, d.Misses-before.Misses, n)
+			}
+			requireSameReport(t, ref, warm, "warm vs storeless workers=1")
+		})
+	}
+}
+
 // TestResumeRecomputesOnlyMissingCells is the end-to-end per-cell
-// resume contract: a cold run, then a warm render with 0 misses that
-// is byte-identical to a storeless workers=1 run; then delete a subset
-// of cell files and re-run — the executor must recompute exactly the
-// deleted cells (store misses == deleted cells) and the rendered report
-// must be byte-identical to the cold run, serially and at full
-// parallelism.
+// resume contract: delete a subset of cell files from a warm store and
+// re-run — the executor must recompute exactly the deleted cells
+// (store misses == deleted cells) and the rendered report must be
+// byte-identical to the cold run, serially and at full parallelism.
 func TestResumeRecomputesOnlyMissingCells(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -79,13 +122,6 @@ func TestResumeRecomputesOnlyMissingCells(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Reference: a storeless workers=1 run.
-			SetWorkers(1)
-			refExp, _ := newExecTestExp()
-			ref := Run(refExp)
-			ClearMemo()
-			SetWorkers(workers)
-
 			SetStore(s)
 			e, computes := newExecTestExp()
 			spec := e.Spec()
@@ -107,11 +143,10 @@ func TestResumeRecomputesOnlyMissingCells(t *testing.T) {
 			if got := computes.Load(); got != 0 {
 				t.Fatalf("warm run computed %d cells, want 0", got)
 			}
-			if d := s.Stats(); d.Hits-beforeWarm.Hits != int64(n) || d.Misses != beforeWarm.Misses {
-				t.Fatalf("warm run hits/misses = %d/%d, want %d/0", d.Hits-beforeWarm.Hits, d.Misses-beforeWarm.Misses, n)
+			if d := s.Stats(); d.Hits-beforeWarm.Hits != int64(n) {
+				t.Fatalf("warm run hits = %d, want %d", d.Hits-beforeWarm.Hits, n)
 			}
 			requireSameReport(t, cold, warm, "warm vs cold")
-			requireSameReport(t, ref, warm, "warm vs storeless workers=1")
 
 			// Interrupt simulation: drop a subset of cells, re-run.
 			deleted := []int{1, 4}
