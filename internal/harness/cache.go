@@ -45,9 +45,10 @@ func Store() *resultstore.Store {
 // ClearMemo drops every in-process cache — the cell memo, the
 // per-model FP32 reference cache, the fig6/table4 generation
 // references, the models' memoized BatchNorm warm-ups and input
-// batches, and the idle execution plans (the disk store is untouched). Tests use it to
-// simulate a process boundary and force store round trips and cold
-// builds; long-lived embedders can use it to release sweep memory.
+// batches, the idle execution plans and the idle FP32 networks (the
+// disk store is untouched). Tests use it to simulate a process
+// boundary and force store round trips and cold builds; long-lived
+// embedders can use it to release sweep memory.
 //
 //fp8vet:ignore unused the bench module's tests force cold builds with it
 func ClearMemo() {
@@ -58,6 +59,7 @@ func ClearMemo() {
 	clearGenRefs()
 	models.ClearMemo()
 	clearPlans()
+	clearNets()
 }
 
 // lookupCell returns the cell's result if the memo or the store

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -414,6 +415,40 @@ func TestGridSpecCellOrder(t *testing.T) {
 	k2 := spec.CellKey(spec.CellAt(2))
 	if k.Fingerprint() == k2.Fingerprint() {
 		t.Error("distinct cells share a fingerprint")
+	}
+}
+
+// TestSelectMatchesCellValues checks Select's index arithmetic against
+// the cells' resolved values on a three-axis grid whose axes differ in
+// length, with a value repeated within an axis.
+func TestSelectMatchesCellValues(t *testing.T) {
+	spec := GridSpec{ID: "select-test", Axes: []Axis{
+		{Name: "a", Values: []string{"x", "y", "x"}},
+		{Name: "b", Values: []string{"p", "q"}},
+		{Name: "c", Values: []string{"1", "2", "3", "4"}},
+	}}
+	for _, f := range []Filter{
+		{"a": {"x"}},
+		{"b": {"q"}, "c": {"2", "4", "9"}},
+		{"a": {"y"}, "b": {"p", "q"}, "c": {"1"}},
+		{"c": {"none"}},
+	} {
+		var want []int
+		for i := 0; i < spec.NumCells(); i++ {
+			c := spec.CellAt(i)
+			ok := true
+			for ai, a := range spec.Axes {
+				if vs, filtered := f[a.Name]; filtered && !slices.Contains(vs, c.Values[ai]) {
+					ok = false
+				}
+			}
+			if ok {
+				want = append(want, i)
+			}
+		}
+		if got := spec.Select(f); !slices.Equal(got, want) {
+			t.Errorf("Select(%v) = %v, want %v", f, got, want)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fp8quant/internal/evalx"
 	"fp8quant/internal/models"
 	"fp8quant/internal/quant"
+	"fp8quant/internal/tensor/kernels"
 )
 
 func init() {
@@ -31,17 +32,25 @@ func init() {
 
 // ---- the model cell ----
 
-// withModelCell runs the steps every model cell shares: it builds the
-// named model, installs an execution plan, takes the model's FP32
-// reference and hands the network and reference to eval. A model that
+// withModelCell runs the steps every model cell shares: it takes an
+// FP32 network of the named model from the free list (netpool.go),
+// installs an execution plan, takes the model's FP32 reference and
+// hands the network and reference to eval. eval must leave the network
+// as it found it, which quant.Handle.Release does; the network goes
+// back to the free list only if eval returns normally. A model that
 // fails to build yields a Failed result under label.
 func withModelCell(name, label string, eval func(*models.Network, evalx.Reference) evalx.Result) evalx.Result {
-	net, err := models.Build(name)
+	key := netKey{name, kernels.Active()}
+	net, err := takeNet(key)
 	if err != nil {
 		return evalx.Failed(name, label, err)
 	}
-	defer withPlan(net)()
-	return eval(net, modelRef(name, net))
+	r := func() evalx.Result {
+		defer withPlan(net)()
+		return eval(net, modelRef(name, net))
+	}()
+	putNet(key, net)
+	return r
 }
 
 // evalModelCell evaluates the named model under recipe(net), with the

@@ -10,6 +10,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -217,7 +218,9 @@ func (s GridSpec) ValidateFilter(f Filter) error {
 }
 
 // Select returns the row-major indices of the cells matching the
-// filter (all cells for an empty filter).
+// filter (all cells for an empty filter). It matches each index's
+// coordinates by row-major arithmetic, so it allocates per axis, not
+// per cell.
 func (s GridSpec) Select(f Filter) []int {
 	n := s.NumCells()
 	if len(f) == 0 {
@@ -228,39 +231,34 @@ func (s GridSpec) Select(f Filter) []int {
 		return out
 	}
 	// A filter axis the spec does not declare can match nothing.
-	declared := map[string]bool{}
-	for _, a := range s.Axes {
-		declared[a.Name] = true
+	if len(s.UnknownAxes(f)) > 0 {
+		return nil
 	}
-	for name := range f {
-		if !declared[name] {
-			return nil
+	// admit[ai][vi] says whether the filter admits value vi of axis ai;
+	// nil admits every value of an unfiltered axis.
+	admit := make([][]bool, len(s.Axes))
+	for ai, a := range s.Axes {
+		want, filtered := f[a.Name]
+		if !filtered {
+			continue
+		}
+		admit[ai] = make([]bool, len(a.Values))
+		for vi, v := range a.Values {
+			admit[ai][vi] = slices.Contains(want, v)
 		}
 	}
 	var out []int
+cells:
 	for i := 0; i < n; i++ {
-		c := s.CellAt(i)
-		ok := true
-		for ai, a := range s.Axes {
-			want, filtered := f[a.Name]
-			if !filtered {
-				continue
+		rem := i
+		for ai := len(s.Axes) - 1; ai >= 0; ai-- {
+			k := len(s.Axes[ai].Values)
+			if admit[ai] != nil && !admit[ai][rem%k] {
+				continue cells
 			}
-			match := false
-			for _, v := range want {
-				if v == c.Values[ai] {
-					match = true
-					break
-				}
-			}
-			if !match {
-				ok = false
-				break
-			}
+			rem /= k
 		}
-		if ok {
-			out = append(out, i)
-		}
+		out = append(out, i)
 	}
 	return out
 }

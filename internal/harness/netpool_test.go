@@ -1,0 +1,277 @@
+package harness
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"fp8quant/internal/evalx"
+	"fp8quant/internal/models"
+	"fp8quant/internal/quant"
+	"fp8quant/internal/tensor/kernels"
+)
+
+// restoreFamilies is one zoo model per builder family.
+var restoreFamilies = []string{
+	"cifar_resnet20",       // BatchNorm CNN
+	"shufflenet_v2",        // depthwise CNN
+	"tinybert_mrpc",        // encoder
+	"gpt2_wikitext",        // decoder
+	"llama_7b",             // Llama decoder
+	"t5_small_cnndm",       // encoder-decoder
+	"dlrm_criteo",          // embedding bags
+	"wav2vec2_librispeech", // audio
+	"deit_tiny",            // ViT
+	"unet_carvana",         // UNet
+}
+
+// TestReleaseRestoresZooNetworks is the contract the network free list
+// (netpool.go) rests on: after Quantize, an eval forward and Release,
+// a zoo network equals a fresh models.Build bit for bit — every weight,
+// bias, BatchNorm statistic, norm gamma/beta and QState — whatever
+// recipes it ran before. Each recipe runs on the same network in turn,
+// as pooled cells do.
+func TestReleaseRestoresZooNetworks(t *testing.T) {
+	withCleanCache(t)
+	var recipes []recipeColumn
+	recipes = append(recipes, sweepRecipes...)
+	recipes = append(recipes,
+		recipeColumn{"E4M3 extended", func(*models.Network) quant.Recipe {
+			return quant.StandardFP8(quant.E4M3).WithExtendedOps()
+		}},
+		recipeColumn{"E4M3 BNCalib", func(*models.Network) quant.Recipe {
+			return quant.StandardFP8(quant.E4M3).WithBNCalib(evalx.CalibBatches)
+		}})
+	for _, name := range restoreFamilies {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			net, err := models.Build(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := models.Build(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eval := net.Data.Batch(evalx.EvalStart)
+			want := fresh.Run(eval).Clone()
+			for _, col := range recipes {
+				h := quant.Quantize(net, net.Data, evalx.PaperRecipe(col.recipe(net), net))
+				net.Run(eval)
+				h.Release()
+				if diffs := diffValues(reflect.ValueOf(fresh.Root()), reflect.ValueOf(net.Root()), "root"); len(diffs) > 0 {
+					t.Fatalf("after %s and Release, the network differs from a fresh Build:\n%s", col.label, strings.Join(diffs, "\n"))
+				}
+			}
+			got := net.Run(eval)
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("restored forward differs at %d: %v, want %v", i, got.Data[i], want.Data[i])
+				}
+			}
+		})
+	}
+}
+
+// diffValues compares two module trees field by field, unexported
+// fields included: floats by bits, funcs (QState hooks) by nil-ness.
+// It returns the paths that differ, at most ten.
+func diffValues(a, b reflect.Value, path string) []string {
+	var diffs []string
+	seen := map[[2]uintptr]bool{}
+	var walk func(a, b reflect.Value, path string)
+	walk = func(a, b reflect.Value, path string) {
+		if len(diffs) >= 10 {
+			return
+		}
+		differ := func(format string, args ...any) {
+			diffs = append(diffs, path+": "+fmt.Sprintf(format, args...))
+		}
+		switch a.Kind() {
+		case reflect.Pointer, reflect.Interface:
+			if a.IsNil() || b.IsNil() {
+				if a.IsNil() != b.IsNil() {
+					differ("nil %v, want nil %v", b.IsNil(), a.IsNil())
+				}
+				return
+			}
+			if a.Kind() == reflect.Pointer {
+				k := [2]uintptr{a.Pointer(), b.Pointer()}
+				if seen[k] {
+					return
+				}
+				seen[k] = true
+			} else if a.Elem().Type() != b.Elem().Type() {
+				differ("type %v, want %v", b.Elem().Type(), a.Elem().Type())
+				return
+			}
+			walk(a.Elem(), b.Elem(), path)
+		case reflect.Struct:
+			for i := 0; i < a.NumField(); i++ {
+				walk(a.Field(i), b.Field(i), path+"."+a.Type().Field(i).Name)
+			}
+		case reflect.Slice, reflect.Array:
+			if a.Len() != b.Len() {
+				differ("len %d, want %d", b.Len(), a.Len())
+				return
+			}
+			for i := 0; i < a.Len(); i++ {
+				walk(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i))
+			}
+		case reflect.Map:
+			if a.Len() != b.Len() {
+				differ("len %d, want %d", b.Len(), a.Len())
+			}
+		case reflect.Func:
+			if a.IsNil() != b.IsNil() {
+				differ("func set %v, want %v", !b.IsNil(), !a.IsNil())
+			}
+		case reflect.Float32, reflect.Float64:
+			if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
+				differ("%v, want %v", b.Float(), a.Float())
+			}
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			if a.Int() != b.Int() {
+				differ("%d, want %d", b.Int(), a.Int())
+			}
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+			if a.Uint() != b.Uint() {
+				differ("%d, want %d", b.Uint(), a.Uint())
+			}
+		case reflect.Bool:
+			if a.Bool() != b.Bool() {
+				differ("%v, want %v", b.Bool(), a.Bool())
+			}
+		case reflect.String:
+			if a.String() != b.String() {
+				differ("%q, want %q", b.String(), a.String())
+			}
+		}
+	}
+	walk(a, b, path)
+	return diffs
+}
+
+// idleNetsOf counts the idle networks of the named model.
+func idleNetsOf(name string) int {
+	netsMu.Lock()
+	defer netsMu.Unlock()
+	n := 0
+	for _, e := range idleNets {
+		if e.key.name == name {
+			n++
+		}
+	}
+	return n
+}
+
+// TestWithModelCellReusesNetwork checks that a cell hands its network
+// back and the next cell of the model takes that same network.
+func TestWithModelCellReusesNetwork(t *testing.T) {
+	withCleanCache(t)
+	recipe := func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E4M3) }
+	var nets []*models.Network
+	for cell := 0; cell < 2; cell++ {
+		withModelCell("tinybert_mrpc", "E4M3", func(net *models.Network, ref evalx.Reference) evalx.Result {
+			nets = append(nets, net)
+			return evalx.EvaluateWithRef(net, recipe(net), true, ref)
+		})
+	}
+	if nets[0] != nets[1] {
+		t.Error("the second cell built a new network instead of taking the idle one")
+	}
+	if n := idleNetsOf("tinybert_mrpc"); n != 1 {
+		t.Errorf("%d idle networks after two sequential cells, want 1", n)
+	}
+}
+
+// TestPanickingCellDropsNetwork checks that a cell that panics after
+// Quantize, before Release, leaves no network of its model idle.
+func TestPanickingCellDropsNetwork(t *testing.T) {
+	withCleanCache(t)
+	const name = "cifar_resnet20"
+	evalModelCell(name, "E4M3", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E4M3) })
+	if n := idleNetsOf(name); n != 1 {
+		t.Fatalf("%d idle networks after one cell, want 1", n)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the cell did not panic")
+			}
+		}()
+		withModelCell(name, "E4M3", func(net *models.Network, _ evalx.Reference) evalx.Result {
+			quant.Quantize(net, net.Data, quant.StandardFP8(quant.E4M3))
+			panic("cell failed after Quantize")
+		})
+	}()
+	if n := idleNetsOf(name); n != 0 {
+		t.Fatalf("%d idle networks of %s after a panicking cell, want 0", n, name)
+	}
+}
+
+// TestNetPoolGridMatchesFreshBuilds runs a multi-model grid through
+// the free list at 1 and 8 workers: every result must equal the cell
+// computed alone from a fresh build, behind a ClearMemo process
+// boundary. The models outnumber maxIdleNets, so the run also drops
+// idle networks.
+func TestNetPoolGridMatchesFreshBuilds(t *testing.T) {
+	withCleanCache(t)
+	e, ok := Get("table2")
+	if !ok {
+		t.Fatal("table2 is not registered")
+	}
+	f := Filter{
+		"model":  {"cifar_resnet20", "dlrm_criteo", "gpt2_wikitext", "shufflenet_v2", "tinybert_mrpc"},
+		"recipe": {sweepRecipes[0].label, sweepRecipes[1].label, sweepRecipes[5].label},
+	}
+	sel := e.Spec().Select(f)
+	want := map[int]evalx.Result{}
+	for _, i := range sel {
+		ClearMemo()
+		_, want[i], _ = ComputeCell(e, i)
+	}
+	defer SetWorkers(0)
+	for _, workers := range []int{1, 8} {
+		ClearMemo()
+		SetWorkers(workers)
+		g, _, err := RunGrid(e, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range sel {
+			if !reflect.DeepEqual(g.Results[i], want[i]) {
+				t.Errorf("workers=%d: cell %s through the pool:\n got %+v\nwant %+v",
+					workers, e.Spec().KeyString(e.Spec().CellAt(i)), g.Results[i], want[i])
+			}
+		}
+		netsMu.Lock()
+		n := len(idleNets)
+		netsMu.Unlock()
+		if n == 0 || n > maxIdleNets {
+			t.Errorf("workers=%d: %d idle networks after the grid, want 1..%d", workers, n, maxIdleNets)
+		}
+	}
+}
+
+// TestNetPoolKeysByVariant checks that a network warmed under one
+// kernel variant is never handed to a cell running another.
+func TestNetPoolKeysByVariant(t *testing.T) {
+	withCleanCache(t)
+	const name = "cifar_resnet20"
+	avx2 := netKey{name, kernels.VariantAVX2}
+	net, err := takeNet(avx2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putNet(avx2, net)
+	if other, err := takeNet(netKey{name, kernels.VariantGeneric}); err != nil || other == net {
+		t.Fatalf("a generic-variant cell took the avx2 network (err %v)", err)
+	}
+	if same, err := takeNet(avx2); err != nil || same != net {
+		t.Fatalf("an avx2 cell did not take the idle avx2 network (err %v)", err)
+	}
+}

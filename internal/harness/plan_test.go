@@ -16,10 +16,10 @@ import (
 // TestWithPlanPreservesResults runs the same sweep cell with and
 // without a pooled plan installed: results must be deeply equal (the
 // plan contract is byte-identical math, so even float fields match
-// exactly). The pooled plan is exercised twice to cover arena reuse
-// across cells, and a third time behind a ClearMemo process boundary,
-// whose cold Build re-runs the BatchNorm warm-up and regenerates the
-// model's batches.
+// exactly). The pooled cell is run twice to cover arena and network
+// reuse across cells, and a third time behind a ClearMemo process
+// boundary, whose cold Build re-runs the BatchNorm warm-up and
+// regenerates the model's batches.
 func TestWithPlanPreservesResults(t *testing.T) {
 	const name = "cifar_resnet20"
 	recipe := quant.StandardFP8(quant.E4M3)
@@ -36,18 +36,18 @@ func TestWithPlanPreservesResults(t *testing.T) {
 			if _, sets := models.MemoLens(); sets == 0 {
 				t.Fatal("the cells left no memoized batch set")
 			}
+			if idleNetsOf(name) == 0 {
+				t.Fatal("the cells left no idle network")
+			}
 			ClearMemo()
 			if warm, sets := models.MemoLens(); warm != 0 || sets != 0 {
 				t.Fatalf("ClearMemo kept %d memoized BatchNorm warm-ups and %d batch sets", warm, sets)
 			}
+			if n := idleNetsOf(name); n != 0 {
+				t.Fatalf("ClearMemo kept %d idle networks", n)
+			}
 		}
-		net, err := models.Build(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		release := withPlan(net)
-		got := evalx.EvaluateWithRef(net, recipe, true, modelRef(name, net))
-		release()
+		got := evalModelCell(name, "E4M3", func(*models.Network) quant.Recipe { return recipe })
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("cell %d: planned result differs:\n got %+v\nwant %+v", cell, got, want)
 		}

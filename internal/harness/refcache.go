@@ -1,8 +1,9 @@
-// Per-model FP32 reference cache. Cells are pure — each builds its own
-// network — but the FP32 reference a model is judged against is pure
-// data, deterministic per model name, and shared by every recipe cell
-// of that model. Computing it once per process keeps the per-cell API
-// from multiplying the reference passes by the recipe-axis length.
+// Per-model FP32 reference cache. Cells are pure — each runs on an FP32
+// network equal to a fresh build (netpool.go) — and the FP32 reference
+// a model is judged against is pure data, deterministic per model name,
+// and shared by every recipe cell of that model. Computing it once per
+// process keeps the per-cell API from multiplying the reference passes
+// by the recipe-axis length.
 
 package harness
 
@@ -21,10 +22,10 @@ type refEntry struct {
 }
 
 // modelRef returns the FP32 reference for the named model, computed at
-// most once per process from a freshly built network. The caller's net
-// is used only for the first computation; references are deterministic
-// (the forward pass does not mutate the network), so every caller sees
-// the same data.
+// most once per process from an FP32 network of the model. The
+// caller's net is used only for the first computation; references are
+// deterministic (the forward pass does not mutate the network), so
+// every caller sees the same data.
 func modelRef(name string, net *models.Network) evalx.Reference {
 	e, _ := refCache.LoadOrStore(name, &refEntry{})
 	ent := e.(*refEntry)

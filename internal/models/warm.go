@@ -4,8 +4,9 @@
 // The warm-up depends only on the model name and the GEMM kernel variant
 // (its forwards run that variant's kernels), so Build runs it once per
 // (name, variant) per process and copies the memoized statistics into
-// every later network of the model. Each caller still gets its own
-// freshly built network, so sweep cells stay pure.
+// every later network of the model. Each Build returns a new network;
+// the harness's network free list reuses them across sweep cells, which
+// stay pure because quant.Handle.Release restores a network exactly.
 
 package models
 

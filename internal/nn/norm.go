@@ -58,23 +58,23 @@ func (bn *BatchNorm2d) startCalibration() {
 }
 
 // finishCalibration replaces the running mean and variance with the
-// statistics accumulated since startCalibration.
+// statistics accumulated since startCalibration, then clears the
+// accumulators, so a calibrated BatchNorm holds nothing but its
+// parameters and statistics.
 func (bn *BatchNorm2d) finishCalibration() {
 	bn.calibrating = false
-	if bn.count == 0 {
-		return
-	}
-	n := float64(bn.count)
-	for c := 0; c < bn.C; c++ {
-		mu := bn.sum[c] / n
-		v := bn.sumSq[c]/n - float64(mu*mu)
-		if v < 0 {
-			v = 0
+	if n := float64(bn.count); n > 0 {
+		for c := 0; c < bn.C; c++ {
+			mu := bn.sum[c] / n
+			v := bn.sumSq[c]/n - float64(mu*mu)
+			if v < 0 {
+				v = 0
+			}
+			bn.Mean[c] = float32(mu)
+			bn.Var[c] = float32(v)
 		}
-		bn.Mean[c] = float32(mu)
-		bn.Var[c] = float32(v)
 	}
-	bn.sum, bn.sumSq = nil, nil
+	bn.sum, bn.sumSq, bn.count = nil, nil, 0
 }
 
 // BatchNorms lists the BatchNorms under root in walk order.

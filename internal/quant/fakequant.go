@@ -112,8 +112,15 @@ func ActQuantFunc(r Recipe, threshold, min, max float64) nn.QuantFunc {
 // original data.
 func QuantizeWeightPerChannel(w *tensor.Tensor, dim int, d DType) []float32 {
 	master := append([]float32(nil), w.Data...)
+	quantizeChannels(w, dim, d)
+	return master
+}
+
+// quantizeChannels is QuantizeWeightPerChannel without the restore
+// copy: Quantize saves each weight's master once itself.
+func quantizeChannels(w *tensor.Tensor, dim int, d DType) {
 	if d == FP32 {
-		return master
+		return
 	}
 	absmax := ChannelAbsMax(w, dim)
 	out := w.Shape[0]
@@ -141,7 +148,6 @@ func QuantizeWeightPerChannel(w *tensor.Tensor, dim int, d DType) []float32 {
 		inv := 1 / scale
 		codec.QuantizeScaledSlice(seg, seg, scale, inv)
 	}
-	return master
 }
 
 // QuantizeWeightPerTensor fake-quantizes a weight tensor in place with

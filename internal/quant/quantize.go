@@ -22,7 +22,10 @@ type Model interface {
 }
 
 // Handle tracks the reversible state of a quantized model. Release
-// restores the original FP32 model exactly.
+// restores the original FP32 model exactly: every weight, BatchNorm
+// statistic and QState is bit for bit what it was before Quantize. The
+// harness's network free list depends on it, handing a released
+// network to the next sweep cell as if freshly built.
 type Handle struct {
 	states  []*nn.QState
 	weights map[*tensor.Tensor][]float32
@@ -46,8 +49,17 @@ type Report struct {
 	FirstOp, LastOp string
 }
 
+// save records w's FP32 master the first time Quantize is about to
+// modify w in place (SmoothQuant folding or weight rounding), so the
+// master is always the true original and each weight is copied once.
+func (h *Handle) save(w *tensor.Tensor) {
+	if _, saved := h.weights[w]; !saved {
+		h.weights[w] = append([]float32(nil), w.Data...)
+	}
+}
+
 // Release restores FP32 weights, BatchNorm statistics, and removes all
-// quantization hooks.
+// quantization hooks, leaving the model as Quantize found it.
 func (h *Handle) Release() {
 	for w, master := range h.weights {
 		copy(w.Data, master)
@@ -247,19 +259,17 @@ func (t *target) convert(r Recipe, h *Handle) {
 		t.smooth = applySmoothQuant(t.linear, t.colMax, r.SmoothAlpha, h)
 	}
 
-	// Weight rounding (once per tensor, even when shared/tied).
+	// Weight rounding (once per tensor, even when shared/tied), in
+	// place after the master is saved. E5M2 Direct rounds straight to
+	// the FP8 grid with no scaling; large tensors quantize across all
+	// cores.
 	if t.weight != nil && r.Wgt != FP32 && !h.rounded[t.weight] {
 		h.rounded[t.weight] = true
-		var master []float32
+		h.save(t.weight)
 		if r.Approach == Direct && r.Wgt.IsFP8() {
-			master = quantizeWeightDirect(t.weight, r.Wgt.Format())
+			r.Wgt.Format().QuantizeSliceParallel(t.weight.Data, t.weight.Data)
 		} else {
-			master = QuantizeWeightPerChannel(t.weight, t.wgtDim, r.Wgt)
-		}
-		// SmoothQuant may have saved the true pre-smoothing master
-		// already; never overwrite it.
-		if _, saved := h.weights[t.weight]; !saved {
-			h.weights[t.weight] = master
+			quantizeChannels(t.weight, t.wgtDim, r.Wgt)
 		}
 	}
 
@@ -343,10 +353,7 @@ func applySmoothQuant(l *nn.Linear, colMax []float64, alpha float64, h *Handle) 
 		}
 		s[j] = v
 	}
-	// Save the pre-smoothing weight exactly once.
-	if _, saved := h.weights[l.W]; !saved {
-		h.weights[l.W] = append([]float32(nil), l.W.Data...)
-	}
+	h.save(l.W)
 	for o := 0; o < out; o++ {
 		row := l.W.Data[o*in : (o+1)*in]
 		for j := range row {
@@ -370,13 +377,4 @@ func composeSmooth(s []float64, fn nn.QuantFunc) nn.QuantFunc {
 		}
 		fn(dst, dst)
 	}
-}
-
-// quantizeWeightDirect rounds weights straight to the FP8 grid with no
-// scaling (the E5M2 Direct path), returning the restore copy. Large
-// tensors quantize across all cores through the fast codec.
-func quantizeWeightDirect(w *tensor.Tensor, f fp8.Format) []float32 {
-	master := append([]float32(nil), w.Data...)
-	f.QuantizeSliceParallel(w.Data, w.Data)
-	return master
 }
