@@ -9,7 +9,7 @@ GO ?= go
 # fails CI if the combined figure regresses below this.
 COVER_FLOOR ?= 71.0
 
-.PHONY: all build vet vet-contracts fma-audit alloc-audit lint fmt fmt-check test bench bench-json bench-gate bench-kernels bench-trend smoke serve-smoke coord-smoke chaos-smoke fuzz exhaustive cover-check ci
+.PHONY: all build vet vet-contracts fma-audit alloc-audit lint fmt fmt-check test bench bench-json bench-gate bench-kernels bench-trend tiers smoke serve-smoke coord-smoke chaos-smoke fuzz exhaustive cover-check ci
 
 all: build
 
@@ -95,9 +95,9 @@ bench-kernels:
 # micro-benchmark) to BENCH_kernels.json, so the perf trajectory is
 # tracked across PRs as an in-repo diffable history. BENCHTIME trades
 # precision for runtime (the checked-in entries use the default). Both
-# this and bench-gate run on one CPU, as the recorded entries did: a
-# GEMM that fans out allocates per chunk, so allocs/op and bytes/op
-# otherwise depend on the host's core count.
+# this and bench-gate run on one CPU, as the recorded entries did, so
+# recorded ns/op stays comparable across hosts; kernels run on the
+# calling goroutine, so allocs/op does not depend on the core count.
 BENCHTIME ?= 300ms
 bench-json:
 	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
@@ -252,6 +252,18 @@ serve-smoke:
 	$(GO) run ./cmd/fp8serve -model cifar_resnet20 -recipe e4m3 \
 		-workers 1,2 -requests 64 -batch 4
 
+# Kernel differential tests once per forced GEMM tier. The pin is
+# honored by the kernels and nn TestMains; a tier the CPU cannot
+# execute (e.g. avx2 without FMA) is a logged vacuous pass rather than
+# a failure, so the loop is safe on any amd64 host. -count=1 because
+# the test cache does not key on FP8_KERNEL.
+KERNEL_TIERS = generic sse avx2
+tiers:
+	@set -e; for v in $(KERNEL_TIERS); do \
+		echo "tiers: FP8_KERNEL=$$v"; \
+		FP8_KERNEL=$$v $(GO) test -count=1 ./internal/tensor/kernels/ ./internal/nn/; \
+	done
+
 # Short bounded pass over each native fuzz target (the codec oracle
 # equivalence, the fault-plan round trip, read-path/fsck agreement on
 # arbitrary cell-file bytes, arena scopes against a heap model, and the
@@ -288,4 +300,4 @@ cover-check:
 			printf "harness+resultstore+kernels+analyzers+coord+faultline combined coverage: %.1f%% (floor %.1f%%)\n", pct, floor; \
 			exit (pct < floor) }' coverage.out
 
-ci: build lint fma-audit alloc-audit test smoke serve-smoke coord-smoke chaos-smoke
+ci: build lint fma-audit alloc-audit test tiers smoke serve-smoke coord-smoke chaos-smoke

@@ -320,18 +320,6 @@ func BenchmarkQuantizeSliceFast(b *testing.B) {
 	}
 }
 
-// BenchmarkQuantizeSliceParallel fans the same tensor out over the
-// worker pool (acceptance target: >= 2x over the scalar path).
-func BenchmarkQuantizeSliceParallel(b *testing.B) {
-	src := bench1M()
-	dst := make([]float32, len(src))
-	b.SetBytes(int64(len(src) * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fp8.E4M3.QuantizeSliceParallel(dst, src)
-	}
-}
-
 var benchSink uint8
 
 // ---- sweep-engine scaling ----

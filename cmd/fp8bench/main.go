@@ -53,7 +53,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -75,7 +74,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids")
 	listModels := flag.Bool("models", false, "list the model zoo")
 	workers := flag.Int("workers", 0, "max concurrent grid cells (0 = GOMAXPROCS)")
-	cacheDir := flag.String("cache-dir", defaultCacheDir(), "persistent result-store directory ('' = disabled)")
+	cacheDir := flag.String("cache-dir", resultstore.DefaultDir(), "persistent result-store directory ('' = disabled)")
 	noCache := flag.Bool("no-cache", false, "disable the persistent result store")
 	cacheClear := flag.Bool("cache-clear", false, "prune stale/old-schema entries from the result store")
 	cacheMaxAge := flag.Duration("cache-max-age", 0, "with -cache-clear, also remove entries older than this age (0 = schema-stale only)")
@@ -149,7 +148,7 @@ func main() {
 	case *warmFrom != "":
 		ids := harness.IDs()
 		if *exp != "" {
-			if ids, err = resolveIDs(*exp); err != nil {
+			if ids, err = harness.ResolveIDs(*exp); err != nil {
 				fmt.Fprintf(os.Stderr, "%v; use -list\n", err)
 				os.Exit(1)
 			}
@@ -158,7 +157,7 @@ func main() {
 	case *coverage:
 		ids := harness.IDs()
 		if *exp != "" {
-			if ids, err = resolveIDs(*exp); err != nil {
+			if ids, err = harness.ResolveIDs(*exp); err != nil {
 				fmt.Fprintf(os.Stderr, "%v; use -list\n", err)
 				os.Exit(1)
 			}
@@ -188,7 +187,7 @@ func main() {
 				info.HasBN, info.HasLN, info.OutlierRatio)
 		}
 	case *exp != "":
-		ids, err := resolveIDs(*exp)
+		ids, err := harness.ResolveIDs(*exp)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%v; use -list\n", err)
 			os.Exit(1)
@@ -308,38 +307,6 @@ func runWarm(url string, ids []string) int {
 	}
 	fmt.Printf("warmed %s from %s: %s\n", s.Dir(), url, st)
 	return 0
-}
-
-// resolveIDs expands and validates the -exp argument.
-func resolveIDs(arg string) ([]string, error) {
-	if arg == "all" {
-		return harness.IDs(), nil
-	}
-	var ids []string
-	for _, id := range strings.Split(arg, ",") {
-		id = strings.TrimSpace(id)
-		if id == "" {
-			continue
-		}
-		if _, ok := harness.Get(id); !ok {
-			return nil, fmt.Errorf("unknown experiment %q", id)
-		}
-		ids = append(ids, id)
-	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("no experiment ids in %q", arg)
-	}
-	return ids, nil
-}
-
-// defaultCacheDir resolves ~/.cache/fp8bench (per XDG on Linux); an
-// unresolvable home directory falls back to a local cache dir.
-func defaultCacheDir() string {
-	base, err := os.UserCacheDir()
-	if err != nil {
-		return ".fp8bench-cache"
-	}
-	return filepath.Join(base, "fp8bench")
 }
 
 // expReport is the per-experiment unit of the -json output.

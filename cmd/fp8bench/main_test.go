@@ -73,22 +73,6 @@ func TestValidateFilterAxes(t *testing.T) {
 	}
 }
 
-// TestResolveIDs covers the -exp argument expansion.
-func TestResolveIDs(t *testing.T) {
-	ids, err := resolveIDs("table2, table3")
-	if err != nil || len(ids) != 2 || ids[0] != "table2" || ids[1] != "table3" {
-		t.Errorf("resolveIDs = %v, %v", ids, err)
-	}
-	if all, err := resolveIDs("all"); err != nil || len(all) != len(harness.IDs()) {
-		t.Errorf("resolveIDs(all) = %d ids, %v", len(all), err)
-	}
-	for _, bad := range []string{"", ",", "nope", "table2,nope"} {
-		if _, err := resolveIDs(bad); err == nil {
-			t.Errorf("resolveIDs(%q) should error", bad)
-		}
-	}
-}
-
 // TestPrintCoverageCountsIncompleteGrids pins the -coverage exit
 // contract's source of truth: the incomplete-grid count that main
 // turns into a nonzero exit. An empty store reports the grid

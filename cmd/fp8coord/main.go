@@ -57,7 +57,7 @@ func run() int {
 	addrFile := flag.String("addr-file", "", "write the resolved listen URL to this file (for scripts racing an ephemeral port)")
 	exp := flag.String("exp", "all", "comma-separated experiment ids to schedule (or 'all')")
 	filterFlag := flag.String("filter", "", `schedule only matching cells, e.g. "model=resnet50;densenet121"`)
-	cacheDir := flag.String("cache-dir", defaultCacheDir(), "result-store directory receiving pushed cells (required)")
+	cacheDir := flag.String("cache-dir", resultstore.DefaultDir(), "result-store directory receiving pushed cells (required)")
 	leaseTTL := flag.Duration("lease-ttl", 5*time.Minute, "how long a worker may hold a cell before it requeues")
 	once := flag.Bool("once", false, "exit once every scheduled cell is done or failed")
 	linger := flag.Duration("linger", 5*time.Second, "with -once, keep serving this long after completion so workers observe 'done'")
@@ -97,10 +97,14 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "fp8coord: -filter: %v\n", err)
 		return 1
 	}
-	exps, err := resolveExperiments(*exp)
+	ids, err := harness.ResolveIDs(*exp)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fp8coord: %v; ids: %s\n", err, strings.Join(harness.IDs(), ", "))
 		return 1
+	}
+	exps := make([]harness.Experiment, len(ids))
+	for i, id := range ids {
+		exps[i], _ = harness.Get(id)
 	}
 
 	c, err := coord.New(coord.Config{
@@ -241,33 +245,6 @@ func logProgress(c *coord.Coordinator) {
 	}
 }
 
-// resolveExperiments expands the -exp argument into experiments.
-func resolveExperiments(arg string) ([]harness.Experiment, error) {
-	ids := harness.IDs()
-	if arg != "all" {
-		ids = nil
-		for _, id := range strings.Split(arg, ",") {
-			id = strings.TrimSpace(id)
-			if id == "" {
-				continue
-			}
-			if _, ok := harness.Get(id); !ok {
-				return nil, fmt.Errorf("unknown experiment %q", id)
-			}
-			ids = append(ids, id)
-		}
-		if len(ids) == 0 {
-			return nil, fmt.Errorf("no experiment ids in %q", arg)
-		}
-	}
-	var exps []harness.Experiment
-	for _, id := range ids {
-		e, _ := harness.Get(id)
-		exps = append(exps, e)
-	}
-	return exps, nil
-}
-
 // writeAddrFile writes the URL atomically (temp in the same directory,
 // then rename) so concurrent readers see either nothing or the full
 // line.
@@ -287,14 +264,4 @@ func writeAddrFile(path, url string) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-// defaultCacheDir mirrors fp8bench's default store location, so a
-// coordinator and local runs share results out of the box.
-func defaultCacheDir() string {
-	base, err := os.UserCacheDir()
-	if err != nil {
-		return ".fp8bench-cache"
-	}
-	return filepath.Join(base, "fp8bench")
 }

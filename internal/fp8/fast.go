@@ -9,13 +9,7 @@ package fp8
 import (
 	"math"
 	"sync"
-
-	"fp8quant/internal/tensor"
 )
-
-// quantGrain is the smallest per-worker chunk of QuantizeSliceParallel;
-// below ~16K elements the goroutine handoff costs more than the encode.
-const quantGrain = 1 << 14
 
 // Codec holds one format's grid as float32 bit-pattern bounds. Obtain
 // instances via Format.Codec(); they are cached per format and safe
@@ -129,16 +123,6 @@ func (c *Codec) Quantize(x float32) float32 {
 // may alias src). It returns dst.
 func (c *Codec) QuantizeSlice(dst, src []float32) []float32 {
 	return c.QuantizeScaledSlice(dst, src, 1, 1)
-}
-
-// QuantizeSliceParallel is QuantizeSlice with the work fanned out in
-// chunks over the shared worker pool. Small slices run inline; results
-// are bit-identical to the serial path regardless of scheduling.
-func (c *Codec) QuantizeSliceParallel(dst, src []float32) []float32 {
-	tensor.ParallelFor(len(src), quantGrain, func(lo, hi int) {
-		c.QuantizeSlice(dst[lo:hi], src[lo:hi])
-	})
-	return dst
 }
 
 // QuantizeScaledSlice is the static fake-quant kernel:

@@ -207,19 +207,6 @@ func TestQuantizeSliceMatchesRef(t *testing.T) {
 	}
 }
 
-// TestQuantizeSliceParallelMatchesSerial checks serial/parallel
-// equality across sizes spanning the inline threshold, including
-// lengths that do not divide evenly into chunks, and in-place aliasing.
-func TestQuantizeSliceParallelMatchesSerial(t *testing.T) {
-	for _, n := range []int{0, 1, 100, quantGrain - 1, quantGrain + 1, 1<<20 + 3} {
-		src := mixedTestSlice(max(n, 8), E4M3)[:n]
-		serial := E4M3.Codec().QuantizeSlice(make([]float32, n), src)
-		checkSlice(t, "parallel", E4M3, src, E4M3.QuantizeSliceParallel(make([]float32, n), src), serial)
-		inPlace := append([]float32(nil), src...)
-		checkSlice(t, "in-place parallel", E4M3, src, E4M3.QuantizeSliceParallel(inPlace, inPlace), serial)
-	}
-}
-
 // TestQuantizeScaledSliceMatchesUnfused pins the scaled kernel to the
 // per-element oracle oracle(v*scale)*inv bit for bit, across lengths,
 // every test format, and in-place aliasing.

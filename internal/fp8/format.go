@@ -255,13 +255,6 @@ func (f Format) Quantize(x float64) float64 {
 	return f.Decode(f.Encode(x))
 }
 
-// QuantizeSliceParallel is Codec.QuantizeSlice fanned out over the
-// shared worker pool; large tensors quantize on all cores, small slices
-// run inline. Results are bit-identical to the serial codec.
-func (f Format) QuantizeSliceParallel(dst, src []float32) []float32 {
-	return f.Codec().QuantizeSliceParallel(dst, src)
-}
-
 // GridPoints returns all non-negative finite representable values in
 // ascending order. Useful for plotting the quantization grid (Figure 1).
 func (f Format) GridPoints() []float64 {

@@ -105,6 +105,29 @@ func Get(id string) (Experiment, bool) {
 	return e, ok
 }
 
+// ResolveIDs expands and validates an -exp argument: "all", or a
+// comma-separated list of registered ids (blank entries are skipped).
+func ResolveIDs(arg string) ([]string, error) {
+	if arg == "all" {
+		return IDs(), nil
+	}
+	var ids []string
+	for _, id := range strings.Split(arg, ",") {
+		id = strings.TrimSpace(id)
+		if id == "" {
+			continue
+		}
+		if _, ok := Get(id); !ok {
+			return nil, fmt.Errorf("unknown experiment %q", id)
+		}
+		ids = append(ids, id)
+	}
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("no experiment ids in %q", arg)
+	}
+	return ids, nil
+}
+
 // table is a tiny fixed-width text table builder.
 type table struct {
 	header []string

@@ -112,3 +112,19 @@ func TestFig8Shape(t *testing.T) {
 		}
 	}
 }
+
+// TestResolveIDs covers the -exp argument expansion.
+func TestResolveIDs(t *testing.T) {
+	ids, err := ResolveIDs("table2, table3")
+	if err != nil || len(ids) != 2 || ids[0] != "table2" || ids[1] != "table3" {
+		t.Errorf("ResolveIDs = %v, %v", ids, err)
+	}
+	if all, err := ResolveIDs("all"); err != nil || len(all) != len(IDs()) {
+		t.Errorf("ResolveIDs(all) = %d ids, %v", len(all), err)
+	}
+	for _, bad := range []string{"", ",", "nope", "table2,nope"} {
+		if _, err := ResolveIDs(bad); err == nil {
+			t.Errorf("ResolveIDs(%q) should error", bad)
+		}
+	}
+}

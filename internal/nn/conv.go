@@ -154,11 +154,8 @@ func (c *Conv2d) forwardInto(a *tensor.Arena, y, x *tensor.Tensor, n, h, w, oh, 
 	c.eachClass(h, w, oh, ow, func(t tapClass) {
 		kd := icg * t.taps()
 		// The accumulator starts at the bias and NoFused keeps two
-		// roundings under every variant, as in convPixel. Only the
-		// interior class (all K×K taps) fans out over the worker pool;
-		// the border classes are thin, and plans run one per worker.
-		opt := kernels.Opt{Prologue: true, NoFused: true,
-			Serial: a != nil || t.taps() < c.K*c.K}
+		// roundings under every variant, as in convPixel.
+		opt := kernels.Opt{Prologue: true, NoFused: true}
 		for g := 0; g < c.Groups; g++ {
 			if c.B != nil {
 				opt.Bias = c.B[g*ocg : (g+1)*ocg]

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"fp8quant/internal/tensor"
@@ -153,23 +152,15 @@ func TestConv2dForwardMatchesDirectOracle(t *testing.T) {
 }
 
 // requireConvMatchesDirect checks that the unplanned and planned
-// (NewPlan) forwards both equal forwardDirect bit for bit under
-// GOMAXPROCS 1, 2 and 8, which changes how the GEMMs fan out.
+// (NewPlan) forwards both equal forwardDirect bit for bit.
 func requireConvMatchesDirect(t *testing.T, c *Conv2d, x *tensor.Tensor, what string) {
 	t.Helper()
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := c.OutSize(h), c.OutSize(w)
 	want := tensor.New(n, c.OutC, oh, ow)
 	c.forwardDirect(want, x, n, h, w, oh, ow)
-	plan := NewPlan(c)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		requireBitsEqual(t, c.Forward(nil, x).Data, want.Data,
-			fmt.Sprintf("%s unplanned GOMAXPROCS=%d", what, procs))
-		requireBitsEqual(t, plan.Forward(x).Data, want.Data,
-			fmt.Sprintf("%s planned GOMAXPROCS=%d", what, procs))
-	}
+	requireBitsEqual(t, c.Forward(nil, x).Data, want.Data, what+" unplanned")
+	requireBitsEqual(t, NewPlan(c).Forward(x).Data, want.Data, what+" planned")
 }
 
 // TestConv2dInfWeightBitIdentical guards why tap classes gather only
@@ -259,44 +250,6 @@ func TestBatchMatMulMatchesOracle(t *testing.T) {
 		want := batchMatMulOracle(a, b, tc.transB)
 		requireBitsEqual(t, got.Data, want,
 			fmt.Sprintf("BatchMatMul %v x %v transB=%v", tc.aShape, tc.bShape, tc.transB))
-	}
-}
-
-// TestLayerKernelsDeterministicAcrossWorkers reruns the three routed
-// layers under different GOMAXPROCS values (which drives the worker
-// pool's chunking) and requires identical bytes.
-func TestLayerKernelsDeterministicAcrossWorkers(t *testing.T) {
-	rng := tensor.NewRNG(0xDE7)
-	l := NewLinear(96, 53)
-	fillTensor(l.W, rng, 0.2)
-	xl := tensor.New(37, 96)
-	fillTensor(xl, rng, 1)
-	cv := NewConv2d(8, 12, 3, 1, 1, 2)
-	fillTensor(cv.W, rng, 0.3)
-	xc := tensor.New(2, 8, 13, 13)
-	fillTensor(xc, rng, 1)
-	ba := tensor.New(6, 9, 21)
-	bb := tensor.New(6, 21, 9)
-	fillTensor(ba, rng, 1)
-	fillTensor(bb, rng, 1)
-
-	type result struct{ lin, conv, bmm []float32 }
-	runAll := func() result {
-		return result{
-			lin:  l.Forward(nil, xl).Data,
-			conv: cv.Forward(nil, xc).Data,
-			bmm:  batchMatMul(nil, ba, bb, false).Data,
-		}
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	runtime.GOMAXPROCS(1)
-	ref := runAll()
-	for _, procs := range []int{2, 8} {
-		runtime.GOMAXPROCS(procs)
-		got := runAll()
-		requireBitsEqual(t, got.lin, ref.lin, fmt.Sprintf("Linear GOMAXPROCS=%d", procs))
-		requireBitsEqual(t, got.conv, ref.conv, fmt.Sprintf("Conv2d GOMAXPROCS=%d", procs))
-		requireBitsEqual(t, got.bmm, ref.bmm, fmt.Sprintf("BatchMatMul GOMAXPROCS=%d", procs))
 	}
 }
 

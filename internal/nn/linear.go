@@ -53,10 +53,7 @@ func (l *Linear) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	defer kernels.PutScratch(pooled)
 	kernels.PackTInto(panel, l.W.Data, l.In, l.Out)
 	// Bias rides in the GEMM epilogue: acc = Σ_k x·w, then acc += b.
-	// Planned forwards run serially (the pooled-closure fan-out
-	// allocates); parallelism comes from one plan per worker, and the
-	// kernels make serial and fanned-out runs byte-identical.
-	kernels.GemmPacked(y.Data, x.Data, panel, rows, l.In, l.Out, kernels.Opt{Bias: l.B, Serial: a != nil})
+	kernels.GemmPacked(y.Data, x.Data, panel, rows, l.In, l.Out, kernels.Opt{Bias: l.B})
 	return l.QS.applyOut(y)
 }
 
@@ -112,45 +109,24 @@ func batchMatMul(a *tensor.Arena, x, y *tensor.Tensor, transB bool) *tensor.Tens
 		panic(fmt.Sprintf("nn: BatchMatMul batch mismatch: %v x %v", x.Shape, y.Shape))
 	}
 	out := newLike2(a, x, M, N)
-	m := bmm{out: out.Data, x: x.Data, y: y.Data, M: M, K: K, N: N, transB: transB}
-	// Planned forwards and single matrices run the batch loop inline
-	// (the GEMM itself fans out over rows when unplanned); unplanned
-	// batches fan out over batch elements, one panel per chunk.
-	if a != nil || batch == 1 {
-		m.run(a, 0, batch, a != nil)
-		return out
-	}
-	tensor.ParallelFor(batch, 1, func(lo, hi int) { m.run(nil, lo, hi, true) })
-	return out
-}
-
-// bmm is one batched multiply's operands and geometry.
-type bmm struct {
-	out, x, y []float32
-	M, K, N   int
-	transB    bool
-}
-
-// run multiplies batch elements [lo, hi) through one panel from
-// scratch. Both layouts route through the packed GEMM; per output
-// element the accumulation stays ascending-k, matching the matmulT
-// (transB) and k-outer (natural) oracles bit for bit.
-func (m bmm) run(a *tensor.Arena, lo, hi int, serial bool) {
-	M, K, N := m.M, m.K, m.N
+	// Both layouts route through the packed GEMM with one panel reused
+	// across the batch; per output element the accumulation stays
+	// ascending-k, matching the matmulT (transB) and k-outer (natural)
+	// oracles bit for bit.
 	panel, pooled := scratch(a, kernels.PanelFloats(K, N))
 	defer kernels.PutScratch(pooled)
-	for bi := lo; bi < hi; bi++ {
-		ym := m.y[bi*K*N : (bi+1)*K*N]
+	for bi := 0; bi < batch; bi++ {
+		ym := y.Data[bi*K*N : (bi+1)*K*N]
 		// Repacking overwrites the panel fully (including the zero
 		// tail), so reuse across batch elements is exact.
-		if m.transB {
+		if transB {
 			kernels.PackTInto(panel, ym, K, N)
 		} else {
 			kernels.PackNInto(panel, ym, K, N)
 		}
-		kernels.GemmPacked(m.out[bi*M*N:(bi+1)*M*N], m.x[bi*M*K:(bi+1)*M*K], panel, M, K, N,
-			kernels.Opt{Serial: serial})
+		kernels.GemmPacked(out.Data[bi*M*N:(bi+1)*M*N], x.Data[bi*M*K:(bi+1)*M*K], panel, M, K, N, kernels.Opt{})
 	}
+	return out
 }
 
 // newLike2 carves the [.., M, N] output shape for a batched matmul

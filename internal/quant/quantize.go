@@ -261,13 +261,12 @@ func (t *target) convert(r Recipe, h *Handle) {
 
 	// Weight rounding (once per tensor, even when shared/tied), in
 	// place after the master is saved. E5M2 Direct rounds straight to
-	// the FP8 grid with no scaling; large tensors quantize across all
-	// cores.
+	// the FP8 grid with no scaling.
 	if t.weight != nil && r.Wgt != FP32 && !h.rounded[t.weight] {
 		h.rounded[t.weight] = true
 		h.save(t.weight)
 		if r.Approach == Direct && r.Wgt.IsFP8() {
-			r.Wgt.Format().QuantizeSliceParallel(t.weight.Data, t.weight.Data)
+			r.Wgt.Format().Codec().QuantizeSlice(t.weight.Data, t.weight.Data)
 		} else {
 			quantizeChannels(t.weight, t.wgtDim, r.Wgt)
 		}

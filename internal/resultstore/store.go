@@ -121,6 +121,19 @@ type Store struct {
 	hits, misses, writes atomic.Int64
 }
 
+// DefaultDir is the store directory the commands use when -cache-dir
+// is not given: ~/.cache/fp8bench (per XDG on Linux), or a local
+// directory when the user cache directory cannot be resolved. fp8bench
+// and fp8coord share it, so a coordinator and local runs share results
+// out of the box.
+func DefaultDir() string {
+	base, err := os.UserCacheDir()
+	if err != nil {
+		return ".fp8bench-cache"
+	}
+	return filepath.Join(base, "fp8bench")
+}
+
 // Open creates (if needed) and opens the store directory.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -1,7 +1,9 @@
 // Package kernels holds the blocked compute kernels behind the nn
-// layer forward paths: a register-tiled, worker-pool-parallel GEMM for
-// y = x·Wᵀ (Linear, im2col convolution, attention BMMs) in both
-// transposed- and natural-B layouts.
+// layer forward paths: a register-tiled GEMM for y = x·Wᵀ (Linear,
+// im2col convolution, attention BMMs) in both transposed- and
+// natural-B layouts. Every call runs on the goroutine that made it;
+// parallelism lives one level up: one sweep cell, or one fp8serve
+// plan, per worker.
 //
 // Bit-identity contract (per variant): for every output element y[r,o]
 // the kernels perform exactly the same float32 operation sequence as
@@ -14,10 +16,10 @@
 // amd64, ILP elsewhere) — plus packed weight panels (contiguous loads,
 // less weight traffic per row block) and hoisted bounds checks; a sum
 // is never reassociated or vectorized across k. Results are therefore
-// byte-identical to the variant's scalar reference for any shape, any
-// worker count, and any chunking of the row range. (The one
-// unspecifiable corner is the payload of NaN·NaN products, which the
-// scalar Go expression does not pin down either.)
+// byte-identical to the variant's scalar reference for any shape and
+// any blocking of the row range. (The one unspecifiable corner is the
+// payload of NaN·NaN products, which the scalar Go expression does not
+// pin down either.)
 //
 // Variants (see variant.go): the generic and sse tiers round every
 // multiply and add separately, matching the naive two-rounding loop;
@@ -27,22 +29,11 @@
 // kernel-derived artifact.
 package kernels
 
-import (
-	"sync"
+import "sync"
 
-	"fp8quant/internal/tensor"
-)
-
-const (
-	// nr is the register-tile width and the packed panel width, shared
-	// by every variant; the tile height mr is per-variant (kernel.mr).
-	nr = 8
-
-	// minParallelOps is the smallest number of multiply-adds handed to
-	// one worker; below it the goroutine handoff costs more than the
-	// arithmetic.
-	minParallelOps = 1 << 15
-)
+// nr is the register-tile width and the packed panel width, shared by
+// every variant; the tile height mr is per-variant (kernel.mr).
+const nr = 8
 
 // Opt carries the optional parts of a GEMM call.
 type Opt struct {
@@ -52,9 +43,6 @@ type Opt struct {
 	// (convolution semantics: acc starts at the bias). When false the
 	// bias is added once after the sum (Linear semantics).
 	Prologue bool
-	// Serial skips the worker-pool fan-out; used by callers that are
-	// already running inside a parallel region (e.g. per-batch BMMs).
-	Serial bool
 	// NoFused pins the call to two-rounding semantics under every
 	// variant: when the active tier is fused (avx2) the call falls back
 	// to the best non-fused tier (sse on amd64, generic elsewhere).
@@ -113,11 +101,35 @@ func PackNInto(panel, b []float32, in, out int) { packN(panel, b, in, out) }
 // [rows, in], y is row-major [rows, out]. Callers multiplying the same
 // B against several row blocks (a convolution group across the batch)
 // pack once and call GemmPacked per block.
+//
+// Rows go in blocks of the dispatched variant's tile height; the
+// blocking never changes any row's result (the block and row kernels
+// share one per-row operation sequence).
 func GemmPacked(y, x, panel []float32, rows, in, out int, opt Opt) {
 	if rows <= 0 || out <= 0 {
 		return
 	}
-	run(y, x, panel, rows, in, out, opt)
+	if in == 0 {
+		// Empty reduction: y is the bias (or zero), per element.
+		for r := 0; r < rows; r++ {
+			yr := y[r*out : (r+1)*out]
+			for o := range yr {
+				if opt.Bias != nil {
+					yr[o] = opt.Bias[o]
+				} else {
+					yr[o] = 0
+				}
+			}
+		}
+		return
+	}
+	k := active
+	if opt.NoFused && k.fused {
+		k = twoRounding
+	}
+	for r := 0; r < rows; r += k.mr {
+		blockRowsOf(k, y, x, panel, r, min(rows-r, k.mr), in, out, opt)
+	}
 }
 
 // packT packs w (row-major [out, in]; rows are output columns) into
@@ -200,61 +212,6 @@ func packN(panel, b []float32, in, out int) {
 				d[j] = 0
 			}
 		}
-	}
-}
-
-// run drives the packed panels over the row range, fanning row blocks
-// out over the shared worker pool unless opt.Serial. Each row's output
-// is computed independently of where chunk boundaries fall, so any
-// worker count yields identical bytes.
-func run(y, x, panel []float32, rows, in, out int, opt Opt) {
-	if in == 0 {
-		// Empty reduction: y is the bias (or zero), per element.
-		for r := 0; r < rows; r++ {
-			yr := y[r*out : (r+1)*out]
-			for o := range yr {
-				if opt.Bias != nil {
-					yr[o] = opt.Bias[o]
-				} else {
-					yr[o] = 0
-				}
-			}
-		}
-		return
-	}
-	grain := 1
-	if w := in * out; w < minParallelOps {
-		grain = (minParallelOps + w - 1) / w
-	}
-	if opt.Serial || rows <= grain {
-		// The closure below escapes into the worker pool, costing one
-		// heap allocation per call; serial calls (planned forwards,
-		// per-batch BMMs) and calls too small to fan out run the range
-		// body directly and allocate nothing.
-		runRange(y, x, panel, 0, rows, in, out, opt)
-		return
-	}
-	tensor.ParallelFor(rows, grain, func(lo, hi int) {
-		runRange(y, x, panel, lo, hi, in, out, opt)
-	})
-}
-
-// runRange computes output rows [lo, hi) in blocks of the dispatched
-// variant's tile height; chunk boundaries never change any row's
-// result (the block and row kernels share one per-row operation
-// sequence).
-func runRange(y, x, panel []float32, lo, hi, in, out int, opt Opt) {
-	k := active
-	if opt.NoFused && k.fused {
-		k = twoRounding
-	}
-	for r := lo; r < hi; {
-		rb := hi - r
-		if rb > k.mr {
-			rb = k.mr
-		}
-		blockRowsOf(k, y, x, panel, r, rb, in, out, opt)
-		r += rb
 	}
 }
 

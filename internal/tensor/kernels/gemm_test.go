@@ -146,7 +146,6 @@ func TestGemmTMatchesOracleBitExact(t *testing.T) {
 				{},
 				{Bias: bias},
 				{Bias: bias, Prologue: true},
-				{Serial: true, Bias: bias},
 			} {
 				got := make([]float32, s.rows*s.out)
 				want := make([]float32, s.rows*s.out)
@@ -176,7 +175,6 @@ func TestGemmNMatchesOracleBitExact(t *testing.T) {
 				{},
 				{Bias: bias},
 				{Bias: bias, Prologue: true},
-				{Serial: true},
 			} {
 				got := make([]float32, s.rows*s.out)
 				want := make([]float32, s.rows*s.out)
@@ -214,35 +212,6 @@ func TestGemmSpecialValues(t *testing.T) {
 		gemmTRef(want, x, w, rows, in, out, Opt{}, maddFor(v))
 		if !bitsEqual(got, want) {
 			firstDiff(t, got, want)
-		}
-	})
-}
-
-// TestGemmDeterministicAcrossWorkers proves any worker count (and so
-// any chunking of the row range) yields identical bytes, for every
-// variant.
-func TestGemmDeterministicAcrossWorkers(t *testing.T) {
-	forEachVariant(t, func(t *testing.T, v Variant) {
-		rows, in, out := 37, 96, 53
-		rng := tensor.NewRNG(0xD0)
-		x := make([]float32, rows*in)
-		w := make([]float32, out*in)
-		fillMixed(x, rng)
-		fillMixed(w, rng)
-
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-		runtime.GOMAXPROCS(1)
-		ref := make([]float32, rows*out)
-		gemmPacked(PackTInto, ref, x, w, rows, in, out, Opt{})
-
-		for _, procs := range []int{2, 8} {
-			runtime.GOMAXPROCS(procs)
-			got := make([]float32, rows*out)
-			gemmPacked(PackTInto, got, x, w, rows, in, out, Opt{})
-			if !bitsEqual(got, ref) {
-				t.Errorf("GOMAXPROCS=%d diverges from serial result", procs)
-				firstDiff(t, got, ref)
-			}
 		}
 	})
 }
@@ -305,11 +274,12 @@ func TestNoFusedPinsTwoRounding(t *testing.T) {
 	})
 }
 
-// TestGemmPackedInlineAllocatesNothing pins that a non-serial call too
-// small to fan out (rows ≤ grain) runs inline without building the
-// worker-pool closure, so it makes no heap allocation.
-func TestGemmPackedInlineAllocatesNothing(t *testing.T) {
-	rows, in, out := 8, 64, 64 // grain = minParallelOps/(in·out) = 8 rows
+// TestGemmPackedAllocatesNothing pins that a GEMM large enough to have
+// been split into row chunks runs on the calling goroutine with no heap
+// allocation, however many cores the process may use.
+func TestGemmPackedAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	rows, in, out := 256, 64, 64
 	rng := tensor.NewRNG(0xA11)
 	x := make([]float32, rows*in)
 	w := make([]float32, out*in)
@@ -321,7 +291,7 @@ func TestGemmPackedInlineAllocatesNothing(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() {
 		GemmPacked(y, x, panel, rows, in, out, Opt{})
 	}); a != 0 {
-		t.Fatalf("non-serial GemmPacked with rows <= grain: %v allocs/op, want 0", a)
+		t.Fatalf("GemmPacked %dx%dx%d: %v allocs/op, want 0", rows, in, out, a)
 	}
 }
 
