@@ -9,7 +9,7 @@ GO ?= go
 # fails CI if the combined figure regresses below this.
 COVER_FLOOR ?= 71.0
 
-.PHONY: all build vet vet-contracts fma-audit alloc-audit lint fmt fmt-check test bench bench-json bench-gate bench-kernels bench-trend tiers smoke serve-smoke coord-smoke chaos-smoke fuzz exhaustive cover-check ci
+.PHONY: all build vet vet-contracts fma-audit alloc-audit lint fmt fmt-check test bench bench-json bench-gate bench-kernels bench-trend tiers arch386 smoke coord-smoke chaos-smoke fuzz exhaustive cover-check ci
 
 all: build
 
@@ -109,8 +109,10 @@ bench-json:
 # CI gate on the deterministic benchmark counters: allocs/op and
 # bytes/op against the latest recorded BENCH_kernels.json entry.
 # Wall-clock is deliberately not gated — it flaps on shared VMs.
-# 100x iterations amortize one-time pool warm-up allocations while
-# staying fast enough for CI.
+# 100x iterations amortize a one-time allocation inside a timed loop
+# (benchmarks warm their arenas before the timer; the unplanned
+# forwards allocate the same every iteration) while staying fast
+# enough for CI.
 BENCH_GATE_TIME ?= 100x
 bench-gate:
 	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
@@ -244,14 +246,6 @@ chaos-smoke:
 		echo "chaos-smoke: warm-from store incomplete"; exit 1; }; \
 	echo "chaos-smoke: sweep survived 4 fault kinds, fsck repaired, report identical, warm-from complete"
 
-# Serving smoke: fp8serve on a small quantized model at two worker
-# counts. The -check audit bit-compares every served row (planned,
-# batched) against an unplanned single-sample forward, and the command
-# exits nonzero on any mismatch or zero throughput.
-serve-smoke:
-	$(GO) run ./cmd/fp8serve -model cifar_resnet20 -recipe e4m3 \
-		-workers 1,2 -requests 64 -batch 4
-
 # Kernel differential tests once per forced GEMM tier. The pin is
 # honored by the kernels and nn TestMains; a tier the CPU cannot
 # execute (e.g. avx2 without FMA) is a logged vacuous pass rather than
@@ -263,6 +257,16 @@ tiers:
 		echo "tiers: FP8_KERNEL=$$v"; \
 		FP8_KERNEL=$$v $(GO) test -count=1 ./internal/tensor/kernels/ ./internal/nn/; \
 	done
+
+# The portable-code tests on a 32-bit target: GOARCH=386 binaries run
+# natively on amd64 hosts, with no assembly GEMM tier (the generic one
+# runs) and 32-bit int, so this covers the codec, tensors and arena,
+# kernels, nn, quant and the analyzers' other-configuration variants.
+# TestGoldenDigests checks the 386/generic key of the harness golden
+# file: the same digests as amd64/generic.
+arch386:
+	GOARCH=386 $(GO) test -count=1 ./internal/fp8 ./internal/tensor/... ./internal/nn ./internal/quant ./internal/analyzers
+	GOARCH=386 $(GO) test -count=1 -run TestGoldenDigests ./internal/harness
 
 # Short bounded pass over each native fuzz target (the codec oracle
 # equivalence, the fault-plan round trip, read-path/fsck agreement on
@@ -300,4 +304,4 @@ cover-check:
 			printf "harness+resultstore+kernels+analyzers+coord+faultline combined coverage: %.1f%% (floor %.1f%%)\n", pct, floor; \
 			exit (pct < floor) }' coverage.out
 
-ci: build lint fma-audit alloc-audit test tiers smoke serve-smoke coord-smoke chaos-smoke
+ci: build lint fma-audit alloc-audit test tiers arch386 smoke coord-smoke chaos-smoke

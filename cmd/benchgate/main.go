@@ -367,9 +367,9 @@ func trend(entries []Entry, path string, w io.Writer) {
 // allowed is the regression ceiling: baseline + pct% with an absolute
 // slack floor. Allocation counts get a tight band (10%, +2): they are
 // a deterministic property of the code for a given b.N. Bytes/op gets
-// a wider one (25%, +4096): pooled-scratch growth amortizes over the
-// iteration count, which differs between the recorded benchtime and
-// the gate's fixed-count run.
+// a wider one (25%, +4096): a one-time allocation inside a timed loop
+// amortizes over the iteration count, which differs between the
+// recorded benchtime and the gate's fixed-count run.
 func allowed(baseline, pct, slack int64) int64 {
 	tol := baseline * pct / 100
 	if tol < slack {

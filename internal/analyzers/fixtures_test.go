@@ -284,3 +284,15 @@ func inner(acc, v, b float32) float32 {
 		t.Errorf("message %q does not mention contraction", got[0].Message)
 	}
 }
+
+// TestVariantChecksConfigurationTogether loads testdata/variants, whose
+// two riscv64 files are build-tag-excluded here and one calls the
+// other. The loader must type-check them in one variant, as one build
+// configuration compiles them, so unused finds blockRows' caller.
+func TestVariantChecksConfigurationTogether(t *testing.T) {
+	pkgs, err := Load(filepath.Join("testdata", "variants"), "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPkgs(t, pkgs, "unused", 0)
+}

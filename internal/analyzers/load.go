@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -95,6 +96,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	for _, lp := range listed {
 		imp.listed[lp.ImportPath] = lp
 	}
+	platforms, err := listPlatforms(dir)
+	if err != nil {
+		return nil, err
+	}
 	var pkgs []*Package
 	for _, lp := range listed {
 		pkg, err := imp.load(lp)
@@ -102,7 +107,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, err
 		}
 		pkgs = append(pkgs, pkg)
-		variants, err := loadIgnoredVariants(fset, imp, lp)
+		variants, err := loadIgnoredVariants(fset, imp, lp, platforms)
 		if err != nil {
 			return nil, err
 		}
@@ -159,35 +164,46 @@ func (m *moduleImporter) load(lp listedPackage) (*Package, error) {
 
 // loadIgnoredVariants analyzes the package's build-tag-excluded files
 // (`go list`'s IgnoredGoFiles). The portable fallback a build tag
-// hides on this host — gemm_generic.go's !amd64 kernels — is exactly
-// the code most likely to break the bit-identity contract unnoticed,
-// so each ignored file is type-checked as a variant of its package:
-// the ignored file plus every regular file that declares none of the
-// same top-level names (its build-tag counterpart collides and drops
-// out, standing in for the other configuration). Findings duplicated
-// by re-analyzing the shared files are deduplicated in RunAll.
-func loadIgnoredVariants(fset *token.FileSet, imp types.Importer, lp listedPackage) ([]*Package, error) {
+// hides on this host — the !amd64 kernels — is exactly the code most
+// likely to break the bit-identity contract unnoticed, so the package
+// is type-checked again for each other build configuration the
+// toolchain targets (platforms, from `go tool dist list`) that builds
+// an ignored file. A variant holds exactly the files its configuration
+// builds, so ignored files that call one another are checked together.
+// Configurations that build the same files share one variant; findings
+// duplicated by re-analyzing the shared files are deduplicated in
+// RunAll.
+func loadIgnoredVariants(fset *token.FileSet, imp types.Importer, lp listedPackage, platforms [][2]string) ([]*Package, error) {
+	ignored := map[string]bool{}
+	candidates := append([]string(nil), lp.GoFiles...)
+	for _, f := range lp.IgnoredGoFiles {
+		if strings.HasSuffix(f, ".go") && !strings.HasSuffix(f, "_test.go") {
+			ignored[f] = true
+			candidates = append(candidates, f)
+		}
+	}
+	if len(ignored) == 0 {
+		return nil, nil
+	}
+	sort.Strings(candidates)
+	seen := map[string]bool{}
 	var out []*Package
-	for _, ig := range lp.IgnoredGoFiles {
-		if !strings.HasSuffix(ig, ".go") || strings.HasSuffix(ig, "_test.go") {
+	for _, pl := range platforms {
+		ctx := build.Default
+		ctx.GOOS, ctx.GOARCH = pl[0], pl[1]
+		var files []string
+		other := false
+		for _, f := range candidates {
+			if ok, err := ctx.MatchFile(lp.Dir, f); err == nil && ok {
+				files = append(files, filepath.Join(lp.Dir, f))
+				other = other || ignored[f]
+			}
+		}
+		key := strings.Join(files, "\n")
+		if !other || seen[key] {
 			continue
 		}
-		igPath := filepath.Join(lp.Dir, ig)
-		igFile, err := parser.ParseFile(token.NewFileSet(), igPath, nil, 0)
-		if err != nil {
-			continue // not parseable by this toolchain; nothing to check
-		}
-		names := declNames(igFile)
-		files := []string{igPath}
-		for _, f := range lp.GoFiles {
-			fPath := filepath.Join(lp.Dir, f)
-			base, err := parser.ParseFile(token.NewFileSet(), fPath, nil, 0)
-			if err != nil || overlaps(names, declNames(base)) {
-				continue
-			}
-			files = append(files, fPath)
-		}
-		sort.Strings(files)
+		seen[key] = true
 		pkg, err := loadFiles(fset, imp, lp.ImportPath, lp.Dir, files)
 		if err != nil {
 			return nil, err
@@ -197,38 +213,25 @@ func loadIgnoredVariants(fset *token.FileSet, imp types.Importer, lp listedPacka
 	return out, nil
 }
 
-// declNames returns a file's top-level declaration names; methods are
-// qualified by receiver type so only true redeclarations collide.
-func declNames(f *ast.File) map[string]bool {
-	names := map[string]bool{}
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			key := d.Name.Name
-			if d.Recv != nil && len(d.Recv.List) > 0 {
-				key = astRecvName(d.Recv.List[0].Type) + "." + key
-			}
-			names[key] = true
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch s := spec.(type) {
-				case *ast.ValueSpec:
-					for _, n := range s.Names {
-						names[n.Name] = true
-					}
-				case *ast.TypeSpec:
-					names[s.Name.Name] = true
-				}
-			}
+// listPlatforms returns the GOOS/GOARCH pairs the go toolchain
+// targets, in `go tool dist list` order.
+func listPlatforms(dir string) ([][2]string, error) {
+	cmd := exec.Command("go", "tool", "dist", "list")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go tool dist list: %v", err)
+	}
+	var platforms [][2]string
+	for _, line := range strings.Fields(string(out)) {
+		if goos, goarch, ok := strings.Cut(line, "/"); ok {
+			platforms = append(platforms, [2]string{goos, goarch})
 		}
 	}
-	delete(names, "_")
-	delete(names, "init")
-	return names
+	return platforms, nil
 }
 
-// astRecvName extracts the receiver type name syntactically (no type
-// info exists yet at collision-check time).
+// astRecvName extracts a method's receiver type name syntactically.
 func astRecvName(e ast.Expr) string {
 	switch t := e.(type) {
 	case *ast.StarExpr:
@@ -239,15 +242,6 @@ func astRecvName(e ast.Expr) string {
 		return astRecvName(t.X)
 	}
 	return ""
-}
-
-func overlaps(a, b map[string]bool) bool {
-	for k := range a {
-		if b[k] {
-			return true
-		}
-	}
-	return false
 }
 
 // loadFiles parses and type-checks one package's files.

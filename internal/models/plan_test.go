@@ -26,6 +26,14 @@ func bitEqual(a, b *tensor.Tensor) bool {
 	return true
 }
 
+// rows returns rows [i, j) of t's leading dimension as a view sharing
+// t's data: one sample's slice of a batch, or its block of output rows.
+func rows(t *tensor.Tensor, i, j int) *tensor.Tensor {
+	n := t.Len() / t.Shape[0]
+	shape := append([]int{j - i}, t.Shape[1:]...)
+	return tensor.FromSlice(t.Data[i*n:j*n], shape...)
+}
+
 func build(t *testing.T, name string) *models.Network {
 	t.Helper()
 	net, err := models.Build(name)
@@ -111,6 +119,46 @@ func TestPlannedForwardBitIdentical(t *testing.T) {
 					if !models.SampleBitEqual(s, fresh[i]) {
 						t.Fatalf("memoized batch %d differs from a fresh generation: a forward mutated its input", i)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestPlanBatchedRowsMatchSingle is the batched-forward contract at zoo
+// scale: for one model per builder family with a dense input, each row
+// of a planned forward over a whole batch, quantized with the static
+// E4M3 PaperRecipe, is bit-identical to an unplanned forward over that
+// row's single-sample slice. Static scales make rows independent, so
+// the batch dimension may fold into every GEMM's M dimension without
+// moving a bit.
+func TestPlanBatchedRowsMatchSingle(t *testing.T) {
+	for _, name := range []string{
+		"cifar_resnet20",       // CNN
+		"deit_tiny",            // ViT
+		"unet_carvana",         // UNet
+		"wav2vec2_librispeech", // audio
+	} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			net := build(t, name)
+			e4m3(net)
+			x := net.Data.Batch(0).X
+			if x == nil || x.Shape[0] < 2 {
+				t.Fatalf("batch 0 is not a dense batch of several samples")
+			}
+			want := make([]*tensor.Tensor, x.Shape[0])
+			for i := range want {
+				want[i] = net.Run(data.Sample{X: rows(x, i, i+1)}).Clone()
+			}
+			net.InstallPlan(nn.NewPlan(nil))
+			defer net.InstallPlan(nil)
+			got := net.Run(data.Sample{X: x})
+			per := got.Shape[0] / len(want) // the UNet flattens pixels into rows
+			for i, w := range want {
+				if !bitEqual(rows(got, i*per, (i+1)*per), w) {
+					t.Fatalf("row %d of the planned batch differs from its unplanned single-sample forward", i)
 				}
 			}
 		})

@@ -137,7 +137,7 @@ func (c *Conv2d) forwardInto(a *tensor.Arena, y, x *tensor.Tensor, n, h, w, oh, 
 		return
 	}
 
-	// One buffer per forward, from the arena when planned and the pool
+	// One buffer per forward, from the arena when planned and the heap
 	// otherwise: patches, GEMM output, the class's weight taps and their
 	// packed panel, each sized by the largest class.
 	var maxPix, maxTaps int
@@ -145,8 +145,7 @@ func (c *Conv2d) forwardInto(a *tensor.Arena, y, x *tensor.Tensor, n, h, w, oh, 
 		maxPix, maxTaps = max(maxPix, t.pixels()), max(maxTaps, t.taps())
 	})
 	kd := icg * maxTaps
-	buf, pooled := scratch(a, (maxPix+ocg)*kd+maxPix*ocg+kernels.PanelFloats(kd, ocg))
-	defer kernels.PutScratch(pooled)
+	buf := a.Alloc((maxPix+ocg)*kd + maxPix*ocg + kernels.PanelFloats(kd, ocg))
 	patches, buf := buf[:maxPix*kd], buf[maxPix*kd:]
 	out, buf := buf[:maxPix*ocg], buf[maxPix*ocg:]
 	wtaps, panel := buf[:ocg*kd], buf[ocg*kd:]

@@ -32,13 +32,20 @@ func benchConv(b *testing.B, idx int, direct bool) {
 	x.FillNormal(rng, 0, 1)
 	oh, ow := c.OutSize(tc.h), c.OutSize(tc.w)
 	b.SetBytes(int64((x.Len() + c.W.Len() + tc.n*tc.outC*oh*ow) * 4))
+	// The im2col path runs under one arena, reset each iteration and
+	// warmed once before the timer, as a sweep cell's plan runs it.
+	var a tensor.Arena
+	if !direct {
+		c.Forward(&a, x)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if direct {
 			y := tensor.New(tc.n, tc.outC, oh, ow)
 			c.forwardDirect(y, x, tc.n, tc.h, tc.w, oh, ow)
 		} else {
-			_ = c.Forward(nil, x)
+			a.Reset()
+			_ = c.Forward(&a, x)
 		}
 	}
 }
@@ -59,7 +66,9 @@ func BenchmarkConv2dDirect(b *testing.B) {
 }
 
 // BenchmarkBatchMatMul measures the attention-shaped batched matmuls
-// (QKᵀ and PV) through the blocked kernels.
+// (QKᵀ and PV) through the blocked kernels, under one arena reset each
+// iteration and warmed once before the timer, as a sweep cell runs
+// them.
 func BenchmarkBatchMatMul(b *testing.B) {
 	for _, tc := range []struct {
 		name        string
@@ -81,9 +90,12 @@ func BenchmarkBatchMatMul(b *testing.B) {
 			a.FillNormal(rng, 0, 1)
 			bm.FillNormal(rng, 0, 1)
 			b.SetBytes(int64((a.Len() + bm.Len() + tc.b1*tc.m*tc.n) * 4))
+			var ar tensor.Arena
+			batchMatMul(&ar, a, bm, tc.transB)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = batchMatMul(nil, a, bm, tc.transB)
+				ar.Reset()
+				_ = batchMatMul(&ar, a, bm, tc.transB)
 			}
 		})
 	}

@@ -49,8 +49,7 @@ func (l *Linear) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	}
 	x = l.QS.applyIn(a, x)
 	y := newLike(a, x, l.Out)
-	panel, pooled := scratch(a, kernels.PanelFloats(l.In, l.Out))
-	defer kernels.PutScratch(pooled)
+	panel := a.Alloc(kernels.PanelFloats(l.In, l.Out))
 	kernels.PackTInto(panel, l.W.Data, l.In, l.Out)
 	// Bias rides in the GEMM epilogue: acc = Σ_k x·w, then acc += b.
 	kernels.GemmPacked(y.Data, x.Data, panel, rows, l.In, l.Out, kernels.Opt{Bias: l.B})
@@ -113,8 +112,7 @@ func batchMatMul(a *tensor.Arena, x, y *tensor.Tensor, transB bool) *tensor.Tens
 	// across the batch; per output element the accumulation stays
 	// ascending-k, matching the matmulT (transB) and k-outer (natural)
 	// oracles bit for bit.
-	panel, pooled := scratch(a, kernels.PanelFloats(K, N))
-	defer kernels.PutScratch(pooled)
+	panel := a.Alloc(kernels.PanelFloats(K, N))
 	for bi := 0; bi < batch; bi++ {
 		ym := y.Data[bi*K*N : (bi+1)*K*N]
 		// Repacking overwrites the panel fully (including the zero

@@ -20,10 +20,7 @@
 // fma-audit checks the arm64 listing of every nn symbol.
 package nn
 
-import (
-	"fp8quant/internal/tensor"
-	"fp8quant/internal/tensor/kernels"
-)
+import "fp8quant/internal/tensor"
 
 // QuantFunc fake-quantizes src into dst (which may alias src). A nil
 // QuantFunc means "keep FP32".
@@ -163,18 +160,6 @@ func newLike(a *tensor.Arena, x *tensor.Tensor, out int) *tensor.Tensor {
 	copy(buf[:r], x.Shape)
 	buf[r-1] = out
 	return a.New(buf[:r]...)
-}
-
-// scratch returns n floats for GEMM panels and patches: carved from a
-// when planned, borrowed from the kernels' pool otherwise. The second
-// result is the pooled buffer (nil for an arena), to be handed back
-// with kernels.PutScratch once the floats are dead.
-func scratch(a *tensor.Arena, n int) ([]float32, *[]float32) {
-	if a != nil {
-		return a.Alloc(n), nil
-	}
-	p := kernels.GetScratch(n)
-	return *p, p
 }
 
 // cloneInto is Clone with the copy carved from a: New + copy, the exact

@@ -53,6 +53,14 @@ func bitsEqual(t *testing.T, got, want *tensor.Tensor, what string) {
 	}
 }
 
+// rows returns rows [i, j) of t's leading dimension as a view sharing
+// t's data: one sample's slice of a batch, or its block of output rows.
+func rows(t *tensor.Tensor, i, j int) *tensor.Tensor {
+	n := t.Len() / t.Shape[0]
+	shape := append([]int{j - i}, t.Shape[1:]...)
+	return tensor.FromSlice(t.Data[i*n:j*n], shape...)
+}
+
 // TestPlanMatchesUnplanned pins the determinism contract: the planned
 // path (arena-backed, buffers reused across calls) and the unplanned
 // path agree bit for bit, on every repeat of the plan.
@@ -68,23 +76,16 @@ func TestPlanMatchesUnplanned(t *testing.T) {
 }
 
 // TestPlanBatchedRowsMatchSingle checks the batched-forward contract:
-// stacking N inputs and running one planned forward yields, row for
-// row, the bits of N independent single-sample forwards (the batch
+// one planned forward over a batch of N inputs yields, row for row, the
+// bits of N unplanned forwards over its single-sample slices (the batch
 // dimension folds into the GEMM M dimension without changing any
 // per-row accumulation order).
 func TestPlanBatchedRowsMatchSingle(t *testing.T) {
 	m := planTestNet()
-	singles := make([]*tensor.Tensor, 5)
-	outs := make([]*tensor.Tensor, 5)
-	for i := range singles {
-		singles[i] = planTestInput(1, uint64(100+i))
-		outs[i] = m.Forward(nil, singles[i]).Clone()
-	}
-	batch := tensor.StackBatch(singles)
-	p := NewPlan(m)
-	got := p.Forward(batch)
-	for i := range singles {
-		bitsEqual(t, got.Slice0(i, i+1), outs[i], "batched row")
+	batch := planTestInput(5, 100)
+	got := NewPlan(m).Forward(batch)
+	for i := 0; i < batch.Shape[0]; i++ {
+		bitsEqual(t, rows(got, i, i+1), m.Forward(nil, rows(batch, i, i+1)), "batched row")
 	}
 }
 

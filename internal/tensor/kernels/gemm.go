@@ -2,8 +2,7 @@
 // layer forward paths: a register-tiled GEMM for y = x·Wᵀ (Linear,
 // im2col convolution, attention BMMs) in both transposed- and
 // natural-B layouts. Every call runs on the goroutine that made it;
-// parallelism lives one level up: one sweep cell, or one fp8serve
-// plan, per worker.
+// parallelism lives one level up: one sweep cell per worker.
 //
 // Bit-identity contract (per variant): for every output element y[r,o]
 // the kernels perform exactly the same float32 operation sequence as
@@ -29,8 +28,6 @@
 // kernel-derived artifact.
 package kernels
 
-import "sync"
-
 // nr is the register-tile width and the packed panel width, shared by
 // every variant; the tile height mr is per-variant (kernel.mr).
 const nr = 8
@@ -51,31 +48,6 @@ type Opt struct {
 	// (and still dispatches to for depthwise-sized shapes), and to the
 	// conv results already recorded under every tier.
 	NoFused bool
-}
-
-// panelPool recycles packed weight panels and other scratch buffers.
-var panelPool sync.Pool // *[]float32
-
-// GetScratch returns a float32 scratch buffer with at least n elements
-// from the shared pool. The contents are undefined.
-func GetScratch(n int) *[]float32 {
-	if p, ok := panelPool.Get().(*[]float32); ok {
-		if cap(*p) >= n {
-			*p = (*p)[:n]
-			return p
-		}
-	}
-	s := make([]float32, n)
-	return &s
-}
-
-// PutScratch returns a buffer obtained from GetScratch to the pool. A
-// nil p is ignored, so callers holding arena memory instead can defer
-// it unconditionally.
-func PutScratch(p *[]float32) {
-	if p != nil {
-		panelPool.Put(p)
-	}
 }
 
 // PanelFloats returns the float32 length of the packed panel for a

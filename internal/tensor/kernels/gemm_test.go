@@ -23,13 +23,12 @@ func maddFor(v Variant) maddFunc { return RefMadd(v) }
 // one.
 type packFunc func(panel, b []float32, in, out int)
 
-// gemmPacked packs b into a pooled panel and runs GemmPacked over it,
-// the call sequence of every nn layer.
-func gemmPacked(pack packFunc, y, x, b []float32, rows, in, out int, opt Opt) {
-	panel := GetScratch(PanelFloats(in, out))
-	defer PutScratch(panel)
-	pack(*panel, b, in, out)
-	GemmPacked(y, x, *panel, rows, in, out, opt)
+// gemmPacked packs b into panel (at least PanelFloats(in, out) floats,
+// made by the caller) and runs GemmPacked over it, the call sequence of
+// every nn layer.
+func gemmPacked(pack packFunc, panel, y, x, b []float32, rows, in, out int, opt Opt) {
+	pack(panel, b, in, out)
+	GemmPacked(y, x, panel, rows, in, out, opt)
 }
 
 // gemmTRef is the scalar oracle for a PackTInto GEMM: the exact naive
@@ -149,7 +148,7 @@ func TestGemmTMatchesOracleBitExact(t *testing.T) {
 			} {
 				got := make([]float32, s.rows*s.out)
 				want := make([]float32, s.rows*s.out)
-				gemmPacked(PackTInto, got, x, w, s.rows, s.in, s.out, opt)
+				gemmPacked(PackTInto, make([]float32, PanelFloats(s.in, s.out)), got, x, w, s.rows, s.in, s.out, opt)
 				gemmTRef(want, x, w, s.rows, s.in, s.out, opt, madd)
 				if !bitsEqual(got, want) {
 					t.Errorf("PackTInto GEMM %dx%dx%d opt=%+v diverges from oracle", s.rows, s.in, s.out, opt)
@@ -178,7 +177,7 @@ func TestGemmNMatchesOracleBitExact(t *testing.T) {
 			} {
 				got := make([]float32, s.rows*s.out)
 				want := make([]float32, s.rows*s.out)
-				gemmPacked(PackNInto, got, x, b, s.rows, s.in, s.out, opt)
+				gemmPacked(PackNInto, make([]float32, PanelFloats(s.in, s.out)), got, x, b, s.rows, s.in, s.out, opt)
 				gemmNRef(want, x, b, s.rows, s.in, s.out, opt, madd)
 				if !bitsEqual(got, want) {
 					t.Errorf("PackNInto GEMM %dx%dx%d opt=%+v diverges from oracle", s.rows, s.in, s.out, opt)
@@ -208,7 +207,7 @@ func TestGemmSpecialValues(t *testing.T) {
 		x[4*in+8] = nan
 		got := make([]float32, rows*out)
 		want := make([]float32, rows*out)
-		gemmPacked(PackTInto, got, x, w, rows, in, out, Opt{})
+		gemmPacked(PackTInto, make([]float32, PanelFloats(in, out)), got, x, w, rows, in, out, Opt{})
 		gemmTRef(want, x, w, rows, in, out, Opt{}, maddFor(v))
 		if !bitsEqual(got, want) {
 			firstDiff(t, got, want)
@@ -264,7 +263,7 @@ func TestNoFusedPinsTwoRounding(t *testing.T) {
 			opt := Opt{Bias: bias, Prologue: true, NoFused: true}
 			got := make([]float32, s.rows*s.out)
 			want := make([]float32, s.rows*s.out)
-			gemmPacked(PackTInto, got, x, w, s.rows, s.in, s.out, opt)
+			gemmPacked(PackTInto, make([]float32, PanelFloats(s.in, s.out)), got, x, w, s.rows, s.in, s.out, opt)
 			gemmTRef(want, x, w, s.rows, s.in, s.out, opt, madd)
 			if !bitsEqual(got, want) {
 				t.Errorf("NoFused PackTInto GEMM %dx%dx%d diverges from two-rounding oracle", s.rows, s.in, s.out)
@@ -293,17 +292,4 @@ func TestGemmPackedAllocatesNothing(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("GemmPacked %dx%dx%d: %v allocs/op, want 0", rows, in, out, a)
 	}
-}
-
-func TestScratchPoolReuse(t *testing.T) {
-	p := GetScratch(128)
-	if len(*p) != 128 {
-		t.Fatalf("GetScratch(128) returned len %d", len(*p))
-	}
-	PutScratch(p)
-	q := GetScratch(64)
-	if len(*q) != 64 {
-		t.Fatalf("GetScratch(64) returned len %d", len(*q))
-	}
-	PutScratch(q)
 }

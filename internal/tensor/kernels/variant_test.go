@@ -74,7 +74,7 @@ func TestVariantsActuallyDiffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		y := make([]float32, rows*out)
-		gemmPacked(PackTInto, y, x, w, rows, in, out, Opt{})
+		gemmPacked(PackTInto, make([]float32, PanelFloats(in, out)), y, x, w, rows, in, out, Opt{})
 		res[v] = y
 	}
 	if bitsEqual(res[VariantSSE], res[VariantAVX2]) {

@@ -60,54 +60,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Slice0 returns a view of rows [i, j) along dimension 0, sharing the
-// backing data (the row-major layout makes leading-dimension slices
-// contiguous). Used to split a batched forward's output back into
-// per-sample tensors.
-func (t *Tensor) Slice0(i, j int) *Tensor {
-	if t.Rank() == 0 || i < 0 || j < i || j > t.Shape[0] {
-		panic(fmt.Sprintf("tensor: Slice0[%d:%d] out of bounds for shape %v", i, j, t.Shape))
-	}
-	stride := 1
-	for _, d := range t.Shape[1:] {
-		stride *= d
-	}
-	shape := append([]int(nil), t.Shape...)
-	shape[0] = j - i
-	return &Tensor{Shape: shape, Data: t.Data[i*stride : j*stride : j*stride]}
-}
-
-// StackBatch concatenates tensors along dimension 0 into one newly
-// allocated tensor; all inputs must agree on the trailing dimensions.
-// Stacking K samples turns K forward passes into one whose leading
-// (batch) dimension folds into the GEMM M dimension.
-func StackBatch(xs []*Tensor) *Tensor {
-	if len(xs) == 0 {
-		panic("tensor: StackBatch of no tensors")
-	}
-	first := xs[0]
-	rows := 0
-	for _, x := range xs {
-		if x.Rank() != first.Rank() {
-			panic("tensor: StackBatch rank mismatch")
-		}
-		for d := 1; d < first.Rank(); d++ {
-			if x.Shape[d] != first.Shape[d] {
-				panic(fmt.Sprintf("tensor: StackBatch trailing shape mismatch: %v vs %v", x.Shape, first.Shape))
-			}
-		}
-		rows += x.Shape[0]
-	}
-	shape := append([]int(nil), first.Shape...)
-	shape[0] = rows
-	out := New(shape...)
-	off := 0
-	for _, x := range xs {
-		off += copy(out.Data[off:], x.Data)
-	}
-	return out
-}
-
 // At returns the element at the given multi-index.
 func (t *Tensor) At(idx ...int) float32 {
 	return t.Data[t.offset(idx)]
