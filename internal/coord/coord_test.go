@@ -544,31 +544,31 @@ func TestCostModelRoundTrip(t *testing.T) {
 }
 
 // TestExpensiveCellsLeaseFirst seeds the cost model and checks the
-// scheduler grants cells in descending estimated cost.
+// scheduler grants cells in descending estimated cost. Each estimate is
+// three times the next, so the affinity window (half the head's
+// estimate) never holds more than the head and model affinity cannot
+// reorder anything: a reversed sortPending leases cell 2 first.
 func TestExpensiveCellsLeaseFirst(t *testing.T) {
 	withHarnessState(t)
 	e, _ := newTestExp("lpt")
 	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t)})
 	spec := e.Spec()
 	fpAt := func(i int) string { return spec.CellKey(spec.CellAt(i)).Fingerprint() }
-	// Cell 4 is the known-expensive one; cell 2 mid; others default.
-	c.cost.Observe(fpAt(4), nil, 5*time.Second)
-	c.cost.Observe(fpAt(2), nil, 2*time.Second)
-	var order []string
-	for i := 0; i < 6; i++ {
+	// Cells 4 and 5 share a model, as do 0 and 1: affinity would lease
+	// 5 right after 4 and 1 right after 0 if the window let it.
+	want := []int{4, 0, 3, 5, 1, 2}
+	ms := 243.0
+	for _, i := range want {
+		c.cost.Observe(fpAt(i), nil, time.Duration(ms*float64(time.Second)))
+		ms /= 3
+	}
+	for n, i := range want {
 		lr := c.lease("w")
 		if lr.Status != StatusLease {
-			t.Fatalf("lease %d = %q", i, lr.Status)
+			t.Fatalf("lease %d = %q", n, lr.Status)
 		}
-		order = append(order, lr.Lease.Fingerprint)
-	}
-	// Descending estimated cost: cell 4 (5000ms exact) first; the four
-	// unobserved cells estimate the global mean (0.3*2000 + 0.7*5000 =
-	// 4100ms), tie-broken by index; cell 2 (2000ms exact) last.
-	want := []string{fpAt(4), fpAt(0), fpAt(1), fpAt(3), fpAt(5), fpAt(2)}
-	for i, fp := range order {
-		if fp != want[i] {
-			t.Fatalf("lease order[%d] = %s, want %s (full order %v)", i, fp, want[i], order)
+		if lr.Lease.Index != i {
+			t.Fatalf("lease order[%d] = cell %d, want cell %d (want order %v)", n, lr.Lease.Index, i, want)
 		}
 	}
 }

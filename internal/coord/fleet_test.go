@@ -74,25 +74,31 @@ func TestWorkersEndpoint(t *testing.T) {
 		t.Fatalf("nameless hello = %d, want 400", code)
 	}
 
-	resp, err := http.Get(srv.URL + "/v1/workers")
-	if err != nil {
-		t.Fatal(err)
+	fleet := func() WorkersSnapshot {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/v1/workers")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap WorkersSnapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap
 	}
-	var snap WorkersSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	snap := fleet()
 	if len(snap.Workers) != 1 {
 		t.Fatalf("fleet view = %+v, want exactly wa", snap.Workers)
 	}
 	w := snap.Workers[0]
-	if w.Worker != "wa" || !w.Registered || w.Host != "h1" || w.Pid != 42 || w.KernelVariant != "sse" || w.Stale {
+	if w.Worker != "wa" || !w.Registered || w.Host != "h1" || w.Pid != 42 || w.KernelVariant != "sse" || w.Stale || w.Models != 0 {
 		t.Fatalf("fleet entry = %+v", w)
 	}
 
 	// A worker's Run loop registers itself (hello on start) and its
-	// lease/push traffic is tallied.
+	// lease/push traffic and the models it leased (ma, mb, mc) are
+	// tallied.
 	wk := &Worker{
 		URL: srv.URL, Name: "runner", Resolve: resolveOnly(e),
 		MaxRetries: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond,
@@ -100,15 +106,15 @@ func TestWorkersEndpoint(t *testing.T) {
 	if _, err := wk.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	view := c.Workers()
+	view := fleet()
 	var runner *WorkerInfo
 	for i := range view.Workers {
 		if view.Workers[i].Worker == "runner" {
 			runner = &view.Workers[i]
 		}
 	}
-	if runner == nil || !runner.Registered || runner.Leases != 6 || runner.Pushes != 6 {
-		t.Fatalf("runner fleet entry = %+v, want registered with 6 leases and 6 pushes", runner)
+	if runner == nil || !runner.Registered || runner.Leases != 6 || runner.Pushes != 6 || runner.Models != 3 {
+		t.Fatalf("runner fleet entry = %+v, want registered with 6 leases, 6 pushes and 3 models", runner)
 	}
 }
 

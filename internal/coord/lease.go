@@ -2,14 +2,22 @@
 // work items — one per distinct cell fingerprint across the scheduled
 // experiments (experiments sharing a grid share cells, exactly like
 // the local memo) — and hands them out as deadline-bearing leases.
-// Expired leases requeue their cell, so a crashed or wedged worker
-// costs one timeout rather than the sweep; cells whose push reports a
-// deterministic failure are marked failed instead of looping forever.
+// Leases go most-expensive-first by the learned cost model, with one
+// bounded exception: a worker is handed a cell of a model it already
+// holds (or of a model no live worker holds) when that cell's estimate
+// is within affinityWindow of the queue head's, so a fleet builds,
+// warms and references each model about once instead of once per
+// worker. Expired leases requeue their cell, so a crashed or wedged
+// worker costs one timeout rather than the sweep; cells whose push
+// reports a deterministic failure are marked failed instead of looping
+// forever.
 
 package coord
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"time"
 
 	"fp8quant/internal/resultstore"
@@ -38,6 +46,11 @@ type workItem struct {
 	fp  string
 	// axes are the cell's coordinates, fed to the cost model.
 	axes []resultstore.AxisValue
+	// model is the cell's "model" axis value ("" for a grid without
+	// one): the unit whose setup a worker pays once per process.
+	model string
+	// estMs is the cost model's estimate as of the last sortPending.
+	estMs float64
 
 	state itemState
 	// expiries counts lease timeouts so a cell that keeps killing its
@@ -89,28 +102,68 @@ func (es *expSchedule) progress() ExpProgress {
 
 // sortPending orders the pending queue most-expensive-first by the cost
 // model's estimates, tie-broken by (exp, index) so the order is
-// deterministic for a given model state. Called lazily: estimates move
-// with every observed push, so the queue re-sorts when marked dirty
-// rather than on every observation.
+// deterministic for a given model state, and records each estimate on
+// its item for pickLocked. Called lazily: estimates move with every
+// observed push, so the queue re-sorts when marked dirty rather than on
+// every observation.
 func sortPending(pending []*workItem, cost *CostModel) {
-	type scored struct {
-		it *workItem
-		ms float64
+	for _, it := range pending {
+		it.estMs = cost.EstimateMs(it.fp, it.axes)
 	}
-	sc := make([]scored, len(pending))
-	for i, it := range pending {
-		sc[i] = scored{it, cost.EstimateMs(it.fp, it.axes)}
-	}
-	sort.SliceStable(sc, func(i, j int) bool {
-		if sc[i].ms != sc[j].ms {
-			return sc[i].ms > sc[j].ms
+	slices.SortStableFunc(pending, func(a, b *workItem) int {
+		if a.estMs != b.estMs {
+			return cmp.Compare(b.estMs, a.estMs)
 		}
-		if sc[i].it.exp != sc[j].it.exp {
-			return sc[i].it.exp < sc[j].it.exp
+		if c := strings.Compare(a.exp, b.exp); c != 0 {
+			return c
 		}
-		return sc[i].it.index < sc[j].it.index
+		return cmp.Compare(a.index, b.index)
 	})
-	for i := range sc {
-		pending[i] = sc[i].it
+}
+
+// affinityWindow bounds how far down the sorted queue pickLocked looks:
+// only cells estimated at no less than this share of the head's cost.
+// Half keeps the longest cells early (the LPT tail guarantee), while a
+// model's recipe cells, which cost alike, stay inside one window.
+const affinityWindow = 0.5
+
+// pickLocked returns the index in the sorted pending queue of the cell
+// to lease to rec. Among the cells within affinityWindow of the head's
+// estimate, in queue order, it takes the first cell of a model rec
+// holds; else the first cell of a model no live worker holds; else the
+// head. Cells without a model never match, so a grid with no model
+// axis leases in plain LPT order.
+func (c *Coordinator) pickLocked(rec *workerRec, now time.Time) int {
+	floor := c.pending[0].estMs * affinityWindow
+	fresh := -1
+	for i, it := range c.pending {
+		if it.estMs < floor {
+			break
+		}
+		if it.model == "" {
+			continue
+		}
+		if rec.models[it.model] {
+			return i
+		}
+		if fresh < 0 && !c.modelTakenLocked(it.model, now) {
+			fresh = i
+		}
 	}
+	if fresh >= 0 {
+		return fresh
+	}
+	return 0
+}
+
+// modelTakenLocked reports whether a worker that is not stale holds
+// model. A stale worker's models count as free, so a fresh worker can
+// take them over; they count again if the stale worker comes back.
+func (c *Coordinator) modelTakenLocked(model string, now time.Time) bool {
+	for name, rec := range c.workers {
+		if rec.models[model] && !c.workerStaleLocked(name, now) {
+			return true
+		}
+	}
+	return false
 }

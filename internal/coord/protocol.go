@@ -193,6 +193,10 @@ type WorkerInfo struct {
 	// Leases and Pushes count protocol traffic from this worker.
 	Leases int `json:"leases"`
 	Pushes int `json:"pushes"`
+	// Models counts the distinct models of the cells leased to this
+	// worker: the model setups (build, warm-up, FP32 reference) it has
+	// paid.
+	Models int `json:"models"`
 }
 
 // WorkersSnapshot is the GET /v1/workers payload, sorted by worker name.

@@ -4,7 +4,8 @@
 // seeded done from whatever the store already holds, so restarting a
 // coordinator over a half-full store schedules only the missing
 // cells), leases cells to pull-based workers most-expensive-first via
-// the learned cost model, ingests pushed payloads under IngestCell's
+// the learned cost model (preferring, within a bounded window, a model
+// the worker already holds), ingests pushed payloads under IngestCell's
 // conflict rules, and publishes live coverage over a long-poll
 // endpoint. All state lives behind one mutex; handlers are thin.
 //
@@ -23,6 +24,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,6 +107,9 @@ type workerRec struct {
 	lastSeen            time.Time
 	registered          bool
 	leases, pushes      int
+	// models are the "model" axis values of every cell leased to this
+	// worker: the models its process has built and referenced.
+	models map[string]bool
 }
 
 // New builds the schedule and seeds it from the store. The store's
@@ -162,6 +167,7 @@ func New(cfg Config) (*Coordinator, error) {
 				it = &workItem{
 					exp: e.ID(), grid: spec.ID, index: idx,
 					key: spec.KeyString(cell), fp: fp, axes: k.Cell,
+					model: cellModel(k.Cell),
 				}
 				c.items[fp] = it
 				c.pending = append(c.pending, it)
@@ -184,6 +190,17 @@ func New(cfg Config) (*Coordinator, error) {
 	c.checkCompleteLocked()
 	c.mu.Unlock()
 	return c, nil
+}
+
+// cellModel returns a cell's "model" axis value, or "" for a grid
+// without a model axis.
+func cellModel(axes []resultstore.AxisValue) string {
+	for _, av := range axes {
+		if av.Axis == "model" {
+			return av.Value
+		}
+	}
+	return ""
 }
 
 // saveManifest records a grid's full schedule, preserving an existing
@@ -395,6 +412,7 @@ func (c *Coordinator) Workers() WorkersSnapshot {
 			IdleMs: now.Sub(rec.lastSeen).Milliseconds(),
 			Stale:  c.workerStaleLocked(name, now),
 			Leases: rec.leases, Pushes: rec.pushes,
+			Models: len(rec.models),
 		})
 	}
 	return snap
@@ -474,12 +492,14 @@ func (c *Coordinator) AwaitChange(gen int64, timeout time.Duration) ProgressSnap
 	}
 }
 
-// lease grants the most expensive pending cell.
+// lease grants a pending cell: the most expensive one, unless
+// pickLocked finds a nearly as expensive cell of a model this worker
+// already holds or no live worker holds.
 func (c *Coordinator) lease(worker string) LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.Clock()
-	c.touchWorkerLocked(worker)
+	rec := c.touchWorkerLocked(worker)
 	c.reapLocked(now)
 	if c.complete {
 		return LeaseResponse{Status: StatusDone}
@@ -494,10 +514,17 @@ func (c *Coordinator) lease(worker string) LeaseResponse {
 		sortPending(c.pending, c.cost)
 		c.dirty = false
 	}
-	it := c.pending[0]
-	c.pending = c.pending[1:]
+	i := c.pickLocked(rec, now)
+	it := c.pending[i]
+	c.pending = slices.Delete(c.pending, i, i+1)
 	it.state = stateLeased
-	c.workers[worker].leases++
+	rec.leases++
+	if it.model != "" {
+		if rec.models == nil {
+			rec.models = map[string]bool{}
+		}
+		rec.models[it.model] = true
+	}
 	c.seq++
 	id := fmt.Sprintf("l-%d", c.seq)
 	c.leases[id] = &leaseRec{id: id, item: it, worker: worker, deadline: now.Add(c.cfg.LeaseTTL)}
