@@ -177,6 +177,10 @@ func (p *Pipeline) Root() nn.Module { return p.Net }
 // rule (Figure 6 sidebar), so the CNN exception is disabled.
 func (p *Pipeline) IsCNN() bool { return false }
 
+// CellArena implements quant.Model: the pipeline runs unplanned, so
+// its weight masters live on the heap.
+func (p *Pipeline) CellArena() *tensor.Arena { return nil }
+
 // SigmaIn is the input-scaling schedule across denoising steps: early
 // steps see large-magnitude noisy latents, late steps small residuals
 // (a ~30x span, as in Karras-style schedules). Static activation

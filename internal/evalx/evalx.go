@@ -133,18 +133,21 @@ func rowMargins(t *tensor.Tensor) []float32 {
 // computed earlier with ComputeReference.
 func AccuracyAgainst(net *models.Network, ref Reference) float64 {
 	if net.Eval == models.Argmax {
-		var preds []int
-		runEvalSplit(net, func(out *tensor.Tensor) { preds = append(preds, data.ArgmaxRows(out)...) })
-		kept, hit := 0, 0
-		for i := range preds {
-			if ref.Keep != nil && !ref.Keep[i] {
-				continue
+		// Each batch's rows are compared as they arrive, at their
+		// running offset into the reference.
+		i, kept, hit := 0, 0, 0
+		runEvalSplit(net, func(out *tensor.Tensor) {
+			cols := out.Shape[out.Rank()-1]
+			for r := 0; r < out.Len()/cols; r, i = r+1, i+1 {
+				if ref.Keep != nil && !ref.Keep[i] {
+					continue
+				}
+				kept++
+				if data.Argmax(out.Data[r*cols:(r+1)*cols]) == ref.Labels[i] {
+					hit++
+				}
 			}
-			kept++
-			if preds[i] == ref.Labels[i] {
-				hit++
-			}
-		}
+		})
 		if kept == 0 {
 			return 0
 		}

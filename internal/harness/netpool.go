@@ -8,7 +8,8 @@
 // family; a cell that panics may have left its network half quantized,
 // so only a cell that returns normally hands its network back. The key
 // holds the kernel variant because the BatchNorm warm-up ran that
-// variant's kernels.
+// variant's kernels. The masters Release copies back live in the cell's
+// plan (plancache.go), so a pooled network never holds plan memory.
 
 package harness
 

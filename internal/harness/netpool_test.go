@@ -9,6 +9,7 @@ import (
 
 	"fp8quant/internal/evalx"
 	"fp8quant/internal/models"
+	"fp8quant/internal/nn"
 	"fp8quant/internal/quant"
 	"fp8quant/internal/tensor/kernels"
 )
@@ -32,7 +33,9 @@ var restoreFamilies = []string{
 // a zoo network equals a fresh models.Build bit for bit — every weight,
 // bias, BatchNorm statistic, norm gamma/beta and QState — whatever
 // recipes it ran before. Each recipe runs on the same network in turn,
-// as pooled cells do.
+// as pooled cells do. The families run in sequence under one plan, as
+// a sweep worker's cells do, so each model's FP32 masters reuse cell
+// arena chunks carved for earlier, differently sized ones.
 func TestReleaseRestoresZooNetworks(t *testing.T) {
 	withCleanCache(t)
 	var recipes []recipeColumn
@@ -44,14 +47,16 @@ func TestReleaseRestoresZooNetworks(t *testing.T) {
 		recipeColumn{"E4M3 BNCalib", func(*models.Network) quant.Recipe {
 			return quant.StandardFP8(quant.E4M3).WithBNCalib(evalx.CalibBatches)
 		}})
+	plan := nn.NewPlan(nil)
 	for _, name := range restoreFamilies {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			t.Parallel()
 			net, err := models.Build(name)
 			if err != nil {
 				t.Fatal(err)
 			}
+			net.InstallPlan(plan)
+			defer net.InstallPlan(nil)
 			fresh, err := models.Build(name)
 			if err != nil {
 				t.Fatal(err)

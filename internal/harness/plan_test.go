@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"fp8quant/internal/models"
 	"fp8quant/internal/nn"
 	"fp8quant/internal/quant"
+	"fp8quant/internal/tensor"
 )
 
 // TestWithPlanPreservesResults runs the same sweep cell with and
@@ -61,57 +63,129 @@ func idlePlans() []*nn.Plan {
 	return append([]*nn.Plan(nil), freePlans...)
 }
 
-// mallocs counts the heap allocations f performs, on one P so that no
-// other goroutine's allocations are counted.
-func mallocs(f func()) uint64 {
+// leastGrowth returns the least growth of the heap counter stat reads
+// across f, over 3 repetitions on one P, each after its own call of
+// setup (outside the window; nil for none). A runtime or other
+// goroutine's allocation that lands in one window then fails no test.
+func leastGrowth(stat func(*runtime.MemStats) uint64, setup, f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	f()
-	runtime.ReadMemStats(&m1)
-	return m1.Mallocs - m0.Mallocs
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		if setup != nil {
+			setup()
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		least = min(least, stat(&m1)-stat(&m0))
+	}
+	return least
+}
+
+// mallocs counts the heap allocations f performs (leastGrowth).
+func mallocs(setup, f func()) uint64 {
+	return leastGrowth(func(m *runtime.MemStats) uint64 { return m.Mallocs }, setup, f)
+}
+
+// allocBytes counts the heap bytes f allocates (leastGrowth).
+func allocBytes(setup, f func()) uint64 {
+	return leastGrowth(func(m *runtime.MemStats) uint64 { return m.TotalAlloc }, setup, f)
 }
 
 // TestWithPlanReusesAcrossModels runs two consecutive cells of
 // different token models: the second takes the plan the first returned
 // to the free list, and its forwards allocate nothing, because the
 // chunks the first cell's larger model appended already hold them.
+// Every repetition starts from a cold plan, so the count is always the
+// second cell's first use of it.
 func TestWithPlanReusesAcrossModels(t *testing.T) {
 	withCleanCache(t)
-	var first *nn.Plan
-	for i, name := range []string{"bloom_176b", "bert_base_mrpc"} {
+	type cell struct {
+		net     *models.Network
+		batches []data.Sample
+	}
+	var cells []cell
+	for _, name := range []string{"bloom_176b", "bert_base_mrpc"} {
 		net, err := models.Build(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var batches []data.Sample
+		c := cell{net: net}
 		for b := evalx.EvalStart; b < evalx.EvalEnd; b++ {
-			batches = append(batches, net.Data.Batch(b))
+			c.batches = append(c.batches, net.Data.Batch(b))
 		}
-		release := withPlan(net)
-		if n := len(idlePlans()); n != 0 {
-			t.Fatalf("cell %d: %d plans idle while the cell holds one", i, n)
+		cells = append(cells, c)
+	}
+	forwards := func(c cell) {
+		for _, s := range c.batches {
+			c.net.Run(s)
 		}
-		n := mallocs(func() {
-			for _, s := range batches {
-				net.Run(s)
-			}
-		})
+	}
+	var first *nn.Plan
+	release := func() {}
+	n := mallocs(func() {
 		release()
+		clearPlans()
+		r := withPlan(cells[0].net)
+		if n := len(idlePlans()); n != 0 {
+			t.Fatalf("%d plans idle while the first cell holds one", n)
+		}
+		forwards(cells[0])
+		r()
 		plans := idlePlans()
 		if len(plans) != 1 {
-			t.Fatalf("cell %d: %d idle plans after release, want 1", i, len(plans))
+			t.Fatalf("%d idle plans after the first cell, want 1", len(plans))
 		}
-		if i == 0 {
-			first = plans[0]
-			continue
+		first = plans[0]
+		release = withPlan(cells[1].net)
+	}, func() { forwards(cells[1]) })
+	release()
+	plans := idlePlans()
+	if len(plans) != 1 {
+		t.Fatalf("%d idle plans after the second cell, want 1", len(plans))
+	}
+	if plans[0] != first {
+		t.Error("the second cell did not reuse the first cell's plan")
+	}
+	if n != 0 {
+		t.Errorf("bert_base_mrpc: forwards on the reused plan allocated %d times, want 0", n)
+	}
+}
+
+// weightBytes returns the bytes of net's distinct parametric weights:
+// every weight a token model's E4M3 cell rounds, so every FP32 master
+// its Handle holds.
+func weightBytes(net *models.Network) uint64 {
+	seen := map[*tensor.Tensor]bool{}
+	var n uint64
+	nn.Walk(net.Root(), func(_ string, m nn.Module) {
+		if p, ok := m.(nn.Parametric); ok && !seen[p.WeightTensor()] {
+			seen[p.WeightTensor()] = true
+			n += 4 * uint64(p.WeightTensor().Len())
 		}
-		if plans[0] != first {
-			t.Error("the second cell did not reuse the first cell's plan")
-		}
-		if n != 0 {
-			t.Errorf("%s: forwards on the reused plan allocated %d times, want 0", name, n)
-		}
+	})
+	return n
+}
+
+// TestWarmCellMastersLiveInPlan runs the same token-model cell on a
+// warm plan and network: its FP32 masters are carved from the plan's
+// cell arena, so the cell allocates fewer heap bytes than the masters
+// alone occupy.
+func TestWarmCellMastersLiveInPlan(t *testing.T) {
+	withCleanCache(t)
+	const name = "llama_13b"
+	cell := func() {
+		evalModelCell(name, "E4M3", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E4M3) })
+	}
+	cell()
+	net, err := models.Build(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masters := weightBytes(net)
+	if got := allocBytes(nil, cell); got >= masters {
+		t.Errorf("a warm %s cell allocated %d heap bytes, not fewer than its %d bytes of FP32 masters", name, got, masters)
 	}
 }
 

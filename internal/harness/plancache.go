@@ -1,7 +1,9 @@
-// Execution-plan free list. A plan is one scoped arena whose chunks
+// Execution-plan free list. A plan is two scoped arenas whose chunks
 // persist across forwards and models (nn.Plan), so any idle plan serves
-// any sweep cell: a cell takes one, its forwards carve from chunks an
-// earlier cell already allocated, and it hands the plan back. The
+// any sweep cell: a cell takes one, its forwards and its FP32 weight
+// masters (the cell arena quant.Quantize carves from) reuse chunks an
+// earlier cell already allocated, and it hands the plan back after
+// Release has copied the masters home. The
 // process holds one plan per concurrently running cell, and a plain
 // mutex-guarded list (not sync.Pool) never lets GC drop a warm plan
 // that the next cell would have to grow again.
@@ -28,7 +30,7 @@ func withPlan(net *models.Network) func() {
 	plansMu.Lock()
 	var p *nn.Plan
 	if n := len(freePlans); n > 0 {
-		//fp8vet:ignore cellpurity mutex-guarded pool of scratch arenas; a planned forward is byte-identical whichever plan, warm or cold, a cell takes, so cell order cannot matter
+		//fp8vet:ignore cellpurity mutex-guarded pool of scratch arenas; planned forwards and the masters copied into the cell arena are byte-identical whichever plan, warm or cold, a cell takes, so cell order cannot matter
 		p, freePlans = freePlans[n-1], freePlans[:n-1]
 	} else {
 		p = nn.NewPlan(nil)
@@ -38,7 +40,7 @@ func withPlan(net *models.Network) func() {
 	return func() {
 		net.InstallPlan(nil)
 		plansMu.Lock()
-		//fp8vet:ignore cellpurity mutex-guarded pool of scratch arenas; a planned forward is byte-identical whichever plan, warm or cold, a cell takes, so cell order cannot matter
+		//fp8vet:ignore cellpurity mutex-guarded pool of scratch arenas; planned forwards and the masters copied into the cell arena are byte-identical whichever plan, warm or cold, a cell takes, so cell order cannot matter
 		freePlans = append(freePlans, p)
 		plansMu.Unlock()
 	}

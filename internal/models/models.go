@@ -111,8 +111,8 @@ type Network struct {
 	Classes int
 	// Eval selects the agreement metric.
 	Eval EvalKind
-	// plan, when installed, lends Run its arena (byte-identical math,
-	// no steady-state allocation).
+	// plan, when installed, lends Run its forward arena (byte-identical
+	// math, no steady-state allocation) and Quantize its cell arena.
 	plan *nn.Plan
 }
 
@@ -128,10 +128,16 @@ func (n *Network) IsCNN() bool { return n.Meta.IsCNN }
 //fp8vet:ignore unused bench/cellpath.go calls it
 func (n *Network) Plannable() bool { return true }
 
-// InstallPlan routes Run through p's arena; installing nil restores the
-// unplanned path. Outputs of a planned Run are valid only until the
-// next Run — Clone to retain.
+// InstallPlan routes Run through p's forward arena and Quantize's
+// weight masters through its cell arena; installing nil restores the
+// unplanned path. A Handle carved from p must be released before p
+// serves another network. Outputs of a planned Run are valid only
+// until the next Run — Clone to retain.
 func (n *Network) InstallPlan(p *nn.Plan) { n.plan = p }
+
+// CellArena implements quant.Model: the installed plan's cell arena,
+// or nil (the heap) when the network runs unplanned.
+func (n *Network) CellArena() *tensor.Arena { return n.plan.Cell() }
 
 // Run implements quant.Model.
 func (n *Network) Run(s data.Sample) *tensor.Tensor {

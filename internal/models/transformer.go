@@ -337,6 +337,10 @@ func (g *GenLM) Root() nn.Module { return g.Net }
 // IsCNN implements quant.Model.
 func (g *GenLM) IsCNN() bool { return false }
 
+// CellArena implements quant.Model: a GenLM runs unplanned, so its
+// weight masters live on the heap.
+func (g *GenLM) CellArena() *tensor.Arena { return nil }
+
 // Run implements quant.Model.
 func (g *GenLM) Run(s data.Sample) *tensor.Tensor { return g.Net.LastLogits(nil, s.Tokens) }
 

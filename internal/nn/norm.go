@@ -116,14 +116,23 @@ func CalibrateBatchNorms(bns []*BatchNorm2d, maxCycles int, pass func()) {
 }
 
 // SnapshotBatchNorms copies the running statistics of bns: per
-// BatchNorm, its Mean followed by its Var.
+// BatchNorm, its Mean followed by its Var. Every BatchNorm's stats are
+// a capacity-capped window of one slab, so a snapshot is two
+// allocations and no window can grow into its neighbour.
 func SnapshotBatchNorms(bns []*BatchNorm2d) [][]float32 {
-	out := make([][]float32, 0, len(bns))
+	n := 0
 	for _, bn := range bns {
-		s := make([]float32, 0, 2*bn.C)
-		s = append(s, bn.Mean...)
-		s = append(s, bn.Var...)
-		out = append(out, s)
+		n += 2 * bn.C
+	}
+	slab := make([]float32, n)
+	out := make([][]float32, len(bns))
+	off := 0
+	for i, bn := range bns {
+		s := slab[off : off+2*bn.C : off+2*bn.C]
+		copy(s, bn.Mean)
+		copy(s[bn.C:], bn.Var)
+		out[i] = s
+		off += 2 * bn.C
 	}
 	return out
 }

@@ -2,15 +2,28 @@ package nn
 
 import "fp8quant/internal/tensor"
 
-// Plan is an execution plan: one scoped arena (tensor.Arena) that every
-// forward run under the plan carves from. Begin rewinds the arena and
-// hands it to a forward, which passes it to each module where an
-// unplanned caller passes nil. A forward therefore carves every
-// intermediate — tensors, headers, shape slices, im2col patches and
-// packed weight panels — out of chunks the arena already holds, and a
-// repeated forward performs zero heap allocations while running kernels
-// in exactly the same float operation order as the unplanned path, so
-// planned and unplanned outputs are byte-identical.
+// Plan is an execution plan: two arenas (tensor.Arena) with different
+// lifetimes.
+//
+//   - The forward arena lives for one forward. Begin rewinds it and
+//     hands it to the forward, which passes it to each module where an
+//     unplanned caller passes nil.
+//   - The cell arena (Cell) lives for one quantization cycle of the
+//     network the plan serves: quant.Quantize rewinds it and carves
+//     each weight's FP32 master from it, and Handle.Release copies the
+//     masters back. Begin never touches it, so masters survive every
+//     forward of the cell.
+//
+// Both arenas keep their chunks across cycles and models, so a warm
+// plan's cell copies its masters, and runs its forwards, in memory the
+// plan already holds.
+//
+// A forward carves every intermediate — tensors, headers, shape slices,
+// im2col patches and packed weight panels — out of chunks the forward
+// arena already holds, and a repeated forward performs zero heap
+// allocations while running kernels in exactly the same float operation
+// order as the unplanned path, so planned and unplanned outputs are
+// byte-identical.
 //
 // There is no recording cycle: the first forward over a shape appends
 // the chunks its peak live set needs, later ones reuse them. Scopes
@@ -25,12 +38,13 @@ import "fp8quant/internal/tensor"
 // larger shape appends chunks once, and chunks persist across models,
 // so one plan can serve every network in turn.
 type Plan struct {
-	m Module
-	a tensor.Arena
+	m    Module
+	a    tensor.Arena
+	cell tensor.Arena
 }
 
-// NewPlan returns a plan for m (nil when the plan only lends its arena
-// through Begin); its arena holds no chunks yet.
+// NewPlan returns a plan for m (nil when the plan only lends its arenas
+// through Begin and Cell); its arenas hold no chunks yet.
 func NewPlan(m Module) *Plan { return &Plan{m: m} }
 
 // Bind points the plan at a different module (typically the same
@@ -40,8 +54,8 @@ func NewPlan(m Module) *Plan { return &Plan{m: m} }
 //fp8vet:ignore unused bench/cellpath.go calls it
 func (p *Plan) Bind(m Module) { p.m = m }
 
-// Begin starts a planned forward: it rewinds the plan's arena and
-// returns it. Every tensor of the previous forward becomes invalid. A
+// Begin starts a planned forward: it rewinds the plan's forward arena
+// and returns it. Every tensor of the previous forward becomes invalid. A
 // nil plan returns a nil arena, the heap.
 func (p *Plan) Begin() *tensor.Arena {
 	if p == nil {
@@ -49,6 +63,16 @@ func (p *Plan) Begin() *tensor.Arena {
 	}
 	p.a.Reset()
 	return &p.a
+}
+
+// Cell returns the plan's cell arena, which Begin never rewinds: its
+// owner (quant.Quantize) rewinds it at the start of a quantization
+// cycle. A nil plan returns a nil arena, the heap.
+func (p *Plan) Cell() *tensor.Arena {
+	if p == nil {
+		return nil
+	}
+	return &p.cell
 }
 
 // Forward runs the planned module over x. The input must not itself be

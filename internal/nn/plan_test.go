@@ -169,3 +169,34 @@ func TestArenaZeroesCarvedMemory(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanCellSurvivesForwards pins the cell arena's lifetime: memory
+// carved from Cell before a forward keeps its bits through Begin and
+// the forward, and a carve after them lands elsewhere, because only
+// the cell arena's owner rewinds it. A nil plan's cell arena is the
+// heap.
+func TestPlanCellSurvivesForwards(t *testing.T) {
+	m := planTestNet()
+	x := planTestInput(4, 11)
+	p := NewPlan(m)
+	p.Forward(x) // the forward arena's chunks now exist
+	masters := make([][]float32, 3)
+	for i := range masters {
+		masters[i] = p.Cell().Alloc(1000 * (i + 1))
+		for j := range masters[i] {
+			masters[i][j] = float32(i*1e6 + j)
+		}
+		p.Forward(x)
+		p.Begin()
+	}
+	for i, s := range masters {
+		for j, v := range s {
+			if v != float32(i*1e6+j) {
+				t.Fatalf("master %d changed at %d to %v after later forwards and carves", i, j, v)
+			}
+		}
+	}
+	if (*Plan)(nil).Cell() != nil {
+		t.Fatal("a nil plan's cell arena is not the heap")
+	}
+}

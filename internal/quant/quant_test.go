@@ -24,8 +24,9 @@ func newTestMLP(seed uint64) *testMLP {
 	return &testMLP{seq: nn.NewSequential(l1, nn.ReLU{}, l2)}
 }
 
-func (m *testMLP) Root() nn.Module { return m.seq }
-func (m *testMLP) IsCNN() bool     { return false }
+func (m *testMLP) Root() nn.Module          { return m.seq }
+func (m *testMLP) IsCNN() bool              { return false }
+func (m *testMLP) CellArena() *tensor.Arena { return nil }
 func (m *testMLP) Run(s data.Sample) *tensor.Tensor {
 	return m.seq.Forward(nil, s.X)
 }
@@ -83,8 +84,9 @@ func newTestCNN(seed uint64) *testCNN {
 	return &testCNN{seq: seq}
 }
 
-func (m *testCNN) Root() nn.Module { return m.seq }
-func (m *testCNN) IsCNN() bool     { return true }
+func (m *testCNN) Root() nn.Module          { return m.seq }
+func (m *testCNN) IsCNN() bool              { return true }
+func (m *testCNN) CellArena() *tensor.Arena { return nil }
 func (m *testCNN) Run(s data.Sample) *tensor.Tensor {
 	return m.seq.Forward(nil, s.X)
 }

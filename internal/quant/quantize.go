@@ -19,6 +19,10 @@ type Model interface {
 	// IsCNN reports whether the first/last-operator FP32 exception of
 	// the standard scheme applies (convolutional networks only).
 	IsCNN() bool
+	// CellArena returns the arena Quantize carves FP32 weight masters
+	// from (nn.Plan.Cell), or nil for the heap. Nothing else may carve
+	// from it while a Handle is live.
+	CellArena() *tensor.Arena
 }
 
 // Handle tracks the reversible state of a quantized model. Release
@@ -27,7 +31,10 @@ type Model interface {
 // harness's network free list depends on it, handing a released
 // network to the next sweep cell as if freshly built.
 type Handle struct {
-	states  []*nn.QState
+	states []*nn.QState
+	// cell is the model's cell arena (nil: the heap), and weights maps
+	// each modified weight to its FP32 master, carved from cell.
+	cell    *tensor.Arena
 	weights map[*tensor.Tensor][]float32
 	rounded map[*tensor.Tensor]bool
 	// bns and bnStats are the re-calibrated BatchNorms and their FP32
@@ -52,14 +59,21 @@ type Report struct {
 // save records w's FP32 master the first time Quantize is about to
 // modify w in place (SmoothQuant folding or weight rounding), so the
 // master is always the true original and each weight is copied once.
+// The master is a copy carved from the cell arena: on a warm plan,
+// memory an earlier cell already appended.
 func (h *Handle) save(w *tensor.Tensor) {
 	if _, saved := h.weights[w]; !saved {
-		h.weights[w] = append([]float32(nil), w.Data...)
+		master := h.cell.Alloc(len(w.Data))
+		copy(master, w.Data)
+		h.weights[w] = master
 	}
 }
 
 // Release restores FP32 weights, BatchNorm statistics, and removes all
-// quantization hooks, leaving the model as Quantize found it.
+// quantization hooks, leaving the model as Quantize found it. It copies
+// each master back, so it must run before the cell arena's next cycle:
+// the model's next Quantize, or another network's once the plan moves
+// on.
 func (h *Handle) Release() {
 	for w, master := range h.weights {
 		copy(w.Data, master)
@@ -88,13 +102,17 @@ type target struct {
 
 // Quantize applies recipe r to model m, calibrating on ds. It returns
 // a Handle whose Release undoes everything. The model is modified in
-// place (fake-quant hooks installed, weights rounded).
+// place (fake-quant hooks installed, weights rounded). Quantize starts
+// a new cycle of m's cell arena, so the previous Handle on m must have
+// been released.
 func Quantize(m Model, ds data.Dataset, r Recipe) *Handle {
 	h := &Handle{
+		cell:    m.CellArena(),
 		weights: make(map[*tensor.Tensor][]float32),
 		rounded: make(map[*tensor.Tensor]bool),
 		Report:  Report{QuantizedOps: make(map[string]int)},
 	}
+	h.cell.Reset()
 	if r.Act == FP32 && r.Wgt == FP32 {
 		return h
 	}
