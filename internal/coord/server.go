@@ -158,7 +158,8 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		sel := spec.Select(cfg.Filter)
 		es := &expSchedule{id: e.ID(), grid: spec.ID}
-		for _, idx := range sel {
+		models := spec.CellModels(sel)
+		for j, idx := range sel {
 			cell := spec.CellAt(idx)
 			k := spec.CellKey(cell)
 			fp := k.Fingerprint()
@@ -167,7 +168,7 @@ func New(cfg Config) (*Coordinator, error) {
 				it = &workItem{
 					exp: e.ID(), grid: spec.ID, index: idx,
 					key: spec.KeyString(cell), fp: fp, axes: k.Cell,
-					model: cellModel(k.Cell),
+					model: models[j],
 				}
 				c.items[fp] = it
 				c.pending = append(c.pending, it)
@@ -190,17 +191,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c.checkCompleteLocked()
 	c.mu.Unlock()
 	return c, nil
-}
-
-// cellModel returns a cell's "model" axis value, or "" for a grid
-// without a model axis.
-func cellModel(axes []resultstore.AxisValue) string {
-	for _, av := range axes {
-		if av.Axis == "model" {
-			return av.Value
-		}
-	}
-	return ""
 }
 
 // saveManifest records a grid's full schedule, preserving an existing

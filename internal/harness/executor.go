@@ -2,10 +2,11 @@
 // in-process memoization and persistence for every experiment. An
 // experiment only declares its schedule (Spec), its pure per-cell
 // computation (RunCell) and its presentation (Render); the executor
-// fans the selected cells out over the bounded sweep worker pool,
-// consults the memo and the result store per cell, and persists fresh
-// results — so an interrupted sweep resumes from its completed cells
-// on the next invocation, for every grid experiment by construction.
+// fans the selected cells out over the bounded sweep worker pool
+// (model-affine claims, sweep.go), consults the memo and the result
+// store per cell, and persists fresh results — so an interrupted sweep
+// resumes from its completed cells on the next invocation, for every
+// grid experiment by construction.
 
 package harness
 
@@ -76,7 +77,7 @@ func RunGrid(e Experiment, f Filter, _ ...Shard) (*Grid, []int, error) {
 	}
 	var done, fresh atomic.Int64
 	reportProgress(e.ID(), 0, len(sel))
-	forEachCell(len(sel), func(k int) {
+	forEachCell(spec.CellModels(sel), func(k int) {
 		c := spec.CellAt(sel[k])
 		r, computed := cachedCellFresh(spec.CellKey(c), func() evalx.Result {
 			return runCellSafe(e, spec, c)

@@ -7,10 +7,12 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"fp8quant/internal/evalx"
+	"fp8quant/internal/models"
 	"fp8quant/internal/resultstore"
 	"fp8quant/internal/tensor/kernels"
 )
@@ -217,6 +219,68 @@ func TestRunGridRecoversCellPanic(t *testing.T) {
 			t.Errorf("workers=%d: store writes = %d, want 2 (panicked cell never persisted)", workers, st.Writes)
 		}
 		SetWorkers(0)
+	}
+}
+
+// TestRunGridBuildsEachModelOnce runs a 2-model x 3-recipe grid at 2
+// workers through withModelCell and records the networks its cells
+// ran on. The first two cells wait for each other at a barrier, so
+// both workers hold a network at once. Model-affine claims put them on
+// different models, and only the tail may put a second worker on a
+// running model, so the grid uses at most one network per model plus
+// one. Row-major claims would run both first cells on one model.
+func TestRunGridBuildsEachModelOnce(t *testing.T) {
+	withCleanCache(t)
+	defer SetWorkers(0)
+	SetWorkers(2)
+	names := []string{"cifar_resnet20", "tinybert_mrpc"}
+	var (
+		mu      sync.Mutex
+		nets    = map[*models.Network]bool{}
+		barrier []string // the models of the two cells held at the barrier
+		arrived sync.WaitGroup
+	)
+	arrived.Add(2)
+	e := gridExp{id: "exec-affinity", title: "model-affine claims",
+		spec: func() GridSpec {
+			return GridSpec{ID: "exec-affinity", Axes: []Axis{
+				{Name: "model", Values: names},
+				{Name: "recipe", Values: []string{"r1", "r2", "r3"}},
+			}}
+		},
+		cell: func(c Cell) evalx.Result {
+			name := c.Values[0]
+			return withModelCell(name, c.Values[1], func(net *models.Network, _ evalx.Reference) evalx.Result {
+				mu.Lock()
+				nets[net] = true
+				first := len(barrier) < 2
+				if first {
+					barrier = append(barrier, name)
+				}
+				mu.Unlock()
+				if first {
+					arrived.Done()
+					arrived.Wait()
+				}
+				return evalx.Result{Model: name, Recipe: c.Values[1], QAcc: 1}
+			})
+		},
+		render: func(*Grid) *Report { return &Report{Values: map[string]float64{}} },
+	}
+	g, _, err := RunGrid(e, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range g.Results {
+		if r.Err != "" {
+			t.Fatalf("cell %d: %s", i, r.Err)
+		}
+	}
+	if len(barrier) != 2 || barrier[0] == barrier[1] {
+		t.Errorf("the two concurrent first cells ran models %q, want two different models", barrier)
+	}
+	if len(nets) > len(names)+1 {
+		t.Errorf("the grid used %d networks for %d models, want at most %d", len(nets), len(names), len(names)+1)
 	}
 }
 

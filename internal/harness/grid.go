@@ -79,6 +79,26 @@ func (s GridSpec) CellAt(i int) Cell {
 	return c
 }
 
+// CellModels returns the "model" axis value of each given row-major
+// cell index, or "" for every index when the grid has no model axis.
+// It finds the axis once and reads each cell's model by index
+// arithmetic, so it allocates only the result.
+func (s GridSpec) CellModels(idx []int) []string {
+	models := make([]string, len(idx))
+	stride := 1
+	for ai := len(s.Axes) - 1; ai >= 0; ai-- {
+		a := s.Axes[ai]
+		if a.Name == "model" {
+			for k, i := range idx {
+				models[k] = a.Values[i/stride%len(a.Values)]
+			}
+			break
+		}
+		stride *= len(a.Values)
+	}
+	return models
+}
+
 // CellKey returns the cell's persistent identity for the result store.
 func (s GridSpec) CellKey(c Cell) resultstore.CellKey {
 	av := make([]resultstore.AxisValue, len(s.Axes))

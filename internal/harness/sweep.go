@@ -4,6 +4,14 @@
 // claimed dynamically for load balance (model costs vary by 100x across
 // the zoo) but every result is written to its input-order slot, so
 // reports are deterministic regardless of scheduling or worker count.
+//
+// Claims are model-affine. A worker keeps to the model it ran last and
+// moves on to a model no other worker is running, so each model is
+// built about once per run (netpool.go hands the next cell the network
+// the last one released) instead of once per worker that touches it.
+// Only the tail, when every unclaimed cell belongs to a running model,
+// puts two workers on one model. Grids without a model axis run in
+// ascending order.
 
 package harness
 
@@ -35,33 +43,76 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEachCell runs cell(i) for every i in [0, n) across the bounded
-// worker pool. cell must confine its writes to per-index state.
-func forEachCell(n int, cell func(i int)) {
-	workers := Workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			cell(i)
+// forEachCell runs cell(k) for every k in [0, len(models)) across the
+// bounded worker pool, where models[k] is cell k's model ("" for a
+// grid without a model axis). Each worker claims its cells through
+// nextCell. cell must confine its writes to per-index state.
+func forEachCell(models []string, cell func(k int)) {
+	var mu sync.Mutex
+	claimed := make([]bool, len(models))
+	running := map[string]int{}
+	work := func() {
+		k := -1
+		for {
+			mu.Lock()
+			last := ""
+			if k >= 0 {
+				last = models[k]
+				running[last]--
+			}
+			k = nextCell(models, claimed, running, last)
+			if k >= 0 {
+				claimed[k] = true
+				running[models[k]]++
+			}
+			mu.Unlock()
+			if k < 0 {
+				return
+			}
+			cell(k)
 		}
+	}
+	workers := min(Workers(), len(models))
+	if workers <= 1 {
+		work()
 		return
 	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				cell(i)
-			}
+			work()
 		}()
 	}
 	wg.Wait()
+}
+
+// nextCell returns the cell a worker whose last cell ran model last
+// claims next, or -1 when every cell is claimed. running counts the
+// workers running each model. In order of preference it is the next
+// unclaimed cell of last, the first unclaimed cell of a model no
+// worker is running, and the first unclaimed cell. A worker that has
+// run nothing passes last = "", which matches every cell of a grid
+// without a model axis, so such a grid runs in ascending order.
+func nextCell(models []string, claimed []bool, running map[string]int, last string) int {
+	head, free := -1, -1
+	for k, m := range models {
+		if claimed[k] {
+			continue
+		}
+		if m == last {
+			return k
+		}
+		if head < 0 {
+			head = k
+		}
+		if free < 0 && running[m] == 0 {
+			free = k
+		}
+	}
+	if free >= 0 {
+		return free
+	}
+	return head
 }

@@ -1,20 +1,36 @@
 package harness
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
+// cellLabels returns the model labels of n cells: none (a grid without
+// a model axis), runs of 10 cells per model (model axis first) and 7
+// interleaved models (model axis last).
+func cellLabels(n int) map[string][]string {
+	first, last := make([]string, n), make([]string, n)
+	for i := range first {
+		first[i] = fmt.Sprintf("m%d", i/10)
+		last[i] = fmt.Sprintf("m%d", i%7)
+	}
+	return map[string][]string{"none": make([]string, n), "first": first, "last": last}
+}
+
 func TestForEachCellCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7} {
-		SetWorkers(workers)
-		const n = 1000
-		var hits [n]int32
-		forEachCell(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: cell %d ran %d times", workers, i, h)
+	const n = 1000
+	for name, models := range cellLabels(n) {
+		for _, workers := range []int{0, 1, 2, 7} {
+			SetWorkers(workers)
+			var hits [n]int32
+			forEachCell(models, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("%s, workers=%d: cell %d ran %d times", name, workers, i, h)
+				}
 			}
 		}
 	}
@@ -29,7 +45,7 @@ func TestCollectCellsDeterministicOrder(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		SetWorkers(workers)
 		got := make([]int, len(want))
-		forEachCell(len(got), func(i int) { got[i] = i * i })
+		forEachCell(make([]string, len(got)), func(i int) { got[i] = i * i })
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, got[i], want[i])
@@ -45,22 +61,24 @@ func TestSetWorkersBounds(t *testing.T) {
 		t.Errorf("Workers() = %d after SetWorkers(3)", Workers())
 	}
 	// The pool must never run more cells concurrently than configured.
-	var cur, peak int32
-	forEachCell(64, func(i int) {
-		c := atomic.AddInt32(&cur, 1)
-		for {
-			p := atomic.LoadInt32(&peak)
-			if c <= p || atomic.CompareAndSwapInt32(&peak, p, c) {
-				break
+	for name, models := range cellLabels(64) {
+		var cur, peak int32
+		forEachCell(models, func(i int) {
+			c := atomic.AddInt32(&cur, 1)
+			for {
+				p := atomic.LoadInt32(&peak)
+				if c <= p || atomic.CompareAndSwapInt32(&peak, p, c) {
+					break
+				}
 			}
+			for j := 0; j < 10000; j++ {
+				_ = j * j
+			}
+			atomic.AddInt32(&cur, -1)
+		})
+		if peak > 3 {
+			t.Errorf("%s: observed %d concurrent cells with 3 workers", name, peak)
 		}
-		for j := 0; j < 10000; j++ {
-			_ = j * j
-		}
-		atomic.AddInt32(&cur, -1)
-	})
-	if peak > 3 {
-		t.Errorf("observed %d concurrent cells with 3 workers", peak)
 	}
 	SetWorkers(0)
 	if Workers() != runtime.GOMAXPROCS(0) {
@@ -74,8 +92,87 @@ func TestSetWorkersBounds(t *testing.T) {
 
 func TestForEachCellEmpty(t *testing.T) {
 	ran := false
-	forEachCell(0, func(i int) { ran = true })
+	forEachCell(nil, func(i int) { ran = true })
 	if ran {
 		t.Error("forEachCell(0) must not invoke the cell")
+	}
+}
+
+// TestNextCellRule pins the claim order: the worker's own model, then
+// a model no worker is running, then the first unclaimed cell.
+func TestNextCellRule(t *testing.T) {
+	models := []string{"a", "a", "b", "b", "c", "c"}
+	cases := []struct {
+		name    string
+		claimed []int
+		running map[string]int
+		last    string
+		want    int
+	}{
+		{"first claim takes the head", nil, nil, "", 0},
+		{"a free model before a running one", []int{0}, map[string]int{"a": 1}, "", 2},
+		{"own model before a free one", []int{0, 2}, map[string]int{"b": 1}, "a", 1},
+		{"own model even when another worker runs it", []int{0, 2}, map[string]int{"a": 1, "b": 1}, "a", 1},
+		{"free model after own model is done", []int{0, 1, 2}, map[string]int{"b": 1}, "a", 4},
+		{"head when every model left is running", []int{0, 1, 2, 4}, map[string]int{"b": 1, "c": 1}, "a", 3},
+		{"nothing left", []int{0, 1, 2, 3, 4, 5}, nil, "c", -1},
+	}
+	for _, tc := range cases {
+		claimed := make([]bool, len(models))
+		for _, k := range tc.claimed {
+			claimed[k] = true
+		}
+		if got := nextCell(models, claimed, tc.running, tc.last); got != tc.want {
+			t.Errorf("%s: nextCell = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestForEachCellSerialOrder checks the order one worker runs cells
+// in: ascending without a model axis, model by model with one.
+func TestForEachCellSerialOrder(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(1)
+	for _, tc := range []struct {
+		models []string
+		want   []int
+	}{
+		{make([]string, 5), []int{0, 1, 2, 3, 4}},
+		{[]string{"a", "a", "b", "b"}, []int{0, 1, 2, 3}},
+		{[]string{"a", "b", "c", "a", "b", "c"}, []int{0, 3, 1, 4, 2, 5}},
+	} {
+		var got []int
+		forEachCell(tc.models, func(k int) { got = append(got, k) })
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("models %q: order %v, want %v", tc.models, got, tc.want)
+		}
+	}
+}
+
+func TestCellModels(t *testing.T) {
+	spec := func(axes ...Axis) GridSpec { return GridSpec{ID: "g", Axes: axes} }
+	recipe := Axis{Name: "recipe", Values: []string{"r1", "r2"}}
+	model := Axis{Name: "model", Values: []string{"ma", "mb", "mc"}}
+	format := Axis{Name: "format", Values: []string{"f1", "f2"}}
+	for _, s := range []GridSpec{
+		spec(model, recipe),
+		spec(format, recipe, model),
+		spec(format, model, recipe),
+		spec(format, recipe),
+	} {
+		idx := []int{0, 1, 3, s.NumCells() - 1}
+		got := s.CellModels(idx)
+		for k, i := range idx {
+			want := ""
+			c := s.CellAt(i)
+			for ai, a := range s.Axes {
+				if a.Name == "model" {
+					want = c.Values[ai]
+				}
+			}
+			if got[k] != want {
+				t.Errorf("axes %v: cell %d model %q, want %q", s.AxisNames(), i, got[k], want)
+			}
+		}
 	}
 }

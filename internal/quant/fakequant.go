@@ -122,7 +122,9 @@ func quantizeChannels(w *tensor.Tensor, dim int, d DType) {
 	if d == FP32 {
 		return
 	}
-	absmax := ChannelAbsMax(w, dim)
+	if dim != 0 {
+		panic("quant: only leading-dim channel scaling is supported")
+	}
 	out := w.Shape[0]
 	per := w.Len() / out
 	var codec *fp8.Codec
@@ -133,7 +135,7 @@ func quantizeChannels(w *tensor.Tensor, dim int, d DType) {
 	}
 	for c := 0; c < out; c++ {
 		seg := w.Data[c*per : (c+1)*per]
-		am := absmax[c]
+		am := sliceAbsMax(seg)
 		if am == 0 {
 			continue
 		}

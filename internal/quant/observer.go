@@ -368,26 +368,3 @@ func CalibratedThreshold(o Observer, m CalibMethod, mk func(threshold float64) Q
 	}
 	return o.AbsMax()
 }
-
-// ChannelAbsMax returns per-channel absolute maxima of a weight tensor
-// along the given channel dimension (dim 0 for [Out, ...] weights).
-func ChannelAbsMax(w *tensor.Tensor, dim int) []float64 {
-	if dim != 0 {
-		panic("quant: only leading-dim channel scaling is supported")
-	}
-	out := w.Shape[0]
-	per := w.Len() / out
-	res := make([]float64, out)
-	for c := 0; c < out; c++ {
-		seg := w.Data[c*per : (c+1)*per]
-		m := 0.0
-		for _, v := range seg {
-			a := math.Abs(float64(v))
-			if a > m {
-				m = a
-			}
-		}
-		res[c] = m
-	}
-	return res
-}

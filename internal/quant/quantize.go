@@ -345,24 +345,24 @@ func applySmoothQuant(l *nn.Linear, colMax []float64, alpha float64, h *Handle) 
 		alpha = 0.5
 	}
 	in, out := l.In, l.Out
-	// Per-input-channel weight absmax (over output rows).
-	wMax := make([]float64, in)
+	// s_j starts as the input channel's weight absmax (over output
+	// rows) and becomes its divisor in place.
+	s := make([]float64, in)
 	for o := 0; o < out; o++ {
 		row := l.W.Data[o*in : (o+1)*in]
 		for j, v := range row {
 			a := math.Abs(float64(v))
-			if a > wMax[j] {
-				wMax[j] = a
+			if a > s[j] {
+				s[j] = a
 			}
 		}
 	}
-	s := make([]float64, in)
-	for j := range s {
-		if colMax[j] == 0 || wMax[j] == 0 {
+	for j, wMax := range s {
+		if colMax[j] == 0 || wMax == 0 {
 			s[j] = 1
 			continue
 		}
-		v := math.Pow(colMax[j], alpha) / math.Pow(wMax[j], 1-alpha)
+		v := math.Pow(colMax[j], alpha) / math.Pow(wMax, 1-alpha)
 		if v < 1e-5 {
 			v = 1e-5
 		} else if v > 1e5 {
