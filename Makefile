@@ -26,14 +26,15 @@ vet-contracts:
 	$(GO) run ./cmd/fp8vet ./...
 
 # Fused multiply-add audit: cross-compile internal/nn, internal/quant,
-# internal/evalx and internal/fp8 for arm64 with the assembly listing
-# and fail on any fused multiply-add inside one of their symbols. amd64
-# emits none, so one there would let arm64 layer outputs, calibration
-# thresholds, report statistics or the FP8 oracle round differently. A
+# internal/evalx, internal/fp8 and internal/textgen for arm64 with the
+# assembly listing and fail on any fused multiply-add inside one of
+# their symbols. amd64 emits none, so one there would let arm64 layer
+# outputs, calibration thresholds, report statistics, the FP8 oracle or
+# the beam scores that pick Table 4's generations round differently. A
 # listing without a symbol of one of the packages fails too, so the
 # check cannot pass vacuously.
 fma-audit:
-	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; pkgs="nn quant evalx fp8"; \
+	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; pkgs="nn quant evalx fp8 textgen"; \
 	GOARCH=arm64 $(GO) build -gcflags=-S $$(for p in $$pkgs; do echo ./internal/$$p; done) 2> "$$out" || { cat "$$out"; exit 1; }; \
 	awk -v pkgs="$$pkgs" ' \
 		BEGIN { n = split(pkgs, p, " "); for (i = 1; i <= n; i++) audited["fp8quant/internal/" p[i]] = 1 } \

@@ -72,7 +72,7 @@ func TestClearMemoDropsIdlePlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := withPlan(net)
+	release := planOn(net)
 	net.Run(net.Data.Batch(0))
 	release()
 	if n := len(idlePlans()); n != 1 {

@@ -33,23 +33,36 @@ func init() {
 // ---- the model cell ----
 
 // withModelCell runs the steps every model cell shares: it takes an
-// FP32 network of the named model from the free list (netpool.go),
-// installs an execution plan, takes the model's FP32 reference and
+// idle execution plan (plancache.go), then an FP32 network of the named
+// model with that plan installed, from the free list or built on the
+// plan (netpool.go), so a model's first build warms its BatchNorms in
+// the chunks the cell runs on. It takes the model's FP32 reference and
 // hands the network and reference to eval. eval must leave the network
 // as it found it, which quant.Handle.Release does; the network goes
-// back to the free list only if eval returns normally. A model that
-// fails to build yields a Failed result under label.
+// back to the free list only if eval returns normally. One deferred
+// release uninstalls the plan and returns it to the free list on every
+// path, a panic or a failed build included. A model that fails to
+// build yields a Failed result under label.
 func withModelCell(name, label string, eval func(*models.Network, evalx.Reference) evalx.Result) evalx.Result {
 	key := netKey{name, kernels.Active()}
-	net, err := takeNet(key)
+	p := takePlan()
+	var net *models.Network
+	returned := false
+	defer func() {
+		if net != nil {
+			net.InstallPlan(nil)
+			if returned {
+				putNet(key, net)
+			}
+		}
+		putPlan(p)
+	}()
+	net, err := takeNet(key, p)
 	if err != nil {
 		return evalx.Failed(name, label, err)
 	}
-	r := func() evalx.Result {
-		defer withPlan(net)()
-		return eval(net, modelRef(name, net))
-	}()
-	putNet(key, net)
+	r := eval(net, modelRef(name, net))
+	returned = true
 	return r
 }
 

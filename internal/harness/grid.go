@@ -79,22 +79,36 @@ func (s GridSpec) CellAt(i int) Cell {
 	return c
 }
 
-// CellModels returns the "model" axis value of each given row-major
-// cell index, or "" for every index when the grid has no model axis.
-// It finds the axis once and reads each cell's model by index
-// arithmetic, so it allocates only the result.
+// CellModels returns the model of each given row-major cell index: its
+// "model" axis value, or, in a grid without a model axis, the part
+// after the last '/' of its "config" axis value (fig9 flattens
+// domain/format/coverage/model into one config axis). A config value
+// without a '/', or a grid with neither axis, gives "". It finds the
+// axis once and reads each cell's model by index arithmetic, so it
+// allocates only the result.
 func (s GridSpec) CellModels(idx []int) []string {
 	models := make([]string, len(idx))
-	stride := 1
-	for ai := len(s.Axes) - 1; ai >= 0; ai-- {
-		a := s.Axes[ai]
-		if a.Name == "model" {
-			for k, i := range idx {
-				models[k] = a.Values[i/stride%len(a.Values)]
-			}
-			break
+	axis, stride := -1, 0
+	for ai, st := len(s.Axes)-1, 1; ai >= 0; ai-- {
+		if n := s.Axes[ai].Name; n == "model" || (n == "config" && axis < 0) {
+			axis, stride = ai, st
 		}
-		stride *= len(a.Values)
+		st *= len(s.Axes[ai].Values)
+	}
+	if axis < 0 {
+		return models
+	}
+	a := s.Axes[axis]
+	for k, i := range idx {
+		v := a.Values[i/stride%len(a.Values)]
+		if a.Name == "config" {
+			if j := strings.LastIndexByte(v, '/'); j >= 0 {
+				v = v[j+1:]
+			} else {
+				v = ""
+			}
+		}
+		models[k] = v
 	}
 	return models
 }

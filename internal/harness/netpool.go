@@ -8,8 +8,11 @@
 // family; a cell that panics may have left its network half quantized,
 // so only a cell that returns normally hands its network back. The key
 // holds the kernel variant because the BatchNorm warm-up ran that
-// variant's kernels. The masters Release copies back live in the cell's
-// plan (plancache.go), so a pooled network never holds plan memory.
+// variant's kernels. A cell takes its plan first (plancache.go) and
+// then its network with that plan installed, pooled or built on it;
+// it uninstalls the plan before handing the network back, and the
+// masters Release copies back live in the plan, so a pooled network
+// never holds plan memory.
 
 package harness
 
@@ -17,6 +20,7 @@ import (
 	"sync"
 
 	"fp8quant/internal/models"
+	"fp8quant/internal/nn"
 	"fp8quant/internal/tensor/kernels"
 )
 
@@ -40,9 +44,10 @@ var (
 	idleNets []idleNet // least recently returned first
 )
 
-// takeNet returns an idle FP32 network of the model key names, built
-// under key's kernel variant, or a freshly built one if none is idle.
-func takeNet(key netKey) (*models.Network, error) {
+// takeNet returns, with p installed, an idle FP32 network of the model
+// key names, built under key's kernel variant, or one freshly built on p
+// if none is idle.
+func takeNet(key netKey, p *nn.Plan) (*models.Network, error) {
 	netsMu.Lock()
 	for i := len(idleNets) - 1; i >= 0; i-- {
 		if idleNets[i].key == key {
@@ -50,15 +55,17 @@ func takeNet(key netKey) (*models.Network, error) {
 			//fp8vet:ignore cellpurity mutex-guarded pool of FP32 networks that Release restored bit for bit (TestReleaseRestoresZooNetworks), so a pooled network equals a fresh Build and cell order cannot matter
 			idleNets = dropNet(idleNets, i)
 			netsMu.Unlock()
+			net.InstallPlan(p)
 			return net, nil
 		}
 	}
 	netsMu.Unlock()
-	return models.Build(key.name)
+	return models.BuildOn(key.name, p)
 }
 
 // putNet hands a restored network back to the free list, dropping the
-// least recently returned one past maxIdleNets.
+// least recently returned one past maxIdleNets. The network must have
+// no plan installed: the free list holds networks, not plans.
 func putNet(key netKey, net *models.Network) {
 	netsMu.Lock()
 	//fp8vet:ignore cellpurity mutex-guarded pool of FP32 networks that Release restored bit for bit (TestReleaseRestoresZooNetworks), so a pooled network equals a fresh Build and cell order cannot matter

@@ -268,15 +268,17 @@ func TestNetPoolKeysByVariant(t *testing.T) {
 	withCleanCache(t)
 	const name = "cifar_resnet20"
 	avx2 := netKey{name, kernels.VariantAVX2}
-	net, err := takeNet(avx2)
+	p := nn.NewPlan(nil)
+	net, err := takeNet(avx2, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.InstallPlan(nil)
 	putNet(avx2, net)
-	if other, err := takeNet(netKey{name, kernels.VariantGeneric}); err != nil || other == net {
+	if other, err := takeNet(netKey{name, kernels.VariantGeneric}, p); err != nil || other == net {
 		t.Fatalf("a generic-variant cell took the avx2 network (err %v)", err)
 	}
-	if same, err := takeNet(avx2); err != nil || same != net {
+	if same, err := takeNet(avx2, p); err != nil || same != net {
 		t.Fatalf("an avx2 cell did not take the idle avx2 network (err %v)", err)
 	}
 }

@@ -56,6 +56,17 @@ func TestWithPlanPreservesResults(t *testing.T) {
 	}
 }
 
+// planOn installs an idle plan on net, as withModelCell does, and
+// returns the release that uninstalls it and puts it back.
+func planOn(net *models.Network) func() {
+	p := takePlan()
+	net.InstallPlan(p)
+	return func() {
+		net.InstallPlan(nil)
+		putPlan(p)
+	}
+}
+
 // idlePlans returns the free list's plans.
 func idlePlans() []*nn.Plan {
 	plansMu.Lock()
@@ -127,7 +138,7 @@ func TestWithPlanReusesAcrossModels(t *testing.T) {
 	n := mallocs(func() {
 		release()
 		clearPlans()
-		r := withPlan(cells[0].net)
+		r := planOn(cells[0].net)
 		if n := len(idlePlans()); n != 0 {
 			t.Fatalf("%d plans idle while the first cell holds one", n)
 		}
@@ -138,7 +149,7 @@ func TestWithPlanReusesAcrossModels(t *testing.T) {
 			t.Fatalf("%d idle plans after the first cell, want 1", len(plans))
 		}
 		first = plans[0]
-		release = withPlan(cells[1].net)
+		release = planOn(cells[1].net)
 	}, func() { forwards(cells[1]) })
 	release()
 	plans := idlePlans()
@@ -206,7 +217,7 @@ func TestWithPlanConcurrentCells(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				release := withPlan(net)
+				release := planOn(net)
 				net.Run(net.Data.Batch(c))
 				release()
 			}
@@ -223,5 +234,67 @@ func TestWithPlanConcurrentCells(t *testing.T) {
 			t.Fatal("a plan is on the free list twice")
 		}
 		seen[p] = true
+	}
+}
+
+// TestWithModelCellReturnsPlan checks withModelCell's one release on
+// each path: a model that fails to build, a cell that panics and a cell
+// that returns all give their plan back, so one plan serves every cell
+// in turn, and no network keeps it installed.
+func TestWithModelCellReturnsPlan(t *testing.T) {
+	withCleanCache(t)
+	const name = "cifar_resnet20"
+	var nets []*models.Network
+	paths := []struct {
+		label string
+		cell  func()
+	}{
+		{"failed build", func() {
+			r := withModelCell("no_such_model", "E4M3", func(*models.Network, evalx.Reference) evalx.Result {
+				t.Fatal("eval ran for a model that failed to build")
+				return evalx.Result{}
+			})
+			if r.Err == "" {
+				t.Error("a failed build did not yield a Failed result")
+			}
+		}},
+		{"panicking cell", func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("the cell did not panic")
+				}
+			}()
+			withModelCell(name, "E4M3", func(net *models.Network, _ evalx.Reference) evalx.Result {
+				nets = append(nets, net)
+				panic("cell failed")
+			})
+		}},
+		{"returning cell", func() {
+			withModelCell(name, "E4M3", func(net *models.Network, _ evalx.Reference) evalx.Result {
+				nets = append(nets, net)
+				return evalx.Result{}
+			})
+		}},
+	}
+	var first *nn.Plan
+	for _, c := range paths {
+		c.cell()
+		plans := idlePlans()
+		if len(plans) != 1 {
+			t.Fatalf("%s: %d idle plans, want 1", c.label, len(plans))
+		}
+		if first == nil {
+			first = plans[0]
+		} else if plans[0] != first {
+			t.Errorf("%s: the cell did not reuse the plan the first cell returned", c.label)
+		}
+	}
+	for i, net := range nets {
+		if net.CellArena() != nil {
+			t.Errorf("network %d kept its cell's plan installed", i)
+		}
+	}
+	if n := idleNetsOf(name); n != 1 {
+		t.Errorf("%d idle networks of %s, want the returning cell's 1", n, name)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -149,16 +150,25 @@ func TestForEachCellSerialOrder(t *testing.T) {
 	}
 }
 
+// TestCellModels checks CellModels against each cell's values: the
+// model axis wherever it sits, the last '/' part of a config axis in a
+// grid without one (fig9), and "" for config values without a '/' and
+// for grids with neither axis.
 func TestCellModels(t *testing.T) {
 	spec := func(axes ...Axis) GridSpec { return GridSpec{ID: "g", Axes: axes} }
 	recipe := Axis{Name: "recipe", Values: []string{"r1", "r2"}}
 	model := Axis{Name: "model", Values: []string{"ma", "mb", "mc"}}
 	format := Axis{Name: "format", Values: []string{"f1", "f2"}}
+	flat := Axis{Name: "config", Values: []string{"CV/E4M3/base/ma", "CV/E4M3/alt/mb", "NLP/E3M4/base/mc", "NLP/E3M4/alt/mc"}}
+	labels := Axis{Name: "config", Values: []string{"INT8 Dynamic", "E5M2 Direct", "E4M3 Static", "FP8 Mixed"}}
 	for _, s := range []GridSpec{
 		spec(model, recipe),
 		spec(format, recipe, model),
 		spec(format, model, recipe),
 		spec(format, recipe),
+		spec(flat),
+		spec(labels),
+		spec(labels, model),
 	} {
 		idx := []int{0, 1, 3, s.NumCells() - 1}
 		got := s.CellModels(idx)
@@ -170,9 +180,35 @@ func TestCellModels(t *testing.T) {
 					want = c.Values[ai]
 				}
 			}
+			if s.Axes[0].Name == "config" && len(s.Axes) == 1 {
+				if parts := strings.Split(c.Values[0], "/"); len(parts) > 1 {
+					want = parts[len(parts)-1]
+				}
+			}
 			if got[k] != want {
 				t.Errorf("axes %v: cell %d model %q, want %q", s.AxisNames(), i, got[k], want)
 			}
 		}
+	}
+	// fig9 as registered: every cell's model is the one its runner
+	// evaluates, and cell keys are unchanged, so its store cells keep
+	// their fingerprints.
+	e, ok := Get("fig9")
+	if !ok {
+		t.Fatal("fig9 is not registered")
+	}
+	fs := e.Spec()
+	all := make([]int, fs.NumCells())
+	for i := range all {
+		all[i] = i
+	}
+	groups := fig9Groups()
+	for i, m := range fs.CellModels(all) {
+		if want := groups[i/fig9GroupSize].names[i%fig9GroupSize]; m != want {
+			t.Fatalf("fig9 cell %d: model %q, want %q", i, m, want)
+		}
+	}
+	if got := fs.AxisNames(); len(got) != 1 || got[0] != "config" {
+		t.Errorf("fig9 axes %v, want [config]: a new axis changes every fig9 cell key", got)
 	}
 }

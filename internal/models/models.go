@@ -192,14 +192,30 @@ func InfoFor(name string) (Info, bool) {
 // Its Data generates each batch once per process (batches.go), and
 // BatchNorm networks come with warmed statistics (warm.go): the first
 // Build of a model in a process runs the warm-up, later ones copy it.
+// The network comes back unplanned: Build is BuildOn with a fresh plan,
+// uninstalled before it returns.
 func Build(name string) (*Network, error) {
+	n, err := BuildOn(name, nn.NewPlan(nil))
+	if err != nil {
+		return nil, err
+	}
+	n.InstallPlan(nil)
+	return n, nil
+}
+
+// BuildOn is Build with p installed on the network it returns: the
+// first build of a model in a process runs its BatchNorm warm-up under
+// p, so a caller that goes on to run the network on p (a sweep cell)
+// finds the warm-up's chunks already there.
+func BuildOn(name string, p *nn.Plan) (*Network, error) {
 	b, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("models: unknown model %q", name)
 	}
 	n := b(nameSeed(name))
+	n.InstallPlan(p)
 	memoBatches(n)
-	warmMemoized(n, warmPlanned)
+	warmMemoized(n, func(n *Network) { WarmBatchNorms(n, warmBatches) })
 	return n, nil
 }
 

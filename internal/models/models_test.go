@@ -1,6 +1,7 @@
 package models
 
 import (
+	"runtime"
 	"testing"
 
 	"fp8quant/internal/nn"
@@ -173,7 +174,8 @@ func TestGenLM(t *testing.T) {
 		t.Fatalf("logits shape %v", lg.Shape)
 	}
 	// Longer context changes the prediction (causal attention works).
-	a := lm.NextLogits([][]int{{1, 2, 3}})
+	// The logits live in the GenLM's plan until its next forward.
+	a := lm.NextLogits([][]int{{1, 2, 3}}).Clone()
 	b := lm.NextLogits([][]int{{9, 2, 3}})
 	same := true
 	for i := range a.Data {
@@ -185,6 +187,54 @@ func TestGenLM(t *testing.T) {
 	if same {
 		t.Error("context should influence next-token logits")
 	}
+}
+
+// TestGenLMGrowsOnOnePlan runs a GenLM over a sequence that grows a
+// token per step, as beam search does, past the length where its
+// attention scores outgrow one arena chunk. Every step's logits
+// bit-equal the unplanned forward's, and the GenLM then holds about
+// the heap of one forward at the final length: its plan shed the
+// chunks of the shorter steps.
+func TestGenLMGrowsOnOnePlan(t *testing.T) {
+	const beams, maxLen = 4, 80
+	seq := func(n int) [][]int {
+		toks := make([][]int, beams)
+		for b := range toks {
+			for i := 0; i < n; i++ {
+				toks[b] = append(toks[b], (b*31+i*7)%nlpVocab)
+			}
+		}
+		return toks
+	}
+	// live returns the heap f leaves reachable.
+	live := func(f func()) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.GC()
+		runtime.ReadMemStats(&m1)
+		return m1.HeapAlloc - min(m0.HeapAlloc, m1.HeapAlloc)
+	}
+	var grown, single *GenLM
+	grownBytes := live(func() {
+		grown = NewGenLM(3)
+		for n := 1; n <= maxLen; n++ {
+			toks := seq(n)
+			if !bitEqual(grown.NextLogits(toks), grown.Net.LastLogits(nil, toks)) {
+				t.Fatalf("length %d: planned logits differ from the unplanned forward", n)
+			}
+		}
+	})
+	singleBytes := live(func() {
+		single = NewGenLM(3)
+		single.NextLogits(seq(maxLen))
+	})
+	if grownBytes > singleBytes+singleBytes/4 {
+		t.Errorf("a GenLM grown to %d tokens holds %d heap bytes, more than 1.25x the %d of one forward at that length", maxLen, grownBytes, singleBytes)
+	}
+	runtime.KeepAlive(grown)
+	runtime.KeepAlive(single)
 }
 
 func TestModelWalkFindsQuantizableOps(t *testing.T) {

@@ -294,11 +294,20 @@ func buildDecoder(info Info, seed uint64, cfg decoderCfg) *Network {
 
 // GenLM wraps a decoder network for text generation (textgen.LM): it
 // exposes next-token logits plus the quant.Model contract so recipes
-// can be applied to the generator directly.
+// can be applied to the generator directly. Every forward runs on the
+// GenLM's own plan, so its outputs are valid only until its next
+// forward (Clone to retain), and a GenLM is not safe for concurrent
+// use.
 type GenLM struct {
 	Net *decoderNet
 	// DataSet provides calibration batches.
 	DataSet data.Dataset
+	// plan lends every forward its forward arena and Quantize its cell
+	// arena, which holds a quantized GenLM's weight masters.
+	plan *nn.Plan
+	// tokens is the most tokens a forward has run over since the plan
+	// last shed its forward chunks.
+	tokens int
 }
 
 // NewGenLM builds a Bloom-style generative LM for the Table 4 text
@@ -318,14 +327,30 @@ func NewGenLM(seed uint64) *GenLM {
 	return &GenLM{
 		Net:     net,
 		DataSet: nlpDataset(seed ^ 0x9E41),
+		plan:    nn.NewPlan(nil),
 	}
 }
 
-// NextLogits implements textgen.LM. Generation runs unplanned: beam
-// search grows the sequence every step, so no two forwards share a
-// shape.
+// NextLogits implements textgen.LM. The logits are valid until the
+// next forward; beam search uses them only within its step.
 func (g *GenLM) NextLogits(tokens [][]int) *tensor.Tensor {
-	return g.Net.LastLogits(nil, tokens)
+	return g.Net.LastLogits(g.begin(tokens), tokens)
+}
+
+// begin starts a forward over tokens on g's plan. Beam search adds a
+// token per step, so a forward over more tokens than any before it
+// would leave the chunks of every shorter step behind; the plan sheds
+// them first and keeps only the longest step's.
+func (g *GenLM) begin(tokens [][]int) *tensor.Arena {
+	n := 0
+	for _, t := range tokens {
+		n += len(t)
+	}
+	if n > g.tokens {
+		g.plan.Shed()
+		g.tokens = n
+	}
+	return g.plan.Begin()
 }
 
 // Vocab implements textgen.LM.
@@ -337,12 +362,14 @@ func (g *GenLM) Root() nn.Module { return g.Net }
 // IsCNN implements quant.Model.
 func (g *GenLM) IsCNN() bool { return false }
 
-// CellArena implements quant.Model: a GenLM runs unplanned, so its
-// weight masters live on the heap.
-func (g *GenLM) CellArena() *tensor.Arena { return nil }
+// CellArena implements quant.Model: the plan's cell arena, which holds
+// the weight masters of a quantized GenLM.
+func (g *GenLM) CellArena() *tensor.Arena { return g.plan.Cell() }
 
 // Run implements quant.Model.
-func (g *GenLM) Run(s data.Sample) *tensor.Tensor { return g.Net.LastLogits(nil, s.Tokens) }
+func (g *GenLM) Run(s data.Sample) *tensor.Tensor {
+	return g.Net.LastLogits(g.begin(s.Tokens), s.Tokens)
+}
 
 // encDecNet is a Marian/Pegasus-style encoder-decoder. The decoder
 // attends over encoder memory through cross-attention.

@@ -4,8 +4,12 @@
 // The warm-up depends only on the model name and the GEMM kernel variant
 // (its forwards run that variant's kernels), so Build runs it once per
 // (name, variant) per process and copies the memoized statistics into
-// every later network of the model. Each Build returns a new network;
-// the harness's network free list reuses them across sweep cells, which
+// every later network of the model. The warm-up's forwards run on the
+// plan the build installed (BuildOn): a sweep cell's own plan, whose
+// chunks the cell's FP32 reference then reuses, or Build's fresh one.
+// Planned forwards are byte-identical to heap forwards, so the plan
+// never changes the statistics. Each Build returns a new network; the
+// harness's network free list reuses them across sweep cells, which
 // stay pure because quant.Handle.Release restores a network exactly.
 
 package models
@@ -64,14 +68,6 @@ func warmMemoized(n *Network, warmUp func(*Network)) {
 		// The Build that ran e's warm-up panicked and dropped e; warm
 		// through a fresh entry.
 	}
-}
-
-// warmPlanned runs WarmBatchNorms under a temporary plan: the
-// same bytes as heap forwards, without their allocations.
-func warmPlanned(n *Network) {
-	n.InstallPlan(nn.NewPlan(nil))
-	defer n.InstallPlan(nil)
-	WarmBatchNorms(n, warmBatches)
 }
 
 // clearWarmMemo drops every memoized warm-up.

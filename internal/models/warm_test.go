@@ -2,6 +2,7 @@ package models
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -53,16 +54,41 @@ func statsBitEqual(a, b [][]float32) bool {
 	return true
 }
 
+// usedPlan returns a plan whose chunks another model's forwards
+// already carved and left dirty, as a sweep cell's plan is when the
+// next cell builds its model on it.
+func usedPlan(t *testing.T) *nn.Plan {
+	t.Helper()
+	other, err := Build("googlenet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := nn.NewPlan(nil)
+	other.InstallPlan(p)
+	for i := 0; i < 2; i++ {
+		other.Run(other.Data.Batch(i))
+	}
+	other.InstallPlan(nil)
+	return p
+}
+
 // TestWarmMemoMatchesUnplannedWarm pins the memoized, planned warm-up to
-// the per-build heap warm-up it replaced: a cold Build, a memoized one
-// and a raw network warmed by plain WarmBatchNorms end with bit-identical
+// the per-build heap warm-up it replaced: a cold Build, a memoized one,
+// a cold BuildOn on a plan another model already used, and a raw
+// network warmed by plain WarmBatchNorms end with bit-identical
 // BatchNorm statistics and forward outputs.
 func TestWarmMemoMatchesUnplannedWarm(t *testing.T) {
+	p := usedPlan(t)
 	for _, name := range warmMemoModels {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			ClearMemo()
 			t.Cleanup(ClearMemo)
+			on, err := BuildOn(name, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ClearMemo()
 			cold, err := Build(name)
 			if err != nil {
 				t.Fatal(err)
@@ -85,7 +111,7 @@ func TestWarmMemoMatchesUnplannedWarm(t *testing.T) {
 			for _, c := range []struct {
 				label string
 				net   *Network
-			}{{"cold", cold}, {"memoized", memo}} {
+			}{{"cold", cold}, {"memoized", memo}, {"cold on a used plan", on}} {
 				if !statsBitEqual(bnStats(c.net), want) {
 					t.Errorf("%s Build: BatchNorm statistics differ from the unplanned warm-up", c.label)
 				}
@@ -159,4 +185,46 @@ func TestWarmPanicLeavesNoEntry(t *testing.T) {
 	if !statsBitEqual(bnStats(net), bnStats(ref)) {
 		t.Error("the Build after a panicked warm-up has unwarmed statistics")
 	}
+}
+
+// TestBuildOnWarmsInCellPlan checks that a cold BuildOn warms its
+// BatchNorms on the plan it is given: on a plan a cell of the model
+// already grew, the build allocates fewer heap bytes than on a fresh
+// plan, whose chunks the warm-up must allocate.
+func TestBuildOnWarmsInCellPlan(t *testing.T) {
+	const name = "cifar_resnet20"
+	ClearMemo()
+	t.Cleanup(ClearMemo)
+	grown := nn.NewPlan(nil)
+	net, err := BuildOn(name, grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		net.Run(net.Data.Batch(i))
+	}
+	// Least heap growth over 3 cold builds on one P, so a stray
+	// allocation elsewhere in the process fails nothing.
+	buildBytes := func(p func() *nn.Plan) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		least := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			ClearMemo()
+			plan := p()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if _, err := BuildOn(name, plan); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		return least
+	}
+	onGrown := buildBytes(func() *nn.Plan { return grown })
+	onFresh := buildBytes(func() *nn.Plan { return nn.NewPlan(nil) })
+	if onGrown >= onFresh {
+		t.Errorf("cold BuildOn(%s): %d heap bytes on a grown plan, not fewer than %d on a fresh one", name, onGrown, onFresh)
+	}
+	t.Logf("cold BuildOn(%s): %d heap bytes on a grown plan, %d on a fresh one", name, onGrown, onFresh)
 }

@@ -65,6 +65,14 @@ func (p *Plan) Begin() *tensor.Arena {
 	return &p.a
 }
 
+// Shed drops the forward arena's chunks; the cell arena keeps its own.
+// A forward that needs larger intermediates than any before it skips
+// every chunk too small for them and appends its own, so a caller whose
+// forwards keep growing (a generator that adds a token per step) sheds
+// before each larger one: the plan then holds one forward's chunks, not
+// those of every smaller forward before it.
+func (p *Plan) Shed() { p.a = tensor.Arena{} }
+
 // Cell returns the plan's cell arena, which Begin never rewinds: its
 // owner (quant.Quantize) rewinds it at the start of a quantization
 // cycle. A nil plan returns a nil arena, the heap.

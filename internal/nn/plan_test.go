@@ -200,3 +200,27 @@ func TestPlanCellSurvivesForwards(t *testing.T) {
 		t.Fatal("a nil plan's cell arena is not the heap")
 	}
 }
+
+// TestPlanShedKeepsCell pins Shed: it drops only the forward arena's
+// chunks, so cell-arena memory keeps its bits, the output of the forward
+// before it stays intact (its chunks are no longer the plan's), and the
+// next forward, on fresh chunks, still matches the unplanned path.
+func TestPlanShedKeepsCell(t *testing.T) {
+	m := planTestNet()
+	x := planTestInput(2, 13)
+	want := m.Forward(nil, x)
+	p := NewPlan(m)
+	master := p.Cell().Alloc(1000)
+	for j := range master {
+		master[j] = float32(j)
+	}
+	before := p.Forward(x)
+	p.Shed()
+	bitsEqual(t, p.Forward(planTestInput(2, 14)), m.Forward(nil, planTestInput(2, 14)), "forward after Shed")
+	bitsEqual(t, before, want, "output of the forward before Shed")
+	for j, v := range master {
+		if v != float32(j) {
+			t.Fatalf("cell memory changed at %d to %v across Shed", j, v)
+		}
+	}
+}

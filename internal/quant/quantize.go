@@ -138,10 +138,12 @@ func Quantize(m Model, ds data.Dataset, r Recipe) *Handle {
 		t.convert(r, h)
 	}
 
-	// Phase 3: BatchNorm re-calibration on the quantized graph.
-	// Warm-started statistics converge in a few cycles; cap the cycles
-	// tightly since each costs full calibration passes (and with large
-	// calibration sets a single pass already averages away staleness).
+	// Phase 3: BatchNorm re-calibration on the quantized graph. The
+	// statistics start warm, but each cycle moves a change only one
+	// BatchNorm further down, so on deep networks the cap, not the 1%
+	// convergence test, usually ends the estimate (137 of 156 calls in
+	// a cold table2). The cap stays tight because each cycle costs full
+	// calibration passes, and it decides reproduced numbers.
 	if r.BNCalib {
 		h.bns = nn.BatchNorms(m.Root())
 		h.bnStats = nn.SnapshotBatchNorms(h.bns)
