@@ -27,10 +27,12 @@
 //
 // A sweep too slow for one machine runs under a coordinator:
 // -worker <url> turns this process into a pull-based worker that
-// leases one cell at a time from a running fp8coord, computes it
-// through the same cache layers as a local run, and pushes the store
-// payload back over HTTP. SIGINT/SIGTERM drain gracefully — the
-// in-flight cell is finished and pushed before the worker exits.
+// leases one cell at a time from a running fp8coord (which grants it
+// a whole model group and sends that group's cells in a row), computes
+// it through the same cache layers as a local run, and pushes the
+// store payload back over HTTP. SIGINT/SIGTERM drain gracefully — the
+// in-flight cell is finished and pushed before the worker exits, and
+// that push hands the group's unstarted cells back to the coordinator.
 // -warm-from <url> fills -cache-dir with the cells the coordinator
 // holds, and -coverage diffs each grid's manifest against the store to
 // show what is still missing. A warm run against a complete store then

@@ -1,11 +1,13 @@
 // Command fp8coord is the sweep coordinator: a long-running HTTP
 // control plane that owns a grid schedule end to end. It derives the
-// cell set from the requested experiments, leases cells to pull-based
-// fp8bench workers (most expensive first, by a cost model learned from
-// observed durations and persisted as a store sidecar), ingests pushed
-// payloads into its content-addressed result store under the store's
-// ingest conflict rules, and serves live coverage over a long-poll
-// endpoint. It is how a sweep spans machines.
+// cell set from the requested experiments, grants it to pull-based
+// fp8bench workers one model group (every pending cell of one model)
+// at a time and leases them the group's cells one by one, most
+// expensive group first by a cost model learned from observed
+// durations and persisted as a store sidecar, ingests pushed payloads
+// into its content-addressed result store under the store's ingest
+// conflict rules, and serves live coverage over a long-poll endpoint.
+// It is how a sweep spans machines.
 //
 // Usage:
 //
@@ -17,10 +19,12 @@
 //	fp8coord -exp table3 -cpuprofile cpu.out -memprofile mem.out   profile the coordinator
 //
 // Workers pull: the coordinator never needs their addresses, and a
-// crashed worker costs one lease timeout (-lease-ttl), after which the
-// cell requeues. SIGINT/SIGTERM drain gracefully: new leases are
-// refused, in-flight pushes are accepted until -drain-timeout, the
-// cost model is persisted, and the final coverage table is printed.
+// crashed worker costs one lease timeout (-lease-ttl, per cell, renewed
+// by each lease and push of the group), after which the group's
+// unpushed cells requeue. SIGINT/SIGTERM drain gracefully: new leases
+// are refused and cells reserved but not yet sent requeue, in-flight
+// pushes are accepted until -drain-timeout, the cost model is
+// persisted, and the final coverage table is printed.
 // Results land in the same store layout as local runs, so a warm
 // `fp8bench -exp ...` against the store renders reports byte-identical
 // to a local run, -coverage works unchanged, and `fp8bench -warm-from`
@@ -58,7 +62,7 @@ func run() int {
 	exp := flag.String("exp", "all", "comma-separated experiment ids to schedule (or 'all')")
 	filterFlag := flag.String("filter", "", `schedule only matching cells, e.g. "model=resnet50;densenet121"`)
 	cacheDir := flag.String("cache-dir", resultstore.DefaultDir(), "result-store directory receiving pushed cells (required)")
-	leaseTTL := flag.Duration("lease-ttl", 5*time.Minute, "how long a worker may hold a cell before it requeues")
+	leaseTTL := flag.Duration("lease-ttl", 5*time.Minute, "how long a worker may hold a cell (renewed by each lease and push of its group) before it requeues")
 	once := flag.Bool("once", false, "exit once every scheduled cell is done or failed")
 	linger := flag.Duration("linger", 5*time.Second, "with -once, keep serving this long after completion so workers observe 'done'")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on SIGINT/SIGTERM, how long to wait for in-flight leases before exiting")
@@ -227,7 +231,7 @@ func logProgress(c *coord.Coordinator) {
 	gen := int64(-1)
 	lastDone, lastFailed := -1, -1
 	for {
-		snap := c.AwaitChange(gen, time.Minute)
+		snap := c.AwaitChange(context.Background(), gen, time.Minute)
 		gen = snap.Gen
 		done, failed, total := 0, 0, 0
 		for _, p := range snap.Experiments {

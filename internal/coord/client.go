@@ -1,12 +1,15 @@
 // Worker side of the sweep protocol. A worker is a plain loop: lease a
-// cell, compute it through the exact harness path a local run uses
-// (memo → store → RunCell, panic-isolated), push the store payload
-// back, repeat until the coordinator says done. All HTTP calls go
-// through a bounded retry with exponential backoff and jitter —
-// connection refused and 5xx are transient (a restarting coordinator),
-// 4xx are protocol errors and fail hard — and a cancelled context
-// finishes gracefully: the in-flight cell is still computed and pushed
-// before the worker exits, so SIGINT never wastes completed work.
+// cell (the coordinator sends the cells of one model group in a row),
+// compute it through the exact harness path a local run uses (memo →
+// store → RunCell, panic-isolated), push the store payload back,
+// repeat until the coordinator says done. All HTTP calls go through a
+// bounded retry with exponential backoff and jitter — connection
+// refused and 5xx are transient (a restarting coordinator), 4xx are
+// protocol errors and fail hard — and a cancelled context finishes
+// gracefully: the in-flight cell is still computed and pushed before
+// the worker exits, so SIGINT never wastes completed work, and the
+// push marks the worker as exiting, so the rest of its group goes back
+// to the queue at once.
 
 package coord
 
@@ -47,8 +50,9 @@ type Worker struct {
 	// counter, so library-constructed workers are collision-free with
 	// no cmd wiring — give explicit names the same uniqueness.
 	Name string
-	// HTTP is the client used for all calls. Default: a client with a
-	// 2-minute timeout (long-polls are not used by workers).
+	// HTTP is the client used for all calls. Default: a client that
+	// waits at most 2 minutes for an answer (long-polls are not used by
+	// workers).
 	HTTP *http.Client
 	// Resolve maps an experiment id to its experiment. Default
 	// harness.Get; tests inject synthetic experiments.
@@ -85,7 +89,12 @@ func (w *Worker) defaults() {
 		w.Name = fmt.Sprintf("%s-%d-%d", host, os.Getpid(), workerSeq.Add(1))
 	}
 	if w.HTTP == nil {
-		w.HTTP = &http.Client{Timeout: 2 * time.Minute}
+		// The header timeout bounds a call as a client Timeout would (each
+		// answer is one small JSON body), without a deadline context,
+		// timer and goroutine per request.
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.ResponseHeaderTimeout = 2 * time.Minute
+		w.HTTP = &http.Client{Transport: t}
 	}
 	if w.Resolve == nil {
 		w.Resolve = harness.Get
@@ -133,7 +142,7 @@ func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 			return stats, nil
 		}
 		var lr LeaseResponse
-		if err := w.call(ctx, "/v1/lease", LeaseRequest{Worker: w.Name}, &lr); err != nil {
+		if err := w.call(ctx, "/v1/lease", LeaseRequest{Worker: w.Name}, &lr, w.MaxRetries); err != nil {
 			return stats, fmt.Errorf("lease: %w", err)
 		}
 		switch lr.Status {
@@ -160,15 +169,18 @@ func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 			return stats, fmt.Errorf("lease: unknown status %q", lr.Status)
 		}
 		push := w.computeLease(*lr.Lease, &stats)
+		push.Exiting = ctx.Err() != nil
 		// Push over a context detached from cancellation: if SIGINT
 		// landed while computing, the finished cell must still reach the
 		// coordinator — dropping it would waste the work and cost a
 		// lease timeout.
 		var pr PushResponse
-		if err := w.call(context.Background(), "/v1/push", push, &pr); err != nil {
+		if err := w.call(context.Background(), "/v1/push", push, &pr, w.MaxRetries); err != nil {
 			return stats, fmt.Errorf("push %s: %w", push.Fingerprint, err)
 		}
-		w.logf("cell %s: %s", lr.Lease.Key, pr.Status)
+		if w.Log != nil { // logf's arguments would allocate even unlogged
+			w.logf("cell %s: %s", lr.Lease.Key, pr.Status)
+		}
 	}
 }
 
@@ -204,37 +216,13 @@ func (w *Worker) startHeartbeat(ctx context.Context) func() {
 // hello posts one WorkerHello (no retries — heartbeats are cheap and
 // periodic, a missed one just arrives next tick).
 func (w *Worker) hello(ctx context.Context) (WorkerAck, error) {
-	var ack WorkerAck
-	if err := faultline.Hit("coord.client.workers"); err != nil {
-		return ack, err
-	}
 	host, _ := os.Hostname()
-	body, err := json.Marshal(WorkerHello{
+	var ack WorkerAck
+	err := w.call(ctx, "/v1/workers", WorkerHello{
 		Worker: w.Name, Host: host, Pid: os.Getpid(),
 		KernelVariant: string(kernels.Active()),
-	})
-	if err != nil {
-		return ack, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(w.URL, "/")+"/v1/workers", bytes.NewReader(body))
-	if err != nil {
-		return ack, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.HTTP.Do(req)
-	if err != nil {
-		return ack, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return ack, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return ack, fmt.Errorf("hello: HTTP %d", resp.StatusCode)
-	}
-	return ack, json.Unmarshal(b, &ack)
+	}, &ack, 0)
+	return ack, err
 }
 
 // computeLease evaluates one leased cell and builds its push.
@@ -291,29 +279,32 @@ func (w *Worker) computeLease(l Lease, stats *WorkerStats) PushRequest {
 	return push
 }
 
+// clientPoints names each endpoint's client-transport failpoint.
+var clientPoints = map[string]string{"/v1/lease": "coord.client.lease", "/v1/push": "coord.client.push", "/v1/workers": "coord.client.workers"}
+
 // call POSTs req as JSON and decodes the response into out, retrying
 // transient failures (network errors, 5xx) with exponential backoff and
-// jitter up to the retry budget. Non-5xx protocol errors fail
-// immediately with the server's error message.
-func (w *Worker) call(ctx context.Context, path string, req, out interface{}) error {
+// jitter up to retries times. Non-5xx protocol errors fail immediately
+// with the server's error message.
+func (w *Worker) call(ctx context.Context, path string, req, out interface{}, retries int) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
 	url := strings.TrimRight(w.URL, "/") + path
 	var lastErr error
-	for attempt := 0; attempt <= w.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			if !w.sleep(ctx, w.backoff(attempt)) {
 				return fmt.Errorf("cancelled while retrying %s: %w", path, lastErr)
 			}
-			w.logf("retrying %s (attempt %d/%d): %v", path, attempt, w.MaxRetries, lastErr)
+			w.logf("retrying %s (attempt %d/%d): %v", path, attempt, retries, lastErr)
 		}
 		// Client-transport failpoint ("coord.client.lease"/"…push"):
 		// an injected error consumes an attempt like any network fault;
 		// crash rules terminate the process here — mid-protocol, the
 		// worst possible moment, which is the point.
-		if err := faultline.Hit("coord.client." + strings.TrimPrefix(path, "/v1/")); err != nil {
+		if err := faultline.Hit(clientPoints[path]); err != nil {
 			lastErr = err
 			continue
 		}
@@ -348,7 +339,7 @@ func (w *Worker) call(ctx context.Context, path string, req, out interface{}) er
 		}
 		return json.Unmarshal(respBody, out)
 	}
-	return fmt.Errorf("%s: retry budget exhausted after %d attempts: %w", path, w.MaxRetries+1, lastErr)
+	return fmt.Errorf("%s: retry budget exhausted after %d attempts: %w", path, retries+1, lastErr)
 }
 
 // backoff returns the delay before the given retry attempt (1-based):

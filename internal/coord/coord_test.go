@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -215,12 +216,8 @@ func TestEndToEndThreeWorkers(t *testing.T) {
 // checks the cell requeues: a crashed worker costs one timeout.
 func TestLeaseExpiryRequeue(t *testing.T) {
 	withHarnessState(t)
-	e, _ := newTestExp("expiry")
-	var mu sync.Mutex
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
+	e, _ := newTestExp("expiry") // cells 0,1 ma; 2,3 mb; 4,5 mc
+	clock, advance := fakeClock()
 	c := newTestCoord(t, Config{
 		Experiments: []harness.Experiment{e}, Store: openStore(t),
 		LeaseTTL: time.Minute, MaxExpiries: 2, Clock: clock,
@@ -252,6 +249,11 @@ func TestLeaseExpiryRequeue(t *testing.T) {
 	}
 	if lr := c.lease("w3"); lr.Status != StatusWait {
 		t.Fatalf("lease with everything out = %q, want wait", lr.Status)
+	}
+	// Only the two cells sent to w1 and w2 counted an expiry; their
+	// group partners, reserved but never sent, counted none.
+	if got := []int{expiries(c, e, 0), expiries(c, e, 1), expiries(c, e, 2), expiries(c, e, 3)}; !slices.Equal(got, []int{1, 0, 1, 0}) {
+		t.Fatalf("expiries of cells 0-3 = %v, want [1 0 1 0]", got)
 	}
 
 	// A cell that keeps expiring is eventually declared failed, not
@@ -544,31 +546,19 @@ func TestCostModelRoundTrip(t *testing.T) {
 }
 
 // TestExpensiveCellsLeaseFirst seeds the cost model and checks the
-// scheduler grants cells in descending estimated cost. Each estimate is
-// three times the next, so the affinity window (half the head's
-// estimate) never holds more than the head and model affinity cannot
-// reorder anything: a reversed sortPending leases cell 2 first.
+// scheduler grants model groups in descending summed estimate: mb's
+// cells sum to 12s, ma's to 11s though its cell 0 is the dearest, and
+// mc's to 6s. Within a group the cells come in grid order, whatever
+// their estimates.
 func TestExpensiveCellsLeaseFirst(t *testing.T) {
 	withHarnessState(t)
-	e, _ := newTestExp("lpt")
+	e, _ := newTestExp("lpt") // cells 0,1 ma; 2,3 mb; 4,5 mc
 	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t)})
-	spec := e.Spec()
-	fpAt := func(i int) string { return spec.CellKey(spec.CellAt(i)).Fingerprint() }
-	// Cells 4 and 5 share a model, as do 0 and 1: affinity would lease
-	// 5 right after 4 and 1 right after 0 if the window let it.
-	want := []int{4, 0, 3, 5, 1, 2}
-	ms := 243.0
-	for _, i := range want {
-		c.cost.Observe(fpAt(i), nil, time.Duration(ms*float64(time.Second)))
-		ms /= 3
-	}
-	for n, i := range want {
-		lr := c.lease("w")
-		if lr.Status != StatusLease {
-			t.Fatalf("lease %d = %q", n, lr.Status)
-		}
-		if lr.Lease.Index != i {
-			t.Fatalf("lease order[%d] = cell %d, want cell %d (want order %v)", n, lr.Lease.Index, i, want)
+	observeCells(c, e, map[int]float64{0: 10000, 1: 1000, 2: 5000, 3: 7000, 4: 3000, 5: 3000})
+	want := [][]int{{2, 3}, {0, 1}, {4, 5}}
+	for n, cells := range want {
+		if got := indices(grant(t, c, "w")); !slices.Equal(got, cells) {
+			t.Fatalf("grant order[%d] = cells %v, want %v (want order %v)", n, got, cells, want)
 		}
 	}
 }
@@ -591,13 +581,16 @@ func TestSeedFromStore(t *testing.T) {
 	if p := snap.Experiments[0]; p.Done != 2 || p.Pending != 4 {
 		t.Fatalf("seeded progress = %+v, want 2 done / 4 pending", p)
 	}
+	// The missing cells are ma's 0, mb's 2 and 3, and mc's 5: three
+	// groups holding four cells.
 	granted := map[string]bool{}
-	for i := 0; i < 4; i++ {
-		lr := c.lease("w")
-		if lr.Status != StatusLease {
-			t.Fatalf("lease %d = %q", i, lr.Status)
+	for i := 0; i < 3; i++ {
+		for _, l := range grant(t, c, "w") {
+			granted[l.Fingerprint] = true
 		}
-		granted[lr.Lease.Fingerprint] = true
+	}
+	if lr := c.lease("w"); len(granted) != 4 || lr.Status != StatusWait {
+		t.Fatalf("three grants covered %d cells, then %q; want 4 cells, then wait", len(granted), lr.Status)
 	}
 	for _, i := range []int{1, 4} {
 		if granted[spec.CellKey(spec.CellAt(i)).Fingerprint()] {
@@ -641,6 +634,9 @@ func TestGracefulDrain(t *testing.T) {
 	}()
 	<-started
 	c.Drain()
+	if n := c.ActiveLeases(); n != 1 {
+		t.Fatalf("leases once draining = %d, want the in-flight cell's alone (its group partner requeued)", n)
+	}
 	if lr := c.lease("other"); lr.Status != StatusDraining {
 		t.Fatalf("lease while draining = %q, want draining", lr.Status)
 	}
@@ -706,8 +702,8 @@ func TestProgressLongPoll(t *testing.T) {
 	}
 	select {
 	case r := <-ch:
-		if r.snap.Gen <= snap.Gen || r.snap.Experiments[0].Leased != 1 {
-			t.Fatalf("unblocked poll = %+v, want newer gen with 1 leased", r.snap)
+		if r.snap.Gen <= snap.Gen || r.snap.Experiments[0].Leased != 2 {
+			t.Fatalf("unblocked poll = %+v, want newer gen with the group's 2 cells leased", r.snap)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("long-poll did not unblock on state change")
@@ -726,26 +722,29 @@ func TestProgressLongPoll(t *testing.T) {
 }
 
 // TestSharedGridDeduplication: two experiments over the same grid share
-// cells — the coordinator schedules each cell once, and both schedules
-// complete together.
+// cells — the coordinator schedules each cell once, in one group per
+// model, and both schedules complete together.
 func TestSharedGridDeduplication(t *testing.T) {
 	withHarnessState(t)
 	ea, _ := newTestExp("shared")
 	eb := testExp{id: "shared-b", spec: ea.spec, run: ea.run}
 	c := newTestCoord(t, Config{Experiments: []harness.Experiment{ea, eb}, Store: openStore(t)})
-	n := 0
+	cells := map[string]bool{}
 	for {
 		lr := c.lease("w")
 		if lr.Status != StatusLease {
 			break
 		}
-		n++
-		if n > 12 {
+		if cells[lr.Lease.Fingerprint] {
+			t.Fatalf("cell %s leased twice", lr.Lease.Key)
+		}
+		cells[lr.Lease.Fingerprint] = true
+		if len(cells) > 12 {
 			t.Fatal("more leases than distinct cells")
 		}
 	}
-	if n != 6 {
-		t.Fatalf("granted %d leases, want 6 (shared grid deduplicated)", n)
+	if groups := c.Workers().Workers[0].Leases; groups != 3 || len(cells) != 6 {
+		t.Fatalf("granted %d groups of %d cells, want 3 groups of 6 cells (shared grid deduplicated)", groups, len(cells))
 	}
 	snap := c.Snapshot()
 	if len(snap.Experiments) != 2 || snap.Experiments[0].Leased != 6 || snap.Experiments[1].Leased != 6 {

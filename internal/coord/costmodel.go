@@ -2,11 +2,12 @@
 // of magnitude (bloom_176b vs squeezenet), so leasing cells in naive
 // row-major order routinely parks the most expensive model on whichever
 // worker draws it last and stretches the sweep tail by minutes. The
-// coordinator instead leases expensive cells first — longest-processing-
-// time-first is the classic 4/3-approximation for makespan on identical
-// machines — using durations observed from completed pushes. Estimates
-// fall back gracefully: exact cell → same axis value (a model's recipes
-// cost alike) → global mean → a fixed default, so the very first run is
+// coordinator instead leases expensive model groups first (by their
+// cells' summed estimates) — longest-processing-time-first is the
+// classic 4/3-approximation for makespan on identical machines — using
+// durations observed from completed pushes. Estimates fall back
+// gracefully: exact cell → same axis value (a model's recipes cost
+// alike) → global mean → a fixed default, so the very first run is
 // merely unordered, never wrong.
 //
 // The model is operational state, not results: it is persisted as a
@@ -20,6 +21,7 @@ package coord
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -63,14 +65,14 @@ func (e *CostEntry) observe(ms float64) {
 // Safe for concurrent use.
 type CostModel struct {
 	mu    sync.Mutex
-	cells map[string]*CostEntry // cell fingerprint -> estimate
-	axes  map[string]*CostEntry // "axis=value" -> aggregate estimate
-	all   CostEntry             // global aggregate
+	cells map[string]CostEntry // cell fingerprint -> estimate
+	axes  map[string]CostEntry // "axis=value" -> aggregate estimate
+	all   CostEntry            // global aggregate
 }
 
 // NewCostModel returns an empty model.
 func NewCostModel() *CostModel {
-	return &CostModel{cells: map[string]*CostEntry{}, axes: map[string]*CostEntry{}}
+	return &CostModel{cells: map[string]CostEntry{}, axes: map[string]CostEntry{}}
 }
 
 // Observe records one computed cell duration under its fingerprint and
@@ -83,19 +85,13 @@ func (m *CostModel) Observe(fp string, axes []resultstore.AxisValue, d time.Dura
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ent := m.cells[fp]
-	if ent == nil {
-		ent = &CostEntry{}
-		m.cells[fp] = ent
-	}
 	ent.observe(ms)
+	m.cells[fp] = ent
 	for _, av := range axes {
 		k := av.Axis + "=" + av.Value
 		a := m.axes[k]
-		if a == nil {
-			a = &CostEntry{}
-			m.axes[k] = a
-		}
 		a.observe(ms)
+		m.axes[k] = a
 	}
 	m.all.observe(ms)
 }
@@ -140,20 +136,8 @@ type costSidecar struct {
 // temp+rename path.
 func (m *CostModel) Persist(s *resultstore.Store, name string) error {
 	m.mu.Lock()
-	sc := costSidecar{
-		Schema: costSchemaVersion,
-		Cells:  make(map[string]CostEntry, len(m.cells)),
-		Axes:   make(map[string]CostEntry, len(m.axes)),
-		All:    m.all,
-	}
-	for k, v := range m.cells {
-		sc.Cells[k] = *v
-	}
-	for k, v := range m.axes {
-		sc.Axes[k] = *v
-	}
+	b, err := json.Marshal(costSidecar{Schema: costSchemaVersion, Cells: m.cells, Axes: m.axes, All: m.all})
 	m.mu.Unlock()
-	b, err := json.Marshal(sc)
 	if err != nil {
 		return fmt.Errorf("coord: %w", err)
 	}
@@ -173,14 +157,8 @@ func LoadCostModel(s *resultstore.Store, name string) *CostModel {
 	if json.Unmarshal(b, &sc) != nil || sc.Schema != costSchemaVersion {
 		return m
 	}
-	for k, v := range sc.Cells {
-		e := v
-		m.cells[k] = &e
-	}
-	for k, v := range sc.Axes {
-		e := v
-		m.axes[k] = &e
-	}
+	maps.Copy(m.cells, sc.Cells)
+	maps.Copy(m.axes, sc.Axes)
 	m.all = sc.All
 	return m
 }

@@ -98,7 +98,7 @@ func TestWorkersEndpoint(t *testing.T) {
 
 	// A worker's Run loop registers itself (hello on start) and its
 	// lease/push traffic and the models it leased (ma, mb, mc) are
-	// tallied.
+	// tallied: one lease per model group, one push per cell.
 	wk := &Worker{
 		URL: srv.URL, Name: "runner", Resolve: resolveOnly(e),
 		MaxRetries: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond,
@@ -113,15 +113,16 @@ func TestWorkersEndpoint(t *testing.T) {
 			runner = &view.Workers[i]
 		}
 	}
-	if runner == nil || !runner.Registered || runner.Leases != 6 || runner.Pushes != 6 || runner.Models != 3 {
-		t.Fatalf("runner fleet entry = %+v, want registered with 6 leases, 6 pushes and 3 models", runner)
+	if runner == nil || !runner.Registered || runner.Leases != 3 || runner.Pushes != 6 || runner.Models != 3 {
+		t.Fatalf("runner fleet entry = %+v, want registered with 3 leases, 6 pushes and 3 models", runner)
 	}
 }
 
 // TestStaleWorkerLeasesExpireEarly is the heartbeat payoff: a
-// registered worker that goes silent past StaleAfter has its leases
-// reaped immediately — long before the lease TTL — while a worker that
-// never registered (no heartbeat promise) keeps the plain TTL.
+// registered worker that goes silent past StaleAfter has its group's
+// leases reaped immediately — long before the lease TTL — while a
+// worker that never registered (no heartbeat promise) keeps the plain
+// TTL. Each grant is one model's two cells.
 func TestStaleWorkerLeasesExpireEarly(t *testing.T) {
 	withHarnessState(t)
 	e, _ := newTestExp("stale")
@@ -146,8 +147,8 @@ func TestStaleWorkerLeasesExpireEarly(t *testing.T) {
 	// Within StaleAfter nothing expires.
 	advance(60 * time.Second)
 	c.Reap()
-	if n := c.ActiveLeases(); n != 2 {
-		t.Fatalf("leases after 60s = %d, want 2", n)
+	if n := c.ActiveLeases(); n != 4 {
+		t.Fatalf("leases after 60s = %d, want both groups' 4", n)
 	}
 
 	// Past StaleAfter the silent registered worker's lease expires; the
@@ -158,12 +159,12 @@ func TestStaleWorkerLeasesExpireEarly(t *testing.T) {
 		t.Fatalf("staleness = %+v, want only 'beating' stale", view.Workers)
 	}
 	c.Reap()
-	if n := c.ActiveLeases(); n != 1 {
-		t.Fatalf("leases after staleness = %d, want only the unregistered worker's", n)
+	if n := c.ActiveLeases(); n != 2 {
+		t.Fatalf("leases after staleness = %d, want only the unregistered worker's 2", n)
 	}
 	snap := c.Snapshot()
-	if p := snap.Experiments[0]; p.Leased != 1 || p.Pending != 5 {
-		t.Fatalf("progress after stale reap = %+v, want 1 leased / 5 pending", p)
+	if p := snap.Experiments[0]; p.Leased != 2 || p.Pending != 4 {
+		t.Fatalf("progress after stale reap = %+v, want 2 leased / 4 pending", p)
 	}
 
 	// A heartbeat un-stales: hello again, lease again, stay within
@@ -176,8 +177,8 @@ func TestStaleWorkerLeasesExpireEarly(t *testing.T) {
 	c.hello(WorkerHello{Worker: "beating"}) // heartbeat refreshes lastSeen
 	advance(60 * time.Second)
 	c.Reap()
-	if p := c.Snapshot().Experiments[0]; p.Leased != 2 {
-		t.Fatalf("progress with live heartbeat = %+v, want both leases alive", p)
+	if p := c.Snapshot().Experiments[0]; p.Leased != 4 {
+		t.Fatalf("progress with live heartbeat = %+v, want both groups' leases alive", p)
 	}
 }
 

@@ -1,16 +1,17 @@
 // Lease table and schedule state. The coordinator owns a flat set of
 // work items — one per distinct cell fingerprint across the scheduled
 // experiments (experiments sharing a grid share cells, exactly like
-// the local memo) — and hands them out as deadline-bearing leases.
-// Leases go most-expensive-first by the learned cost model, with one
-// bounded exception: a worker is handed a cell of a model it already
-// holds (or of a model no live worker holds) when that cell's estimate
-// is within affinityWindow of the queue head's, so a fleet builds,
-// warms and references each model about once instead of once per
-// worker. Expired leases requeue their cell, so a crashed or wedged
-// worker costs one timeout rather than the sweep; cells whose push
-// reports a deterministic failure are marked failed instead of looping
-// forever.
+// the local memo) — and leases them out one model group per grant:
+// every pending cell of one model, the most expensive group first by
+// the learned cost model. The grant reserves the whole group for its
+// worker, and each of the worker's lease requests hands it the group's
+// next cell, so a worker builds, warms and references each model it is
+// granted once, and a fleet pays one setup per model. Cells without a
+// model are groups of one. Each cell keeps its own lease and deadline:
+// expiry requeues only the group's unpushed cells and counts against
+// the one the worker was computing, so a crashed or wedged worker
+// costs one timeout rather than the sweep; cells whose push reports a
+// deterministic failure are marked failed instead of looping forever.
 
 package coord
 
@@ -47,10 +48,12 @@ type workItem struct {
 	// axes are the cell's coordinates, fed to the cost model.
 	axes []resultstore.AxisValue
 	// model is the cell's "model" axis value ("" for a grid without
-	// one): the unit whose setup a worker pays once per process.
+	// one): the unit whose setup a worker pays once per process, and
+	// so the lease unit.
 	model string
-	// estMs is the cost model's estimate as of the last sortPending.
-	estMs float64
+	// groupMs is the summed estimate of the cell's model group (its own
+	// without a model) as of the last sortPending.
+	groupMs float64
 
 	state itemState
 	// expiries counts lease timeouts so a cell that keeps killing its
@@ -60,12 +63,18 @@ type workItem struct {
 	failMsg  string
 }
 
-// leaseRec is one outstanding lease.
+// leaseRec is one outstanding cell lease.
 type leaseRec struct {
 	id       string
 	item     *workItem
 	worker   string
 	deadline time.Time
+	// sent is set once a lease answer has handed the cell to its
+	// worker; until then the cell is only reserved for it.
+	sent bool
+	// group is every lease of this one's grant, in the order the worker
+	// computes them; a member is outstanding while c.leases holds it.
+	group []*leaseRec
 }
 
 // expSchedule is one experiment's view of the shared item set.
@@ -100,19 +109,30 @@ func (es *expSchedule) progress() ExpProgress {
 	return p
 }
 
-// sortPending orders the pending queue most-expensive-first by the cost
-// model's estimates, tie-broken by (exp, index) so the order is
-// deterministic for a given model state, and records each estimate on
-// its item for pickLocked. Called lazily: estimates move with every
-// observed push, so the queue re-sorts when marked dirty rather than on
-// every observation.
+// sortPending orders the pending queue by model group, the lease
+// unit: groups with the largest summed cost-model estimate first
+// (longest-processing-time-first over groups), ties broken by (model,
+// exp, index), so each group is contiguous and in the order its worker
+// computes it, and the order is deterministic for a given model state.
+// Called lazily: estimates move with every observed push, so the queue
+// re-sorts when marked dirty rather than on every observation.
 func sortPending(pending []*workItem, cost *CostModel) {
+	sums := map[string]float64{}
 	for _, it := range pending {
-		it.estMs = cost.EstimateMs(it.fp, it.axes)
+		it.groupMs = cost.EstimateMs(it.fp, it.axes)
+		sums[it.model] += it.groupMs
 	}
-	slices.SortStableFunc(pending, func(a, b *workItem) int {
-		if a.estMs != b.estMs {
-			return cmp.Compare(b.estMs, a.estMs)
+	for _, it := range pending {
+		if it.model != "" {
+			it.groupMs = sums[it.model]
+		}
+	}
+	slices.SortFunc(pending, func(a, b *workItem) int {
+		if a.groupMs != b.groupMs {
+			return cmp.Compare(b.groupMs, a.groupMs)
+		}
+		if c := strings.Compare(a.model, b.model); c != 0 {
+			return c
 		}
 		if c := strings.Compare(a.exp, b.exp); c != 0 {
 			return c
@@ -121,49 +141,40 @@ func sortPending(pending []*workItem, cost *CostModel) {
 	})
 }
 
-// affinityWindow bounds how far down the sorted queue pickLocked looks:
-// only cells estimated at no less than this share of the head's cost.
-// Half keeps the longest cells early (the LPT tail guarantee), while a
-// model's recipe cells, which cost alike, stay inside one window.
-const affinityWindow = 0.5
-
-// pickLocked returns the index in the sorted pending queue of the cell
-// to lease to rec. Among the cells within affinityWindow of the head's
-// estimate, in queue order, it takes the first cell of a model rec
-// holds; else the first cell of a model no live worker holds; else the
-// head. Cells without a model never match, so a grid with no model
-// axis leases in plain LPT order.
-func (c *Coordinator) pickLocked(rec *workerRec, now time.Time) int {
-	floor := c.pending[0].estMs * affinityWindow
-	fresh := -1
-	for i, it := range c.pending {
-		if it.estMs < floor {
-			break
-		}
-		if it.model == "" {
-			continue
-		}
-		if rec.models[it.model] {
-			return i
-		}
-		if fresh < 0 && !c.modelTakenLocked(it.model, now) {
-			fresh = i
-		}
+// groupEnd returns the end of the model group starting at pending[i]
+// in a sorted queue: the run of cells sharing its model, or the cell
+// alone when it has none.
+func groupEnd(pending []*workItem, i int) int {
+	j := i + 1
+	for pending[i].model != "" && j < len(pending) && pending[j].model == pending[i].model {
+		j++
 	}
-	if fresh >= 0 {
-		return fresh
-	}
-	return 0
+	return j
 }
 
-// modelTakenLocked reports whether a worker that is not stale holds
-// model. A stale worker's models count as free, so a fresh worker can
-// take them over; they count again if the stale worker comes back.
-func (c *Coordinator) modelTakenLocked(model string, now time.Time) bool {
-	for name, rec := range c.workers {
-		if rec.models[model] && !c.workerStaleLocked(name, now) {
-			return true
+// renewLocked gives a group's outstanding leases a fresh deadline and
+// reports whether any is left; with release, the ones never sent to
+// the worker requeue instead.
+func (c *Coordinator) renewLocked(group []*leaseRec, now time.Time, release bool) bool {
+	left := false
+	for _, m := range group {
+		switch {
+		case c.leases[m.id] != m:
+		case release && !m.sent:
+			delete(c.leases, m.id)
+			if m.item.state == stateLeased {
+				c.requeueLocked(m.item)
+			}
+		default:
+			m.deadline, left = now.Add(c.cfg.LeaseTTL), true
 		}
 	}
-	return false
+	return left
+}
+
+// requeueLocked puts a leased cell back in the pending queue.
+func (c *Coordinator) requeueLocked(it *workItem) {
+	it.state = statePending
+	c.pending = append(c.pending, it)
+	c.dirty = true
 }

@@ -1,10 +1,16 @@
 package coord
 
 import (
+	"context"
+	"fmt"
+	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"fp8quant/internal/evalx"
+	"fp8quant/internal/faultline"
 	"fp8quant/internal/harness"
 )
 
@@ -25,14 +31,56 @@ func axisExp(id string, axes ...harness.Axis) testExp {
 	return e
 }
 
-// leaseIndex leases one cell to worker and returns its grid index.
-func leaseIndex(t *testing.T, c *Coordinator, worker string) int {
+// next asks for worker's next cell, which must be granted.
+func next(t *testing.T, c *Coordinator, worker string) Lease {
 	t.Helper()
 	lr := c.lease(worker)
 	if lr.Status != StatusLease {
 		t.Fatalf("lease for %s = %q, want lease", worker, lr.Status)
 	}
-	return lr.Lease.Index
+	return *lr.Lease
+}
+
+// grant asks for worker's next cell and then, one lease request each,
+// for the rest of the group that cell came in, and returns the cells
+// in the order they were sent.
+func grant(t *testing.T, c *Coordinator, worker string) []Lease {
+	t.Helper()
+	out := []Lease{next(t, c, worker)}
+	c.mu.Lock()
+	n := len(c.leases[out[0].ID].group)
+	c.mu.Unlock()
+	for len(out) < n {
+		out = append(out, next(t, c, worker))
+	}
+	return out
+}
+
+// expiries returns the lease timeouts counted against cell i of e.
+func expiries(c *Coordinator, e testExp, i int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.items[e.spec.CellKey(e.spec.CellAt(i)).Fingerprint()].expiries
+}
+
+// indices returns the grid indices of a group's leases.
+func indices(ls []Lease) []int {
+	var out []int
+	for _, l := range ls {
+		out = append(out, l.Index)
+	}
+	return out
+}
+
+// pushLease pushes l's cell of e as computed by worker.
+func pushLease(t *testing.T, c *Coordinator, e testExp, worker string, l Lease) PushResponse {
+	t.Helper()
+	fp, payload := payloadFor(t, e, l.Index)
+	pr, code, msg := c.push(PushRequest{Worker: worker, LeaseID: l.ID, Fingerprint: fp, Payload: payload, Computed: true, DurationMs: 5})
+	if code != 200 {
+		t.Fatalf("push of cell %d = %d %s", l.Index, code, msg)
+	}
+	return pr
 }
 
 // observeCells seeds the cost model with one duration per cell index.
@@ -43,117 +91,133 @@ func observeCells(c *Coordinator, e testExp, ms map[int]float64) {
 	}
 }
 
-// TestAffinityDisjointModels: two workers leasing in turn over a
-// two-model grid each keep to one model while both models have pending
-// cells, with the estimates moving under them as their pushes land.
-func TestAffinityDisjointModels(t *testing.T) {
-	withHarnessState(t)
-	e := axisExp("affine",
+// threeRecipes is a 2-model x 3-recipe grid: cells 0-2 are ma's, 3-5
+// mb's.
+func threeRecipes(id string) testExp {
+	return axisExp(id,
 		harness.Axis{Name: "model", Values: []string{"ma", "mb"}},
-		harness.Axis{Name: "recipe", Values: []string{"r1", "r2", "r3", "r4"}},
+		harness.Axis{Name: "recipe", Values: []string{"r1", "r2", "r3"}},
 	)
-	clock, advance := fakeClock()
-	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t), Clock: clock})
-	owner := map[string]string{} // model -> worker
-	for round := 0; round < 4; round++ {
-		for _, w := range []string{"w0", "w1"} {
-			i := leaseIndex(t, c, w)
-			model := e.spec.CellAt(i).Values[0]
-			if o, ok := owner[model]; ok && o != w {
-				t.Fatalf("round %d: %s leased cell %d of %s, which %s holds", round, w, i, model, o)
-			}
-			owner[model] = w
-			fp, payload := payloadFor(t, e, i)
-			// mb's cells run 1.5x ma's: the head moves between models,
-			// but both stay inside the affinity window.
-			ms := 1000.0 + 100*float64(round)
-			if model == "mb" {
-				ms *= 1.5
-			}
-			if _, code, msg := c.push(PushRequest{Worker: w, Fingerprint: fp, Payload: payload, Computed: true, DurationMs: ms}); code != 200 {
-				t.Fatalf("push = %d %s", code, msg)
-			}
-			advance(time.Second)
-		}
-	}
-	if owner["ma"] == owner["mb"] {
-		t.Fatalf("owners = %v, want the two models on different workers", owner)
-	}
-	for _, w := range c.Workers().Workers {
-		if w.Models != 1 {
-			t.Fatalf("fleet entry %+v, want 1 model", w)
-		}
-	}
 }
 
-// TestAffinityWindowBound: a worker's own-model cell is preferred over
-// the head only while its estimate is at least half the head's.
-func TestAffinityWindowBound(t *testing.T) {
-	for _, tc := range []struct {
-		ownMs float64
-		want  int
-	}{
-		{ownMs: 2100, want: 1}, // inside the window: own model (ma) first
-		{ownMs: 1900, want: 2}, // below half the head: the head (mb)
-	} {
-		withHarnessState(t)
-		e, _ := newTestExp("window")
-		clock, _ := fakeClock()
-		c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t), Clock: clock})
-		// Cell 0 (ma) leases first; then the head is cell 2 (mb, 4000ms)
-		// and cell 1 is ma's other recipe.
-		observeCells(c, e, map[int]float64{0: 10000, 1: tc.ownMs, 2: 4000, 3: 3000, 4: 3500, 5: 2500})
-		if i := leaseIndex(t, c, "w"); i != 0 {
-			t.Fatalf("first lease = cell %d, want the head, cell 0", i)
-		}
-		if i := leaseIndex(t, c, "w"); i != tc.want {
-			t.Fatalf("own-model cell at %vms vs a 4000ms head: leased cell %d, want cell %d", tc.ownMs, i, tc.want)
-		}
-	}
-}
-
-// TestAffinityStaleWorkerReleasesModels: once the reaper finds a
-// registered worker stale, its models count as free again, so a fresh
-// worker takes them over through rule 2 instead of taking the head.
-func TestAffinityStaleWorkerReleasesModels(t *testing.T) {
+// TestExpiredGroupRequeuesUnpushedCells: when a group's leases expire,
+// only its unpushed cells go back, and they lease again as one group.
+// The expiry counts against the cell the worker had received, not the
+// one it never started.
+func TestExpiredGroupRequeuesUnpushedCells(t *testing.T) {
 	withHarnessState(t)
-	e, _ := newTestExp("release") // cells 0,1 ma; 2,3 mb; 4,5 mc
+	e := threeRecipes("regroup")
 	clock, advance := fakeClock()
-	c := newTestCoord(t, Config{
-		Experiments: []harness.Experiment{e}, Store: openStore(t),
-		LeaseTTL: time.Hour, Heartbeat: 30 * time.Second, // StaleAfter = 90s
-		Clock: clock,
-	})
-	// Queue order: mc (4, 5), mb (2, 3), ma (0, 1), all in one window.
-	observeCells(c, e, map[int]float64{0: 1000, 1: 1000, 2: 1100, 3: 1100, 4: 1200, 5: 1200})
-	c.hello(WorkerHello{Worker: "live"})
-	c.hello(WorkerHello{Worker: "old"})
-	if i := leaseIndex(t, c, "live"); i != 4 {
-		t.Fatalf("live leased cell %d, want the head, cell 4 (mc)", i)
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t), LeaseTTL: time.Minute, Clock: clock})
+	l := next(t, c, "dies")
+	if p := c.Snapshot().Experiments[0]; l.Index != 0 || p.Leased != 3 {
+		t.Fatalf("first lease = cell %d with %d leased, want cell 0 and ma's 3 cells leased", l.Index, p.Leased)
 	}
-	if i := leaseIndex(t, c, "old"); i != 2 {
-		t.Fatalf("old leased cell %d, want cell 2 (mb: mc is live's)", i)
-	}
-	// While old is alive, a newcomer opens the one free model, ma.
-	if i := leaseIndex(t, c, "probe"); i != 0 {
-		t.Fatalf("probe leased cell %d, want cell 0 (ma: mc and mb are held)", i)
+	pushLease(t, c, e, "dies", l)
+	if l = next(t, c, "dies"); l.Index != 1 {
+		t.Fatalf("second lease = cell %d, want ma's cell 1", l.Index)
 	}
 	advance(2 * time.Minute)
-	c.hello(WorkerHello{Worker: "live"}) // live heartbeats, old does not
-	// The reaper requeues old's cell 2 and frees mb. Every model is held
-	// but mb, so the fresh worker takes mb (cell 2, then its other
-	// recipe) rather than the head, live's cell 5.
-	if i := leaseIndex(t, c, "fresh"); i != 2 {
-		t.Fatalf("fresh leased cell %d, want cell 2 (mb, released by stale old)", i)
+	c.Reap()
+	if p := c.Snapshot().Experiments[0]; p.Done != 1 || p.Pending != 5 || p.Leased != 0 {
+		t.Fatalf("progress after expiry = %+v, want 1 done / 5 pending", p)
 	}
-	if i := leaseIndex(t, c, "fresh"); i != 3 {
-		t.Fatalf("fresh's second lease = cell %d, want cell 3 (its own mb)", i)
+	if n1, n2 := expiries(c, e, 1), expiries(c, e, 2); n1 != 1 || n2 != 0 {
+		t.Fatalf("expiries counted: cell 1 %d, cell 2 %d; want 1 for the cell being computed, 0 for the one never sent", n1, n2)
+	}
+	// mb's group (three cells) now outweighs ma's remaining two.
+	if got := indices(grant(t, c, "next")); !slices.Equal(got, []int{3, 4, 5}) {
+		t.Fatalf("next group = cells %v, want mb's cells [3 4 5]", got)
+	}
+	if got := indices(grant(t, c, "next")); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("re-leased group = cells %v, want ma's unpushed cells [1 2]", got)
+	}
+	if lr := c.lease("next"); lr.Status != StatusWait {
+		t.Fatalf("lease with every cell out = %q, want wait", lr.Status)
 	}
 }
 
-// TestNoModelAxisLeasesInLPTOrder: on a grid without a model axis the
-// lease order is plain LPT, whoever asks: descending estimate, ties
-// broken by index.
+// TestPushRefreshesGroupDeadlines: each push and each lease answer
+// gives the holder's leases of the group a fresh LeaseTTL, so the TTL
+// bounds one cell, not the whole group.
+func TestPushRefreshesGroupDeadlines(t *testing.T) {
+	withHarnessState(t)
+	e := threeRecipes("refresh")
+	clock, advance := fakeClock()
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t), LeaseTTL: time.Minute, Clock: clock})
+	l := next(t, c, "w")
+	advance(50 * time.Second)
+	pushLease(t, c, e, "w", l)
+	advance(50 * time.Second) // 100s after the grant, 50s after the push
+	if n := c.ActiveLeases(); n != 2 {
+		t.Fatalf("leases 50s after a push = %d, want the group's other 2", n)
+	}
+	l = next(t, c, "w")
+	advance(50 * time.Second)
+	pushLease(t, c, e, "w", l)
+	advance(59 * time.Second)
+	if n := c.ActiveLeases(); n != 1 {
+		t.Fatalf("leases 59s after the second push = %d, want 1", n)
+	}
+	advance(2 * time.Second)
+	if n := c.ActiveLeases(); n != 0 {
+		t.Fatalf("leases 61s after the last push = %d, want 0 (expired)", n)
+	}
+	if p := c.Snapshot().Experiments[0]; p.Done != 2 || p.Pending != 4 {
+		t.Fatalf("progress = %+v, want 2 done / 4 pending", p)
+	}
+}
+
+// TestExitingWorkerReleasesGroup: a worker cancelled mid-cell pushes
+// that cell marked exiting, and the cells of its group it never
+// received go back to the queue at once, with no expiry counted.
+func TestExitingWorkerReleasesGroup(t *testing.T) {
+	withHarnessState(t)
+	e := threeRecipes("exiting")
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	inner := e.run
+	e.run = func(cell harness.Cell) evalx.Result {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		<-release
+		return inner(cell)
+	}
+	clock, _ := fakeClock() // frozen: no lease can time out
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t), Clock: clock})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	w := &Worker{URL: srv.URL, Name: "sigint", Resolve: resolveOnly(e), MaxRetries: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}
+	done := make(chan WorkerStats, 1)
+	go func() {
+		stats, err := w.Run(ctx)
+		if err != nil {
+			t.Errorf("worker: %v", err)
+		}
+		done <- stats
+	}()
+	<-started
+	cancel()
+	close(release)
+	if stats := <-done; stats.Computed != 1 {
+		t.Fatalf("cancelled worker computed %d cells, want the in-flight one", stats.Computed)
+	}
+	if n, p := c.ActiveLeases(), c.Snapshot().Experiments[0]; n != 0 || p.Done != 1 || p.Pending != 5 {
+		t.Fatalf("after the exiting push: %d leases, progress %+v; want 0 leases, 1 done / 5 pending", n, p)
+	}
+	for i := 0; i < 6; i++ {
+		if n := expiries(c, e, i); n != 0 {
+			t.Fatalf("cell %d counted %d expiries, want 0", i, n)
+		}
+	}
+}
+
+// TestNoModelAxisLeasesInLPTOrder: on a grid without a model axis every
+// cell is a group of one, so the lease order is plain LPT, whoever
+// asks: descending estimate, ties broken by index.
 func TestNoModelAxisLeasesInLPTOrder(t *testing.T) {
 	withHarnessState(t)
 	e := axisExp("nomodel",
@@ -169,8 +233,96 @@ func TestNoModelAxisLeasesInLPTOrder(t *testing.T) {
 	want := []int{4, 0, 1, 3, 5, 2}
 	for n, i := range want {
 		w := []string{"w0", "w1"}[n%2]
-		if got := leaseIndex(t, c, w); got != i {
-			t.Fatalf("lease order[%d] (%s) = cell %d, want cell %d (want order %v)", n, w, got, i, want)
+		if got := indices(grant(t, c, w)); !slices.Equal(got, []int{i}) {
+			t.Fatalf("lease order[%d] (%s) = cells %v, want cell %d alone (want order %v)", n, w, got, i, want)
 		}
+	}
+}
+
+// modelGrid is a synthetic grid of models x recipes.
+func modelGrid(id string, models, recipes int) testExp {
+	var ms, rs []string
+	for i := 0; i < models; i++ {
+		ms = append(ms, fmt.Sprintf("m%d", i))
+	}
+	for i := 0; i < recipes; i++ {
+		rs = append(rs, fmt.Sprintf("r%d", i))
+	}
+	return axisExp(id, harness.Axis{Name: "model", Values: ms}, harness.Axis{Name: "recipe", Values: rs})
+}
+
+// runFleet runs n concurrent in-process workers over e to completion
+// against a fresh coordinator and returns it.
+func runFleet(t *testing.T, e testExp, n int) *Coordinator {
+	t.Helper()
+	harness.ClearMemo()
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t), LeaseTTL: time.Hour, WaitRetry: 10 * time.Millisecond})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			w := &Worker{
+				URL: srv.URL, Name: fmt.Sprintf("w%d", i), Resolve: resolveOnly(e),
+				MaxRetries: 3, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond,
+			}
+			if _, err := w.Run(context.Background()); err != nil {
+				t.Errorf("worker %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if !c.Snapshot().Complete {
+		t.Fatal("sweep incomplete after every worker exited")
+	}
+	return c
+}
+
+// TestFleetSetsUpEachModelOnce: however many workers share a sweep,
+// the fleet leases, and so builds, each model once, and pushes each
+// cell once.
+func TestFleetSetsUpEachModelOnce(t *testing.T) {
+	withHarnessState(t)
+	const models, recipes = 8, 6
+	e := modelGrid("fleet8", models, recipes)
+	for _, n := range []int{2, 4} {
+		var sum WorkerInfo
+		for _, w := range runFleet(t, e, n).Workers().Workers {
+			sum.Models += w.Models
+			sum.Leases += w.Leases
+			sum.Pushes += w.Pushes
+		}
+		if sum.Models != models || sum.Leases != models || sum.Pushes != models*recipes {
+			t.Errorf("%d workers: %d model setups, %d leases, %d pushes; want %d, %d, %d",
+				n, sum.Models, sum.Leases, sum.Pushes, models, models, models*recipes)
+		}
+	}
+}
+
+// TestCostModelWrittenOncePerGroup: a full sweep writes the cost-model
+// sidecar at most once per model group, not once per push, and the
+// last write holds every observation.
+func TestCostModelWrittenOncePerGroup(t *testing.T) {
+	withHarnessState(t)
+	const models, recipes = 8, 6
+	e := modelGrid("costwrites", models, recipes)
+	if err := faultline.Arm(faultline.Plan{}); err != nil { // counts hits, injects nothing
+		t.Fatal(err)
+	}
+	t.Cleanup(faultline.Disarm)
+	c := runFleet(t, e, 2)
+	writes := 0
+	for _, ps := range faultline.Stats() {
+		if ps.Name == "resultstore.sidecar.create" {
+			writes = ps.Hits
+		}
+	}
+	if writes < 1 || writes > models {
+		t.Fatalf("cost-model sidecar written %d times for %d groups, want 1..%d", writes, models, models)
+	}
+	if m := LoadCostModel(c.cfg.Store, CostSidecarName); m.all.N != models*recipes {
+		t.Fatalf("persisted cost observations = %d, want %d", m.all.N, models*recipes)
 	}
 }

@@ -1,9 +1,10 @@
 // Wire protocol of the sweep coordinator: plain JSON over HTTP,
 // stdlib-only on both sides. Workers are pull-based — they ask for a
-// cell lease, compute it with the same harness code a local run uses,
-// and push the resulting store payload back — so the coordinator never
-// needs to know worker addresses, and a crashed worker costs exactly
-// one lease timeout.
+// cell lease (the coordinator grants a whole model group and sends its
+// cells in a row), compute it with the same harness code a local run
+// uses, and push the resulting store payload back — so the coordinator
+// never needs to know worker addresses, and a crashed worker costs
+// exactly one lease timeout.
 //
 // Endpoints (all under /v1):
 //
@@ -33,7 +34,7 @@ const VariantsHeader = "X-Kernel-Variants"
 
 // Lease statuses returned by POST /v1/lease.
 const (
-	// StatusLease carries a granted cell lease.
+	// StatusLease carries a leased cell.
 	StatusLease = "lease"
 	// StatusWait means no cell is grantable right now (everything is
 	// leased out) but the schedule is not finished — retry after
@@ -47,14 +48,14 @@ const (
 	StatusDraining = "draining"
 )
 
-// LeaseRequest asks for one cell of work.
+// LeaseRequest asks for the next cell of work.
 type LeaseRequest struct {
 	// Worker is a free-form worker identity, used only for logging and
 	// lease bookkeeping.
 	Worker string `json:"worker"`
 }
 
-// Lease is one granted unit of work: a single grid cell.
+// Lease is one granted cell of a model group, pushed on its own.
 type Lease struct {
 	// ID identifies the lease for the matching push.
 	ID string `json:"id"`
@@ -71,7 +72,8 @@ type Lease struct {
 	Fingerprint string `json:"fingerprint"`
 	// TTLMs is the lease duration: a push arriving later than this may
 	// find the cell re-leased to another worker (the late push is still
-	// accepted if it gets there first).
+	// accepted if it gets there first). It restarts for the group's
+	// remaining cells at each of its lease answers and pushes.
 	TTLMs int64 `json:"ttl_ms"`
 }
 
@@ -111,6 +113,9 @@ type PushRequest struct {
 	// it as permanently failed — cell failures are deterministic, so
 	// retrying on another worker would just fail again.
 	Err string `json:"err,omitempty"`
+	// Exiting says the worker stops after this push (it was cancelled):
+	// the cells of its group it has not received requeue at once.
+	Exiting bool `json:"exiting,omitempty"`
 }
 
 // Push statuses returned by POST /v1/push.
@@ -190,10 +195,10 @@ type WorkerInfo struct {
 	// Stale is true when a registered worker has been silent past the
 	// coordinator's stale threshold.
 	Stale bool `json:"stale"`
-	// Leases and Pushes count protocol traffic from this worker.
+	// Leases counts the groups granted to this worker, Pushes its cells.
 	Leases int `json:"leases"`
 	Pushes int `json:"pushes"`
-	// Models counts the distinct models of the cells leased to this
+	// Models counts the distinct models of the groups leased to this
 	// worker: the model setups (build, warm-up, FP32 reference) it has
 	// paid.
 	Models int `json:"models"`

@@ -3,11 +3,11 @@
 // experiments' specs (deduplicated across experiments sharing a grid,
 // seeded done from whatever the store already holds, so restarting a
 // coordinator over a half-full store schedules only the missing
-// cells), leases cells to pull-based workers most-expensive-first via
-// the learned cost model (preferring, within a bounded window, a model
-// the worker already holds), ingests pushed payloads under IngestCell's
-// conflict rules, and publishes live coverage over a long-poll
-// endpoint. All state lives behind one mutex; handlers are thin.
+// cells), leases them to pull-based workers one model group at a time,
+// the most expensive group first via the learned cost model, ingests
+// pushed payloads under IngestCell's conflict rules, and publishes live
+// coverage over a long-poll endpoint. All state lives behind one mutex;
+// handlers are thin.
 //
 // Wall-clock use (lease deadlines, cost observations) is confined to
 // this control plane and never reaches RunCell — cell payloads are
@@ -18,6 +18,7 @@
 package coord
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,8 +50,9 @@ type Config struct {
 	// Required.
 	Store *resultstore.Store
 	// LeaseTTL is how long a worker may hold a cell before the lease
-	// expires and the cell requeues. Default 5m — generous against the
-	// zoo's slowest cells, small against a whole sweep.
+	// expires and the cell requeues (renewed per lease and push of its
+	// group). Default 5m — generous against the zoo's slowest cells,
+	// small against a whole sweep.
 	LeaseTTL time.Duration
 	// CostSidecar names the cost-model sidecar file in the store.
 	// Default CostSidecarName.
@@ -107,9 +109,11 @@ type workerRec struct {
 	lastSeen            time.Time
 	registered          bool
 	leases, pushes      int
-	// models are the "model" axis values of every cell leased to this
-	// worker: the models its process has built and referenced.
+	// models are the models of every group leased to this worker: the
+	// models its process has built and referenced.
 	models map[string]bool
+	// group is its latest grant, whose unsent cells it is sent next.
+	group []*leaseRec
 }
 
 // New builds the schedule and seeds it from the store. The store's
@@ -248,13 +252,13 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// inject consults the "coord.server.<point>" failpoint. An ErrDrop
+// inject consults a "coord.server.<endpoint>" failpoint. An ErrDrop
 // rule aborts the connection without a response (http.ErrAbortHandler
 // panics are swallowed silently by net/http — the client sees EOF);
 // any other injected error answers 500, which workers treat as
 // transient. Reports whether the handler should return.
 func inject(w http.ResponseWriter, point string) bool {
-	err := faultline.Hit("coord.server." + point)
+	err := faultline.Hit(point)
 	if err == nil {
 		return false
 	}
@@ -296,42 +300,44 @@ func (c *Coordinator) checkCompleteLocked() {
 	close(c.done)
 }
 
-// reapLocked expires overdue leases: the cell requeues (or fails after
-// MaxExpiries timeouts), so a crashed worker costs one timeout.
-// Leases held by a registered worker that has gone stale (silent past
-// StaleAfter) expire early — the heartbeat's whole point — while
-// unregistered workers keep the plain TTL. Leases are processed in
-// sorted id order so requeue order (and any resulting failure
-// messages) is deterministic.
+// reapLocked expires overdue leases, a group's together: a cell sent
+// to the worker requeues (or fails after MaxExpiries timeouts), so a
+// crashed worker costs one timeout; cells it never received requeue
+// without counting a timeout. Leases held by a registered worker that
+// has gone stale (silent past StaleAfter) expire early — the
+// heartbeat's whole point — while unregistered workers keep the plain
+// TTL. Leases are processed in sorted id order so requeue order (and
+// any resulting failure messages) is deterministic.
 func (c *Coordinator) reapLocked(now time.Time) {
-	ids := make([]string, 0, len(c.leases))
-	for id := range c.leases {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	changedAny := false
-	for _, id := range ids {
-		l := c.leases[id]
-		if now.Before(l.deadline) && !c.workerStaleLocked(l.worker, now) {
-			continue
-		}
-		delete(c.leases, id)
-		changedAny = true
-		it := l.item
-		if it.state != stateLeased {
-			continue // a late push already completed the cell
-		}
-		it.expiries++
-		if it.expiries > c.cfg.MaxExpiries {
-			it.state = stateFailed
-			it.failMsg = fmt.Sprintf("lease expired %d times (workers keep dying on this cell)", it.expiries)
-		} else {
-			it.state = statePending
-			c.pending = append(c.pending, it)
-			c.dirty = true
+	var due []*leaseRec
+	for _, l := range c.leases {
+		if !now.Before(l.deadline) || c.workerStaleLocked(l.worker, now) {
+			due = append(due, l)
 		}
 	}
-	if changedAny {
+	slices.SortFunc(due, func(a, b *leaseRec) int { return strings.Compare(a.id, b.id) })
+	for _, l := range due {
+		for _, m := range l.group { // members already reaped are skipped
+			if c.leases[m.id] != m {
+				continue
+			}
+			delete(c.leases, m.id)
+			it := m.item
+			if it.state != stateLeased {
+				continue // a late push already completed the cell
+			}
+			if m.sent {
+				it.expiries++
+			}
+			if it.expiries > c.cfg.MaxExpiries {
+				it.state = stateFailed
+				it.failMsg = fmt.Sprintf("lease expired %d times (workers keep dying on this cell)", it.expiries)
+				continue
+			}
+			c.requeueLocked(it)
+		}
+	}
+	if len(due) > 0 {
 		c.bumpLocked()
 		c.checkCompleteLocked()
 	}
@@ -358,7 +364,7 @@ func (c *Coordinator) workerStaleLocked(name string, now time.Time) bool {
 func (c *Coordinator) touchWorkerLocked(name string) *workerRec {
 	rec, ok := c.workers[name]
 	if !ok {
-		rec = &workerRec{name: name}
+		rec = &workerRec{name: name, models: map[string]bool{}}
 		c.workers[name] = rec
 	}
 	rec.lastSeen = c.cfg.Clock()
@@ -409,13 +415,17 @@ func (c *Coordinator) Workers() WorkersSnapshot {
 }
 
 // Drain puts the coordinator into shutdown: new lease requests are
-// refused (workers exit after pushing in-flight work) while pushes,
-// progress and coverage keep serving.
+// refused (workers exit after pushing in-flight work) and reserved,
+// unsent cells requeue, while pushes, progress and coverage keep
+// serving.
 func (c *Coordinator) Drain() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.draining {
 		c.draining = true
+		for _, rec := range c.workers {
+			c.renewLocked(rec.group, c.cfg.Clock(), true)
+		}
 		c.bumpLocked()
 	}
 }
@@ -462,10 +472,10 @@ func (c *Coordinator) Snapshot() ProgressSnapshot {
 	return snap
 }
 
-// AwaitChange blocks until the state generation exceeds gen or the
-// timeout elapses, returning the snapshot either way — the in-process
-// twin of the long-poll endpoint, used by fp8coord's progress logger.
-func (c *Coordinator) AwaitChange(gen int64, timeout time.Duration) ProgressSnapshot {
+// AwaitChange blocks until the state generation exceeds gen, the
+// timeout elapses or ctx ends, returning the snapshot either way — the
+// long-poll endpoint's wait, and fp8coord's progress logger's.
+func (c *Coordinator) AwaitChange(ctx context.Context, gen int64, timeout time.Duration) ProgressSnapshot {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
@@ -478,13 +488,15 @@ func (c *Coordinator) AwaitChange(gen int64, timeout time.Duration) ProgressSnap
 		case <-ch:
 		case <-deadline.C:
 			return c.Snapshot()
+		case <-ctx.Done():
+			return snap
 		}
 	}
 }
 
-// lease grants a pending cell: the most expensive one, unless
-// pickLocked finds a nearly as expensive cell of a model this worker
-// already holds or no live worker holds.
+// lease sends worker the next unsent cell of its group, or grants it
+// the group at the head of the pending queue (one lease per cell) and
+// sends its first cell; the group's leases fall due LeaseTTL from now.
 func (c *Coordinator) lease(worker string) LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -497,30 +509,42 @@ func (c *Coordinator) lease(worker string) LeaseResponse {
 	if c.draining {
 		return LeaseResponse{Status: StatusDraining}
 	}
-	if len(c.pending) == 0 {
-		return LeaseResponse{Status: StatusWait, RetryMs: c.cfg.WaitRetry.Milliseconds()}
-	}
-	if c.dirty {
-		sortPending(c.pending, c.cost)
-		c.dirty = false
-	}
-	i := c.pickLocked(rec, now)
-	it := c.pending[i]
-	c.pending = slices.Delete(c.pending, i, i+1)
-	it.state = stateLeased
-	rec.leases++
-	if it.model != "" {
-		if rec.models == nil {
-			rec.models = map[string]bool{}
+	var l *leaseRec
+	for _, m := range rec.group {
+		if c.leases[m.id] == m && !m.sent {
+			l = m
+			break
 		}
-		rec.models[it.model] = true
 	}
-	c.seq++
-	id := fmt.Sprintf("l-%d", c.seq)
-	c.leases[id] = &leaseRec{id: id, item: it, worker: worker, deadline: now.Add(c.cfg.LeaseTTL)}
-	c.bumpLocked()
+	if l == nil {
+		if len(c.pending) == 0 {
+			return LeaseResponse{Status: StatusWait, RetryMs: c.cfg.WaitRetry.Milliseconds()}
+		}
+		if c.dirty {
+			sortPending(c.pending, c.cost)
+			c.dirty = false
+		}
+		n := groupEnd(c.pending, 0)
+		rec.group = make([]*leaseRec, n)
+		for k, it := range c.pending[:n] {
+			it.state = stateLeased
+			c.seq++
+			rec.group[k] = &leaseRec{id: "l-" + strconv.FormatInt(c.seq, 10), item: it, worker: worker, group: rec.group}
+			c.leases[rec.group[k].id] = rec.group[k]
+		}
+		c.pending = c.pending[n:]
+		rec.leases++
+		if m := rec.group[0].item.model; m != "" {
+			rec.models[m] = true
+		}
+		l = rec.group[0]
+		c.bumpLocked()
+	}
+	l.sent = true
+	c.renewLocked(l.group, now, false)
+	it := l.item
 	return LeaseResponse{Status: StatusLease, Lease: &Lease{
-		ID: id, Exp: it.exp, Index: it.index, Key: it.key,
+		ID: l.id, Exp: it.exp, Index: it.index, Key: it.key,
 		Fingerprint: it.fp, TTLMs: c.cfg.LeaseTTL.Milliseconds(),
 	}}
 }
@@ -542,13 +566,22 @@ func (c *Coordinator) push(req PushRequest) (PushResponse, int, string) {
 	// recorded failure, permanent conflict) — but deliberately NOT on a
 	// transient store failure, where the worker will retry the push: if
 	// it dies instead, the still-tracked lease expires and requeues the
-	// cell rather than stranding it leased forever.
+	// cell rather than stranding it leased forever. The holder's other
+	// leases of the group get a fresh deadline, so LeaseTTL bounds one
+	// cell, not the group; an exiting worker's unsent ones requeue.
+	groupDone := false
 	finishLease := func() {
 		if l, ok := c.leases[req.LeaseID]; ok && l.item == it {
-			delete(c.leases, req.LeaseID)
+			delete(c.leases, l.id)
+			groupDone = !c.renewLocked(l.group, c.cfg.Clock(), req.Exiting)
 		}
 	}
 	defer func() {
+		if groupDone {
+			// Persist once per settled group, so a killed coordinator
+			// keeps what its finished groups taught; the write is atomic.
+			_ = c.cost.Persist(c.cfg.Store, c.cfg.CostSidecar)
+		}
 		c.bumpLocked()
 		c.checkCompleteLocked()
 	}()
@@ -594,9 +627,6 @@ func (c *Coordinator) push(req PushRequest) (PushResponse, int, string) {
 	}
 	if req.Computed && req.DurationMs > 0 {
 		c.cost.Observe(req.Fingerprint, it.axes, time.Duration(req.DurationMs*float64(time.Millisecond)))
-		// Persist opportunistically so a killed coordinator keeps its
-		// learning; the write is atomic and tiny.
-		_ = c.cost.Persist(c.cfg.Store, c.cfg.CostSidecar)
 		c.dirty = true
 	}
 	if status == resultstore.IngestIdentical {
@@ -632,7 +662,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, what stri
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	if inject(w, "lease") {
+	if inject(w, "coord.server.lease") {
 		return
 	}
 	if r.Method != http.MethodPost {
@@ -647,7 +677,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
-	if inject(w, "push") {
+	if inject(w, "coord.server.push") {
 		return
 	}
 	if r.Method != http.MethodPost {
@@ -669,7 +699,7 @@ func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
 // handleWorkers registers heartbeating workers (POST) and serves the
 // fleet view (GET).
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	if inject(w, "workers") {
+	if inject(w, "coord.server.workers") {
 		return
 	}
 	switch r.Method {
@@ -698,7 +728,7 @@ var cellFpPattern = regexp.MustCompile(`^[0-9a-f]{32}$`)
 // coordinator instead of needing a shared filesystem. 404 means the
 // coordinator's store does not hold a valid entry for that cell (yet).
 func (c *Coordinator) handleCell(w http.ResponseWriter, r *http.Request) {
-	if inject(w, "cell") {
+	if inject(w, "coord.server.cell") {
 		return
 	}
 	if r.Method != http.MethodGet {
@@ -744,7 +774,7 @@ func (c *Coordinator) recordedVariants(fp string) []string {
 // generation exceeds N (or timeout_ms elapses), so a watcher gets an
 // update per state change instead of hammering the endpoint.
 func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
-	if inject(w, "progress") {
+	if inject(w, "coord.server.progress") {
 		return
 	}
 	if r.Method != http.MethodGet {
@@ -772,24 +802,7 @@ func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
 			timeout = 2 * time.Minute
 		}
 	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		ch := c.changed()
-		snap := c.Snapshot()
-		if snap.Gen > gen {
-			writeJSON(w, http.StatusOK, snap)
-			return
-		}
-		select {
-		case <-ch:
-		case <-deadline.C:
-			writeJSON(w, http.StatusOK, snap)
-			return
-		case <-r.Context().Done():
-			return
-		}
-	}
+	writeJSON(w, http.StatusOK, c.AwaitChange(r.Context(), gen, timeout))
 }
 
 // handleCoverage renders the live fp8bench -coverage style table.
