@@ -15,13 +15,17 @@
 //	fp8coord -exp all -addr :8123               all experiments, fixed port
 //	fp8coord -addr 127.0.0.1:0 -addr-file a.txt ephemeral port for scripts
 //	fp8coord -exp table3 -once                  exit when the schedule completes
+//	fp8coord -exp table3 -once -linger 1s       ...serving 1s more, and on until waiting workers are back
 //	fp8bench -worker http://host:8123           ...then point workers at it
 //	fp8coord -exp table3 -cpuprofile cpu.out -memprofile mem.out   profile the coordinator
 //
 // Workers pull: the coordinator never needs their addresses, and a
-// crashed worker costs one lease timeout (-lease-ttl, per cell, renewed
-// by each lease and push of the group), after which the group's
-// unpushed cells requeue. SIGINT/SIGTERM drain gracefully: new leases
+// crashed worker costs one lease timeout (-lease-ttl, per grant,
+// renewed by each of its lease answers and pushes, so it bounds one
+// cell), after which the group's unpushed cells requeue. With -once the
+// coordinator lingers after completion for -linger and, beyond it,
+// until every worker it told to wait can have come back and been told
+// done, so no worker spends its retry budget against a closed port. SIGINT/SIGTERM drain gracefully: new leases
 // are refused and cells reserved but not yet sent requeue, in-flight
 // pushes are accepted until -drain-timeout, the cost model is
 // persisted, and the final coverage table is printed.
@@ -62,9 +66,9 @@ func run() int {
 	exp := flag.String("exp", "all", "comma-separated experiment ids to schedule (or 'all')")
 	filterFlag := flag.String("filter", "", `schedule only matching cells, e.g. "model=resnet50;densenet121"`)
 	cacheDir := flag.String("cache-dir", resultstore.DefaultDir(), "result-store directory receiving pushed cells (required)")
-	leaseTTL := flag.Duration("lease-ttl", 5*time.Minute, "how long a worker may hold a cell (renewed by each lease and push of its group) before it requeues")
+	leaseTTL := flag.Duration("lease-ttl", 5*time.Minute, "how long a worker's grant may go without a lease request or push before its unpushed cells requeue")
 	once := flag.Bool("once", false, "exit once every scheduled cell is done or failed")
-	linger := flag.Duration("linger", 5*time.Second, "with -once, keep serving this long after completion so workers observe 'done'")
+	linger := flag.Duration("linger", 5*time.Second, "with -once, keep serving this long after completion (and until every worker told to wait is back) so workers observe 'done'")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on SIGINT/SIGTERM, how long to wait for in-flight leases before exiting")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the coordinator's run to `file`")
 	memProfile := flag.String("memprofile", "", "write a heap profile to `file` when the coordinator exits")
@@ -175,7 +179,7 @@ func run() int {
 	case <-c.Done():
 		if *once {
 			fmt.Fprintf(os.Stderr, "fp8coord: schedule complete; lingering %s so workers observe done\n", *linger)
-			time.Sleep(*linger)
+			c.Linger(*linger)
 		} else {
 			// Without -once, completion is not an exit condition: stay up
 			// for late workers and watchers until signalled.

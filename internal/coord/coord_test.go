@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -501,61 +502,104 @@ func TestPushVariantProvenance(t *testing.T) {
 	}
 }
 
-// TestCostModelRoundTrip checks persistence through the store sidecar
-// and the estimate fallback chain.
-func TestCostModelRoundTrip(t *testing.T) {
+// TestPushVariantCheckedInMemory: the coordinator reads each grid's
+// recorded kernel variants once, at startup, and checks pushes against
+// that copy, so a manifest lost or damaged on disk mid-sweep cannot let
+// a second tier in, and /v1/cell still names the recorded tier.
+func TestPushVariantCheckedInMemory(t *testing.T) {
+	withHarnessState(t)
+	e, _ := newTestExp("provmem")
 	store := openStore(t)
-	m := NewCostModel()
-	axes := []resultstore.AxisValue{{Axis: "model", Value: "bloom_176b"}, {Axis: "recipe", Value: "E4M3"}}
-	m.Observe("f1", axes, 800*time.Millisecond)
-	m.Observe("f1", axes, 400*time.Millisecond)
-	if err := m.Persist(store, CostSidecarName); err != nil {
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: store})
+	fp0, payload0 := payloadFor(t, e, 0)
+	if _, code, msg := c.push(PushRequest{Fingerprint: fp0, Payload: payload0, Computed: true, KernelVariant: "sse"}); code != 200 {
+		t.Fatalf("sse push = %d %s", code, msg)
+	}
+	if err := os.WriteFile(store.ManifestPath(e.spec.ID, e.spec.Seed), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got := LoadCostModel(store, CostSidecarName)
-	if got.all.N != 2 {
-		t.Fatalf("loaded observations = %d, want 2", got.all.N)
+	fp1, payload1 := payloadFor(t, e, 1)
+	_, code, msg := c.push(PushRequest{Fingerprint: fp1, Payload: payload1, Computed: true, KernelVariant: "avx2"})
+	if code != http.StatusConflict || !strings.Contains(msg, "kernel variant") {
+		t.Fatalf("avx2 push after the manifest was damaged = %d %q, want 409 naming the variant conflict", code, msg)
 	}
-	if a, b := m.EstimateMs("f1", axes), got.EstimateMs("f1", axes); a != b {
-		t.Fatalf("estimate changed across persist round trip: %v vs %v", a, b)
-	}
-	// EMA: 0.3*400 + 0.7*800 = 680.
-	if e := got.EstimateMs("f1", axes); e != 680 {
-		t.Fatalf("exact estimate = %v, want 680", e)
-	}
-	// Unknown cell sharing the model axis: axis aggregate.
-	other := []resultstore.AxisValue{{Axis: "model", Value: "bloom_176b"}, {Axis: "recipe", Value: "INT8"}}
-	if e := got.EstimateMs("f2", other); e != 680 {
-		t.Fatalf("axis-aggregate estimate = %v, want 680", e)
-	}
-	// No matching axis: global mean (same observations here).
-	if e := got.EstimateMs("f3", []resultstore.AxisValue{{Axis: "model", Value: "squeezenet"}}); e != 680 {
-		t.Fatalf("global-mean estimate = %v, want 680", e)
-	}
-	// Empty model: default.
-	if e := NewCostModel().EstimateMs("fx", nil); e != defaultCostMs {
-		t.Fatalf("default estimate = %v, want %v", e, float64(defaultCostMs))
-	}
-	// Corrupt sidecar: loads as empty, never fails.
-	if err := store.SaveSidecar(CostSidecarName, []byte("not json")); err != nil {
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/cell/" + fp0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m := LoadCostModel(store, CostSidecarName); m.all.N != 0 {
-		t.Fatal("corrupt sidecar should load as an empty model")
+	resp.Body.Close()
+	if v := resp.Header.Get(VariantsHeader); v != "sse" {
+		t.Fatalf("%s = %q, want the recorded sse", VariantsHeader, v)
 	}
 }
 
-// TestExpensiveCellsLeaseFirst seeds the cost model and checks the
-// scheduler grants model groups in descending summed estimate: mb's
-// cells sum to 12s, ma's to 11s though its cell 0 is the dearest, and
-// mc's to 6s. Within a group the cells come in grid order, whatever
-// their estimates.
+// TestCostModelRoundTrip checks persistence through the store sidecar
+// and the per-model estimate fallback, and that a schema-1 (per-cell,
+// per-axis) or corrupt sidecar loads as an empty model.
+func TestCostModelRoundTrip(t *testing.T) {
+	store := openStore(t)
+	m := NewCostModel()
+	m.Observe("bloom_176b", 800*time.Millisecond)
+	m.Observe("bloom_176b", 400*time.Millisecond)
+	m.Observe("", 200*time.Millisecond)
+	if err := m.Persist(store); err != nil {
+		t.Fatal(err)
+	}
+	got := LoadCostModel(store)
+	if got.all.N != 3 || len(got.models) != 1 {
+		t.Fatalf("loaded %d observations of %d models, want 3 of 1", got.all.N, len(got.models))
+	}
+	// EMA: 0.3*400 + 0.7*800 = 680.
+	if a, b := m.EstimateMs("bloom_176b"), got.EstimateMs("bloom_176b"); a != 680 || b != 680 {
+		t.Fatalf("model estimate = %v before and %v after the round trip, want 680", a, b)
+	}
+	// An unseen model and a cell without one: the global mean,
+	// 0.3*200 + 0.7*680 = 536.
+	for _, model := range []string{"squeezenet", ""} {
+		if e := got.EstimateMs(model); e != 536 {
+			t.Fatalf("estimate for %q = %v, want the global mean 536", model, e)
+		}
+	}
+	// Empty model: default.
+	if e := NewCostModel().EstimateMs("bloom_176b"); e != defaultCostMs {
+		t.Fatalf("default estimate = %v, want %v", e, float64(defaultCostMs))
+	}
+	// A schema-1 sidecar and a corrupt one load as empty, never fail.
+	for _, b := range []string{
+		`{"schema":1,"cells":{"f1":{"ema_ms":680,"n":2}},"axes":{"model=bloom_176b":{"ema_ms":680,"n":2}},"all":{"ema_ms":680,"n":2}}`,
+		"not json",
+	} {
+		if err := store.SaveSidecar(CostSidecarName, []byte(b)); err != nil {
+			t.Fatal(err)
+		}
+		if m := LoadCostModel(store); m.all.N != 0 || len(m.models) != 0 {
+			t.Fatalf("sidecar %.20q loaded %d observations, want an empty model", b, m.all.N)
+		}
+	}
+}
+
+// TestExpensiveCellsLeaseFirst seeds per-model estimates and checks the
+// scheduler grants model groups by estimate times pending cells: m0's
+// three cells at 1s (3s) outrank m1's one pending cell at 2.5s, which
+// outranks m2's three at 0.4s (1.2s). Within a group the cells come in
+// grid order.
 func TestExpensiveCellsLeaseFirst(t *testing.T) {
 	withHarnessState(t)
-	e, _ := newTestExp("lpt") // cells 0,1 ma; 2,3 mb; 4,5 mc
-	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t)})
-	observeCells(c, e, map[int]float64{0: 10000, 1: 1000, 2: 5000, 3: 7000, 4: 3000, 5: 3000})
-	want := [][]int{{2, 3}, {0, 1}, {4, 5}}
+	e := modelGrid("lpt", 3, 3) // cells 0-2 m0, 3-5 m1, 6-8 m2
+	store := openStore(t)
+	for _, i := range []int{3, 4} {
+		cell := e.spec.CellAt(i)
+		if err := store.SaveCell(e.spec.CellKey(cell), e.run(cell)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: store})
+	observe(c, "m0", 1000)
+	observe(c, "m1", 2500)
+	observe(c, "m2", 400)
+	want := [][]int{{0, 1, 2}, {5}, {6, 7, 8}}
 	for n, cells := range want {
 		if got := indices(grant(t, c, "w")); !slices.Equal(got, cells) {
 			t.Fatalf("grant order[%d] = cells %v, want %v (want order %v)", n, got, cells, want)
@@ -651,7 +695,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	// The cost model persisted through the push: a fresh load sees the
 	// observation.
-	if m := LoadCostModel(store, CostSidecarName); m.all.N != 1 {
+	if m := LoadCostModel(store); m.all.N != 1 {
 		t.Fatalf("persisted cost observations = %d, want 1", m.all.N)
 	}
 }

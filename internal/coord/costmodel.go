@@ -1,14 +1,17 @@
-// Learned per-cell cost model. The zoo's cell costs vary by two orders
-// of magnitude (bloom_176b vs squeezenet), so leasing cells in naive
+// Learned per-model cost model. The zoo's cell costs vary by two orders
+// of magnitude (bloom_176b vs squeezenet), so leasing in naive
 // row-major order routinely parks the most expensive model on whichever
 // worker draws it last and stretches the sweep tail by minutes. The
-// coordinator instead leases expensive model groups first (by their
-// cells' summed estimates) — longest-processing-time-first is the
-// classic 4/3-approximation for makespan on identical machines — using
-// durations observed from completed pushes. Estimates fall back
-// gracefully: exact cell → same axis value (a model's recipes cost
-// alike) → global mean → a fixed default, so the very first run is
-// merely unordered, never wrong.
+// coordinator instead grants expensive model groups first —
+// longest-processing-time-first is the classic 4/3-approximation for
+// makespan on identical machines — estimating a group as its model's
+// per-cell estimate times its pending cell count. The estimate is the
+// model's mean pushed duration (an EMA), else the global mean, else a
+// fixed default while nothing has been observed, so the very first run
+// is merely ordered by group size, never wrong. The unit is the model,
+// not the cell: a pushed cell is done and never estimated again, while
+// a model's cost carries over to its cells in later sweeps and other
+// grids (fig9 reads its model from a config axis).
 //
 // The model is operational state, not results: it is persisted as a
 // store *sidecar* (atomic temp+rename, see resultstore.SaveSidecar) and
@@ -28,12 +31,12 @@ import (
 	"fp8quant/internal/resultstore"
 )
 
-// CostSidecarName is the default sidecar file the model persists to.
+// CostSidecarName is the sidecar file the model persists to.
 const CostSidecarName = "costmodel.json"
 
 // costSchemaVersion guards the sidecar layout; entries from other
 // versions load as an empty model (the estimates re-learn in one run).
-const costSchemaVersion = 1
+const costSchemaVersion = 2
 
 // costAlpha is the EMA smoothing factor for repeated observations of
 // the same key: high enough to track real cost shifts (a kernel
@@ -61,60 +64,44 @@ func (e *CostEntry) observe(ms float64) {
 	e.N++
 }
 
-// CostModel estimates per-cell run durations from observed pushes.
-// Safe for concurrent use.
+// CostModel estimates per-cell run durations by model from observed
+// pushes. Safe for concurrent use.
 type CostModel struct {
-	mu    sync.Mutex
-	cells map[string]CostEntry // cell fingerprint -> estimate
-	axes  map[string]CostEntry // "axis=value" -> aggregate estimate
-	all   CostEntry            // global aggregate
+	mu     sync.Mutex
+	models map[string]CostEntry // model -> per-cell estimate
+	all    CostEntry            // global aggregate
 }
 
 // NewCostModel returns an empty model.
 func NewCostModel() *CostModel {
-	return &CostModel{cells: map[string]CostEntry{}, axes: map[string]CostEntry{}}
+	return &CostModel{models: map[string]CostEntry{}}
 }
 
-// Observe records one computed cell duration under its fingerprint and
-// axis coordinates.
-func (m *CostModel) Observe(fp string, axes []resultstore.AxisValue, d time.Duration) {
+// Observe records one computed cell duration of model ("" for a cell
+// without one, which feeds only the global mean).
+func (m *CostModel) Observe(model string, d time.Duration) {
 	ms := float64(d) / float64(time.Millisecond)
 	if ms < 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ent := m.cells[fp]
-	ent.observe(ms)
-	m.cells[fp] = ent
-	for _, av := range axes {
-		k := av.Axis + "=" + av.Value
-		a := m.axes[k]
-		a.observe(ms)
-		m.axes[k] = a
+	if model != "" {
+		ent := m.models[model]
+		ent.observe(ms)
+		m.models[model] = ent
 	}
 	m.all.observe(ms)
 }
 
-// EstimateMs returns the model's best duration guess for a cell:
-// the exact fingerprint if seen, else the most expensive matching axis
-// aggregate (the model axis dominates cost, and overestimating an
-// unknown cell only moves it earlier — the safe direction for the
-// tail), else the global mean, else the default.
-func (m *CostModel) EstimateMs(fp string, axes []resultstore.AxisValue) float64 {
+// EstimateMs returns the model's best per-cell duration guess for
+// model: its own estimate if seen, else the global mean, else the
+// default.
+func (m *CostModel) EstimateMs(model string) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e, ok := m.cells[fp]; ok && e.N > 0 {
+	if e, ok := m.models[model]; ok && e.N > 0 {
 		return e.EMAms
-	}
-	best, found := 0.0, false
-	for _, av := range axes {
-		if a, ok := m.axes[av.Axis+"="+av.Value]; ok && a.N > 0 && a.EMAms > best {
-			best, found = a.EMAms, true
-		}
-	}
-	if found {
-		return best
 	}
 	if m.all.N > 0 {
 		return m.all.EMAms
@@ -122,34 +109,32 @@ func (m *CostModel) EstimateMs(fp string, axes []resultstore.AxisValue) float64 
 	return defaultCostMs
 }
 
-// costSidecar is the persisted layout. Both maps serialize through
-// encoding/json, which sorts keys, so the sidecar bytes are
-// deterministic for a given model state.
+// costSidecar is the persisted layout. encoding/json sorts map keys, so
+// the sidecar bytes are deterministic for a given model state.
 type costSidecar struct {
 	Schema int                  `json:"schema"`
-	Cells  map[string]CostEntry `json:"cells"`
-	Axes   map[string]CostEntry `json:"axes"`
+	Models map[string]CostEntry `json:"models"`
 	All    CostEntry            `json:"all"`
 }
 
 // Persist writes the model to the store as a sidecar via the atomic
 // temp+rename path.
-func (m *CostModel) Persist(s *resultstore.Store, name string) error {
+func (m *CostModel) Persist(s *resultstore.Store) error {
 	m.mu.Lock()
-	b, err := json.Marshal(costSidecar{Schema: costSchemaVersion, Cells: m.cells, Axes: m.axes, All: m.all})
+	b, err := json.Marshal(costSidecar{Schema: costSchemaVersion, Models: m.models, All: m.all})
 	m.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("coord: %w", err)
 	}
-	return s.SaveSidecar(name, b)
+	return s.SaveSidecar(CostSidecarName, b)
 }
 
 // LoadCostModel reads a persisted model from the store sidecar. An
 // absent, corrupt or schema-stale sidecar yields an empty model — the
 // cost model is an optimization, never a correctness dependency.
-func LoadCostModel(s *resultstore.Store, name string) *CostModel {
+func LoadCostModel(s *resultstore.Store) *CostModel {
 	m := NewCostModel()
-	b, ok := s.LoadSidecar(name)
+	b, ok := s.LoadSidecar(CostSidecarName)
 	if !ok {
 		return m
 	}
@@ -157,8 +142,7 @@ func LoadCostModel(s *resultstore.Store, name string) *CostModel {
 	if json.Unmarshal(b, &sc) != nil || sc.Schema != costSchemaVersion {
 		return m
 	}
-	maps.Copy(m.cells, sc.Cells)
-	maps.Copy(m.axes, sc.Axes)
+	maps.Copy(m.models, sc.Models)
 	m.all = sc.All
 	return m
 }

@@ -1,17 +1,18 @@
 // Lease table and schedule state. The coordinator owns a flat set of
 // work items — one per distinct cell fingerprint across the scheduled
 // experiments (experiments sharing a grid share cells, exactly like
-// the local memo) — and leases them out one model group per grant:
-// every pending cell of one model, the most expensive group first by
-// the learned cost model. The grant reserves the whole group for its
-// worker, and each of the worker's lease requests hands it the group's
-// next cell, so a worker builds, warms and references each model it is
-// granted once, and a fleet pays one setup per model. Cells without a
-// model are groups of one. Each cell keeps its own lease and deadline:
-// expiry requeues only the group's unpushed cells and counts against
-// the one the worker was computing, so a crashed or wedged worker
-// costs one timeout rather than the sweep; cells whose push reports a
-// deterministic failure are marked failed instead of looping forever.
+// the local memo) — queued by model group: every pending cell of one
+// model, a cell without a model being a group of its own. A lease
+// request from a worker without unsent cells is granted the group with
+// the largest cost estimate, and each following request is sent the
+// grant's next cell, so a worker builds, warms and references each
+// model it is granted once, and a fleet pays one setup per model. A
+// grant has one deadline, renewed by each of its lease answers and
+// pushes; when it expires, only a cell its worker received and did not
+// push counts an expiry, so a crashed or wedged worker costs one
+// timeout rather than the sweep, and its unpushed cells requeue. Cells
+// whose push reports a deterministic failure are marked failed instead
+// of looping forever.
 
 package coord
 
@@ -38,43 +39,73 @@ type workItem struct {
 	// exp is the experiment id workers resolve the cell through (the
 	// first scheduled experiment that declared it, for shared grids).
 	exp string
-	// grid/seed identify the owning grid schedule.
-	grid string
+	// manifest is the owning grid's store manifest, read once in New:
+	// pushes are checked against its recorded kernel variants (nil: the
+	// store has none, and the grid is unchecked).
+	manifest *resultstore.Manifest
 	// index is the row-major cell index within exp's grid.
 	index int
 	// key is the human-readable label, fp the content address.
 	key string
 	fp  string
-	// axes are the cell's coordinates, fed to the cost model.
-	axes []resultstore.AxisValue
-	// model is the cell's "model" axis value ("" for a grid without
-	// one): the unit whose setup a worker pays once per process, and
-	// so the lease unit.
+	// model is the cell's model (harness.GridSpec.CellModels; "" for a
+	// grid without one): the unit whose setup a worker pays once per
+	// process, and so the grant and cost-model unit.
 	model string
-	// groupMs is the summed estimate of the cell's model group (its own
-	// without a model) as of the last sortPending.
-	groupMs float64
 
 	state itemState
 	// expiries counts lease timeouts so a cell that keeps killing its
 	// workers is eventually declared failed rather than requeued
 	// forever.
 	expiries int
-	failMsg  string
+	// failMsg is a failed cell's pushed error; empty when its expiries
+	// failed it.
+	failMsg string
 }
 
-// leaseRec is one outstanding cell lease.
-type leaseRec struct {
-	id       string
-	item     *workItem
-	worker   string
+// group returns the key of the item's model group in the pending
+// queue: its model, or its own fingerprint when it has none.
+func (it *workItem) group() string {
+	if it.model != "" {
+		return it.model
+	}
+	return it.fp
+}
+
+// compareItems orders cells by (model, exp, index): a group's compute
+// order, and the tie-break between equally estimated groups.
+func compareItems(a, b *workItem) int {
+	if c := strings.Compare(a.model, b.model); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.exp, b.exp); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.index, b.index)
+}
+
+// grantRec is one model group leased to one worker.
+type grantRec struct {
+	// id names the grant in every lease answer (Lease.ID) and push.
+	id     string
+	worker string
+	// cells are the group's cells in compute order; the first sent have
+	// been handed to the worker, the rest are reserved for it.
+	cells    []*workItem
+	sent     int
 	deadline time.Time
-	// sent is set once a lease answer has handed the cell to its
-	// worker; until then the cell is only reserved for it.
-	sent bool
-	// group is every lease of this one's grant, in the order the worker
-	// computes them; a member is outstanding while c.leases holds it.
-	group []*leaseRec
+}
+
+// outstanding counts the grant's cells still leased: sent and not yet
+// pushed, or reserved.
+func (g *grantRec) outstanding() int {
+	n := 0
+	for _, it := range g.cells {
+		if it.state == stateLeased {
+			n++
+		}
+	}
+	return n
 }
 
 // expSchedule is one experiment's view of the shared item set.
@@ -109,72 +140,50 @@ func (es *expSchedule) progress() ExpProgress {
 	return p
 }
 
-// sortPending orders the pending queue by model group, the lease
-// unit: groups with the largest summed cost-model estimate first
-// (longest-processing-time-first over groups), ties broken by (model,
-// exp, index), so each group is contiguous and in the order its worker
-// computes it, and the order is deterministic for a given model state.
-// Called lazily: estimates move with every observed push, so the queue
-// re-sorts when marked dirty rather than on every observation.
-func sortPending(pending []*workItem, cost *CostModel) {
-	sums := map[string]float64{}
-	for _, it := range pending {
-		it.groupMs = cost.EstimateMs(it.fp, it.axes)
-		sums[it.model] += it.groupMs
-	}
-	for _, it := range pending {
-		if it.model != "" {
-			it.groupMs = sums[it.model]
+// takeGroupLocked removes the next group to grant from the pending
+// queue and returns its cells in compute order: the group with the
+// largest estimate (its model's per-cell estimate times its cell
+// count; longest-processing-time-first over groups), ties broken by
+// compareItems on any one cell of each (named groups differ by model,
+// and a model-less group is one cell), so the choice is deterministic
+// for a given model state.
+func (c *Coordinator) takeGroupLocked() []*workItem {
+	var best []*workItem
+	bestMs := 0.0
+	for _, g := range c.pending {
+		ms := c.cost.EstimateMs(g[0].model) * float64(len(g))
+		if best == nil || ms > bestMs || ms == bestMs && compareItems(g[0], best[0]) < 0 {
+			best, bestMs = g, ms
 		}
 	}
-	slices.SortFunc(pending, func(a, b *workItem) int {
-		if a.groupMs != b.groupMs {
-			return cmp.Compare(b.groupMs, a.groupMs)
-		}
-		if c := strings.Compare(a.model, b.model); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.exp, b.exp); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.index, b.index)
-	})
+	delete(c.pending, best[0].group())
+	slices.SortFunc(best, compareItems)
+	return best
 }
 
-// groupEnd returns the end of the model group starting at pending[i]
-// in a sorted queue: the run of cells sharing its model, or the cell
-// alone when it has none.
-func groupEnd(pending []*workItem, i int) int {
-	j := i + 1
-	for pending[i].model != "" && j < len(pending) && pending[j].model == pending[i].model {
-		j++
-	}
-	return j
-}
-
-// renewLocked gives a group's outstanding leases a fresh deadline and
-// reports whether any is left; with release, the ones never sent to
-// the worker requeue instead.
-func (c *Coordinator) renewLocked(group []*leaseRec, now time.Time, release bool) bool {
-	left := false
-	for _, m := range group {
-		switch {
-		case c.leases[m.id] != m:
-		case release && !m.sent:
-			delete(c.leases, m.id)
-			if m.item.state == stateLeased {
-				c.requeueLocked(m.item)
+// releaseLocked renews g's deadline and, with unsent, requeues the
+// cells it has not sent. Once nothing of g is left to send or push, g
+// is settled: it leaves the lease table and releaseLocked reports true.
+func (c *Coordinator) releaseLocked(g *grantRec, unsent bool) bool {
+	g.deadline = c.cfg.Clock().Add(c.cfg.LeaseTTL)
+	if unsent {
+		for _, it := range g.cells[g.sent:] {
+			if it.state == stateLeased {
+				c.requeueLocked(it)
 			}
-		default:
-			m.deadline, left = now.Add(c.cfg.LeaseTTL), true
 		}
+		g.cells = g.cells[:g.sent]
 	}
-	return left
+	if g.sent < len(g.cells) || g.outstanding() > 0 {
+		return false
+	}
+	delete(c.grants, g.id)
+	return true
 }
 
-// requeueLocked puts a leased cell back in the pending queue.
+// requeueLocked puts a cell back in its group of the pending queue.
 func (c *Coordinator) requeueLocked(it *workItem) {
 	it.state = statePending
-	c.pending = append(c.pending, it)
-	c.dirty = true
+	k := it.group()
+	c.pending[k] = append(c.pending[k], it)
 }

@@ -42,13 +42,13 @@ func next(t *testing.T, c *Coordinator, worker string) Lease {
 }
 
 // grant asks for worker's next cell and then, one lease request each,
-// for the rest of the group that cell came in, and returns the cells
+// for the rest of the grant that cell came in, and returns the cells
 // in the order they were sent.
 func grant(t *testing.T, c *Coordinator, worker string) []Lease {
 	t.Helper()
 	out := []Lease{next(t, c, worker)}
 	c.mu.Lock()
-	n := len(c.leases[out[0].ID].group)
+	n := len(c.grants[out[0].ID].cells)
 	c.mu.Unlock()
 	for len(out) < n {
 		out = append(out, next(t, c, worker))
@@ -83,12 +83,9 @@ func pushLease(t *testing.T, c *Coordinator, e testExp, worker string, l Lease) 
 	return pr
 }
 
-// observeCells seeds the cost model with one duration per cell index.
-func observeCells(c *Coordinator, e testExp, ms map[int]float64) {
-	for i, v := range ms {
-		fp := e.spec.CellKey(e.spec.CellAt(i)).Fingerprint()
-		c.cost.Observe(fp, nil, time.Duration(v*float64(time.Millisecond)))
-	}
+// observe seeds the cost model with one cell duration of model.
+func observe(c *Coordinator, model string, ms float64) {
+	c.cost.Observe(model, time.Duration(ms*float64(time.Millisecond)))
 }
 
 // threeRecipes is a 2-model x 3-recipe grid: cells 0-2 are ma's, 3-5
@@ -216,8 +213,9 @@ func TestExitingWorkerReleasesGroup(t *testing.T) {
 }
 
 // TestNoModelAxisLeasesInLPTOrder: on a grid without a model axis every
-// cell is a group of one, so the lease order is plain LPT, whoever
-// asks: descending estimate, ties broken by index.
+// cell is a group of one, estimated at the global mean, so each grant
+// is one cell and the grants come in grid order, whoever asks and
+// whatever has been observed.
 func TestNoModelAxisLeasesInLPTOrder(t *testing.T) {
 	withHarnessState(t)
 	e := axisExp("nomodel",
@@ -226,16 +224,16 @@ func TestNoModelAxisLeasesInLPTOrder(t *testing.T) {
 	)
 	clock, _ := fakeClock()
 	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t), Clock: clock})
-	// Cell 4 costs 5000ms and cell 2 2000ms; the four unobserved cells
-	// estimate the global mean (0.3*2000 + 0.7*5000 = 4100ms).
-	observeCells(c, e, map[int]float64{4: 5000})
-	observeCells(c, e, map[int]float64{2: 2000})
-	want := []int{4, 0, 1, 3, 5, 2}
-	for n, i := range want {
-		w := []string{"w0", "w1"}[n%2]
+	observe(c, "", 5000)
+	observe(c, "other", 2000)
+	for i := 0; i < 6; i++ {
+		w := []string{"w0", "w1"}[i%2]
 		if got := indices(grant(t, c, w)); !slices.Equal(got, []int{i}) {
-			t.Fatalf("lease order[%d] (%s) = cells %v, want cell %d alone (want order %v)", n, w, got, i, want)
+			t.Fatalf("grant %d (%s) = cells %v, want cell %d alone", i, w, got, i)
 		}
+	}
+	if lr := c.lease("w2"); lr.Status != StatusWait {
+		t.Fatalf("lease with every cell out = %q, want wait", lr.Status)
 	}
 }
 
@@ -322,7 +320,136 @@ func TestCostModelWrittenOncePerGroup(t *testing.T) {
 	if writes < 1 || writes > models {
 		t.Fatalf("cost-model sidecar written %d times for %d groups, want 1..%d", writes, models, models)
 	}
-	if m := LoadCostModel(c.cfg.Store, CostSidecarName); m.all.N != models*recipes {
+	if m := LoadCostModel(c.cfg.Store); m.all.N != models*recipes {
 		t.Fatalf("persisted cost observations = %d, want %d", m.all.N, models*recipes)
+	}
+}
+
+// TestColdSweepGrantsLargestGroupFirst: on a fresh store with one grid
+// every model's estimate is the same, so with pushes interleaved the
+// grants come largest group first, then by model name. The grid reads
+// its model from a config axis, which makes the groups unequal: md has
+// 6 cells, ma and mb 4 each, mc 2.
+func TestColdSweepGrantsLargestGroupFirst(t *testing.T) {
+	withHarnessState(t)
+	e := axisExp("cold",
+		harness.Axis{Name: "config", Values: []string{"a/mb", "a/md", "b/md", "a/ma", "c/md", "b/mb", "a/mc", "b/ma"}},
+		harness.Axis{Name: "recipe", Values: []string{"r1", "r2"}},
+	)
+	clock, _ := fakeClock()
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t), Clock: clock})
+	want := [][]int{{2, 3, 4, 5, 8, 9}, {6, 7, 14, 15}, {0, 1, 10, 11}, {12, 13}}
+	for n, cells := range want {
+		w := []string{"w0", "w1"}[n%2]
+		var got []int
+		for range cells {
+			l := next(t, c, w)
+			pushLease(t, c, e, w, l)
+			got = append(got, l.Index)
+		}
+		if !slices.Equal(got, cells) {
+			t.Fatalf("grant %d (%s) = cells %v, want %v (want order %v)", n, w, got, cells, want)
+		}
+	}
+	if !c.Snapshot().Complete {
+		t.Fatal("sweep incomplete after every group was pushed")
+	}
+}
+
+// TestCostModelTransfersAcrossGrids: the per-model costs a sweep of one
+// grid learns order the groups of another grid that reads its model
+// from a config axis ("x/ma"), in a later coordinator over the same
+// store: mb's cells took 9s against ma's 1s, so mb goes first although
+// the groups are the same size and ma sorts first by name.
+func TestCostModelTransfersAcrossGrids(t *testing.T) {
+	withHarnessState(t)
+	store := openStore(t)
+	first := axisExp("learn",
+		harness.Axis{Name: "model", Values: []string{"ma", "mb"}},
+		harness.Axis{Name: "recipe", Values: []string{"r1", "r2"}},
+	)
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{first}, Store: store})
+	for i, ms := range []float64{1000, 1000, 9000, 9000} {
+		fp, payload := payloadFor(t, first, i)
+		if _, code, msg := c.push(PushRequest{Fingerprint: fp, Payload: payload, Computed: true, DurationMs: ms}); code != 200 {
+			t.Fatalf("push of cell %d = %d %s", i, code, msg)
+		}
+	}
+	if err := c.PersistCost(); err != nil {
+		t.Fatal(err)
+	}
+	second := axisExp("reuse",
+		harness.Axis{Name: "config", Values: []string{"x/ma", "x/mb"}},
+		harness.Axis{Name: "recipe", Values: []string{"r1", "r2"}},
+	)
+	c = newTestCoord(t, Config{Experiments: []harness.Experiment{second}, Store: store})
+	for n, cells := range [][]int{{2, 3}, {0, 1}} {
+		if got := indices(grant(t, c, "w")); !slices.Equal(got, cells) {
+			t.Fatalf("grant %d = cells %v, want %v: mb's learned cost first", n, got, cells)
+		}
+	}
+}
+
+// TestLingerOutlastsWaitingWorkers: Linger keeps the coordinator up
+// while a worker answered StatusWait may still come back (for under 3/2
+// of the wait hint), however short the asked linger, and adds nothing
+// once that worker has asked again or when no worker was told to wait.
+func TestLingerOutlastsWaitingWorkers(t *testing.T) {
+	withHarnessState(t)
+	e, _ := newTestExp("linger")
+	const hint = 100 * time.Millisecond
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t), WaitRetry: hint})
+	quick := func(when string) {
+		t.Helper()
+		start := time.Now()
+		if c.Linger(hint / 10); time.Since(start) > hint {
+			t.Fatalf("linger %s took %v, want about %v", when, time.Since(start), hint/10)
+		}
+	}
+	wait := func(worker string) {
+		t.Helper()
+		if lr := c.lease(worker); lr.Status != StatusWait {
+			t.Fatalf("lease for %s with every cell out = %q, want wait", worker, lr.Status)
+		}
+	}
+	quick("with no waiting worker")
+	var granted [][]Lease
+	for i := 0; i < 3; i++ {
+		granted = append(granted, grant(t, c, fmt.Sprintf("w%d", i)))
+	}
+	wait("gone")
+	waited := time.Now()
+	if c.Linger(hint / 10); time.Since(waited) < hint*3/2 {
+		t.Fatalf("linger while a worker waits ended %v after the wait answer, want at least %v", time.Since(waited), hint*3/2)
+	}
+	wait("back")
+	for i, ls := range granted {
+		for _, l := range ls {
+			pushLease(t, c, e, fmt.Sprintf("w%d", i), l)
+		}
+	}
+	if lr := c.lease("back"); lr.Status != StatusDone {
+		t.Fatalf("lease after completion = %q, want done", lr.Status)
+	}
+	quick("once the waiting worker was told done")
+}
+
+// TestGroupSpansGrids: a model group is every pending cell of the model
+// across the scheduled grids, sent in (exp, index) order whatever order
+// the experiments were configured in.
+func TestGroupSpansGrids(t *testing.T) {
+	withHarnessState(t)
+	z := threeRecipes("z-exp") // ma's cells 0-2, mb's 3-5
+	a := axisExp("a-exp",
+		harness.Axis{Name: "model", Values: []string{"ma"}},
+		harness.Axis{Name: "recipe", Values: []string{"s1", "s2"}},
+	)
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{z, a}, Store: openStore(t)})
+	var got []string
+	for _, l := range grant(t, c, "w") {
+		got = append(got, fmt.Sprintf("%s/%d", l.Exp, l.Index))
+	}
+	if want := []string{"a-exp/0", "a-exp/1", "z-exp/0", "z-exp/1", "z-exp/2"}; !slices.Equal(got, want) {
+		t.Fatalf("first grant = %v, want ma's cells of both grids %v", got, want)
 	}
 }

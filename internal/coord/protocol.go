@@ -57,7 +57,9 @@ type LeaseRequest struct {
 
 // Lease is one granted cell of a model group, pushed on its own.
 type Lease struct {
-	// ID identifies the lease for the matching push.
+	// ID names the grant the cell belongs to: every cell of the model
+	// group granted to one worker carries the same ID, and each push
+	// names it as PushRequest.LeaseID.
 	ID string `json:"id"`
 	// Exp is the experiment id (resolved via harness.Get on the worker).
 	Exp string `json:"exp"`
@@ -72,8 +74,8 @@ type Lease struct {
 	Fingerprint string `json:"fingerprint"`
 	// TTLMs is the lease duration: a push arriving later than this may
 	// find the cell re-leased to another worker (the late push is still
-	// accepted if it gets there first). It restarts for the group's
-	// remaining cells at each of its lease answers and pushes.
+	// accepted if it gets there first). It restarts at each lease
+	// answer and push of the grant.
 	TTLMs int64 `json:"ttl_ms"`
 }
 
@@ -87,7 +89,8 @@ type LeaseResponse struct {
 
 // PushRequest delivers a completed (or failed) cell.
 type PushRequest struct {
-	Worker  string `json:"worker"`
+	Worker string `json:"worker"`
+	// LeaseID is the cell's grant (Lease.ID).
 	LeaseID string `json:"lease_id"`
 	// Fingerprint is the cell's content address (must match the lease).
 	Fingerprint string `json:"fingerprint"`

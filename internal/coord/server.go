@@ -3,11 +3,15 @@
 // experiments' specs (deduplicated across experiments sharing a grid,
 // seeded done from whatever the store already holds, so restarting a
 // coordinator over a half-full store schedules only the missing
-// cells), leases them to pull-based workers one model group at a time,
+// cells), grants them to pull-based workers one model group at a time,
 // the most expensive group first via the learned cost model, ingests
 // pushed payloads under IngestCell's conflict rules, and publishes live
-// coverage over a long-poll endpoint. All state lives behind one mutex;
-// handlers are thin.
+// coverage over a long-poll endpoint. Its unit is the model group end
+// to end: the pending queue, the lease table (one grant record per
+// group) and the cost model are all keyed by it. The coordinator owns
+// its store's grid manifests while it runs: it reads each once at
+// startup and checks pushed kernel variants against that copy. All
+// state lives behind one mutex; handlers are thin.
 //
 // Wall-clock use (lease deadlines, cost observations) is confined to
 // this control plane and never reaches RunCell — cell payloads are
@@ -25,7 +29,6 @@ import (
 	"io"
 	"net/http"
 	"regexp"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,14 +52,11 @@ type Config struct {
 	// Store receives pushed payloads and seeds already-done cells.
 	// Required.
 	Store *resultstore.Store
-	// LeaseTTL is how long a worker may hold a cell before the lease
-	// expires and the cell requeues (renewed per lease and push of its
-	// group). Default 5m — generous against the zoo's slowest cells,
-	// small against a whole sweep.
+	// LeaseTTL is how long a grant may go without a lease answer or
+	// push before it expires and its unpushed cells requeue, so it
+	// bounds one cell, not a group. Default 5m — generous against the
+	// zoo's slowest cells, small against a whole sweep.
 	LeaseTTL time.Duration
-	// CostSidecar names the cost-model sidecar file in the store.
-	// Default CostSidecarName.
-	CostSidecar string
 	// MaxExpiries bounds how often one cell may time out before it is
 	// declared failed (a cell that keeps killing workers should stop
 	// the sweep from spinning). Default 3.
@@ -84,12 +84,10 @@ type Coordinator struct {
 	cost *CostModel
 
 	mu       sync.Mutex
-	items    map[string]*workItem        // by fingerprint
-	specs    map[string]harness.GridSpec // by grid id, for manifest provenance
-	exps     []*expSchedule              // in configured order
-	pending  []*workItem
-	dirty    bool // pending needs re-sorting against fresh estimates
-	leases   map[string]*leaseRec
+	items    map[string]*workItem   // by fingerprint
+	exps     []*expSchedule         // in configured order
+	pending  map[string][]*workItem // by workItem.group
+	grants   map[string]*grantRec   // by id
 	seq      int64
 	gen      int64
 	draining bool
@@ -109,11 +107,13 @@ type workerRec struct {
 	lastSeen            time.Time
 	registered          bool
 	leases, pushes      int
-	// models are the models of every group leased to this worker: the
+	// models are the models of every group granted to this worker: the
 	// models its process has built and referenced.
 	models map[string]bool
-	// group is its latest grant, whose unsent cells it is sent next.
-	group []*leaseRec
+	// back bounds when a worker answered StatusWait asks again: the
+	// hint plus its jitter (under half the hint) plus a round trip,
+	// which 2×WaitRetry covers. Its next lease request clears it.
+	back time.Time
 }
 
 // New builds the schedule and seeds it from the store. The store's
@@ -126,9 +126,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 5 * time.Minute
-	}
-	if cfg.CostSidecar == "" {
-		cfg.CostSidecar = CostSidecarName
 	}
 	if cfg.MaxExpiries <= 0 {
 		cfg.MaxExpiries = 3
@@ -147,94 +144,84 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:     cfg,
-		cost:    LoadCostModel(cfg.Store, cfg.CostSidecar),
+		cost:    LoadCostModel(cfg.Store),
 		items:   map[string]*workItem{},
-		specs:   map[string]harness.GridSpec{},
-		leases:  map[string]*leaseRec{},
+		pending: map[string][]*workItem{},
+		grants:  map[string]*grantRec{},
 		workers: map[string]*workerRec{},
 		notify:  make(chan struct{}),
 		done:    make(chan struct{}),
 	}
+	var fresh []*workItem
+	manifests := map[string]*resultstore.Manifest{} // by grid id
 	for _, e := range cfg.Experiments {
 		spec := e.Spec()
 		if err := spec.ValidateFilter(cfg.Filter); err != nil && spec.NumCells() > 0 {
 			return nil, fmt.Errorf("coord: %s: %w", e.ID(), err)
 		}
 		sel := spec.Select(cfg.Filter)
+		if _, seen := manifests[spec.ID]; !seen && spec.NumCells() > 0 {
+			if m, ok := gridManifest(cfg.Store, spec, len(sel) == spec.NumCells()); ok {
+				manifests[spec.ID] = &m
+			}
+		}
 		es := &expSchedule{id: e.ID(), grid: spec.ID}
 		models := spec.CellModels(sel)
 		for j, idx := range sel {
 			cell := spec.CellAt(idx)
-			k := spec.CellKey(cell)
-			fp := k.Fingerprint()
+			fp := spec.CellKey(cell).Fingerprint()
 			it, ok := c.items[fp]
 			if !ok {
 				it = &workItem{
-					exp: e.ID(), grid: spec.ID, index: idx,
-					key: spec.KeyString(cell), fp: fp, axes: k.Cell,
-					model: models[j],
+					exp: e.ID(), index: idx, key: spec.KeyString(cell), fp: fp,
+					model: models[j], manifest: manifests[spec.ID],
 				}
 				c.items[fp] = it
-				c.pending = append(c.pending, it)
+				fresh = append(fresh, it)
 			}
 			es.items = append(es.items, it)
 		}
 		c.exps = append(c.exps, es)
-		// Record the full schedule for coverage tooling; a filtered
-		// sub-schedule is not the grid's schedule and must not
-		// overwrite it (same rule as the local executor).
-		if spec.NumCells() > 0 && len(sel) == spec.NumCells() {
-			saveManifest(cfg.Store, spec)
-		}
-		if spec.NumCells() > 0 {
-			c.specs[spec.ID] = spec
-		}
 	}
-	c.seedFromStore()
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seedLocked(fresh)
 	c.checkCompleteLocked()
-	c.mu.Unlock()
 	return c, nil
 }
 
-// saveManifest records a grid's full schedule, preserving an existing
-// manifest whose schedule already matches (it may carry kernel-variant
-// provenance from earlier runs).
-func saveManifest(s *resultstore.Store, spec harness.GridSpec) {
-	m := harness.ManifestFor(spec)
-	if old, ok := s.LoadManifest(spec.ID, spec.Seed); ok && old.SameSchedule(m) {
-		return
+// gridManifest returns the store's manifest for a grid. A full
+// schedule (full) is recorded for coverage tooling first, preserving an
+// existing manifest whose schedule already matches (it may carry
+// kernel-variant provenance from earlier runs); a filtered
+// sub-schedule is not the grid's schedule and must not overwrite it
+// (same rule as the local executor).
+func gridManifest(s *resultstore.Store, spec harness.GridSpec, full bool) (resultstore.Manifest, bool) {
+	old, ok := s.LoadManifest(spec.ID, spec.Seed)
+	if !full {
+		return old, ok
 	}
-	// A failed manifest write only degrades coverage reporting; pushed
-	// cells are still content-addressed and safe.
-	_ = s.SaveManifest(m)
+	if m := harness.ManifestFor(spec); !ok || !old.SameSchedule(m) {
+		// A failed manifest write only degrades coverage reporting;
+		// pushed cells are still content-addressed and safe.
+		_ = s.SaveManifest(m)
+		old = m
+	}
+	return old, true
 }
 
-// seedFromStore marks every scheduled cell the store already holds as
-// done, so a restarted coordinator (or one pointed at a warmed store)
-// leases only the missing cells.
-func (c *Coordinator) seedFromStore() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var fps []string
-	for _, it := range c.pending {
-		fps = append(fps, it.fp)
+// seedLocked marks every scheduled cell the store already holds as
+// done and queues the rest, so a restarted coordinator (or one pointed
+// at a warmed store) leases only the missing cells.
+func (c *Coordinator) seedLocked(items []*workItem) {
+	fps := make([]string, len(items))
+	for i, it := range items {
+		it.state = stateDone
+		fps[i] = it.fp
 	}
-	cov := c.cfg.Store.Coverage(resultstore.Manifest{Cells: fps})
-	missing := map[int]bool{}
-	for _, i := range cov.Missing {
-		missing[i] = true
+	for _, i := range c.cfg.Store.Coverage(resultstore.Manifest{Cells: fps}).Missing {
+		c.requeueLocked(items[i])
 	}
-	var still []*workItem
-	for i, it := range c.pending {
-		if missing[i] {
-			still = append(still, it)
-		} else {
-			it.state = stateDone
-		}
-	}
-	c.pending = still
-	c.dirty = true
 }
 
 // Handler returns the coordinator's HTTP API.
@@ -300,44 +287,36 @@ func (c *Coordinator) checkCompleteLocked() {
 	close(c.done)
 }
 
-// reapLocked expires overdue leases, a group's together: a cell sent
-// to the worker requeues (or fails after MaxExpiries timeouts), so a
+// reapLocked expires overdue grants: a cell sent to the worker and
+// not pushed requeues (or fails after MaxExpiries timeouts), so a
 // crashed worker costs one timeout; cells it never received requeue
-// without counting a timeout. Leases held by a registered worker that
-// has gone stale (silent past StaleAfter) expire early — the
+// without counting a timeout. A grant held by a registered worker that
+// has gone stale (silent past StaleAfter) expires early — the
 // heartbeat's whole point — while unregistered workers keep the plain
-// TTL. Leases are processed in sorted id order so requeue order (and
-// any resulting failure messages) is deterministic.
+// TTL.
 func (c *Coordinator) reapLocked(now time.Time) {
-	var due []*leaseRec
-	for _, l := range c.leases {
-		if !now.Before(l.deadline) || c.workerStaleLocked(l.worker, now) {
-			due = append(due, l)
+	reaped := false
+	for id, g := range c.grants {
+		if now.Before(g.deadline) && !c.workerStaleLocked(g.worker, now) {
+			continue
 		}
-	}
-	slices.SortFunc(due, func(a, b *leaseRec) int { return strings.Compare(a.id, b.id) })
-	for _, l := range due {
-		for _, m := range l.group { // members already reaped are skipped
-			if c.leases[m.id] != m {
-				continue
-			}
-			delete(c.leases, m.id)
-			it := m.item
+		delete(c.grants, id)
+		reaped = true
+		for k, it := range g.cells {
 			if it.state != stateLeased {
-				continue // a late push already completed the cell
+				continue // pushed, or completed by a late push
 			}
-			if m.sent {
+			if k < g.sent {
 				it.expiries++
 			}
 			if it.expiries > c.cfg.MaxExpiries {
-				it.state = stateFailed
-				it.failMsg = fmt.Sprintf("lease expired %d times (workers keep dying on this cell)", it.expiries)
+				it.state = stateFailed // FailedCells names the expiries
 				continue
 			}
 			c.requeueLocked(it)
 		}
 	}
-	if len(due) > 0 {
+	if reaped {
 		c.bumpLocked()
 		c.checkCompleteLocked()
 	}
@@ -423,24 +402,45 @@ func (c *Coordinator) Drain() {
 	defer c.mu.Unlock()
 	if !c.draining {
 		c.draining = true
-		for _, rec := range c.workers {
-			c.renewLocked(rec.group, c.cfg.Clock(), true)
+		for _, g := range c.grants {
+			c.releaseLocked(g, true)
 		}
 		c.bumpLocked()
 	}
 }
 
-// ActiveLeases reports the outstanding lease count (drain waits on it).
+// ActiveLeases reports how many granted cells are not yet pushed
+// (drain waits on it).
 func (c *Coordinator) ActiveLeases() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked(c.cfg.Clock())
-	return len(c.leases)
+	n := 0
+	for _, g := range c.grants {
+		n += g.outstanding()
+	}
+	return n
+}
+
+// Linger keeps the caller for d, and on while a worker answered
+// StatusWait may still come back for its next answer. fp8coord -once
+// lingers here after completion, so no waiting worker finds the
+// coordinator gone and spends its retry budget against a closed port.
+func (c *Coordinator) Linger(d time.Duration) {
+	time.Sleep(d)
+	for waiting := true; waiting; time.Sleep(10 * time.Millisecond) {
+		c.mu.Lock()
+		waiting = false
+		for _, rec := range c.workers {
+			waiting = waiting || rec.back.After(c.cfg.Clock())
+		}
+		c.mu.Unlock()
+	}
 }
 
 // PersistCost writes the learned cost model to its store sidecar.
 func (c *Coordinator) PersistCost() error {
-	return c.cost.Persist(c.cfg.Store, c.cfg.CostSidecar)
+	return c.cost.Persist(c.cfg.Store)
 }
 
 // FailedCells returns "exp cell: reason" lines for permanently failed
@@ -452,7 +452,11 @@ func (c *Coordinator) FailedCells() []string {
 	for _, es := range c.exps {
 		for _, it := range es.items {
 			if it.state == stateFailed {
-				out = append(out, fmt.Sprintf("%s %s: %s", es.id, it.key, it.failMsg))
+				msg := it.failMsg
+				if msg == "" {
+					msg = fmt.Sprintf("lease expired %d times (workers keep dying on this cell)", it.expiries)
+				}
+				out = append(out, fmt.Sprintf("%s %s: %s", es.id, it.key, msg))
 			}
 		}
 	}
@@ -494,14 +498,15 @@ func (c *Coordinator) AwaitChange(ctx context.Context, gen int64, timeout time.D
 	}
 }
 
-// lease sends worker the next unsent cell of its group, or grants it
-// the group at the head of the pending queue (one lease per cell) and
-// sends its first cell; the group's leases fall due LeaseTTL from now.
+// lease sends worker the next unsent cell of its grant, or grants it
+// the next pending group and sends that group's first cell. Each answer
+// renews the grant's deadline and carries the grant id as Lease.ID.
 func (c *Coordinator) lease(worker string) LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.Clock()
 	rec := c.touchWorkerLocked(worker)
+	rec.back = time.Time{}
 	c.reapLocked(now)
 	if c.complete {
 		return LeaseResponse{Status: StatusDone}
@@ -509,50 +514,42 @@ func (c *Coordinator) lease(worker string) LeaseResponse {
 	if c.draining {
 		return LeaseResponse{Status: StatusDraining}
 	}
-	var l *leaseRec
-	for _, m := range rec.group {
-		if c.leases[m.id] == m && !m.sent {
-			l = m
-			break
+	var g *grantRec
+	for _, h := range c.grants {
+		if h.worker == worker && h.sent < len(h.cells) {
+			g = h
 		}
 	}
-	if l == nil {
+	if g == nil {
 		if len(c.pending) == 0 {
+			rec.back = now.Add(2 * c.cfg.WaitRetry)
 			return LeaseResponse{Status: StatusWait, RetryMs: c.cfg.WaitRetry.Milliseconds()}
 		}
-		if c.dirty {
-			sortPending(c.pending, c.cost)
-			c.dirty = false
-		}
-		n := groupEnd(c.pending, 0)
-		rec.group = make([]*leaseRec, n)
-		for k, it := range c.pending[:n] {
+		c.seq++
+		g = &grantRec{id: "l-" + strconv.FormatInt(c.seq, 10), worker: worker, cells: c.takeGroupLocked()}
+		for _, it := range g.cells {
 			it.state = stateLeased
-			c.seq++
-			rec.group[k] = &leaseRec{id: "l-" + strconv.FormatInt(c.seq, 10), item: it, worker: worker, group: rec.group}
-			c.leases[rec.group[k].id] = rec.group[k]
 		}
-		c.pending = c.pending[n:]
+		c.grants[g.id] = g
 		rec.leases++
-		if m := rec.group[0].item.model; m != "" {
+		if m := g.cells[0].model; m != "" {
 			rec.models[m] = true
 		}
-		l = rec.group[0]
 		c.bumpLocked()
 	}
-	l.sent = true
-	c.renewLocked(l.group, now, false)
-	it := l.item
+	it := g.cells[g.sent]
+	g.sent++
+	g.deadline = now.Add(c.cfg.LeaseTTL)
 	return LeaseResponse{Status: StatusLease, Lease: &Lease{
-		ID: l.id, Exp: it.exp, Index: it.index, Key: it.key,
+		ID: g.id, Exp: it.exp, Index: it.index, Key: it.key,
 		Fingerprint: it.fp, TTLMs: c.cfg.LeaseTTL.Milliseconds(),
 	}}
 }
 
 // push ingests one completed (or failed) cell. Pushes are keyed by
-// fingerprint, not lease: a push arriving after its lease expired is
+// fingerprint, not grant: a push arriving after its grant expired is
 // still good work and is accepted (idempotently, if another worker got
-// there first) — the lease only bounds how long the coordinator waits
+// there first) — the grant only bounds how long the coordinator waits
 // before rescheduling. A non-"" msg describes the rejection.
 func (c *Coordinator) push(req PushRequest) (PushResponse, int, string) {
 	c.mu.Lock()
@@ -562,31 +559,21 @@ func (c *Coordinator) push(req PushRequest) (PushResponse, int, string) {
 	if !ok {
 		return PushResponse{}, http.StatusNotFound, fmt.Sprintf("push rejected for cell %s", req.Fingerprint)
 	}
-	// The lease is finished on every settling outcome (accepted work,
-	// recorded failure, permanent conflict) — but deliberately NOT on a
-	// transient store failure, where the worker will retry the push: if
-	// it dies instead, the still-tracked lease expires and requeues the
-	// cell rather than stranding it leased forever. The holder's other
-	// leases of the group get a fresh deadline, so LeaseTTL bounds one
-	// cell, not the group; an exiting worker's unsent ones requeue.
-	groupDone := false
-	finishLease := func() {
-		if l, ok := c.leases[req.LeaseID]; ok && l.item == it {
-			delete(c.leases, l.id)
-			groupDone = !c.renewLocked(l.group, c.cfg.Clock(), req.Exiting)
-		}
-	}
 	defer func() {
-		if groupDone {
-			// Persist once per settled group, so a killed coordinator
+		// The push renews its grant (LeaseTTL bounds one cell, not the
+		// group), and an exiting worker's unsent cells requeue. A cell
+		// a transient store failure left leased stays outstanding: if
+		// the worker dies instead of retrying, the grant expires and
+		// requeues it rather than stranding it.
+		if g := c.grants[req.LeaseID]; g != nil && c.releaseLocked(g, req.Exiting) {
+			// Persist once per settled grant, so a killed coordinator
 			// keeps what its finished groups taught; the write is atomic.
-			_ = c.cost.Persist(c.cfg.Store, c.cfg.CostSidecar)
+			_ = c.cost.Persist(c.cfg.Store)
 		}
 		c.bumpLocked()
 		c.checkCompleteLocked()
 	}()
 	if req.Err != "" {
-		finishLease()
 		if it.state != stateDone {
 			it.state = stateFailed
 			it.failMsg = req.Err
@@ -594,15 +581,18 @@ func (c *Coordinator) push(req PushRequest) (PushResponse, int, string) {
 		return PushResponse{Status: PushFailedRecorded}, http.StatusOK, ""
 	}
 	// Variant provenance gates the ingest: a freshly computed cell from
-	// a different GEMM tier than the store's recorded one is refused
+	// a different GEMM tier than the grid's recorded one is refused
 	// before its bytes land, so a mixed-hardware fleet fails at push
-	// time instead of poisoning the store.
-	if req.Computed && req.KernelVariant != "" {
-		if spec, ok := c.specs[it.grid]; ok {
-			if err := c.cfg.Store.StampVariants(spec.ID, spec.Seed, []string{req.KernelVariant}); err != nil {
-				finishLease()
-				return PushResponse{}, http.StatusConflict, err.Error()
-			}
+	// time instead of poisoning the store. The manifest is written only
+	// when its variant list grows.
+	if m := it.manifest; m != nil && req.Computed && req.KernelVariant != "" {
+		grew, err := m.AddVariants([]string{req.KernelVariant})
+		if err != nil {
+			return PushResponse{}, http.StatusConflict, err.Error()
+		}
+		if grew {
+			// A failed write only degrades provenance reporting.
+			_ = c.cfg.Store.SaveManifest(*m)
 		}
 	}
 	status, err := c.cfg.Store.IngestCell(req.Fingerprint, req.Payload)
@@ -611,7 +601,6 @@ func (c *Coordinator) push(req PushRequest) (PushResponse, int, string) {
 		// (fingerprint collision or nondeterministic cell) or an invalid
 		// envelope — surface as 409 so the worker fails loudly instead of
 		// retrying bytes that can never land.
-		finishLease()
 		return PushResponse{}, http.StatusConflict, err.Error()
 	}
 	if err != nil {
@@ -621,13 +610,9 @@ func (c *Coordinator) push(req PushRequest) (PushResponse, int, string) {
 		return PushResponse{}, http.StatusInternalServerError,
 			fmt.Sprintf("store ingest failed for cell %s: %v", req.Fingerprint, err)
 	}
-	finishLease()
-	if it.state != stateDone {
-		it.state = stateDone
-	}
+	it.state = stateDone
 	if req.Computed && req.DurationMs > 0 {
-		c.cost.Observe(req.Fingerprint, it.axes, time.Duration(req.DurationMs*float64(time.Millisecond)))
-		c.dirty = true
+		c.cost.Observe(it.model, time.Duration(req.DurationMs*float64(time.Millisecond)))
 	}
 	if status == resultstore.IngestIdentical {
 		return PushResponse{Status: PushIdentical}, http.StatusOK, ""
@@ -745,29 +730,17 @@ func (c *Coordinator) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{"cell not in store"})
 		return
 	}
-	if v := c.recordedVariants(fp); len(v) > 0 {
+	c.mu.Lock()
+	var v []string
+	if it, ok := c.items[fp]; ok && it.manifest != nil {
+		v = it.manifest.KernelVariants
+	}
+	c.mu.Unlock()
+	if len(v) > 0 {
 		w.Header().Set(VariantsHeader, strings.Join(v, ","))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(b)
-}
-
-// recordedVariants returns the kernel variants the store's manifest
-// records for the grid that schedules fp (none for a cell outside the
-// schedule or a grid without a manifest).
-func (c *Coordinator) recordedVariants(fp string) []string {
-	c.mu.Lock()
-	it, ok := c.items[fp]
-	var spec harness.GridSpec
-	if ok {
-		spec = c.specs[it.grid]
-	}
-	c.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	m, _ := c.cfg.Store.LoadManifest(spec.ID, spec.Seed)
-	return m.KernelVariants
 }
 
 // handleProgress long-polls: with ?gen=N it blocks until the state

@@ -57,7 +57,7 @@ func Warm(ctx context.Context, url string, store *resultstore.Store, exps []harn
 		if spec.NumCells() == 0 {
 			continue
 		}
-		saveManifest(store, spec)
+		gridManifest(store, spec, true)
 		for i := 0; i < spec.NumCells(); i++ {
 			fp := spec.CellKey(spec.CellAt(i)).Fingerprint()
 			if _, ok := store.CellBytesByFingerprint(fp); ok {

@@ -134,30 +134,40 @@ func validCellBytes(b []byte, fp string) bool {
 var ErrVariantConflict = errors.New("resultstore: kernel variant conflict")
 
 // StampVariants unions variants into the kernel-variant provenance of
-// the grid's stored manifest — the one-tier rule every path that lands
-// cells from elsewhere applies before the cells land. A union of more
-// than one distinct variant is an ErrVariantConflict and leaves the
-// manifest untouched; so does an absent manifest (nothing records the
-// schedule, so there is nothing to stamp). Empty variant names (older
-// workers, legacy stores) union as nothing.
+// the grid's stored manifest (Manifest.AddVariants) — the one-tier
+// rule every path that lands cells from elsewhere applies before the
+// cells land — and saves it if the list grew. An absent manifest is
+// left alone: nothing records the schedule, so there is nothing to
+// stamp.
 func (s *Store) StampVariants(grid string, seed uint64, variants []string) error {
 	m, ok := s.LoadManifest(grid, seed)
 	if !ok {
 		return nil
 	}
-	merged := UnionVariants(m.KernelVariants, variants)
-	if len(merged) > 1 {
-		return fmt.Errorf("%w: %v against the store's recorded %v for grid %s: a sweep must stay on one tier (set FP8_KERNEL on every worker)",
-			ErrVariantConflict, variants, m.KernelVariants, grid)
+	if grew, err := m.AddVariants(variants); !grew {
+		return err
 	}
-	if len(merged) == len(m.KernelVariants) {
-		return nil
-	}
-	m.KernelVariants = merged
 	// A failed manifest write only degrades provenance reporting; the
 	// cell payloads are still content-addressed and safe.
 	_ = s.SaveManifest(m)
 	return nil
+}
+
+// AddVariants unions variants into m.KernelVariants and reports
+// whether the list grew. A union of more than one distinct variant is
+// an ErrVariantConflict and leaves m untouched. Empty variant names
+// (older workers, legacy stores) union as nothing.
+func (m *Manifest) AddVariants(variants []string) (bool, error) {
+	merged := UnionVariants(m.KernelVariants, variants)
+	if len(merged) > 1 {
+		return false, fmt.Errorf("%w: %v against the store's recorded %v for grid %s: a sweep must stay on one tier (set FP8_KERNEL on every worker)",
+			ErrVariantConflict, variants, m.KernelVariants, m.Grid)
+	}
+	if len(merged) == len(m.KernelVariants) {
+		return false, nil
+	}
+	m.KernelVariants = merged
+	return true, nil
 }
 
 // UnionVariants merges two kernel-variant lists, deduplicated and
