@@ -13,9 +13,7 @@
 // benchmark run required.
 //
 // -append parses `go test -bench -benchmem` output and appends one
-// dated entry to the JSON history (converting the pre-history flat
-// array, kept from earlier PRs, into a single "legacy" entry). The
-// file accumulates one entry per recorded run, so the perf trajectory
+// dated entry to the JSON history. The file accumulates one entry per recorded run, so the perf trajectory
 // across PRs stays diffable in-repo.
 //
 // -gate compares the current run's allocs/op and bytes/op against the
@@ -43,7 +41,7 @@ import (
 
 // Result is one benchmark's measurements. MBPerS is a pointer so
 // benchmarks that report no throughput serialize as null (the shape
-// the legacy flat format used); the -benchmem counters are omitted
+// the history's "legacy" entry records); the -benchmem counters are omitted
 // when absent.
 type Result struct {
 	Name        string   `json:"name"`
@@ -190,8 +188,7 @@ func parseBench(r io.Reader) ([]Result, error) {
 }
 
 // readEntries loads the history file. A missing file is an empty
-// history; the pre-append-era flat array of results becomes a single
-// entry labeled "legacy" so old trajectories are preserved verbatim.
+// history.
 func readEntries(path string) ([]Entry, error) {
 	buf, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -199,19 +196,6 @@ func readEntries(path string) ([]Entry, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	var probe []map[string]json.RawMessage
-	if err := json.Unmarshal(buf, &probe); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	if len(probe) > 0 {
-		if _, hasResults := probe[0]["results"]; !hasResults {
-			var legacy []Result
-			if err := json.Unmarshal(buf, &legacy); err != nil {
-				return nil, fmt.Errorf("%s (legacy format): %v", path, err)
-			}
-			return []Entry{{Date: "legacy", Results: legacy}}, nil
-		}
 	}
 	var entries []Entry
 	if err := json.Unmarshal(buf, &entries); err != nil {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -42,28 +41,6 @@ func TestParseBench(t *testing.T) {
 	}
 	if got[2].MBPerS != nil {
 		t.Errorf("benchmark without MB/s parsed throughput %v", *got[2].MBPerS)
-	}
-}
-
-func TestReadEntriesLegacyConversion(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	legacy := `[
-  {"name": "BenchmarkMatmulT/16x256x256", "ns_per_op": 107024, "mb_per_s": 2755.58},
-  {"name": "BenchmarkBatchEncode", "ns_per_op": 4437631, "mb_per_s": 945.17}
-]`
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := readEntries(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Date != "legacy" || len(entries[0].Results) != 2 {
-		t.Fatalf("legacy conversion = %+v, want one legacy entry with 2 results", entries)
-	}
-	if entries[0].Results[0].AllocsPerOp != nil {
-		t.Error("legacy results must carry no alloc counters")
 	}
 }
 

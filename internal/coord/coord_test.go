@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -640,6 +641,27 @@ func TestSeedFromStore(t *testing.T) {
 		if granted[spec.CellKey(spec.CellAt(i)).Fingerprint()] {
 			t.Fatalf("cell %d was leased despite being in the store", i)
 		}
+	}
+}
+
+// TestSeedSchedulesMismatchedCell: a stored file at a cell's name whose
+// envelope is another cell's (a hand-renamed or cross-wired copy) is
+// no hit for the reads, so the coordinator schedules the cell.
+func TestSeedSchedulesMismatchedCell(t *testing.T) {
+	withHarnessState(t)
+	e, _ := newTestExp("mismatch")
+	store := openStore(t)
+	fp, _ := payloadFor(t, e, 0)
+	_, other := payloadFor(t, e, 1)
+	if err := os.WriteFile(filepath.Join(store.Dir(), "c-"+fp+".json"), other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: store})
+	if p := c.Snapshot().Experiments[0]; p.Done != 0 || p.Pending != 6 {
+		t.Fatalf("seeded progress = %+v, want 0 done / 6 pending", p)
+	}
+	if l := next(t, c, "w"); l.Fingerprint != fp {
+		t.Fatalf("first lease = cell %d, want cell 0 (its stored file is cell 1's)", l.Index)
 	}
 }
 

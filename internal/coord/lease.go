@@ -96,6 +96,15 @@ type grantRec struct {
 	deadline time.Time
 }
 
+// next skips the reserved cells a late push has settled since the
+// grant was made and reports whether a cell is left to send.
+func (g *grantRec) next() bool {
+	for g.sent < len(g.cells) && g.cells[g.sent].state != stateLeased {
+		g.sent++
+	}
+	return g.sent < len(g.cells)
+}
+
 // outstanding counts the grant's cells still leased: sent and not yet
 // pushed, or reserved.
 func (g *grantRec) outstanding() int {
@@ -141,20 +150,31 @@ func (es *expSchedule) progress() ExpProgress {
 }
 
 // takeGroupLocked removes the next group to grant from the pending
-// queue and returns its cells in compute order: the group with the
-// largest estimate (its model's per-cell estimate times its cell
-// count; longest-processing-time-first over groups), ties broken by
-// compareItems on any one cell of each (named groups differ by model,
-// and a model-less group is one cell), so the choice is deterministic
-// for a given model state.
+// queue and returns its cells in compute order, or nil when no cell is
+// pending. Each group keeps only its pending cells (a late push may
+// have settled a queued one) and a group left empty leaves the queue.
+// The next group is the one with the largest estimate (its model's
+// per-cell estimate times its cell count; longest-processing-time-first
+// over groups), ties broken by compareItems on any one cell of each
+// (named groups differ by model, and a model-less group is one cell),
+// so the choice is deterministic for a given model state.
 func (c *Coordinator) takeGroupLocked() []*workItem {
 	var best []*workItem
 	bestMs := 0.0
-	for _, g := range c.pending {
+	for k, g := range c.pending {
+		g = slices.DeleteFunc(g, func(it *workItem) bool { return it.state != statePending })
+		if len(g) == 0 {
+			delete(c.pending, k)
+			continue
+		}
+		c.pending[k] = g
 		ms := c.cost.EstimateMs(g[0].model) * float64(len(g))
 		if best == nil || ms > bestMs || ms == bestMs && compareItems(g[0], best[0]) < 0 {
 			best, bestMs = g, ms
 		}
+	}
+	if best == nil {
+		return nil
 	}
 	delete(c.pending, best[0].group())
 	slices.SortFunc(best, compareItems)
@@ -174,7 +194,7 @@ func (c *Coordinator) releaseLocked(g *grantRec, unsent bool) bool {
 		}
 		g.cells = g.cells[:g.sent]
 	}
-	if g.sent < len(g.cells) || g.outstanding() > 0 {
+	if g.next() || g.outstanding() > 0 {
 		return false
 	}
 	delete(c.grants, g.id)

@@ -453,3 +453,56 @@ func TestGroupSpansGrids(t *testing.T) {
 		t.Fatalf("first grant = %v, want ma's cells of both grids %v", got, want)
 	}
 }
+
+// TestLatePushedQueuedCellIsNotGrantedAgain: a cell whose grant
+// expired is requeued; when its late push lands while it waits in the
+// queue, it stays done and no later grant takes it.
+func TestLatePushedQueuedCellIsNotGrantedAgain(t *testing.T) {
+	withHarnessState(t)
+	e := threeRecipes("latequeued")
+	clock, advance := fakeClock()
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t), LeaseTTL: time.Minute, Clock: clock})
+	late := next(t, c, "slow")
+	advance(2 * time.Minute)
+	c.Reap()
+	pushLease(t, c, e, "slow", late)
+	if p := c.Snapshot().Experiments[0]; p.Done != 1 || p.Pending != 5 {
+		t.Fatalf("progress after the late push = %+v, want 1 done / 5 pending", p)
+	}
+	// ma has two pending cells left, so mb's three go first.
+	for _, want := range [][]int{{3, 4, 5}, {1, 2}} {
+		if got := indices(grant(t, c, "next")); !slices.Equal(got, want) {
+			t.Fatalf("grant = cells %v, want %v", got, want)
+		}
+		if p := c.Snapshot().Experiments[0]; p.Done != 1 {
+			t.Fatalf("progress after a grant = %+v, want the late-pushed cell still done", p)
+		}
+	}
+	if lr := c.lease("next"); lr.Status != StatusWait {
+		t.Fatalf("lease with every cell out = %q, want wait", lr.Status)
+	}
+}
+
+// TestLatePushedReservedCellIsNotSent: a cell reserved in one worker's
+// grant and completed by another worker's late push is skipped when the
+// grant's holder asks for its next cell.
+func TestLatePushedReservedCellIsNotSent(t *testing.T) {
+	withHarnessState(t)
+	e := threeRecipes("latereserved")
+	clock, advance := fakeClock()
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t), LeaseTTL: time.Minute, Clock: clock})
+	next(t, c, "a")
+	late := next(t, c, "a")
+	advance(2 * time.Minute)
+	c.Reap()
+	if l := next(t, c, "b"); l.Index != 0 {
+		t.Fatalf("b's first cell = %d, want ma's cell 0", l.Index)
+	}
+	pushLease(t, c, e, "a", late) // cell 1, reserved in b's grant
+	if l := next(t, c, "b"); l.Index != 2 {
+		t.Fatalf("b's second cell = %d, want cell 2 (cell 1 is done)", l.Index)
+	}
+	if p := c.Snapshot().Experiments[0]; p.Done != 1 || p.Leased != 2 {
+		t.Fatalf("progress = %+v, want 1 done / 2 leased", p)
+	}
+}

@@ -161,7 +161,16 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		sel := spec.Select(cfg.Filter)
 		if _, seen := manifests[spec.ID]; !seen && spec.NumCells() > 0 {
-			if m, ok := gridManifest(cfg.Store, spec, len(sel) == spec.NumCells()); ok {
+			// A full schedule is recorded (a failed write only degrades
+			// coverage reporting); a filtered sub-schedule is not the
+			// grid's schedule, so it only reads the stored manifest.
+			m, ok := resultstore.Manifest{}, true
+			if len(sel) == spec.NumCells() {
+				m, _ = cfg.Store.RecordSchedule(harness.ManifestFor(spec))
+			} else {
+				m, ok = cfg.Store.LoadManifest(spec.ID, spec.Seed)
+			}
+			if ok {
 				manifests[spec.ID] = &m
 			}
 		}
@@ -188,26 +197,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c.seedLocked(fresh)
 	c.checkCompleteLocked()
 	return c, nil
-}
-
-// gridManifest returns the store's manifest for a grid. A full
-// schedule (full) is recorded for coverage tooling first, preserving an
-// existing manifest whose schedule already matches (it may carry
-// kernel-variant provenance from earlier runs); a filtered
-// sub-schedule is not the grid's schedule and must not overwrite it
-// (same rule as the local executor).
-func gridManifest(s *resultstore.Store, spec harness.GridSpec, full bool) (resultstore.Manifest, bool) {
-	old, ok := s.LoadManifest(spec.ID, spec.Seed)
-	if !full {
-		return old, ok
-	}
-	if m := harness.ManifestFor(spec); !ok || !old.SameSchedule(m) {
-		// A failed manifest write only degrades coverage reporting;
-		// pushed cells are still content-addressed and safe.
-		_ = s.SaveManifest(m)
-		old = m
-	}
-	return old, true
 }
 
 // seedLocked marks every scheduled cell the store already holds as
@@ -498,9 +487,10 @@ func (c *Coordinator) AwaitChange(ctx context.Context, gen int64, timeout time.D
 	}
 }
 
-// lease sends worker the next unsent cell of its grant, or grants it
-// the next pending group and sends that group's first cell. Each answer
-// renews the grant's deadline and carries the grant id as Lease.ID.
+// lease sends worker the next unsent cell of its grant (skipping cells
+// a late push has settled), or grants it the next pending group and
+// sends that group's first cell. Each answer renews the grant's
+// deadline and carries the grant id as Lease.ID.
 func (c *Coordinator) lease(worker string) LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -516,17 +506,18 @@ func (c *Coordinator) lease(worker string) LeaseResponse {
 	}
 	var g *grantRec
 	for _, h := range c.grants {
-		if h.worker == worker && h.sent < len(h.cells) {
+		if h.worker == worker && h.next() {
 			g = h
 		}
 	}
 	if g == nil {
-		if len(c.pending) == 0 {
+		cells := c.takeGroupLocked()
+		if cells == nil {
 			rec.back = now.Add(2 * c.cfg.WaitRetry)
 			return LeaseResponse{Status: StatusWait, RetryMs: c.cfg.WaitRetry.Milliseconds()}
 		}
 		c.seq++
-		g = &grantRec{id: "l-" + strconv.FormatInt(c.seq, 10), worker: worker, cells: c.takeGroupLocked()}
+		g = &grantRec{id: "l-" + strconv.FormatInt(c.seq, 10), worker: worker, cells: cells}
 		for _, it := range g.cells {
 			it.state = stateLeased
 		}

@@ -37,8 +37,8 @@ func (s WarmStats) String() string {
 
 // Warm fetches every cell of the experiments' grids that the local
 // store is missing from the coordinator at url, ingesting them under
-// the store's usual conflict rules. Manifests are written locally from
-// the specs (the same full-schedule rule local runs use), so coverage
+// the store's usual conflict rules. Manifests are recorded locally from
+// the specs (Store.RecordSchedule, as local runs do), so coverage
 // tooling works on the warmed store immediately. Before a fetched cell
 // lands, the kernel variants the coordinator records for its grid are
 // stamped into the local manifest under the store's one-tier rule, so
@@ -57,7 +57,8 @@ func Warm(ctx context.Context, url string, store *resultstore.Store, exps []harn
 		if spec.NumCells() == 0 {
 			continue
 		}
-		gridManifest(store, spec, true)
+		// A failed manifest write only degrades coverage reporting.
+		_, _ = store.RecordSchedule(harness.ManifestFor(spec))
 		for i := 0; i < spec.NumCells(); i++ {
 			fp := spec.CellKey(spec.CellAt(i)).Fingerprint()
 			if _, ok := store.CellBytesByFingerprint(fp); ok {

@@ -92,8 +92,10 @@ func lookupCell(k resultstore.CellKey) (evalx.Result, bool) {
 // at identical results, so last-write-wins is safe. The flag reports
 // whether the cell was computed fresh rather than served from a cache
 // layer — the provenance signal: only fresh cells carry the current
-// kernel variant's bits into the store.
-func cachedCellFresh(k resultstore.CellKey, compute func() evalx.Result) (evalx.Result, bool) {
+// kernel variant's bits into the store. A compute that answers false
+// refuses the cell: nothing is memoized or persisted, and the zero
+// result comes back as not fresh.
+func cachedCellFresh(k resultstore.CellKey, compute func() (evalx.Result, bool)) (evalx.Result, bool) {
 	if r, ok := lookupCell(k); ok {
 		return r, false
 	}
@@ -103,7 +105,10 @@ func cachedCellFresh(k resultstore.CellKey, compute func() evalx.Result) (evalx.
 	// may slow, kill or un-persist a cell, never change its value (and
 	// the coordinator treats reported cell failures as permanent).
 	_ = faultline.Hit("harness.cell.compute")
-	r := compute()
+	r, ok := compute()
+	if !ok {
+		return evalx.Result{}, false
+	}
 	if r.Err == "" {
 		err := faultline.Hit("harness.cell.persist")
 		if err == nil {

@@ -6,15 +6,19 @@
 // (model-affine claims, sweep.go), consults the memo and the result
 // store per cell, and persists fresh results — so an interrupted sweep
 // resumes from its completed cells on the next invocation, for every
-// grid experiment by construction.
+// grid experiment by construction. A full-schedule run records its
+// grid's manifest (Store.RecordSchedule) before any cell runs, and the
+// first fresh cell stamps the active kernel tier into it
+// (Store.StampVariants): a grid recorded under another tier serves its
+// stored cells but computes and stores none.
 
 package harness
 
 import (
 	"fmt"
 	"os"
-	"reflect"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"fp8quant/internal/evalx"
@@ -33,7 +37,8 @@ const ErrNotSelected = "cell not selected by the filter"
 func Run(e Experiment) *Report {
 	g, _, err := RunGrid(e, nil)
 	if err != nil {
-		// Unreachable with a nil filter; keep the report well-formed.
+		// With a nil filter, only a kernel-tier conflict; keep the
+		// report well-formed.
 		return &Report{Text: "error: " + err.Error(), Values: map[string]float64{}}
 	}
 	return e.Render(g)
@@ -49,7 +54,9 @@ type Shard struct{}
 // empty = all) and returns the grid plus the selected row-major
 // indices. Unselected cells stay zero-valued in the grid. A non-empty
 // filter that matches no cell, or one naming an axis the grid does not
-// declare, is an error.
+// declare, is an error. So is a grid whose manifest records another
+// kernel tier than the active one, once a cell is not in the store:
+// then no cell is computed or stored (Store.StampVariants).
 func RunGrid(e Experiment, f Filter, _ ...Shard) (*Grid, []int, error) {
 	spec := e.Spec()
 	n := spec.NumCells()
@@ -75,24 +82,35 @@ func RunGrid(e Experiment, f Filter, _ ...Shard) (*Grid, []int, error) {
 	if len(sel) == 0 {
 		return g, sel, nil
 	}
-	var done, fresh atomic.Int64
+	// A full-schedule run knows the complete cell set; record it so
+	// coverage tooling can reason about the sweep, an interrupted one
+	// included, without re-deriving the spec.
+	s := Store()
+	if s != nil && len(sel) == n {
+		if _, err := s.RecordSchedule(ManifestFor(spec)); err != nil {
+			fmt.Fprintf(os.Stderr, "warning: manifest write failed: %v\n", err)
+		}
+	}
+	// Only a fresh cell carries the active tier's bits into the store,
+	// so the first one stamps it; a conflict refuses every fresh cell.
+	var stampErr error
+	stamp := sync.OnceFunc(func() {
+		stampErr = s.StampVariants(spec.ID, spec.Seed, []string{string(kernels.Active())})
+	})
+	var done atomic.Int64
 	reportProgress(e.ID(), 0, len(sel))
 	forEachCell(spec.CellModels(sel), func(k int) {
 		c := spec.CellAt(sel[k])
-		r, computed := cachedCellFresh(spec.CellKey(c), func() evalx.Result {
-			return runCellSafe(e, spec, c)
+		g.Results[sel[k]], _ = cachedCellFresh(spec.CellKey(c), func() (evalx.Result, bool) {
+			if stamp(); stampErr != nil {
+				return evalx.Result{}, false
+			}
+			return runCellSafe(e, spec, c), true
 		})
-		g.Results[sel[k]] = r
-		if computed {
-			fresh.Add(1)
-		}
 		reportProgress(e.ID(), int(done.Add(1)), len(sel))
 	})
-	// A full-schedule run knows the complete cell set; record it so
-	// coverage tooling can reason about the sweep without re-deriving
-	// the spec.
-	if s := Store(); s != nil && len(sel) == n {
-		saveManifest(s, spec, fresh.Load() > 0)
+	if stampErr != nil {
+		return nil, nil, stampErr
 	}
 	return g, sel, nil
 }
@@ -113,16 +131,10 @@ func ComputeCell(e Experiment, idx int) (resultstore.CellKey, evalx.Result, bool
 	}
 	c := spec.CellAt(idx)
 	k := spec.CellKey(c)
-	if r, ok := lookupCell(k); ok {
-		return k, r, false
-	}
-	// A concurrent computation of the same cell between the lookup and
-	// here just means cachedCellFresh returns the (identical) memoized
-	// result; reporting it as fresh is harmless — the duration is real.
-	r, _ := cachedCellFresh(k, func() evalx.Result {
-		return runCellSafe(e, spec, c)
+	r, fresh := cachedCellFresh(k, func() (evalx.Result, bool) {
+		return runCellSafe(e, spec, c), true
 	})
-	return k, r, true
+	return k, r, fresh
 }
 
 // runCellSafe converts a RunCell panic into an Err-marked result.
@@ -185,31 +197,6 @@ func formatMetrics(m map[string]float64) string {
 		b = append(b, fmt.Sprintf("%s=%.4g", k, m[k])...)
 	}
 	return string(b)
-}
-
-// saveManifest records the grid's full schedule, rewriting a stored
-// manifest that no longer matches the spec — the grid's axes can
-// legitimately change without a schema bump (a model added to the
-// zoo), and a stale manifest would misreport store coverage forever.
-// A run that computed at least one fresh cell stamps the active kernel
-// variant into the manifest's provenance (a fully warm run contributes
-// no new bits, so its variant is not provenance — in particular it
-// leaves a pre-variant store's manifest byte-identical).
-func saveManifest(s *resultstore.Store, spec GridSpec, computedFresh bool) {
-	m := ManifestFor(spec)
-	old, ok := s.LoadManifest(spec.ID, spec.Seed)
-	if ok && old.SameSchedule(m) {
-		m.KernelVariants = old.KernelVariants
-	}
-	if computedFresh {
-		m.KernelVariants = resultstore.UnionVariants(m.KernelVariants, []string{string(kernels.Active())})
-	}
-	if ok && reflect.DeepEqual(old, m) {
-		return
-	}
-	if err := s.SaveManifest(m); err != nil {
-		fmt.Fprintf(os.Stderr, "warning: manifest write failed: %v\n", err)
-	}
 }
 
 // ManifestFor derives a grid's full schedule manifest from its spec —

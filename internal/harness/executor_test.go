@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
@@ -390,6 +391,65 @@ func TestRunGridWritesManifest(t *testing.T) {
 	}
 	if !bytes.Equal(before, after) {
 		t.Error("warm run rewrote the manifest of a variant-less store")
+	}
+}
+
+// TestRunGridRefusesAnotherTier pins the one-tier rule on the local
+// path: over a grid whose manifest records another kernel variant, a
+// run that needs a fresh cell computes and stores none, returns the
+// conflict and leaves the manifest alone, while a fully warm run still
+// serves and leaves the manifest byte-identical.
+func TestRunGridRefusesAnotherTier(t *testing.T) {
+	withCleanCache(t)
+	s, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetStore(s)
+	e, computes := newExecTestExp()
+	Run(e)
+	spec := e.Spec()
+	m, _ := s.LoadManifest(spec.ID, spec.Seed)
+	m.KernelVariants = []string{"other"}
+	if err := s.SaveManifest(m); err != nil {
+		t.Fatal(err)
+	}
+	path := s.ManifestPath(spec.ID, spec.Seed)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameManifest := func(what string) {
+		t.Helper()
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(before, after) {
+			t.Errorf("%s changed the manifest: %s", what, after)
+		}
+	}
+	cold := computes.Load()
+
+	ClearMemo()
+	if _, _, err := RunGrid(e, nil); err != nil {
+		t.Fatalf("fully warm run over another tier's grid: %v", err)
+	}
+	sameManifest("a fully warm run")
+
+	lost := s.CellPath(spec.CellKey(spec.CellAt(0)))
+	if err := os.Remove(lost); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []Filter{nil, {"model": {"ma"}}} {
+		ClearMemo()
+		writes := s.Stats().Writes
+		if _, _, err := RunGrid(e, f); !errors.Is(err, resultstore.ErrVariantConflict) {
+			t.Fatalf("run with filter %q needing a fresh cell = %v, want a variant conflict", f.String(), err)
+		}
+		if n := computes.Load() - cold; n != 0 || s.Stats().Writes != writes {
+			t.Fatalf("refused run with filter %q computed %d cells and stored %d", f.String(), n, s.Stats().Writes-writes)
+		}
+		if _, err := os.Stat(lost); !os.IsNotExist(err) {
+			t.Fatalf("refused run with filter %q stored the missing cell", f.String())
+		}
+		sameManifest("a refused run")
 	}
 }
 

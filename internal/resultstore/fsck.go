@@ -3,14 +3,15 @@
 // classified, damaged entries are reported (and, on request,
 // quarantined so the next sweep recomputes exactly the damaged cells),
 // and cross-checks diff each manifest's schedule against the cells
-// actually present. Reads never trust file names: a cell is only
+// actually present. Fsck judges each file by the store's one verdict
+// (cellVerdict, manifestVerdict), so a file it calls clean is exactly
+// one a read would hit. Reads never trust file names: a cell is only
 // healthy if its bytes parse as a current-schema envelope whose key
 // hashes back to the name's fingerprint.
 
 package resultstore
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -60,6 +61,16 @@ const (
 	// valid sidecar name either (informational — left alone).
 	FindForeign = "foreign"
 )
+
+// findDetail explains each kind of flawed file.
+var findDetail = map[string]string{
+	FindTornTmp:           "leftover temp file from an interrupted atomic write",
+	FindCorruptCell:       "cell bytes do not parse as a cell envelope",
+	FindMismatchedCell:    "cell key hashes to another fingerprint than the file's name",
+	FindCorruptManifest:   "manifest bytes do not parse as a manifest envelope",
+	FindMisplacedManifest: "manifest's grid and seed belong at another file name",
+	FindStaleSchema:       fmt.Sprintf("entry from another schema generation (current is %d)", SchemaVersion),
+}
 
 // FsckOptions configures a store check.
 type FsckOptions struct {
@@ -135,7 +146,6 @@ func (s *Store) Fsck(opts FsckOptions) (FsckReport, error) {
 			continue // quarantine/ and any other directory
 		}
 		name := ent.Name()
-		path := filepath.Join(s.dir, name)
 		switch {
 		case strings.HasSuffix(name, ".tmp"):
 			if opts.TmpAge > 0 {
@@ -144,53 +154,26 @@ func (s *Store) Fsck(opts FsckOptions) (FsckReport, error) {
 					continue // possibly a write in flight
 				}
 			}
-			add(name, FindTornTmp, "leftover temp file from an interrupted atomic write", true)
-		case strings.HasPrefix(name, "c-") && storeFilePattern.MatchString(name):
-			rep.Cells++
-			b, rerr := os.ReadFile(path)
-			if rerr != nil {
-				return rep, fmt.Errorf("resultstore: fsck read %s: %w", name, rerr)
-			}
-			var env cellEnvelope
-			if json.Unmarshal(b, &env) != nil {
-				add(name, FindCorruptCell, "cell bytes do not parse as a cell envelope", true)
-				continue
-			}
-			if env.Schema != SchemaVersion {
-				add(name, FindStaleSchema, fmt.Sprintf("cell from schema %d (current is %d)", env.Schema, SchemaVersion), false)
-				continue
-			}
-			fp, _ := cellFingerprint(name)
-			if env.Key.Fingerprint() != fp {
-				add(name, FindMismatchedCell,
-					fmt.Sprintf("cell key hashes to %s, not the file's fingerprint", env.Key.Fingerprint()), true)
-				continue
-			}
-			healthyCells[fp] = true
-		case strings.HasPrefix(name, "m-") && storeFilePattern.MatchString(name):
-			rep.Manifests++
-			b, rerr := os.ReadFile(path)
-			if rerr != nil {
-				return rep, fmt.Errorf("resultstore: fsck read %s: %w", name, rerr)
-			}
-			var env manifestEnvelope
-			if json.Unmarshal(b, &env) != nil {
-				add(name, FindCorruptManifest, "manifest bytes do not parse as a manifest envelope", true)
-				continue
-			}
-			if env.Schema != SchemaVersion {
-				add(name, FindStaleSchema, fmt.Sprintf("manifest from schema %d (current is %d)", env.Schema, SchemaVersion), false)
-				continue
-			}
-			m := env.Manifest
-			if want := filepath.Base(s.ManifestPath(m.Grid, m.Seed)); want != name {
-				add(name, FindMisplacedManifest,
-					fmt.Sprintf("manifest for grid %q seed %d belongs at %s", m.Grid, m.Seed, want), true)
-				continue
-			}
-			manifests = append(manifests, m)
+			add(name, FindTornTmp, findDetail[FindTornTmp], true)
 		case storeFilePattern.MatchString(name):
-			add(name, FindStaleSchema, "legacy schema-1 whole-grid blob", false)
+			b, rerr := os.ReadFile(filepath.Join(s.dir, name))
+			if rerr != nil {
+				return rep, fmt.Errorf("resultstore: fsck read %s: %w", name, rerr)
+			}
+			switch name[:2] {
+			case "c-":
+				rep.Cells++
+			case "m-":
+				rep.Manifests++
+			}
+			switch verdict, m := fileVerdict(name, b); {
+			case verdict != "":
+				add(name, verdict, findDetail[verdict], verdict != FindStaleSchema)
+			case m != nil:
+				manifests = append(manifests, *m)
+			default:
+				healthyCells[name[2:34]] = true
+			}
 		case validSidecarName(name) == nil:
 			rep.Sidecars++
 		default:
@@ -220,7 +203,7 @@ func (s *Store) Fsck(opts FsckOptions) (FsckReport, error) {
 		}
 		cov := s.Coverage(m)
 		if !cov.Complete() {
-			add(filepath.Base(s.ManifestPath(m.Grid, m.Seed)), FindIncompleteGrid,
+			add(manifestName(m.Grid, m.Seed), FindIncompleteGrid,
 				fmt.Sprintf("grid %q seed %d: %d/%d cells present; resume will recompute %d",
 					m.Grid, m.Seed, cov.Done, cov.Total, len(cov.Missing)), false)
 		}

@@ -9,9 +9,11 @@ import (
 )
 
 // FuzzCellFile writes arbitrary bytes as the cell file of testKey and
-// checks that the read path and fsck agree on them: LoadCell hits
-// exactly when Fsck finds neither damage nor a stale schema in that
-// file.
+// checks that every reader of the store gives them one verdict:
+// LoadCell hits, CellBytesByFingerprint returns the bytes, Coverage
+// counts the cell done, Fsck finds neither damage nor a stale schema
+// in the file, and IngestCell of the same bytes answers
+// IngestIdentical — all of these or none.
 func FuzzCellFile(f *testing.F) {
 	valid, err := EncodeCell(testKey(), testResult())
 	if err != nil {
@@ -23,18 +25,27 @@ func FuzzCellFile(f *testing.F) {
 	// The envelope's schema (written first) stale, the key's current.
 	cur := fmt.Sprintf(`"schema":%d`, SchemaVersion)
 	f.Add(bytes.Replace(valid, []byte(cur), []byte(fmt.Sprintf(`"schema":%d`, SchemaVersion-1)), 1))
+	// A healthy envelope of another key, at this key's path.
+	other, err := EncodeCell(keyFor("densenet121"), testResult())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(other)
 	// One store for every input: each run overwrites the only file in it.
 	s, err := Open(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
 	}
 	k := testKey()
+	fp := k.Fingerprint()
 	path := s.CellPath(k)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, hit := s.LoadCell(k)
+		got, served := s.CellBytesByFingerprint(fp)
+		done := s.Coverage(Manifest{Cells: []string{fp}}).Done == 1
 		rep, err := s.Fsck(FsckOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -45,8 +56,21 @@ func FuzzCellFile(f *testing.F) {
 				clean = false
 			}
 		}
-		if hit != clean {
-			t.Fatalf("LoadCell hit = %v, but fsck findings %+v for %q", hit, rep.Findings, b)
+		status, ingestErr := s.IngestCell(fp, b)
+		identical := ingestErr == nil && status == IngestIdentical
+		verdicts := map[string]bool{
+			"CellBytesByFingerprint": served && bytes.Equal(got, b),
+			"Coverage":               done,
+			"Fsck":                   clean,
+			"IngestCell":             identical,
+		}
+		for reader, ok := range verdicts {
+			if ok != hit {
+				t.Fatalf("LoadCell hit = %v but %s says %v (all: %v) for %q", hit, reader, ok, verdicts, b)
+			}
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, b) {
+			t.Fatalf("IngestCell of the file's own bytes rewrote it: %q, %v", after, err)
 		}
 	})
 }

@@ -11,12 +11,10 @@ package resultstore
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 
 	"fp8quant/internal/faultline"
 )
@@ -72,7 +70,7 @@ func (s *Store) IngestCell(fp string, payload []byte) (IngestStatus, error) {
 	if !validCellBytes(payload, fp) {
 		return 0, fmt.Errorf("%w: payload for cell %s is not a valid current-schema envelope for that fingerprint", ErrBadPayload, fp)
 	}
-	dstPath := filepath.Join(s.dir, "c-"+fp+".json")
+	dstPath := s.cellPath(fp)
 	dstBytes, err := os.ReadFile(dstPath)
 	switch {
 	case os.IsNotExist(err):
@@ -110,21 +108,17 @@ func (s *Store) CellBytesByFingerprint(fp string) ([]byte, bool) {
 	if s == nil {
 		return nil, false
 	}
-	b, err := os.ReadFile(filepath.Join(s.dir, "c-"+fp+".json"))
+	b, err := os.ReadFile(s.cellPath(fp))
 	if err != nil || !validCellBytes(b, fp) {
 		return nil, false
 	}
 	return b, true
 }
 
-// validCellBytes reports whether b is a current-schema cell envelope
-// whose key hashes to the expected fingerprint.
+// validCellBytes reports whether b is a healthy cell file for fp.
 func validCellBytes(b []byte, fp string) bool {
-	var env cellEnvelope
-	if json.Unmarshal(b, &env) != nil || env.Schema != SchemaVersion {
-		return false
-	}
-	return env.Key.Fingerprint() == fp
+	_, verdict := cellVerdict(b, fp)
+	return verdict == ""
 }
 
 // ErrVariantConflict marks an attempt to record a second kernel
@@ -153,36 +147,26 @@ func (s *Store) StampVariants(grid string, seed uint64, variants []string) error
 	return nil
 }
 
-// AddVariants unions variants into m.KernelVariants and reports
-// whether the list grew. A union of more than one distinct variant is
-// an ErrVariantConflict and leaves m untouched. Empty variant names
-// (older workers, legacy stores) union as nothing.
+// AddVariants unions variants into m.KernelVariants, deduplicated,
+// and reports whether the list changed. A union of more than one
+// distinct variant is an ErrVariantConflict and leaves m untouched.
+// Empty variant names (older workers, legacy stores) union as nothing.
 func (m *Manifest) AddVariants(variants []string) (bool, error) {
-	merged := UnionVariants(m.KernelVariants, variants)
+	var merged []string
+	for _, v := range append(slices.Clone(m.KernelVariants), variants...) {
+		if v != "" && !slices.Contains(merged, v) {
+			merged = append(merged, v)
+		}
+	}
 	if len(merged) > 1 {
 		return false, fmt.Errorf("%w: %v against the store's recorded %v for grid %s: a sweep must stay on one tier (set FP8_KERNEL on every worker)",
 			ErrVariantConflict, variants, m.KernelVariants, m.Grid)
 	}
-	if len(merged) == len(m.KernelVariants) {
+	if slices.Equal(merged, m.KernelVariants) {
 		return false, nil
 	}
 	m.KernelVariants = merged
 	return true, nil
-}
-
-// UnionVariants merges two kernel-variant lists, deduplicated and
-// sorted so the union is order-independent.
-func UnionVariants(a, b []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, v := range append(append([]string{}, a...), b...) {
-		if v != "" && !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Coverage reports which of a manifest's cells are present in the
@@ -208,21 +192,18 @@ func (c Coverage) Percent() float64 {
 }
 
 // Coverage diffs the manifest's cell schedule against the store's
-// on-disk cells. A cell counts as done when its file exists and parses
-// as a current-schema envelope — a torn write is as missing as no file
-// at all, since a resume run would recompute it. A nil store has
-// nothing, so every cell is missing.
+// on-disk cells. A cell counts as done exactly when a read would hit
+// it: its file's verdict is healthy. A torn, stale or key-mismatched
+// file is as missing as no file at all, since a resume run would
+// recompute it. A nil store has nothing, so every cell is missing.
 func (s *Store) Coverage(m Manifest) Coverage {
 	cov := Coverage{Total: len(m.Cells)}
 	for i, fp := range m.Cells {
-		if s != nil {
-			path := filepath.Join(s.dir, "c-"+fp+".json")
-			if ok, err := hasCurrentSchema(path); err == nil && ok {
-				cov.Done++
-				continue
-			}
+		if _, ok := s.CellBytesByFingerprint(fp); ok {
+			cov.Done++
+		} else {
+			cov.Missing = append(cov.Missing, i)
 		}
-		cov.Missing = append(cov.Missing, i)
 	}
 	return cov
 }

@@ -136,6 +136,14 @@ func TestCoverageCountsValidCells(t *testing.T) {
 	if cov.Done != 0 {
 		t.Errorf("corrupt-cell coverage = %+v, want missing", cov)
 	}
+	// So is a healthy envelope of another key: a read of this one misses.
+	other, _ := EncodeCell(keyFor("densenet121"), testResult())
+	if err := os.WriteFile(s.CellPath(testKey()), other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if cov := s.Coverage(m); cov.Done != 0 {
+		t.Errorf("key-mismatched-cell coverage = %+v, want missing", cov)
+	}
 	// Empty manifest is trivially complete; nil store has nothing.
 	if cov := s.Coverage(Manifest{}); !cov.Complete() || cov.Percent() != 100 {
 		t.Errorf("empty-manifest coverage = %+v", cov)
@@ -143,5 +151,59 @@ func TestCoverageCountsValidCells(t *testing.T) {
 	var nilStore *Store
 	if cov := nilStore.Coverage(m); cov.Done != 0 || len(cov.Missing) != 1 {
 		t.Errorf("nil-store coverage = %+v, want all missing", cov)
+	}
+}
+
+// TestPruneRemovesWhatReadsMiss: Prune judges by the same verdict as
+// the reads, so a key-mismatched cell and a misplaced manifest go,
+// while a healthy cell and manifest, a fresh temp file, a sidecar, a
+// foreign file and a directory stay.
+func TestPruneRemovesWhatReadsMiss(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	if err := s.SaveCell(testKey(), testResult()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveManifest(testManifest()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveSidecar("costmodel.json", []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	other, _ := EncodeCell(keyFor("densenet121"), testResult())
+	mb, _ := os.ReadFile(s.ManifestPath("table2-sweep", 0))
+	gone := map[string][]byte{
+		"c-0123456789abcdef0123456789abcdef.json": other, // another key's envelope
+		"m-0123456789abcdef0123456789abcdef.json": mb,    // a healthy manifest, misplaced
+	}
+	for name, b := range gone {
+		os.WriteFile(filepath.Join(dir, name), b, 0o644)
+	}
+	os.WriteFile(filepath.Join(dir, ".cell-1.tmp"), []byte("in flight"), 0o644)
+	os.WriteFile(filepath.Join(dir, "notes.json"), []byte(`{}`), 0o644)
+	// A directory is never a store file, whatever its name.
+	dirNamed := "c-fedcba9876543210fedcba9876543210.json"
+	if err := os.Mkdir(filepath.Join(dir, dirNamed), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	n, err := s.Prune(0)
+	if err != nil || n != len(gone) {
+		t.Fatalf("Prune(0) = %d, %v; want %d, nil", n, err, len(gone))
+	}
+	for name := range gone {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s survived Prune", name)
+		}
+	}
+	for _, name := range []string{".cell-1.tmp", "notes.json", "costmodel.json", dirNamed} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("Prune removed %s: %v", name, err)
+		}
+	}
+	if _, ok := s.LoadCell(testKey()); !ok {
+		t.Error("healthy cell must survive Prune(0)")
+	}
+	if _, ok := s.LoadManifest("table2-sweep", 0); !ok {
+		t.Error("healthy manifest must survive Prune(0)")
 	}
 }

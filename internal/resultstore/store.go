@@ -4,10 +4,16 @@
 // grid *cell* — a single (axis values) evaluation — keyed by a
 // fingerprint of (grid id, ordered axis name/value pairs, seed, schema
 // version), so an interrupted sweep resumes from its completed cells.
-// A per-grid manifest records the full cell schedule for tooling.
-// Writes are atomic (temp file + rename) and reads tolerate corrupt or
-// stale files by treating them as misses, so a damaged cache can never
-// poison a report — at worst it costs a recompute.
+// A per-grid manifest records the full cell schedule for tooling and
+// the one kernel tier the grid's cells were computed on; RecordSchedule
+// and StampVariants write it. Writes are atomic (temp file + rename).
+// The store owns the rules its files obey: each cell or manifest file
+// gets one verdict (cellVerdict, manifestVerdict) — healthy, or the
+// Fsck finding kind of its flaw — and every reader judges through it,
+// so a file is a LoadCell hit exactly when Coverage counts it done,
+// Fsck calls it clean and Prune keeps it. A flawed file is a miss, so
+// a damaged cache can never poison a report — at worst it costs a
+// recompute.
 package resultstore
 
 import (
@@ -160,7 +166,12 @@ func (s *Store) Stats() Stats {
 
 // CellPath returns the file a key's cell is stored at.
 func (s *Store) CellPath(k CellKey) string {
-	return filepath.Join(s.dir, "c-"+k.Fingerprint()+".json")
+	return s.cellPath(k.Fingerprint())
+}
+
+// cellPath returns the file the cell with fingerprint fp is stored at.
+func (s *Store) cellPath(fp string) string {
+	return filepath.Join(s.dir, "c-"+fp+".json")
 }
 
 // cellEnvelope is the on-disk cell format: the schema version and full
@@ -172,8 +183,24 @@ type cellEnvelope struct {
 	Result evalx.Result `json:"result"`
 }
 
+// cellVerdict judges the bytes of the cell file named for fp: "" for a
+// healthy cell (a current-schema envelope whose key hashes to fp),
+// else the Find* kind of its flaw. It returns the decoded envelope.
+func cellVerdict(b []byte, fp string) (cellEnvelope, string) {
+	var env cellEnvelope
+	switch {
+	case json.Unmarshal(b, &env) != nil:
+		return env, FindCorruptCell
+	case env.Schema != SchemaVersion:
+		return env, FindStaleSchema
+	case env.Key.Fingerprint() != fp:
+		return env, FindMismatchedCell
+	}
+	return env, ""
+}
+
 // LoadCell returns the stored result for the key, or (zero, false) on
-// any miss: absent file, unreadable JSON, schema or key mismatch.
+// any miss: an absent file, or one whose verdict is not healthy.
 func (s *Store) LoadCell(k CellKey) (evalx.Result, bool) {
 	if s == nil {
 		return evalx.Result{}, false
@@ -183,22 +210,18 @@ func (s *Store) LoadCell(k CellKey) (evalx.Result, bool) {
 		s.misses.Add(1)
 		return evalx.Result{}, false
 	}
-	b, err := os.ReadFile(s.CellPath(k))
+	fp := k.Fingerprint()
+	b, err := os.ReadFile(s.cellPath(fp))
 	if err != nil {
 		s.misses.Add(1)
 		return evalx.Result{}, false
 	}
-	var env cellEnvelope
-	if err := json.Unmarshal(b, &env); err != nil {
-		// Corrupt entry (torn write from a crashed process, disk
-		// damage): treat as a miss. Deliberately not deleted — the
-		// recompute's SaveCell rename replaces it atomically, and a
-		// delete here could race a concurrent process's just-renamed
-		// valid cell.
-		s.misses.Add(1)
-		return evalx.Result{}, false
-	}
-	if env.Schema != k.Schema || !keysEqual(env.Key, k) {
+	// A flawed entry (a torn write from a crashed process, disk damage)
+	// is deliberately not deleted: the recompute's SaveCell rename
+	// replaces it atomically, and a delete here could race a concurrent
+	// process's just-renamed valid cell.
+	env, verdict := cellVerdict(b, fp)
+	if verdict != "" || !keysEqual(env.Key, k) {
 		s.misses.Add(1)
 		return evalx.Result{}, false
 	}
@@ -238,6 +261,12 @@ func (s *Store) SaveCell(k CellKey, r evalx.Result) error {
 
 // ManifestPath returns the file a grid's manifest is stored at.
 func (s *Store) ManifestPath(grid string, seed uint64) string {
+	return filepath.Join(s.dir, manifestName(grid, seed))
+}
+
+// manifestName is the file name of a grid's manifest: the hash of its
+// (grid, seed, schema).
+func manifestName(grid string, seed uint64) string {
 	key := struct {
 		Grid   string `json:"grid"`
 		Seed   uint64 `json:"seed"`
@@ -245,7 +274,7 @@ func (s *Store) ManifestPath(grid string, seed uint64) string {
 	}{grid, seed, SchemaVersion}
 	b, _ := json.Marshal(key)
 	sum := sha256.Sum256(b)
-	return filepath.Join(s.dir, "m-"+hex.EncodeToString(sum[:16])+".json")
+	return "m-" + hex.EncodeToString(sum[:16]) + ".json"
 }
 
 // manifestEnvelope wraps a manifest with its schema version.
@@ -254,24 +283,53 @@ type manifestEnvelope struct {
 	Manifest Manifest `json:"manifest"`
 }
 
+// manifestVerdict judges the bytes of the manifest file called name:
+// "" for a healthy manifest (a current-schema envelope stored under
+// its grid's manifest name), else the Find* kind of its flaw. It
+// returns the decoded manifest.
+func manifestVerdict(name string, b []byte) (Manifest, string) {
+	var env manifestEnvelope
+	switch {
+	case json.Unmarshal(b, &env) != nil:
+		return env.Manifest, FindCorruptManifest
+	case env.Schema != SchemaVersion:
+		return env.Manifest, FindStaleSchema
+	case manifestName(env.Manifest.Grid, env.Manifest.Seed) != name:
+		return env.Manifest, FindMisplacedManifest
+	}
+	return env.Manifest, ""
+}
+
 // LoadManifest returns the stored manifest for a grid, or false on any
 // miss. Manifest traffic is not counted in Stats.
 func (s *Store) LoadManifest(grid string, seed uint64) (Manifest, bool) {
 	if s == nil {
 		return Manifest{}, false
 	}
-	b, err := os.ReadFile(s.ManifestPath(grid, seed))
+	name := manifestName(grid, seed)
+	b, err := os.ReadFile(filepath.Join(s.dir, name))
 	if err != nil {
 		return Manifest{}, false
 	}
-	var env manifestEnvelope
-	if err := json.Unmarshal(b, &env); err != nil {
-		return Manifest{}, false
+	if m, verdict := manifestVerdict(name, b); verdict == "" && m.Grid == grid && m.Seed == seed {
+		return m, true
 	}
-	if env.Schema != SchemaVersion || env.Manifest.Grid != grid || env.Manifest.Seed != seed {
-		return Manifest{}, false
+	return Manifest{}, false
+}
+
+// RecordSchedule records m as its grid's full schedule and returns the
+// manifest the store holds for the grid afterwards. A stored manifest
+// with the same schedule is kept as it is, with the kernel-variant
+// provenance it carries; any other is replaced by m, because the
+// grid's axes can change without a schema bump (a model added to the
+// zoo) and a stale schedule would misreport coverage forever. It and
+// StampVariants are the store's manifest writers.
+func (s *Store) RecordSchedule(m Manifest) (Manifest, error) {
+	m.Schema = SchemaVersion
+	if old, ok := s.LoadManifest(m.Grid, m.Seed); ok && old.SameSchedule(m) {
+		return old, nil
 	}
-	return env.Manifest, true
+	return m, s.SaveManifest(m)
 }
 
 // SaveManifest atomically persists a grid manifest.
@@ -301,17 +359,36 @@ const tmpGrace = time.Hour
 // safe.
 var storeFilePattern = regexp.MustCompile(`^(c-|m-)?[0-9a-f]{32}\.json$`)
 
-// Prune removes stale store entries: abandoned temp files (older than
-// tmpGrace), store-named files that fail to parse, and entries from
-// other schema versions (including the pre-cell whole-grid blobs of
-// schema 1). With maxAge > 0 it also removes current-schema cells
-// whose file is older than maxAge — except cells referenced by a live
-// (current-schema) manifest, which a warmed or pushed-to store may
-// have received with an arbitrary mtime and which a resume or coverage
-// check still expects to find. Manifests themselves never age out: they are tiny
-// and carry the schedule that gives the cells meaning. Returns the
-// number of files removed. Files the store did not name are left
-// alone.
+// fileVerdict judges a store-named file by its bytes: a cell or a
+// manifest by its own verdict, a legacy whole-grid blob as stale. A
+// healthy manifest is returned, for the checks that need its schedule.
+func fileVerdict(name string, b []byte) (string, *Manifest) {
+	switch name[:2] {
+	case "c-":
+		_, verdict := cellVerdict(b, name[2:34])
+		return verdict, nil
+	case "m-":
+		m, verdict := manifestVerdict(name, b)
+		if verdict != "" {
+			return verdict, nil
+		}
+		return "", &m
+	}
+	return FindStaleSchema, nil
+}
+
+// Prune removes what the store can never read: abandoned temp files
+// (older than tmpGrace) and every store-named file whose verdict is
+// not healthy — corrupt, key-mismatched or stale cells, corrupt,
+// misplaced or stale manifests, and the pre-cell whole-grid blobs of
+// schema 1. With maxAge > 0 it also removes healthy cells whose file
+// is older than maxAge, except cells a healthy manifest references,
+// which a warmed or pushed-to store may have received with an
+// arbitrary mtime and which a resume or coverage check still expects
+// to find. Manifests never age out: they are tiny and carry the
+// schedule that gives the cells meaning. A file that cannot be read
+// right now is skipped, and files the store did not name (sidecars
+// included) are left alone. Returns the number of files removed.
 func (s *Store) Prune(maxAge time.Duration) (int, error) {
 	if s == nil {
 		return 0, nil
@@ -320,49 +397,47 @@ func (s *Store) Prune(maxAge time.Duration) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("resultstore: %w", err)
 	}
-	var cutoff time.Time
-	var referenced map[string]bool
-	if maxAge > 0 {
-		cutoff = time.Now().Add(-maxAge)
-		referenced = s.manifestRefs(entries)
+	now := time.Now()
+	var doomed []string
+	var cells []os.DirEntry // healthy cells that may age out
+	referenced := map[string]bool{}
+	for _, ent := range entries {
+		name := ent.Name()
+		switch {
+		case ent.IsDir(): // quarantine/ or foreign: never a store file
+		case strings.HasSuffix(name, ".tmp"):
+			// A younger one is possibly a write in flight.
+			if info, err := ent.Info(); err == nil && now.Sub(info.ModTime()) > tmpGrace {
+				doomed = append(doomed, name)
+			}
+		case storeFilePattern.MatchString(name):
+			b, err := os.ReadFile(filepath.Join(s.dir, name))
+			if err != nil {
+				// A transient read failure (EMFILE, permissions) must
+				// not condemn a possibly valid entry.
+				continue
+			}
+			switch verdict, m := fileVerdict(name, b); {
+			case verdict != "":
+				doomed = append(doomed, name)
+			case m != nil:
+				for _, fp := range m.Cells {
+					referenced[fp] = true
+				}
+			case maxAge > 0:
+				cells = append(cells, ent)
+			}
+		}
+	}
+	for _, ent := range cells {
+		if info, err := ent.Info(); err == nil && now.Sub(info.ModTime()) > maxAge && !referenced[ent.Name()[2:34]] {
+			doomed = append(doomed, ent.Name())
+		}
 	}
 	removed := 0
 	var firstErr error
-	for _, ent := range entries {
-		if ent.IsDir() {
-			continue
-		}
-		name := ent.Name()
-		path := filepath.Join(s.dir, name)
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			info, err := ent.Info()
-			if err != nil || info.ModTime().After(time.Now().Add(-tmpGrace)) {
-				continue // possibly a write in flight
-			}
-		case storeFilePattern.MatchString(name):
-			current, readErr := hasCurrentSchema(path)
-			if readErr != nil {
-				// A transient read failure (EMFILE, permissions) must
-				// not condemn a possibly valid entry — skip it.
-				continue
-			}
-			if current {
-				if cutoff.IsZero() || strings.HasPrefix(name, "m-") {
-					continue
-				}
-				if fp, ok := cellFingerprint(name); ok && referenced[fp] {
-					continue
-				}
-				info, err := ent.Info()
-				if err != nil || !info.ModTime().Before(cutoff) {
-					continue
-				}
-			}
-		default:
-			continue
-		}
-		if err := os.Remove(path); err != nil {
+	for _, name := range doomed {
+		if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("resultstore: %w", err)
 			}
@@ -371,57 +446,6 @@ func (s *Store) Prune(maxAge time.Duration) (int, error) {
 		removed++
 	}
 	return removed, firstErr
-}
-
-// cellFingerprint extracts the content address from a "c-<hex32>.json"
-// cell file name.
-func cellFingerprint(name string) (string, bool) {
-	if !strings.HasPrefix(name, "c-") || !strings.HasSuffix(name, ".json") {
-		return "", false
-	}
-	return strings.TrimSuffix(strings.TrimPrefix(name, "c-"), ".json"), true
-}
-
-// manifestRefs returns the set of cell fingerprints referenced by the
-// store's live (current-schema) manifests.
-func (s *Store) manifestRefs(entries []os.DirEntry) map[string]bool {
-	refs := map[string]bool{}
-	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasPrefix(name, "m-") || !storeFilePattern.MatchString(name) {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(s.dir, name))
-		if err != nil {
-			continue
-		}
-		var env manifestEnvelope
-		if json.Unmarshal(b, &env) != nil || env.Schema != SchemaVersion {
-			continue
-		}
-		for _, fp := range env.Manifest.Cells {
-			refs[fp] = true
-		}
-	}
-	return refs
-}
-
-// hasCurrentSchema reports whether the file parses as a JSON envelope
-// of the current schema version. A read failure is returned as an
-// error so the caller can distinguish "unreadable right now" from
-// "readable but stale/corrupt".
-func hasCurrentSchema(path string) (bool, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return false, err
-	}
-	var probe struct {
-		Schema int `json:"schema"`
-	}
-	if json.Unmarshal(b, &probe) != nil {
-		return false, nil
-	}
-	return probe.Schema == SchemaVersion, nil
 }
 
 // writeAtomic writes b to path via a temp file + rename, so concurrent
