@@ -85,12 +85,15 @@ bench:
 # The kernel-layer micro-benchmarks (blocked GEMM vs the naive loop,
 # im2col conv vs the direct loop, the FP8 fake-quant slice loop vs
 # per-element calls, planned vs unplanned module forwards — the
-# planned ones must hold 0 allocs/op under bench-gate). One fast
-# iteration set; used as the CI smoke step.
-KERNEL_BENCH = BenchmarkMatmulT|BenchmarkMatmulTNaive|BenchmarkConv2dIm2col|BenchmarkConv2dDirect|BenchmarkBatchMatMul|BenchmarkBatchEncode|BenchmarkForwardUnplanned|BenchmarkForwardPlanned
+# planned ones must hold 0 allocs/op under bench-gate) and a pooled
+# network's warm Quantize → AccuracyAgainst → Release cycle over the
+# six Table-2 recipes (BenchmarkQuantizeWarm, whose allocs/op is the
+# quantization's per-cell heap cost). One fast iteration set; used as
+# the CI smoke step.
+KERNEL_BENCH = BenchmarkMatmulT|BenchmarkMatmulTNaive|BenchmarkConv2dIm2col|BenchmarkConv2dDirect|BenchmarkBatchMatMul|BenchmarkBatchEncode|BenchmarkForwardUnplanned|BenchmarkForwardPlanned|BenchmarkQuantizeWarm
+KERNEL_BENCH_PKGS = ./internal/tensor/kernels ./internal/nn ./internal/fp8 ./internal/evalx
 bench-kernels:
-	$(GO) test -run xxx -bench '$(KERNEL_BENCH)' -benchtime 1x \
-		./internal/tensor/kernels ./internal/nn ./internal/fp8
+	$(GO) test -run xxx -bench '$(KERNEL_BENCH)' -benchtime 1x $(KERNEL_BENCH_PKGS)
 
 # Appends one dated entry (ns/op, MB/s, B/op, allocs/op per kernel
 # micro-benchmark) to BENCH_kernels.json, so the perf trajectory is
@@ -103,7 +106,7 @@ BENCHTIME ?= 300ms
 bench-json:
 	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
 	GOMAXPROCS=1 $(GO) test -run xxx -bench '$(KERNEL_BENCH)' -benchtime $(BENCHTIME) -benchmem \
-		./internal/tensor/kernels ./internal/nn ./internal/fp8 > "$$out" || \
+		$(KERNEL_BENCH_PKGS) > "$$out" || \
 		{ cat "$$out"; echo "bench-json: benchmark run failed"; exit 1; }; \
 	$(GO) run ./cmd/benchgate -append -benchtime $(BENCHTIME) -json BENCH_kernels.json "$$out"
 
@@ -118,7 +121,7 @@ BENCH_GATE_TIME ?= 100x
 bench-gate:
 	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
 	GOMAXPROCS=1 $(GO) test -run xxx -bench '$(KERNEL_BENCH)' -benchtime $(BENCH_GATE_TIME) -benchmem \
-		./internal/tensor/kernels ./internal/nn ./internal/fp8 > "$$out" || \
+		$(KERNEL_BENCH_PKGS) > "$$out" || \
 		{ cat "$$out"; echo "bench-gate: benchmark run failed"; exit 1; }; \
 	$(GO) run ./cmd/benchgate -gate -json BENCH_kernels.json "$$out"
 

@@ -130,12 +130,14 @@ type TokenDataset struct {
 // Batches implements Dataset.
 func (d *TokenDataset) Batches() int { return d.NumBatches }
 
-// Batch implements Dataset.
+// Batch implements Dataset. The N rows are capacity-capped windows of
+// one slab, so an append to a row cannot reach its neighbour.
 func (d *TokenDataset) Batch(i int) Sample {
 	r := tensor.NewRNG(d.Seed + uint64(i)*0x5851)
 	toks := make([][]int, d.N)
+	slab := make([]int, d.N*d.T)
 	for n := range toks {
-		seq := make([]int, d.T)
+		seq := slab[n*d.T : (n+1)*d.T : (n+1)*d.T]
 		prev := r.Intn(d.Vocab)
 		for t := range seq {
 			if r.Float64() < 0.2 && t > 0 {
@@ -170,7 +172,8 @@ func zipf(r *tensor.RNG, n int) int {
 }
 
 // TabularDataset generates dense feature vectors plus categorical bags
-// for recommendation models (DLRM).
+// for recommendation models (DLRM). A batch's bags are capacity-capped
+// windows of one slab, like TokenDataset's rows.
 type TabularDataset struct {
 	N, DenseDim int
 	Vocab       int
@@ -195,8 +198,9 @@ func (d *TabularDataset) Batch(i int) Sample {
 		}
 	}
 	bags := make([][]int, d.N)
+	slab := make([]int, d.N*d.BagSize)
 	for n := range bags {
-		bag := make([]int, d.BagSize)
+		bag := slab[n*d.BagSize : (n+1)*d.BagSize : (n+1)*d.BagSize]
 		for k := range bag {
 			bag[k] = zipf(r, d.Vocab)
 		}

@@ -81,6 +81,33 @@ func TestTokenDatasetRange(t *testing.T) {
 	}
 }
 
+// TestTokenBatchOneSlab checks that a token batch's rows share one
+// slab, each capped at its own length so an append cannot reach the
+// next row, and the same for a tabular batch's bags.
+func TestTokenBatchOneSlab(t *testing.T) {
+	d := &TokenDataset{N: 8, T: 12, Vocab: 50, NumBatches: 2, Seed: 3}
+	if allocs := testing.AllocsPerRun(5, func() { d.Batch(1) }); allocs > 3 {
+		t.Errorf("token Batch allocates %.0f objects for %d rows, want at most 3", allocs, d.N)
+	}
+	toks := d.Batch(1).Tokens
+	for n, row := range toks {
+		if len(row) != d.T || cap(row) != d.T {
+			t.Fatalf("row %d: len %d cap %d, want %d and %d", n, len(row), cap(row), d.T, d.T)
+		}
+	}
+	next := toks[1][0]
+	_ = append(toks[0], -1)
+	if toks[1][0] != next {
+		t.Error("an append to row 0 overwrote row 1")
+	}
+	tab := &TabularDataset{N: 8, DenseDim: 4, Vocab: 100, BagSize: 3, NumBatches: 1, Seed: 2}
+	for n, bag := range tab.Batch(0).Bags {
+		if cap(bag) != tab.BagSize {
+			t.Fatalf("bag %d: cap %d, want %d", n, cap(bag), tab.BagSize)
+		}
+	}
+}
+
 func TestTokenZipfSkew(t *testing.T) {
 	// Low ids must be much more frequent than high ids.
 	d := &TokenDataset{N: 32, T: 32, Vocab: 100, NumBatches: 1, Seed: 9}
@@ -170,10 +197,8 @@ func TestArgmaxAndAccuracy(t *testing.T) {
 	if Argmax([]float32{0.1, 0.9, 0.5}) != 1 {
 		t.Error("argmax wrong")
 	}
-	tl := tensor.FromSlice([]float32{1, 2, 3, 9, 5, 6}, 2, 3)
-	am := ArgmaxRows(tl)
-	if am[0] != 2 || am[1] != 0 {
-		t.Errorf("argmax rows = %v", am)
+	if Argmax([]float32{3, 9, 9}) != 1 {
+		t.Error("argmax must keep the first of tied maxima")
 	}
 }
 

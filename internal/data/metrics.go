@@ -18,17 +18,6 @@ func Argmax(v []float32) int {
 	return best
 }
 
-// ArgmaxRows returns the per-row argmax of a [rows, cols] tensor.
-func ArgmaxRows(t *tensor.Tensor) []int {
-	cols := t.Shape[t.Rank()-1]
-	rows := t.Len() / cols
-	out := make([]int, rows)
-	for r := 0; r < rows; r++ {
-		out[r] = Argmax(t.Data[r*cols : (r+1)*cols])
-	}
-	return out
-}
-
 // Pearson returns the Pearson correlation between two score vectors
 // (the STS-B metric).
 func Pearson(a, b []float64) float64 {

@@ -11,6 +11,7 @@ import (
 
 	"fp8quant/internal/data"
 	"fp8quant/internal/nn"
+	"fp8quant/internal/quant"
 	"fp8quant/internal/tensor"
 )
 
@@ -158,6 +159,8 @@ type Pipeline struct {
 	// Prompts are fixed synthetic prompt embeddings [P, condDim].
 	Prompts *tensor.Tensor
 	seed    uint64
+	// sites is the quantization-site table every Quantize reuses.
+	sites quant.Sites
 }
 
 // NewPipeline builds the generation pipeline with nPrompts synthetic
@@ -180,6 +183,9 @@ func (p *Pipeline) IsCNN() bool { return false }
 // CellArena implements quant.Model: the pipeline runs unplanned, so
 // its weight masters live on the heap.
 func (p *Pipeline) CellArena() *tensor.Arena { return nil }
+
+// Sites implements quant.Model.
+func (p *Pipeline) Sites() *quant.Sites { return &p.sites }
 
 // SigmaIn is the input-scaling schedule across denoising steps: early
 // steps see large-magnitude noisy latents, late steps small residuals

@@ -80,11 +80,21 @@ func ComputeReference(net *models.Network) Reference {
 	var ref Reference
 	var margins []float32
 	runEvalSplit(net, func(out *tensor.Tensor) {
-		if net.Eval == models.Argmax {
-			ref.Labels = append(ref.Labels, data.ArgmaxRows(out)...)
-			margins = append(margins, rowMargins(out)...)
-		} else {
+		if net.Eval != models.Argmax {
 			ref.Scores = append(ref.Scores, out.Data...)
+			return
+		}
+		cols := out.Shape[out.Rank()-1]
+		rows := out.Len() / cols
+		if ref.Labels == nil {
+			// Every eval batch has the first one's rows.
+			n := rows * (EvalEnd - EvalStart)
+			ref.Labels, margins = make([]int, 0, n), make([]float32, 0, n)
+		}
+		for r := 0; r < rows; r++ {
+			label, margin := rowLabel(out.Data[r*cols : (r+1)*cols])
+			ref.Labels = append(ref.Labels, label)
+			margins = append(margins, margin)
 		}
 	})
 	if len(margins) > 0 {
@@ -105,28 +115,27 @@ func runEvalSplit(net *models.Network, f func(out *tensor.Tensor)) {
 	}
 }
 
-// rowMargins returns the top1-top2 logit gap per row of [rows, C].
-func rowMargins(t *tensor.Tensor) []float32 {
-	cols := t.Shape[t.Rank()-1]
-	rows := t.Len() / cols
-	out := make([]float32, rows)
-	for r := 0; r < rows; r++ {
-		row := t.Data[r*cols : (r+1)*cols]
-		best, second := float32(math.Inf(-1)), float32(math.Inf(-1))
-		for _, v := range row {
-			if v > best {
-				second = best
-				best = v
-			} else if v > second {
-				second = v
-			}
+// rowLabel returns a row's label, its argmax under data.Argmax's rule
+// (the first of tied maxima; a leading NaN wins), and its margin, the
+// top1-top2 logit gap (the top logit itself for a one-column row), in
+// one pass.
+func rowLabel(row []float32) (label int, margin float32) {
+	best, second := float32(math.Inf(-1)), float32(math.Inf(-1))
+	for j, v := range row {
+		if v > row[label] {
+			label = j
 		}
-		if cols == 1 {
-			second = 0
+		if v > best {
+			second = best
+			best = v
+		} else if v > second {
+			second = v
 		}
-		out[r] = best - second
 	}
-	return out
+	if len(row) == 1 {
+		second = 0
+	}
+	return label, best - second
 }
 
 // AccuracyAgainst measures the current model state against a reference

@@ -5,8 +5,10 @@ import (
 	"math"
 	"testing"
 
+	"fp8quant/internal/data"
 	"fp8quant/internal/models"
 	"fp8quant/internal/quant"
+	"fp8quant/internal/tensor"
 )
 
 func TestComputeReferenceShapes(t *testing.T) {
@@ -32,6 +34,45 @@ func TestComputeReferenceShapes(t *testing.T) {
 	want := 1 - MarginKeepPct/100
 	if math.Abs(frac-want) > 0.1 {
 		t.Errorf("kept fraction %.2f, want ~%.2f", frac, want)
+	}
+}
+
+// TestRowLabelMatchesArgmaxAndMargin holds rowLabel to data.Argmax's
+// tie rule and to the two-pass top1-top2 margin it replaces, on ties,
+// NaNs, infinities and one-column rows.
+func TestRowLabelMatchesArgmaxAndMargin(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	rows := [][]float32{
+		{0.1, 0.9, 0.5}, {3, 9, 9}, {2, 2, 2}, {nan, 1, 2}, {1, nan, 2},
+		{-inf, -inf}, {inf, 1, inf}, {-2}, {5}, {-1, -3, -2},
+	}
+	r := tensor.NewRNG(4)
+	for i := 0; i < 200; i++ {
+		row := make([]float32, 1+r.Intn(6))
+		for j := range row {
+			row[j] = float32(r.Intn(4)) // many ties
+		}
+		rows = append(rows, row)
+	}
+	for _, row := range rows {
+		label, margin := rowLabel(row)
+		if want := data.Argmax(row); label != want {
+			t.Errorf("%v: label %d, data.Argmax %d", row, label, want)
+		}
+		best, second := float32(math.Inf(-1)), float32(math.Inf(-1))
+		for _, v := range row {
+			if v > best {
+				second, best = best, v
+			} else if v > second {
+				second = v
+			}
+		}
+		if len(row) == 1 {
+			second = 0
+		}
+		if want := best - second; math.Float32bits(margin) != math.Float32bits(want) {
+			t.Errorf("%v: margin %v, want %v", row, margin, want)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 
 	"fp8quant/internal/data"
 	"fp8quant/internal/nn"
+	"fp8quant/internal/quant"
 	"fp8quant/internal/tensor"
 )
 
@@ -114,6 +115,9 @@ type Network struct {
 	// plan, when installed, lends Run its forward arena (byte-identical
 	// math, no steady-state allocation) and Quantize its cell arena.
 	plan *nn.Plan
+	// sites is the quantization-site table every Quantize of this
+	// network reuses; it lives and is dropped with the network.
+	sites quant.Sites
 }
 
 // Root implements quant.Model.
@@ -138,6 +142,9 @@ func (n *Network) InstallPlan(p *nn.Plan) { n.plan = p }
 // CellArena implements quant.Model: the installed plan's cell arena,
 // or nil (the heap) when the network runs unplanned.
 func (n *Network) CellArena() *tensor.Arena { return n.plan.Cell() }
+
+// Sites implements quant.Model.
+func (n *Network) Sites() *quant.Sites { return &n.sites }
 
 // Run implements quant.Model.
 func (n *Network) Run(s data.Sample) *tensor.Tensor {

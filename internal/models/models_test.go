@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fp8quant/internal/nn"
+	"fp8quant/internal/textgen"
 )
 
 func TestRegistryCensus(t *testing.T) {
@@ -235,6 +236,29 @@ func TestGenLMGrowsOnOnePlan(t *testing.T) {
 	}
 	runtime.KeepAlive(grown)
 	runtime.KeepAlive(single)
+}
+
+// TestGenLMBeamSearchAllocation bounds what one table4-sized beam
+// search (beam 4, 100 new tokens after a 32-token prompt) allocates. A
+// GenLM that dropped its plan's forward chunks before every longer
+// forward allocated 272 MB; one that never drops them allocates 132 MB
+// but holds about as much. Trimming only after a forward outgrew its
+// chunks allocates 125.5 MB (avx2, Go 1.24).
+func TestGenLMBeamSearchAllocation(t *testing.T) {
+	lm := NewGenLM(0x7AB4)
+	prompt := make([]int, 32)
+	for i := range prompt {
+		prompt[i] = (i*7 + 3) % lm.Vocab()
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	textgen.BeamSearch(lm, prompt, 4, 100)
+	runtime.ReadMemStats(&m1)
+	mb := float64(m1.TotalAlloc-m0.TotalAlloc) / (1 << 20)
+	t.Logf("beam search allocated %.1f MB", mb)
+	if mb > 150 {
+		t.Errorf("beam search allocated %.1f MB, want at most 150", mb)
+	}
 }
 
 func TestModelWalkFindsQuantizableOps(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 
 	"fp8quant/internal/data"
 	"fp8quant/internal/nn"
+	"fp8quant/internal/quant"
 	"fp8quant/internal/tensor"
 )
 
@@ -305,9 +306,10 @@ type GenLM struct {
 	// plan lends every forward its forward arena and Quantize its cell
 	// arena, which holds a quantized GenLM's weight masters.
 	plan *nn.Plan
-	// tokens is the most tokens a forward has run over since the plan
-	// last shed its forward chunks.
+	// tokens is the most tokens a forward has run over.
 	tokens int
+	// sites is the quantization-site table every Quantize reuses.
+	sites quant.Sites
 }
 
 // NewGenLM builds a Bloom-style generative LM for the Table 4 text
@@ -338,16 +340,19 @@ func (g *GenLM) NextLogits(tokens [][]int) *tensor.Tensor {
 }
 
 // begin starts a forward over tokens on g's plan. Beam search adds a
-// token per step, so a forward over more tokens than any before it
-// would leave the chunks of every shorter step behind; the plan sheds
-// them first and keeps only the longest step's.
+// token per step. While the plan's chunks hold each step, every step
+// reuses them; once a step outgrows them, it appends a chunk sized to
+// its attention scores and leaves the previous step's behind. So
+// before a forward over more tokens than any before it, the plan trims
+// its forward arena (Plan.Trim), which drops chunks only if the
+// previous forward appended one.
 func (g *GenLM) begin(tokens [][]int) *tensor.Arena {
 	n := 0
 	for _, t := range tokens {
 		n += len(t)
 	}
 	if n > g.tokens {
-		g.plan.Shed()
+		g.plan.Trim()
 		g.tokens = n
 	}
 	return g.plan.Begin()
@@ -365,6 +370,9 @@ func (g *GenLM) IsCNN() bool { return false }
 // CellArena implements quant.Model: the plan's cell arena, which holds
 // the weight masters of a quantized GenLM.
 func (g *GenLM) CellArena() *tensor.Arena { return g.plan.Cell() }
+
+// Sites implements quant.Model.
+func (g *GenLM) Sites() *quant.Sites { return &g.sites }
 
 // Run implements quant.Model.
 func (g *GenLM) Run(s data.Sample) *tensor.Tensor {

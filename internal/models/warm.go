@@ -30,10 +30,10 @@ type warmKey struct {
 }
 
 // warmEntry is one memoized warm-up: per BatchNorm in walk order, its
-// Mean followed by its Var.
+// Mean followed by its Var (nn.SnapshotBatchNorms).
 type warmEntry struct {
 	once  sync.Once
-	stats [][]float32
+	stats []float32
 }
 
 var warmMemo sync.Map // warmKey -> *warmEntry
@@ -59,7 +59,7 @@ func warmMemoized(n *Network, warmUp func(*Network)) {
 				}
 			}()
 			warmUp(n)
-			e.stats = nn.SnapshotBatchNorms(bns)
+			e.stats = nn.SnapshotBatchNorms(bns, nil)
 		})
 		if e.stats != nil {
 			nn.RestoreBatchNorms(bns, e.stats)
@@ -87,7 +87,7 @@ func clearWarmMemo() {
 // random values.
 func WarmBatchNorms(n *Network, batches int) {
 	bns := nn.BatchNorms(n.root)
-	nn.CalibrateBatchNorms(bns, min(2*len(bns)+8, 40), func() {
+	nn.CalibrateBatchNorms(bns, min(2*len(bns)+8, 40), nil, func() {
 		for i := 0; i < batches; i++ {
 			n.Run(n.Data.Batch(i % n.Data.Batches()))
 		}

@@ -21,7 +21,7 @@ var warmMemoModels = []string{
 // warm-up: the random initial BatchNorm statistics.
 func buildRaw(name string) *Network { return registry[name](nameSeed(name)) }
 
-func bnStats(n *Network) [][]float32 { return nn.SnapshotBatchNorms(nn.BatchNorms(n.root)) }
+func bnStats(n *Network) []float32 { return nn.SnapshotBatchNorms(nn.BatchNorms(n.root), nil) }
 
 // bitEqual compares tensors bit for bit (NaN-safe, distinguishes ±0).
 func bitEqual(a, b *tensor.Tensor) bool {
@@ -37,18 +37,13 @@ func bitEqual(a, b *tensor.Tensor) bool {
 }
 
 // statsBitEqual compares BatchNorm statistics bit for bit.
-func statsBitEqual(a, b [][]float32) bool {
+func statsBitEqual(a, b []float32) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if len(a[i]) != len(b[i]) {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
 			return false
-		}
-		for j := range a[i] {
-			if math.Float32bits(a[i][j]) != math.Float32bits(b[i][j]) {
-				return false
-			}
 		}
 	}
 	return true

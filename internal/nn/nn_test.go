@@ -164,7 +164,7 @@ func TestBatchNormCalibration(t *testing.T) {
 	bn := NewBatchNorm2d(1)
 	bn.Mean[0] = 100 // wildly wrong stats
 	bn.Var[0] = 1
-	bn.startCalibration()
+	bn.startCalibration(make([]float64, 2))
 	r := tensor.NewRNG(5)
 	for i := 0; i < 10; i++ {
 		x := tensor.New(2, 1, 4, 4)
@@ -190,17 +190,17 @@ func TestBatchNormCalibration(t *testing.T) {
 func TestCalibrateBatchNorms(t *testing.T) {
 	bn := NewBatchNorm2d(1)
 	bns := []*BatchNorm2d{bn}
-	before := SnapshotBatchNorms(bns)
+	before := SnapshotBatchNorms(bns, nil)
 	x := tensor.New(2, 1, 4, 4)
 	x.FillNormal(tensor.NewRNG(5), 3, 2)
 	passes := 0
-	CalibrateBatchNorms(bns, 5, func() { passes++; bn.Forward(nil, x) })
+	CalibrateBatchNorms(bns, 5, nil, func() { passes++; bn.Forward(nil, x) })
 	// Cycle 1 moves the mean from 0 to ~3; cycle 2 sees the same data.
 	if passes != 2 {
 		t.Errorf("fixed data: %d passes, want 2", passes)
 	}
 	passes = 0
-	CalibrateBatchNorms(bns, 3, func() {
+	CalibrateBatchNorms(bns, 3, nil, func() {
 		passes++
 		y := x.Clone()
 		for i := range y.Data {
@@ -211,10 +211,49 @@ func TestCalibrateBatchNorms(t *testing.T) {
 	if passes != 3 {
 		t.Errorf("drifting data: %d passes, want the cap 3", passes)
 	}
-	CalibrateBatchNorms(nil, 3, func() { t.Error("pass ran with no BatchNorm") })
+	CalibrateBatchNorms(nil, 3, nil, func() { t.Error("pass ran with no BatchNorm") })
 	RestoreBatchNorms(bns, before)
 	if bn.Mean[0] != 0 || bn.Var[0] != 1 {
 		t.Errorf("restored stats = %v, %v; want 0, 1", bn.Mean[0], bn.Var[0])
+	}
+}
+
+// TestCalibrateBatchNormsReusesScratch pins the scratch contract: an
+// estimate in a caller's CalibScratch equals one in a fresh scratch bit
+// for bit, a warm scratch allocates nothing, and no BatchNorm keeps a
+// window of the scratch once the estimate returns.
+func TestCalibrateBatchNormsReusesScratch(t *testing.T) {
+	bns := []*BatchNorm2d{NewBatchNorm2d(3), NewBatchNorm2d(2)}
+	x := tensor.New(2, 3, 4, 4)
+	x.FillNormal(tensor.NewRNG(7), 1, 3)
+	pass := func() { bns[1].Forward(nil, tensor.FromSlice(bns[0].Forward(nil, x).Data[:64], 2, 2, 4, 4)) }
+	before := SnapshotBatchNorms(bns, nil)
+	CalibrateBatchNorms(bns, 3, nil, pass)
+	want := SnapshotBatchNorms(bns, nil)
+
+	var sc CalibScratch
+	passes := 0
+	counted := func() { passes++; pass() }
+	allocs := testing.AllocsPerRun(3, func() {
+		passes = 0
+		RestoreBatchNorms(bns, before)
+		CalibrateBatchNorms(bns, 3, &sc, counted)
+	})
+	got := SnapshotBatchNorms(bns, nil)
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("stat %d: %v in a reused scratch, %v in a fresh one", i, got[i], want[i])
+		}
+	}
+	// The passes' heap forwards allocate; the estimator adds nothing.
+	passAllocs := testing.AllocsPerRun(3, pass)
+	if allocs > float64(passes)*passAllocs {
+		t.Errorf("warm scratch: %.0f allocations over %d passes of %.0f each", allocs, passes, passAllocs)
+	}
+	for i, bn := range bns {
+		if bn.sum != nil || bn.sumSq != nil || bn.calibrating {
+			t.Errorf("BatchNorm %d keeps its accumulators after calibration", i)
+		}
 	}
 }
 

@@ -49,18 +49,20 @@ func (bn *BatchNorm2d) Kind() string { return "BatchNorm" }
 func (bn *BatchNorm2d) Q() *QState { return &bn.QS }
 
 // startCalibration begins accumulating batch statistics on every
-// Forward call until finishCalibration.
-func (bn *BatchNorm2d) startCalibration() {
+// Forward call until finishCalibration, into acc (2*C floats: the
+// per-channel sums, then the sums of squares), which it clears.
+func (bn *BatchNorm2d) startCalibration(acc []float64) {
+	clear(acc)
 	bn.calibrating = true
-	bn.sum = make([]float64, bn.C)
-	bn.sumSq = make([]float64, bn.C)
+	bn.sum = acc[:bn.C:bn.C]
+	bn.sumSq = acc[bn.C : 2*bn.C : 2*bn.C]
 	bn.count = 0
 }
 
 // finishCalibration replaces the running mean and variance with the
-// statistics accumulated since startCalibration, then clears the
-// accumulators, so a calibrated BatchNorm holds nothing but its
-// parameters and statistics.
+// statistics accumulated since startCalibration, then drops its
+// windows of the caller's accumulator slab, so a calibrated BatchNorm
+// holds nothing but its parameters and statistics and pins no scratch.
 func (bn *BatchNorm2d) finishCalibration() {
 	bn.calibrating = false
 	if n := float64(bn.count); n > 0 {
@@ -88,73 +90,96 @@ func BatchNorms(root Module) []*BatchNorm2d {
 	return bns
 }
 
+// CalibScratch is the memory CalibrateBatchNorms works in: the
+// accumulator slab each BatchNorm's sums are a window of while it
+// calibrates, and the two statistics snapshots compared between
+// cycles. The zero value is ready. A caller that keeps one across
+// calls over the same BatchNorms re-estimates without allocating.
+type CalibScratch struct {
+	acc       []float64
+	prev, cur []float32
+}
+
 // CalibrateBatchNorms re-estimates the running statistics of bns from
 // the data that pass feeds through the network containing them. One
 // cycle re-estimates every BatchNorm from data flowing through the
 // previous cycle's statistics, so statistics go stale downstream
 // whenever upstream ones move; the cycles repeat until no statistic
-// moves by more than 1% (relative) or maxCycles have run.
-func CalibrateBatchNorms(bns []*BatchNorm2d, maxCycles int, pass func()) {
+// moves by more than 1% (relative) or maxCycles have run. Its
+// accumulators and snapshots live in sc (nil: a fresh one); the
+// BatchNorms hold a window of sc only while a cycle runs.
+func CalibrateBatchNorms(bns []*BatchNorm2d, maxCycles int, sc *CalibScratch, pass func()) {
 	if len(bns) == 0 {
 		return
 	}
-	prev := SnapshotBatchNorms(bns)
+	if sc == nil {
+		sc = new(CalibScratch)
+	}
+	n := 0
+	for _, bn := range bns {
+		n += 2 * bn.C
+	}
+	if len(sc.acc) < n {
+		sc.acc = make([]float64, n)
+	}
+	sc.prev = SnapshotBatchNorms(bns, sc.prev)
 	for cycle := 0; cycle < maxCycles; cycle++ {
+		off := 0
 		for _, bn := range bns {
-			bn.startCalibration()
+			bn.startCalibration(sc.acc[off : off+2*bn.C])
+			off += 2 * bn.C
 		}
 		pass()
 		for _, bn := range bns {
 			bn.finishCalibration()
 		}
-		cur := SnapshotBatchNorms(bns)
-		if statsConverged(prev, cur) {
+		sc.cur = SnapshotBatchNorms(bns, sc.cur)
+		if statsConverged(sc.prev, sc.cur) {
 			return
 		}
-		prev = cur
+		sc.prev, sc.cur = sc.cur, sc.prev
 	}
 }
 
-// SnapshotBatchNorms copies the running statistics of bns: per
-// BatchNorm, its Mean followed by its Var. Every BatchNorm's stats are
-// a capacity-capped window of one slab, so a snapshot is two
-// allocations and no window can grow into its neighbour.
-func SnapshotBatchNorms(bns []*BatchNorm2d) [][]float32 {
+// SnapshotBatchNorms copies the running statistics of bns into dst,
+// per BatchNorm its Mean followed by its Var, and returns the filled
+// slice. It allocates only when dst is shorter than the statistics
+// (nil: always), so a caller that passes back its previous snapshot
+// copies into memory it already holds.
+func SnapshotBatchNorms(bns []*BatchNorm2d, dst []float32) []float32 {
 	n := 0
 	for _, bn := range bns {
 		n += 2 * bn.C
 	}
-	slab := make([]float32, n)
-	out := make([][]float32, len(bns))
-	off := 0
-	for i, bn := range bns {
-		s := slab[off : off+2*bn.C : off+2*bn.C]
-		copy(s, bn.Mean)
-		copy(s[bn.C:], bn.Var)
-		out[i] = s
-		off += 2 * bn.C
+	if cap(dst) < n {
+		dst = make([]float32, n)
 	}
-	return out
+	dst = dst[:n]
+	off := 0
+	for _, bn := range bns {
+		off += copy(dst[off:], bn.Mean)
+		off += copy(dst[off:], bn.Var)
+	}
+	return dst
 }
 
 // RestoreBatchNorms copies a SnapshotBatchNorms result back into bns.
-func RestoreBatchNorms(bns []*BatchNorm2d, stats [][]float32) {
-	for i, bn := range bns {
-		copy(bn.Mean, stats[i][:bn.C])
-		copy(bn.Var, stats[i][bn.C:])
+func RestoreBatchNorms(bns []*BatchNorm2d, stats []float32) {
+	off := 0
+	for _, bn := range bns {
+		off += copy(bn.Mean, stats[off:off+bn.C])
+		off += copy(bn.Var, stats[off:off+bn.C])
 	}
 }
 
 // statsConverged reports whether two snapshots agree within 1%
 // (relative).
-func statsConverged(a, b [][]float32) bool {
+func statsConverged(a, b []float32) bool {
 	for i := range a {
-		for j := range a[i] {
-			d := math.Abs(float64(a[i][j] - b[i][j]))
-			scale := math.Abs(float64(a[i][j])) + 1e-3
-			if d/scale > 0.01 {
-				return false
-			}
+		d := math.Abs(float64(a[i] - b[i]))
+		scale := math.Abs(float64(a[i])) + 1e-3
+		if d/scale > 0.01 {
+			return false
 		}
 	}
 	return true

@@ -65,13 +65,14 @@ func (p *Plan) Begin() *tensor.Arena {
 	return &p.a
 }
 
-// Shed drops the forward arena's chunks; the cell arena keeps its own.
-// A forward that needs larger intermediates than any before it skips
-// every chunk too small for them and appends its own, so a caller whose
-// forwards keep growing (a generator that adds a token per step) sheds
-// before each larger one: the plan then holds one forward's chunks, not
-// those of every smaller forward before it.
-func (p *Plan) Shed() { p.a = tensor.Arena{} }
+// Trim rewinds the forward arena like Begin, first trimming it
+// (tensor.Arena.Trim) if the forward since the last Begin appended a
+// chunk; the cell arena keeps its own. A caller whose forwards keep
+// growing (a generator that adds a token per step) trims before each
+// larger one: the plan then holds about one forward's chunks, not those
+// of every smaller forward before it, and a forward the chunks held
+// keeps them all.
+func (p *Plan) Trim() { p.a.Trim() }
 
 // Cell returns the plan's cell arena, which Begin never rewinds: its
 // owner (quant.Quantize) rewinds it at the start of a quantization

@@ -201,11 +201,11 @@ func TestPlanCellSurvivesForwards(t *testing.T) {
 	}
 }
 
-// TestPlanShedKeepsCell pins Shed: it drops only the forward arena's
-// chunks, so cell-arena memory keeps its bits, the output of the forward
-// before it stays intact (its chunks are no longer the plan's), and the
-// next forward, on fresh chunks, still matches the unplanned path.
-func TestPlanShedKeepsCell(t *testing.T) {
+// TestPlanTrimKeepsCell pins Trim: cell-arena memory keeps its bits
+// across it, a forward after it still matches the unplanned path, and
+// after a forward that appended nothing it keeps every chunk, so the
+// next forward allocates nothing.
+func TestPlanTrimKeepsCell(t *testing.T) {
 	m := planTestNet()
 	x := planTestInput(2, 13)
 	want := m.Forward(nil, x)
@@ -214,13 +214,16 @@ func TestPlanShedKeepsCell(t *testing.T) {
 	for j := range master {
 		master[j] = float32(j)
 	}
-	before := p.Forward(x)
-	p.Shed()
-	bitsEqual(t, p.Forward(planTestInput(2, 14)), m.Forward(nil, planTestInput(2, 14)), "forward after Shed")
-	bitsEqual(t, before, want, "output of the forward before Shed")
+	bitsEqual(t, p.Forward(x), want, "first forward")
+	p.Trim()
+	bitsEqual(t, p.Forward(planTestInput(2, 14)), m.Forward(nil, planTestInput(2, 14)), "forward after Trim")
 	for j, v := range master {
 		if v != float32(j) {
-			t.Fatalf("cell memory changed at %d to %v across Shed", j, v)
+			t.Fatalf("cell memory changed at %d to %v across Trim", j, v)
 		}
+	}
+	p.Forward(x)
+	if n := testing.AllocsPerRun(3, func() { p.Trim(); p.Forward(x) }); n != 0 {
+		t.Fatalf("a forward the chunks held allocated %.0f times after Trim, want 0", n)
 	}
 }

@@ -147,7 +147,7 @@ func TestBatchNormWhitens(t *testing.T) {
 	r := tensor.NewRNG(4)
 	x := tensor.New(4, 2, 6, 6)
 	x.FillNormal(r, 3, 2)
-	bn.startCalibration()
+	bn.startCalibration(make([]float64, 4))
 	bn.Forward(nil, x)
 	bn.finishCalibration()
 	y := bn.Forward(nil, x)

@@ -113,16 +113,18 @@ func TestBMMInputHookQuantizesWholeOperand(t *testing.T) {
 	}
 }
 
-// TestConvertInstallsInputHook runs target conversion with extended ops
+// TestConvertInstallsInputHook runs site conversion with extended ops
 // and checks the b-operand input site gets an Input hook, that Reset
 // clears it, and that a SmoothQuant-smoothed site keeps its hook.
 func TestConvertInstallsInputHook(t *testing.T) {
 	mm := &nn.BatchMatMulOp{}
-	// The hooks are installed by target conversion; drive it directly.
+	// The hooks are installed by site conversion; drive it directly on
+	// the table of a model that is just the op (sites #a, #b).
 	r := Recipe{Act: E4M3, Wgt: FP32, Approach: Dynamic, ExtendedOps: true}
-	tg := &target{path: "mm#b", kind: mm.Kind(), qs: &mm.QB}
-	h := &Handle{Report: Report{QuantizedOps: map[string]int{}}}
-	tg.convert(r, h)
+	var s Sites
+	s.build(mm)
+	rep := Report{QuantizedOps: map[string]int{}}
+	s.convert(&s.targets[1], r, &rep)
 	if mm.QB.Input == nil {
 		t.Fatal("convert did not install Input on an input site")
 	}
@@ -131,9 +133,14 @@ func TestConvertInstallsInputHook(t *testing.T) {
 		t.Fatal("Reset did not clear Input")
 	}
 
-	sm := &target{path: "l", kind: "Linear", qs: &mm.QB, smooth: []float64{1, 1}}
-	sm.convert(r, h)
-	if mm.QB.Input == nil {
+	l := nn.NewLinear(2, 2)
+	var ls Sites
+	ls.build(l)
+	ls.carveSmooth()
+	sm := &ls.targets[0]
+	sm.smoothing = true
+	ls.convert(sm, r, &rep)
+	if l.QS.Input == nil {
 		t.Fatal("smoothed site lost its Input hook")
 	}
 }

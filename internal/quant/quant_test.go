@@ -12,7 +12,8 @@ import (
 
 // testMLP is a 2-layer model used across workflow tests.
 type testMLP struct {
-	seq *nn.Sequential
+	seq   *nn.Sequential
+	sites Sites
 }
 
 func newTestMLP(seed uint64) *testMLP {
@@ -27,6 +28,7 @@ func newTestMLP(seed uint64) *testMLP {
 func (m *testMLP) Root() nn.Module          { return m.seq }
 func (m *testMLP) IsCNN() bool              { return false }
 func (m *testMLP) CellArena() *tensor.Arena { return nil }
+func (m *testMLP) Sites() *Sites            { return &m.sites }
 func (m *testMLP) Run(s data.Sample) *tensor.Tensor {
 	return m.seq.Forward(nil, s.X)
 }
@@ -68,7 +70,8 @@ func (v *vecDataset) Batch(i int) data.Sample {
 
 // testCNN is a small conv net for first/last and BN-calibration tests.
 type testCNN struct {
-	seq *nn.Sequential
+	seq   *nn.Sequential
+	sites Sites
 }
 
 func newTestCNN(seed uint64) *testCNN {
@@ -87,6 +90,7 @@ func newTestCNN(seed uint64) *testCNN {
 func (m *testCNN) Root() nn.Module          { return m.seq }
 func (m *testCNN) IsCNN() bool              { return true }
 func (m *testCNN) CellArena() *tensor.Arena { return nil }
+func (m *testCNN) Sites() *Sites            { return &m.sites }
 func (m *testCNN) Run(s data.Sample) *tensor.Tensor {
 	return m.seq.Forward(nil, s.X)
 }

@@ -1,3 +1,15 @@
+// Quantize runs the paper's workflow (Figure 2) on a model in place:
+// calibrate, convert (SmoothQuant folding, weight rounding, hook
+// installation), then re-estimate BatchNorm statistics. Everything it
+// derives from the module tree alone lives in the model's Sites: the
+// walk order with paths, the quantization sites with their observers
+// and SmoothQuant buffers, the weight-master maps and the BatchNorm
+// snapshot and accumulator slabs. The model's first Quantize fills the
+// table and every later one reuses it, so a pooled network that runs
+// all of its model's recipes walks its module tree once; each call only
+// filters the table by its recipe (fallbacks, first/last exclusion,
+// extended coverage) and resets what it uses.
+
 package quant
 
 import (
@@ -23,6 +35,55 @@ type Model interface {
 	// from (nn.Plan.Cell), or nil for the heap. Nothing else may carve
 	// from it while a Handle is live.
 	CellArena() *tensor.Arena
+	// Sites returns the model's site table: a zero Sites the model
+	// holds for its whole life and Quantize alone fills and uses. Its
+	// module tree must not change after the first Quantize.
+	Sites() *Sites
+}
+
+// Sites is a model's quantization-site table. The zero value is empty;
+// the model's first Quantize fills it from the module tree and every
+// later Quantize reuses it, so it holds the state of at most one live
+// Handle: the previous Handle on the model must be released before the
+// next Quantize.
+type Sites struct {
+	// builds counts table fills: 0 before the model's first Quantize,
+	// then 1.
+	builds int
+	// order is every module in walk order with its path; the sites of
+	// order[i] are targets[order[i].lo:order[i].hi].
+	order   []siteEntry
+	targets []target
+	// firstConv and lastLinear are the paths of the first Conv2d and
+	// the last Linear in walk order ("" for none), the CNN standard
+	// scheme's FP32 exceptions.
+	firstConv, lastLinear string
+	// smoothCarved reports whether the Linear sites' SmoothQuant
+	// buffers are carved (the first SmoothQuant recipe carves them).
+	smoothCarved bool
+	// bns are the model's BatchNorms in walk order.
+	bns []*nn.BatchNorm2d
+
+	// Per-call state, reset by each Quantize. active lists the sites
+	// the recipe quantizes; cell is the arena weight masters are carved
+	// from (nil: the heap), weights maps each modified weight to its
+	// FP32 master and rounded marks the weights already rounded.
+	active  []*target
+	cell    *tensor.Arena
+	weights map[*tensor.Tensor][]float32
+	rounded map[*tensor.Tensor]bool
+	// bnStats is the BatchNorms' FP32 statistics snapshot that Release
+	// restores, and calib the re-estimation's accumulators and
+	// snapshots (nn.CalibScratch).
+	bnStats []float32
+	calib   nn.CalibScratch
+}
+
+// siteEntry is one module of the walk: its path and its range of
+// sites.
+type siteEntry struct {
+	path   string
+	lo, hi int
 }
 
 // Handle tracks the reversible state of a quantized model. Release
@@ -31,16 +92,12 @@ type Model interface {
 // harness's network free list depends on it, handing a released
 // network to the next sweep cell as if freshly built.
 type Handle struct {
-	states []*nn.QState
-	// cell is the model's cell arena (nil: the heap), and weights maps
-	// each modified weight to its FP32 master, carved from cell.
-	cell    *tensor.Arena
-	weights map[*tensor.Tensor][]float32
-	rounded map[*tensor.Tensor]bool
-	// bns and bnStats are the re-calibrated BatchNorms and their FP32
-	// statistics (nn.SnapshotBatchNorms).
-	bns     []*nn.BatchNorm2d
-	bnStats [][]float32
+	// sites is the model's table, which holds the weight masters and
+	// the quantized sites (nil: Quantize changed nothing).
+	sites *Sites
+	// bnCalib reports whether the BatchNorms were re-estimated, their
+	// FP32 statistics saved in sites.bnStats.
+	bnCalib bool
 	// Report summarizes what was quantized, for logs and tests.
 	Report Report
 }
@@ -61,11 +118,11 @@ type Report struct {
 // master is always the true original and each weight is copied once.
 // The master is a copy carved from the cell arena: on a warm plan,
 // memory an earlier cell already appended.
-func (h *Handle) save(w *tensor.Tensor) {
-	if _, saved := h.weights[w]; !saved {
-		master := h.cell.Alloc(len(w.Data))
+func (s *Sites) save(w *tensor.Tensor) {
+	if _, saved := s.weights[w]; !saved {
+		master := s.cell.Alloc(len(w.Data))
 		copy(master, w.Data)
-		h.weights[w] = master
+		s.weights[w] = master
 	}
 }
 
@@ -75,55 +132,83 @@ func (h *Handle) save(w *tensor.Tensor) {
 // the model's next Quantize, or another network's once the plan moves
 // on.
 func (h *Handle) Release() {
-	for w, master := range h.weights {
+	s := h.sites
+	if s == nil {
+		return
+	}
+	for w, master := range s.weights {
 		copy(w.Data, master)
 	}
-	nn.RestoreBatchNorms(h.bns, h.bnStats)
-	for _, q := range h.states {
-		q.Reset()
+	if h.bnCalib {
+		nn.RestoreBatchNorms(s.bns, s.bnStats)
+	}
+	for _, t := range s.active {
+		t.qs.Reset()
 	}
 }
 
 // target is one quantization site: a QState plus the metadata needed to
-// calibrate and convert it.
+// calibrate and convert it. The first block is fixed when the table is
+// built; the rest is the state of the current Quantize.
 type target struct {
-	path    string
-	kind    string
-	qs      *nn.QState
-	output  bool // quantize the output instead of the input
-	obs     Observer
-	weight  *tensor.Tensor // non-nil for parametric modules
-	wgtDim  int
-	linear  *nn.Linear // non-nil for SmoothQuant-eligible sites
-	colMax  []float64  // per-input-channel activation absmax
-	smooth  []float64  // per-input-channel SmoothQuant divisors
-	obsOnly bool
+	kind   string
+	qs     *nn.QState
+	output bool // quantize the output instead of the input
+	// extOnly sites (norms, binary operands) are quantized only under
+	// the extended scheme; embedding sites only observe without it.
+	extOnly, embedding bool
+	weight             *tensor.Tensor // non-nil for parametric modules
+	wgtDim             int
+	linear             *nn.Linear // non-nil for SmoothQuant-eligible sites
+	// record and smoothInput are the site's calibration and smoothed
+	// input hooks, bound once (a method value allocates).
+	record      nn.ObserveFunc
+	smoothInput nn.QuantFunc
+
+	// obs is this call's observer (nil: not calibrated), mm the
+	// CalibMax observer it points at. smoothing reports whether this
+	// call smooths the site: colMax then gathers the per-input-channel
+	// activation absmax, smooth holds the SmoothQuant divisors, inv
+	// their reciprocals, and fn the quantizer the smoothed input feeds.
+	obs       Observer
+	mm        MinMaxObserver
+	smoothing bool
+	colMax    []float64
+	smooth    []float64
+	inv       []float32
+	fn        nn.QuantFunc
 }
 
 // Quantize applies recipe r to model m, calibrating on ds. It returns
 // a Handle whose Release undoes everything. The model is modified in
 // place (fake-quant hooks installed, weights rounded). Quantize starts
-// a new cycle of m's cell arena, so the previous Handle on m must have
-// been released.
+// a new cycle of m's cell arena and reuses m's Sites, so the previous
+// Handle on m must have been released.
 func Quantize(m Model, ds data.Dataset, r Recipe) *Handle {
-	h := &Handle{
-		cell:    m.CellArena(),
-		weights: make(map[*tensor.Tensor][]float32),
-		rounded: make(map[*tensor.Tensor]bool),
-		Report:  Report{QuantizedOps: make(map[string]int)},
-	}
-	h.cell.Reset()
+	h := &Handle{Report: Report{QuantizedOps: make(map[string]int)}}
+	cell := m.CellArena()
+	cell.Reset()
 	if r.Act == FP32 && r.Wgt == FP32 {
 		return h
 	}
-
-	targets := collectTargets(m, r, h)
+	s := m.Sites()
+	if s.builds == 0 {
+		s.build(m.Root())
+	}
+	h.sites = s
+	s.cell = cell
+	clear(s.weights)
+	clear(s.rounded)
+	targets := s.activate(m.IsCNN(), r, &h.Report)
 
 	// Phase 1: calibration (static approaches that need ranges).
 	needCalib := r.Approach == Static && r.Act != FP32
 	if needCalib || r.SmoothQuant {
+		if r.SmoothQuant && !s.smoothCarved {
+			s.carveSmooth()
+		}
 		for _, t := range targets {
-			t.attachObservers(r)
+			t.observe(r)
 		}
 		runBatches(m, ds, r.CalibBatches)
 		for _, t := range targets {
@@ -135,7 +220,7 @@ func Quantize(m Model, ds data.Dataset, r Recipe) *Handle {
 	// Phase 2: convert — SmoothQuant folding, weight rounding, hook
 	// installation.
 	for _, t := range targets {
-		t.convert(r, h)
+		s.convert(t, r, &h.Report)
 	}
 
 	// Phase 3: BatchNorm re-calibration on the quantized graph. The
@@ -145,13 +230,13 @@ func Quantize(m Model, ds data.Dataset, r Recipe) *Handle {
 	// a cold table2). The cap stays tight because each cycle costs full
 	// calibration passes, and it decides reproduced numbers.
 	if r.BNCalib {
-		h.bns = nn.BatchNorms(m.Root())
-		h.bnStats = nn.SnapshotBatchNorms(h.bns)
+		h.bnCalib = true
+		s.bnStats = nn.SnapshotBatchNorms(s.bns, s.bnStats)
 		cycles := 4
 		if r.BNCalibBatches >= 32 {
 			cycles = 2
 		}
-		nn.CalibrateBatchNorms(h.bns, cycles, func() { runBatches(m, ds, r.BNCalibBatches) })
+		nn.CalibrateBatchNorms(s.bns, cycles, &s.calib, func() { runBatches(m, ds, r.BNCalibBatches) })
 	}
 	return h
 }
@@ -177,114 +262,172 @@ type binaryOp interface {
 	Operands() (a, b *nn.QState)
 }
 
-// collectTargets walks the model and builds the quantization site list
-// according to the recipe's scheme.
-func collectTargets(m Model, r Recipe, h *Handle) []*target {
-	type entry struct {
-		path string
-		mod  nn.Module
-	}
-	var order []entry
-	nn.Walk(m.Root(), func(path string, mod nn.Module) {
-		order = append(order, entry{path, mod})
-	})
-
-	// First conv / last linear exclusion (CNNs, standard scheme).
-	firstConv, lastLinear := "", ""
-	if m.IsCNN() && !r.QuantFirstLast {
-		for _, e := range order {
-			if _, ok := e.mod.(*nn.Conv2d); ok {
-				firstConv = e.path
-				break
-			}
-		}
-		for i := len(order) - 1; i >= 0; i-- {
-			if _, ok := order[i].mod.(*nn.Linear); ok {
-				lastLinear = order[i].path
-				break
-			}
-		}
-	}
-	h.Report.FirstOp, h.Report.LastOp = firstConv, lastLinear
-
-	var targets []*target
-	add := func(t *target) { targets = append(targets, t) }
-	for _, e := range order {
-		if r.Fallback[e.path] {
-			h.Report.FallbackOps = append(h.Report.FallbackOps, e.path)
-			continue
-		}
-		if e.path == firstConv || e.path == lastLinear {
-			h.Report.FallbackOps = append(h.Report.FallbackOps, e.path)
-			continue
-		}
-		switch mod := e.mod.(type) {
+// build fills the table from the module tree: every module in walk
+// order with its path, one site per quantizable input or output that
+// any recipe can quantize, the first-conv/last-linear candidates and
+// the BatchNorms.
+func (s *Sites) build(root nn.Module) {
+	haveConv := false
+	nn.Walk(root, func(path string, mod nn.Module) {
+		lo := len(s.targets)
+		add := func(t target) { s.targets = append(s.targets, t) }
+		switch mod.(type) {
 		case *nn.Linear, *nn.Conv2d, *nn.Conv1d:
+			if _, ok := mod.(*nn.Conv2d); ok && !haveConv {
+				s.firstConv, haveConv = path, true
+			}
 			p := mod.(nn.Parametric)
-			t := &target{path: e.path, kind: mod.Kind(), qs: mod.(nn.Quantizable).Q(),
+			t := target{kind: mod.Kind(), qs: mod.(nn.Quantizable).Q(),
 				weight: p.WeightTensor(), wgtDim: p.OutChannelDim()}
-			t.linear, _ = mod.(*nn.Linear)
+			if t.linear, _ = mod.(*nn.Linear); t.linear != nil {
+				s.lastLinear = path
+			}
 			add(t)
 		case *nn.Embedding, *nn.EmbeddingBag:
 			// Standard scheme: weight-only; extended also quantizes
 			// the gathered output tensor.
 			p := mod.(nn.Parametric)
-			add(&target{path: e.path, kind: mod.Kind(), qs: mod.(nn.Quantizable).Q(),
-				weight: p.WeightTensor(), wgtDim: p.OutChannelDim(), output: true, obsOnly: !r.ExtendedOps})
+			add(target{kind: mod.Kind(), qs: mod.(nn.Quantizable).Q(),
+				weight: p.WeightTensor(), wgtDim: p.OutChannelDim(), output: true, embedding: true})
 		case *nn.LayerNorm, *nn.RMSNorm, *nn.GroupNorm, *nn.BatchNorm2d:
-			if r.ExtendedOps {
-				add(&target{path: e.path, kind: mod.Kind(), qs: mod.(nn.Quantizable).Q(), output: true})
+			if bn, ok := mod.(*nn.BatchNorm2d); ok {
+				s.bns = append(s.bns, bn)
 			}
+			add(target{kind: mod.Kind(), qs: mod.(nn.Quantizable).Q(), output: true, extOnly: true})
 		case *nn.AddOp, *nn.MulOp, *nn.BatchMatMulOp:
-			if r.ExtendedOps {
-				qa, qb := mod.(binaryOp).Operands()
-				add(&target{path: e.path + "#a", kind: mod.Kind(), qs: qa})
-				add(&target{path: e.path + "#b", kind: mod.Kind(), qs: qb})
-			}
+			qa, qb := mod.(binaryOp).Operands()
+			add(target{kind: mod.Kind(), qs: qa, extOnly: true})
+			add(target{kind: mod.Kind(), qs: qb, extOnly: true})
 		}
+		s.order = append(s.order, siteEntry{path: path, lo: lo, hi: len(s.targets)})
+	})
+	// The slab no longer moves: bind each site's hook to its record.
+	for i := range s.targets {
+		t := &s.targets[i]
+		t.record = t.observeValues
 	}
-	return targets
+	s.active = make([]*target, 0, len(s.targets))
+	s.weights = make(map[*tensor.Tensor][]float32)
+	s.rounded = make(map[*tensor.Tensor]bool)
+	s.builds++
 }
 
-// attachObservers wires calibration hooks for the target.
-func (t *target) attachObservers(r Recipe) {
-	t.obs = NewObserver(r.Calib)
-	obs := t.obs
-	if t.output {
-		t.qs.ObserveOutput = obs.Observe
-	} else if t.linear != nil && r.SmoothQuant {
+// carveSmooth carves every Linear site's SmoothQuant buffers from two
+// slabs and binds its smoothed input hook.
+func (s *Sites) carveSmooth() {
+	n := 0
+	for i := range s.targets {
+		if l := s.targets[i].linear; l != nil {
+			n += l.In
+		}
+	}
+	f64 := make([]float64, 2*n)
+	inv := make([]float32, n)
+	off := 0
+	for i := range s.targets {
+		t := &s.targets[i]
+		if t.linear == nil {
+			continue
+		}
 		in := t.linear.In
-		t.colMax = make([]float64, in)
-		cm := t.colMax
-		t.qs.Observe = func(v []float32) {
-			obs.Observe(v)
-			for i, x := range v {
-				a := math.Abs(float64(x))
-				if a > cm[i%in] {
-					cm[i%in] = a
-				}
-			}
+		t.colMax = f64[2*off : 2*off+in : 2*off+in]
+		t.smooth = f64[2*off+in : 2*off+2*in : 2*off+2*in]
+		t.inv = inv[off : off+in : off+in]
+		t.smoothInput = t.divideSmooth
+		off += in
+	}
+	s.smoothCarved = true
+}
+
+// activate lists the sites recipe r quantizes on a model (isCNN: the
+// model's IsCNN), reports the fallbacks and first/last exclusions it
+// applies, and resets each listed site's per-call state.
+func (s *Sites) activate(isCNN bool, r Recipe, rep *Report) []*target {
+	// First conv / last linear exclusion (CNNs, standard scheme).
+	firstConv, lastLinear := "", ""
+	if isCNN && !r.QuantFirstLast {
+		firstConv, lastLinear = s.firstConv, s.lastLinear
+	}
+	rep.FirstOp, rep.LastOp = firstConv, lastLinear
+
+	s.active = s.active[:0]
+	for _, e := range s.order {
+		if r.Fallback[e.path] || e.path == firstConv || e.path == lastLinear {
+			rep.FallbackOps = append(rep.FallbackOps, e.path)
+			continue
 		}
+		for i := e.lo; i < e.hi; i++ {
+			t := &s.targets[i]
+			if t.extOnly && !r.ExtendedOps {
+				continue
+			}
+			t.obs, t.smoothing, t.fn = nil, false, nil
+			s.active = append(s.active, t)
+		}
+	}
+	return s.active
+}
+
+// observe wires the site's calibration hook for recipe r.
+func (t *target) observe(r Recipe) {
+	t.mm = MinMaxObserver{}
+	t.obs = &t.mm
+	if r.Calib != CalibMax {
+		t.obs = NewObserver(r.Calib)
+	}
+	t.smoothing = !t.output && t.linear != nil && r.SmoothQuant
+	if t.smoothing {
+		clear(t.colMax)
+	}
+	if t.output {
+		t.qs.ObserveOutput = t.record
 	} else {
-		t.qs.Observe = obs.Observe
+		t.qs.Observe = t.record
 	}
 }
 
-// convert installs the final quantization hooks and rounds weights.
-func (t *target) convert(r Recipe, h *Handle) {
-	h.states = append(h.states, t.qs)
+// observeValues is the site's calibration hook: it feeds the observer
+// and, on a smoothed site, the per-input-channel absmax.
+func (t *target) observeValues(v []float32) {
+	t.obs.Observe(v)
+	if !t.smoothing {
+		return
+	}
+	cm := t.colMax
+	in := len(cm)
+	for i, x := range v {
+		a := math.Abs(float64(x))
+		if a > cm[i%in] {
+			cm[i%in] = a
+		}
+	}
+}
 
+// divideSmooth is the smoothed site's input hook: it divides the
+// activations by the SmoothQuant divisors, then quantizes them.
+func (t *target) divideSmooth(dst, src []float32) {
+	inv := t.inv
+	in := len(inv)
+	for i, v := range src {
+		dst[i] = v * inv[i%in]
+	}
+	t.fn(dst, dst)
+}
+
+// convert installs the site's final quantization hooks and rounds its
+// weight, counting the hook in rep.
+func (s *Sites) convert(t *target, r Recipe, rep *Report) {
 	// SmoothQuant folding on Linear layers (before weight rounding).
-	if t.linear != nil && r.SmoothQuant && t.colMax != nil {
-		t.smooth = applySmoothQuant(t.linear, t.colMax, r.SmoothAlpha, h)
+	if t.smoothing {
+		s.fold(t, r.SmoothAlpha)
 	}
 
 	// Weight rounding (once per tensor, even when shared/tied), in
 	// place after the master is saved. E5M2 Direct rounds straight to
 	// the FP8 grid with no scaling.
-	if t.weight != nil && r.Wgt != FP32 && !h.rounded[t.weight] {
-		h.rounded[t.weight] = true
-		h.save(t.weight)
+	if t.weight != nil && r.Wgt != FP32 && !s.rounded[t.weight] {
+		s.rounded[t.weight] = true
+		s.save(t.weight)
 		if r.Approach == Direct && r.Wgt.IsFP8() {
 			r.Wgt.Format().Codec().QuantizeSlice(t.weight.Data, t.weight.Data)
 		} else {
@@ -293,7 +436,7 @@ func (t *target) convert(r Recipe, h *Handle) {
 	}
 
 	// Activation hooks.
-	if r.Act == FP32 || t.obsOnly {
+	if r.Act == FP32 || t.embedding && !r.ExtendedOps {
 		return
 	}
 	threshold, mn, mx := t.calibrated(r)
@@ -301,15 +444,19 @@ func (t *target) convert(r Recipe, h *Handle) {
 	if fn == nil {
 		return
 	}
-	if t.smooth != nil {
-		fn = composeSmooth(t.smooth, fn)
+	if t.smoothing {
+		for j, v := range t.smooth {
+			t.inv[j] = float32(1 / v)
+		}
+		t.fn = fn
+		fn = t.smoothInput
 	}
 	if t.output {
 		t.qs.Output = fn
 	} else {
 		t.qs.Input = fn
 	}
-	h.Report.QuantizedOps[t.kind]++
+	rep.QuantizedOps[t.kind]++
 }
 
 // calibrated resolves the threshold and range for a static target.
@@ -325,7 +472,7 @@ func (t *target) calibrated(r Recipe) (threshold, mn, mx float64) {
 	}
 	threshold = CalibratedThreshold(t.obs, r.Calib, mk)
 	mn, mx = t.obs.Range()
-	if t.smooth != nil {
+	if t.smoothing {
 		// Ranges shift after smoothing: recompute from column maxima.
 		threshold = 0
 		for j, c := range t.colMax {
@@ -339,29 +486,31 @@ func (t *target) calibrated(r Recipe) (threshold, mn, mx float64) {
 	return threshold, mn, mx
 }
 
-// applySmoothQuant folds per-channel smoothing scales into the weight
-// (W[:, j] *= s_j) and returns the divisors applied to the activation.
-// s_j = actMax_j^alpha / wMax_j^(1-alpha), the SmoothQuant migration.
-func applySmoothQuant(l *nn.Linear, colMax []float64, alpha float64, h *Handle) []float64 {
+// fold folds the site's per-channel smoothing scales into its Linear
+// weight (W[:, j] *= s_j) and leaves the divisors applied to the
+// activation in t.smooth. s_j = actMax_j^alpha / wMax_j^(1-alpha), the
+// SmoothQuant migration.
+func (s *Sites) fold(t *target, alpha float64) {
 	if alpha <= 0 || alpha >= 1 {
 		alpha = 0.5
 	}
+	l, colMax, sm := t.linear, t.colMax, t.smooth
 	in, out := l.In, l.Out
 	// s_j starts as the input channel's weight absmax (over output
 	// rows) and becomes its divisor in place.
-	s := make([]float64, in)
+	clear(sm)
 	for o := 0; o < out; o++ {
 		row := l.W.Data[o*in : (o+1)*in]
 		for j, v := range row {
 			a := math.Abs(float64(v))
-			if a > s[j] {
-				s[j] = a
+			if a > sm[j] {
+				sm[j] = a
 			}
 		}
 	}
-	for j, wMax := range s {
+	for j, wMax := range sm {
 		if colMax[j] == 0 || wMax == 0 {
-			s[j] = 1
+			sm[j] = 1
 			continue
 		}
 		v := math.Pow(colMax[j], alpha) / math.Pow(wMax, 1-alpha)
@@ -370,30 +519,13 @@ func applySmoothQuant(l *nn.Linear, colMax []float64, alpha float64, h *Handle) 
 		} else if v > 1e5 {
 			v = 1e5
 		}
-		s[j] = v
+		sm[j] = v
 	}
-	h.save(l.W)
+	s.save(l.W)
 	for o := 0; o < out; o++ {
 		row := l.W.Data[o*in : (o+1)*in]
 		for j := range row {
-			row[j] *= float32(s[j])
+			row[j] *= float32(sm[j])
 		}
-	}
-	return s
-}
-
-// composeSmooth divides activations by the smoothing scales before the
-// quantization function runs.
-func composeSmooth(s []float64, fn nn.QuantFunc) nn.QuantFunc {
-	in := len(s)
-	inv := make([]float32, in)
-	for j, v := range s {
-		inv[j] = float32(1 / v)
-	}
-	return func(dst, src []float32) {
-		for i, v := range src {
-			dst[i] = v * inv[i%in]
-		}
-		fn(dst, dst)
 	}
 }

@@ -54,10 +54,14 @@ const (
 )
 
 // chunks is one kind's storage: carving is a stack over the
-// concatenation of list, at chunk cur, element off.
+// concatenation of list, at chunk cur, element off. used marks the
+// chunks carved into since the last Reset, and grew whether a chunk
+// was appended since then.
 type chunks[T any] struct {
 	list     [][]T
 	cur, off int
+	used     []bool
+	grew     bool
 }
 
 // pos is a position in a chunks stack.
@@ -74,12 +78,39 @@ func (c *chunks[T]) carve(n, floor int) []T {
 	for ; c.cur < len(c.list); c.cur, c.off = c.cur+1, 0 {
 		if s := c.list[c.cur]; c.off+n <= len(s) {
 			c.off += n
+			c.used[c.cur] = true
 			return s[c.off-n : c.off : c.off]
 		}
 	}
 	c.list = append(c.list, make([]T, max(n, floor)))
+	c.used = append(c.used, true)
+	c.grew = true
 	c.off = n
 	return c.list[c.cur][:n:n]
+}
+
+// restart rewinds to the start of a new cycle.
+func (c *chunks[T]) restart() {
+	c.rewind(pos{})
+	clear(c.used)
+	c.grew = false
+}
+
+// trim drops, if a chunk was appended since the last restart, every
+// chunk not carved into since then and every chunk larger than floor.
+func (c *chunks[T]) trim(floor int) {
+	if !c.grew {
+		return
+	}
+	keep := 0
+	for i, s := range c.list {
+		if len(s) <= floor && c.used[i] {
+			c.list[keep] = s
+			keep++
+		}
+	}
+	clear(c.list[keep:])
+	c.list, c.used = c.list[:keep], c.used[:keep]
 }
 
 // Mark is a position in an arena, taken by Mark and released to by
@@ -93,7 +124,27 @@ func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
-	a.release(Mark{})
+	a.f.restart()
+	a.h.restart()
+	a.i.restart()
+}
+
+// Trim starts a new cycle like Reset. First, if the cycle since the
+// previous Reset appended a float chunk, it drops the float chunks
+// that cycle did not carve into and every oversize one (larger than
+// the chunk floor, appended for one carve no chunk could hold). An
+// owner whose cycles keep growing (a generator that adds a token per
+// step) trims before each larger cycle: a cycle that fit keeps every
+// chunk, and after one that outgrew the arena the next keeps only the
+// floor-sized chunks in use and appends oversize chunks for its own
+// shapes, instead of holding every earlier cycle's beside them. Safe
+// on nil.
+func (a *Arena) Trim() {
+	if a == nil {
+		return
+	}
+	a.f.trim(floatChunk)
+	a.Reset()
 }
 
 // Mark returns the arena's current position, opening a scope. Safe on

@@ -119,43 +119,46 @@ func FuzzArenaScopes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ops := decodeArenaOps(b)
 		var a Arena
-		var model [][]float32 // expected contents of each live tensor
-		var shapes [][]int
-		check := func(step int, live []*Tensor, keptFrom int) {
-			switch op := ops[step]; op.kind {
-			case opNew:
-				tt := live[len(live)-1]
-				for i, v := range tt.Data {
-					if v != 0 {
-						t.Fatalf("step %d: carved element %d is %g, not zeroed", step, i, v)
+		// checker returns a check of one cycle over ops.
+		checker := func() func(step int, live []*Tensor, keptFrom int) {
+			var model [][]float32 // expected contents of each live tensor
+			var shapes [][]int
+			return func(step int, live []*Tensor, keptFrom int) {
+				switch op := ops[step]; op.kind {
+				case opNew:
+					tt := live[len(live)-1]
+					for i, v := range tt.Data {
+						if v != 0 {
+							t.Fatalf("step %d: carved element %d is %g, not zeroed", step, i, v)
+						}
 					}
+					fill(tt.Data, step)
+					model = append(model, append([]float32(nil), tt.Data...))
+					shapes = append(shapes, append([]int(nil), tt.Shape...))
+				case opKeep:
+					if keptFrom < 0 {
+						return
+					}
+					want, shape := model[keptFrom], shapes[keptFrom]
+					model = append(model[:len(live)-1], want)
+					shapes = append(shapes[:len(live)-1], shape)
 				}
-				fill(tt.Data, step)
-				model = append(model, append([]float32(nil), tt.Data...))
-				shapes = append(shapes, append([]int(nil), tt.Shape...))
-			case opKeep:
-				if keptFrom < 0 {
-					return
-				}
-				want, shape := model[keptFrom], shapes[keptFrom]
-				model = append(model[:len(live)-1], want)
-				shapes = append(shapes[:len(live)-1], shape)
-			}
-			for i, tt := range live {
-				if len(tt.Data) != NumElements(tt.Shape) || cap(tt.Data) != len(tt.Data) {
-					t.Fatalf("step %d: tensor %d has len %d cap %d for shape %v", step, i, len(tt.Data), cap(tt.Data), tt.Shape)
-				}
-				if len(tt.Shape) != len(shapes[i]) {
-					t.Fatalf("step %d: tensor %d shape %v, want %v", step, i, tt.Shape, shapes[i])
-				}
-				for j := range tt.Shape {
-					if tt.Shape[j] != shapes[i][j] {
+				for i, tt := range live {
+					if len(tt.Data) != NumElements(tt.Shape) || cap(tt.Data) != len(tt.Data) {
+						t.Fatalf("step %d: tensor %d has len %d cap %d for shape %v", step, i, len(tt.Data), cap(tt.Data), tt.Shape)
+					}
+					if len(tt.Shape) != len(shapes[i]) {
 						t.Fatalf("step %d: tensor %d shape %v, want %v", step, i, tt.Shape, shapes[i])
 					}
-				}
-				for j, v := range tt.Data {
-					if math.Float32bits(v) != math.Float32bits(model[i][j]) {
-						t.Fatalf("step %d: tensor %d element %d is %x, want %x", step, i, j, math.Float32bits(v), math.Float32bits(model[i][j]))
+					for j := range tt.Shape {
+						if tt.Shape[j] != shapes[i][j] {
+							t.Fatalf("step %d: tensor %d shape %v, want %v", step, i, tt.Shape, shapes[i])
+						}
+					}
+					for j, v := range tt.Data {
+						if math.Float32bits(v) != math.Float32bits(model[i][j]) {
+							t.Fatalf("step %d: tensor %d element %d is %x, want %x", step, i, j, math.Float32bits(v), math.Float32bits(model[i][j]))
+						}
 					}
 				}
 			}
@@ -163,7 +166,7 @@ func FuzzArenaScopes(f *testing.F) {
 		live := make([]*Tensor, 0, len(ops))
 		marks := make([]Mark, 0, len(ops))
 		nlive := make([]int, 0, len(ops))
-		runArenaOps(&a, ops, live, marks, nlive, check)
+		runArenaOps(&a, ops, live, marks, nlive, checker())
 
 		if n := testing.AllocsPerRun(1, func() {
 			a.Reset()
@@ -171,7 +174,62 @@ func FuzzArenaScopes(f *testing.F) {
 		}); n != 0 {
 			t.Fatalf("an identical second cycle allocated %.0f times, want 0", n)
 		}
+		// A cycle that appended nothing leaves Trim nothing to drop.
+		if n := testing.AllocsPerRun(1, func() {
+			a.Trim()
+			runArenaOps(&a, ops, live[:0], marks[:0], nlive[:0], nil)
+		}); n != 0 {
+			t.Fatalf("an identical cycle after Trim allocated %.0f times, want 0", n)
+		}
+		// After a cycle that appended, Trim drops chunks; the next
+		// cycle carves the same values from what is left.
+		var g Arena
+		runArenaOps(&g, ops, live[:0], marks[:0], nlive[:0], nil)
+		g.Trim()
+		for i, c := range g.f.list {
+			if len(c) > floatChunk {
+				t.Fatalf("chunk %d of %d floats survived Trim", i, len(c))
+			}
+		}
+		runArenaOps(&g, ops, live[:0], marks[:0], nlive[:0], checker())
 	})
+}
+
+// TestArenaTrim pins what Trim drops: nothing after a cycle that fit;
+// after one that appended, the float chunks it did not carve into and
+// the oversize ones, keeping the floor-sized chunks it used.
+func TestArenaTrim(t *testing.T) {
+	var a Arena
+	cycle := func(sizes ...int) {
+		for _, n := range sizes {
+			a.Alloc(n)
+		}
+	}
+	cycle(floatChunk-10, floatChunk-10, floatChunk+5, 100)
+	a.Reset()
+	cycle(floatChunk - 10)
+	a.Trim() // appended nothing since the Reset
+	if got := len(a.f.list); got != 4 {
+		t.Fatalf("Trim after a cycle that fit left %d chunks, want all 4", got)
+	}
+	first := &a.f.list[0][0]
+	// Outgrow the oversize chunk; the second floor chunk goes unused.
+	cycle(floatChunk-10, floatChunk+9)
+	a.Trim()
+	if got := len(a.f.list); got != 1 || &a.f.list[0][0] != first {
+		t.Fatalf("Trim after growth left %d chunks, want only the used floor chunk", got)
+	}
+	if a.f.cur != 0 || a.f.off != 0 || a.f.grew {
+		t.Fatal("Trim did not rewind the arena")
+	}
+	s := a.Alloc(floatChunk + 9)
+	for i, v := range s {
+		if v != 0 {
+			t.Fatalf("carve after Trim: element %d is %g, not zeroed", i, v)
+		}
+	}
+	var nilArena *Arena
+	nilArena.Trim()
 }
 
 // TestArenaKeepOverlapping pins the overlap case: the kept tensor sits
