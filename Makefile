@@ -26,15 +26,16 @@ vet-contracts:
 	$(GO) run ./cmd/fp8vet ./...
 
 # Fused multiply-add audit: cross-compile internal/nn, internal/quant,
-# internal/evalx, internal/fp8 and internal/textgen for arm64 with the
-# assembly listing and fail on any fused multiply-add inside one of
-# their symbols. amd64 emits none, so one there would let arm64 layer
-# outputs, calibration thresholds, report statistics, the FP8 oracle or
-# the beam scores that pick Table 4's generations round differently. A
-# listing without a symbol of one of the packages fails too, so the
-# check cannot pass vacuously.
+# internal/evalx, internal/fp8, internal/textgen and internal/tensor
+# for arm64 with the assembly listing and fail on any fused
+# multiply-add inside one of their symbols. amd64 emits none, so one
+# there would let arm64 layer outputs, calibration thresholds, report
+# statistics, the FP8 oracle, the beam scores that pick Table 4's
+# generations, or the weights and percentiles tensor computes round
+# differently. A listing without a symbol of one of the packages fails
+# too, so the check cannot pass vacuously.
 fma-audit:
-	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; pkgs="nn quant evalx fp8 textgen"; \
+	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; pkgs="nn quant evalx fp8 textgen tensor"; \
 	GOARCH=arm64 $(GO) build -gcflags=-S $$(for p in $$pkgs; do echo ./internal/$$p; done) 2> "$$out" || { cat "$$out"; exit 1; }; \
 	awk -v pkgs="$$pkgs" ' \
 		BEGIN { n = split(pkgs, p, " "); for (i = 1; i <= n; i++) audited["fp8quant/internal/" p[i]] = 1 } \
@@ -85,7 +86,7 @@ bench:
 # The kernel-layer micro-benchmarks (blocked GEMM vs the naive loop,
 # im2col conv vs the direct loop, the FP8 fake-quant slice loop vs
 # per-element calls, planned vs unplanned module forwards — the
-# planned ones must hold 0 allocs/op under bench-gate) and a pooled
+# planned ones must hold 0 allocs/op under bench-gate) and a session
 # network's warm Quantize → AccuracyAgainst → Release cycle over the
 # six Table-2 recipes (BenchmarkQuantizeWarm, whose allocs/op is the
 # quantization's per-cell heap cost). One fast iteration set; used as

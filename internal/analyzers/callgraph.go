@@ -51,13 +51,12 @@ func buildGraph(pkgs []*Package) map[string]*graphFunc {
 	return g
 }
 
-// cellRoots returns the funcKeys of every RunCell implementation in
-// the set: methods named RunCell, plus any function passed as the
+// cellRoots returns, from the set's call graph g, every RunCell
+// implementation: methods named RunCell, plus any function passed as the
 // cell argument (4th positional) to a registerGrid call — the
 // project's experiment-registration idiom routes the executor's
 // RunCell through those.
-func cellRoots(pkgs []*Package) map[string]*graphFunc {
-	g := buildGraph(pkgs)
+func cellRoots(g map[string]*graphFunc, pkgs []*Package) map[string]*graphFunc {
 	roots := map[string]*graphFunc{}
 	for key, fn := range g {
 		if fn.decl.Recv != nil && fn.decl.Name.Name == "RunCell" {

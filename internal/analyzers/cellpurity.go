@@ -3,14 +3,14 @@
 // The executor's contract is that RunCell is pure — it may build
 // anything it likes, but its writes stay cell-local, so any worker
 // count, fleet or cell order computes the same grid. An
-// assignment to a package-level variable from a RunCell body (or from
-// a function it calls directly in the same package — the helpers a
-// cell leans on) couples cells through hidden state: results then
-// depend on execution order, which the memo, the store and its ingest
-// all assume away. Deliberate deterministic caches (compute-once
-// reference data guarded by a mutex) are the sanctioned exception —
-// annotate them with an fp8vet:ignore stating why order cannot
-// matter.
+// assignment to a package-level variable from a RunCell body, or from
+// any function it reaches through the statically resolvable call graph
+// (the one nondeterm walks, in every analyzed package), couples cells
+// through hidden state: results then depend on execution order, which
+// the memo, the store and its ingest all assume away. Deliberate
+// deterministic caches (compute-once reference data guarded by a
+// mutex) are the sanctioned exception — annotate them with an
+// fp8vet:ignore stating why order cannot matter.
 
 package analyzers
 
@@ -23,35 +23,14 @@ import (
 func cellpurityAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "cellpurity",
-		Doc:  "RunCell bodies and their direct in-package callees must not assign package-level variables",
+		Doc:  "RunCell bodies and every function they reach must not assign package-level variables",
 		Run:  runCellpurity,
 	}
 }
 
 func runCellpurity(pkgs []*Package) []Finding {
 	g := buildGraph(pkgs)
-	roots := cellRoots(pkgs)
-
-	// The audited set: every root, plus each root's direct callees
-	// declared in the same package (one level — the issue's "direct
-	// callees in-package"; deeper shared infrastructure is the
-	// executor's domain and nondeterm's problem).
-	audit := map[string][]string{} // funcKey -> chain from root
-	for key := range roots {
-		audit[key] = []string{key}
-	}
-	for _, key := range sortedKeys(roots) {
-		fn := roots[key]
-		for _, e := range fn.callees {
-			callee, ok := g[e.key]
-			if !ok || callee.pkg != fn.pkg {
-				continue
-			}
-			if _, already := audit[e.key]; !already {
-				audit[e.key] = []string{key, e.key}
-			}
-		}
-	}
+	audit := reachableFrom(g, cellRoots(g, pkgs))
 
 	var out []Finding
 	for _, key := range sortedKeys(audit) {

@@ -59,7 +59,7 @@ func nondetermAnalyzer() *Analyzer {
 
 func runNondeterm(pkgs []*Package) []Finding {
 	g := buildGraph(pkgs)
-	roots := cellRoots(pkgs)
+	roots := cellRoots(g, pkgs)
 	for key, fn := range g {
 		if kernelOrCodecPackage(fn.pkg) {
 			roots[key] = fn

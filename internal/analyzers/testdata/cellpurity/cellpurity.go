@@ -1,5 +1,5 @@
-// Fixture for the cellpurity check: RunCell bodies and their direct
-// in-package callees must not assign package-level variables.
+// Fixture for the cellpurity check: RunCell bodies and every function
+// they reach must not assign package-level variables.
 package cellpurityfix
 
 var hits int
@@ -18,17 +18,18 @@ func (Cell) RunCell(key string) int {
 	return localHelper(key)
 }
 
-// localHelper is a direct in-package callee: audited one level deep.
+// localHelper is a direct callee.
 func localHelper(key string) int {
 	hits += 1 // want cellpurity "hits"
 	return len(key)
 }
 
-// viaTwo is audited but clean; deepWrite, two levels down, is outside
-// the audited set.
+// viaTwo is clean; deepWrite, two calls below RunCell, is audited too.
 func viaTwo() { deepWrite() }
 
-func deepWrite() { hits = 0 }
+func deepWrite() {
+	hits = 0 // want cellpurity "via cellpurity.Cell.RunCell → cellpurity.viaTwo → cellpurity.deepWrite"
+}
 
 // Ignored: a documented exemption suppresses the finding.
 func fillCache() {

@@ -67,7 +67,7 @@ func fuzzCoord(t *testing.T, e testExp) (*Coordinator, *resultstore.Store) {
 // through harness.ComputeCell.
 func realPush(t testing.TB, e testExp, idx int, variant string) []byte {
 	t.Helper()
-	k, r, _ := harness.ComputeCell(e, idx)
+	k, r, _ := harness.ComputeCell(e, idx, nil)
 	payload, err := resultstore.EncodeCell(k, r)
 	if err != nil {
 		t.Fatal(err)

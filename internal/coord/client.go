@@ -1,15 +1,15 @@
 // Worker side of the sweep protocol. A worker is a plain loop: lease a
 // cell (the coordinator sends the cells of one model group in a row),
 // compute it through the exact harness path a local run uses (memo →
-// store → RunCell, panic-isolated), push the store payload back,
-// repeat until the coordinator says done. All HTTP calls go through a
-// bounded retry with exponential backoff and jitter — connection
-// refused and 5xx are transient (a restarting coordinator), 4xx are
-// protocol errors and fail hard — and a cancelled context finishes
-// gracefully: the in-flight cell is still computed and pushed before
-// the worker exits, so SIGINT never wastes completed work, and the
-// push marks the worker as exiting, so the rest of its group goes back
-// to the queue at once.
+// store → RunCell, panic-isolated, on the worker's one model session),
+// push the store payload back, repeat until the coordinator says done.
+// All HTTP calls go through a bounded retry with exponential backoff
+// and jitter — connection refused and 5xx are transient (a restarting
+// coordinator), 4xx are protocol errors and fail hard — and a cancelled
+// context finishes gracefully: the in-flight cell is still computed
+// and pushed before the worker exits, so SIGINT never wastes completed
+// work, and the push marks the worker as exiting, so the rest of its
+// group goes back to the queue at once.
 
 package coord
 
@@ -130,12 +130,14 @@ func (w *Worker) logf(format string, args ...interface{}) {
 // Run pulls and computes cells until the coordinator reports done (or
 // draining), the context is cancelled, or the retry budget is
 // exhausted. A context cancellation arriving mid-cell is graceful: the
-// cell is finished and pushed first.
+// cell is finished and pushed first. Every cell runs on one model
+// session for the run, so a granted group's cells share one network.
 func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 	w.defaults()
 	stopBeat := w.startHeartbeat(ctx)
 	defer stopBeat()
 	var stats WorkerStats
+	var session harness.Session
 	for {
 		if ctx.Err() != nil {
 			w.logf("context cancelled, exiting")
@@ -168,7 +170,7 @@ func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 		default:
 			return stats, fmt.Errorf("lease: unknown status %q", lr.Status)
 		}
-		push := w.computeLease(*lr.Lease, &stats)
+		push := w.computeLease(*lr.Lease, &stats, &session)
 		push.Exiting = ctx.Err() != nil
 		// Push over a context detached from cancellation: if SIGINT
 		// landed while computing, the finished cell must still reach the
@@ -225,8 +227,9 @@ func (w *Worker) hello(ctx context.Context) (WorkerAck, error) {
 	return ack, err
 }
 
-// computeLease evaluates one leased cell and builds its push.
-func (w *Worker) computeLease(l Lease, stats *WorkerStats) PushRequest {
+// computeLease evaluates one leased cell on session s and builds its
+// push.
+func (w *Worker) computeLease(l Lease, stats *WorkerStats, s *harness.Session) PushRequest {
 	push := PushRequest{Worker: w.Name, LeaseID: l.ID, Fingerprint: l.Fingerprint}
 	e, ok := w.Resolve(l.Exp)
 	if !ok {
@@ -249,7 +252,7 @@ func (w *Worker) computeLease(l Lease, stats *WorkerStats) PushRequest {
 		return push
 	}
 	start := time.Now()
-	key, res, computed := harness.ComputeCell(e, l.Index)
+	key, res, computed := harness.ComputeCell(e, l.Index, s)
 	elapsed := time.Since(start)
 	if res.Err != "" {
 		// Cell failures are deterministic (runCellSafe converts panics);

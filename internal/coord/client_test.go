@@ -108,7 +108,7 @@ func TestWorkerRefusesScheduleSkew(t *testing.T) {
 	push := w.computeLease(Lease{
 		ID: "l-1", Exp: "skew", Index: 0, Key: "model=ma,recipe=r1",
 		Fingerprint: strings.Repeat("0", 32),
-	}, &stats)
+	}, &stats, nil)
 	if push.Err == "" || !strings.Contains(push.Err, "fingerprint mismatch") {
 		t.Fatalf("push.Err = %q, want fingerprint mismatch", push.Err)
 	}
@@ -116,10 +116,10 @@ func TestWorkerRefusesScheduleSkew(t *testing.T) {
 		t.Fatal("worker computed a cell under a mismatched fingerprint")
 	}
 	// Unknown experiment and out-of-range index fail the same way.
-	if p := w.computeLease(Lease{Exp: "nope", Index: 0}, &stats); !strings.Contains(p.Err, "does not know experiment") {
+	if p := w.computeLease(Lease{Exp: "nope", Index: 0}, &stats, nil); !strings.Contains(p.Err, "does not know experiment") {
 		t.Fatalf("unknown-exp push.Err = %q", p.Err)
 	}
-	if p := w.computeLease(Lease{Exp: "skew", Index: 99}, &stats); !strings.Contains(p.Err, "out of range") {
+	if p := w.computeLease(Lease{Exp: "skew", Index: 99}, &stats, nil); !strings.Contains(p.Err, "out of range") {
 		t.Fatalf("out-of-range push.Err = %q", p.Err)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"fp8quant/internal/quant"
 )
 
-// BenchmarkQuantizeWarm is one pooled network's warm cycle over the six
+// BenchmarkQuantizeWarm is one session network's warm cycle over the six
 // Table-2 recipes, each through the paper's per-domain settings:
 // Quantize, AccuracyAgainst and Release per recipe, on a planned network
 // whose site table, plan chunks and FP32 reference an earlier cycle

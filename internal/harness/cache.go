@@ -44,11 +44,10 @@ func Store() *resultstore.Store {
 
 // ClearMemo drops every in-process cache — the cell memo, the
 // per-model FP32 reference cache, the fig6/table4 generation
-// references, the models' memoized BatchNorm warm-ups and input
-// batches, the idle execution plans and the idle FP32 networks (the
-// disk store is untouched). Tests use it to simulate a process
-// boundary and force store round trips and cold builds; long-lived
-// embedders can use it to release sweep memory.
+// references, and the models' memoized BatchNorm warm-ups and input
+// batches (the disk store is untouched). Tests use it to simulate a
+// process boundary and force store round trips and cold builds;
+// long-lived embedders can use it to release sweep memory.
 //
 //fp8vet:ignore unused the bench module's tests force cold builds with it
 func ClearMemo() {
@@ -58,8 +57,6 @@ func ClearMemo() {
 	clearRefs()
 	clearGenRefs()
 	models.ClearMemo()
-	clearPlans()
-	clearNets()
 }
 
 // lookupCell returns the cell's result if the memo or the store

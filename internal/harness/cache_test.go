@@ -63,27 +63,6 @@ func TestCachedCellMemoizes(t *testing.T) {
 	}
 }
 
-// TestClearMemoDropsIdlePlans checks that an in-process cold run is
-// really cold: ClearMemo empties the plan free list, so the next cell
-// starts from a plan with no chunks.
-func TestClearMemoDropsIdlePlans(t *testing.T) {
-	withCleanCache(t)
-	net, err := models.Build("tinybert_mrpc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	release := planOn(net)
-	net.Run(net.Data.Batch(0))
-	release()
-	if n := len(idlePlans()); n != 1 {
-		t.Fatalf("%d idle plans after one cell, want 1", n)
-	}
-	ClearMemo()
-	if n := len(idlePlans()); n != 0 {
-		t.Fatalf("ClearMemo kept %d idle plans", n)
-	}
-}
-
 // TestCachedCellPersistsAcrossProcesses simulates two fp8bench
 // invocations sharing a cache dir: the memo is cleared (process
 // boundary) and the second "process" must load from disk, not compute.

@@ -3,14 +3,15 @@
 // experiment only declares its schedule (Spec), its pure per-cell
 // computation (RunCell) and its presentation (Render); the executor
 // fans the selected cells out over the bounded sweep worker pool
-// (model-affine claims, sweep.go), consults the memo and the result
-// store per cell, and persists fresh results — so an interrupted sweep
-// resumes from its completed cells on the next invocation, for every
-// grid experiment by construction. A full-schedule run records its
-// grid's manifest (Store.RecordSchedule) before any cell runs, and the
-// first fresh cell stamps the active kernel tier into it
-// (Store.StampVariants): a grid recorded under another tier serves its
-// stored cells but computes and stores none.
+// (model-affine claims, sweep.go; one model session per worker,
+// session.go), consults the memo and the result store per cell, and
+// persists fresh results — so an interrupted sweep resumes from its
+// completed cells on the next invocation, for every grid experiment by
+// construction. A full-schedule run records its grid's manifest
+// (Store.RecordSchedule) before any cell runs, and the first fresh
+// cell stamps the active kernel tier into it (Store.StampVariants): a
+// grid recorded under another tier serves its stored cells but
+// computes and stores none.
 
 package harness
 
@@ -99,8 +100,9 @@ func RunGrid(e Experiment, f Filter, _ ...Shard) (*Grid, []int, error) {
 	})
 	var done atomic.Int64
 	reportProgress(e.ID(), 0, len(sel))
-	forEachCell(spec.CellModels(sel), func(k int) {
+	forEachCell(spec.CellModels(sel), func(k int, s *Session) {
 		c := spec.CellAt(sel[k])
+		c.session = s
 		g.Results[sel[k]], _ = cachedCellFresh(spec.CellKey(c), func() (evalx.Result, bool) {
 			if stamp(); stampErr != nil {
 				return evalx.Result{}, false
@@ -115,21 +117,25 @@ func RunGrid(e Experiment, f Filter, _ ...Shard) (*Grid, []int, error) {
 	return g, sel, nil
 }
 
-// ComputeCell evaluates the idx-th row-major cell of e's grid through
-// the cache layers (memo, then store, then compute + persist) and
-// returns the cell's key, its result, and whether it was computed
-// fresh rather than served from a cache. It is the lease-driven entry
-// point used by coordinator workers: the coordinator hands out cell
-// indices, the worker computes exactly that cell — panic-isolated like
-// any pool cell — and pushes the payload back. The fresh/cached flag
-// lets workers report honest durations to the coordinator's cost model
-// (a cache hit says nothing about how expensive the cell is).
-func ComputeCell(e Experiment, idx int) (resultstore.CellKey, evalx.Result, bool) {
+// ComputeCell evaluates the idx-th row-major cell of e's grid on the
+// worker's session s through the cache layers (memo, then store, then
+// compute + persist) and returns the cell's key, its result, and
+// whether it was computed fresh rather than served from a cache. It is
+// the lease-driven entry point used by coordinator workers: the
+// coordinator hands out cell indices, the worker computes exactly that
+// cell — panic-isolated like any pool cell — and pushes the payload
+// back. A worker passes the same s for all its cells, so a granted
+// group's cells share one network; nil serves the cell alone. The
+// fresh/cached flag lets workers report honest durations to the
+// coordinator's cost model (a cache hit says nothing about how
+// expensive the cell is).
+func ComputeCell(e Experiment, idx int, s *Session) (resultstore.CellKey, evalx.Result, bool) {
 	spec := e.Spec()
 	if idx < 0 || idx >= spec.NumCells() {
 		panic(fmt.Sprintf("harness: ComputeCell index %d out of range for %s's %d cells", idx, e.ID(), spec.NumCells()))
 	}
 	c := spec.CellAt(idx)
+	c.session = s
 	k := spec.CellKey(c)
 	r, fresh := cachedCellFresh(k, func() (evalx.Result, bool) {
 		return runCellSafe(e, spec, c), true

@@ -224,8 +224,8 @@ func TestRunGridRecoversCellPanic(t *testing.T) {
 }
 
 // TestRunGridBuildsEachModelOnce runs a 2-model x 3-recipe grid at 2
-// workers through withModelCell and records the networks its cells
-// ran on. The first two cells wait for each other at a barrier, so
+// workers through withModelCell, on each worker's session, and records
+// the networks its cells ran on. The first two cells wait for each other at a barrier, so
 // both workers hold a network at once. Model-affine claims put them on
 // different models, and only the tail may put a second worker on a
 // running model, so the grid uses at most one network per model plus
@@ -251,7 +251,7 @@ func TestRunGridBuildsEachModelOnce(t *testing.T) {
 		},
 		cell: func(c Cell) evalx.Result {
 			name := c.Values[0]
-			return withModelCell(name, c.Values[1], func(net *models.Network, _ evalx.Reference) evalx.Result {
+			return withModelCell(c.session, name, c.Values[1], func(net *models.Network, _ evalx.Reference) evalx.Result {
 				mu.Lock()
 				nets[net] = true
 				first := len(barrier) < 2

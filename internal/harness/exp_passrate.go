@@ -8,7 +8,6 @@ import (
 	"fp8quant/internal/evalx"
 	"fp8quant/internal/models"
 	"fp8quant/internal/quant"
-	"fp8quant/internal/tensor/kernels"
 )
 
 func init() {
@@ -32,44 +31,11 @@ func init() {
 
 // ---- the model cell ----
 
-// withModelCell runs the steps every model cell shares: it takes an
-// idle execution plan (plancache.go), then an FP32 network of the named
-// model with that plan installed, from the free list or built on the
-// plan (netpool.go), so a model's first build warms its BatchNorms in
-// the chunks the cell runs on. It takes the model's FP32 reference and
-// hands the network and reference to eval. eval must leave the network
-// as it found it, which quant.Handle.Release does; the network goes
-// back to the free list only if eval returns normally. One deferred
-// release uninstalls the plan and returns it to the free list on every
-// path, a panic or a failed build included. A model that fails to
-// build yields a Failed result under label.
-func withModelCell(name, label string, eval func(*models.Network, evalx.Reference) evalx.Result) evalx.Result {
-	key := netKey{name, kernels.Active()}
-	p := takePlan()
-	var net *models.Network
-	returned := false
-	defer func() {
-		if net != nil {
-			net.InstallPlan(nil)
-			if returned {
-				putNet(key, net)
-			}
-		}
-		putPlan(p)
-	}()
-	net, err := takeNet(key, p)
-	if err != nil {
-		return evalx.Failed(name, label, err)
-	}
-	r := eval(net, modelRef(name, net))
-	returned = true
-	return r
-}
-
 // evalModelCell evaluates the named model under recipe(net), with the
-// paper's per-domain settings, against its FP32 reference.
-func evalModelCell(name, label string, recipe func(*models.Network) quant.Recipe) evalx.Result {
-	return withModelCell(name, label, func(net *models.Network, ref evalx.Reference) evalx.Result {
+// paper's per-domain settings, against its FP32 reference, on the
+// session's network of the model (withModelCell).
+func evalModelCell(s *Session, name, label string, recipe func(*models.Network) quant.Recipe) evalx.Result {
+	return withModelCell(s, name, label, func(net *models.Network, ref evalx.Reference) evalx.Result {
 		return evalx.EvaluateWithRef(net, recipe(net), true, ref)
 	})
 }
@@ -96,7 +62,7 @@ func recipeGrid(id string, names []string, cols []recipeColumn) (func() GridSpec
 		}}
 	}
 	cell := func(c Cell) evalx.Result {
-		return evalModelCell(c.Values[0], c.Values[1], cols[c.Coords[1]].recipe)
+		return evalModelCell(c.session, c.Values[0], c.Values[1], cols[c.Coords[1]].recipe)
 	}
 	return spec, cell
 }
@@ -302,7 +268,7 @@ func fig7Spec() GridSpec {
 
 func runFig7Cell(c Cell) evalx.Result {
 	name, cfg := c.Values[0], fig7Cfgs[c.Coords[1]]
-	return withModelCell(name, cfg.label, func(net *models.Network, ref evalx.Reference) evalx.Result {
+	return withModelCell(c.session, name, cfg.label, func(net *models.Network, ref evalx.Reference) evalx.Result {
 		if !net.Meta.HasBN {
 			return evalx.Failed(name, cfg.label, errNoBatchNorm)
 		}
@@ -396,7 +362,7 @@ func table6Spec() GridSpec {
 
 func runTable6Cell(c Cell) evalx.Result {
 	cs := table6Cases[c.Coords[0]]
-	return evalModelCell(cs.model, c.Values[1], func(*models.Network) quant.Recipe {
+	return evalModelCell(c.session, cs.model, c.Values[1], func(*models.Network) quant.Recipe {
 		if c.Coords[1] == 0 {
 			return quant.DynamicFP8(cs.format)
 		}
@@ -497,7 +463,7 @@ func runFig9Cell(c Cell) evalx.Result {
 			r = r.WithExtendedOps()
 		}
 	}
-	return evalModelCell(g.names[c.Index%fig9GroupSize], g.label, func(*models.Network) quant.Recipe { return r })
+	return evalModelCell(c.session, g.names[c.Index%fig9GroupSize], g.label, func(*models.Network) quant.Recipe { return r })
 }
 
 func renderFig9(g *Grid) *Report {
@@ -558,7 +524,7 @@ func runFirstLastCell(c Cell) evalx.Result {
 	if c.Coords[1] == 1 {
 		r = r.WithFirstLast()
 	}
-	return evalModelCell(c.Values[2], c.Values[0]+" "+c.Values[1], func(*models.Network) quant.Recipe { return r })
+	return evalModelCell(c.session, c.Values[2], c.Values[0]+" "+c.Values[1], func(*models.Network) quant.Recipe { return r })
 }
 
 func renderFirstLast(g *Grid) *Report {

@@ -111,7 +111,7 @@ func goldenDigests(t *testing.T) map[string]string {
 		if idx < 0 {
 			t.Fatalf("%s has no cell %s", gc.exp, gc.cell)
 		}
-		k, r, _ := ComputeCell(e, idx)
+		k, r, _ := ComputeCell(e, idx, nil)
 		if r.Err != "" {
 			t.Fatalf("%s %s: %s", gc.exp, gc.cell, r.Err)
 		}

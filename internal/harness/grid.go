@@ -60,6 +60,10 @@ type Cell struct {
 	Coords []int
 	// Values are the resolved per-axis values.
 	Values []string
+	// session is the model session of the worker running the cell
+	// (session.go): RunGrid and ComputeCell set it, CellAt leaves it
+	// nil, and a nil session serves one cell alone.
+	session *Session
 }
 
 // CellAt returns the i-th cell in row-major order.

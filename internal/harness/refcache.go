@@ -1,5 +1,5 @@
 // Per-model FP32 reference cache. Cells are pure — each runs on an FP32
-// network equal to a fresh build (netpool.go) — and the FP32 reference
+// network equal to a fresh build (session.go) — and the FP32 reference
 // a model is judged against is pure data, deterministic per model name,
 // and shared by every recipe cell of that model. Computing it once per
 // process keeps the per-cell API from multiplying the reference passes

@@ -1,0 +1,84 @@
+// Model sessions. The paper's workflow quantizes one FP32 model under
+// many recipes, and both schedulers hand a worker a model's cells in a
+// row: forEachCell's model-affine claims (sweep.go) and the
+// coordinator's group grants (coord.Worker.Run). A Session is one such
+// worker's model state. It owns the worker's execution plan for the
+// worker's life, and the FP32 network of the model its current cells
+// share.
+//
+// A model's first cell builds the network on the session's plan
+// (models.BuildOn), so its BatchNorm warm-up runs in the chunks the
+// cells then reuse. Later cells of the model, under the same kernel
+// tier, take the same network with the plan still installed. They stay
+// pure because every model cell ends with quant.Handle.Release, which
+// restores the weights, the BatchNorm statistics and every QState
+// exactly (TestReleaseRestoresZooNetworks): the network a cell takes
+// is, bit for bit, what a fresh build would return. The tier is part of
+// the match because the warm-up ran that tier's kernels. The session
+// drops the network when the worker moves to another model or tier, and
+// when a cell panics, since that cell may have left it half quantized.
+
+package harness
+
+import (
+	"fp8quant/internal/evalx"
+	"fp8quant/internal/models"
+	"fp8quant/internal/nn"
+	"fp8quant/internal/tensor/kernels"
+)
+
+// Session is one claim-loop worker's model state. The zero value is
+// ready to use; a Session is not safe for concurrent use.
+type Session struct {
+	plan    *nn.Plan
+	net     *models.Network
+	name    string
+	variant kernels.Variant
+}
+
+// network returns the session's FP32 network of the named model under
+// the active kernel tier, with the session's plan installed. If the
+// session holds another model's network, or one warmed under another
+// tier, it drops that one and builds the model on the plan.
+func (s *Session) network(name string) (*models.Network, error) {
+	v := kernels.Active()
+	if s.net != nil && s.name == name && s.variant == v {
+		return s.net, nil
+	}
+	s.net = nil
+	if s.plan == nil {
+		s.plan = nn.NewPlan(nil)
+	}
+	net, err := models.BuildOn(name, s.plan)
+	if err != nil {
+		return nil, err
+	}
+	s.net, s.name, s.variant = net, name, v
+	return net, nil
+}
+
+// withModelCell runs the steps every model cell shares: it takes the
+// session's FP32 network of the named model (network), then the
+// model's FP32 reference, and hands both to eval. eval must leave the
+// network as it found it, which quant.Handle.Release does; if eval
+// panics, the session drops the network. A nil session serves this one
+// cell alone, on a fresh plan. A model that fails to build yields a
+// Failed result under label.
+func withModelCell(s *Session, name, label string, eval func(*models.Network, evalx.Reference) evalx.Result) evalx.Result {
+	if s == nil {
+		s = new(Session)
+	}
+	net, err := s.network(name)
+	if err != nil {
+		return evalx.Failed(name, label, err)
+	}
+	returned := false
+	defer func() {
+		if !returned {
+			s.net = nil
+		}
+	}()
+	r := eval(net, modelRef(name, net))
+	returned = true
+	return r
+}

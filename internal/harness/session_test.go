@@ -28,12 +28,12 @@ var restoreFamilies = []string{
 	"unet_carvana",         // UNet
 }
 
-// TestReleaseRestoresZooNetworks is the contract the network free list
-// (netpool.go) rests on: after Quantize, an eval forward and Release,
+// TestReleaseRestoresZooNetworks is the contract a model session
+// (session.go) rests on: after Quantize, an eval forward and Release,
 // a zoo network equals a fresh models.Build bit for bit — every weight,
 // bias, BatchNorm statistic, norm gamma/beta and QState — whatever
 // recipes it ran before. Each recipe runs on the same network in turn,
-// as pooled cells do. The families run in sequence under one plan, as
+// as a session's cells do. The families run in sequence under one plan, as
 // a sweep worker's cells do, so each model's FP32 masters reuse cell
 // arena chunks carved for earlier, differently sized ones.
 func TestReleaseRestoresZooNetworks(t *testing.T) {
@@ -160,47 +160,41 @@ func diffValues(a, b reflect.Value, path string) []string {
 	return diffs
 }
 
-// idleNetsOf counts the idle networks of the named model.
-func idleNetsOf(name string) int {
-	netsMu.Lock()
-	defer netsMu.Unlock()
-	n := 0
-	for _, e := range idleNets {
-		if e.key.name == name {
-			n++
-		}
-	}
-	return n
-}
-
-// TestWithModelCellReusesNetwork checks that a cell hands its network
-// back and the next cell of the model takes that same network.
+// TestWithModelCellReusesNetwork checks that consecutive cells of one
+// model on one session run on the same network, with the session's plan
+// still installed.
 func TestWithModelCellReusesNetwork(t *testing.T) {
 	withCleanCache(t)
 	recipe := func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E4M3) }
+	var s Session
 	var nets []*models.Network
 	for cell := 0; cell < 2; cell++ {
-		withModelCell("tinybert_mrpc", "E4M3", func(net *models.Network, ref evalx.Reference) evalx.Result {
+		withModelCell(&s, "tinybert_mrpc", "E4M3", func(net *models.Network, ref evalx.Reference) evalx.Result {
 			nets = append(nets, net)
 			return evalx.EvaluateWithRef(net, recipe(net), true, ref)
 		})
 	}
 	if nets[0] != nets[1] {
-		t.Error("the second cell built a new network instead of taking the idle one")
+		t.Error("the second cell built a new network instead of taking the session's")
 	}
-	if n := idleNetsOf("tinybert_mrpc"); n != 1 {
-		t.Errorf("%d idle networks after two sequential cells, want 1", n)
+	if s.net != nets[0] || nets[0].CellArena() != s.plan.Cell() {
+		t.Error("the session does not hold its cells' network with its plan installed")
 	}
 }
 
 // TestPanickingCellDropsNetwork checks that a cell that panics after
-// Quantize, before Release, leaves no network of its model idle.
+// Quantize, before Release, leaves its session without a network, and
+// that the next cell rebuilds one equal to a fresh build, with the
+// first cell's result.
 func TestPanickingCellDropsNetwork(t *testing.T) {
 	withCleanCache(t)
 	const name = "cifar_resnet20"
-	evalModelCell(name, "E4M3", func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E4M3) })
-	if n := idleNetsOf(name); n != 1 {
-		t.Fatalf("%d idle networks after one cell, want 1", n)
+	recipe := func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E4M3) }
+	var s Session
+	want := evalModelCell(&s, name, "E4M3", recipe)
+	first := s.net
+	if first == nil {
+		t.Fatal("the session holds no network after a cell")
 	}
 	func() {
 		defer func() {
@@ -208,21 +202,38 @@ func TestPanickingCellDropsNetwork(t *testing.T) {
 				t.Fatal("the cell did not panic")
 			}
 		}()
-		withModelCell(name, "E4M3", func(net *models.Network, _ evalx.Reference) evalx.Result {
+		withModelCell(&s, name, "E4M3", func(net *models.Network, _ evalx.Reference) evalx.Result {
 			quant.Quantize(net, net.Data, quant.StandardFP8(quant.E4M3))
 			panic("cell failed after Quantize")
 		})
 	}()
-	if n := idleNetsOf(name); n != 0 {
-		t.Fatalf("%d idle networks of %s after a panicking cell, want 0", n, name)
+	if s.net != nil {
+		t.Fatal("the session kept the network of a panicking cell")
+	}
+	fresh, err := models.Build(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var diffs []string
+	got := withModelCell(&s, name, "E4M3", func(net *models.Network, ref evalx.Reference) evalx.Result {
+		if net == first {
+			t.Error("the next cell took the panicking cell's network")
+		}
+		diffs = diffValues(reflect.ValueOf(fresh.Root()), reflect.ValueOf(net.Root()), "root")
+		return evalx.EvaluateWithRef(net, recipe(net), true, ref)
+	})
+	if len(diffs) > 0 {
+		t.Errorf("the rebuilt network differs from a fresh Build:\n%s", strings.Join(diffs, "\n"))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the cell after the panic:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestNetPoolGridMatchesFreshBuilds runs a multi-model grid through
-// the free list at 1 and 8 workers: every result must equal the cell
-// computed alone from a fresh build, behind a ClearMemo process
-// boundary. The models outnumber maxIdleNets, so the run also drops
-// idle networks.
+// TestNetPoolGridMatchesFreshBuilds runs a multi-model grid on the
+// workers' sessions at 1 and 8 workers: every result must equal the
+// cell computed alone from a fresh build, behind a ClearMemo process
+// boundary.
 func TestNetPoolGridMatchesFreshBuilds(t *testing.T) {
 	withCleanCache(t)
 	e, ok := Get("table2")
@@ -237,7 +248,7 @@ func TestNetPoolGridMatchesFreshBuilds(t *testing.T) {
 	want := map[int]evalx.Result{}
 	for _, i := range sel {
 		ClearMemo()
-		_, want[i], _ = ComputeCell(e, i)
+		_, want[i], _ = ComputeCell(e, i, nil)
 	}
 	defer SetWorkers(0)
 	for _, workers := range []int{1, 8} {
@@ -249,36 +260,44 @@ func TestNetPoolGridMatchesFreshBuilds(t *testing.T) {
 		}
 		for _, i := range sel {
 			if !reflect.DeepEqual(g.Results[i], want[i]) {
-				t.Errorf("workers=%d: cell %s through the pool:\n got %+v\nwant %+v",
+				t.Errorf("workers=%d: cell %s on a session:\n got %+v\nwant %+v",
 					workers, e.Spec().KeyString(e.Spec().CellAt(i)), g.Results[i], want[i])
 			}
-		}
-		netsMu.Lock()
-		n := len(idleNets)
-		netsMu.Unlock()
-		if n == 0 || n > maxIdleNets {
-			t.Errorf("workers=%d: %d idle networks after the grid, want 1..%d", workers, n, maxIdleNets)
 		}
 	}
 }
 
-// TestNetPoolKeysByVariant checks that a network warmed under one
-// kernel variant is never handed to a cell running another.
+// TestNetPoolKeysByVariant checks that a session never hands a network
+// warmed under one kernel variant to a cell running another: a tier
+// change rebuilds the network.
 func TestNetPoolKeysByVariant(t *testing.T) {
 	withCleanCache(t)
 	const name = "cifar_resnet20"
-	avx2 := netKey{name, kernels.VariantAVX2}
-	p := nn.NewPlan(nil)
-	net, err := takeNet(avx2, p)
+	prev := kernels.Active()
+	other := kernels.VariantGeneric
+	if prev == other {
+		other = kernels.Available()[0]
+	}
+	if prev == other {
+		t.Skip("the host has one kernel variant")
+	}
+	defer func() {
+		if err := kernels.ForceVariant(prev); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	var s Session
+	net, err := s.network(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.InstallPlan(nil)
-	putNet(avx2, net)
-	if other, err := takeNet(netKey{name, kernels.VariantGeneric}, p); err != nil || other == net {
-		t.Fatalf("a generic-variant cell took the avx2 network (err %v)", err)
+	if same, err := s.network(name); err != nil || same != net {
+		t.Fatalf("a second %s cell did not take the session's network (err %v)", prev, err)
 	}
-	if same, err := takeNet(avx2, p); err != nil || same != net {
-		t.Fatalf("an avx2 cell did not take the idle avx2 network (err %v)", err)
+	if err := kernels.ForceVariant(other); err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt, err := s.network(name); err != nil || rebuilt == net {
+		t.Fatalf("a %s cell took the network warmed under %s (err %v)", other, prev, err)
 	}
 }

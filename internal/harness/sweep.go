@@ -7,11 +7,11 @@
 //
 // Claims are model-affine. A worker keeps to the model it ran last and
 // moves on to a model no other worker is running, so each model is
-// built about once per run (netpool.go hands the next cell the network
-// the last one released) instead of once per worker that touches it.
-// Only the tail, when every unclaimed cell belongs to a running model,
-// puts two workers on one model. Grids without a model axis run in
-// ascending order.
+// built about once per run (each worker's Session hands a model's next
+// cell the network its last cell released) instead of once per worker
+// that touches it. Only the tail, when every unclaimed cell belongs to
+// a running model, puts two workers on one model. Grids without a
+// model axis run in ascending order.
 
 package harness
 
@@ -43,15 +43,17 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEachCell runs cell(k) for every k in [0, len(models)) across the
-// bounded worker pool, where models[k] is cell k's model ("" for a
+// forEachCell runs cell(k, s) for every k in [0, len(models)) across
+// the bounded worker pool, where models[k] is cell k's model ("" for a
 // grid without a model axis). Each worker claims its cells through
-// nextCell. cell must confine its writes to per-index state.
-func forEachCell(models []string, cell func(k int)) {
+// nextCell and runs them on its own Session s. cell must confine its
+// writes to per-index state and s.
+func forEachCell(models []string, cell func(k int, s *Session)) {
 	var mu sync.Mutex
 	claimed := make([]bool, len(models))
 	running := map[string]int{}
 	work := func() {
+		var s Session
 		k := -1
 		for {
 			mu.Lock()
@@ -69,7 +71,7 @@ func forEachCell(models []string, cell func(k int)) {
 			if k < 0 {
 				return
 			}
-			cell(k)
+			cell(k, &s)
 		}
 	}
 	workers := min(Workers(), len(models))

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -27,7 +28,7 @@ func TestForEachCellCoversAllIndices(t *testing.T) {
 		for _, workers := range []int{0, 1, 2, 7} {
 			SetWorkers(workers)
 			var hits [n]int32
-			forEachCell(models, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			forEachCell(models, func(i int, _ *Session) { atomic.AddInt32(&hits[i], 1) })
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("%s, workers=%d: cell %d ran %d times", name, workers, i, h)
@@ -46,7 +47,7 @@ func TestCollectCellsDeterministicOrder(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		SetWorkers(workers)
 		got := make([]int, len(want))
-		forEachCell(make([]string, len(got)), func(i int) { got[i] = i * i })
+		forEachCell(make([]string, len(got)), func(i int, _ *Session) { got[i] = i * i })
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, got[i], want[i])
@@ -61,10 +62,16 @@ func TestSetWorkersBounds(t *testing.T) {
 	if Workers() != 3 {
 		t.Errorf("Workers() = %d after SetWorkers(3)", Workers())
 	}
-	// The pool must never run more cells concurrently than configured.
+	// The pool must never run more cells concurrently than configured,
+	// and each worker runs its cells on a session of its own.
 	for name, models := range cellLabels(64) {
 		var cur, peak int32
-		forEachCell(models, func(i int) {
+		var sessions sync.Map // *Session -> whether a cell runs on it
+		forEachCell(models, func(i int, s *Session) {
+			if busy, _ := sessions.Swap(s, true); busy == true {
+				t.Errorf("%s: two cells ran on one session at once", name)
+			}
+			defer sessions.Store(s, false)
 			c := atomic.AddInt32(&cur, 1)
 			for {
 				p := atomic.LoadInt32(&peak)
@@ -80,6 +87,11 @@ func TestSetWorkersBounds(t *testing.T) {
 		if peak > 3 {
 			t.Errorf("%s: observed %d concurrent cells with 3 workers", name, peak)
 		}
+		n := 0
+		sessions.Range(func(_, _ any) bool { n++; return true })
+		if n > 3 {
+			t.Errorf("%s: cells ran on %d sessions with 3 workers", name, n)
+		}
 	}
 	SetWorkers(0)
 	if Workers() != runtime.GOMAXPROCS(0) {
@@ -93,7 +105,7 @@ func TestSetWorkersBounds(t *testing.T) {
 
 func TestForEachCellEmpty(t *testing.T) {
 	ran := false
-	forEachCell(nil, func(i int) { ran = true })
+	forEachCell(nil, func(i int, _ *Session) { ran = true })
 	if ran {
 		t.Error("forEachCell(0) must not invoke the cell")
 	}
@@ -143,7 +155,7 @@ func TestForEachCellSerialOrder(t *testing.T) {
 		{[]string{"a", "b", "c", "a", "b", "c"}, []int{0, 3, 1, 4, 2, 5}},
 	} {
 		var got []int
-		forEachCell(tc.models, func(k int) { got = append(got, k) })
+		forEachCell(tc.models, func(k int, _ *Session) { got = append(got, k) })
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("models %q: order %v, want %v", tc.models, got, tc.want)
 		}

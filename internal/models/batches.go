@@ -74,6 +74,7 @@ func memoBatches(n *Network) {
 	} else {
 		set = &batchSet{name: n.Meta.Name, batches: map[int]data.Sample{}}
 	}
+	//fp8vet:ignore cellpurity mutex-guarded memo of seeded batches; a set holds exactly the bytes the model's dataset generates, so which sets it keeps changes what a cell recomputes, never what it reads
 	batchMemo.sets = append(batchMemo.sets, set)
 	n.Data = &memoDataset{inner: n.Data, set: set}
 }
@@ -101,6 +102,7 @@ func dropSet(i int) *batchSet {
 	s := sets[i]
 	copy(sets[i:], sets[i+1:])
 	sets[len(sets)-1] = nil
+	//fp8vet:ignore cellpurity mutex-guarded memo of seeded batches; a set holds exactly the bytes the model's dataset generates, so which sets it keeps changes what a cell recomputes, never what it reads
 	batchMemo.sets = sets[:len(sets)-1]
 	return s
 }

@@ -5,12 +5,13 @@
 // (its forwards run that variant's kernels), so Build runs it once per
 // (name, variant) per process and copies the memoized statistics into
 // every later network of the model. The warm-up's forwards run on the
-// plan the build installed (BuildOn): a sweep cell's own plan, whose
+// plan the build installed (BuildOn): a harness session's plan, whose
 // chunks the cell's FP32 reference then reuses, or Build's fresh one.
 // Planned forwards are byte-identical to heap forwards, so the plan
-// never changes the statistics. Each Build returns a new network; the
-// harness's network free list reuses them across sweep cells, which
-// stay pure because quant.Handle.Release restores a network exactly.
+// never changes the statistics. Each Build returns a new network; a
+// harness model session reuses one across its worker's cells of the
+// model, which stay pure because quant.Handle.Release restores a
+// network exactly.
 
 package models
 

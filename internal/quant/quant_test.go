@@ -497,6 +497,42 @@ func TestFallbackPathsRespected(t *testing.T) {
 	}
 }
 
+// linearRoot is a model whose root module is itself a Linear.
+type linearRoot struct {
+	l     *nn.Linear
+	sites Sites
+}
+
+func (m *linearRoot) Root() nn.Module          { return m.l }
+func (m *linearRoot) IsCNN() bool              { return false }
+func (m *linearRoot) CellArena() *tensor.Arena { return nil }
+func (m *linearRoot) Sites() *Sites            { return &m.sites }
+func (m *linearRoot) Run(s data.Sample) *tensor.Tensor {
+	return m.l.Forward(nil, s.X)
+}
+
+// TestFallbackOpsOnlyWhatTheRecipeKeeps checks that a model outside the
+// first/last exclusion keeps no module in FP32 the recipe does not
+// name: the report lists no fallback op (not the root's path ""), and
+// a root that is itself a Linear is quantized.
+func TestFallbackOpsOnlyWhatTheRecipeKeeps(t *testing.T) {
+	ds := &vecDataset{n: 4, d: 8, batches: 2, seed: 13}
+	h := Quantize(newTestMLP(5), ds, StandardFP8(E4M3))
+	if ops := h.Report.FallbackOps; len(ops) != 0 {
+		t.Errorf("FallbackOps = %q, want none", ops)
+	}
+	h.Release()
+
+	r := tensor.NewRNG(6)
+	m := &linearRoot{l: nn.NewLinear(8, 4)}
+	m.l.W.FillNormal(r, 0, 0.4)
+	h = Quantize(m, ds, StandardFP8(E4M3))
+	defer h.Release()
+	if m.l.QS.Input == nil {
+		t.Error("a root Linear was kept in FP32")
+	}
+}
+
 func TestMixedFormatsRecipe(t *testing.T) {
 	r := MixedFP8()
 	if r.Act != E4M3 || r.Wgt != E3M4 {

@@ -5,7 +5,7 @@
 // walk order with paths, the quantization sites with their observers
 // and SmoothQuant buffers, the weight-master maps and the BatchNorm
 // snapshot and accumulator slabs. The model's first Quantize fills the
-// table and every later one reuses it, so a pooled network that runs
+// table and every later one reuses it, so a session's network that runs
 // all of its model's recipes walks its module tree once; each call only
 // filters the table by its recipe (fallbacks, first/last exclusion,
 // extended coverage) and resets what it uses.
@@ -89,8 +89,8 @@ type siteEntry struct {
 // Handle tracks the reversible state of a quantized model. Release
 // restores the original FP32 model exactly: every weight, BatchNorm
 // statistic and QState is bit for bit what it was before Quantize. The
-// harness's network free list depends on it, handing a released
-// network to the next sweep cell as if freshly built.
+// harness's model sessions depend on it, handing a released network to
+// the worker's next cell of the model as if freshly built.
 type Handle struct {
 	// sites is the model's table, which holds the weight masters and
 	// the quantized sites (nil: Quantize changed nothing).
@@ -343,16 +343,17 @@ func (s *Sites) carveSmooth() {
 // model's IsCNN), reports the fallbacks and first/last exclusions it
 // applies, and resets each listed site's per-call state.
 func (s *Sites) activate(isCNN bool, r Recipe, rep *Report) []*target {
-	// First conv / last linear exclusion (CNNs, standard scheme).
-	firstConv, lastLinear := "", ""
-	if isCNN && !r.QuantFirstLast {
-		firstConv, lastLinear = s.firstConv, s.lastLinear
+	// First conv / last linear exclusion (CNNs, standard scheme). Paths
+	// are compared only when it applies: the root's path is "", like
+	// an absent candidate's.
+	exclude := isCNN && !r.QuantFirstLast
+	if exclude {
+		rep.FirstOp, rep.LastOp = s.firstConv, s.lastLinear
 	}
-	rep.FirstOp, rep.LastOp = firstConv, lastLinear
 
 	s.active = s.active[:0]
 	for _, e := range s.order {
-		if r.Fallback[e.path] || e.path == firstConv || e.path == lastLinear {
+		if r.Fallback[e.path] || exclude && (e.path == s.firstConv || e.path == s.lastLinear) {
 			rep.FallbackOps = append(rep.FallbackOps, e.path)
 			continue
 		}

@@ -11,7 +11,7 @@ import (
 	"fp8quant/internal/quant"
 )
 
-// TestSitesReusedAcrossRecipes runs one pooled-style network (built
+// TestSitesReusedAcrossRecipes runs one session-style network (built
 // once, planned) through a mixed sequence of recipes — a tuner fallback
 // map, first/last quantization, extended coverage, SmoothQuant, dynamic
 // INT8, BatchNorm calibration, SmoothQuant again and the fallback again

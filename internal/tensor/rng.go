@@ -46,13 +46,13 @@ func (r *RNG) Norm() float64 {
 
 // Uniform returns a uniform value in [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // FillNormal fills t with N(mean, std²) variates.
 func (t *Tensor) FillNormal(r *RNG, mean, std float64) {
 	for i := range t.Data {
-		t.Data[i] = float32(mean + std*r.Norm())
+		t.Data[i] = float32(mean + float64(std*r.Norm()))
 	}
 }
 

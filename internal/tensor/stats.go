@@ -16,7 +16,7 @@ func MSE(a, b []float32) float64 {
 	s := 0.0
 	for i := range a {
 		d := float64(a[i]) - float64(b[i])
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(a))
 }
@@ -38,13 +38,13 @@ func Percentile(data []float32, p float64) float64 {
 	if p >= 100 {
 		return s[len(s)-1]
 	}
-	pos := p / 100 * float64(len(s)-1)
+	pos := float64(p / 100 * float64(len(s)-1))
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= len(s) {
 		return s[len(s)-1]
 	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[lo+1]*frac)
 }
 
 // KLDivergence computes KL(p || q) over two distributions with the
@@ -64,7 +64,7 @@ func KLDivergence(p, q []float64) float64 {
 		if qi < eps {
 			qi = eps
 		}
-		d += p[i] * math.Log(p[i]/qi)
+		d += float64(p[i] * math.Log(p[i]/qi))
 	}
 	return d
 }
@@ -77,9 +77,9 @@ func CosineSimilarity(a, b []float32) float64 {
 	var dot, na, nb float64
 	for i := range a {
 		x, y := float64(a[i]), float64(b[i])
-		dot += x * y
-		na += x * x
-		nb += y * y
+		dot += float64(x * y)
+		na += float64(x * x)
+		nb += float64(y * y)
 	}
 	if na == 0 || nb == 0 {
 		return 0

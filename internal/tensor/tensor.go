@@ -2,6 +2,11 @@
 // random number generator, and the statistics primitives (absmax,
 // percentiles, moments, MSE, KL divergence) that range calibration and
 // the paper's analysis figures are built on.
+//
+// Its results are byte-identical on every architecture: a product that
+// feeds an add is rounded explicitly (float64(x*y)), which the Go spec
+// says prevents fusing it into a multiply-add; make fma-audit checks
+// the arm64 listing of every tensor symbol.
 package tensor
 
 import (
@@ -150,7 +155,7 @@ func (t *Tensor) Variance() float64 {
 	s := 0.0
 	for _, v := range t.Data {
 		d := float64(v) - mu
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(t.Len())
 }
@@ -169,8 +174,8 @@ func (t *Tensor) Kurtosis() float64 {
 	var m2, m4 float64
 	for _, v := range t.Data {
 		d := float64(v) - mu
-		m2 += d * d
-		m4 += d * d * d * d
+		m2 += float64(d * d)
+		m4 += float64(d * d * d * d)
 	}
 	n := float64(t.Len())
 	m2 /= n
