@@ -89,10 +89,12 @@ bench:
 # planned ones must hold 0 allocs/op under bench-gate) and a session
 # network's warm Quantize → AccuracyAgainst → Release cycle over the
 # six Table-2 recipes (BenchmarkQuantizeWarm, whose allocs/op is the
-# quantization's per-cell heap cost). One fast iteration set; used as
-# the CI smoke step.
-KERNEL_BENCH = BenchmarkMatmulT|BenchmarkMatmulTNaive|BenchmarkConv2dIm2col|BenchmarkConv2dDirect|BenchmarkBatchMatMul|BenchmarkBatchEncode|BenchmarkForwardUnplanned|BenchmarkForwardPlanned|BenchmarkQuantizeWarm
-KERNEL_BENCH_PKGS = ./internal/tensor/kernels ./internal/nn ./internal/fp8 ./internal/evalx
+# quantization's per-cell heap cost), and a cell's bookkeeping through
+# the cache layers: a fresh cell persisted to a temp store plus a memo
+# hit (BenchmarkCellBookkeeping). One fast iteration set; used as the
+# CI smoke step.
+KERNEL_BENCH = BenchmarkMatmulT|BenchmarkMatmulTNaive|BenchmarkConv2dIm2col|BenchmarkConv2dDirect|BenchmarkBatchMatMul|BenchmarkBatchEncode|BenchmarkForwardUnplanned|BenchmarkForwardPlanned|BenchmarkQuantizeWarm|BenchmarkCellBookkeeping
+KERNEL_BENCH_PKGS = ./internal/tensor/kernels ./internal/nn ./internal/fp8 ./internal/evalx ./internal/harness
 bench-kernels:
 	$(GO) test -run xxx -bench '$(KERNEL_BENCH)' -benchtime 1x $(KERNEL_BENCH_PKGS)
 

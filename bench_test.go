@@ -407,7 +407,9 @@ func BenchmarkLinearForward(b *testing.B) {
 func BenchmarkLinearForwardQuantized(b *testing.B) {
 	l := nn.NewLinear(256, 256)
 	l.W.FillNormal(tensor.NewRNG(4), 0, 0.1)
-	l.QS.Input = quant.StaticFP8Func(fp8.E4M3, 4)
+	var aq quant.ActQuant
+	aq.Set(quant.Recipe{Act: quant.E4M3, Approach: quant.Static}, 4, 0, 0)
+	l.QS.Input = aq.Apply
 	x := tensor.New(16, 256)
 	x.FillNormal(tensor.NewRNG(5), 0, 1)
 	b.ResetTimer()

@@ -33,28 +33,20 @@ func runCellpurity(pkgs []*Package) []Finding {
 	audit := reachableFrom(g, cellRoots(g, pkgs))
 
 	var out []Finding
-	for _, key := range sortedKeys(audit) {
-		chain := audit[key]
-		fn := g[key]
-		if fn == nil {
-			continue
-		}
-		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if obj, name := pkgLevelTarget(fn.pkg, lhs); obj != nil {
-						out = append(out, pureFinding(fn.pkg, n, name, chain))
-					}
-				}
-			case *ast.IncDecStmt:
-				if obj, name := pkgLevelTarget(fn.pkg, n.X); obj != nil {
+	eachAudited(g, audit, func(fn *graphFunc, chain []string, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if obj, name := pkgLevelTarget(fn.pkg, lhs); obj != nil {
 					out = append(out, pureFinding(fn.pkg, n, name, chain))
 				}
 			}
-			return true
-		})
-	}
+		case *ast.IncDecStmt:
+			if obj, name := pkgLevelTarget(fn.pkg, n.X); obj != nil {
+				out = append(out, pureFinding(fn.pkg, n, name, chain))
+			}
+		}
+	})
 	return out
 }
 

@@ -68,36 +68,28 @@ func runNondeterm(pkgs []*Package) []Finding {
 	chains := reachableFrom(g, roots)
 
 	var out []Finding
-	for _, key := range sortedKeys(chains) {
-		chain := chains[key]
-		fn := g[key]
-		if fn == nil {
-			continue
+	eachAudited(g, chains, func(fn *graphFunc, chain []string, n ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
 		}
-		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			f := calleeFunc(fn.pkg.Info, call)
-			if f == nil || f.Pkg() == nil {
-				return true
-			}
-			qname := f.Pkg().Path() + "." + f.Name()
-			why, banned := nondetermBanned[qname]
-			if !banned && isBannedRand(f) {
-				banned, why = true, "unseeded global RNG"
-			}
-			if !banned {
-				return true
-			}
-			msg := fmt.Sprintf("%s (%s) called on a determinism-contract path", qname, why)
-			if len(chain) > 1 || chain[0] != key {
-				msg += fmt.Sprintf("; reachable via %s", chainString(chain))
-			}
-			out = append(out, Finding{Check: "nondeterm", Pos: position(fn.pkg, call), Message: msg})
-			return true
-		})
-	}
+		f := calleeFunc(fn.pkg.Info, call)
+		if f == nil || f.Pkg() == nil {
+			return
+		}
+		qname := f.Pkg().Path() + "." + f.Name()
+		why, banned := nondetermBanned[qname]
+		if !banned && isBannedRand(f) {
+			banned, why = true, "unseeded global RNG"
+		}
+		if !banned {
+			return
+		}
+		msg := fmt.Sprintf("%s (%s) called on a determinism-contract path", qname, why)
+		if len(chain) > 1 || chain[0] != fn.key {
+			msg += fmt.Sprintf("; reachable via %s", chainString(chain))
+		}
+		out = append(out, Finding{Check: "nondeterm", Pos: position(fn.pkg, call), Message: msg})
+	})
 	return out
 }

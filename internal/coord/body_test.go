@@ -49,6 +49,36 @@ func TestBodyCap(t *testing.T) {
 	}
 }
 
+// TestBodyTrailingData: a request body is one JSON value, so every
+// endpoint that decodes one answers 400 to non-whitespace after it and
+// decodes the value when only whitespace follows.
+func TestBodyTrailingData(t *testing.T) {
+	withHarnessState(t)
+	e, _ := newTestExp("trail")
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t)})
+	push := realPush(t, e, 0, "")
+	for _, tc := range []struct {
+		path string
+		body []byte
+	}{
+		{"/v1/lease", []byte(`{"worker":"w"}`)},
+		{"/v1/push", push},
+		{"/v1/workers", []byte(`{"worker":"w"}`)},
+	} {
+		for _, tail := range []string{"x", "{}", `{"worker":"v"}`, " 1", "\n]"} {
+			body := append(append([]byte(nil), tc.body...), tail...)
+			rec := serve(t, c, tc.path, body)
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("POST %s with %q after the value = %d, want 400", tc.path, tail, rec.Code)
+			}
+		}
+		body := append(append([]byte(nil), tc.body...), " \n\t\r"...)
+		if rec := serve(t, c, tc.path, body); rec.Code != http.StatusOK {
+			t.Errorf("POST %s with whitespace after the value = %d %s, want 200", tc.path, rec.Code, rec.Body)
+		}
+	}
+}
+
 // fuzzCoord is one fuzz input's coordinator: a fresh store over the
 // 3x2 test grid whose manifest already records the sse tier (cell 0
 // pushed from an sse worker).
@@ -67,12 +97,13 @@ func fuzzCoord(t *testing.T, e testExp) (*Coordinator, *resultstore.Store) {
 // through harness.ComputeCell.
 func realPush(t testing.TB, e testExp, idx int, variant string) []byte {
 	t.Helper()
-	k, r, _ := harness.ComputeCell(e, idx, nil)
-	payload, err := resultstore.EncodeCell(k, r)
+	a := e.spec.CellKey(e.spec.CellAt(idx)).Addr()
+	r, _ := harness.ComputeCell(e, idx, a, nil)
+	payload, err := resultstore.EncodeCell(a.Key, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(PushRequest{Worker: "w", Fingerprint: k.Fingerprint(), Payload: payload,
+	b, err := json.Marshal(PushRequest{Worker: "w", Fingerprint: a.FP, Payload: payload,
 		Computed: true, DurationMs: 3, KernelVariant: variant})
 	if err != nil {
 		t.Fatal(err)
@@ -106,11 +137,12 @@ func FuzzPushBody(f *testing.F) {
 	f.Add([]byte("{}"))
 	f.Add(valid[:len(valid)/2])
 	f.Add(realPush(f, e, 2, "avx2"))
+	f.Add(append(realPush(f, e, 1, "sse"), ` {"worker":"w"}`...))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		c, store := fuzzCoord(t, e)
 		if serve(t, c, "/v1/push", body).Code == http.StatusOK {
 			var req PushRequest
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			if err := json.Unmarshal(body, &req); err != nil {
 				t.Fatalf("200 for an undecodable push: %v", err)
 			}
 			if req.Err == "" {
@@ -118,7 +150,7 @@ func FuzzPushBody(f *testing.F) {
 				if !ok {
 					t.Fatalf("200 for a push to unknown cell %s", req.Fingerprint)
 				}
-				if _, ok := store.LoadCell(k); !ok {
+				if _, ok := store.Load(k.Addr()); !ok {
 					t.Fatalf("200 push left cell %s unloadable", req.Fingerprint)
 				}
 			}
@@ -142,11 +174,16 @@ func FuzzLeaseBody(f *testing.F) {
 	f.Add([]byte("{}"))
 	f.Add([]byte(`{"worker":"w`))
 	f.Add(realPush(f, e, 2, "avx2"))
+	f.Add([]byte(`{"worker":"w"}x`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		c, _ := fuzzCoord(t, e)
 		rec := serve(t, c, "/v1/lease", body)
 		if rec.Code != http.StatusOK {
 			return
+		}
+		var req LeaseRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("200 for an undecodable lease request %q: %v", body, err)
 		}
 		var lr LeaseResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &lr); err != nil {

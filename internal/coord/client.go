@@ -21,6 +21,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -68,6 +69,16 @@ type Worker struct {
 	Log io.Writer
 
 	rng *rand.Rand
+	// endpoints are the coordinator's endpoints under URL, parsed once.
+	endpoints map[string]endpoint
+}
+
+// endpoint is one coordinator endpoint: its URL (or why URL does not
+// parse) and its client-transport failpoint.
+type endpoint struct {
+	url   *url.URL
+	err   error
+	point string
 }
 
 // WorkerStats summarizes one worker run.
@@ -91,10 +102,20 @@ func (w *Worker) defaults() {
 	if w.HTTP == nil {
 		// The header timeout bounds a call as a client Timeout would (each
 		// answer is one small JSON body), without a deadline context,
-		// timer and goroutine per request.
+		// timer and goroutine per request. Answers are a few hundred
+		// bytes of JSON, so the transport does not negotiate gzip.
 		t := http.DefaultTransport.(*http.Transport).Clone()
 		t.ResponseHeaderTimeout = 2 * time.Minute
+		t.DisableCompression = true
 		w.HTTP = &http.Client{Transport: t}
+	}
+	if w.endpoints == nil {
+		base := strings.TrimRight(w.URL, "/")
+		w.endpoints = make(map[string]endpoint, len(clientPoints))
+		for path, point := range clientPoints {
+			u, err := url.Parse(base + path)
+			w.endpoints[path] = endpoint{url: u, err: err, point: point}
+		}
 	}
 	if w.Resolve == nil {
 		w.Resolve = harness.Get
@@ -245,14 +266,16 @@ func (w *Worker) computeLease(l Lease, stats *WorkerStats, s *harness.Session) P
 	}
 	// Recompute the content address from this worker's own spec: a
 	// worker built from a different schedule must fail loudly rather
-	// than push bytes under the coordinator's address.
-	if fp := spec.CellKey(spec.CellAt(l.Index)).Fingerprint(); fp != l.Fingerprint {
+	// than push bytes under the coordinator's address. The cache layers
+	// then reuse the address.
+	a := spec.CellKey(spec.CellAt(l.Index)).Addr()
+	if a.FP != l.Fingerprint {
 		stats.Failed++
-		push.Err = fmt.Sprintf("fingerprint mismatch on %s cell %d: coordinator says %s, worker derives %s (schedule skew)", l.Exp, l.Index, l.Fingerprint, fp)
+		push.Err = fmt.Sprintf("fingerprint mismatch on %s cell %d: coordinator says %s, worker derives %s (schedule skew)", l.Exp, l.Index, l.Fingerprint, a.FP)
 		return push
 	}
 	start := time.Now()
-	key, res, computed := harness.ComputeCell(e, l.Index, s)
+	res, computed := harness.ComputeCell(e, l.Index, a, s)
 	elapsed := time.Since(start)
 	if res.Err != "" {
 		// Cell failures are deterministic (runCellSafe converts panics);
@@ -261,7 +284,7 @@ func (w *Worker) computeLease(l Lease, stats *WorkerStats, s *harness.Session) P
 		push.Err = res.Err
 		return push
 	}
-	payload, err := resultstore.EncodeCell(key, res)
+	payload, err := resultstore.EncodeCell(a.Key, res)
 	if err != nil {
 		stats.Failed++
 		push.Err = fmt.Sprintf("encoding cell payload: %v", err)
@@ -290,11 +313,14 @@ var clientPoints = map[string]string{"/v1/lease": "coord.client.lease", "/v1/pus
 // jitter up to retries times. Non-5xx protocol errors fail immediately
 // with the server's error message.
 func (w *Worker) call(ctx context.Context, path string, req, out interface{}, retries int) error {
+	ep := w.endpoints[path]
+	if ep.err != nil {
+		return ep.err
+	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	url := strings.TrimRight(w.URL, "/") + path
 	var lastErr error
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
@@ -307,16 +333,11 @@ func (w *Worker) call(ctx context.Context, path string, req, out interface{}, re
 		// an injected error consumes an attempt like any network fault;
 		// crash rules terminate the process here — mid-protocol, the
 		// worst possible moment, which is the point.
-		if err := faultline.Hit(clientPoints[path]); err != nil {
+		if err := faultline.Hit(ep.point); err != nil {
 			lastErr = err
 			continue
 		}
-		httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		httpReq.Header.Set("Content-Type", "application/json")
-		resp, err := w.HTTP.Do(httpReq)
+		resp, err := w.HTTP.Do(postRequest(ctx, ep.url, body))
 		if err != nil {
 			lastErr = err // connection refused, reset, timeout: transient
 			continue
@@ -343,6 +364,24 @@ func (w *Worker) call(ctx context.Context, path string, req, out interface{}, re
 		return json.Unmarshal(respBody, out)
 	}
 	return fmt.Errorf("%s: retry budget exhausted after %d attempts: %w", path, retries+1, lastErr)
+}
+
+// postRequest builds the JSON POST of body to the parsed endpoint u, as
+// http.NewRequestWithContext would without parsing the URL again.
+func postRequest(ctx context.Context, u *url.URL, body []byte) *http.Request {
+	req := (&http.Request{
+		Method:        http.MethodPost,
+		URL:           u,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        http.Header{"Content-Type": jsonContentType},
+		Body:          io.NopCloser(bytes.NewReader(body)),
+		ContentLength: int64(len(body)),
+		Host:          u.Host,
+	}).WithContext(ctx)
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	return req
 }
 
 // backoff returns the delay before the given retry attempt (1-based):

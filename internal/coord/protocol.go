@@ -26,6 +26,10 @@ import "encoding/json"
 // at most this much of a lease, push or cell response.
 const maxBodyBytes = 16 << 20
 
+// jsonContentType is the Content-Type value of every JSON request and
+// answer, shared: Header.Set would allocate a slice per message.
+var jsonContentType = []string{"application/json"}
+
 // VariantsHeader carries, on a GET /v1/cell/<fp> response, the kernel
 // variants the coordinator's store records for the grid that schedules
 // the cell, comma-separated (absent when none is recorded). A warming

@@ -613,18 +613,25 @@ func (c *Coordinator) push(req PushRequest) (PushResponse, int, string) {
 
 // ---- HTTP plumbing ----
 
+// writeJSON answers code with v's JSON encoding and a newline, the
+// bytes a json.Encoder writes, marshaled once.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	b, _ := json.Marshal(v)
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(b, '\n'))
 }
 
-// decodeBody decodes r's JSON body into v, reading at most
-// maxBodyBytes of it. On failure it answers 413 (body over the cap) or
-// 400 (malformed, the message prefixed by what) and reports false.
+// decodeBody decodes r's JSON body into v: it reads at most
+// maxBodyBytes of it once and unmarshals that, so a body must hold one
+// JSON value and nothing after it but whitespace. On failure it answers
+// 413 (body over the cap) or 400 (malformed, the message prefixed by
+// what) and reports false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, what string) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(b, v)
+	}
 	if err == nil {
 		return true
 	}
@@ -730,7 +737,7 @@ func (c *Coordinator) handleCell(w http.ResponseWriter, r *http.Request) {
 	if len(v) > 0 {
 		w.Header().Set(VariantsHeader, strings.Join(v, ","))
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	_, _ = w.Write(b)
 }
 

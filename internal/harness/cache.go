@@ -59,28 +59,27 @@ func ClearMemo() {
 	models.ClearMemo()
 }
 
-// lookupCell returns the cell's result if the memo or the store
-// already holds it, without ever computing; an absent cell counts a
-// store miss.
-func lookupCell(k resultstore.CellKey) (evalx.Result, bool) {
-	fp := k.Fingerprint()
+// lookupCell returns the addressed cell's result if the memo or the
+// store already holds it, without ever computing; an absent cell counts
+// a store miss.
+func lookupCell(a resultstore.Addr) (evalx.Result, bool) {
 	cacheMu.Lock()
-	r, ok := memo[fp]
+	r, ok := memo[a.FP]
 	s := store
 	cacheMu.Unlock()
 	if ok {
 		return r, true
 	}
-	if r, ok := s.LoadCell(k); ok {
+	if r, ok := s.Load(a); ok {
 		cacheMu.Lock()
-		memo[fp] = r
+		memo[a.FP] = r
 		cacheMu.Unlock()
 		return r, true
 	}
 	return evalx.Result{}, false
 }
 
-// cachedCellFresh returns the result for the cell key, trying the
+// cachedCellFresh returns the result for the addressed cell, trying the
 // in-process memo, then the disk store, then computing it (and
 // persisting the result). Errored cells (Err != "") are memoized for
 // the process but never persisted — a deterministic failure is cheap
@@ -91,9 +90,10 @@ func lookupCell(k resultstore.CellKey) (evalx.Result, bool) {
 // layer — the provenance signal: only fresh cells carry the current
 // kernel variant's bits into the store. A compute that answers false
 // refuses the cell: nothing is memoized or persisted, and the zero
-// result comes back as not fresh.
-func cachedCellFresh(k resultstore.CellKey, compute func() (evalx.Result, bool)) (evalx.Result, bool) {
-	if r, ok := lookupCell(k); ok {
+// result comes back as not fresh. Every layer keys the cell by a.FP,
+// so the caller's CellKey.Addr is the cell's only hash.
+func cachedCellFresh(a resultstore.Addr, compute func() (evalx.Result, bool)) (evalx.Result, bool) {
+	if r, ok := lookupCell(a); ok {
 		return r, false
 	}
 	// A compute-side failpoint for chaos runs: delay and crash rules act
@@ -109,7 +109,7 @@ func cachedCellFresh(k resultstore.CellKey, compute func() (evalx.Result, bool))
 	if r.Err == "" {
 		err := faultline.Hit("harness.cell.persist")
 		if err == nil {
-			err = Store().SaveCell(k, r)
+			err = Store().Save(a, r)
 		}
 		if err != nil {
 			// A failed persist (full/unwritable cache dir) must not go
@@ -118,7 +118,7 @@ func cachedCellFresh(k resultstore.CellKey, compute func() (evalx.Result, bool))
 		}
 	}
 	cacheMu.Lock()
-	memo[k.Fingerprint()] = r
+	memo[a.FP] = r
 	cacheMu.Unlock()
 	return r, true
 }

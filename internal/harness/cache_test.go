@@ -12,7 +12,7 @@ import (
 
 // cachedCell is cachedCellFresh without the provenance flag.
 func cachedCell(k resultstore.CellKey, compute func() evalx.Result) evalx.Result {
-	r, _ := cachedCellFresh(k, func() (evalx.Result, bool) { return compute(), true })
+	r, _ := cachedCellFresh(k.Addr(), func() (evalx.Result, bool) { return compute(), true })
 	return r
 }
 

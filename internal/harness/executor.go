@@ -103,7 +103,7 @@ func RunGrid(e Experiment, f Filter, _ ...Shard) (*Grid, []int, error) {
 	forEachCell(spec.CellModels(sel), func(k int, s *Session) {
 		c := spec.CellAt(sel[k])
 		c.session = s
-		g.Results[sel[k]], _ = cachedCellFresh(spec.CellKey(c), func() (evalx.Result, bool) {
+		g.Results[sel[k]], _ = cachedCellFresh(spec.CellKey(c).Addr(), func() (evalx.Result, bool) {
 			if stamp(); stampErr != nil {
 				return evalx.Result{}, false
 			}
@@ -117,30 +117,30 @@ func RunGrid(e Experiment, f Filter, _ ...Shard) (*Grid, []int, error) {
 	return g, sel, nil
 }
 
-// ComputeCell evaluates the idx-th row-major cell of e's grid on the
-// worker's session s through the cache layers (memo, then store, then
-// compute + persist) and returns the cell's key, its result, and
-// whether it was computed fresh rather than served from a cache. It is
-// the lease-driven entry point used by coordinator workers: the
-// coordinator hands out cell indices, the worker computes exactly that
-// cell — panic-isolated like any pool cell — and pushes the payload
-// back. A worker passes the same s for all its cells, so a granted
-// group's cells share one network; nil serves the cell alone. The
-// fresh/cached flag lets workers report honest durations to the
+// ComputeCell evaluates the idx-th row-major cell of e's grid, whose
+// address a the caller derived from e's spec
+// (spec.CellKey(spec.CellAt(idx)).Addr()), on the worker's session s
+// through the cache layers (memo, then store, then compute + persist)
+// and returns its result and whether it was computed fresh rather than
+// served from a cache. It is the lease-driven entry point used by
+// coordinator workers: the coordinator hands out cell indices, the
+// worker checks the cell's address against the lease, computes exactly
+// that cell — panic-isolated like any pool cell — and pushes the
+// payload back. A worker passes the same s for all its cells, so a
+// granted group's cells share one network; nil serves the cell alone.
+// The fresh/cached flag lets workers report honest durations to the
 // coordinator's cost model (a cache hit says nothing about how
 // expensive the cell is).
-func ComputeCell(e Experiment, idx int, s *Session) (resultstore.CellKey, evalx.Result, bool) {
+func ComputeCell(e Experiment, idx int, a resultstore.Addr, s *Session) (evalx.Result, bool) {
 	spec := e.Spec()
 	if idx < 0 || idx >= spec.NumCells() {
 		panic(fmt.Sprintf("harness: ComputeCell index %d out of range for %s's %d cells", idx, e.ID(), spec.NumCells()))
 	}
 	c := spec.CellAt(idx)
 	c.session = s
-	k := spec.CellKey(c)
-	r, fresh := cachedCellFresh(k, func() (evalx.Result, bool) {
+	return cachedCellFresh(a, func() (evalx.Result, bool) {
 		return runCellSafe(e, spec, c), true
 	})
-	return k, r, fresh
 }
 
 // runCellSafe converts a RunCell panic into an Err-marked result.

@@ -155,7 +155,7 @@ func TestResumeRecomputesOnlyMissingCells(t *testing.T) {
 			// Interrupt simulation: drop a subset of cells, re-run.
 			deleted := []int{1, 4}
 			for _, i := range deleted {
-				path := s.CellPath(spec.CellKey(spec.CellAt(i)))
+				path := s.CellPath(spec.CellKey(spec.CellAt(i)).Fingerprint())
 				if err := os.Remove(path); err != nil {
 					t.Fatalf("deleting cell %d: %v", i, err)
 				}
@@ -433,7 +433,7 @@ func TestRunGridRefusesAnotherTier(t *testing.T) {
 	}
 	sameManifest("a fully warm run")
 
-	lost := s.CellPath(spec.CellKey(spec.CellAt(0)))
+	lost := s.CellPath(spec.CellKey(spec.CellAt(0)).Fingerprint())
 	if err := os.Remove(lost); err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +615,7 @@ func TestCoverageAfterDeletionAndResume(t *testing.T) {
 
 	deleted := []int{0, 3, 5}
 	for _, i := range deleted {
-		if err := os.Remove(s.CellPath(spec.CellKey(spec.CellAt(i)))); err != nil {
+		if err := os.Remove(s.CellPath(spec.CellKey(spec.CellAt(i)).Fingerprint())); err != nil {
 			t.Fatal(err)
 		}
 	}

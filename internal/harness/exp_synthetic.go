@@ -266,8 +266,9 @@ func runFig8Cell(c Cell) evalx.Result {
 	l, x := fig8Layer()
 	refOut := l.Forward(nil, x)
 	xq := x.Clone()
-	fn := quant.StaticFP8Func(cfg.act.Format(), xq.AbsMax())
-	fn(xq.Data, xq.Data)
+	var aq quant.ActQuant
+	aq.Set(quant.Recipe{Act: cfg.act, Approach: quant.Static}, xq.AbsMax(), 0, 0)
+	aq.Apply(xq.Data, xq.Data)
 	master := quant.QuantizeWeightPerChannel(l.W, 0, cfg.wgt)
 	outQ := l.Forward(nil, xq)
 	return evalx.Result{

@@ -41,7 +41,7 @@ func TestPersistFailpointDegradesToWarning(t *testing.T) {
 	if r := cachedCell(k, compute); r.QAcc != want.QAcc {
 		t.Fatalf("faulted persist changed the result: %+v", r)
 	}
-	if _, ok := s.LoadCell(k); ok {
+	if _, ok := s.Load(k.Addr()); ok {
 		t.Fatal("cell persisted despite the injected persist fault")
 	}
 	// The memo still serves it within the process.
@@ -54,7 +54,7 @@ func TestPersistFailpointDegradesToWarning(t *testing.T) {
 	if cachedCell(k, compute); computes != 2 {
 		t.Fatalf("recompute after lost persist: computes = %d, want 2", computes)
 	}
-	if _, ok := s.LoadCell(k); !ok {
+	if _, ok := s.Load(k.Addr()); !ok {
 		t.Fatal("cell not persisted after the fault budget was spent")
 	}
 }

@@ -111,7 +111,7 @@ func goldenDigests(t *testing.T) map[string]string {
 		if idx < 0 {
 			t.Fatalf("%s has no cell %s", gc.exp, gc.cell)
 		}
-		k, r, _ := ComputeCell(e, idx, nil)
+		k, r := ComputeCellAt(e, idx)
 		if r.Err != "" {
 			t.Fatalf("%s %s: %s", gc.exp, gc.cell, r.Err)
 		}

@@ -25,9 +25,13 @@ type refEntry struct {
 // most once per process from an FP32 network of the model. The
 // caller's net is used only for the first computation; references are
 // deterministic (the forward pass does not mutate the network), so
-// every caller sees the same data.
+// every caller sees the same data. It allocates an entry only for a
+// model it has not seen.
 func modelRef(name string, net *models.Network) evalx.Reference {
-	e, _ := refCache.LoadOrStore(name, &refEntry{})
+	e, ok := refCache.Load(name)
+	if !ok {
+		e, _ = refCache.LoadOrStore(name, &refEntry{})
+	}
 	ent := e.(*refEntry)
 	ent.once.Do(func() { ent.ref = evalx.ComputeReference(net) })
 	return ent.ref

@@ -248,7 +248,7 @@ func TestNetPoolGridMatchesFreshBuilds(t *testing.T) {
 	want := map[int]evalx.Result{}
 	for _, i := range sel {
 		ClearMemo()
-		_, want[i], _ = ComputeCell(e, i, nil)
+		_, want[i] = ComputeCellAt(e, i)
 	}
 	defer SetWorkers(0)
 	for _, workers := range []int{1, 8} {

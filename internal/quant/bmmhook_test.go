@@ -57,17 +57,17 @@ func bitsEq(t *testing.T, tag string, got, want []float32) {
 }
 
 // TestBMMInputHookQuantizesWholeOperand: a BatchMatMulOp whose
-// b-operand QState carries an Input hook multiplies by the hook applied
-// to the whole b tensor, on both the heap and arena forward paths, for
-// every recipe and both b layouts. The operand is batched, so a dynamic
-// scale must span every batch element, not one.
+// b-operand QState carries a site's Input hook multiplies by the hook
+// applied to the whole b tensor, on both the heap and arena forward
+// paths, for every recipe and both b layouts, and the hook quantizes
+// the operand bit for bit as the per-call closure oracle does. The
+// operand is batched, so a dynamic scale must span every batch element,
+// not one.
 func TestBMMInputHookQuantizesWholeOperand(t *testing.T) {
 	for _, tc := range hookRecipes {
 		t.Run(tc.name, func(t *testing.T) {
-			fn := ActQuantFunc(tc.r, tc.threshold, tc.min, tc.max)
-			if fn == nil {
-				t.Fatal("recipe produced a nil quant func")
-			}
+			fn := siteHook(tc.r, tc.threshold, tc.min, tc.max)
+			oracle := oracleActFunc(tc.r, tc.threshold, tc.min, tc.max)
 
 			rng := tensor.NewRNG(0xF5ED)
 			batch, M, K, N := 3, 7, 33, 18
@@ -82,6 +82,9 @@ func TestBMMInputHookQuantizesWholeOperand(t *testing.T) {
 				fillMixed(b.Data, rng)
 				qb := tensor.New(b.Shape...)
 				fn(qb.Data, b.Data)
+				wantQ := tensor.New(b.Shape...)
+				oracle(wantQ.Data, b.Data)
+				bitsEq(t, tc.name+"/operand", qb.Data, wantQ.Data)
 
 				plain := &nn.BatchMatMulOp{TransposeB: transB}
 				want := plain.Apply(nil, a, qb)

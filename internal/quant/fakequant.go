@@ -4,33 +4,84 @@ import (
 	"math"
 
 	"fp8quant/internal/fp8"
-	"fp8quant/internal/nn"
 	"fp8quant/internal/tensor"
 )
 
-// StaticFP8Func returns a QuantFunc that scales by fmax/threshold,
-// rounds to the FP8 grid, and rescales back (Equation 2's
-// s = float_max / max_T scaling).
-func StaticFP8Func(f fp8.Format, threshold float64) nn.QuantFunc {
-	if threshold <= 0 {
+// ActQuant is one activation site's fake-quantizer: the mode a
+// recipe's activation approach selects, with the state that mode
+// needs. Set fills it in place and Apply runs it, so a site that keeps
+// one ActQuant and one hook bound to it for its life installs each
+// recipe without allocating. The zero value copies its input.
+type ActQuant struct {
+	mode actMode
+	// codec is the FP8 modes' codec; scale and inv are static FP8's
+	// fmax/threshold scale and its inverse.
+	codec      *fp8.Codec
+	scale, inv float32
+	// int8 is static INT8's affine quantizer over the calibrated range.
+	int8 fp8.Int8Asymmetric
+}
+
+// actMode is an ActQuant's quantization.
+type actMode uint8
+
+const (
+	actCopy        actMode = iota // identity: FP32, or static FP8 with threshold <= 0
+	actStaticFP8                  // Equation 2's fixed fmax/threshold scale
+	actDirectFP8                  // FP8 encode with no scaling (E5M2 Direct)
+	actDynamicFP8                 // a fresh absmax scale per call
+	actStaticInt8                 // affine INT8 over the calibrated [min, max]
+	actDynamicInt8                // symmetric INT8 with a per-call absmax scale
+)
+
+// Set configures q for recipe r's activations given the calibrated
+// range: Static uses the threshold (FP8) or [min, max] (INT8); Dynamic
+// and Direct ignore them. An FP32 recipe sets the identity.
+func (q *ActQuant) Set(r Recipe, threshold, min, max float64) {
+	*q = ActQuant{}
+	switch {
+	case r.Act == FP32:
+	case r.Act == INT8 && r.Approach == Dynamic:
+		q.mode = actDynamicInt8
+	case r.Act == INT8:
+		q.mode, q.int8 = actStaticInt8, fp8.NewInt8Asymmetric(min, max)
+	case r.Approach == Direct:
+		q.mode, q.codec = actDirectFP8, r.Act.Format().Codec()
+	case r.Approach == Dynamic:
+		q.mode, q.codec = actDynamicFP8, r.Act.Format().Codec()
+	case threshold <= 0:
 		// Degenerate all-zero tensor: identity.
-		return func(dst, src []float32) { copy(dst, src) }
-	}
-	c := f.Codec()
-	scale := float32(f.MaxValue() / threshold)
-	inv := 1 / scale
-	return func(dst, src []float32) {
-		c.QuantizeScaledSlice(dst, src, scale, inv)
+	default:
+		f := r.Act.Format()
+		q.mode, q.codec = actStaticFP8, f.Codec()
+		q.scale = float32(f.MaxValue() / threshold)
+		q.inv = 1 / q.scale
 	}
 }
 
-// DirectFP8Func returns a QuantFunc that encodes values with no
-// scaling — the E5M2 "Direct" approach, viable because its dynamic
-// range covers typical activations outright.
-func DirectFP8Func(f fp8.Format) nn.QuantFunc {
-	c := f.Codec()
-	return func(dst, src []float32) {
-		c.QuantizeSlice(dst, src)
+// Apply fake-quantizes src into dst, which may alias src.
+func (q *ActQuant) Apply(dst, src []float32) {
+	switch q.mode {
+	case actCopy:
+		copy(dst, src)
+	case actStaticFP8:
+		q.codec.QuantizeScaledSlice(dst, src, q.scale, q.inv)
+	case actDirectFP8:
+		q.codec.QuantizeSlice(dst, src)
+	case actDynamicFP8:
+		am := sliceAbsMax(src)
+		if am == 0 {
+			copy(dst, src)
+			return
+		}
+		scale := float32(q.codec.Format().MaxValue() / am)
+		q.codec.QuantizeScaledSlice(dst, src, scale, 1/scale)
+	case actStaticInt8:
+		for i, v := range src {
+			dst[i] = float32(q.int8.Quantize(float64(v)))
+		}
+	case actDynamicInt8:
+		fp8.NewInt8Symmetric(sliceAbsMax(src)).QuantizeSlice(dst, src)
 	}
 }
 
@@ -45,65 +96,6 @@ func sliceAbsMax(src []float32) float64 {
 		}
 	}
 	return am
-}
-
-// DynamicFP8Func returns a QuantFunc that recomputes the absmax scale
-// on every call (dynamic quantization).
-func DynamicFP8Func(f fp8.Format) nn.QuantFunc {
-	c := f.Codec()
-	return func(dst, src []float32) {
-		am := sliceAbsMax(src)
-		if am == 0 {
-			copy(dst, src)
-			return
-		}
-		scale := float32(f.MaxValue() / am)
-		inv := 1 / scale
-		c.QuantizeScaledSlice(dst, src, scale, inv)
-	}
-}
-
-// StaticInt8Func returns an affine INT8 QuantFunc over the calibrated
-// [min, max] activation range.
-func StaticInt8Func(min, max float64) nn.QuantFunc {
-	q := fp8.NewInt8Asymmetric(min, max)
-	return func(dst, src []float32) {
-		for i, v := range src {
-			dst[i] = float32(q.Quantize(float64(v)))
-		}
-	}
-}
-
-// DynamicInt8Func returns a symmetric INT8 QuantFunc with a per-call
-// absmax scale.
-func DynamicInt8Func() nn.QuantFunc {
-	return func(dst, src []float32) {
-		q := fp8.NewInt8Symmetric(sliceAbsMax(src))
-		for i, v := range src {
-			dst[i] = float32(q.Quantize(float64(v)))
-		}
-	}
-}
-
-// ActQuantFunc builds the activation QuantFunc for a recipe given the
-// calibrated range. For Static it uses the threshold/minmax; Dynamic
-// and Direct ignore them.
-func ActQuantFunc(r Recipe, threshold, min, max float64) nn.QuantFunc {
-	switch {
-	case r.Act == FP32:
-		return nil
-	case r.Act == INT8:
-		if r.Approach == Dynamic {
-			return DynamicInt8Func()
-		}
-		return StaticInt8Func(min, max)
-	case r.Approach == Direct:
-		return DirectFP8Func(r.Act.Format())
-	case r.Approach == Dynamic:
-		return DynamicFP8Func(r.Act.Format())
-	default:
-		return StaticFP8Func(r.Act.Format(), threshold)
-	}
 }
 
 // QuantizeWeightPerChannel fake-quantizes a weight tensor in place with

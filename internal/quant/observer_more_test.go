@@ -67,35 +67,8 @@ func TestNewScaledFP8DegenerateThreshold(t *testing.T) {
 	}
 }
 
-func TestActQuantFuncVariants(t *testing.T) {
-	if fn := ActQuantFunc(Recipe{Act: FP32}, 1, -1, 1); fn != nil {
-		t.Error("FP32 recipe must return nil hook")
-	}
-	// Direct.
-	fn := ActQuantFunc(Recipe{Act: E5M2, Approach: Direct}, 0, 0, 0)
-	dst := make([]float32, 1)
-	fn(dst, []float32{3.3})
-	if float64(dst[0]) != fp8.E5M2.Quantize(3.3) {
-		t.Errorf("direct variant wrong: %v", dst[0])
-	}
-	// INT8 dynamic on zeros.
-	fn = ActQuantFunc(Recipe{Act: INT8, Approach: Dynamic}, 0, 0, 0)
-	fn(dst, []float32{0})
-	if dst[0] != 0 {
-		t.Errorf("dynamic int8 of zero = %v", dst[0])
-	}
-	// Static FP8.
-	fn = ActQuantFunc(Recipe{Act: E3M4, Approach: Static}, 2, -2, 2)
-	fn(dst, []float32{1})
-	scale := float32(fp8.E3M4.MaxValue() / 2)
-	want := float32(fp8.E3M4.Quantize(float64(float32(1)*scale))) / scale
-	if dst[0] != want {
-		t.Errorf("static variant = %v, want %v", dst[0], want)
-	}
-}
-
 func TestStaticFP8FuncDegenerate(t *testing.T) {
-	fn := StaticFP8Func(fp8.E4M3, 0)
+	fn := siteHook(Recipe{Act: E4M3, Approach: Static}, 0, 0, 0)
 	dst := make([]float32, 2)
 	fn(dst, []float32{1.5, -2.5})
 	if dst[0] != 1.5 || dst[1] != -2.5 {

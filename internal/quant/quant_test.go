@@ -179,7 +179,7 @@ func TestKLThresholdClipsFP8LessThanInt8Wants(t *testing.T) {
 }
 
 func TestStaticFP8FuncRoundsToGrid(t *testing.T) {
-	fn := StaticFP8Func(fp8.E4M3, 4)
+	fn := siteHook(Recipe{Act: E4M3, Approach: Static}, 4, -4, 4)
 	src := []float32{0.1, -2.7, 3.9, 5.0} // 5.0 beyond threshold saturates
 	dst := make([]float32, 4)
 	fn(dst, src)
@@ -197,7 +197,7 @@ func TestStaticFP8FuncRoundsToGrid(t *testing.T) {
 }
 
 func TestDynamicFP8FuncAdaptsScale(t *testing.T) {
-	fn := DynamicFP8Func(fp8.E4M3)
+	fn := siteHook(Recipe{Act: E4M3, Approach: Dynamic}, 0, 0, 0)
 	small := []float32{0.001, -0.002, 0.003}
 	dst := make([]float32, 3)
 	fn(dst, small)

@@ -160,23 +160,23 @@ type target struct {
 	weight             *tensor.Tensor // non-nil for parametric modules
 	wgtDim             int
 	linear             *nn.Linear // non-nil for SmoothQuant-eligible sites
-	// record and smoothInput are the site's calibration and smoothed
-	// input hooks, bound once (a method value allocates).
-	record      nn.ObserveFunc
-	smoothInput nn.QuantFunc
+	// record and quantize are the site's calibration and activation
+	// hooks, bound once (a method value allocates).
+	record   nn.ObserveFunc
+	quantize nn.QuantFunc
 
 	// obs is this call's observer (nil: not calibrated), mm the
 	// CalibMax observer it points at. smoothing reports whether this
 	// call smooths the site: colMax then gathers the per-input-channel
-	// activation absmax, smooth holds the SmoothQuant divisors, inv
-	// their reciprocals, and fn the quantizer the smoothed input feeds.
+	// activation absmax, smooth holds the SmoothQuant divisors and inv
+	// their reciprocals. act is this call's activation quantizer.
 	obs       Observer
 	mm        MinMaxObserver
 	smoothing bool
 	colMax    []float64
 	smooth    []float64
 	inv       []float32
-	fn        nn.QuantFunc
+	act       ActQuant
 }
 
 // Quantize applies recipe r to model m, calibrating on ds. It returns
@@ -301,10 +301,11 @@ func (s *Sites) build(root nn.Module) {
 		}
 		s.order = append(s.order, siteEntry{path: path, lo: lo, hi: len(s.targets)})
 	})
-	// The slab no longer moves: bind each site's hook to its record.
+	// The slab no longer moves: bind each site's hooks to its record.
 	for i := range s.targets {
 		t := &s.targets[i]
 		t.record = t.observeValues
+		t.quantize = t.quantizeValues
 	}
 	s.active = make([]*target, 0, len(s.targets))
 	s.weights = make(map[*tensor.Tensor][]float32)
@@ -313,7 +314,7 @@ func (s *Sites) build(root nn.Module) {
 }
 
 // carveSmooth carves every Linear site's SmoothQuant buffers from two
-// slabs and binds its smoothed input hook.
+// slabs.
 func (s *Sites) carveSmooth() {
 	n := 0
 	for i := range s.targets {
@@ -333,7 +334,6 @@ func (s *Sites) carveSmooth() {
 		t.colMax = f64[2*off : 2*off+in : 2*off+in]
 		t.smooth = f64[2*off+in : 2*off+2*in : 2*off+2*in]
 		t.inv = inv[off : off+in : off+in]
-		t.smoothInput = t.divideSmooth
 		off += in
 	}
 	s.smoothCarved = true
@@ -362,7 +362,7 @@ func (s *Sites) activate(isCNN bool, r Recipe, rep *Report) []*target {
 			if t.extOnly && !r.ExtendedOps {
 				continue
 			}
-			t.obs, t.smoothing, t.fn = nil, false, nil
+			t.obs, t.smoothing = nil, false
 			s.active = append(s.active, t)
 		}
 	}
@@ -404,15 +404,19 @@ func (t *target) observeValues(v []float32) {
 	}
 }
 
-// divideSmooth is the smoothed site's input hook: it divides the
-// activations by the SmoothQuant divisors, then quantizes them.
-func (t *target) divideSmooth(dst, src []float32) {
-	inv := t.inv
-	in := len(inv)
-	for i, v := range src {
-		dst[i] = v * inv[i%in]
+// quantizeValues is the site's activation hook: it fake-quantizes the
+// values with the site's quantizer, on a smoothed site after dividing
+// them by the SmoothQuant divisors.
+func (t *target) quantizeValues(dst, src []float32) {
+	if t.smoothing {
+		inv := t.inv
+		in := len(inv)
+		for i, v := range src {
+			dst[i] = v * inv[i%in]
+		}
+		src = dst
 	}
-	t.fn(dst, dst)
+	t.act.Apply(dst, src)
 }
 
 // convert installs the site's final quantization hooks and rounds its
@@ -441,21 +445,16 @@ func (s *Sites) convert(t *target, r Recipe, rep *Report) {
 		return
 	}
 	threshold, mn, mx := t.calibrated(r)
-	fn := ActQuantFunc(r, threshold, mn, mx)
-	if fn == nil {
-		return
-	}
+	t.act.Set(r, threshold, mn, mx)
 	if t.smoothing {
 		for j, v := range t.smooth {
 			t.inv[j] = float32(1 / v)
 		}
-		t.fn = fn
-		fn = t.smoothInput
 	}
 	if t.output {
-		t.qs.Output = fn
+		t.qs.Output = t.quantize
 	} else {
-		t.qs.Input = fn
+		t.qs.Input = t.quantize
 	}
 	rep.QuantizedOps[t.kind]++
 }
@@ -465,13 +464,18 @@ func (t *target) calibrated(r Recipe) (threshold, mn, mx float64) {
 	if t.obs == nil {
 		return 0, 0, 0
 	}
-	mk := func(th float64) Quantizer {
-		if r.Act == INT8 {
-			return fp8.NewInt8Symmetric(th)
-		}
-		return NewScaledFP8(r.Act.Format(), th)
+	if r.Calib == CalibMax {
+		// No threshold search, so no trial quantizer to build.
+		threshold = t.obs.AbsMax()
+	} else {
+		act := r.Act
+		threshold = CalibratedThreshold(t.obs, r.Calib, func(th float64) Quantizer {
+			if act == INT8 {
+				return fp8.NewInt8Symmetric(th)
+			}
+			return NewScaledFP8(act.Format(), th)
+		})
 	}
-	threshold = CalibratedThreshold(t.obs, r.Calib, mk)
 	mn, mx = t.obs.Range()
 	if t.smoothing {
 		// Ranges shift after smoothing: recompute from column maxima.

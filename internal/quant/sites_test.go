@@ -93,3 +93,41 @@ func TestSitesReusedAcrossRecipes(t *testing.T) {
 		})
 	}
 }
+
+// TestSiteHooksKeepNoRecipeState runs static E4M3, dynamic E3M4,
+// static INT8, dynamic INT8 and static E3M4 in turn on one network,
+// releasing in between, and checks each recipe's quantized output
+// equals the same recipe's on a fresh build: no site's mode, codec,
+// scale or INT8 range survives Release into the next recipe.
+func TestSiteHooksKeepNoRecipeState(t *testing.T) {
+	const name = "tinybert_mrpc"
+	net, err := models.Build(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := net.Data.Batch(evalx.EvalStart)
+	for _, r := range []quant.Recipe{
+		quant.StandardFP8(quant.E4M3),
+		quant.DynamicFP8(quant.E3M4),
+		quant.StandardINT8(false),
+		quant.StandardINT8(true),
+		quant.StandardFP8(quant.E3M4),
+	} {
+		h := quant.Quantize(net, net.Data, r)
+		got := net.Run(eval).Clone()
+		h.Release()
+
+		fresh, err := models.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fh := quant.Quantize(fresh, fresh.Data, r)
+		want := fresh.Run(eval)
+		fh.Release()
+		for i, v := range got.Data {
+			if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%s: output %d is %v after the earlier recipes, %v on a fresh build", r.Name(), i, v, want.Data[i])
+			}
+		}
+	}
+}

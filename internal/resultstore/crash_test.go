@@ -84,13 +84,13 @@ func TestCrashAtEverySaveStage(t *testing.T) {
 			}
 
 			// Guarantee 1: the store never serves a damaged cell.
-			if _, ok := s.LoadCell(k); ok {
+			if _, ok := s.Load(k.Addr()); ok {
 				t.Fatal("store served a cell whose write crashed")
 			}
 			if got := tmpFiles(t, dir); (len(got) > 0) != st.wantTmp {
 				t.Fatalf("tmp leftovers = %v, want present=%v", got, st.wantTmp)
 			}
-			if _, err := os.Stat(s.CellPath(k)); (err == nil) != st.wantFinal {
+			if _, err := os.Stat(s.CellPath(k.Fingerprint())); (err == nil) != st.wantFinal {
 				t.Fatalf("final file present=%v, want %v", err == nil, st.wantFinal)
 			}
 
@@ -127,7 +127,7 @@ func TestCrashAtEverySaveStage(t *testing.T) {
 			if err := s.SaveCell(k, r); err != nil {
 				t.Fatalf("healing rewrite: %v", err)
 			}
-			got, ok := s.LoadCell(k)
+			got, ok := s.Load(k.Addr())
 			if !ok {
 				t.Fatal("healed cell still missing")
 			}
@@ -201,11 +201,11 @@ func TestInjectedLoadFaultIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	armOnce(t, "resultstore.load.read", faultline.KindErr, 0)
-	if _, ok := s.LoadCell(k); ok {
+	if _, ok := s.Load(k.Addr()); ok {
 		t.Fatal("injected read fault did not miss")
 	}
 	// The rule's budget (Max:1) is spent; the next read succeeds.
-	if got, ok := s.LoadCell(k); !ok || got.QAcc != r.QAcc {
+	if got, ok := s.Load(k.Addr()); !ok || got.QAcc != r.QAcc {
 		t.Fatalf("store did not recover after fault: ok=%v", ok)
 	}
 }

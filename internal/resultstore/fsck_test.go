@@ -73,7 +73,7 @@ func TestFsckFindsAndRepairsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Damage 2: a corrupt cell (truncated valid bytes) under a store name.
-	goodBytes, err := os.ReadFile(s.CellPath(k))
+	goodBytes, err := os.ReadFile(s.CellPath(k.Fingerprint()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestFsckFindsAndRepairsDamage(t *testing.T) {
 	if !rep.Healthy() || len(rep.Findings) != 0 || rep.Cells != 1 {
 		t.Fatalf("post-repair store not clean: %+v", rep)
 	}
-	if _, ok := s.LoadCell(k); !ok {
+	if _, ok := s.Load(k.Addr()); !ok {
 		t.Fatal("repair lost the healthy cell")
 	}
 	// The quarantined files are all present in quarantine/.
@@ -286,7 +286,7 @@ func TestPruneSkipsQuarantine(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, QuarantineDir, bad)); err != nil {
 		t.Fatalf("prune touched quarantine: %v", err)
 	}
-	if _, ok := s.LoadCell(testKey()); !ok {
+	if _, ok := s.Load(testKey().Addr()); !ok {
 		t.Fatal("prune dropped the healthy cell")
 	}
 }

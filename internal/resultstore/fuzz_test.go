@@ -38,12 +38,12 @@ func FuzzCellFile(f *testing.F) {
 	}
 	k := testKey()
 	fp := k.Fingerprint()
-	path := s.CellPath(k)
+	path := s.CellPath(k.Fingerprint())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, hit := s.LoadCell(k)
+		_, hit := s.Load(k.Addr())
 		got, served := s.CellBytesByFingerprint(fp)
 		done := s.Coverage(Manifest{Cells: []string{fp}}).Done == 1
 		rep, err := s.Fsck(FsckOptions{})

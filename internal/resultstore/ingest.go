@@ -70,7 +70,7 @@ func (s *Store) IngestCell(fp string, payload []byte) (IngestStatus, error) {
 	if !validCellBytes(payload, fp) {
 		return 0, fmt.Errorf("%w: payload for cell %s is not a valid current-schema envelope for that fingerprint", ErrBadPayload, fp)
 	}
-	dstPath := s.cellPath(fp)
+	dstPath := s.CellPath(fp)
 	dstBytes, err := os.ReadFile(dstPath)
 	switch {
 	case os.IsNotExist(err):
@@ -108,7 +108,7 @@ func (s *Store) CellBytesByFingerprint(fp string) ([]byte, bool) {
 	if s == nil {
 		return nil, false
 	}
-	b, err := os.ReadFile(s.cellPath(fp))
+	b, err := os.ReadFile(s.CellPath(fp))
 	if err != nil || !validCellBytes(b, fp) {
 		return nil, false
 	}

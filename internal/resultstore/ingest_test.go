@@ -101,10 +101,10 @@ func TestPruneKeepsManifestReferencedCells(t *testing.T) {
 	if n != 1 {
 		t.Errorf("Prune removed %d files, want 1 (the unreferenced cell only)", n)
 	}
-	if _, ok := dst.LoadCell(ref); !ok {
+	if _, ok := dst.Load(ref.Addr()); !ok {
 		t.Error("manifest-referenced cell must survive an age-bounded prune")
 	}
-	if _, ok := dst.LoadCell(loose); ok {
+	if _, ok := dst.Load(loose.Addr()); ok {
 		t.Error("unreferenced aged cell should be pruned")
 	}
 	if _, ok := dst.LoadManifest("table2-sweep", 0); !ok {
@@ -129,7 +129,7 @@ func TestCoverageCountsValidCells(t *testing.T) {
 		t.Errorf("full-store coverage = %+v, want complete", cov)
 	}
 	// A torn cell is as missing as no cell: a resume would recompute it.
-	if err := os.WriteFile(s.CellPath(testKey()), []byte(`{"sch`), 0o644); err != nil {
+	if err := os.WriteFile(s.CellPath(testKey().Fingerprint()), []byte(`{"sch`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cov = s.Coverage(m)
@@ -138,7 +138,7 @@ func TestCoverageCountsValidCells(t *testing.T) {
 	}
 	// So is a healthy envelope of another key: a read of this one misses.
 	other, _ := EncodeCell(keyFor("densenet121"), testResult())
-	if err := os.WriteFile(s.CellPath(testKey()), other, 0o644); err != nil {
+	if err := os.WriteFile(s.CellPath(testKey().Fingerprint()), other, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if cov := s.Coverage(m); cov.Done != 0 {
@@ -200,7 +200,7 @@ func TestPruneRemovesWhatReadsMiss(t *testing.T) {
 			t.Errorf("Prune removed %s: %v", name, err)
 		}
 	}
-	if _, ok := s.LoadCell(testKey()); !ok {
+	if _, ok := s.Load(testKey().Addr()); !ok {
 		t.Error("healthy cell must survive Prune(0)")
 	}
 	if _, ok := s.LoadManifest("table2-sweep", 0); !ok {

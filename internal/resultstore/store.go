@@ -10,7 +10,7 @@
 // The store owns the rules its files obey: each cell or manifest file
 // gets one verdict (cellVerdict, manifestVerdict) — healthy, or the
 // Fsck finding kind of its flaw — and every reader judges through it,
-// so a file is a LoadCell hit exactly when Coverage counts it done,
+// so a file is a Load hit exactly when Coverage counts it done,
 // Fsck calls it clean and Prune keeps it. A flawed file is a miss, so
 // a damaged cache can never poison a report — at worst it costs a
 // recompute.
@@ -60,15 +60,31 @@ type CellKey struct {
 }
 
 // Fingerprint returns the content address of the key: a 128-bit hex
-// digest of its canonical JSON encoding.
+// digest of its canonical JSON encoding, hex-encoded into a fixed
+// array rather than a heap buffer.
 func (k CellKey) Fingerprint() string {
 	b, err := json.Marshal(k)
 	if err != nil {
 		panic("resultstore: unmarshalable key: " + err.Error())
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:16])
+	var fp [32]byte
+	hex.Encode(fp[:], sum[:16])
+	return string(fp[:])
 }
+
+// Addr is a cell key with its content address. A cell's address is
+// derived once (CellKey.Addr) and handed down with the key, so the
+// memo, the store read and the store write of one cell share one hash.
+// It is a snapshot: a key changed after Addr needs a new Addr.
+type Addr struct {
+	Key CellKey
+	// FP is Key.Fingerprint().
+	FP string
+}
+
+// Addr pairs the key with its fingerprint.
+func (k CellKey) Addr() Addr { return Addr{Key: k, FP: k.Fingerprint()} }
 
 // Manifest records a grid's full cell schedule: the axes and the
 // row-major cell fingerprints. It lets tooling reason about coverage
@@ -123,7 +139,10 @@ func (s Stats) String() string {
 // Store is a directory of content-addressed cell and manifest files. A
 // nil *Store is valid and behaves as an always-miss, never-write store.
 type Store struct {
-	dir                  string
+	dir string
+	// cellPrefix is filepath.Join(dir, "c-"): a cell's path is it, the
+	// fingerprint and ".json", built in one concatenation.
+	cellPrefix           string
 	hits, misses, writes atomic.Int64
 }
 
@@ -145,7 +164,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, cellPrefix: filepath.Join(dir, "c-")}, nil
 }
 
 // Dir returns the store's directory.
@@ -164,14 +183,9 @@ func (s *Store) Stats() Stats {
 	return Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Writes: s.writes.Load()}
 }
 
-// CellPath returns the file a key's cell is stored at.
-func (s *Store) CellPath(k CellKey) string {
-	return s.cellPath(k.Fingerprint())
-}
-
-// cellPath returns the file the cell with fingerprint fp is stored at.
-func (s *Store) cellPath(fp string) string {
-	return filepath.Join(s.dir, "c-"+fp+".json")
+// CellPath returns the file the cell with fingerprint fp is stored at.
+func (s *Store) CellPath(fp string) string {
+	return s.cellPrefix + fp + ".json"
 }
 
 // cellEnvelope is the on-disk cell format: the schema version and full
@@ -199,9 +213,10 @@ func cellVerdict(b []byte, fp string) (cellEnvelope, string) {
 	return env, ""
 }
 
-// LoadCell returns the stored result for the key, or (zero, false) on
-// any miss: an absent file, or one whose verdict is not healthy.
-func (s *Store) LoadCell(k CellKey) (evalx.Result, bool) {
+// Load returns the stored result for the addressed cell, or (zero,
+// false) on any miss: an absent file, or one whose verdict is not
+// healthy.
+func (s *Store) Load(a Addr) (evalx.Result, bool) {
 	if s == nil {
 		return evalx.Result{}, false
 	}
@@ -210,18 +225,17 @@ func (s *Store) LoadCell(k CellKey) (evalx.Result, bool) {
 		s.misses.Add(1)
 		return evalx.Result{}, false
 	}
-	fp := k.Fingerprint()
-	b, err := os.ReadFile(s.cellPath(fp))
+	b, err := os.ReadFile(s.CellPath(a.FP))
 	if err != nil {
 		s.misses.Add(1)
 		return evalx.Result{}, false
 	}
 	// A flawed entry (a torn write from a crashed process, disk damage)
-	// is deliberately not deleted: the recompute's SaveCell rename
-	// replaces it atomically, and a delete here could race a concurrent
+	// is deliberately not deleted: the recompute's Save rename replaces
+	// it atomically, and a delete here could race a concurrent
 	// process's just-renamed valid cell.
-	env, verdict := cellVerdict(b, fp)
-	if verdict != "" || !keysEqual(env.Key, k) {
+	env, verdict := cellVerdict(b, a.FP)
+	if verdict != "" || !keysEqual(env.Key, a.Key) {
 		s.misses.Add(1)
 		return evalx.Result{}, false
 	}
@@ -244,15 +258,22 @@ func EncodeCell(k CellKey, r evalx.Result) ([]byte, error) {
 }
 
 // SaveCell atomically persists the result under the key.
+//
+//fp8vet:ignore unused the bench module's traced cell path (bench/cellpath.go) persists through it
 func (s *Store) SaveCell(k CellKey, r evalx.Result) error {
+	return s.Save(k.Addr(), r)
+}
+
+// Save atomically persists the result under the addressed cell.
+func (s *Store) Save(a Addr, r evalx.Result) error {
 	if s == nil {
 		return nil
 	}
-	b, err := EncodeCell(k, r)
+	b, err := EncodeCell(a.Key, r)
 	if err != nil {
 		return err
 	}
-	if err := s.writeAtomic(s.CellPath(k), b); err != nil {
+	if err := s.writeAtomic(s.CellPath(a.FP), b); err != nil {
 		return err
 	}
 	s.writes.Add(1)
@@ -458,15 +479,15 @@ func (s *Store) Prune(maxAge time.Duration) (int, error) {
 // faults deliberately leave the temp file behind, because that is what
 // the crash they simulate would do; real write errors still clean up.
 func (s *Store) writeAtomic(path string, b []byte) error {
-	point := "resultstore." + writeClass(path)
-	if err := faultline.Hit(point + ".create"); err != nil {
+	points := writePointsOf(path)
+	if err := faultline.Hit(points.create); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	tmp, err := os.CreateTemp(s.dir, ".cell-*.tmp")
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	wb, injerr := faultline.WriteBytes(point+".temp", b)
+	wb, injerr := faultline.WriteBytes(points.temp, b)
 	if _, err := tmp.Write(wb); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
@@ -480,7 +501,7 @@ func (s *Store) writeAtomic(path string, b []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	if err := faultline.Hit(point + ".rename"); err != nil {
+	if err := faultline.Hit(points.rename); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
@@ -490,16 +511,20 @@ func (s *Store) writeAtomic(path string, b []byte) error {
 	return nil
 }
 
-// writeClass names the kind of store file a path holds, for failpoint
-// naming: "save" (cells), "manifest", or "sidecar" (everything else).
-func writeClass(path string) string {
+// writePoints are the failpoint names of one class of atomic write.
+type writePoints struct{ create, temp, rename string }
+
+// writePointsOf names the failpoints of a write by the kind of store
+// file its path holds: "save" (cells), "manifest", or "sidecar"
+// (everything else).
+func writePointsOf(path string) writePoints {
 	switch name := filepath.Base(path); {
 	case strings.HasPrefix(name, "c-"):
-		return "save"
+		return writePoints{"resultstore.save.create", "resultstore.save.temp", "resultstore.save.rename"}
 	case strings.HasPrefix(name, "m-"):
-		return "manifest"
+		return writePoints{"resultstore.manifest.create", "resultstore.manifest.temp", "resultstore.manifest.rename"}
 	default:
-		return "sidecar"
+		return writePoints{"resultstore.sidecar.create", "resultstore.sidecar.temp", "resultstore.sidecar.rename"}
 	}
 }
 

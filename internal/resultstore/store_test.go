@@ -51,14 +51,14 @@ func TestCellRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := testKey()
-	if _, ok := s.LoadCell(k); ok {
+	if _, ok := s.Load(k.Addr()); ok {
 		t.Fatal("empty store must miss")
 	}
 	r := testResult()
 	if err := s.SaveCell(k, r); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.LoadCell(k)
+	got, ok := s.Load(k.Addr())
 	if !ok {
 		t.Fatal("warm store must hit")
 	}
@@ -77,17 +77,17 @@ func TestCorruptFileIsMissAndHealed(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := testKey()
-	if err := os.WriteFile(s.CellPath(k), []byte(`{"schema":2,"result":{truncated`), 0o644); err != nil {
+	if err := os.WriteFile(s.CellPath(k.Fingerprint()), []byte(`{"schema":2,"result":{truncated`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.LoadCell(k); ok {
+	if _, ok := s.Load(k.Addr()); ok {
 		t.Fatal("corrupt file must be a miss")
 	}
 	// The recompute's SaveCell atomically replaces the corrupt entry.
 	if err := s.SaveCell(k, testResult()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.LoadCell(k); !ok {
+	if _, ok := s.Load(k.Addr()); !ok {
 		t.Fatal("healed slot must hit")
 	}
 }
@@ -101,10 +101,10 @@ func TestSchemaMismatchIsMiss(t *testing.T) {
 	// Simulate a cell written by an older code generation: same file
 	// location, stale schema stamp in the envelope.
 	b, _ := json.Marshal(cellEnvelope{Schema: k.Schema - 1, Key: k, Result: testResult()})
-	if err := os.WriteFile(s.CellPath(k), b, 0o644); err != nil {
+	if err := os.WriteFile(s.CellPath(k.Fingerprint()), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.LoadCell(k); ok {
+	if _, ok := s.Load(k.Addr()); ok {
 		t.Fatal("stale-schema entry must be a miss")
 	}
 	// A key mismatch (fingerprint collision / hand-edited file) is a
@@ -112,10 +112,10 @@ func TestSchemaMismatchIsMiss(t *testing.T) {
 	other := k
 	other.Cell = []AxisValue{{Axis: "model", Value: "densenet121"}}
 	b, _ = json.Marshal(cellEnvelope{Schema: k.Schema, Key: other, Result: testResult()})
-	if err := os.WriteFile(s.CellPath(k), b, 0o644); err != nil {
+	if err := os.WriteFile(s.CellPath(k.Fingerprint()), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.LoadCell(k); ok {
+	if _, ok := s.Load(k.Addr()); ok {
 		t.Fatal("key-mismatch entry must be a miss")
 	}
 }
@@ -225,7 +225,7 @@ func TestPruneRemovesStaleEntries(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, ".cell-5678.tmp")); err != nil {
 		t.Error("Prune must not delete a fresh (possibly in-flight) temp file")
 	}
-	if _, ok := s.LoadCell(k); !ok {
+	if _, ok := s.Load(k.Addr()); !ok {
 		t.Error("current-schema cell must survive Prune(0)")
 	}
 	if _, ok := s.LoadManifest("table2-sweep", 0); !ok {
@@ -249,7 +249,7 @@ func TestPruneMaxAge(t *testing.T) {
 	}
 	// ...but an old one is removed.
 	old := time.Now().Add(-2 * time.Hour)
-	if err := os.Chtimes(s.CellPath(k), old, old); err != nil {
+	if err := os.Chtimes(s.CellPath(k.Fingerprint()), old, old); err != nil {
 		t.Fatal(err)
 	}
 	n, err := s.Prune(time.Hour)
@@ -259,14 +259,14 @@ func TestPruneMaxAge(t *testing.T) {
 	if n != 1 {
 		t.Errorf("Prune(1h) removed %d files, want 1", n)
 	}
-	if _, ok := s.LoadCell(k); ok {
+	if _, ok := s.Load(k.Addr()); ok {
 		t.Error("aged-out cell should be gone")
 	}
 }
 
 func TestNilStoreIsInert(t *testing.T) {
 	var s *Store
-	if _, ok := s.LoadCell(testKey()); ok {
+	if _, ok := s.Load(testKey().Addr()); ok {
 		t.Error("nil store must miss")
 	}
 	if err := s.SaveCell(testKey(), testResult()); err != nil {
