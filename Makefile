@@ -9,7 +9,7 @@ GO ?= go
 # fails CI if the combined figure regresses below this.
 COVER_FLOOR ?= 71.0
 
-.PHONY: all build vet vet-contracts fma-audit alloc-audit lint fmt fmt-check test bench bench-json bench-gate bench-kernels bench-trend tiers arch386 smoke coord-smoke chaos-smoke fuzz exhaustive cover-check ci
+.PHONY: all build vet vet-contracts fma-audit alloc-audit lint fmt fmt-check test bench-test bench bench-json bench-gate bench-kernels bench-trend tiers arch386 smoke coord-smoke chaos-smoke fuzz exhaustive cover-check ci
 
 all: build
 
@@ -79,6 +79,12 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# The benchmark module's tests (bench/ is its own module and compiles
+# against resultstore, harness and coord, so an API change can break it
+# without failing the main module's build).
+bench-test:
+	$(GO) -C bench test ./...
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
@@ -311,4 +317,4 @@ cover-check:
 			printf "harness+resultstore+kernels+analyzers+coord+faultline combined coverage: %.1f%% (floor %.1f%%)\n", pct, floor; \
 			exit (pct < floor) }' coverage.out
 
-ci: build lint fma-audit alloc-audit test tiers arch386 smoke coord-smoke chaos-smoke
+ci: build lint fma-audit alloc-audit test bench-test tiers arch386 smoke coord-smoke chaos-smoke

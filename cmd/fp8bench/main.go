@@ -55,7 +55,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -194,7 +193,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%v; use -list\n", err)
 			os.Exit(1)
 		}
-		if err := validateFilterAxes(ids, filter); err != nil {
+		exps := make([]harness.Experiment, len(ids))
+		for i, id := range ids {
+			exps[i], _ = harness.Get(id)
+		}
+		if err := harness.ValidateFilterAxes(exps, filter); err != nil {
 			fmt.Fprintf(os.Stderr, "-filter: %v\n", err)
 			os.Exit(1)
 		}
@@ -203,12 +206,12 @@ func main() {
 		}
 		var outs []expReport
 		failed, skipped := 0, 0
-		for _, id := range ids {
+		for i, id := range ids {
 			// In a batch, an experiment without the filtered axes (fig6
 			// has no "model" axis, scalar fig1 has no cells at all) is
 			// skipped with a note, not failed — otherwise -filter could
 			// never be combined with -exp all.
-			if e, _ := harness.Get(id); len(filter) > 0 {
+			if e := exps[i]; len(filter) > 0 {
 				if spec := e.Spec(); len(spec.Select(filter)) == 0 {
 					if !*jsonOut {
 						fmt.Fprintf(os.Stderr, "skipping %s: filter matches none of its cells\n", id)
@@ -338,55 +341,6 @@ type cacheReport struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	Writes int64 `json:"writes"`
-}
-
-// validateFilterAxes rejects a filter naming an axis no requested
-// experiment declares — a typo'd axis would otherwise select empty
-// sub-grids everywhere and read like "no cells matched". An axis valid
-// for some experiments but not others stays fine: the batch loop skips
-// the experiments it does not apply to.
-func validateFilterAxes(ids []string, f harness.Filter) error {
-	if len(f) == 0 {
-		return nil
-	}
-	// An axis is unknown to the batch when every requested experiment's
-	// spec reports it unknown (same rule as GridSpec.ValidateFilter,
-	// relaxed across the batch).
-	unknownEverywhere := map[string]int{}
-	specs := 0
-	for _, id := range ids {
-		if e, ok := harness.Get(id); ok {
-			specs++
-			for _, name := range e.Spec().UnknownAxes(f) {
-				unknownEverywhere[name]++
-			}
-		}
-	}
-	var unknown []string
-	for name, n := range unknownEverywhere {
-		if n == specs {
-			unknown = append(unknown, name)
-		}
-	}
-	if len(unknown) == 0 {
-		return nil
-	}
-	sort.Strings(unknown)
-	var grids []string
-	for _, id := range ids {
-		e, ok := harness.Get(id)
-		if !ok {
-			continue
-		}
-		axes := e.Spec().AxisNames()
-		if len(axes) == 0 {
-			grids = append(grids, id+": (no axes)")
-		} else {
-			grids = append(grids, id+": "+strings.Join(axes, ", "))
-		}
-	}
-	return fmt.Errorf("unknown axis %s; valid axes per experiment — %s",
-		strings.Join(unknown, ", "), strings.Join(grids, "; "))
 }
 
 // printCoverage diffs each experiment's grid manifest against the

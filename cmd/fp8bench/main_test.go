@@ -42,37 +42,6 @@ func TestProfileFlags(t *testing.T) {
 	}
 }
 
-// TestValidateFilterAxes pins the unknown-axis hard error: an axis no
-// requested experiment declares fails fast with the per-experiment
-// axis lists, while an axis valid for at least one experiment passes
-// (the batch loop skips the others).
-func TestValidateFilterAxes(t *testing.T) {
-	if err := validateFilterAxes([]string{"table2"}, nil); err != nil {
-		t.Errorf("nil filter: %v", err)
-	}
-	if err := validateFilterAxes([]string{"table2"}, harness.Filter{"model": {"resnet50"}}); err != nil {
-		t.Errorf("declared axis: %v", err)
-	}
-	// fig6 has no "model" axis, but table2 does — valid for the batch.
-	if err := validateFilterAxes([]string{"table2", "fig6"}, harness.Filter{"model": {"resnet50"}}); err != nil {
-		t.Errorf("axis valid for one of two experiments: %v", err)
-	}
-	err := validateFilterAxes([]string{"table2"}, harness.Filter{"modle": {"resnet50"}})
-	if err == nil {
-		t.Fatal("typo'd axis must be a hard error, not an empty sub-grid")
-	}
-	for _, want := range []string{"modle", "table2", "model"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q should mention %q", err, want)
-		}
-	}
-	// Scalar experiments are called out rather than listed as empty.
-	err = validateFilterAxes([]string{"fig1"}, harness.Filter{"model": {"x"}})
-	if err == nil || !strings.Contains(err.Error(), "no axes") {
-		t.Errorf("scalar-only error = %v, want a no-axes note", err)
-	}
-}
-
 // TestPrintCoverageCountsIncompleteGrids pins the -coverage exit
 // contract's source of truth: the incomplete-grid count that main
 // turns into a nonzero exit. An empty store reports the grid

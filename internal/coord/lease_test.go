@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -504,5 +505,35 @@ func TestLatePushedReservedCellIsNotSent(t *testing.T) {
 	}
 	if p := c.Snapshot().Experiments[0]; p.Done != 1 || p.Leased != 2 {
 		t.Fatalf("progress = %+v, want 1 done / 2 leased", p)
+	}
+}
+
+// TestFilterAxisSomeGridsLack: a filter axis one grid lacks schedules
+// that grid empty (the batch rule fp8bench -filter applies), while an
+// axis no grid declares fails New with each grid's axes.
+func TestFilterAxisSomeGridsLack(t *testing.T) {
+	withHarnessState(t)
+	models := modelGrid("bymodel", 2, 2)
+	configs := axisExp("byconfig",
+		harness.Axis{Name: "config", Values: []string{"fp8/m0", "fp8/m1"}},
+		harness.Axis{Name: "recipe", Values: []string{"r1"}},
+	)
+	exps := []harness.Experiment{models, configs}
+	c := newTestCoord(t, Config{Experiments: exps, Filter: harness.Filter{"model": {"m1"}}, Store: openStore(t)})
+	snap := c.Snapshot()
+	if got := []int{snap.Experiments[0].Total, snap.Experiments[1].Total}; !slices.Equal(got, []int{2, 0}) {
+		t.Fatalf("scheduled cells per grid = %v, want [2 0]", got)
+	}
+	if got := indices(grant(t, c, "w0")); !slices.Equal(got, []int{2, 3}) {
+		t.Fatalf("granted cells %v, want m1's cells 2 and 3", got)
+	}
+	_, err := New(Config{Experiments: exps, Filter: harness.Filter{"modle": {"m1"}}, Store: openStore(t)})
+	if err == nil {
+		t.Fatal("an axis no grid declares must fail New")
+	}
+	for _, want := range []string{"modle", "bymodel: model, recipe", "byconfig: config, recipe"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q should mention %q", err, want)
+		}
 	}
 }

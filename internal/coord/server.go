@@ -152,13 +152,13 @@ func New(cfg Config) (*Coordinator, error) {
 		notify:  make(chan struct{}),
 		done:    make(chan struct{}),
 	}
+	if err := harness.ValidateFilterAxes(cfg.Experiments, cfg.Filter); err != nil {
+		return nil, fmt.Errorf("coord: filter: %w", err)
+	}
 	var fresh []*workItem
 	manifests := map[string]*resultstore.Manifest{} // by grid id
 	for _, e := range cfg.Experiments {
 		spec := e.Spec()
-		if err := spec.ValidateFilter(cfg.Filter); err != nil && spec.NumCells() > 0 {
-			return nil, fmt.Errorf("coord: %s: %w", e.ID(), err)
-		}
 		sel := spec.Select(cfg.Filter)
 		if _, seen := manifests[spec.ID]; !seen && spec.NumCells() > 0 {
 			// A full schedule is recorded (a failed write only degrades

@@ -663,3 +663,44 @@ func TestValidateFilterListsAxes(t *testing.T) {
 		t.Errorf("scalar ValidateFilter = %v, want a no-axes explanation", err)
 	}
 }
+
+// TestValidateFilterAxes pins the batch rule: an axis no experiment
+// declares fails fast with the per-experiment axis lists, while an
+// axis valid for at least one experiment passes (the batch skips the
+// others).
+func TestValidateFilterAxes(t *testing.T) {
+	exps := func(ids ...string) []Experiment {
+		out := make([]Experiment, len(ids))
+		for i, id := range ids {
+			var ok bool
+			if out[i], ok = Get(id); !ok {
+				t.Fatalf("no experiment %s", id)
+			}
+		}
+		return out
+	}
+	if err := ValidateFilterAxes(exps("table2"), nil); err != nil {
+		t.Errorf("nil filter: %v", err)
+	}
+	if err := ValidateFilterAxes(exps("table2"), Filter{"model": {"resnet50"}}); err != nil {
+		t.Errorf("declared axis: %v", err)
+	}
+	// fig6 has no "model" axis, but table2 does — valid for the batch.
+	if err := ValidateFilterAxes(exps("table2", "fig6"), Filter{"model": {"resnet50"}}); err != nil {
+		t.Errorf("axis valid for one of two experiments: %v", err)
+	}
+	err := ValidateFilterAxes(exps("table2"), Filter{"modle": {"resnet50"}})
+	if err == nil {
+		t.Fatal("typo'd axis must be a hard error, not an empty sub-grid")
+	}
+	for _, want := range []string{"modle", "table2", "model"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q should mention %q", err, want)
+		}
+	}
+	// Scalar experiments are called out rather than listed as empty.
+	err = ValidateFilterAxes(exps("fig1"), Filter{"model": {"x"}})
+	if err == nil || !strings.Contains(err.Error(), "no axes") {
+		t.Errorf("scalar-only error = %v, want a no-axes note", err)
+	}
+}

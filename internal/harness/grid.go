@@ -219,11 +219,10 @@ func (s GridSpec) AxisNames() []string {
 	return out
 }
 
-// UnknownAxes returns, sorted, the filter's axis names the spec does
+// unknownAxes returns, sorted, the filter's axis names the spec does
 // not declare — the single source of truth for "does this filter even
-// apply here", shared by ValidateFilter and the fp8bench batch
-// pre-check.
-func (s GridSpec) UnknownAxes(f Filter) []string {
+// apply here", shared by ValidateFilter, ValidateFilterAxes and Select.
+func (s GridSpec) unknownAxes(f Filter) []string {
 	declared := map[string]bool{}
 	for _, a := range s.Axes {
 		declared[a.Name] = true
@@ -243,7 +242,7 @@ func (s GridSpec) UnknownAxes(f Filter) []string {
 // and read like "no cells matched" — the error instead names the
 // offending axes and lists what the grid actually has.
 func (s GridSpec) ValidateFilter(f Filter) error {
-	unknown := s.UnknownAxes(f)
+	unknown := s.unknownAxes(f)
 	if len(unknown) == 0 {
 		return nil
 	}
@@ -253,6 +252,43 @@ func (s GridSpec) ValidateFilter(f Filter) error {
 	}
 	return fmt.Errorf("unknown filter axis %s: grid %s has axes %s",
 		strings.Join(unknown, ", "), s.ID, strings.Join(s.AxisNames(), ", "))
+}
+
+// ValidateFilterAxes is the filter check for a batch of experiments
+// (fp8bench -exp, an fp8coord schedule): it rejects a filter naming an
+// axis no experiment declares, listing each experiment's axes. An axis
+// only some experiments declare is fine: the others select no cell
+// and the batch skips them (fig6 has no "model" axis, scalar fig1 no
+// cells at all).
+func ValidateFilterAxes(exps []Experiment, f Filter) error {
+	if len(f) == 0 {
+		return nil
+	}
+	lacking := map[string]int{} // axis → experiments that lack it
+	grids := make([]string, len(exps))
+	for i, e := range exps {
+		spec := e.Spec()
+		for _, name := range spec.unknownAxes(f) {
+			lacking[name]++
+		}
+		axes := "(no axes)"
+		if len(spec.Axes) > 0 {
+			axes = strings.Join(spec.AxisNames(), ", ")
+		}
+		grids[i] = e.ID() + ": " + axes
+	}
+	var unknown []string
+	for name, n := range lacking {
+		if n == len(exps) {
+			unknown = append(unknown, name)
+		}
+	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	sort.Strings(unknown)
+	return fmt.Errorf("unknown axis %s; valid axes per experiment — %s",
+		strings.Join(unknown, ", "), strings.Join(grids, "; "))
 }
 
 // Select returns the row-major indices of the cells matching the
@@ -269,7 +305,7 @@ func (s GridSpec) Select(f Filter) []int {
 		return out
 	}
 	// A filter axis the spec does not declare can match nothing.
-	if len(s.UnknownAxes(f)) > 0 {
+	if len(s.unknownAxes(f)) > 0 {
 		return nil
 	}
 	// admit[ai][vi] says whether the filter admits value vi of axis ai;

@@ -1,11 +1,12 @@
-// Store verification and repair: Fsck walks a store directory the way
-// an offline filesystem checker walks a disk — every file is
-// classified, damaged entries are reported (and, on request,
-// quarantined so the next sweep recomputes exactly the damaged cells),
-// and cross-checks diff each manifest's schedule against the cells
-// actually present. Fsck judges each file by the store's one verdict
-// (cellVerdict, manifestVerdict), so a file it calls clean is exactly
-// one a read would hit. Reads never trust file names: a cell is only
+// Store verification, repair and pruning: one walk of the store
+// directory (scan) reads each file once and classifies it the way an
+// offline filesystem checker classifies a disk. Fsck reports the walk
+// — damaged entries (and, on request, quarantines them so the next
+// sweep recomputes exactly the damaged cells), plus cross-checks of
+// each manifest's schedule against the healthy cells the walk found —
+// and Prune removes from it. Both judge each file by the store's one
+// verdict (cellVerdict, manifestVerdict), so a file Fsck calls clean is
+// exactly one a read would hit and Prune keeps. Reads never trust file names: a cell is only
 // healthy if its bytes parse as a current-schema envelope whose key
 // hashes back to the name's fingerprint.
 
@@ -22,7 +23,7 @@ import (
 
 // QuarantineDir is the subdirectory damaged entries are moved into by
 // a repair run. It lives inside the store so the evidence travels with
-// the directory, and every store walk (Prune, Coverage, Fsck itself)
+// the directory, and the store's walk (scan, behind Fsck and Prune)
 // skips directories, so quarantined files can never be mistaken for
 // live entries.
 const QuarantineDir = "quarantine"
@@ -62,7 +63,7 @@ const (
 	FindForeign = "foreign"
 )
 
-// findDetail explains each kind of flawed file.
+// findDetail explains each kind of finding about one file.
 var findDetail = map[string]string{
 	FindTornTmp:           "leftover temp file from an interrupted atomic write",
 	FindCorruptCell:       "cell bytes do not parse as a cell envelope",
@@ -70,6 +71,8 @@ var findDetail = map[string]string{
 	FindCorruptManifest:   "manifest bytes do not parse as a manifest envelope",
 	FindMisplacedManifest: "manifest's grid and seed belong at another file name",
 	FindStaleSchema:       fmt.Sprintf("entry from another schema generation (current is %d)", SchemaVersion),
+	FindOrphanCell:        "healthy cell not referenced by any manifest",
+	FindForeign:           "not a store file or valid sidecar name; left alone",
 }
 
 // FsckOptions configures a store check.
@@ -116,107 +119,170 @@ type FsckReport struct {
 // look exactly like that.
 func (r FsckReport) Healthy() bool { return r.Damage == r.Repaired }
 
-// Fsck verifies every file in the store directory and cross-checks
-// manifests against the cells present. With opts.Repair it quarantines
-// damaged entries (moving them into QuarantineDir) so the store is
-// healthy afterwards and a resume run recomputes exactly what was
-// lost. The walk is read-only apart from those moves; findings are
-// ordered deterministically so two checks of the same store produce
-// identical reports.
-func (s *Store) Fsck(opts FsckOptions) (FsckReport, error) {
-	var rep FsckReport
-	if s == nil {
-		return rep, fmt.Errorf("resultstore: Fsck on a nil store")
+// tmpGrace is how old a temp file must be before Prune treats it as
+// a leftover from a crashed process rather than a write in flight: an
+// atomic write holds its temp file for milliseconds, so an hour-old
+// one is certainly abandoned, while deleting a fresh one could race a
+// concurrent process between CreateTemp and Rename.
+const tmpGrace = time.Hour
+
+// fileVerdict judges a store-named file by its bytes: a cell or a
+// manifest by its own verdict, a legacy whole-grid blob as stale. A
+// healthy manifest is returned, for the checks that need its schedule.
+func fileVerdict(name string, b []byte) (string, *Manifest) {
+	switch name[:2] {
+	case "c-":
+		_, verdict := cellVerdict(b, name[2:34], nil)
+		return verdict, nil
+	case "m-":
+		m, verdict := manifestVerdict(name, b)
+		if verdict != "" {
+			return verdict, nil
+		}
+		return "", &m
 	}
+	return FindStaleSchema, nil
+}
+
+// storeScan is one walk of the store directory: every file read once
+// and judged by fileVerdict. Fsck reports it and Prune removes from
+// it, so the two tools cannot disagree about a file.
+type storeScan struct {
+	// files are the findings about single files, in directory order:
+	// temp files at least the walk's tmpAge old, store-named files
+	// whose verdict is not healthy, and foreign names.
+	files []FsckFinding
+	// cells are the healthy cells, by fingerprint.
+	cells map[string]os.DirEntry
+	// manifests are the healthy manifests.
+	manifests []Manifest
+	// orphans are, sorted, the fingerprints of the healthy cells no
+	// healthy manifest references.
+	orphans []string
+	// cellFiles, manifestFiles and sidecars count the files of each
+	// class, healthy or not.
+	cellFiles, manifestFiles, sidecars int
+	// unreadable holds one error per store-named file the walk could
+	// not read.
+	unreadable []error
+}
+
+// scan walks the store directory once. Directories (quarantine/
+// included) are never store files; a ".tmp" file younger than tmpAge
+// is possibly a write in flight and is left out.
+func (s *Store) scan(tmpAge time.Duration) (*storeScan, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return rep, fmt.Errorf("resultstore: %w", err)
+		return nil, fmt.Errorf("resultstore: %w", err)
 	}
-	add := func(file, kind, detail string, damage bool) {
-		rep.Findings = append(rep.Findings, FsckFinding{File: file, Kind: kind, Detail: detail, Damage: damage})
-		if damage {
-			rep.Damage++
-		}
+	sc := &storeScan{cells: map[string]os.DirEntry{}}
+	found := func(name, kind string) {
+		damage := kind != FindStaleSchema && kind != FindForeign
+		sc.files = append(sc.files, FsckFinding{File: name, Kind: kind, Detail: findDetail[kind], Damage: damage})
 	}
-	healthyCells := map[string]bool{} // fingerprint → healthy cell present
-	var manifests []Manifest
 	now := time.Now()
 	for _, ent := range entries {
-		if ent.IsDir() {
-			continue // quarantine/ and any other directory
-		}
 		name := ent.Name()
 		switch {
+		case ent.IsDir(): // never a store file
 		case strings.HasSuffix(name, ".tmp"):
-			if opts.TmpAge > 0 {
-				info, ierr := ent.Info()
-				if ierr == nil && now.Sub(info.ModTime()) < opts.TmpAge {
-					continue // possibly a write in flight
-				}
+			if info, err := ent.Info(); tmpAge > 0 && (err != nil || now.Sub(info.ModTime()) < tmpAge) {
+				continue
 			}
-			add(name, FindTornTmp, findDetail[FindTornTmp], true)
+			found(name, FindTornTmp)
 		case storeFilePattern.MatchString(name):
-			b, rerr := os.ReadFile(filepath.Join(s.dir, name))
-			if rerr != nil {
-				return rep, fmt.Errorf("resultstore: fsck read %s: %w", name, rerr)
+			b, err := os.ReadFile(filepath.Join(s.dir, name))
+			if err != nil {
+				sc.unreadable = append(sc.unreadable, fmt.Errorf("resultstore: read %s: %w", name, err))
+				continue
 			}
 			switch name[:2] {
 			case "c-":
-				rep.Cells++
+				sc.cellFiles++
 			case "m-":
-				rep.Manifests++
+				sc.manifestFiles++
 			}
 			switch verdict, m := fileVerdict(name, b); {
 			case verdict != "":
-				add(name, verdict, findDetail[verdict], verdict != FindStaleSchema)
+				found(name, verdict)
 			case m != nil:
-				manifests = append(manifests, *m)
+				sc.manifests = append(sc.manifests, *m)
 			default:
-				healthyCells[name[2:34]] = true
+				sc.cells[name[2:34]] = ent
 			}
 		case validSidecarName(name) == nil:
-			rep.Sidecars++
+			sc.sidecars++
 		default:
-			add(name, FindForeign, "not a store file or valid sidecar name; left alone", false)
+			found(name, FindForeign)
 		}
 	}
-	if opts.Repair {
-		for i := range rep.Findings {
-			f := &rep.Findings[i]
-			if !f.Damage {
-				continue
-			}
-			if err := s.quarantine(f.File); err != nil {
-				return rep, err
-			}
-			f.Repaired = true
-			rep.Repaired++
-		}
-	}
-	// Cross-checks run after repair, so a quarantined corrupt cell
-	// counts as missing from its grid — which is the truth a resume run
-	// will see.
 	referenced := map[string]bool{}
-	for _, m := range manifests {
+	for _, m := range sc.manifests {
 		for _, fp := range m.Cells {
 			referenced[fp] = true
 		}
-		cov := s.Coverage(m)
-		if !cov.Complete() {
-			add(manifestName(m.Grid, m.Seed), FindIncompleteGrid,
-				fmt.Sprintf("grid %q seed %d: %d/%d cells present; resume will recompute %d",
-					m.Grid, m.Seed, cov.Done, cov.Total, len(cov.Missing)), false)
-		}
 	}
-	orphans := make([]string, 0, len(healthyCells))
-	for fp := range healthyCells {
+	var orphans []string
+	for fp := range sc.cells {
 		if !referenced[fp] {
 			orphans = append(orphans, fp)
 		}
 	}
 	sort.Strings(orphans)
-	for _, fp := range orphans {
-		add("c-"+fp+".json", FindOrphanCell, "healthy cell not referenced by any manifest", false)
+	sc.orphans = orphans
+	return sc, nil
+}
+
+// Fsck verifies every file in the store directory and cross-checks
+// manifests against the healthy cells the same walk found, so each
+// file is read once. With opts.Repair it quarantines damaged entries
+// (moving them into QuarantineDir) so the store is healthy afterwards
+// and a resume run recomputes exactly what was lost. The check is
+// read-only apart from those moves; findings are ordered
+// deterministically so two checks of the same store produce identical
+// reports. A store file that cannot be read fails the check.
+func (s *Store) Fsck(opts FsckOptions) (FsckReport, error) {
+	if s == nil {
+		return FsckReport{}, fmt.Errorf("resultstore: Fsck on a nil store")
+	}
+	sc, err := s.scan(opts.TmpAge)
+	if err != nil {
+		return FsckReport{}, err
+	}
+	if len(sc.unreadable) > 0 {
+		return FsckReport{}, sc.unreadable[0]
+	}
+	rep := FsckReport{Cells: sc.cellFiles, Manifests: sc.manifestFiles, Sidecars: sc.sidecars, Findings: sc.files}
+	for i, f := range rep.Findings {
+		if f.Damage {
+			rep.Damage++
+		}
+		if f.Damage && opts.Repair {
+			if err := s.quarantine(f.File); err != nil {
+				return rep, err
+			}
+			rep.Findings[i].Repaired = true
+			rep.Repaired++
+		}
+	}
+	// A grid's cells are present exactly when the walk found them
+	// healthy, which is what Coverage and a resume run see: a damaged
+	// cell, quarantined or not, counts as missing.
+	for _, m := range sc.manifests {
+		done := 0
+		for _, fp := range m.Cells {
+			if _, ok := sc.cells[fp]; ok {
+				done++
+			}
+		}
+		if done < len(m.Cells) {
+			rep.Findings = append(rep.Findings, FsckFinding{File: manifestName(m.Grid, m.Seed), Kind: FindIncompleteGrid,
+				Detail: fmt.Sprintf("grid %q seed %d: %d/%d cells present; resume will recompute %d",
+					m.Grid, m.Seed, done, len(m.Cells), len(m.Cells)-done)})
+		}
+	}
+	for _, fp := range sc.orphans {
+		rep.Findings = append(rep.Findings, FsckFinding{File: "c-" + fp + ".json", Kind: FindOrphanCell, Detail: findDetail[FindOrphanCell]})
 	}
 	sort.SliceStable(rep.Findings, func(i, j int) bool {
 		if rep.Findings[i].File != rep.Findings[j].File {
@@ -225,6 +291,55 @@ func (s *Store) Fsck(opts FsckOptions) (FsckReport, error) {
 		return rep.Findings[i].Kind < rep.Findings[j].Kind
 	})
 	return rep, nil
+}
+
+// Prune removes what the store can never read, as one walk finds it.
+// It is a policy over Fsck's findings: of the files a check with
+// TmpAge tmpGrace flags one by one, it removes all but the foreign
+// ones — torn temp files, damage, and stale schemas (the pre-cell
+// whole-grid blobs of schema 1 included). With maxAge > 0 it also removes the orphan cells whose
+// file is older than maxAge; a cell a healthy manifest references
+// stays whatever its age, since a warmed or pushed-to store may have
+// received it with an arbitrary mtime and a resume or coverage check
+// still expects to find it. Manifests never age out: they are tiny
+// and carry the schedule that gives the cells meaning. A file that
+// cannot be read right now is skipped, and files the store did not
+// name (sidecars included) are left alone. Returns the number of files
+// removed.
+func (s *Store) Prune(maxAge time.Duration) (int, error) {
+	if s == nil {
+		return 0, nil
+	}
+	sc, err := s.scan(tmpGrace)
+	if err != nil {
+		return 0, err
+	}
+	var doomed []string
+	for _, f := range sc.files {
+		if f.Kind != FindForeign {
+			doomed = append(doomed, f.File)
+		}
+	}
+	if maxAge > 0 {
+		now := time.Now()
+		for _, fp := range sc.orphans {
+			if info, err := sc.cells[fp].Info(); err == nil && now.Sub(info.ModTime()) > maxAge {
+				doomed = append(doomed, "c-"+fp+".json")
+			}
+		}
+	}
+	removed := 0
+	var firstErr error
+	for _, name := range doomed {
+		if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("resultstore: %w", err)
+			}
+			continue
+		}
+		removed++
+	}
+	return removed, firstErr
 }
 
 // quarantine moves a store-relative file into QuarantineDir.

@@ -1,8 +1,12 @@
 package resultstore
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -289,4 +293,276 @@ func TestPruneSkipsQuarantine(t *testing.T) {
 	if _, ok := s.Load(testKey().Addr()); !ok {
 		t.Fatal("prune dropped the healthy cell")
 	}
+}
+
+// classStore is a store holding one file of every class the walk
+// tells apart, with the names the checks below expect.
+type classStore struct {
+	s        *Store
+	dir      string
+	manifest Manifest // the healthy one
+	// file names by role
+	refNew, refOld, orphanNew, orphanOld   string // healthy cells
+	corrupt, mismatched, staleCell, legacy string // flawed cells
+	badManifest, misplaced, goodManifest   string // manifests
+	youngTmp, oldTmp, sidecar, foreign     string
+	quarantined                            string // a file inside QuarantineDir
+}
+
+// newClassStore builds the store: referenced and orphan cells, each
+// new and an hour older than maxAge; a corrupt, a key-mismatched and
+// a stale-schema cell and a legacy whole-grid blob; a healthy manifest
+// (scheduling both referenced cells, the corrupt one and an absent
+// one), a corrupt and a misplaced one; temp files either side of
+// tmpGrace; a sidecar, a foreign file and a quarantine directory.
+func newClassStore(t *testing.T, maxAge time.Duration) classStore {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := classStore{s: s, dir: dir}
+	name := func(k CellKey) string { return filepath.Base(s.CellPath(k.Fingerprint())) }
+	write := func(file string, b []byte, age time.Duration) string {
+		t.Helper()
+		path := filepath.Join(dir, file)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if age > 0 {
+			old := time.Now().Add(-age)
+			if err := os.Chtimes(path, old, old); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return file
+	}
+	healthy := func(k CellKey, age time.Duration) string {
+		t.Helper()
+		b, err := EncodeCell(k, testResult())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return write(name(k), b, age)
+	}
+	old := maxAge + time.Hour
+	cs.refNew = healthy(keyFor("ref-new"), 0)
+	cs.refOld = healthy(keyFor("ref-old"), old)
+	cs.orphanNew = healthy(keyFor("orphan-new"), 0)
+	cs.orphanOld = healthy(keyFor("orphan-old"), old)
+	valid, _ := EncodeCell(keyFor("corrupt"), testResult())
+	cs.corrupt = write(name(keyFor("corrupt")), valid[:len(valid)/2], old)
+	other, _ := EncodeCell(keyFor("someone-else"), testResult())
+	cs.mismatched = write(name(keyFor("mismatched")), other, old)
+	stale, _ := EncodeCell(keyFor("stale"), testResult())
+	stale = bytes.Replace(stale, []byte(fmt.Sprintf(`"schema":%d`, SchemaVersion)), []byte(fmt.Sprintf(`"schema":%d`, SchemaVersion-1)), 1)
+	cs.staleCell = write(name(keyFor("stale")), stale, old)
+	cs.legacy = write(strings.Repeat("12", 16)+".json", []byte(`{"schema":1}`), old)
+
+	cs.manifest = Manifest{Grid: "every-class", Seed: 3, Cells: []string{
+		keyFor("ref-new").Fingerprint(), keyFor("ref-old").Fingerprint(),
+		keyFor("corrupt").Fingerprint(), keyFor("absent").Fingerprint(),
+	}}
+	if err := s.SaveManifest(cs.manifest); err != nil {
+		t.Fatal(err)
+	}
+	cs.manifest.Schema = SchemaVersion
+	cs.goodManifest = filepath.Base(s.ManifestPath(cs.manifest.Grid, cs.manifest.Seed))
+	mb, err := os.ReadFile(s.ManifestPath(cs.manifest.Grid, cs.manifest.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.misplaced = write("m-"+strings.Repeat("0a", 16)+".json", mb, old)
+	cs.badManifest = write("m-"+strings.Repeat("ef", 16)+".json", []byte("not json"), old)
+
+	cs.youngTmp = write(".cell-young.tmp", []byte(`{"part`), 0)
+	cs.oldTmp = write(".cell-old.tmp", []byte(`{"part`), 2*tmpGrace)
+	cs.sidecar = write("costmodel.json", []byte(`{}`), old)
+	cs.foreign = write(".notes", []byte("mine"), old)
+	if err := os.Mkdir(filepath.Join(dir, QuarantineDir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cs.quarantined = write(filepath.Join(QuarantineDir, name(keyFor("quarantined"))), []byte("earlier damage"), old)
+	return cs
+}
+
+// files lists the store directory's names, sorted.
+func (cs classStore) files(t *testing.T) []string {
+	t.Helper()
+	ents, err := os.ReadDir(cs.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range ents {
+		out = append(out, e.Name())
+	}
+	return out
+}
+
+// finding is the comparable part of an FsckFinding.
+type finding struct {
+	file, kind       string
+	damage, repaired bool
+}
+
+func findings(rep FsckReport) []finding {
+	var out []finding
+	for _, f := range rep.Findings {
+		out = append(out, finding{f.File, f.Kind, f.Damage, f.Repaired})
+	}
+	return out
+}
+
+func sortedFindings(fs ...finding) []finding {
+	sort.Slice(fs, func(i, j int) bool {
+		if fs[i].file != fs[j].file {
+			return fs[i].file < fs[j].file
+		}
+		return fs[i].kind < fs[j].kind
+	})
+	return fs
+}
+
+func sortedNames(names ...string) []string {
+	sort.Strings(names)
+	return names
+}
+
+// TestOneWalkEveryFileClass holds Fsck, Fsck{Repair}, Prune(0) and
+// Prune(maxAge) to fixed answers on a store with a file of every
+// class, so the one walk behind them cannot drift from what each tool
+// promises.
+func TestOneWalkEveryFileClass(t *testing.T) {
+	const maxAge = time.Hour
+	// What every check of the full store reports but never repairs.
+	informational := func(cs classStore) []finding {
+		return []finding{
+			{cs.foreign, FindForeign, false, false},
+			{cs.legacy, FindStaleSchema, false, false},
+			{cs.staleCell, FindStaleSchema, false, false},
+			{cs.orphanNew, FindOrphanCell, false, false},
+			{cs.orphanOld, FindOrphanCell, false, false},
+			{cs.goodManifest, FindIncompleteGrid, false, false},
+		}
+	}
+	damage := func(cs classStore, repaired bool) []finding {
+		return []finding{
+			{cs.oldTmp, FindTornTmp, true, repaired},
+			{cs.youngTmp, FindTornTmp, true, repaired},
+			{cs.corrupt, FindCorruptCell, true, repaired},
+			{cs.mismatched, FindMismatchedCell, true, repaired},
+			{cs.badManifest, FindCorruptManifest, true, repaired},
+			{cs.misplaced, FindMisplacedManifest, true, repaired},
+		}
+	}
+
+	t.Run("Fsck", func(t *testing.T) {
+		cs := newClassStore(t, maxAge)
+		before := cs.files(t)
+		rep, err := cs.s.Fsck(FsckOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sortedFindings(append(informational(cs), damage(cs, false)...)...)
+		if got := findings(rep); !reflect.DeepEqual(got, want) {
+			t.Errorf("findings\n got %v\nwant %v", got, want)
+		}
+		if rep.Cells != 7 || rep.Manifests != 3 || rep.Sidecars != 1 || rep.Damage != 6 || rep.Repaired != 0 || rep.Healthy() {
+			t.Errorf("report = %d cells, %d manifests, %d sidecars, %d damage, %d repaired",
+				rep.Cells, rep.Manifests, rep.Sidecars, rep.Damage, rep.Repaired)
+		}
+		if after := cs.files(t); !reflect.DeepEqual(after, before) {
+			t.Errorf("a check without Repair changed the store: %v → %v", before, after)
+		}
+		// The incomplete-grid counts are Coverage's.
+		cov := cs.s.Coverage(cs.manifest)
+		wantDetail := fmt.Sprintf("grid %q seed %d: %d/%d cells present; resume will recompute %d",
+			cs.manifest.Grid, cs.manifest.Seed, cov.Done, cov.Total, len(cov.Missing))
+		for _, f := range rep.Findings {
+			if f.Kind == FindIncompleteGrid && f.Detail != wantDetail {
+				t.Errorf("incomplete-grid detail %q, Coverage says %q", f.Detail, wantDetail)
+			}
+		}
+		if cov.Done != 2 || cov.Total != 4 {
+			t.Errorf("Coverage = %+v, want 2 of 4", cov)
+		}
+		// A fresh temp file is possibly a write in flight.
+		rep, err = cs.s.Fsck(FsckOptions{TmpAge: tmpGrace})
+		if err != nil || rep.Damage != 5 || hasFinding(rep, cs.youngTmp) {
+			t.Errorf("Fsck{TmpAge: tmpGrace} = %d damage, %v (young tmp reported: %v)", rep.Damage, err, hasFinding(rep, cs.youngTmp))
+		}
+	})
+
+	t.Run("FsckRepair", func(t *testing.T) {
+		cs := newClassStore(t, maxAge)
+		rep, err := cs.s.Fsck(FsckOptions{Repair: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sortedFindings(append(informational(cs), damage(cs, true)...)...)
+		if got := findings(rep); !reflect.DeepEqual(got, want) {
+			t.Errorf("findings\n got %v\nwant %v", got, want)
+		}
+		if rep.Damage != 6 || rep.Repaired != 6 || !rep.Healthy() {
+			t.Errorf("repair run: %d damage, %d repaired", rep.Damage, rep.Repaired)
+		}
+		wantFiles := sortedNames(cs.refNew, cs.refOld, cs.orphanNew, cs.orphanOld, cs.staleCell, cs.legacy,
+			cs.goodManifest, cs.sidecar, cs.foreign, QuarantineDir)
+		if got := cs.files(t); !reflect.DeepEqual(got, wantFiles) {
+			t.Errorf("after repair\n got %v\nwant %v", got, wantFiles)
+		}
+		qents, err := os.ReadDir(filepath.Join(cs.dir, QuarantineDir))
+		if err != nil || len(qents) != 7 {
+			t.Errorf("quarantine holds %d files (%v), want the 6 repaired and the earlier one", len(qents), err)
+		}
+		rep, err = cs.s.Fsck(FsckOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := findings(rep), sortedFindings(informational(cs)...); !reflect.DeepEqual(got, want) {
+			t.Errorf("after repair findings\n got %v\nwant %v", got, want)
+		}
+	})
+
+	// Prune removes exactly what fsck calls damage or stale, minus the
+	// temp file too young to be abandoned; with maxAge also the orphan
+	// older than it. Referenced cells, manifests, sidecars, foreign
+	// files and quarantine/ stay whatever their age.
+	kept := func(cs classStore) []string {
+		return []string{cs.refNew, cs.refOld, cs.orphanNew, cs.goodManifest, cs.youngTmp, cs.sidecar, cs.foreign, QuarantineDir}
+	}
+	t.Run("Prune0", func(t *testing.T) {
+		cs := newClassStore(t, maxAge)
+		n, err := cs.s.Prune(0)
+		if err != nil || n != 7 {
+			t.Errorf("Prune(0) = %d, %v; want 7, nil", n, err)
+		}
+		if got, want := cs.files(t), sortedNames(append(kept(cs), cs.orphanOld)...); !reflect.DeepEqual(got, want) {
+			t.Errorf("after Prune(0)\n got %v\nwant %v", got, want)
+		}
+	})
+	t.Run("PruneMaxAge", func(t *testing.T) {
+		cs := newClassStore(t, maxAge)
+		n, err := cs.s.Prune(maxAge)
+		if err != nil || n != 8 {
+			t.Errorf("Prune(maxAge) = %d, %v; want 8, nil", n, err)
+		}
+		if got, want := cs.files(t), sortedNames(kept(cs)...); !reflect.DeepEqual(got, want) {
+			t.Errorf("after Prune(maxAge)\n got %v\nwant %v", got, want)
+		}
+		if _, err := os.Stat(filepath.Join(cs.dir, cs.quarantined)); err != nil {
+			t.Errorf("Prune touched quarantine/: %v", err)
+		}
+	})
+}
+
+func hasFinding(rep FsckReport, file string) bool {
+	for _, f := range rep.Findings {
+		if f.File == file {
+			return true
+		}
+	}
+	return false
 }

@@ -9,11 +9,12 @@ import (
 )
 
 // FuzzCellFile writes arbitrary bytes as the cell file of testKey and
-// checks that every reader of the store gives them one verdict:
-// LoadCell hits, CellBytesByFingerprint returns the bytes, Coverage
-// counts the cell done, Fsck finds neither damage nor a stale schema
-// in the file, and IngestCell of the same bytes answers
-// IngestIdentical — all of these or none.
+// checks that every reader of the store gives them one verdict: Load
+// hits (comparing the decoded key with its own field by field),
+// CellBytesByFingerprint returns the bytes, Coverage counts the cell
+// done, Fsck (hashing the decoded key) finds neither damage nor a stale
+// schema in the file, Prune(0) keeps it, and IngestCell of the same
+// bytes answers IngestIdentical — all of these or none.
 func FuzzCellFile(f *testing.F) {
 	valid, err := EncodeCell(testKey(), testResult())
 	if err != nil {
@@ -31,6 +32,17 @@ func FuzzCellFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(other)
+	// The key without its coordinates, as null and as []: Load, which
+	// sizes the decoded Cell from its own key, must still miss them.
+	for _, cell := range [][]AxisValue{nil, {}} {
+		k := testKey()
+		k.Cell = cell
+		b, err := EncodeCell(k, testResult())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	// One store for every input: each run overwrites the only file in it.
 	s, err := Open(f.TempDir())
 	if err != nil {
@@ -56,6 +68,14 @@ func FuzzCellFile(f *testing.F) {
 				clean = false
 			}
 		}
+		if _, err := s.Prune(0); err != nil {
+			t.Fatal(err)
+		}
+		_, err = os.Stat(path)
+		kept := err == nil
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		status, ingestErr := s.IngestCell(fp, b)
 		identical := ingestErr == nil && status == IngestIdentical
 		verdicts := map[string]bool{
@@ -63,10 +83,11 @@ func FuzzCellFile(f *testing.F) {
 			"Coverage":               done,
 			"Fsck":                   clean,
 			"IngestCell":             identical,
+			"Prune":                  kept,
 		}
 		for reader, ok := range verdicts {
 			if ok != hit {
-				t.Fatalf("LoadCell hit = %v but %s says %v (all: %v) for %q", hit, reader, ok, verdicts, b)
+				t.Fatalf("Load hit = %v but %s says %v (all: %v) for %q", hit, reader, ok, verdicts, b)
 			}
 		}
 		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, b) {

@@ -117,7 +117,7 @@ func (s *Store) CellBytesByFingerprint(fp string) ([]byte, bool) {
 
 // validCellBytes reports whether b is a healthy cell file for fp.
 func validCellBytes(b []byte, fp string) bool {
-	_, verdict := cellVerdict(b, fp)
+	_, verdict := cellVerdict(b, fp, nil)
 	return verdict == ""
 }
 

@@ -24,9 +24,9 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"fp8quant/internal/evalx"
 	"fp8quant/internal/faultline"
@@ -200,17 +200,36 @@ type cellEnvelope struct {
 // cellVerdict judges the bytes of the cell file named for fp: "" for a
 // healthy cell (a current-schema envelope whose key hashes to fp),
 // else the Find* kind of its flaw. It returns the decoded envelope.
-func cellVerdict(b []byte, fp string) (cellEnvelope, string) {
+// A reader that holds the key fp was derived from passes it as want,
+// and the decoded key is compared with it field by field instead of
+// being hashed: equal keys have equal encodings, and the encoding is
+// all the hash sees.
+func cellVerdict(b []byte, fp string, want *CellKey) (cellEnvelope, string) {
 	var env cellEnvelope
+	if want != nil && len(want.Cell) > 0 {
+		// Room for the expected coordinates: one allocation, not one
+		// per doubling. A key stored without a cell field keeps this
+		// empty slice, which still compares unequal to want.
+		env.Key.Cell = make([]AxisValue, 0, len(want.Cell))
+	}
 	switch {
 	case json.Unmarshal(b, &env) != nil:
 		return env, FindCorruptCell
 	case env.Schema != SchemaVersion:
 		return env, FindStaleSchema
-	case env.Key.Fingerprint() != fp:
+	case want != nil && !sameKey(env.Key, *want), want == nil && env.Key.Fingerprint() != fp:
 		return env, FindMismatchedCell
 	}
 	return env, ""
+}
+
+// sameKey compares two keys field by field. A nil Cell differs from an
+// empty one, as their encodings (null, []) do. It assumes valid UTF-8,
+// as grid names and axis values are: JSON stores an invalid byte as
+// U+FFFD, so a key holding one would never match its own stored copy.
+func sameKey(a, b CellKey) bool {
+	return a.Grid == b.Grid && a.Seed == b.Seed && a.Schema == b.Schema &&
+		(a.Cell == nil) == (b.Cell == nil) && slices.Equal(a.Cell, b.Cell)
 }
 
 // Load returns the stored result for the addressed cell, or (zero,
@@ -220,27 +239,24 @@ func (s *Store) Load(a Addr) (evalx.Result, bool) {
 	if s == nil {
 		return evalx.Result{}, false
 	}
-	if err := faultline.Hit("resultstore.load.read"); err != nil {
-		// An injected read fault behaves exactly like a real one: a miss.
-		s.misses.Add(1)
-		return evalx.Result{}, false
-	}
-	b, err := os.ReadFile(s.CellPath(a.FP))
-	if err != nil {
-		s.misses.Add(1)
-		return evalx.Result{}, false
+	// An injected read fault behaves exactly like a real one: a miss.
+	var b []byte
+	err := faultline.Hit("resultstore.load.read")
+	if err == nil {
+		b, err = os.ReadFile(s.CellPath(a.FP))
 	}
 	// A flawed entry (a torn write from a crashed process, disk damage)
 	// is deliberately not deleted: the recompute's Save rename replaces
 	// it atomically, and a delete here could race a concurrent
 	// process's just-renamed valid cell.
-	env, verdict := cellVerdict(b, a.FP)
-	if verdict != "" || !keysEqual(env.Key, a.Key) {
-		s.misses.Add(1)
-		return evalx.Result{}, false
+	if err == nil {
+		if env, verdict := cellVerdict(b, a.FP, &a.Key); verdict == "" {
+			s.hits.Add(1)
+			return env.Result, true
+		}
 	}
-	s.hits.Add(1)
-	return env.Result, true
+	s.misses.Add(1)
+	return evalx.Result{}, false
 }
 
 // EncodeCell returns the exact bytes SaveCell would write for the
@@ -366,108 +382,12 @@ func (s *Store) SaveManifest(m Manifest) error {
 	return s.writeAtomic(s.ManifestPath(m.Grid, m.Seed), b)
 }
 
-// tmpGrace is how old a temp file must be before Prune treats it as
-// a leftover from a crashed process rather than a write in flight: an
-// atomic write holds its temp file for milliseconds, so an hour-old
-// one is certainly abandoned, while deleting a fresh one could race a
-// concurrent process between CreateTemp and Rename.
-const tmpGrace = time.Hour
-
 // storeFilePattern matches the files this (or the schema-1) store
 // writes: "c-<hex32>.json" cells, "m-<hex32>.json" manifests, and the
 // legacy bare "<hex32>.json" whole-grid blobs. Prune only ever touches
 // these (plus "*.tmp"), so foreign files sharing the directory are
 // safe.
 var storeFilePattern = regexp.MustCompile(`^(c-|m-)?[0-9a-f]{32}\.json$`)
-
-// fileVerdict judges a store-named file by its bytes: a cell or a
-// manifest by its own verdict, a legacy whole-grid blob as stale. A
-// healthy manifest is returned, for the checks that need its schedule.
-func fileVerdict(name string, b []byte) (string, *Manifest) {
-	switch name[:2] {
-	case "c-":
-		_, verdict := cellVerdict(b, name[2:34])
-		return verdict, nil
-	case "m-":
-		m, verdict := manifestVerdict(name, b)
-		if verdict != "" {
-			return verdict, nil
-		}
-		return "", &m
-	}
-	return FindStaleSchema, nil
-}
-
-// Prune removes what the store can never read: abandoned temp files
-// (older than tmpGrace) and every store-named file whose verdict is
-// not healthy — corrupt, key-mismatched or stale cells, corrupt,
-// misplaced or stale manifests, and the pre-cell whole-grid blobs of
-// schema 1. With maxAge > 0 it also removes healthy cells whose file
-// is older than maxAge, except cells a healthy manifest references,
-// which a warmed or pushed-to store may have received with an
-// arbitrary mtime and which a resume or coverage check still expects
-// to find. Manifests never age out: they are tiny and carry the
-// schedule that gives the cells meaning. A file that cannot be read
-// right now is skipped, and files the store did not name (sidecars
-// included) are left alone. Returns the number of files removed.
-func (s *Store) Prune(maxAge time.Duration) (int, error) {
-	if s == nil {
-		return 0, nil
-	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, fmt.Errorf("resultstore: %w", err)
-	}
-	now := time.Now()
-	var doomed []string
-	var cells []os.DirEntry // healthy cells that may age out
-	referenced := map[string]bool{}
-	for _, ent := range entries {
-		name := ent.Name()
-		switch {
-		case ent.IsDir(): // quarantine/ or foreign: never a store file
-		case strings.HasSuffix(name, ".tmp"):
-			// A younger one is possibly a write in flight.
-			if info, err := ent.Info(); err == nil && now.Sub(info.ModTime()) > tmpGrace {
-				doomed = append(doomed, name)
-			}
-		case storeFilePattern.MatchString(name):
-			b, err := os.ReadFile(filepath.Join(s.dir, name))
-			if err != nil {
-				// A transient read failure (EMFILE, permissions) must
-				// not condemn a possibly valid entry.
-				continue
-			}
-			switch verdict, m := fileVerdict(name, b); {
-			case verdict != "":
-				doomed = append(doomed, name)
-			case m != nil:
-				for _, fp := range m.Cells {
-					referenced[fp] = true
-				}
-			case maxAge > 0:
-				cells = append(cells, ent)
-			}
-		}
-	}
-	for _, ent := range cells {
-		if info, err := ent.Info(); err == nil && now.Sub(info.ModTime()) > maxAge && !referenced[ent.Name()[2:34]] {
-			doomed = append(doomed, ent.Name())
-		}
-	}
-	removed := 0
-	var firstErr error
-	for _, name := range doomed {
-		if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("resultstore: %w", err)
-			}
-			continue
-		}
-		removed++
-	}
-	return removed, firstErr
-}
 
 // writeAtomic writes b to path via a temp file + rename, so concurrent
 // readers only ever see complete entries. Three faultline points cover
@@ -526,12 +446,4 @@ func writePointsOf(path string) writePoints {
 	default:
 		return writePoints{"resultstore.sidecar.create", "resultstore.sidecar.temp", "resultstore.sidecar.rename"}
 	}
-}
-
-// keysEqual compares keys by canonical encoding (guards fingerprint
-// collisions and hand-edited files).
-func keysEqual(a, b CellKey) bool {
-	ab, _ := json.Marshal(a)
-	bb, _ := json.Marshal(b)
-	return string(ab) == string(bb)
 }

@@ -303,3 +303,61 @@ func TestAtomicWriteLeavesNoTemp(t *testing.T) {
 		t.Errorf("temp files left behind: %v", tmps)
 	}
 }
+
+// TestLoadHitAllocs pins what a warm hit costs beyond the result's own
+// decoded fields: Load compares the stored key with its caller's field
+// by field, so it encodes and hashes neither (a hit allocated 29
+// objects while it re-encoded both keys).
+func TestLoadHitAllocs(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := testKey().Addr()
+	if err := s.Save(a, evalx.Result{}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, ok := s.Load(a); !ok {
+			t.Fatal("warm Load missed")
+		}
+	})
+	if allocs > 21 {
+		t.Errorf("a warm hit allocates %v objects, want at most 21", allocs)
+	}
+}
+
+// TestLoadTellsNilCellFromEmpty: a key without coordinates hashes
+// differently as null and as [], so Load's field-by-field comparison
+// must tell them apart too — each is a miss at the other's address,
+// exactly as Fsck calls it mismatched there.
+func TestLoadTellsNilCellFromEmpty(t *testing.T) {
+	for _, tc := range []struct{ want, stored []AxisValue }{{nil, []AxisValue{}}, {[]AxisValue{}, nil}} {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, stored := testKey(), testKey()
+		want.Cell, stored.Cell = tc.want, tc.stored
+		a := want.Addr()
+		b, err := EncodeCell(stored, testResult())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(s.CellPath(a.FP), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Load(a); ok {
+			t.Errorf("Load of cell %#v hit a file storing cell %#v", tc.want, tc.stored)
+		}
+		if rep, err := s.Fsck(FsckOptions{}); err != nil || !hasKind(rep, FindMismatchedCell) {
+			t.Errorf("Fsck = %v, %v; want the file mismatched", findKinds(rep), err)
+		}
+		if err := s.Save(a, testResult()); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Load(a); !ok {
+			t.Errorf("Load of cell %#v missed its own saved file", tc.want)
+		}
+	}
+}
