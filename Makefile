@@ -97,10 +97,13 @@ bench:
 # six Table-2 recipes (BenchmarkQuantizeWarm, whose allocs/op is the
 # quantization's per-cell heap cost), and a cell's bookkeeping through
 # the cache layers: a fresh cell persisted to a temp store plus a memo
-# hit (BenchmarkCellBookkeeping). One fast iteration set; used as the
-# CI smoke step.
-KERNEL_BENCH = BenchmarkMatmulT|BenchmarkMatmulTNaive|BenchmarkConv2dIm2col|BenchmarkConv2dDirect|BenchmarkBatchMatMul|BenchmarkBatchEncode|BenchmarkForwardUnplanned|BenchmarkForwardPlanned|BenchmarkQuantizeWarm|BenchmarkCellBookkeeping
-KERNEL_BENCH_PKGS = ./internal/tensor/kernels ./internal/nn ./internal/fp8 ./internal/evalx ./internal/harness
+# hit (BenchmarkCellBookkeeping), and a fleet worker's steady-state
+# cycle over a loopback coordinator: a push with Next, its ingest and
+# the answer carrying the next cell (BenchmarkFleetCell, whose
+# allocs/op is the fleet wire's per-cell heap cost on both sides). One
+# fast iteration set; used as the CI smoke step.
+KERNEL_BENCH = BenchmarkMatmulT|BenchmarkMatmulTNaive|BenchmarkConv2dIm2col|BenchmarkConv2dDirect|BenchmarkBatchMatMul|BenchmarkBatchEncode|BenchmarkForwardUnplanned|BenchmarkForwardPlanned|BenchmarkQuantizeWarm|BenchmarkCellBookkeeping|BenchmarkFleetCell
+KERNEL_BENCH_PKGS = ./internal/tensor/kernels ./internal/nn ./internal/fp8 ./internal/evalx ./internal/harness ./internal/coord
 bench-kernels:
 	$(GO) test -run xxx -bench '$(KERNEL_BENCH)' -benchtime 1x $(KERNEL_BENCH_PKGS)
 

@@ -30,7 +30,8 @@
 // leases one cell at a time from a running fp8coord (which grants it
 // a whole model group and sends that group's cells in a row), computes
 // it through the same cache layers as a local run, and pushes the
-// store payload back over HTTP. SIGINT/SIGTERM drain gracefully — the
+// store payload back over HTTP; each push's answer carries the next
+// cell, so a cell costs one round trip. SIGINT/SIGTERM drain gracefully — the
 // in-flight cell is finished and pushed before the worker exits, and
 // that push hands the group's unstarted cells back to the coordinator.
 // -warm-from <url> fills -cache-dir with the cells the coordinator

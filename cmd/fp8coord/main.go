@@ -21,8 +21,8 @@
 //
 // Workers pull: the coordinator never needs their addresses, and a
 // crashed worker costs one lease timeout (-lease-ttl, per grant,
-// renewed by each of its lease answers and pushes, so it bounds one
-// cell), after which the group's unpushed cells requeue. With -once the
+// renewed by each answer sending one of its cells and each push, so it
+// bounds one cell), after which the group's unpushed cells requeue. With -once the
 // coordinator lingers after completion for -linger and, beyond it,
 // until every worker it told to wait can have come back and been told
 // done, so no worker spends its retry budget against a closed port. SIGINT/SIGTERM drain gracefully: new leases
@@ -66,7 +66,7 @@ func run() int {
 	exp := flag.String("exp", "all", "comma-separated experiment ids to schedule (or 'all')")
 	filterFlag := flag.String("filter", "", `schedule only matching cells, e.g. "model=resnet50;densenet121"`)
 	cacheDir := flag.String("cache-dir", resultstore.DefaultDir(), "result-store directory receiving pushed cells (required)")
-	leaseTTL := flag.Duration("lease-ttl", 5*time.Minute, "how long a worker's grant may go without a lease request or push before its unpushed cells requeue")
+	leaseTTL := flag.Duration("lease-ttl", 5*time.Minute, "how long a worker's grant may go without a cell sent or pushed before its unpushed cells requeue")
 	once := flag.Bool("once", false, "exit once every scheduled cell is done or failed")
 	linger := flag.Duration("linger", 5*time.Second, "with -once, keep serving this long after completion (and until every worker told to wait is back) so workers observe 'done'")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on SIGINT/SIGTERM, how long to wait for in-flight leases before exiting")

@@ -111,6 +111,28 @@ func realPush(t testing.TB, e testExp, idx int, variant string) []byte {
 	return b
 }
 
+// withNext sets Next and Exiting on an encoded push.
+func withNext(t testing.TB, body []byte, exiting bool) []byte {
+	t.Helper()
+	var req PushRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	req.Next, req.Exiting = true, exiting
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// cellFP is the fingerprint of cell idx of e.
+func cellFP(t testing.TB, e testExp, idx int) string {
+	t.Helper()
+	fp, _ := payloadFor(t, e, idx)
+	return fp
+}
+
 // serve POSTs body to path through the coordinator's handler and checks
 // the answer is one the protocol defines.
 func serve(t *testing.T, c *Coordinator, path string, body []byte) *httptest.ResponseRecorder {
@@ -138,12 +160,32 @@ func FuzzPushBody(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add(realPush(f, e, 2, "avx2"))
 	f.Add(append(realPush(f, e, 1, "sse"), ` {"worker":"w"}`...))
+	f.Add(withNext(f, realPush(f, e, 1, "sse"), false))
+	f.Add(withNext(f, realPush(f, e, 2, "sse"), true))
+	f.Add(withNext(f, realPush(f, e, 2, "avx2"), false))
+	f.Add([]byte(`{"worker":"w","next":true,"err":"boom","fingerprint":"` + cellFP(f, e, 3) + `"}`))
+	f.Add([]byte(`{"next":true}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		c, store := fuzzCoord(t, e)
-		if serve(t, c, "/v1/push", body).Code == http.StatusOK {
+		rec := serve(t, c, "/v1/push", body)
+		if rec.Code == http.StatusOK {
 			var req PushRequest
 			if err := json.Unmarshal(body, &req); err != nil {
 				t.Fatalf("200 for an undecodable push: %v", err)
+			}
+			var pr PushResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil {
+				t.Fatalf("200 push answer %q: %v", rec.Body.Bytes(), err)
+			}
+			if want := req.Next && !req.Exiting; (pr.Next != nil) != want {
+				t.Fatalf("push with next %v, exiting %v answered next %+v", req.Next, req.Exiting, pr.Next)
+			}
+			if pr.Next != nil {
+				switch pr.Next.Status {
+				case StatusLease, StatusWait, StatusDone, StatusDraining:
+				default:
+					t.Fatalf("push answer's next has status %q", pr.Next.Status)
+				}
 			}
 			if req.Err == "" {
 				k, ok := cellKey(e.spec, req.Fingerprint)

@@ -3,13 +3,16 @@
 // compute it through the exact harness path a local run uses (memo →
 // store → RunCell, panic-isolated, on the worker's one model session),
 // push the store payload back, repeat until the coordinator says done.
-// All HTTP calls go through a bounded retry with exponential backoff
-// and jitter — connection refused and 5xx are transient (a restarting
-// coordinator), 4xx are protocol errors and fail hard — and a cancelled
-// context finishes gracefully: the in-flight cell is still computed
-// and pushed before the worker exits, so SIGINT never wastes completed
-// work, and the push marks the worker as exiting, so the rest of its
-// group goes back to the queue at once.
+// Each push asks for the next cell and its answer carries it, so a
+// worker calls POST /v1/lease only to start and after a wait: one
+// round trip per cell. All HTTP calls go through a bounded retry with
+// exponential backoff and jitter — connection refused and 5xx are
+// transient (a restarting coordinator), 4xx are protocol errors and
+// fail hard — and a cancelled context finishes gracefully: the
+// in-flight cell is still computed and pushed before the worker exits
+// (as is a cell the last push answer already sent), so SIGINT never
+// wastes completed work, and the push marks the worker as exiting, so
+// the rest of its group goes back to the queue at once.
 
 package coord
 
@@ -59,7 +62,10 @@ type Worker struct {
 	// harness.Get; tests inject synthetic experiments.
 	Resolve func(id string) (harness.Experiment, bool)
 	// MaxRetries bounds consecutive transient failures per call before
-	// the worker gives up (the retry budget). Default 6.
+	// the worker gives up (the retry budget). Default 6. A push asking
+	// for the next cell stands for two calls, the push and the lease
+	// request its answer replaces, and gets both budgets: the faults
+	// either call had to survive now fall on the one.
 	MaxRetries int
 	// BaseDelay/MaxDelay shape the exponential backoff. Defaults
 	// 200ms / 10s.
@@ -151,22 +157,25 @@ func (w *Worker) logf(format string, args ...interface{}) {
 // Run pulls and computes cells until the coordinator reports done (or
 // draining), the context is cancelled, or the retry budget is
 // exhausted. A context cancellation arriving mid-cell is graceful: the
-// cell is finished and pushed first. Every cell runs on one model
-// session for the run, so a granted group's cells share one network.
+// cell is finished and pushed first, and so is a cell the last push
+// answer sent. Every cell runs on one model session for the run, so a
+// granted group's cells share one network.
 func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 	w.defaults()
 	stopBeat := w.startHeartbeat(ctx)
 	defer stopBeat()
 	var stats WorkerStats
 	var session harness.Session
+	var lr LeaseResponse // the next answer, when the last push carried one
 	for {
-		if ctx.Err() != nil {
+		if ctx.Err() != nil && lr.Status != StatusLease {
 			w.logf("context cancelled, exiting")
 			return stats, nil
 		}
-		var lr LeaseResponse
-		if err := w.call(ctx, "/v1/lease", LeaseRequest{Worker: w.Name}, &lr, w.MaxRetries); err != nil {
-			return stats, fmt.Errorf("lease: %w", err)
+		if lr.Status == "" {
+			if err := w.call(ctx, "/v1/lease", LeaseRequest{Worker: w.Name}, &lr, w.MaxRetries); err != nil {
+				return stats, fmt.Errorf("lease: %w", err)
+			}
 		}
 		switch lr.Status {
 		case StatusDone:
@@ -183,6 +192,7 @@ func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 			if !w.sleep(ctx, w.jitter(delay)) {
 				return stats, nil
 			}
+			lr = LeaseResponse{}
 			continue
 		case StatusLease:
 			if lr.Lease == nil {
@@ -193,16 +203,25 @@ func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 		}
 		push := w.computeLease(*lr.Lease, &stats, &session)
 		push.Exiting = ctx.Err() != nil
+		push.Next = !push.Exiting
 		// Push over a context detached from cancellation: if SIGINT
 		// landed while computing, the finished cell must still reach the
 		// coordinator — dropping it would waste the work and cost a
 		// lease timeout.
+		retries := w.MaxRetries
+		if push.Next {
+			retries *= 2
+		}
 		var pr PushResponse
-		if err := w.call(context.Background(), "/v1/push", push, &pr, w.MaxRetries); err != nil {
+		if err := w.call(context.Background(), "/v1/push", push, &pr, retries); err != nil {
 			return stats, fmt.Errorf("push %s: %w", push.Fingerprint, err)
 		}
 		if w.Log != nil { // logf's arguments would allocate even unlogged
 			w.logf("cell %s: %s", lr.Lease.Key, pr.Status)
+		}
+		lr = LeaseResponse{}
+		if pr.Next != nil {
+			lr = *pr.Next
 		}
 	}
 }

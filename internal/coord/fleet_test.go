@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -354,7 +355,7 @@ func TestChaosSweepHealsToByteIdentity(t *testing.T) {
 		"seed=7",
 		"resultstore.save.temp=corrupt:0.5@3x1", // silent corruption on the 3rd ingest write
 		"coord.server.push=http500@2x2",         // transient server failures
-		"coord.server.lease=drop@3x1",           // a dropped response mid-protocol
+		"coord.server.lease=drop@3x1",           // a dropped lease or push answer mid-protocol
 		"coord.client.push=err%0.4x3",           // client transport faults
 		"harness.cell.compute=delay:2ms%0.5x4",  // compute jitter (never changes values)
 	}, ";"))
@@ -367,7 +368,36 @@ func TestChaosSweepHealsToByteIdentity(t *testing.T) {
 	defer faultline.Disarm()
 
 	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: chaosStore})
-	srv := httptest.NewServer(c.Handler())
+	// Pushes wait for both workers' first lease answers, so the lease
+	// failpoint's first two hits are those requests and its third, the
+	// drop, is the first push answer carrying Next: its cell has landed
+	// and the answer is lost. Lease requests after a wait come only once
+	// every group is granted, four push answers later. The middleware
+	// counts the push answers the failpoint drops.
+	h := c.Handler()
+	var leaseReqs, droppedPushAnswers atomic.Int64
+	leased := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/lease":
+			defer func() {
+				if leaseReqs.Add(1) == 2 {
+					close(leased)
+				}
+			}()
+		case "/v1/push":
+			<-leased
+			defer func() {
+				if v := recover(); v != nil {
+					if v == http.ErrAbortHandler {
+						droppedPushAnswers.Add(1)
+					}
+					panic(v)
+				}
+			}()
+		}
+		h.ServeHTTP(w, r)
+	}))
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -401,6 +431,16 @@ func TestChaosSweepHealsToByteIdentity(t *testing.T) {
 	case <-c.Done():
 	default:
 		t.Fatal("chaos sweep did not complete")
+	}
+	if n := droppedPushAnswers.Load(); n != 1 {
+		t.Fatalf("the lease failpoint dropped %d push answers, want 1", n)
+	}
+	// The dropped push answer's cell is sent again on the retried push,
+	// not stranded until its grant's LeaseTTL runs out.
+	for i := 0; i < e.spec.NumCells(); i++ {
+		if n := expiries(c, e, i); n != 0 {
+			t.Fatalf("cell %d counted %d lease expiries, want 0", i, n)
+		}
 	}
 
 	// fsck finds the silent corruption and repairs it.

@@ -2,17 +2,17 @@
 // work items — one per distinct cell fingerprint across the scheduled
 // experiments (experiments sharing a grid share cells, exactly like
 // the local memo) — queued by model group: every pending cell of one
-// model, a cell without a model being a group of its own. A lease
-// request from a worker without unsent cells is granted the group with
-// the largest cost estimate, and each following request is sent the
-// grant's next cell, so a worker builds, warms and references each
-// model it is granted once, and a fleet pays one setup per model. A
-// grant has one deadline, renewed by each of its lease answers and
-// pushes; when it expires, only a cell its worker received and did not
-// push counts an expiry, so a crashed or wedged worker costs one
-// timeout rather than the sweep, and its unpushed cells requeue. Cells
-// whose push reports a deterministic failure are marked failed instead
-// of looping forever.
+// model, a cell without a model being a group of its own. A worker
+// without unsent cells that asks for one (a lease request, or a push
+// with Next) is granted the group with the largest cost estimate, and
+// each following ask is sent the grant's next cell, so a worker builds,
+// warms and references each model it is granted once, and a fleet pays
+// one setup per model. A grant has one deadline, renewed by each answer
+// that sends one of its cells and each push; when it expires, only a
+// cell its worker was sent and did not push counts an expiry, so a
+// crashed or wedged worker costs one timeout rather than the sweep,
+// and its unpushed cells requeue. Cells whose push reports a
+// deterministic failure are marked failed instead of looping forever.
 
 package coord
 

@@ -537,3 +537,27 @@ func TestFilterAxisSomeGridsLack(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterMatchingNothingFails: a filter that selects no cell of any
+// experiment fails New with fp8bench's wording instead of scheduling a
+// complete sweep of nothing, while a filter whose every selected cell
+// the store already holds is a valid, complete schedule.
+func TestFilterMatchingNothingFails(t *testing.T) {
+	withHarnessState(t)
+	e := modelGrid("nothing", 2, 2)
+	store := openStore(t)
+	_, err := New(Config{Experiments: []harness.Experiment{e}, Filter: harness.Filter{"model": {"nosuch"}}, Store: store})
+	if err == nil || !strings.Contains(err.Error(), "matches no cells in any requested experiment") {
+		t.Fatalf("New with a filter matching no cell = %v, want the no-cells error", err)
+	}
+	for _, i := range []int{2, 3} {
+		fp, payload := payloadFor(t, e, i)
+		if _, err := store.IngestCell(fp, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Filter: harness.Filter{"model": {"m1"}}, Store: store})
+	if p := c.Snapshot(); !p.Complete || p.Experiments[0].Total != 2 || p.Experiments[0].Done != 2 {
+		t.Fatalf("progress over a store holding every selected cell = %+v, want 2 of 2 done and complete", p)
+	}
+}

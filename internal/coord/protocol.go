@@ -4,12 +4,16 @@
 // cells in a row), compute it with the same harness code a local run
 // uses, and push the resulting store payload back — so the coordinator
 // never needs to know worker addresses, and a crashed worker costs
-// exactly one lease timeout.
+// exactly one lease timeout. A push asks for the worker's next cell
+// (PushRequest.Next) and its answer carries it (PushResponse.Next), so
+// a worker in steady state makes one round trip per cell: POST
+// /v1/lease serves only its first request and those after a wait.
 //
 // Endpoints (all under /v1):
 //
-//	POST /v1/lease     LeaseRequest  -> LeaseResponse
-//	POST /v1/push      PushRequest   -> PushResponse
+//	POST /v1/lease     LeaseRequest  -> LeaseResponse (first cell, after a wait)
+//	POST /v1/push      PushRequest   -> PushResponse (with Next: the next
+//	                                    LeaseResponse)
 //	POST /v1/workers   WorkerHello   -> WorkerAck (register/heartbeat)
 //	GET  /v1/workers   -> WorkersSnapshot (fleet view)
 //	GET  /v1/cell/<fp> -> raw stored cell envelope (200, with the grid's
@@ -36,7 +40,7 @@ var jsonContentType = []string{"application/json"}
 // store checks it before the cell lands.
 const VariantsHeader = "X-Kernel-Variants"
 
-// Lease statuses returned by POST /v1/lease.
+// Lease statuses returned by POST /v1/lease and in PushResponse.Next.
 const (
 	// StatusLease carries a leased cell.
 	StatusLease = "lease"
@@ -78,8 +82,8 @@ type Lease struct {
 	Fingerprint string `json:"fingerprint"`
 	// TTLMs is the lease duration: a push arriving later than this may
 	// find the cell re-leased to another worker (the late push is still
-	// accepted if it gets there first). It restarts at each lease
-	// answer and push of the grant.
+	// accepted if it gets there first). It restarts at each answer that
+	// sends a cell of the grant and at each push.
 	TTLMs int64 `json:"ttl_ms"`
 }
 
@@ -123,6 +127,19 @@ type PushRequest struct {
 	// Exiting says the worker stops after this push (it was cancelled):
 	// the cells of its group it has not received requeue at once.
 	Exiting bool `json:"exiting,omitempty"`
+	// Next asks for the worker's next cell in the answer (set unless
+	// Exiting), in place of a lease request. It is asked for, not
+	// implied by a push, so a client that never reads PushResponse.Next
+	// (an older worker, a test or tool driving the two calls by hand)
+	// keeps the lease-then-push protocol: an answer it ignored would
+	// send it a cell it never computes, stranded until the grant's
+	// LeaseTTL runs out, and its next lease request would skip past
+	// that cell. A push with Next that names
+	// another cell than the one the coordinator last sent this worker,
+	// while that cell is still leased under a live grant, tells the
+	// coordinator the answer that sent it was lost: the answer sends
+	// that cell again.
+	Next bool `json:"next,omitempty"`
 }
 
 // Push statuses returned by POST /v1/push.
@@ -140,6 +157,9 @@ const (
 // PushResponse answers a push.
 type PushResponse struct {
 	Status string `json:"status"`
+	// Next is the lease answer to the push's Next: set on a 200 answer to
+	// a push with Next, never on an exiting push's or an error answer.
+	Next *LeaseResponse `json:"next,omitempty"`
 }
 
 // ProgressSnapshot is the long-poll progress payload: the coordinator's

@@ -47,15 +47,16 @@ type Config struct {
 	Experiments []harness.Experiment
 	// Filter optionally restricts every grid to matching cells (same
 	// semantics as fp8bench -filter). Experiments the filter matches no
-	// cell of are scheduled empty.
+	// cell of are scheduled empty; a filter that matches no cell of any
+	// experiment fails New.
 	Filter harness.Filter
 	// Store receives pushed payloads and seeds already-done cells.
 	// Required.
 	Store *resultstore.Store
-	// LeaseTTL is how long a grant may go without a lease answer or
-	// push before it expires and its unpushed cells requeue, so it
-	// bounds one cell, not a group. Default 5m — generous against the
-	// zoo's slowest cells, small against a whole sweep.
+	// LeaseTTL is how long a grant may go without an answer sending one
+	// of its cells or a push before it expires and its unpushed cells
+	// requeue, so it bounds one cell, not a group. Default 5m — generous
+	// against the zoo's slowest cells, small against a whole sweep.
 	LeaseTTL time.Duration
 	// MaxExpiries bounds how often one cell may time out before it is
 	// declared failed (a cell that keeps killing workers should stop
@@ -114,6 +115,11 @@ type workerRec struct {
 	// hint plus its jitter (under half the hint) plus a round trip,
 	// which 2×WaitRetry covers. Its next lease request clears it.
 	back time.Time
+	// sent is the cell last sent to the worker, in grant: a push with
+	// Next naming another cell while sent is still leased under grant
+	// means the answer that sent it was lost, and it is sent again.
+	sent  *workItem
+	grant *grantRec
 }
 
 // New builds the schedule and seeds it from the store. The store's
@@ -156,10 +162,12 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("coord: filter: %w", err)
 	}
 	var fresh []*workItem
+	selected := 0
 	manifests := map[string]*resultstore.Manifest{} // by grid id
 	for _, e := range cfg.Experiments {
 		spec := e.Spec()
 		sel := spec.Select(cfg.Filter)
+		selected += len(sel)
 		if _, seen := manifests[spec.ID]; !seen && spec.NumCells() > 0 {
 			// A full schedule is recorded (a failed write only degrades
 			// coverage reporting); a filtered sub-schedule is not the
@@ -191,6 +199,10 @@ func New(cfg Config) (*Coordinator, error) {
 			es.items = append(es.items, it)
 		}
 		c.exps = append(c.exps, es)
+	}
+	if len(cfg.Filter) > 0 && selected == 0 {
+		// Scheduling nothing would report a complete sweep of nothing.
+		return nil, fmt.Errorf("coord: filter %q matches no cells in any requested experiment", cfg.Filter.String())
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -487,19 +499,32 @@ func (c *Coordinator) AwaitChange(ctx context.Context, gen int64, timeout time.D
 	}
 }
 
-// lease sends worker the next unsent cell of its grant (skipping cells
-// a late push has settled), or grants it the next pending group and
-// sends that group's first cell. Each answer renews the grant's
-// deadline and carries the grant id as Lease.ID.
+// lease answers a lease request from worker (leaseLocked).
 func (c *Coordinator) lease(worker string) LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.leaseLocked(worker, "")
+}
+
+// leaseLocked sends worker the next unsent cell of its grant (skipping
+// cells a late push has settled), or grants it the next pending group
+// and sends that group's first cell. pushed names the cell of the push
+// with Next this answers ("" for a lease request): if it is not the
+// cell last sent to worker and that cell is still leased under its
+// live grant, the answer that sent it was lost, and it is sent again
+// instead of the grant advancing (while draining too: the cell is in
+// flight, and drain waits for it).
+func (c *Coordinator) leaseLocked(worker, pushed string) LeaseResponse {
 	now := c.cfg.Clock()
 	rec := c.touchWorkerLocked(worker)
 	rec.back = time.Time{}
 	c.reapLocked(now)
 	if c.complete {
 		return LeaseResponse{Status: StatusDone}
+	}
+	if it, g := rec.sent, rec.grant; pushed != "" && it != nil && it.fp != pushed &&
+		it.state == stateLeased && c.grants[g.id] == g {
+		return c.sendLocked(rec, g, it, now)
 	}
 	if c.draining {
 		return LeaseResponse{Status: StatusDraining}
@@ -530,7 +555,15 @@ func (c *Coordinator) lease(worker string) LeaseResponse {
 	}
 	it := g.cells[g.sent]
 	g.sent++
+	return c.sendLocked(rec, g, it, now)
+}
+
+// sendLocked answers worker's rec with cell it of its grant g: the
+// answer renews g's deadline, carries g's id as Lease.ID and is
+// recorded as the cell last sent to the worker.
+func (c *Coordinator) sendLocked(rec *workerRec, g *grantRec, it *workItem, now time.Time) LeaseResponse {
 	g.deadline = now.Add(c.cfg.LeaseTTL)
+	rec.sent, rec.grant = it, g
 	return LeaseResponse{Status: StatusLease, Lease: &Lease{
 		ID: g.id, Exp: it.exp, Index: it.index, Key: it.key,
 		Fingerprint: it.fp, TTLMs: c.cfg.LeaseTTL.Milliseconds(),
@@ -541,10 +574,23 @@ func (c *Coordinator) lease(worker string) LeaseResponse {
 // fingerprint, not grant: a push arriving after its grant expired is
 // still good work and is accepted (idempotently, if another worker got
 // there first) — the grant only bounds how long the coordinator waits
-// before rescheduling. A non-"" msg describes the rejection.
+// before rescheduling. A non-"" msg describes the rejection. A 200
+// answer to a push with Next (and not Exiting) carries the worker's
+// next lease answer, decided under the same lock once the push has
+// settled its grant.
 func (c *Coordinator) push(req PushRequest) (PushResponse, int, string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	resp, code, msg := c.pushLocked(req)
+	if code == http.StatusOK && req.Next && !req.Exiting {
+		next := c.leaseLocked(req.Worker, req.Fingerprint)
+		resp.Next = &next
+	}
+	return resp, code, msg
+}
+
+// pushLocked ingests a push (push).
+func (c *Coordinator) pushLocked(req PushRequest) (PushResponse, int, string) {
 	c.touchWorkerLocked(req.Worker).pushes++
 	it, ok := c.items[req.Fingerprint]
 	if !ok {
@@ -674,6 +720,11 @@ func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {
 	resp, code, msg := c.push(req)
 	if code != http.StatusOK {
 		writeJSON(w, code, errorResponse{msg})
+		return
+	}
+	// An answer carrying a lease passes the lease failpoint, after the
+	// push landed: a dropped one is a lost answer whose cell was sent.
+	if resp.Next != nil && inject(w, "coord.server.lease") {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -342,13 +343,22 @@ func (s *Store) Prune(maxAge time.Duration) (int, error) {
 	return removed, firstErr
 }
 
-// quarantine moves a store-relative file into QuarantineDir.
+// quarantine moves a store-relative file into QuarantineDir under the
+// first free name of name, name.1, name.2, ..., so a cell damaged again
+// after an earlier repair keeps the earlier evidence too.
 func (s *Store) quarantine(name string) error {
 	qdir := filepath.Join(s.dir, QuarantineDir)
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		return fmt.Errorf("resultstore: quarantine: %w", err)
 	}
-	if err := os.Rename(filepath.Join(s.dir, name), filepath.Join(qdir, name)); err != nil {
+	dst := filepath.Join(qdir, name)
+	for n := 1; ; n++ {
+		if _, err := os.Lstat(dst); err != nil {
+			break // free, or the rename reports why not
+		}
+		dst = filepath.Join(qdir, name+"."+strconv.Itoa(n))
+	}
+	if err := os.Rename(filepath.Join(s.dir, name), dst); err != nil {
 		return fmt.Errorf("resultstore: quarantine %s: %w", name, err)
 	}
 	return nil

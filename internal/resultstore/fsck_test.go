@@ -306,7 +306,7 @@ type classStore struct {
 	corrupt, mismatched, staleCell, legacy string // flawed cells
 	badManifest, misplaced, goodManifest   string // manifests
 	youngTmp, oldTmp, sidecar, foreign     string
-	quarantined                            string // a file inside QuarantineDir
+	quarantined                            string // earlier evidence at corrupt's quarantine name
 }
 
 // newClassStore builds the store: referenced and orphan cells, each
@@ -314,7 +314,8 @@ type classStore struct {
 // a stale-schema cell and a legacy whole-grid blob; a healthy manifest
 // (scheduling both referenced cells, the corrupt one and an absent
 // one), a corrupt and a misplaced one; temp files either side of
-// tmpGrace; a sidecar, a foreign file and a quarantine directory.
+// tmpGrace; a sidecar, a foreign file and a quarantine directory that
+// already holds a file under the corrupt cell's name.
 func newClassStore(t *testing.T, maxAge time.Duration) classStore {
 	t.Helper()
 	dir := t.TempDir()
@@ -383,7 +384,7 @@ func newClassStore(t *testing.T, maxAge time.Duration) classStore {
 	if err := os.Mkdir(filepath.Join(dir, QuarantineDir), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	cs.quarantined = write(filepath.Join(QuarantineDir, name(keyFor("quarantined"))), []byte("earlier damage"), old)
+	cs.quarantined = write(filepath.Join(QuarantineDir, cs.corrupt), []byte("earlier damage"), old)
 	return cs
 }
 
@@ -516,6 +517,12 @@ func TestOneWalkEveryFileClass(t *testing.T) {
 		qents, err := os.ReadDir(filepath.Join(cs.dir, QuarantineDir))
 		if err != nil || len(qents) != 7 {
 			t.Errorf("quarantine holds %d files (%v), want the 6 repaired and the earlier one", len(qents), err)
+		}
+		if b, err := os.ReadFile(filepath.Join(cs.dir, cs.quarantined)); err != nil || string(b) != "earlier damage" {
+			t.Errorf("earlier evidence = %q, %v; want it kept", b, err)
+		}
+		if _, err := os.Stat(filepath.Join(cs.dir, cs.quarantined+".1")); err != nil {
+			t.Errorf("the corrupt cell is not quarantined beside the earlier evidence: %v", err)
 		}
 		rep, err = cs.s.Fsck(FsckOptions{})
 		if err != nil {
