@@ -100,10 +100,12 @@ bench:
 # hit (BenchmarkCellBookkeeping), and a fleet worker's steady-state
 # cycle over a loopback coordinator: a push with Next, its ingest and
 # the answer carrying the next cell (BenchmarkFleetCell, whose
-# allocs/op is the fleet wire's per-cell heap cost on both sides). One
-# fast iteration set; used as the CI smoke step.
-KERNEL_BENCH = BenchmarkMatmulT|BenchmarkMatmulTNaive|BenchmarkConv2dIm2col|BenchmarkConv2dDirect|BenchmarkBatchMatMul|BenchmarkBatchEncode|BenchmarkForwardUnplanned|BenchmarkForwardPlanned|BenchmarkQuantizeWarm|BenchmarkCellBookkeeping|BenchmarkFleetCell
-KERNEL_BENCH_PKGS = ./internal/tensor/kernels ./internal/nn ./internal/fp8 ./internal/evalx ./internal/harness ./internal/coord
+# allocs/op is the fleet wire's per-cell heap cost on both sides), and
+# one zoo network's planned forward on a fresh plan
+# (BenchmarkArenaFootprint, whose bytes/op is the forward arena's
+# chunk bytes). One fast iteration set; used as the CI smoke step.
+KERNEL_BENCH = BenchmarkMatmulT|BenchmarkMatmulTNaive|BenchmarkConv2dIm2col|BenchmarkConv2dDirect|BenchmarkBatchMatMul|BenchmarkBatchEncode|BenchmarkForwardUnplanned|BenchmarkForwardPlanned|BenchmarkQuantizeWarm|BenchmarkCellBookkeeping|BenchmarkFleetCell|BenchmarkArenaFootprint
+KERNEL_BENCH_PKGS = ./internal/tensor/kernels ./internal/nn ./internal/fp8 ./internal/evalx ./internal/harness ./internal/coord ./internal/models
 bench-kernels:
 	$(GO) test -run xxx -bench '$(KERNEL_BENCH)' -benchtime 1x $(KERNEL_BENCH_PKGS)
 
@@ -161,24 +163,30 @@ smoke:
 # -lease-ttl timeout, not the sweep. Afterwards -coverage must report
 # the store complete, a warm run against it must have 0 misses, and
 # its report must be byte-identical to an uncoordinated -workers 1 run
-# (timing/cache footer lines, which start with "(", are excluded).
+# (timing/cache footer lines, which start with "(", are excluded). The
+# EXIT trap kills the background jobs still running (bg lists them
+# until they are waited for), so a failed step never leaves a -once
+# coordinator running and holding the recipe's output open. It sends
+# SIGKILL: on SIGTERM a coordinator drains, waiting for a dead worker's
+# lease to expire.
 coord-smoke:
-	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	@set -e; d=$$(mktemp -d); bg=; trap 'kill -9 $$bg 2> /dev/null || true; wait; rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/fp8bench" ./cmd/fp8bench; \
 	$(GO) build -o "$$d/fp8coord" ./cmd/fp8coord; \
 	"$$d/fp8coord" -exp table3 -cache-dir "$$d/store" -addr 127.0.0.1:0 \
 		-addr-file "$$d/addr" -lease-ttl 10s -once -linger 5s 2> "$$d/coord.log" & \
-	coord=$$!; \
+	coord=$$!; bg="$$bg $$coord"; \
 	for i in $$(seq 50); do [ -s "$$d/addr" ] && break; sleep 0.1; done; \
 	[ -s "$$d/addr" ] || { echo "coord-smoke: no address published"; cat "$$d/coord.log"; exit 1; }; \
 	url=$$(cat "$$d/addr"); \
-	"$$d/fp8bench" -worker "$$url" -worker-name doomed -no-cache 2> /dev/null & doomed=$$!; \
+	"$$d/fp8bench" -worker "$$url" -worker-name doomed -no-cache 2> /dev/null & doomed=$$!; bg="$$bg $$doomed"; \
 	sleep 1; kill -9 $$doomed 2> /dev/null || true; \
-	"$$d/fp8bench" -worker "$$url" -worker-name w1 -no-cache 2> "$$d/w1.log" & w1=$$!; \
-	"$$d/fp8bench" -worker "$$url" -worker-name w2 -no-cache 2> "$$d/w2.log" & w2=$$!; \
+	"$$d/fp8bench" -worker "$$url" -worker-name w1 -no-cache 2> "$$d/w1.log" & w1=$$!; bg="$$bg $$w1"; \
+	"$$d/fp8bench" -worker "$$url" -worker-name w2 -no-cache 2> "$$d/w2.log" & w2=$$!; bg="$$bg $$w2"; \
 	wait $$w1 || { echo "coord-smoke: worker 1 failed"; cat "$$d/w1.log"; exit 1; }; \
 	wait $$w2 || { echo "coord-smoke: worker 2 failed"; cat "$$d/w2.log"; exit 1; }; \
 	wait $$coord || { echo "coord-smoke: coordinator failed"; cat "$$d/coord.log"; exit 1; }; \
+	bg=; \
 	"$$d/fp8bench" -exp table3 -coverage -cache-dir "$$d/store" | tee "$$d/cov.txt"; \
 	grep -q "all experiment grids complete" "$$d/cov.txt" || { \
 		echo "coord-smoke: coordinated store incomplete"; cat "$$d/coord.log"; exit 1; }; \
@@ -205,27 +213,30 @@ coord-smoke:
 #     undisturbed -workers 1 run with 0 misses;
 #  6. -warm-from fills a cold store from the coordinator's /v1/cell
 #     endpoint to full coverage.
+# As in coord-smoke, the EXIT trap kills the background jobs still
+# running when a step fails.
 chaos-smoke:
-	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	@set -e; d=$$(mktemp -d); bg=; trap 'kill -9 $$bg 2> /dev/null || true; wait; rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/fp8bench" ./cmd/fp8bench; \
 	$(GO) build -o "$$d/fp8coord" ./cmd/fp8coord; \
 	$(GO) build -o "$$d/fp8fsck" ./cmd/fp8fsck; \
 	"$$d/fp8bench" -exp table3 -workers 1 -no-cache > "$$d/ref.txt"; \
 	FP8_FAULTS="seed=7;resultstore.save.temp=corrupt:0.5@5x2;resultstore.save.rename=err@11x1;coord.server.push=http500@3x4;coord.server.lease=drop@4x3" \
 	"$$d/fp8coord" -exp table3 -cache-dir "$$d/store" -addr 127.0.0.1:0 \
-		-addr-file "$$d/addr" -lease-ttl 10s -once -linger 5s 2> "$$d/coord1.log" & coord=$$!; \
+		-addr-file "$$d/addr" -lease-ttl 10s -once -linger 5s 2> "$$d/coord1.log" & coord=$$!; bg="$$bg $$coord"; \
 	for i in $$(seq 50); do [ -s "$$d/addr" ] && break; sleep 0.1; done; \
 	[ -s "$$d/addr" ] || { echo "chaos-smoke: no address published"; cat "$$d/coord1.log"; exit 1; }; \
 	url=$$(cat "$$d/addr"); \
 	FP8_FAULTS="seed=13;coord.client.push=crash" \
-		"$$d/fp8bench" -worker "$$url" -worker-name doomed -no-cache 2> "$$d/doomed.log" & doomed=$$!; \
+		"$$d/fp8bench" -worker "$$url" -worker-name doomed -no-cache 2> "$$d/doomed.log" & doomed=$$!; bg="$$bg $$doomed"; \
 	FP8_FAULTS="seed=11;coord.client.push=err%0.3x3" \
-		"$$d/fp8bench" -worker "$$url" -worker-name w1 -no-cache 2> "$$d/w1.log" & w1=$$!; \
+		"$$d/fp8bench" -worker "$$url" -worker-name w1 -no-cache 2> "$$d/w1.log" & w1=$$!; bg="$$bg $$w1"; \
 	set +e; wait $$doomed; dstatus=$$?; set -e; \
 	[ $$dstatus -eq 3 ] || { echo "chaos-smoke: doomed worker exited $$dstatus, want injected-crash exit 3"; \
 		cat "$$d/doomed.log"; exit 1; }; \
 	wait $$w1 || { echo "chaos-smoke: surviving worker failed"; cat "$$d/w1.log"; exit 1; }; \
 	wait $$coord || { echo "chaos-smoke: chaos-round coordinator failed"; cat "$$d/coord1.log"; exit 1; }; \
+	bg=; \
 	if "$$d/fp8fsck" "$$d/store" > "$$d/fsck1.txt"; then \
 		echo "chaos-smoke: fsck exit 0 on the battered store (no damage injected?)"; \
 		cat "$$d/fsck1.txt"; exit 1; fi; \
@@ -235,12 +246,13 @@ chaos-smoke:
 	if "$$d/fp8bench" -exp table3 -coverage -cache-dir "$$d/store" > "$$d/cov1.txt"; then \
 		echo "chaos-smoke: -coverage exit 0 on the quarantine-gapped store"; cat "$$d/cov1.txt"; exit 1; fi; \
 	"$$d/fp8coord" -exp table3 -cache-dir "$$d/store" -addr 127.0.0.1:0 \
-		-addr-file "$$d/addr2" -lease-ttl 10s -once -linger 5s 2> "$$d/coord2.log" & coord2=$$!; \
+		-addr-file "$$d/addr2" -lease-ttl 10s -once -linger 5s 2> "$$d/coord2.log" & coord2=$$!; bg="$$bg $$coord2"; \
 	for i in $$(seq 50); do [ -s "$$d/addr2" ] && break; sleep 0.1; done; \
 	url2=$$(cat "$$d/addr2"); \
 	"$$d/fp8bench" -worker "$$url2" -worker-name healer -no-cache 2> "$$d/healer.log" || { \
 		echo "chaos-smoke: heal worker failed"; cat "$$d/healer.log"; exit 1; }; \
 	wait $$coord2 || { echo "chaos-smoke: heal-round coordinator failed"; cat "$$d/coord2.log"; exit 1; }; \
+	bg=; \
 	"$$d/fp8fsck" "$$d/store" > /dev/null || { echo "chaos-smoke: healed store still unhealthy"; exit 1; }; \
 	"$$d/fp8bench" -exp table3 -coverage -cache-dir "$$d/store" > "$$d/cov2.txt" || { \
 		echo "chaos-smoke: healed store incomplete"; cat "$$d/cov2.txt"; exit 1; }; \
@@ -252,12 +264,13 @@ chaos-smoke:
 	cmp "$$d/r1" "$$d/r2" || { \
 		echo "chaos-smoke: healed report differs from undisturbed run"; exit 1; }; \
 	"$$d/fp8coord" -exp table3 -cache-dir "$$d/store" -addr 127.0.0.1:0 \
-		-addr-file "$$d/addr3" -once -linger 15s 2> "$$d/coord3.log" & coord3=$$!; \
+		-addr-file "$$d/addr3" -once -linger 15s 2> "$$d/coord3.log" & coord3=$$!; bg="$$bg $$coord3"; \
 	for i in $$(seq 50); do [ -s "$$d/addr3" ] && break; sleep 0.1; done; \
 	url3=$$(cat "$$d/addr3"); \
 	"$$d/fp8bench" -warm-from "$$url3" -exp table3 -cache-dir "$$d/coldstore" > "$$d/warmfrom.txt" || { \
 		echo "chaos-smoke: -warm-from failed"; cat "$$d/warmfrom.txt"; exit 1; }; \
 	wait $$coord3 || { echo "chaos-smoke: warm-source coordinator failed"; cat "$$d/coord3.log"; exit 1; }; \
+	bg=; \
 	"$$d/fp8bench" -exp table3 -coverage -cache-dir "$$d/coldstore" > /dev/null || { \
 		echo "chaos-smoke: warm-from store incomplete"; exit 1; }; \
 	echo "chaos-smoke: sweep survived 4 fault kinds, fsck repaired, report identical, warm-from complete"

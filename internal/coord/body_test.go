@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -79,18 +81,76 @@ func TestBodyTrailingData(t *testing.T) {
 	}
 }
 
-// fuzzCoord is one fuzz input's coordinator: a fresh store over the
-// 3x2 test grid whose manifest already records the sse tier (cell 0
-// pushed from an sse worker).
-func fuzzCoord(t *testing.T, e testExp) (*Coordinator, *resultstore.Store) {
-	t.Helper()
-	store := openStore(t)
-	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: store})
-	fp, payload := payloadFor(t, e, 0)
-	if _, code, msg := c.push(PushRequest{Fingerprint: fp, Payload: payload, Computed: true, KernelVariant: "sse"}); code != http.StatusOK {
-		t.Fatalf("seeding push = %d %s", code, msg)
+// fuzzStore is one fuzz process's store: the 3x2 test grid's manifest,
+// recording the sse tier, and cell 0 pushed from an sse worker, written
+// once. Each input gets a fresh coordinator over it (coord), and the
+// input's cleanup puts the store's files back as seeded, so every input
+// meets the same store without paying for a new one.
+type fuzzStore struct {
+	e     testExp
+	dir   string
+	store *resultstore.Store
+	seed  map[string][]byte // file name → the seeded bytes
+}
+
+func newFuzzStore(f *testing.F, e testExp) *fuzzStore {
+	f.Helper()
+	s := &fuzzStore{e: e, dir: f.TempDir(), seed: map[string][]byte{}}
+	var err error
+	if s.store, err = resultstore.Open(s.dir); err != nil {
+		f.Fatal(err)
 	}
-	return c, store
+	c, err := New(Config{Experiments: []harness.Experiment{e}, Store: s.store})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fp, payload := payloadFor(f, e, 0)
+	if _, code, msg := c.push(PushRequest{Fingerprint: fp, Payload: payload, Computed: true, KernelVariant: "sse"}); code != http.StatusOK {
+		f.Fatalf("seeding push = %d %s", code, msg)
+	}
+	ents, err := os.ReadDir(s.dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, ent := range ents {
+		if s.seed[ent.Name()], err = os.ReadFile(filepath.Join(s.dir, ent.Name())); err != nil {
+			f.Fatal(err)
+		}
+	}
+	return s
+}
+
+// coord returns one input's coordinator over the seeded store; the
+// input's cleanup restores the store.
+func (s *fuzzStore) coord(t *testing.T) *Coordinator {
+	t.Helper()
+	t.Cleanup(func() { s.restore(t) })
+	return newTestCoord(t, Config{Experiments: []harness.Experiment{s.e}, Store: s.store})
+}
+
+// restore removes every file an input added and rewrites every seeded
+// file it changed or removed.
+func (s *fuzzStore) restore(t *testing.T) {
+	ents, err := os.ReadDir(s.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		if _, ok := s.seed[ent.Name()]; !ok {
+			if err := os.RemoveAll(filepath.Join(s.dir, ent.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, want := range s.seed {
+		path := filepath.Join(s.dir, name)
+		if got, err := os.ReadFile(path); err == nil && bytes.Equal(got, want) {
+			continue
+		}
+		if err := os.WriteFile(path, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // realPush is the push a worker sends for cell idx of e, computed
@@ -165,8 +225,10 @@ func FuzzPushBody(f *testing.F) {
 	f.Add(withNext(f, realPush(f, e, 2, "avx2"), false))
 	f.Add([]byte(`{"worker":"w","next":true,"err":"boom","fingerprint":"` + cellFP(f, e, 3) + `"}`))
 	f.Add([]byte(`{"next":true}`))
+	fs := newFuzzStore(f, e)
+	store := fs.store
 	f.Fuzz(func(t *testing.T, body []byte) {
-		c, store := fuzzCoord(t, e)
+		c := fs.coord(t)
 		rec := serve(t, c, "/v1/push", body)
 		if rec.Code == http.StatusOK {
 			var req PushRequest
@@ -217,8 +279,9 @@ func FuzzLeaseBody(f *testing.F) {
 	f.Add([]byte(`{"worker":"w`))
 	f.Add(realPush(f, e, 2, "avx2"))
 	f.Add([]byte(`{"worker":"w"}x`))
+	fs := newFuzzStore(f, e)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		c, _ := fuzzCoord(t, e)
+		c := fs.coord(t)
 		rec := serve(t, c, "/v1/lease", body)
 		if rec.Code != http.StatusOK {
 			return

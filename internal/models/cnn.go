@@ -67,13 +67,16 @@ func (c *convBN) Visit(path string, v nn.Visitor) {
 	nn.WalkChild(path+"/bn", c.BN, v)
 }
 
-// Forward runs conv → BN → act.
+// Forward runs conv → BN → act, keeping only the last output: the
+// blocks built from convBNs (dense, inverted-residual, fire, inception
+// branches) then hold one tensor per unit, not three.
 func (c *convBN) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	m := a.Mark()
 	x = c.BN.Forward(a, c.Conv.Forward(a, x))
 	if c.Act != nil {
 		x = c.Act.Forward(a, x)
 	}
-	return x
+	return a.Keep(m, x)
 }
 
 // inceptionBlock concatenates parallel branches (GoogleNet/Inception).
@@ -91,11 +94,14 @@ func (b *inceptionBlock) Visit(path string, v nn.Visitor) {
 	}
 }
 
-// Forward concatenates branch outputs along channels.
+// Forward concatenates branch outputs along channels. Each running
+// concatenation is kept at the block's mark, so the block holds one
+// concatenation and one branch's intermediates at a time.
 func (b *inceptionBlock) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	m := a.Mark()
 	out := b.Branches[0].Forward(a, x)
 	for _, br := range b.Branches[1:] {
-		out = nn.ConcatChannels(a, out, br.Forward(a, x))
+		out = a.Keep(m, nn.ConcatChannels(a, out, br.Forward(a, x)))
 	}
 	return out
 }
@@ -203,10 +209,14 @@ func (d *denseBlock) Visit(path string, v nn.Visitor) {
 	}
 }
 
-// Forward concatenates each layer's output onto its input.
+// Forward concatenates each layer's output onto its input. Each
+// concatenation is kept at the block's mark, releasing the previous one
+// and the layer's intermediates, so the block holds one running
+// concatenation, not all of them.
 func (d *denseBlock) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	m := a.Mark()
 	for _, l := range d.Layers {
-		x = nn.ConcatChannels(a, x, l.Forward(a, x))
+		x = a.Keep(m, nn.ConcatChannels(a, x, l.Forward(a, x)))
 	}
 	return x
 }
@@ -391,25 +401,28 @@ func densenetBody(growth, n1, n2 int) func(r *tensor.RNG, seq *nn.Sequential) in
 func inceptionBody(deep bool) func(r *tensor.RNG, seq *nn.Sequential) int {
 	return func(r *tensor.RNG, seq *nn.Sequential) int {
 		seq.Add("stem", newConvBN(r, cvChans, 8, 3, 2, 1, 1, nn.ReLU{}))
-		mk := func(in int) *inceptionBlock {
-			return &inceptionBlock{Branches: []nn.Module{
-				newConvBN(r, in, 8, 1, 1, 0, 1, nn.ReLU{}),
-				nn.NewSequential(
-					newConvBN(r, in, 6, 1, 1, 0, 1, nn.ReLU{}),
-					newConvBN(r, 6, 8, 3, 1, 1, 1, nn.ReLU{})),
-				nn.NewSequential(
-					newConvBN(r, in, 4, 1, 1, 0, 1, nn.ReLU{}),
-					newConvBN(r, 4, 8, 5, 1, 2, 1, nn.ReLU{})),
-			}}
-		}
-		seq.Add("inc1", mk(8))
+		seq.Add("inc1", newInceptionBlock(r, 8))
 		c := 24
 		if deep {
-			seq.Add("inc2", mk(c))
+			seq.Add("inc2", newInceptionBlock(r, c))
 			c = 24
 		}
 		return c
 	}
+}
+
+// newInceptionBlock returns a three-branch block over in channels
+// (1x1; 1x1 → 3x3; 1x1 → 5x5) with 24 output channels.
+func newInceptionBlock(r *tensor.RNG, in int) *inceptionBlock {
+	return &inceptionBlock{Branches: []nn.Module{
+		newConvBN(r, in, 8, 1, 1, 0, 1, nn.ReLU{}),
+		nn.NewSequential(
+			newConvBN(r, in, 6, 1, 1, 0, 1, nn.ReLU{}),
+			newConvBN(r, 6, 8, 3, 1, 1, 1, nn.ReLU{})),
+		nn.NewSequential(
+			newConvBN(r, in, 4, 1, 1, 0, 1, nn.ReLU{}),
+			newConvBN(r, 4, 8, 5, 1, 2, 1, nn.ReLU{})),
+	}}
 }
 
 func shufflenetBody() func(r *tensor.RNG, seq *nn.Sequential) int {

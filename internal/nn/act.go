@@ -168,17 +168,20 @@ func (op *AddOp) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 	panic("nn: AddOp is binary; call Apply(a, x, y)")
 }
 
-// Apply returns x + y element-wise, carved from a.
+// Apply returns x + y element-wise, carved from a; the quantized
+// operand copies are released before it returns.
 func (op *AddOp) Apply(a *tensor.Arena, x, y *tensor.Tensor) *tensor.Tensor {
 	if x.Len() != y.Len() {
 		panic("nn: AddOp size mismatch")
 	}
+	out := a.New(x.Shape...)
+	m := a.Mark()
 	x = op.QA.applyIn(a, x)
 	y = op.QB.applyIn(a, y)
-	out := a.New(x.Shape...)
 	for i := range out.Data {
 		out.Data[i] = x.Data[i] + y.Data[i]
 	}
+	a.Release(m)
 	return out
 }
 
@@ -203,11 +206,13 @@ func (m *MulOp) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 
 // Apply returns x * y element-wise, carved from a. If y has exactly one
 // value per leading row of x (e.g. per-channel SE scale [N,C] against
-// [N,C,H,W]), it broadcasts.
+// [N,C,H,W]), it broadcasts. The quantized operand copies are released
+// before it returns.
 func (m *MulOp) Apply(a *tensor.Arena, x, y *tensor.Tensor) *tensor.Tensor {
+	out := a.New(x.Shape...)
+	mark := a.Mark()
 	x = m.QA.applyIn(a, x)
 	y = m.QB.applyIn(a, y)
-	out := a.New(x.Shape...)
 	switch {
 	case x.Len() == y.Len():
 		for i := range out.Data {
@@ -228,5 +233,6 @@ func (m *MulOp) Apply(a *tensor.Arena, x, y *tensor.Tensor) *tensor.Tensor {
 	default:
 		panic("nn: MulOp incompatible shapes")
 	}
+	a.Release(mark)
 	return out
 }

@@ -136,13 +136,15 @@ func (s *SEBlock) Visit(path string, v Visitor) {
 	walk(path+"/gate", &s.Gate, v)
 }
 
-// Forward scales channels of x [N,C,H,W] by learned gates.
+// Forward scales channels of x [N,C,H,W] by learned gates, releasing
+// the gate computation's temporaries.
 func (s *SEBlock) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	var relu ReLU
 	var sig Sigmoid
+	m := a.Mark()
 	z := s.Squeeze.Forward(a, x) // [N,C]
 	z = sig.Forward(a, s.FC2.Forward(a, relu.Forward(a, s.FC1.Forward(a, z))))
-	return s.Gate.Apply(a, x, z)
+	return a.Keep(m, s.Gate.Apply(a, x, z))
 }
 
 // FFN is the transformer feed-forward block: fc1 → activation → fc2.
@@ -313,8 +315,9 @@ func (g *GNConv) Visit(path string, v Visitor) {
 	walk(path+"/gn", g.GN, v)
 }
 
-// Forward runs the unit.
+// Forward runs the unit, keeping only the activation's output.
 func (g *GNConv) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	var act SiLU
-	return act.Forward(a, g.GN.Forward(a, g.Conv.Forward(a, x)))
+	m := a.Mark()
+	return a.Keep(m, act.Forward(a, g.GN.Forward(a, g.Conv.Forward(a, x))))
 }

@@ -68,14 +68,17 @@ func (c *Conv2d) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 4 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2d expects [N,%d,H,W], got %v", c.InC, x.Shape))
 	}
-	x = c.QS.applyIn(a, x)
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := c.OutSize(h), c.OutSize(w)
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: Conv2d output empty for input %v", x.Shape))
 	}
+	// The output is carved first, so the quantized input copy and the
+	// GEMM scratch after it are released before the op returns.
 	y := a.New(n, c.OutC, oh, ow)
-	c.forwardInto(a, y, x, n, h, w, oh, ow)
+	m := a.Mark()
+	c.forwardInto(a, y, c.QS.applyIn(a, x), n, h, w, oh, ow)
+	a.Release(m)
 	return c.QS.applyOut(y)
 }
 
@@ -137,9 +140,10 @@ func (c *Conv2d) forwardInto(a *tensor.Arena, y, x *tensor.Tensor, n, h, w, oh, 
 		return
 	}
 
-	// One buffer per forward, from the arena when planned and the heap
-	// otherwise: patches, GEMM output, the class's weight taps and their
-	// packed panel, each sized by the largest class.
+	// One buffer per forward, from the arena when planned (Forward
+	// releases it) and the heap otherwise: patches, GEMM output, the
+	// class's weight taps and their packed panel, each sized by the
+	// largest class.
 	var maxPix, maxTaps int
 	c.eachClass(h, w, oh, ow, func(t tapClass) {
 		maxPix, maxTaps = max(maxPix, t.pixels()), max(maxTaps, t.taps())

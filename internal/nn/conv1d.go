@@ -51,13 +51,16 @@ func (c *Conv1d) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 3 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: Conv1d expects [N,%d,T], got %v", c.InC, x.Shape))
 	}
-	x = c.QS.applyIn(a, x)
 	n, t := x.Shape[0], x.Shape[2]
 	ot := c.OutSize(t)
 	if ot <= 0 {
 		panic(fmt.Sprintf("nn: Conv1d output empty for input %v", x.Shape))
 	}
+	// Output first: the quantized input copy after it is released
+	// before the op returns.
 	y := a.New(n, c.OutC, ot)
+	m := a.Mark()
+	x = c.QS.applyIn(a, x)
 	for ni := 0; ni < n; ni++ {
 		for oc := 0; oc < c.OutC; oc++ {
 			var bias float32
@@ -81,5 +84,6 @@ func (c *Conv1d) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
+	a.Release(m)
 	return c.QS.applyOut(y)
 }

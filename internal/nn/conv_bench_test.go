@@ -91,11 +91,12 @@ func BenchmarkBatchMatMul(b *testing.B) {
 			bm.FillNormal(rng, 0, 1)
 			b.SetBytes(int64((a.Len() + bm.Len() + tc.b1*tc.m*tc.n) * 4))
 			var ar tensor.Arena
-			batchMatMul(&ar, a, bm, tc.transB)
+			op := &BatchMatMulOp{TransposeB: tc.transB}
+			op.Apply(&ar, a, bm)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ar.Reset()
-				_ = batchMatMul(&ar, a, bm, tc.transB)
+				_ = op.Apply(&ar, a, bm)
 			}
 		})
 	}

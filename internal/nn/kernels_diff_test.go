@@ -246,7 +246,7 @@ func TestBatchMatMulMatchesOracle(t *testing.T) {
 		b := tensor.New(tc.bShape...)
 		fillTensor(a, rng, 1)
 		fillTensor(b, rng, 0.5)
-		got := batchMatMul(nil, a, b, tc.transB)
+		got := (&BatchMatMulOp{TransposeB: tc.transB}).Apply(nil, a, b)
 		want := batchMatMulOracle(a, b, tc.transB)
 		requireBitsEqual(t, got.Data, want,
 			fmt.Sprintf("BatchMatMul %v x %v transB=%v", tc.aShape, tc.bShape, tc.transB))

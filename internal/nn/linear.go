@@ -41,18 +41,21 @@ func (l *Linear) OutChannelDim() int { return 0 }
 // the final dimension equals In; the output replaces it with Out. The
 // weight panel is repacked on every call — packing is a pure copy, and
 // the weights themselves may be requantized in place between calls, so
-// panels are never cached.
+// panels are never cached. The output is carved first; the quantized
+// input copy and the panel are released before the op returns.
 func (l *Linear) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	rows, cols := flatten2D(x)
 	if cols != l.In {
 		panic(fmt.Sprintf("nn: Linear expects last dim %d, got shape %v", l.In, x.Shape))
 	}
-	x = l.QS.applyIn(a, x)
 	y := newLike(a, x, l.Out)
+	m := a.Mark()
+	x = l.QS.applyIn(a, x)
 	panel := a.Alloc(kernels.PanelFloats(l.In, l.Out))
 	kernels.PackTInto(panel, l.W.Data, l.In, l.Out)
 	// Bias rides in the GEMM epilogue: acc = Σ_k x·w, then acc += b.
 	kernels.GemmPacked(y.Data, x.Data, panel, rows, l.In, l.Out, kernels.Opt{Bias: l.B})
+	a.Release(m)
 	return l.QS.applyOut(y)
 }
 
@@ -78,22 +81,19 @@ func (m *BatchMatMulOp) Forward(*tensor.Arena, *tensor.Tensor) *tensor.Tensor {
 }
 
 // Apply performs the batched multiply of x by y (or yᵀ when
-// TransposeB), carving from a, after the operands' input hooks.
+// TransposeB) after the operands' input hooks: x is [batch..., M, K]
+// and y is [batch..., K, N] (or [batch..., N, K] when transposed);
+// leading batch dims must match exactly. The output is carved from a
+// first; the quantized operand copies and the panel are released
+// before Apply returns.
 func (m *BatchMatMulOp) Apply(a *tensor.Arena, x, y *tensor.Tensor) *tensor.Tensor {
-	return batchMatMul(a, m.QA.applyIn(a, x), m.QB.applyIn(a, y), m.TransposeB)
-}
-
-// batchMatMul multiplies batched matrices: x is [batch..., M, K] and y
-// is [batch..., K, N] (or [batch..., N, K] when transB); leading batch
-// dims must match exactly.
-func batchMatMul(a *tensor.Arena, x, y *tensor.Tensor, transB bool) *tensor.Tensor {
 	if x.Rank() < 2 || y.Rank() < 2 {
 		panic("nn: BatchMatMul needs rank >= 2")
 	}
 	M := x.Shape[x.Rank()-2]
 	K := x.Shape[x.Rank()-1]
 	var N, yK int
-	if transB {
+	if m.TransposeB {
 		N = y.Shape[y.Rank()-2]
 		yK = y.Shape[y.Rank()-1]
 	} else {
@@ -101,13 +101,15 @@ func batchMatMul(a *tensor.Arena, x, y *tensor.Tensor, transB bool) *tensor.Tens
 		N = y.Shape[y.Rank()-1]
 	}
 	if yK != K {
-		panic(fmt.Sprintf("nn: BatchMatMul inner dims mismatch: %v x %v (transB=%v)", x.Shape, y.Shape, transB))
+		panic(fmt.Sprintf("nn: BatchMatMul inner dims mismatch: %v x %v (transB=%v)", x.Shape, y.Shape, m.TransposeB))
 	}
 	batch := x.Len() / (M * K)
 	if y.Len()/(K*N) != batch {
 		panic(fmt.Sprintf("nn: BatchMatMul batch mismatch: %v x %v", x.Shape, y.Shape))
 	}
 	out := newLike2(a, x, M, N)
+	mark := a.Mark()
+	x, y = m.QA.applyIn(a, x), m.QB.applyIn(a, y)
 	// Both layouts route through the packed GEMM with one panel reused
 	// across the batch; per output element the accumulation stays
 	// ascending-k, matching the matmulT (transB) and k-outer (natural)
@@ -117,13 +119,14 @@ func batchMatMul(a *tensor.Arena, x, y *tensor.Tensor, transB bool) *tensor.Tens
 		ym := y.Data[bi*K*N : (bi+1)*K*N]
 		// Repacking overwrites the panel fully (including the zero
 		// tail), so reuse across batch elements is exact.
-		if transB {
+		if m.TransposeB {
 			kernels.PackTInto(panel, ym, K, N)
 		} else {
 			kernels.PackNInto(panel, ym, K, N)
 		}
 		kernels.GemmPacked(out.Data[bi*M*N:(bi+1)*M*N], x.Data[bi*M*K:(bi+1)*M*K], panel, M, K, N, kernels.Opt{})
 	}
+	a.Release(mark)
 	return out
 }
 

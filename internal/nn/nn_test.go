@@ -459,7 +459,7 @@ func TestSlidingWindowAttention(t *testing.T) {
 func TestBatchMatMul(t *testing.T) {
 	a := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
 	b := tensor.FromSlice([]float32{5, 6, 7, 8}, 1, 2, 2)
-	y := batchMatMul(nil, a, b, false)
+	y := (&BatchMatMulOp{}).Apply(nil, a, b)
 	want := []float32{19, 22, 43, 50}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -467,7 +467,7 @@ func TestBatchMatMul(t *testing.T) {
 		}
 	}
 	// transB: a · bᵀ
-	y = batchMatMul(nil, a, b, true)
+	y = (&BatchMatMulOp{TransposeB: true}).Apply(nil, a, b)
 	want = []float32{17, 23, 39, 53}
 	for i := range want {
 		if y.Data[i] != want[i] {

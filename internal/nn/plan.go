@@ -28,9 +28,16 @@ import "fp8quant/internal/tensor"
 // There is no recording cycle: the first forward over a shape appends
 // the chunks its peak live set needs, later ones reuse them. Scopes
 // keep that peak to the live bytes, not the sum of a forward's
-// intermediates: a Sequential moves each child's output down over its
-// input (Arena.Keep), and attention, the feed-forward blocks and the
-// transformer layers release their temporaries the same way.
+// intermediates, by two rules. An op releases its scratch: Conv2d,
+// Conv1d, Linear, BatchMatMulOp, AddOp and MulOp carve their output
+// first and release their quantized input copies, im2col patches and
+// packed panels (Arena.Release) before returning. A block that builds
+// one tensor from many releases its children: a Sequential moves each
+// child's output down over its input (Arena.Keep); attention, the
+// feed-forward blocks, the transformer layers, SEBlock and GNConv (and
+// the zoo's conv-BN-activation unit) keep only their output; and a
+// DenseNet or Inception block keeps each running concatenation at one
+// block mark.
 //
 // A Plan is not safe for concurrent use; run one plan per worker.
 // Outputs of a planned forward remain valid only until the next Begin —

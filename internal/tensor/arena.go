@@ -14,19 +14,27 @@ package tensor
 // over a shape therefore allocates only the chunks its peak live set
 // needs, and every later identical forward walks the same chunks.
 //
-// Scopes keep that peak small. A block that produces one tensor from
-// many temporaries brackets its body:
+// Scopes keep that peak small, by two rules. An op carves its output
+// first and releases its scratch (quantized input copies, im2col
+// patches, packed panels) before returning:
+//
+//	y := a.New(...)
+//	m := a.Mark()
+//	... carve scratch, compute into y ...
+//	a.Release(m)
+//
+// A block that builds one tensor from many children brackets its body:
 //
 //	m := a.Mark()
-//	... carve temporaries, compute y ...
+//	... run children, compute y ...
 //	return a.Keep(m, y)
 //
 // Keep moves y down to m with one exact copy and releases everything
-// carved after m, so a transformer layer or a Sequential child leaves
-// only its output behind.
+// carved after m, so a transformer layer, a dense block or a
+// Sequential child leaves only its output behind.
 //
 // A nil *Arena is valid and falls back to ordinary heap allocation
-// (tensor.New semantics; Mark and Keep do nothing). Every nn forward
+// (tensor.New semantics; Mark, Keep and Release do nothing). Every nn forward
 // takes an arena, and unplanned callers pass nil, so one forward body
 // serves both and stays byte-identical whether or not a plan is
 // installed: New zeroes every carved region, exactly like make, Keep
@@ -114,7 +122,7 @@ func (c *chunks[T]) trim(floor int) {
 }
 
 // Mark is a position in an arena, taken by Mark and released to by
-// Keep.
+// Keep or Release.
 type Mark struct{ f, h, i pos }
 
 // Reset starts a new cycle: it rewinds every chunk stack to its start,
@@ -166,7 +174,7 @@ func (a *Arena) Keep(m Mark, y *Tensor) *Tensor {
 		return y
 	}
 	shape, data := y.Shape, y.Data
-	a.release(m)
+	a.Release(m)
 	t := a.header()
 	// The destination may overlap y's own storage, which the rewind
 	// just released: copy moves like memmove, and nothing is cleared
@@ -177,7 +185,13 @@ func (a *Arena) Keep(m Mark, y *Tensor) *Tensor {
 	return t
 }
 
-func (a *Arena) release(m Mark) {
+// Release closes the scope opened at m keeping nothing: everything
+// carved since m becomes invalid and the next carve starts at m. Safe
+// on nil.
+func (a *Arena) Release(m Mark) {
+	if a == nil {
+		return
+	}
 	a.f.rewind(m.f)
 	a.h.rewind(m.h)
 	a.i.rewind(m.i)

@@ -6,9 +6,9 @@ import (
 )
 
 // arenaOp is one step of an arena program: carve a tensor, open a scope,
-// or close the innermost scope keeping one live tensor.
+// or close the innermost scope keeping one live tensor or none.
 type arenaOp struct {
-	kind byte // opNew, opMark or opKeep
+	kind byte // opNew, opMark, opKeep or opRelease
 	n    int  // opNew: element count
 	pick int  // opKeep: which live tensor to keep, modulo the live count
 }
@@ -17,6 +17,7 @@ const (
 	opNew byte = iota
 	opMark
 	opKeep
+	opRelease
 )
 
 // decodeArenaOps turns fuzz bytes into a program, three bytes a step.
@@ -27,7 +28,7 @@ func decodeArenaOps(b []byte) []arenaOp {
 	var ops []arenaOp
 	for ; len(b) >= 3 && len(ops) < maxOps; b = b[3:] {
 		op := arenaOp{pick: int(b[2])}
-		switch b[0] % 4 {
+		switch b[0] % 5 {
 		case 0, 1:
 			op.kind = opNew
 			d := int(b[2])
@@ -43,8 +44,10 @@ func decodeArenaOps(b []byte) []arenaOp {
 			}
 		case 2:
 			op.kind = opMark
-		default:
+		case 3:
 			op.kind = opKeep
+		default:
+			op.kind = opRelease
 		}
 		ops = append(ops, op)
 	}
@@ -69,11 +72,13 @@ func fill(s []float32, seq int) {
 
 // runArenaOps runs a program on a, keeping the live set in live and
 // the open scopes in marks and nlive (each of capacity len(ops)). check,
-// when non-nil, audits the arena after every step; with check nil the
-// run performs no allocation of its own.
-func runArenaOps(a *Arena, ops []arenaOp, live []*Tensor, marks []Mark, nlive []int, check func(step int, live []*Tensor, keptFrom int)) {
+// when non-nil, audits the arena after every step, given the mark a
+// Release closed; with check nil the run performs no allocation of its
+// own.
+func runArenaOps(a *Arena, ops []arenaOp, live []*Tensor, marks []Mark, nlive []int, check func(step int, live []*Tensor, keptFrom int, released Mark)) {
 	for step, op := range ops {
 		keptFrom := -1
+		var released Mark
 		switch op.kind {
 		case opNew:
 			var t *Tensor
@@ -95,20 +100,30 @@ func runArenaOps(a *Arena, ops []arenaOp, live []*Tensor, marks []Mark, nlive []
 			y := a.Keep(marks[top], live[keptFrom])
 			live = append(live[:nlive[top]], y)
 			marks, nlive = marks[:top], nlive[:top]
+		case opRelease:
+			if len(marks) == 0 {
+				continue
+			}
+			top := len(marks) - 1
+			released = marks[top]
+			a.Release(released)
+			live = live[:nlive[top]]
+			marks, nlive = marks[:top], nlive[:top]
 		}
 		if check != nil {
-			check(step, live, keptFrom)
+			check(step, live, keptFrom, released)
 		}
 	}
 }
 
-// FuzzArenaScopes runs random nested Mark/New/Keep programs against a
-// heap model of what every live tensor must hold: kept tensors stay byte
-// for byte intact (Keep's destination may overlap its source, so a
-// clear-then-copy would corrupt it), carved tensors come out zeroed and
-// disjoint from every live one, wherever a chunk boundary or an
-// oversized tensor puts them, and an identical second cycle allocates
-// nothing.
+// FuzzArenaScopes runs random nested Mark/New/Keep/Release programs
+// against a heap model of what every live tensor must hold: kept
+// tensors stay byte for byte intact (Keep's destination may overlap its
+// source, so a clear-then-copy would corrupt it), a Release drops the
+// scope's tensors and puts the arena back at its mark, carved tensors
+// come out zeroed and disjoint from every live one, wherever a chunk
+// boundary or an oversized tensor puts them, and an identical second
+// cycle allocates nothing.
 func FuzzArenaScopes(f *testing.F) {
 	f.Add([]byte{})
 	// A scope whose kept tensor overlaps the keep destination.
@@ -116,14 +131,19 @@ func FuzzArenaScopes(f *testing.F) {
 	// Remainder fills and an oversized tensor across nested scopes.
 	f.Add([]byte{0, 2, 5, 2, 0, 0, 0, 1, 9, 2, 0, 0, 0, 3, 7, 0, 2, 1, 3, 0, 1, 3, 0, 0})
 	f.Add([]byte{0, 3, 255, 2, 0, 0, 0, 3, 255, 3, 0, 0, 0, 0, 3, 3, 0, 1})
+	// An op's shape: output, then a scope of scratch released, then
+	// more carves over the released space, inside a kept block scope.
+	f.Add([]byte{2, 0, 0, 0, 0, 9, 2, 0, 0, 0, 1, 7, 0, 3, 200, 4, 0, 0, 0, 0, 5, 3, 0, 1})
+	// A Release across a chunk boundary and an oversized tensor.
+	f.Add([]byte{0, 2, 3, 2, 0, 0, 0, 2, 1, 0, 3, 9, 4, 0, 0, 0, 2, 1, 4, 0, 0, 0, 0, 2})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ops := decodeArenaOps(b)
 		var a Arena
-		// checker returns a check of one cycle over ops.
-		checker := func() func(step int, live []*Tensor, keptFrom int) {
+		// checker returns a check of one cycle over ops on ar.
+		checker := func(ar *Arena) func(step int, live []*Tensor, keptFrom int, released Mark) {
 			var model [][]float32 // expected contents of each live tensor
 			var shapes [][]int
-			return func(step int, live []*Tensor, keptFrom int) {
+			return func(step int, live []*Tensor, keptFrom int, released Mark) {
 				switch op := ops[step]; op.kind {
 				case opNew:
 					tt := live[len(live)-1]
@@ -142,6 +162,11 @@ func FuzzArenaScopes(f *testing.F) {
 					want, shape := model[keptFrom], shapes[keptFrom]
 					model = append(model[:len(live)-1], want)
 					shapes = append(shapes[:len(live)-1], shape)
+				case opRelease:
+					if at := ar.Mark(); at != released {
+						t.Fatalf("step %d: Release left the arena at %v, not its mark %v", step, at, released)
+					}
+					model, shapes = model[:len(live)], shapes[:len(live)]
 				}
 				for i, tt := range live {
 					if len(tt.Data) != NumElements(tt.Shape) || cap(tt.Data) != len(tt.Data) {
@@ -166,7 +191,7 @@ func FuzzArenaScopes(f *testing.F) {
 		live := make([]*Tensor, 0, len(ops))
 		marks := make([]Mark, 0, len(ops))
 		nlive := make([]int, 0, len(ops))
-		runArenaOps(&a, ops, live, marks, nlive, checker())
+		runArenaOps(&a, ops, live, marks, nlive, checker(&a))
 
 		if n := testing.AllocsPerRun(1, func() {
 			a.Reset()
@@ -191,7 +216,7 @@ func FuzzArenaScopes(f *testing.F) {
 				t.Fatalf("chunk %d of %d floats survived Trim", i, len(c))
 			}
 		}
-		runArenaOps(&g, ops, live[:0], marks[:0], nlive[:0], checker())
+		runArenaOps(&g, ops, live[:0], marks[:0], nlive[:0], checker(&g))
 	})
 }
 
@@ -255,12 +280,13 @@ func TestArenaKeepOverlapping(t *testing.T) {
 	}
 }
 
-// TestArenaNilScopes checks that Mark and Keep are no-ops on the heap
-// arena.
+// TestArenaNilScopes checks that Mark, Keep and Release are no-ops on
+// the heap arena.
 func TestArenaNilScopes(t *testing.T) {
 	var a *Arena
 	y := New(4)
 	if a.Keep(a.Mark(), y) != y {
 		t.Fatal("nil-arena Keep did not return its argument")
 	}
+	a.Release(a.Mark())
 }
