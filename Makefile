@@ -275,8 +275,10 @@ chaos-smoke:
 		echo "chaos-smoke: warm-from store incomplete"; exit 1; }; \
 	echo "chaos-smoke: sweep survived 4 fault kinds, fsck repaired, report identical, warm-from complete"
 
-# Kernel differential tests once per forced GEMM tier. The pin is
-# honored by the kernels and nn TestMains; a tier the CPU cannot
+# Kernel differential tests once per forced GEMM tier, with the data
+# generators and evalx's kept-path identity tests (TestSplit*: the
+# packed kept samples against the full-split oracle). The pin is
+# honored by the kernels, nn and evalx TestMains; a tier the CPU cannot
 # execute (e.g. avx2 without FMA) is a logged vacuous pass rather than
 # a failure, so the loop is safe on any amd64 host. -count=1 because
 # the test cache does not key on FP8_KERNEL.
@@ -284,17 +286,20 @@ KERNEL_TIERS = generic sse avx2
 tiers:
 	@set -e; for v in $(KERNEL_TIERS); do \
 		echo "tiers: FP8_KERNEL=$$v"; \
-		FP8_KERNEL=$$v $(GO) test -count=1 ./internal/tensor/kernels/ ./internal/nn/; \
+		FP8_KERNEL=$$v $(GO) test -count=1 ./internal/tensor/kernels/ ./internal/nn/ ./internal/data/; \
+		FP8_KERNEL=$$v $(GO) test -count=1 -run TestSplit ./internal/evalx/; \
 	done
 
 # The portable-code tests on a 32-bit target: GOARCH=386 binaries run
 # natively on amd64 hosts, with no assembly GEMM tier (the generic one
 # runs) and 32-bit int, so this covers the codec, tensors and arena,
-# kernels, nn, quant and the analyzers' other-configuration variants.
+# kernels, nn, quant, the data generators and the analyzers'
+# other-configuration variants, and evalx's kept-path identity tests.
 # TestGoldenDigests checks the 386/generic key of the harness golden
 # file: the same digests as amd64/generic.
 arch386:
-	GOARCH=386 $(GO) test -count=1 ./internal/fp8 ./internal/tensor/... ./internal/nn ./internal/quant ./internal/analyzers
+	GOARCH=386 $(GO) test -count=1 ./internal/fp8 ./internal/tensor/... ./internal/nn ./internal/quant ./internal/data ./internal/analyzers
+	GOARCH=386 $(GO) test -count=1 -run TestSplit ./internal/evalx
 	GOARCH=386 $(GO) test -count=1 -run TestGoldenDigests ./internal/harness
 
 # Short bounded pass over each native fuzz target (the codec oracle

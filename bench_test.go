@@ -56,13 +56,13 @@ var benchSubset = []string{
 	"distilbert_mrpc", "tinybert_mrpc", "bloom_560m", "dlrm_criteo",
 }
 
-// evaluateRecipes evaluates several recipes on one model against one
-// shared FP32 reference, as the sweep cells of a model do.
+// evaluateRecipes evaluates several recipes on one model on one split
+// of its shared FP32 reference, as the sweep cells of a model do.
 func evaluateRecipes(net *models.Network, bases []quant.Recipe, paperDefaults bool) []evalx.Result {
-	ref := evalx.ComputeReference(net)
+	sp := evalx.NewSplit(evalx.ComputeReference(net))
 	out := make([]evalx.Result, len(bases))
 	for i, b := range bases {
-		out[i] = evalx.EvaluateWithRef(net, b, paperDefaults, ref)
+		out[i] = evalx.EvaluateOn(net, b, paperDefaults, sp)
 	}
 	return out
 }

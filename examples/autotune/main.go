@@ -19,8 +19,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ref := evalx.ComputeReference(net)
-	eval := func() float64 { return evalx.AccuracyAgainst(net, ref) }
+	// One split serves every trial: row-independent candidates forward
+	// only its packed kept samples, packed on the first such trial.
+	split := evalx.NewSplit(evalx.ComputeReference(net))
+	eval := func() float64 { return split.Accuracy(net) }
 
 	res := quant.AutoTune(net, net.Data, eval, 1.0,
 		quant.DefaultCandidates(net.IsCNN()), 0.01, 24)

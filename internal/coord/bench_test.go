@@ -3,6 +3,8 @@ package coord
 import (
 	"context"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"fp8quant/internal/harness"
@@ -10,12 +12,66 @@ import (
 	"fp8quant/internal/tensor/kernels"
 )
 
+// allocWindowLen is how many timed iterations a benchmark's allocation
+// counters cover (allocWindow).
+const allocWindowLen = 100
+
+// allocWindow makes a benchmark's B/op and allocs/op those of timed
+// iterations [1, allocWindowLen) (of all but the first in a shorter
+// run), so a recorded run and a gate run count the same iterations in
+// the same state. Averaged over every iteration they would move with
+// b.N: later cells have longer indexes, recipe names and result values,
+// and a collection that lands inside the loop empties the sync.Pools
+// that the JSON and HTTP layers refill. So the window starts after a
+// collection and one iteration that refills the pools, and the
+// collector stays off until it ends.
+type allocWindow struct {
+	start  runtime.MemStats
+	gc     int
+	on     bool
+	counts bool
+}
+
+// mark runs at the top of timed iteration i.
+func (w *allocWindow) mark(b *testing.B, i int) {
+	switch i {
+	case 0:
+		b.StopTimer()
+		runtime.GC()
+		w.gc, w.on = debug.SetGCPercent(-1), true
+		b.StartTimer()
+	case 1:
+		runtime.ReadMemStats(&w.start)
+		w.counts = true
+	case allocWindowLen:
+		w.report(b, i)
+	}
+}
+
+// report ends the window before iteration i (b.N after the loop) and
+// overrides the counters with the window's, once.
+func (w *allocWindow) report(b *testing.B, i int) {
+	if !w.on {
+		return
+	}
+	w.on = false
+	debug.SetGCPercent(w.gc)
+	if !w.counts {
+		return
+	}
+	var end runtime.MemStats
+	runtime.ReadMemStats(&end)
+	b.ReportMetric(float64(end.TotalAlloc-w.start.TotalAlloc)/float64(i-1), "B/op")
+	b.ReportMetric(float64(end.Mallocs-w.start.Mallocs)/float64(i-1), "allocs/op")
+}
+
 // BenchmarkFleetCell measures one steady-state worker cycle over a
 // loopback server: a computed cell's push with Next, its ingest into
 // the store, and the answer carrying the grant's next cell. Worker and
 // coordinator share the process, so allocs/op counts both sides of the
 // wire. The grid is one model with a cell per iteration, so every
-// cycle stays inside one grant.
+// cycle stays inside one grant. make bench-gate holds its allocs/op and
+// bytes/op, counted over a fixed window of iterations (allocWindow).
 func BenchmarkFleetCell(b *testing.B) {
 	withHarnessState(b)
 	e := modelGrid("fleetcell", 1, b.N+1)
@@ -41,9 +97,11 @@ func BenchmarkFleetCell(b *testing.B) {
 		b.Fatalf("first lease: %+v, %v", lr, err)
 	}
 	variant := string(kernels.Active())
+	var win allocWindow
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		win.mark(b, i)
 		l := lr.Lease
 		push := PushRequest{Worker: w.Name, LeaseID: l.ID, Fingerprint: l.Fingerprint, Payload: payloads[l.Index],
 			DurationMs: 1, Computed: true, KernelVariant: variant, Next: true}
@@ -56,4 +114,5 @@ func BenchmarkFleetCell(b *testing.B) {
 		}
 		lr = *pr.Next
 	}
+	win.report(b, b.N)
 }

@@ -13,6 +13,8 @@
 package data
 
 import (
+	"slices"
+
 	"fp8quant/internal/tensor"
 )
 
@@ -35,8 +37,84 @@ type Dataset interface {
 	// same data. The returned Sample may be shared with other callers
 	// (models.Build memoizes batches), so it must not be mutated.
 	Batch(i int) Sample
+	// BatchInto generates the i-th batch into s, byte for byte what
+	// Batch(i) returns, reusing the storage s holds from an earlier
+	// BatchInto of the same dataset: a caller streaming batches through
+	// one Sample allocates only for the first. s must own its storage,
+	// so it must not hold a Batch result.
+	BatchInto(i int, s *Sample)
 	// Batches returns how many batches the dataset provides.
 	Batches() int
+}
+
+// ShapeX returns s.X resized to shape: the tensor s already holds if it
+// has exactly that shape, else a new one, which s then holds. A reused
+// tensor keeps its old values, so a generator must write every element.
+func (s *Sample) ShapeX(shape ...int) *tensor.Tensor {
+	if s.X == nil || !slices.Equal(s.X.Shape, shape) {
+		s.X = tensor.New(shape...)
+	}
+	return s.X
+}
+
+// Len returns how many samples s holds.
+func (s Sample) Len() int {
+	switch {
+	case s.X != nil:
+		return s.X.Shape[0]
+	case s.Tokens != nil:
+		return len(s.Tokens)
+	}
+	return len(s.Bags)
+}
+
+// Alike returns a zero Sample of n samples with the per-sample
+// geometry of s (its X sample shape, its token and bag widths), in
+// storage of its own.
+func (s Sample) Alike(n int) Sample {
+	var out Sample
+	if s.X != nil {
+		shape := slices.Clone(s.X.Shape)
+		shape[0] = n
+		out.X = tensor.New(shape...)
+	}
+	if s.Tokens != nil {
+		out.Tokens = idRows(nil, n, len(s.Tokens[0]))
+	}
+	if s.Bags != nil {
+		out.Bags = idRows(nil, n, len(s.Bags[0]))
+	}
+	return out
+}
+
+// CopySample copies sample j of src into sample k of s, a Sample made
+// by src.Alike.
+func (s Sample) CopySample(k int, src Sample, j int) {
+	if s.X != nil {
+		per := len(s.X.Data) / s.X.Shape[0]
+		copy(s.X.Data[k*per:(k+1)*per], src.X.Data[j*per:(j+1)*per])
+	}
+	if s.Tokens != nil {
+		copy(s.Tokens[k], src.Tokens[j])
+	}
+	if s.Bags != nil {
+		copy(s.Bags[k], src.Bags[j])
+	}
+}
+
+// idRows returns rows resized to n capacity-capped windows of one slab
+// of n*width ids: rows itself if it already has that geometry, else a
+// new slab. An append to one row cannot reach its neighbour.
+func idRows(rows [][]int, n, width int) [][]int {
+	if len(rows) == n && (n == 0 || len(rows[0]) == width) {
+		return rows
+	}
+	rows = make([][]int, n)
+	slab := make([]int, n*width)
+	for i := range rows {
+		rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
 }
 
 // ImageDataset generates structured synthetic images: a mixture of
@@ -56,8 +134,16 @@ func (d *ImageDataset) Batches() int { return d.NumBatches }
 
 // Batch implements Dataset.
 func (d *ImageDataset) Batch(i int) Sample {
+	var s Sample
+	d.BatchInto(i, &s)
+	return s
+}
+
+// BatchInto implements Dataset. A Transform allocates its output, which
+// is copied into s.
+func (d *ImageDataset) BatchInto(i int, s *Sample) {
 	r := tensor.NewRNG(d.Seed + uint64(i)*0x9E37)
-	x := tensor.New(d.N, d.C, d.H, d.W)
+	x := s.ShapeX(d.N, d.C, d.H, d.W)
 	type blob struct{ cy, cx, sig, amp float64 }
 	var blobBuf [3]blob
 	for n := 0; n < d.N; n++ {
@@ -88,9 +174,13 @@ func (d *ImageDataset) Batch(i int) Sample {
 		}
 	}
 	if d.Transform != nil {
-		x = d.Transform(x, r)
+		// The transform gets its own copy of the generator, so r, which
+		// every batch uses, does not escape to the heap.
+		tr := new(tensor.RNG)
+		*tr = *r
+		copy(x.Data, d.Transform(x, tr).Data)
 	}
-	return Sample{X: x}
+	*s = Sample{X: x}
 }
 
 func gauss2(dy, dx, sig float64) float64 {
@@ -133,11 +223,16 @@ func (d *TokenDataset) Batches() int { return d.NumBatches }
 // Batch implements Dataset. The N rows are capacity-capped windows of
 // one slab, so an append to a row cannot reach its neighbour.
 func (d *TokenDataset) Batch(i int) Sample {
+	var s Sample
+	d.BatchInto(i, &s)
+	return s
+}
+
+// BatchInto implements Dataset.
+func (d *TokenDataset) BatchInto(i int, s *Sample) {
 	r := tensor.NewRNG(d.Seed + uint64(i)*0x5851)
-	toks := make([][]int, d.N)
-	slab := make([]int, d.N*d.T)
-	for n := range toks {
-		seq := slab[n*d.T : (n+1)*d.T : (n+1)*d.T]
+	toks := idRows(s.Tokens, d.N, d.T)
+	for _, seq := range toks {
 		prev := r.Intn(d.Vocab)
 		for t := range seq {
 			if r.Float64() < 0.2 && t > 0 {
@@ -147,9 +242,8 @@ func (d *TokenDataset) Batch(i int) Sample {
 			seq[t] = zipf(r, d.Vocab)
 			prev = seq[t]
 		}
-		toks[n] = seq
 	}
-	return Sample{Tokens: toks}
+	*s = Sample{Tokens: toks}
 }
 
 // zipf samples an id in [0, n) with p(k) ∝ 1/(k+2), cheap inverse-CDF.
@@ -187,8 +281,15 @@ func (d *TabularDataset) Batches() int { return d.NumBatches }
 
 // Batch implements Dataset.
 func (d *TabularDataset) Batch(i int) Sample {
+	var s Sample
+	d.BatchInto(i, &s)
+	return s
+}
+
+// BatchInto implements Dataset.
+func (d *TabularDataset) BatchInto(i int, s *Sample) {
 	r := tensor.NewRNG(d.Seed + uint64(i)*0xABCD)
-	x := tensor.New(d.N, d.DenseDim)
+	x := s.ShapeX(d.N, d.DenseDim)
 	x.FillNormal(r, 0, 1)
 	// Log-normal-ish heavy tail on a few dense features (counters).
 	for n := 0; n < d.N; n++ {
@@ -197,16 +298,13 @@ func (d *TabularDataset) Batch(i int) Sample {
 			x.Set(v*v*sign(v), n, j)
 		}
 	}
-	bags := make([][]int, d.N)
-	slab := make([]int, d.N*d.BagSize)
-	for n := range bags {
-		bag := slab[n*d.BagSize : (n+1)*d.BagSize : (n+1)*d.BagSize]
+	bags := idRows(s.Bags, d.N, d.BagSize)
+	for _, bag := range bags {
 		for k := range bag {
 			bag[k] = zipf(r, d.Vocab)
 		}
-		bags[n] = bag
 	}
-	return Sample{X: x, Bags: bags}
+	*s = Sample{X: x, Bags: bags}
 }
 
 func sign(v float32) float32 {
@@ -230,12 +328,20 @@ func (d *AudioDataset) Batches() int { return d.NumBatches }
 
 // Batch implements Dataset.
 func (d *AudioDataset) Batch(i int) Sample {
+	var s Sample
+	d.BatchInto(i, &s)
+	return s
+}
+
+// BatchInto implements Dataset.
+func (d *AudioDataset) BatchInto(i int, s *Sample) {
 	r := tensor.NewRNG(d.Seed + uint64(i)*0x7777)
-	x := tensor.New(d.N, 1, d.T)
+	x := s.ShapeX(d.N, 1, d.T)
+	var freqBuf, ampBuf [4]float64
 	for n := 0; n < d.N; n++ {
+		// 2-4 tones per waveform.
 		nTones := 2 + r.Intn(3)
-		freqs := make([]float64, nTones)
-		amps := make([]float64, nTones)
+		freqs, amps := freqBuf[:nTones], ampBuf[:nTones]
 		for k := range freqs {
 			freqs[k] = r.Uniform(0.01, 0.4)
 			amps[k] = r.Uniform(0.2, 1)
@@ -248,7 +354,7 @@ func (d *AudioDataset) Batch(i int) Sample {
 			x.Set(float32(v), n, 0, t)
 		}
 	}
-	return Sample{X: x}
+	*s = Sample{X: x}
 }
 
 // sin is a Bhaskara-approximation sine on the wrapped phase; exactness

@@ -1,7 +1,11 @@
 package data
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -267,5 +271,106 @@ func TestRelativeLossAndPass(t *testing.T) {
 	}
 	if !Passes(0.8, 0.85) {
 		t.Error("accuracy gain should pass")
+	}
+}
+
+// sampleDigest is a short sha256 of a sample's shapes and values.
+func sampleDigest(s Sample) string {
+	h := sha256.New()
+	var b [8]byte
+	if s.X != nil {
+		for _, d := range s.X.Shape {
+			binary.LittleEndian.PutUint64(b[:], uint64(d))
+			h.Write(b[:])
+		}
+		for _, v := range s.X.Data {
+			binary.LittleEndian.PutUint32(b[:4], math.Float32bits(v))
+			h.Write(b[:4])
+		}
+	}
+	for _, ids := range [][][]int{s.Tokens, s.Bags} {
+		binary.LittleEndian.PutUint64(b[:], uint64(len(ids)))
+		h.Write(b[:])
+		for _, row := range ids {
+			binary.LittleEndian.PutUint64(b[:], uint64(len(row)))
+			h.Write(b[:])
+			for _, id := range row {
+				binary.LittleEndian.PutUint64(b[:], uint64(id))
+				h.Write(b[:])
+			}
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+// TestBatchIntoReusesSample holds every generator's BatchInto to its
+// Batch: batch 9 generated into a Sample that held batch 2 has Batch(9)'s
+// bytes, which are those the generators produced before BatchInto
+// existed (the pinned digests), and streaming into a warm Sample
+// allocates nothing, except through an augmenting Transform.
+func TestBatchIntoReusesSample(t *testing.T) {
+	cases := []struct {
+		d      Dataset
+		digest string
+		allocs bool
+	}{
+		{&ImageDataset{N: 4, C: 3, H: 12, W: 12, NumBatches: 2, Seed: 7}, "96499ed3f7a322a9", false},
+		{&ImageDataset{N: 4, C: 3, H: 12, W: 12, NumBatches: 2, Seed: 7, Transform: AugmentTraining}, "2c9e339e40cdee8c", true},
+		{&ImageDataset{N: 4, C: 3, H: 12, W: 12, NumBatches: 2, Seed: 7, Transform: AugmentInference}, "9e3ba5740f262aeb", true},
+		{&TokenDataset{N: 4, T: 12, Vocab: 128, NumBatches: 2, Seed: 3}, "fdac07379506ff91", false},
+		{&TabularDataset{N: 4, DenseDim: 13, Vocab: 100, BagSize: 3, NumBatches: 2, Seed: 2}, "3b32fcb762d7ac61", false},
+		{&AudioDataset{N: 4, T: 256, NumBatches: 2, Seed: 4}, "ccc13a924b991705", false},
+	}
+	for _, c := range cases {
+		want := c.d.Batch(9)
+		if got := sampleDigest(want); got != c.digest {
+			t.Errorf("%T: Batch(9) digest %s, want %s", c.d, got, c.digest)
+		}
+		var s Sample
+		c.d.BatchInto(2, &s)
+		x, toks := s.X, s.Tokens
+		c.d.BatchInto(9, &s)
+		if sampleDigest(s) != sampleDigest(want) || (s.X == nil) != (want.X == nil) {
+			t.Errorf("%T: BatchInto(9) into a reused Sample differs from Batch(9)", c.d)
+		}
+		if s.X != x || len(toks) > 0 && &s.Tokens[0][0] != &toks[0][0] {
+			t.Errorf("%T: BatchInto replaced the Sample's storage", c.d)
+		}
+		if c.allocs {
+			continue
+		}
+		if n := testing.AllocsPerRun(5, func() { c.d.BatchInto(3, &s) }); n != 0 {
+			t.Errorf("%T: BatchInto into a warm Sample allocates %.0f objects, want 0", c.d, n)
+		}
+	}
+}
+
+// TestSampleAlikeCopySample packs chosen samples of a batch into a
+// Sample made by Alike, per modality.
+func TestSampleAlikeCopySample(t *testing.T) {
+	for _, d := range []Dataset{
+		&ImageDataset{N: 4, C: 2, H: 3, W: 3, NumBatches: 1, Seed: 1},
+		&TokenDataset{N: 4, T: 5, Vocab: 16, NumBatches: 1, Seed: 1},
+		&TabularDataset{N: 4, DenseDim: 3, Vocab: 16, BagSize: 2, NumBatches: 1, Seed: 1},
+	} {
+		src := d.Batch(0)
+		dst := src.Alike(2)
+		if dst.Len() != 2 {
+			t.Fatalf("%T: Alike(2) holds %d samples", d, dst.Len())
+		}
+		dst.CopySample(0, src, 3)
+		dst.CopySample(1, src, 1)
+		for k, j := range []int{3, 1} {
+			if src.X != nil {
+				per := len(src.X.Data) / src.Len()
+				if !slices.Equal(dst.X.Data[k*per:(k+1)*per], src.X.Data[j*per:(j+1)*per]) {
+					t.Errorf("%T: packed sample %d is not sample %d", d, k, j)
+				}
+			}
+			if src.Tokens != nil && !slices.Equal(dst.Tokens[k], src.Tokens[j]) ||
+				src.Bags != nil && !slices.Equal(dst.Bags[k], src.Bags[j]) {
+				t.Errorf("%T: packed ids %d are not sample %d's", d, k, j)
+			}
+		}
 	}
 }

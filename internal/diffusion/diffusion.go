@@ -227,10 +227,15 @@ type latentDataset struct {
 
 func (l *latentDataset) Batches() int { return l.batches }
 func (l *latentDataset) Batch(i int) data.Sample {
+	var s data.Sample
+	l.BatchInto(i, &s)
+	return s
+}
+func (l *latentDataset) BatchInto(i int, s *data.Sample) {
 	r := tensor.NewRNG(l.seed + uint64(i)*977)
-	x := tensor.New(4, LatentC, LatentH, LatentW)
+	x := s.ShapeX(4, LatentC, LatentH, LatentW)
 	x.FillNormal(r, 0, 1)
-	return data.Sample{X: x}
+	*s = data.Sample{X: x}
 }
 
 // Generate runs the full iterative denoising loop for nImages per

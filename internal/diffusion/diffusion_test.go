@@ -2,8 +2,10 @@ package diffusion
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"fp8quant/internal/data"
 	"fp8quant/internal/nn"
 	"fp8quant/internal/quant"
 )
@@ -14,6 +16,24 @@ func TestDenoiserShapes(t *testing.T) {
 	out := p.Run(s)
 	if out.Shape[1] != LatentC || out.Shape[2] != LatentH {
 		t.Fatalf("denoiser output shape %v", out.Shape)
+	}
+}
+
+// TestLatentBatchIntoReusesSample holds the calibration latents'
+// BatchInto to Batch: a Sample that held batch 1 gets batch 5's bytes in
+// its own tensor, and a warm Sample allocates nothing.
+func TestLatentBatchIntoReusesSample(t *testing.T) {
+	d := NewPipeline(1, 2).CalibData()
+	var s data.Sample
+	d.BatchInto(1, &s)
+	x := s.X
+	d.BatchInto(5, &s)
+	want := d.Batch(5).X
+	if s.X != x || !slices.Equal(s.X.Shape, want.Shape) || !slices.Equal(s.X.Data, want.Data) {
+		t.Error("BatchInto(5) into a reused Sample differs from Batch(5) or replaced its tensor")
+	}
+	if n := testing.AllocsPerRun(5, func() { d.BatchInto(3, &s) }); n != 0 {
+		t.Errorf("BatchInto into a warm Sample allocates %.0f objects, want 0", n)
 	}
 }
 

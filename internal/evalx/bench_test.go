@@ -10,11 +10,11 @@ import (
 
 // BenchmarkQuantizeWarm is one session network's warm cycle over the six
 // Table-2 recipes, each through the paper's per-domain settings:
-// Quantize, AccuracyAgainst and Release per recipe, on a planned network
-// whose site table, plan chunks and FP32 reference an earlier cycle
-// built, as a sweep worker's cells of one model run. yolov3 is a
-// BatchNorm CNN (BNCalib), tinybert_mrpc a token model (SmoothQuant).
-// make bench-gate holds its allocs/op.
+// Quantize, Split.Accuracy and Release per recipe, on a planned network
+// whose site table, plan chunks, FP32 reference and eval split (its
+// packed kept set) an earlier cycle built, as a sweep worker's cells of
+// one model run. yolov3 is a BatchNorm CNN (BNCalib), tinybert_mrpc a
+// token model (SmoothQuant). make bench-gate holds its allocs/op.
 func BenchmarkQuantizeWarm(b *testing.B) {
 	for _, name := range []string{"yolov3", "tinybert_mrpc"} {
 		b.Run(name, func(b *testing.B) {
@@ -24,7 +24,7 @@ func BenchmarkQuantizeWarm(b *testing.B) {
 			}
 			net.InstallPlan(nn.NewPlan(nil))
 			defer net.InstallPlan(nil)
-			ref := ComputeReference(net)
+			sp := NewSplit(ComputeReference(net))
 			recipes := []quant.Recipe{
 				quant.StandardFP8(quant.E5M2),
 				quant.StandardFP8(quant.E4M3),
@@ -39,7 +39,7 @@ func BenchmarkQuantizeWarm(b *testing.B) {
 			cycle := func() {
 				for _, r := range recipes {
 					h := quant.Quantize(net, net.Data, r)
-					AccuracyAgainst(net, ref)
+					sp.Accuracy(net)
 					h.Release()
 				}
 			}

@@ -7,6 +7,7 @@ package evalx
 
 import (
 	"math"
+	"slices"
 
 	"fp8quant/internal/data"
 	"fp8quant/internal/models"
@@ -79,7 +80,8 @@ type Reference struct {
 func ComputeReference(net *models.Network) Reference {
 	var ref Reference
 	var margins []float32
-	runEvalSplit(net, func(out *tensor.Tensor) {
+	var buf data.Sample
+	stream(net, &buf, func(out *tensor.Tensor) {
 		if net.Eval != models.Argmax {
 			ref.Scores = append(ref.Scores, out.Data...)
 			return
@@ -107,11 +109,13 @@ func ComputeReference(net *models.Network) Reference {
 	return ref
 }
 
-// runEvalSplit runs the eval split [EvalStart, EvalEnd) through net in
-// batch order, handing each batch's output to f.
-func runEvalSplit(net *models.Network, f func(out *tensor.Tensor)) {
+// stream runs the eval split [EvalStart, EvalEnd) through net in batch
+// order, generating each batch into buf (data.Dataset.BatchInto), and
+// hands each batch's output to f. No batch of the split stays resident.
+func stream(net *models.Network, buf *data.Sample, f func(out *tensor.Tensor)) {
 	for b := EvalStart; b < EvalEnd; b++ {
-		f(net.Run(net.Data.Batch(b)))
+		net.Data.BatchInto(b, buf)
+		f(net.Run(*buf))
 	}
 }
 
@@ -138,37 +142,171 @@ func rowLabel(row []float32) (label int, margin float32) {
 	return label, best - second
 }
 
+// Split is one model's eval split as quantized evaluation reads it
+// against the model's FP32 reference: a buffer the split's batches
+// stream through and, once a row-independent evaluation of an Argmax
+// model first asks for them, the samples with a kept reference row
+// packed in sample order into batches of the split's batch size. It
+// depends only on the model and its reference, so a harness session
+// builds one per model next to its network and drops it with the
+// network. A Split is not safe for concurrent use.
+type Split struct {
+	ref Reference
+	// Forwarded counts what Accuracy has forwarded since the split was
+	// made. It is out-of-band work accounting: no Result, store cell or
+	// fingerprint reads it.
+	Forwarded Work
+	// buf is the stream buffer of the split's batches.
+	buf data.Sample
+	// packed reports that the kept set was built. kept holds its
+	// batches and origin the split index of each of its samples, in
+	// order; both are nil when every sample has a kept row.
+	packed bool
+	kept   []data.Sample
+	origin []int
+}
+
+// Work counts forwarded samples and batches.
+type Work struct {
+	Samples, Batches int
+}
+
+// add counts batch b as forwarded.
+func (w *Work) add(b data.Sample) {
+	w.Samples += b.Len()
+	w.Batches++
+}
+
+// NewSplit returns the split of the model whose FP32 reference is ref.
+func NewSplit(ref Reference) *Split { return &Split{ref: ref} }
+
 // AccuracyAgainst measures the current model state against a reference
-// computed earlier with ComputeReference.
+// computed earlier with ComputeReference, on a split of its own, so a
+// row-independent state packs the kept set afresh. A caller that
+// evaluates many states of a model, such as a sweep worker, keeps one
+// Split and calls its Accuracy instead.
 func AccuracyAgainst(net *models.Network, ref Reference) float64 {
-	if net.Eval == models.Argmax {
-		// Each batch's rows are compared as they arrive, at their
-		// running offset into the reference.
-		i, kept, hit := 0, 0, 0
-		runEvalSplit(net, func(out *tensor.Tensor) {
-			cols := out.Shape[out.Rank()-1]
-			for r := 0; r < out.Len()/cols; r, i = r+1, i+1 {
-				if ref.Keep != nil && !ref.Keep[i] {
-					continue
-				}
-				kept++
-				if data.Argmax(out.Data[r*cols:(r+1)*cols]) == ref.Labels[i] {
-					hit++
-				}
-			}
-		})
-		if kept == 0 {
-			return 0
-		}
-		return float64(hit) / float64(kept)
+	return NewSplit(ref).Accuracy(net)
+}
+
+// Accuracy measures net's current state, as quant.Quantize left it,
+// against the split's reference: for an Argmax model the fraction of
+// kept reference rows whose argmax it reproduces, for a Score model the
+// Pearson correlation of its outputs with the reference's (clamped at
+// 0). While net's forward is row independent (quant.Sites.RowIndependent:
+// FP32, Static and Direct recipes), an Argmax model forwards only the
+// packed samples that have a kept row, and each kept row's bytes are
+// those the full split's batch would give it. Otherwise, and for Score
+// models, the full split streams through the buffer.
+func (sp *Split) Accuracy(net *models.Network) float64 {
+	if net.Eval != models.Argmax {
+		return sp.score(net)
 	}
+	var t tally
+	if net.Sites().RowIndependent() && sp.keptBatches(net) != nil {
+		for _, b := range sp.kept {
+			sp.count(&t, b, net.Run(b), sp.origin)
+		}
+	} else {
+		stream(net, &sp.buf, func(out *tensor.Tensor) { sp.count(&t, sp.buf, out, nil) })
+	}
+	if t.kept == 0 {
+		return 0
+	}
+	return float64(t.hit) / float64(t.kept)
+}
+
+// tally accumulates an Argmax evaluation: kept counts the kept
+// reference rows compared, hit those whose argmax matched, and next the
+// samples compared so far.
+type tally struct{ next, kept, hit int }
+
+// count compares the rows out computed from batch b with the reference
+// rows of b's samples, and counts b as forwarded. b's samples are the
+// split's samples t.next, t.next+1, ... or, with origin, the split's
+// samples origin[t.next], origin[t.next+1], ...; each sample has the
+// same number of rows.
+func (sp *Split) count(t *tally, b data.Sample, out *tensor.Tensor, origin []int) {
+	sp.Forwarded.add(b)
+	cols := out.Shape[out.Rank()-1]
+	rows := out.Len() / cols
+	rps := rows / b.Len()
+	for r := 0; r < rows; r++ {
+		s := t.next + r/rps
+		if origin != nil {
+			s = origin[s]
+		}
+		i := s*rps + r%rps
+		if sp.ref.Keep != nil && !sp.ref.Keep[i] {
+			continue
+		}
+		t.kept++
+		if data.Argmax(out.Data[r*cols:(r+1)*cols]) == sp.ref.Labels[i] {
+			t.hit++
+		}
+	}
+	t.next += b.Len()
+}
+
+// keptBatches returns the packed kept set, which its first call builds:
+// it streams the split once and copies each sample with a kept
+// reference row into the next packed batch. A model with several rows
+// per sample (per-pixel outputs) packs every sample with any kept row;
+// when that is every sample, the full split is the kept set and
+// keptBatches returns nil, as it does for a reference without a keep
+// mask.
+func (sp *Split) keptBatches(net *models.Network) []data.Sample {
+	if sp.packed || sp.ref.Keep == nil {
+		return sp.kept
+	}
+	sp.packed = true
+	net.Data.BatchInto(EvalStart, &sp.buf)
+	n := sp.buf.Len()
+	total := n * (EvalEnd - EvalStart)
+	rps := len(sp.ref.Keep) / total
+	var origin []int
+	for s := 0; s < total; s++ {
+		if slices.Contains(sp.ref.Keep[s*rps:(s+1)*rps], true) {
+			origin = append(origin, s)
+		}
+	}
+	if len(origin) == total {
+		return nil
+	}
+	var cur data.Sample
+	fill := 0
+	for b, k := EvalStart, 0; k < len(origin); b++ {
+		if b > EvalStart {
+			net.Data.BatchInto(b, &sp.buf)
+		}
+		base := (b - EvalStart) * n
+		for ; k < len(origin) && origin[k] < base+n; k++ {
+			if fill == 0 {
+				cur = sp.buf.Alike(min(n, len(origin)-k))
+			}
+			cur.CopySample(fill, sp.buf, origin[k]-base)
+			if fill++; fill == cur.Len() {
+				sp.kept = append(sp.kept, cur)
+				fill = 0
+			}
+		}
+	}
+	sp.origin = origin
+	return sp.kept
+}
+
+// score is Accuracy for a Score model over the full split.
+func (sp *Split) score(net *models.Network) float64 {
 	var scores []float32
-	runEvalSplit(net, func(out *tensor.Tensor) { scores = append(scores, out.Data...) })
+	stream(net, &sp.buf, func(out *tensor.Tensor) {
+		sp.Forwarded.add(sp.buf)
+		scores = append(scores, out.Data...)
+	})
 	a := make([]float64, len(scores))
 	bb := make([]float64, len(scores))
 	for i := range scores {
 		a[i] = float64(scores[i])
-		bb[i] = float64(ref.Scores[i])
+		bb[i] = float64(sp.ref.Scores[i])
 	}
 	p := data.Pearson(a, bb)
 	if p < 0 {
@@ -196,18 +334,18 @@ func PaperRecipe(base quant.Recipe, net *models.Network) quant.Recipe {
 // Evaluate applies the recipe to the model, measures agreement, and
 // restores the model. Set paperDefaults to apply PaperRecipe.
 func Evaluate(net *models.Network, base quant.Recipe, paperDefaults bool) Result {
-	return EvaluateWithRef(net, base, paperDefaults, ComputeReference(net))
+	return EvaluateOn(net, base, paperDefaults, NewSplit(ComputeReference(net)))
 }
 
-// EvaluateWithRef is Evaluate with a precomputed FP32 reference,
-// letting callers amortize the reference pass across recipes.
-func EvaluateWithRef(net *models.Network, base quant.Recipe, paperDefaults bool, ref Reference) Result {
+// EvaluateOn is Evaluate on the model's split, letting callers amortize
+// the reference pass and the kept set across recipes.
+func EvaluateOn(net *models.Network, base quant.Recipe, paperDefaults bool, sp *Split) Result {
 	r := base
 	if paperDefaults {
 		r = PaperRecipe(base, net)
 	}
 	h := quant.Quantize(net, net.Data, r)
-	acc := AccuracyAgainst(net, ref)
+	acc := sp.Accuracy(net)
 	h.Release()
 	rl := data.RelativeLoss(1.0, acc)
 	return Result{

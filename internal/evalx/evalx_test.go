@@ -102,9 +102,9 @@ func TestEvaluateRecipesSharesReference(t *testing.T) {
 		quant.StandardFP8(quant.E4M3),
 		quant.StandardFP8(quant.E3M4),
 	}
-	ref := ComputeReference(net)
+	sp := NewSplit(ComputeReference(net))
 	for _, b := range rs {
-		r := EvaluateWithRef(net, b, true, ref)
+		r := EvaluateOn(net, b, true, sp)
 		if r.QAcc <= 0 || r.QAcc > 1 {
 			t.Errorf("%s acc out of range: %v", r.Recipe, r.QAcc)
 		}
@@ -172,9 +172,9 @@ func TestComputeLossStats(t *testing.T) {
 // unsmoothed dynamic INT8 baseline.
 func TestFormatOrderingOnOutlierNLP(t *testing.T) {
 	net, _ := models.Build("bloom_560m")
-	ref := ComputeReference(net)
-	fp8 := EvaluateWithRef(net, quant.StandardFP8(quant.E4M3), true, ref)
-	int8 := EvaluateWithRef(net, quant.StandardINT8(true), true, ref)
+	sp := NewSplit(ComputeReference(net))
+	fp8 := EvaluateOn(net, quant.StandardFP8(quant.E4M3), true, sp)
+	int8 := EvaluateOn(net, quant.StandardINT8(true), true, sp)
 	if fp8.QAcc <= int8.QAcc {
 		t.Errorf("E4M3 static (%.4f) should beat dynamic INT8 (%.4f) on outlier NLP",
 			fp8.QAcc, int8.QAcc)

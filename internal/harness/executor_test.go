@@ -251,7 +251,7 @@ func TestRunGridBuildsEachModelOnce(t *testing.T) {
 		},
 		cell: func(c Cell) evalx.Result {
 			name := c.Values[0]
-			return withModelCell(c.session, name, c.Values[1], func(net *models.Network, _ evalx.Reference) evalx.Result {
+			return withModelCell(c.session, name, c.Values[1], func(net *models.Network, _ *evalx.Split) evalx.Result {
 				mu.Lock()
 				nets[net] = true
 				first := len(barrier) < 2

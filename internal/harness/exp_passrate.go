@@ -35,8 +35,8 @@ func init() {
 // paper's per-domain settings, against its FP32 reference, on the
 // session's network of the model (withModelCell).
 func evalModelCell(s *Session, name, label string, recipe func(*models.Network) quant.Recipe) evalx.Result {
-	return withModelCell(s, name, label, func(net *models.Network, ref evalx.Reference) evalx.Result {
-		return evalx.EvaluateWithRef(net, recipe(net), true, ref)
+	return withModelCell(s, name, label, func(net *models.Network, sp *evalx.Split) evalx.Result {
+		return evalx.EvaluateOn(net, recipe(net), true, sp)
 	})
 }
 
@@ -268,7 +268,7 @@ func fig7Spec() GridSpec {
 
 func runFig7Cell(c Cell) evalx.Result {
 	name, cfg := c.Values[0], fig7Cfgs[c.Coords[1]]
-	return withModelCell(c.session, name, cfg.label, func(net *models.Network, ref evalx.Reference) evalx.Result {
+	return withModelCell(c.session, name, cfg.label, func(net *models.Network, sp *evalx.Split) evalx.Result {
 		if !net.Meta.HasBN {
 			return evalx.Failed(name, cfg.label, errNoBatchNorm)
 		}
@@ -279,7 +279,7 @@ func runFig7Cell(c Cell) evalx.Result {
 		r := quant.StandardFP8(quant.E4M3)
 		r.CalibBatches = evalx.CalibBatches
 		h := quant.Quantize(net, ds, r.WithBNCalib(bnBatches))
-		acc := evalx.AccuracyAgainst(net, ref)
+		acc := sp.Accuracy(net)
 		h.Release()
 		loss := data.RelativeLoss(1.0, acc)
 		return evalx.Result{

@@ -19,7 +19,7 @@ func ComputeCellAt(e Experiment, idx int) (resultstore.CellKey, evalx.Result) {
 // named model on c's session, for the external tests that drive cells
 // through a coordinator.
 func CellNetwork(c Cell, name string) (net *models.Network) {
-	withModelCell(c.session, name, "", func(n *models.Network, _ evalx.Reference) evalx.Result {
+	withModelCell(c.session, name, "", func(n *models.Network, _ *evalx.Split) evalx.Result {
 		net = n
 		return evalx.Result{}
 	})

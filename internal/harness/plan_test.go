@@ -30,7 +30,7 @@ func TestWithPlanPreservesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := evalx.EvaluateWithRef(netU, recipe, true, modelRef(name, netU))
+	want := evalx.EvaluateOn(netU, recipe, true, evalx.NewSplit(modelRef(name, netU)))
 
 	s := new(Session)
 	for cell := 0; cell < 3; cell++ {
@@ -182,7 +182,7 @@ func TestWithModelCellReturnsPlan(t *testing.T) {
 		cell  func()
 	}{
 		{"failed build", func() {
-			r := withModelCell(&s, "no_such_model", "E4M3", func(*models.Network, evalx.Reference) evalx.Result {
+			r := withModelCell(&s, "no_such_model", "E4M3", func(*models.Network, *evalx.Split) evalx.Result {
 				t.Fatal("eval ran for a model that failed to build")
 				return evalx.Result{}
 			})
@@ -196,13 +196,13 @@ func TestWithModelCellReturnsPlan(t *testing.T) {
 					t.Error("the cell did not panic")
 				}
 			}()
-			withModelCell(&s, name, "E4M3", func(net *models.Network, _ evalx.Reference) evalx.Result {
+			withModelCell(&s, name, "E4M3", func(net *models.Network, _ *evalx.Split) evalx.Result {
 				nets = append(nets, net)
 				panic("cell failed")
 			})
 		}},
 		{"returning cell", func() {
-			withModelCell(&s, name, "E4M3", func(net *models.Network, _ evalx.Reference) evalx.Result {
+			withModelCell(&s, name, "E4M3", func(net *models.Network, _ *evalx.Split) evalx.Result {
 				nets = append(nets, net)
 				return evalx.Result{}
 			})

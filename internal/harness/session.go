@@ -17,6 +17,14 @@
 // the match because the warm-up ran that tier's kernels. The session
 // drops the network when the worker moves to another model or tier, and
 // when a cell panics, since that cell may have left it half quantized.
+//
+// Next to the network the session holds the model's eval split
+// (evalx.Split), made on the model's first cell from the process's
+// cached FP32 reference: the stream buffer the split's batches are
+// generated into and the packed kept samples that row-independent
+// cells forward. It is dropped with the network, so the memory it
+// holds is bounded by the number of workers, not by the number of
+// models a process has run.
 
 package harness
 
@@ -32,6 +40,7 @@ import (
 type Session struct {
 	plan    *nn.Plan
 	net     *models.Network
+	split   *evalx.Split
 	name    string
 	variant kernels.Variant
 }
@@ -45,7 +54,7 @@ func (s *Session) network(name string) (*models.Network, error) {
 	if s.net != nil && s.name == name && s.variant == v {
 		return s.net, nil
 	}
-	s.net = nil
+	s.net, s.split = nil, nil
 	if s.plan == nil {
 		s.plan = nn.NewPlan(nil)
 	}
@@ -58,13 +67,14 @@ func (s *Session) network(name string) (*models.Network, error) {
 }
 
 // withModelCell runs the steps every model cell shares: it takes the
-// session's FP32 network of the named model (network), then the
-// model's FP32 reference, and hands both to eval. eval must leave the
-// network as it found it, which quant.Handle.Release does; if eval
-// panics, the session drops the network. A nil session serves this one
-// cell alone, on a fresh plan. A model that fails to build yields a
-// Failed result under label.
-func withModelCell(s *Session, name, label string, eval func(*models.Network, evalx.Reference) evalx.Result) evalx.Result {
+// session's FP32 network of the named model (network) and the model's
+// eval split, made from its FP32 reference on the model's first cell,
+// and hands both to eval. eval must leave the network as it found it,
+// which quant.Handle.Release does; if eval panics, the session drops
+// the network and its split. A nil session serves this one cell alone,
+// on a fresh plan. A model that fails to build yields a Failed result
+// under label.
+func withModelCell(s *Session, name, label string, eval func(*models.Network, *evalx.Split) evalx.Result) evalx.Result {
 	if s == nil {
 		s = new(Session)
 	}
@@ -72,13 +82,16 @@ func withModelCell(s *Session, name, label string, eval func(*models.Network, ev
 	if err != nil {
 		return evalx.Failed(name, label, err)
 	}
+	if s.split == nil {
+		s.split = evalx.NewSplit(modelRef(name, net))
+	}
 	returned := false
 	defer func() {
 		if !returned {
-			s.net = nil
+			s.net, s.split = nil, nil
 		}
 	}()
-	r := eval(net, modelRef(name, net))
+	r := eval(net, s.split)
 	returned = true
 	return r
 }

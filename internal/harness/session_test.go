@@ -169,9 +169,9 @@ func TestWithModelCellReusesNetwork(t *testing.T) {
 	var s Session
 	var nets []*models.Network
 	for cell := 0; cell < 2; cell++ {
-		withModelCell(&s, "tinybert_mrpc", "E4M3", func(net *models.Network, ref evalx.Reference) evalx.Result {
+		withModelCell(&s, "tinybert_mrpc", "E4M3", func(net *models.Network, sp *evalx.Split) evalx.Result {
 			nets = append(nets, net)
-			return evalx.EvaluateWithRef(net, recipe(net), true, ref)
+			return evalx.EvaluateOn(net, recipe(net), true, sp)
 		})
 	}
 	if nets[0] != nets[1] {
@@ -202,7 +202,7 @@ func TestPanickingCellDropsNetwork(t *testing.T) {
 				t.Fatal("the cell did not panic")
 			}
 		}()
-		withModelCell(&s, name, "E4M3", func(net *models.Network, _ evalx.Reference) evalx.Result {
+		withModelCell(&s, name, "E4M3", func(net *models.Network, _ *evalx.Split) evalx.Result {
 			quant.Quantize(net, net.Data, quant.StandardFP8(quant.E4M3))
 			panic("cell failed after Quantize")
 		})
@@ -215,12 +215,12 @@ func TestPanickingCellDropsNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	var diffs []string
-	got := withModelCell(&s, name, "E4M3", func(net *models.Network, ref evalx.Reference) evalx.Result {
+	got := withModelCell(&s, name, "E4M3", func(net *models.Network, sp *evalx.Split) evalx.Result {
 		if net == first {
 			t.Error("the next cell took the panicking cell's network")
 		}
 		diffs = diffValues(reflect.ValueOf(fresh.Root()), reflect.ValueOf(net.Root()), "root")
-		return evalx.EvaluateWithRef(net, recipe(net), true, ref)
+		return evalx.EvaluateOn(net, recipe(net), true, sp)
 	})
 	if len(diffs) > 0 {
 		t.Errorf("the rebuilt network differs from a fresh Build:\n%s", strings.Join(diffs, "\n"))

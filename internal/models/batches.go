@@ -1,13 +1,17 @@
-// Batch memo. Every pass over a model reads the same synthetic batches:
-// the BatchNorm warm-up, the FP32 reference, calibration and each
-// recipe's evaluation. A model's dataset depends only on its name, so
-// Build wraps the network's Data in a memo that generates each batch
-// index once per process and hands every later caller the same
-// read-only Sample. The memo holds at most batchBudget bytes of batch
-// data; past it, the batch set of the least recently built model is
-// dropped. Dropping only removes the memo's reference: networks that
-// hold the set keep using it, and the next Build of the model
-// generates identical bytes again.
+// Batch memo. The passes that run a model on its calibration batches
+// read the same synthetic batches again and again: the BatchNorm
+// warm-up, and each recipe's calibration and BatchNorm re-estimation
+// (quant.Quantize), all from batch 0 on. A model's dataset depends only
+// on its name, so Build wraps the network's Data in a memo that
+// generates each batch index Batch asks for once per process and hands
+// every later caller the same read-only Sample. The eval split does not
+// pass through it: evaluation streams its batches through BatchInto,
+// which the memo forwards to the model's generator, so the memo holds
+// calibration reads only. The memo holds at most batchBudget bytes of
+// batch data; past it, the batch set of the least recently built model
+// is dropped. Dropping only removes the memo's reference: networks that
+// hold the set keep using it, and the next Build of the model generates
+// identical bytes again.
 
 package models
 
@@ -19,9 +23,11 @@ import (
 	"fp8quant/internal/data"
 )
 
-// batchBudget bounds the memoized batch bytes. It holds every batch a
-// sweep cell reads for five CNNs (756 KiB each) or sixteen token models
-// (42 KiB each), so a sweep's hits do not depend on its cell order.
+// batchBudget bounds the memoized batch bytes. A sweep cell's
+// calibration reads are four batches: 108 KiB for a CNN, 6 KiB for a
+// token model. The budget, unchanged since the memo also held the eval
+// split, now holds those of all 75 zoo models (3.9 MiB), so a sweep's
+// hits do not depend on its cell order.
 const batchBudget = 4 << 20
 
 // batchSet is one model's memoized batches.
@@ -62,6 +68,10 @@ func (d *memoDataset) Batch(i int) data.Sample {
 	chargeBatch(set, sampleBytes(s))
 	return s
 }
+
+// BatchInto implements data.Dataset: inner's generator, bypassing the
+// memo, for callers that stream batches through a Sample they own.
+func (d *memoDataset) BatchInto(i int, s *data.Sample) { d.inner.BatchInto(i, s) }
 
 // memoBatches routes n's batches through its model's batch set, making
 // that set the most recently built.

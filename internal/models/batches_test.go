@@ -28,8 +28,10 @@ func mustBuild(t *testing.T, name string) *Network {
 	return n
 }
 
-// cellBatches reads the batches a sweep cell reads: evalx's calibration
-// batches [0, 4) and evaluation batches [8, 32).
+// cellBatches reads 28 batches through the memo: evalx's calibration
+// batches [0, 4) and the indices of its eval split [8, 32), which cells
+// stream through BatchInto instead, so six CNNs' sets overrun the
+// memo's budget.
 func cellBatches(n *Network) []data.Sample {
 	var out []data.Sample
 	for i := 0; i < 32; i++ {

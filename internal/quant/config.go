@@ -127,6 +127,14 @@ func (r Recipe) Name() string {
 	return fmt.Sprintf("%s %s", r.Act, r.Approach)
 }
 
+// RowIndependent reports whether a network quantized under r computes
+// each output row from its own input row alone, as the FP32 network
+// does. Static and Direct activation scales are fixed before the
+// forward and weights are rounded once, so every op stays per sample; a
+// Dynamic recipe takes each activation scale over the whole batch
+// tensor, so a row's bytes depend on the batch it runs in.
+func (r Recipe) RowIndependent() bool { return r.Approach != Dynamic || r.Act == FP32 }
+
 // StandardFP8 returns the paper's standard-scheme recipe for the given
 // FP8 format: static per-tensor activation / per-channel weight max
 // scaling, first/last conv excluded. E5M2 uses Direct (no range

@@ -47,7 +47,8 @@ type vecDataset struct {
 	bigChannel bool
 }
 
-func (v *vecDataset) Batches() int { return v.batches }
+func (v *vecDataset) Batches() int                    { return v.batches }
+func (v *vecDataset) BatchInto(i int, s *data.Sample) { *s = v.Batch(i) }
 func (v *vecDataset) Batch(i int) data.Sample {
 	r := tensor.NewRNG(v.seed + uint64(i))
 	x := tensor.New(v.n, v.d)
@@ -100,7 +101,8 @@ type imgDataset struct {
 	seed    uint64
 }
 
-func (v *imgDataset) Batches() int { return v.batches }
+func (v *imgDataset) Batches() int                    { return v.batches }
+func (v *imgDataset) BatchInto(i int, s *data.Sample) { *s = v.Batch(i) }
 func (v *imgDataset) Batch(i int) data.Sample {
 	r := tensor.NewRNG(v.seed + uint64(i))
 	x := tensor.New(2, 1, 8, 8)

@@ -64,14 +64,17 @@ type Sites struct {
 	// bns are the model's BatchNorms in walk order.
 	bns []*nn.BatchNorm2d
 
-	// Per-call state, reset by each Quantize. active lists the sites
-	// the recipe quantizes; cell is the arena weight masters are carved
-	// from (nil: the heap), weights maps each modified weight to its
-	// FP32 master and rounded marks the weights already rounded.
-	active  []*target
-	cell    *tensor.Arena
-	weights map[*tensor.Tensor][]float32
-	rounded map[*tensor.Tensor]bool
+	// Per-call state, reset by each Quantize. batchCoupled reports
+	// that the live Handle's recipe is not RowIndependent (Release
+	// clears it); active lists the sites the recipe quantizes; cell is
+	// the arena weight masters are carved from (nil: the heap), weights
+	// maps each modified weight to its FP32 master and rounded marks
+	// the weights already rounded.
+	batchCoupled bool
+	active       []*target
+	cell         *tensor.Arena
+	weights      map[*tensor.Tensor][]float32
+	rounded      map[*tensor.Tensor]bool
 	// bnStats is the BatchNorms' FP32 statistics snapshot that Release
 	// restores, and calib the re-estimation's accumulators and
 	// snapshots (nn.CalibScratch).
@@ -145,7 +148,15 @@ func (h *Handle) Release() {
 	for _, t := range s.active {
 		t.qs.Reset()
 	}
+	s.batchCoupled = false
 }
+
+// RowIndependent reports whether the model's forward, as the live
+// Handle on it left it, computes each output row from its own input row
+// alone: true with no live Handle (the FP32 network) or under a
+// RowIndependent recipe. A caller may then run any subset of a batch's
+// samples and get their rows bit for bit.
+func (s *Sites) RowIndependent() bool { return !s.batchCoupled }
 
 // target is one quantization site: a QState plus the metadata needed to
 // calibrate and convert it. The first block is fixed when the table is
@@ -196,6 +207,7 @@ func Quantize(m Model, ds data.Dataset, r Recipe) *Handle {
 		s.build(m.Root())
 	}
 	h.sites = s
+	s.batchCoupled = !r.RowIndependent()
 	s.cell = cell
 	clear(s.weights)
 	clear(s.rounded)
