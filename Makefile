@@ -26,16 +26,23 @@ vet-contracts:
 	$(GO) run ./cmd/fp8vet ./...
 
 # Fused multiply-add audit: cross-compile internal/nn, internal/quant,
-# internal/evalx, internal/fp8, internal/textgen and internal/tensor
-# for arm64 with the assembly listing and fail on any fused
-# multiply-add inside one of their symbols. amd64 emits none, so one
-# there would let arm64 layer outputs, calibration thresholds, report
-# statistics, the FP8 oracle, the beam scores that pick Table 4's
-# generations, or the weights and percentiles tensor computes round
-# differently. A listing without a symbol of one of the packages fails
+# internal/evalx, internal/fp8, internal/textgen, internal/tensor,
+# internal/data, internal/models, internal/diffusion and
+# internal/harness for arm64 with the assembly listing and fail on any
+# fused multiply-add inside one of their symbols. amd64 emits none, so
+# one there would let arm64 layer outputs, calibration thresholds,
+# report statistics, the FP8 oracle, the beam scores that pick Table
+# 4's generations, the weights and percentiles tensor computes, the
+# synthetic inputs, the models' initial weights, the diffusion
+# sampler's latents or the figure statistics harness renders round
+# differently. The audit attributes an op to the package of the symbol
+# it sits in, so tensor code inlined into data is checked as data.
+# internal/coord stays out: its one fused op is the cost model's moving
+# average of wall-clock times, which orders the work but never reaches
+# a payload. A listing without a symbol of one of the packages fails
 # too, so the check cannot pass vacuously.
 fma-audit:
-	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; pkgs="nn quant evalx fp8 textgen tensor"; \
+	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; pkgs="nn quant evalx fp8 textgen tensor data models diffusion harness"; \
 	GOARCH=arm64 $(GO) build -gcflags=-S $$(for p in $$pkgs; do echo ./internal/$$p; done) 2> "$$out" || { cat "$$out"; exit 1; }; \
 	awk -v pkgs="$$pkgs" ' \
 		BEGIN { n = split(pkgs, p, " "); for (i = 1; i <= n; i++) audited["fp8quant/internal/" p[i]] = 1 } \

@@ -10,7 +10,8 @@
 // -trend renders the recorded history as a markdown table with an
 // ASCII sparkline per benchmark (ns/op across entries, plus the
 // first→latest allocs/op movement), reading only the JSON file — no
-// benchmark run required.
+// benchmark run required. A benchmark whose latest entry records no
+// ns/op shows no timing.
 //
 // -append parses `go test -bench -benchmem` output and appends one
 // dated entry to the JSON history. The file accumulates one entry per recorded run, so the perf trajectory
@@ -42,10 +43,12 @@ import (
 // Result is one benchmark's measurements. MBPerS is a pointer so
 // benchmarks that report no throughput serialize as null (the shape
 // the history's "legacy" entry records); the -benchmem counters are omitted
-// when absent.
+// when absent. NsPerOp is omitted when zero: a benchmark whose time
+// tracks the disk rather than the code reports ns/op as 0, which
+// testing does not print.
 type Result struct {
 	Name        string   `json:"name"`
-	NsPerOp     float64  `json:"ns_per_op"`
+	NsPerOp     float64  `json:"ns_per_op,omitempty"`
 	MBPerS      *float64 `json:"mb_per_s"`
 	BytesPerOp  *int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64   `json:"allocs_per_op,omitempty"`
@@ -305,7 +308,9 @@ func spark(vals []float64) string {
 // trend renders the recorded history as a markdown table: one row per
 // benchmark (in latest-entry order), first and latest ns/op, the
 // percentage change between them, the latest allocs/op, and an ASCII
-// sparkline over every dated entry.
+// sparkline over every dated entry. A benchmark whose latest entry
+// records no ns/op gets "-" for its timing and no sparkline: its
+// earlier ns/op measured the disk, not the code.
 func trend(entries []Entry, path string, w io.Writer) {
 	if len(entries) == 0 {
 		fmt.Fprintf(w, "benchgate: %s holds no entries; nothing to trend\n", path)
@@ -342,6 +347,10 @@ func trend(entries []Entry, path string, w io.Writer) {
 		allocs := "-"
 		if r.AllocsPerOp != nil {
 			allocs = strconv.FormatInt(*r.AllocsPerOp, 10)
+		}
+		if r.NsPerOp <= 0 {
+			fmt.Fprintf(w, "| %s | - | - | n/a | %s | |\n", r.Name, allocs)
+			continue
 		}
 		fmt.Fprintf(w, "| %s | %.0f | %.0f | %s | %s | `%s` |\n",
 			r.Name, firstNs, r.NsPerOp, change, allocs, spark(series))

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -41,6 +42,34 @@ func TestParseBench(t *testing.T) {
 	}
 	if got[2].MBPerS != nil {
 		t.Errorf("benchmark without MB/s parsed throughput %v", *got[2].MBPerS)
+	}
+}
+
+// TestParseBenchNoNsPerOp: a benchmark that reports ns/op as 0 prints
+// no ns/op, so its line has the iteration count and the -benchmem
+// counters only; it parses, and its recorded result carries no ns/op.
+func TestParseBenchNoNsPerOp(t *testing.T) {
+	const line = "BenchmarkFleetCell-8 \t     100\t   12337 B/op\t     166 allocs/op\n"
+	got, err := parseBench(strings.NewReader(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("parsed %d results, want 1: %v", len(got), got)
+	}
+	r := got[0]
+	if r.Name != "BenchmarkFleetCell" || r.NsPerOp != 0 || r.MBPerS != nil {
+		t.Errorf("result = %+v, want BenchmarkFleetCell with no ns/op or MB/s", r)
+	}
+	if r.BytesPerOp == nil || *r.BytesPerOp != 12337 || r.AllocsPerOp == nil || *r.AllocsPerOp != 166 {
+		t.Errorf("benchmem counters = %v/%v, want 12337/166", r.BytesPerOp, r.AllocsPerOp)
+	}
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), "ns_per_op") {
+		t.Errorf("recorded %s, want no ns_per_op", b)
 	}
 }
 
@@ -153,10 +182,11 @@ func TestSpark(t *testing.T) {
 
 func TestTrend(t *testing.T) {
 	entries := []Entry{
-		{Date: "legacy", Results: []Result{{Name: "BenchmarkA", NsPerOp: 200}}},
+		{Date: "legacy", Results: []Result{{Name: "BenchmarkA", NsPerOp: 200}, {Name: "BenchmarkDisk", NsPerOp: 300}}},
 		{Date: "2026-08-08", Results: []Result{
 			{Name: "BenchmarkA", NsPerOp: 100, AllocsPerOp: intp(0)},
 			{Name: "BenchmarkNew", NsPerOp: 50},
+			{Name: "BenchmarkDisk", AllocsPerOp: intp(25)},
 		}},
 	}
 	var sb strings.Builder
@@ -169,6 +199,9 @@ func TestTrend(t *testing.T) {
 		// Absent in the first entry: first ns/op falls back to the
 		// earliest recorded value, sparkline leads with a blank.
 		"| BenchmarkNew | 50 | 50 | +0.0% | - | ` -` |",
+		// No ns/op in the latest entry: no timing, earlier ones
+		// included.
+		"| BenchmarkDisk | - | - | n/a | 25 | |",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trend output missing %q\ngot:\n%s", want, out)

@@ -233,9 +233,9 @@ func TestAugmentedCalibrationDataFlows(t *testing.T) {
 	}
 }
 
-// TestWalkPathsAreUnique guards the fallback machinery: every module
-// path in every zoo model must be unique, or fallbacks would be
-// ambiguous.
+// TestWalkPathsAreUnique guards the first/last exclusion: every module
+// path in every zoo model must be unique, or the site table's path
+// comparison would be ambiguous.
 func TestWalkPathsAreUnique(t *testing.T) {
 	for _, name := range []string{"bert_base_mrpc", "resnet50", "dlrm_criteo", "marianmt_enro"} {
 		net, _ := models.Build(name)

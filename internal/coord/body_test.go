@@ -3,6 +3,7 @@ package coord
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -310,4 +311,44 @@ func cellKey(spec harness.GridSpec, fp string) (resultstore.CellKey, bool) {
 		}
 	}
 	return resultstore.CellKey{}, false
+}
+
+// TestAnswerBodyIsMarshalPlusNewline pins the bytes of an answer: a
+// lease answer read off the wire, and an error answer whose message
+// json.Marshal escapes, are each json.Marshal of the value plus "\n".
+func TestAnswerBodyIsMarshalPlusNewline(t *testing.T) {
+	withHarnessState(t)
+	e, _ := newTestExp("body")
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t)})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	resp, err := http.Post(srv.URL+"/v1/lease", "application/json", strings.NewReader(`{"worker":"w"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lr LeaseResponse
+	if err := json.Unmarshal(got, &lr); err != nil || lr.Lease == nil {
+		t.Fatalf("lease answer %q: %+v, %v", got, lr, err)
+	}
+	want, _ := json.Marshal(lr)
+	if string(got) != string(want)+"\n" {
+		t.Errorf("lease answer body = %q, want %q", got, string(want)+"\n")
+	}
+
+	rec := httptest.NewRecorder()
+	v := errorResponse{"<a & b>\u2028"}
+	writeJSON(rec, http.StatusTeapot, v)
+	want, _ = json.Marshal(v)
+	if got := rec.Body.String(); got != string(want)+"\n" {
+		t.Errorf("error answer body = %q, want %q", got, string(want)+"\n")
+	}
+	if rec.Code != http.StatusTeapot || rec.Header().Get("Content-Type") != "application/json" {
+		t.Errorf("error answer: code %d, Content-Type %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
 }

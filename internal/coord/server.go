@@ -660,12 +660,15 @@ func (c *Coordinator) pushLocked(req PushRequest) (PushResponse, int, string) {
 // ---- HTTP plumbing ----
 
 // writeJSON answers code with v's JSON encoding and a newline, the
-// bytes a json.Encoder writes, marshaled once.
+// bytes json.Marshal makes plus "\n". The encoder marshals into a pooled
+// buffer and writes it once: json.Marshal would copy the body out of
+// that buffer, and appending the newline could copy it again. The
+// error is dropped because the status is already sent: a client that
+// hung up gets no other answer.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	b, _ := json.Marshal(v)
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
-	_, _ = w.Write(append(b, '\n'))
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // decodeBody decodes r's JSON body into v: it reads at most

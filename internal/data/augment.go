@@ -30,7 +30,7 @@ func AugmentTraining(x *tensor.Tensor, r *tensor.RNG) *tensor.Tensor {
 						sx = w - 1 - sx
 					}
 					v := x.At(ni, ci, sy, sx)
-					y.Set(v*gain+bias, ni, ci, yy, xx)
+					y.Set(float32(v*gain)+bias, ni, ci, yy, xx)
 				}
 			}
 		}

@@ -159,15 +159,15 @@ func (d *ImageDataset) BatchInto(i int, s *Sample) {
 		}
 		gradAngle := r.Uniform(-1, 1)
 		for c := 0; c < d.C; c++ {
-			chScale := 0.5 + 0.5*r.Float64()
+			chScale := 0.5 + float64(0.5*r.Float64())
 			for y := 0; y < d.H; y++ {
 				for xx := 0; xx < d.W; xx++ {
 					v := gradAngle * (float64(y) - float64(xx)) / float64(d.H)
 					for _, b := range blobs {
 						dy, dx := float64(y)-b.cy, float64(xx)-b.cx
-						v += b.amp * gauss2(dy, dx, b.sig)
+						v += float64(b.amp * gauss2(dy, dx, b.sig))
 					}
-					v = v*chScale + 0.1*r.Norm()
+					v = float64(v*chScale) + float64(0.1*r.Norm())
 					x.Set(float32(v), n, c, y, xx)
 				}
 			}
@@ -184,7 +184,7 @@ func (d *ImageDataset) BatchInto(i int, s *Sample) {
 }
 
 func gauss2(dy, dx, sig float64) float64 {
-	d2 := (dy*dy + dx*dx) / (2 * sig * sig)
+	d2 := (float64(dy*dy) + float64(dx*dx)) / (2 * sig * sig)
 	if d2 > 8 {
 		return 0
 	}
@@ -195,7 +195,7 @@ func gauss2(dy, dx, sig float64) float64 {
 // for data generation, determinism is not).
 func expApprox(x float64) float64 {
 	// 5th-order minimax-ish via repeated squaring of (1+x/32)^32.
-	v := 1 + x/32
+	v := 1 + float64(x/32)
 	if v < 0 {
 		return 0
 	}
@@ -349,7 +349,7 @@ func (d *AudioDataset) BatchInto(i int, s *Sample) {
 		for t := 0; t < d.T; t++ {
 			v := 0.05 * r.Norm()
 			for k := range freqs {
-				v += amps[k] * sin(freqs[k]*float64(t))
+				v += float64(amps[k] * sin(float64(freqs[k]*float64(t))))
 			}
 			x.Set(float32(v), n, 0, t)
 		}
@@ -361,7 +361,7 @@ func (d *AudioDataset) BatchInto(i int, s *Sample) {
 // is irrelevant for synthetic audio.
 func sin(x float64) float64 {
 	const twoPi = 6.283185307179586
-	x -= float64(int(x/twoPi)) * twoPi
+	x -= float64(float64(int(x/twoPi)) * twoPi)
 	if x < 0 {
 		x += twoPi
 	}
@@ -371,7 +371,7 @@ func sin(x float64) float64 {
 		neg = true
 	}
 	v := 16 * x * (3.141592653589793 - x) /
-		(49.348022005446793 - 4*x*(3.141592653589793-x))
+		(49.348022005446793 - float64(4*x*(3.141592653589793-x)))
 	if neg {
 		return -v
 	}

@@ -34,9 +34,9 @@ func Pearson(a, b []float64) float64 {
 	var cov, va, vb float64
 	for i := range a {
 		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
+		cov += float64(da * db)
+		va += float64(da * da)
+		vb += float64(db * db)
 	}
 	if va == 0 || vb == 0 {
 		return 0
@@ -75,7 +75,7 @@ func ComputeFIDStats(features *tensor.Tensor) FIDStats {
 		row := features.Data[r*d : (r+1)*d]
 		for j, v := range row {
 			dv := float64(v) - st.Mean[j]
-			st.Var[j] += dv * dv
+			st.Var[j] += float64(dv * dv)
 		}
 	}
 	for j := range st.Var {
@@ -91,7 +91,7 @@ func FID(a, b FIDStats) float64 {
 	for j := range a.Mean {
 		dm := a.Mean[j] - b.Mean[j]
 		ds := math.Sqrt(a.Var[j]) - math.Sqrt(b.Var[j])
-		d += dm*dm + ds*ds
+		d += float64(dm*dm) + float64(ds*ds)
 	}
 	return d
 }

@@ -266,7 +266,7 @@ func (p *Pipeline) Generate(nImages int) *tensor.Tensor {
 				alpha := float32(0.6)
 				inv := 1 / cin
 				for i := range x.Data {
-					x.Data[i] += alpha * (pred.Data[i]*inv - x.Data[i])
+					x.Data[i] += float32(alpha * (float32(pred.Data[i]*inv) - x.Data[i]))
 				}
 			}
 			copy(out.Data[row*dim:], x.Data)

@@ -114,23 +114,33 @@ func TestEvaluateRecipesSharesReference(t *testing.T) {
 	}
 }
 
+// TestPaperRecipeSpecialization requires each specialized recipe to
+// equal, field for field, the one the constructors build, so a field
+// PaperRecipe sets by mistake fails.
 func TestPaperRecipeSpecialization(t *testing.T) {
 	nlp, _ := models.Build("distilbert_mrpc")
-	r := PaperRecipe(quant.StandardFP8(quant.E4M3), nlp)
-	if !r.SmoothQuant {
-		t.Error("NLP static recipe must enable SmoothQuant")
-	}
-	rd := PaperRecipe(quant.DynamicFP8(quant.E4M3), nlp)
-	if rd.SmoothQuant {
-		t.Error("dynamic recipe must not enable SmoothQuant")
-	}
 	cv, _ := models.Build("cifar_resnet20")
-	rc := PaperRecipe(quant.StandardFP8(quant.E3M4), cv)
-	if !rc.BNCalib {
-		t.Error("BN CV recipe must enable BN calibration")
+	calib := func(r quant.Recipe) quant.Recipe {
+		r.CalibBatches = CalibBatches
+		return r
 	}
-	if rc.SmoothQuant {
-		t.Error("CV recipe must not enable SmoothQuant")
+	for _, c := range []struct {
+		label      string
+		net        *models.Network
+		base, want quant.Recipe
+	}{
+		{"NLP static E4M3 smooths", nlp, quant.StandardFP8(quant.E4M3),
+			calib(quant.StandardFP8(quant.E4M3).WithSmoothQuant(0.5))},
+		{"NLP dynamic does not smooth", nlp, quant.DynamicFP8(quant.E4M3),
+			calib(quant.DynamicFP8(quant.E4M3))},
+		{"CV with BatchNorm recalibrates", cv, quant.StandardFP8(quant.E3M4),
+			calib(quant.StandardFP8(quant.E3M4).WithBNCalib(CalibBatches))},
+		{"CV dynamic recalibrates", cv, quant.DynamicFP8(quant.E4M3),
+			calib(quant.DynamicFP8(quant.E4M3).WithBNCalib(CalibBatches))},
+	} {
+		if got := PaperRecipe(c.base, c.net); got != c.want {
+			t.Errorf("%s: PaperRecipe = %+v, want %+v", c.label, got, c.want)
+		}
 	}
 }
 

@@ -29,16 +29,16 @@ const (
 
 var fig6Cfgs = []struct {
 	label  string
-	recipe func() quant.Recipe
+	recipe quant.Recipe
 }{
-	{"FP8-E5M2 Direct", func() quant.Recipe { return quant.StandardFP8(quant.E5M2) }},
-	{"FP8-E4M3 Dynamic", func() quant.Recipe { return quant.DynamicFP8(quant.E4M3) }},
-	{"FP8-E4M3 Static", func() quant.Recipe { return quant.StandardFP8(quant.E4M3) }},
-	{"FP8-E4M3 Static +LayerNorm", func() quant.Recipe { return quant.StandardFP8(quant.E4M3).WithExtendedOps() }},
-	{"FP8-E3M4 Dynamic", func() quant.Recipe { return quant.DynamicFP8(quant.E3M4) }},
-	{"FP8-E3M4 Static", func() quant.Recipe { return quant.StandardFP8(quant.E3M4) }},
-	{"INT8-Dynamic", func() quant.Recipe { return quant.StandardINT8(true) }},
-	{"INT8-Static", func() quant.Recipe { return quant.StandardINT8(false) }},
+	{"FP8-E5M2 Direct", quant.StandardFP8(quant.E5M2)},
+	{"FP8-E4M3 Dynamic", quant.DynamicFP8(quant.E4M3)},
+	{"FP8-E4M3 Static", quant.StandardFP8(quant.E4M3)},
+	{"FP8-E4M3 Static +LayerNorm", quant.StandardFP8(quant.E4M3).WithExtendedOps()},
+	{"FP8-E3M4 Dynamic", quant.DynamicFP8(quant.E3M4)},
+	{"FP8-E3M4 Static", quant.StandardFP8(quant.E3M4)},
+	{"INT8-Dynamic", quant.StandardINT8(true)},
+	{"INT8-Static", quant.StandardINT8(false)},
 }
 
 // genRefMu guards the lazily computed fig6/table4 FP32 references:
@@ -86,7 +86,7 @@ func fig6Spec() GridSpec {
 // generations against the FP32 reference.
 func runFig6Cell(c Cell) evalx.Result {
 	pipe := diffusion.NewPipeline(fig6Seed, fig6Prompts)
-	r := fig6Cfgs[c.Index].recipe()
+	r := fig6Cfgs[c.Index].recipe
 	r.CalibBatches = 8
 	h := quant.Quantize(pipe, pipe.CalibData(), r)
 	gen := pipe.Generate(fig6ImagesPerPrompt)
@@ -129,15 +129,15 @@ const (
 
 var table4Cfgs = []struct {
 	label  string
-	recipe func() quant.Recipe
+	recipe quant.Recipe
 }{
-	{"INT8 Dynamic", func() quant.Recipe { return quant.StandardINT8(true) }},
-	{"E5M2 Direct", func() quant.Recipe { return quant.StandardFP8(quant.E5M2) }},
-	{"E4M3 Dynamic", func() quant.Recipe { return quant.DynamicFP8(quant.E4M3) }},
-	{"E4M3 Static", func() quant.Recipe { return quant.StandardFP8(quant.E4M3) }},
-	{"E3M4 Dynamic", func() quant.Recipe { return quant.DynamicFP8(quant.E3M4) }},
-	{"E3M4 Static", func() quant.Recipe { return quant.StandardFP8(quant.E3M4) }},
-	{"FP8 Mixed", func() quant.Recipe { return quant.MixedFP8() }},
+	{"INT8 Dynamic", quant.StandardINT8(true)},
+	{"E5M2 Direct", quant.StandardFP8(quant.E5M2)},
+	{"E4M3 Dynamic", quant.DynamicFP8(quant.E4M3)},
+	{"E4M3 Static", quant.StandardFP8(quant.E4M3)},
+	{"E3M4 Dynamic", quant.DynamicFP8(quant.E3M4)},
+	{"E3M4 Static", quant.StandardFP8(quant.E3M4)},
+	{"FP8 Mixed", quant.MixedFP8()},
 }
 
 const table4RefLabel = "FP32 (reference)"
@@ -199,7 +199,7 @@ func runTable4Cell(c Cell) evalx.Result {
 		}
 	}
 	lm := models.NewGenLM(table4Seed)
-	r := table4Cfgs[c.Index-1].recipe()
+	r := table4Cfgs[c.Index-1].recipe
 	r.CalibBatches = 4
 	h := quant.Quantize(lm, lm.DataSet, r)
 	gen := textgen.BeamSearch(lm, table4Prompt(lm.Vocab()), table4BeamWidth, table4MaxNew)

@@ -552,8 +552,8 @@ func renderFirstLast(g *Grid) *Report {
 			tb.add(f.String(), "-", "-", "no evaluable models")
 			continue
 		}
-		sp := float64(std) / float64(total) * 100
-		fp := float64(fl) / float64(total) * 100
+		sp := float64(float64(std) / float64(total) * 100)
+		fp := float64(float64(fl) / float64(total) * 100)
 		tb.add(f.String(), pct(sp), pct(fp), fmt.Sprintf("%.1f pts", sp-fp))
 		vals["std_"+f.String()] = sp
 		vals["firstlast_"+f.String()] = fp

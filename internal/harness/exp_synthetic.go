@@ -42,7 +42,7 @@ func quantMSE(x []float32, q func(float64) float64) float64 {
 	var s float64
 	for _, v := range x {
 		d := q(float64(v)) - float64(v)
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(x))
 }

@@ -54,7 +54,7 @@ func initBNSpread(bn *nn.BatchNorm2d, r *tensor.RNG, spread float64) {
 		bn.Gamma[i] = float32(math.Exp(spread * r.Norm()))
 		bn.Beta[i] = float32(0.1 * r.Norm())
 		bn.Mean[i] = float32(0.1 * r.Norm())
-		bn.Var[i] = float32(0.5 + 0.5*r.Float64())
+		bn.Var[i] = float32(0.5 + float64(0.5*r.Float64()))
 	}
 }
 

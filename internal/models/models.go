@@ -325,11 +325,11 @@ func chanSpread(r *tensor.RNG) float64 {
 // ratio instead of ~1.
 func spikeGammas(gamma []float32, r *tensor.RNG, nSpikes int, ratio float64) {
 	for i := range gamma {
-		gamma[i] = float32(1 + 0.1*r.Norm())
+		gamma[i] = float32(1 + float64(0.1*r.Norm()))
 	}
 	for k := 0; k < nSpikes; k++ {
 		j := r.Intn(len(gamma))
-		s := ratio * (0.8 + 0.4*r.Float64())
+		s := ratio * (0.8 + float64(0.4*r.Float64()))
 		if r.Float64() < 0.5 {
 			s = -s
 		}

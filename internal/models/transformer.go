@@ -141,7 +141,7 @@ func buildEncoder(info Info, seed uint64, cfg encoderCfg) *Network {
 
 func initLN(ln *nn.LayerNorm, r *tensor.RNG) {
 	for i := range ln.Gamma {
-		ln.Gamma[i] = float32(1 + 0.1*r.Norm())
+		ln.Gamma[i] = float32(1 + float64(0.1*r.Norm()))
 		ln.Beta[i] = float32(0.05 * r.Norm())
 	}
 }
@@ -246,7 +246,7 @@ func newDecoderNet(r *tensor.RNG, cfg decoderCfg) *decoderNet {
 	if cfg.llama {
 		rn := nn.NewRMSNorm(cfg.dim)
 		for i := range rn.Gamma {
-			rn.Gamma[i] = float32(1 + 0.1*r.Norm())
+			rn.Gamma[i] = float32(1 + float64(0.1*r.Norm()))
 		}
 		net.Final = rn
 	} else {

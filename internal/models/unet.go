@@ -61,7 +61,7 @@ func newGNConv(r *tensor.RNG, inC, outC int) *nn.GNConv {
 	initConv(c, r)
 	gn := nn.NewGroupNorm(outC, 2)
 	for i := range gn.Gamma {
-		gn.Gamma[i] = float32(1 + 0.1*r.Norm())
+		gn.Gamma[i] = float32(1 + float64(0.1*r.Norm()))
 	}
 	return &nn.GNConv{Conv: c, GN: gn}
 }

@@ -80,6 +80,8 @@ func (a Approach) String() string {
 
 // Recipe is a complete quantization configuration: the "standard
 // scheme" defaults plus the "extended scheme" switches of Figure 2.
+// It is a comparable value: two recipes are == exactly when they
+// configure the same quantization.
 type Recipe struct {
 	// Act is the activation dtype.
 	Act DType
@@ -113,10 +115,6 @@ type Recipe struct {
 	BNCalib bool
 	// BNCalibBatches is how many batches feed BN re-calibration.
 	BNCalibBatches int
-
-	// Fallback lists module paths forced to FP32 (populated by the
-	// auto-tuner).
-	Fallback map[string]bool
 }
 
 // Name returns a short table label such as "E4M3 Static".
@@ -204,17 +202,5 @@ func (r Recipe) WithBNCalib(batches int) Recipe {
 // last operators of CNNs.
 func (r Recipe) WithFirstLast() Recipe {
 	r.QuantFirstLast = true
-	return r
-}
-
-// WithFallback returns a copy of r adding path to the FP32 fallback
-// set.
-func (r Recipe) WithFallback(path string) Recipe {
-	fb := make(map[string]bool, len(r.Fallback)+1)
-	for k, v := range r.Fallback {
-		fb[k] = v
-	}
-	fb[path] = true
-	r.Fallback = fb
 	return r
 }

@@ -7,8 +7,8 @@
 // snapshot and accumulator slabs. The model's first Quantize fills the
 // table and every later one reuses it, so a session's network that runs
 // all of its model's recipes walks its module tree once; each call only
-// filters the table by its recipe (fallbacks, first/last exclusion,
-// extended coverage) and resets what it uses.
+// filters the table by its recipe (first/last exclusion, extended
+// coverage) and resets what it uses.
 
 package quant
 
@@ -352,8 +352,8 @@ func (s *Sites) carveSmooth() {
 }
 
 // activate lists the sites recipe r quantizes on a model (isCNN: the
-// model's IsCNN), reports the fallbacks and first/last exclusions it
-// applies, and resets each listed site's per-call state.
+// model's IsCNN), reports the first/last exclusions it applies, and
+// resets each listed site's per-call state.
 func (s *Sites) activate(isCNN bool, r Recipe, rep *Report) []*target {
 	// First conv / last linear exclusion (CNNs, standard scheme). Paths
 	// are compared only when it applies: the root's path is "", like
@@ -365,7 +365,7 @@ func (s *Sites) activate(isCNN bool, r Recipe, rep *Report) []*target {
 
 	s.active = s.active[:0]
 	for _, e := range s.order {
-		if r.Fallback[e.path] || exclude && (e.path == s.firstConv || e.path == s.lastLinear) {
+		if exclude && (e.path == s.firstConv || e.path == s.lastLinear) {
 			rep.FallbackOps = append(rep.FallbackOps, e.path)
 			continue
 		}

@@ -12,12 +12,11 @@ import (
 )
 
 // TestSitesReusedAcrossRecipes runs one session-style network (built
-// once, planned) through a mixed sequence of recipes — a tuner fallback
-// map, first/last quantization, extended coverage, SmoothQuant, dynamic
-// INT8, BatchNorm calibration, SmoothQuant again and the fallback again
-// — and checks that each recipe's quantized output, accuracy and Report
-// equal those of a freshly built network, and that the network's site
-// table was built once.
+// once, planned) through a mixed sequence of recipes — first/last
+// quantization, extended coverage, SmoothQuant, dynamic INT8, BatchNorm
+// calibration and SmoothQuant again — and checks that each recipe's
+// quantized output, accuracy and Report equal those of a freshly built
+// network, and that the network's site table was built once.
 func TestSitesReusedAcrossRecipes(t *testing.T) {
 	for _, name := range []string{"cifar_resnet20", "tinybert_mrpc"} {
 		t.Run(name, func(t *testing.T) {
@@ -30,14 +29,6 @@ func TestSitesReusedAcrossRecipes(t *testing.T) {
 			defer net.InstallPlan(nil)
 			ref := evalx.ComputeReference(net)
 
-			// The tuner falls back a parametric op: take the second.
-			var params []string
-			nn.Walk(net.Root(), func(path string, m nn.Module) {
-				if _, ok := m.(nn.Parametric); ok {
-					params = append(params, path)
-				}
-			})
-			fallback := quant.StandardFP8(quant.E4M3).WithFallback(params[1])
 			// Calibration runs on the FP32 network, so a second
 			// SmoothQuant sees other activations only on other batches.
 			smoothAgain := quant.StandardFP8(quant.E4M3).WithSmoothQuant(0.5)
@@ -46,14 +37,12 @@ func TestSitesReusedAcrossRecipes(t *testing.T) {
 				label string
 				r     quant.Recipe
 			}{
-				{"fallback", fallback},
 				{"first/last", quant.StandardFP8(quant.E3M4).WithFirstLast()},
 				{"extended", quant.StandardFP8(quant.E4M3).WithExtendedOps()},
 				{"smoothquant", quant.StandardINT8(false).WithSmoothQuant(0.5)},
 				{"dynamic int8", quant.StandardINT8(true)},
 				{"bncalib", quant.StandardFP8(quant.E4M3).WithBNCalib(evalx.CalibBatches)},
 				{"smoothquant again", smoothAgain},
-				{"fallback again", fallback},
 			}
 			eval := net.Data.Batch(evalx.EvalStart)
 			for _, c := range recipes {

@@ -21,9 +21,11 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float64 returns a uniform value in [0, 1).
+// Float64 returns a uniform value in [0, 1). The compiler turns the
+// division into a product by 2⁻⁵³; the conversion rounds it, so a
+// caller that inlines Float64 cannot fuse it into a multiply-add.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform integer in [0, n).

@@ -68,21 +68,3 @@ func KLDivergence(p, q []float64) float64 {
 	}
 	return d
 }
-
-// CosineSimilarity returns the cosine of the angle between two vectors,
-// a cheap output-fidelity score.
-//
-//fp8vet:ignore unused quant's auto-tune tests score output fidelity with it
-func CosineSimilarity(a, b []float32) float64 {
-	var dot, na, nb float64
-	for i := range a {
-		x, y := float64(a[i]), float64(b[i])
-		dot += float64(x * y)
-		na += float64(x * x)
-		nb += float64(y * y)
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
-}

@@ -195,19 +195,6 @@ func normalize(v []float64) []float64 {
 	return v
 }
 
-func TestCosineSimilarity(t *testing.T) {
-	a := []float32{1, 0}
-	if got := CosineSimilarity(a, a); math.Abs(got-1) > 1e-9 {
-		t.Errorf("cos(a,a) = %v", got)
-	}
-	if got := CosineSimilarity(a, []float32{0, 1}); math.Abs(got) > 1e-9 {
-		t.Errorf("cos(orth) = %v", got)
-	}
-	if got := CosineSimilarity(a, []float32{-1, 0}); math.Abs(got+1) > 1e-9 {
-		t.Errorf("cos(opposite) = %v", got)
-	}
-}
-
 func TestInjectOutliersFraction(t *testing.T) {
 	x := New(10000)
 	x.FillNormal(NewRNG(1), 0, 0.1)
