@@ -28,29 +28,34 @@ vet-contracts:
 # Fused multiply-add audit: cross-compile internal/nn, internal/quant,
 # internal/evalx, internal/fp8, internal/textgen, internal/tensor,
 # internal/data, internal/models, internal/diffusion and
-# internal/harness for arm64 with the assembly listing and fail on any
-# fused multiply-add inside one of their symbols. amd64 emits none, so
-# one there would let arm64 layer outputs, calibration thresholds,
-# report statistics, the FP8 oracle, the beam scores that pick Table
-# 4's generations, the weights and percentiles tensor computes, the
-# synthetic inputs, the models' initial weights, the diffusion
-# sampler's latents or the figure statistics harness renders round
-# differently. The audit attributes an op to the package of the symbol
-# it sits in, so tensor code inlined into data is checked as data.
-# internal/coord stays out: its one fused op is the cost model's moving
-# average of wall-clock times, which orders the work but never reaches
-# a payload. A listing without a symbol of one of the packages fails
-# too, so the check cannot pass vacuously.
+# internal/harness for arm64, ppc64le, s390x, riscv64 and loong64 with
+# the assembly listing and fail on any fused multiply-add inside one of their
+# symbols. amd64 emits none, so one on another target would let its
+# layer outputs, calibration thresholds, report statistics, the FP8
+# oracle, the beam scores that pick Table 4's generations, the weights
+# and percentiles tensor computes, the synthetic inputs, the models'
+# initial weights, the diffusion sampler's latents or the figure
+# statistics harness renders round differently. The mnemonics differ
+# by target (FMADDD on arm64, riscv64 and loong64, a bare FMADD on
+# ppc64le and s390x, FNMSUBD, ...), so the match takes an optional
+# S/D/F suffix. The audit attributes an op to the package of the
+# symbol it sits in, so tensor code inlined into data is checked as
+# data. internal/coord stays out: its one fused op is the cost model's
+# moving average of wall-clock times, which orders the work but never
+# reaches a payload. A listing without a symbol of one of the packages
+# fails too, so the check cannot pass vacuously.
 fma-audit:
 	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; pkgs="nn quant evalx fp8 textgen tensor data models diffusion harness"; \
-	GOARCH=arm64 $(GO) build -gcflags=-S $$(for p in $$pkgs; do echo ./internal/$$p; done) 2> "$$out" || { cat "$$out"; exit 1; }; \
-	awk -v pkgs="$$pkgs" ' \
+	for arch in arm64 ppc64le s390x riscv64 loong64; do \
+	GOARCH=$$arch $(GO) build -gcflags=-S $$(for p in $$pkgs; do echo ./internal/$$p; done) 2> "$$out" || { cat "$$out"; exit 1; }; \
+	awk -v pkgs="$$pkgs" -v arch="$$arch" ' \
 		BEGIN { n = split(pkgs, p, " "); for (i = 1; i <= n; i++) audited["fp8quant/internal/" p[i]] = 1 } \
 		/ STEXT / { sym = $$1; pkg = sym; sub(/\.[^\/]*$$/, "", pkg); in_pkg = pkg in audited; if (in_pkg) { seen[pkg]++; total++ } } \
-		in_pkg && /\tFN?M(ADD|SUB)[SD]\t/ { print "fma-audit: fused op in " sym ":" $$0; bad++ } \
-		END { for (d in audited) if (!seen[d]) { print "fma-audit: no " d " symbol in the arm64 listing"; bad++ } \
+		in_pkg && /\tFN?M(ADD|SUB)[SDF]?\t/ { print "fma-audit: fused op in " sym " (" arch "):" $$0; bad++ } \
+		END { for (d in audited) if (!seen[d]) { print "fma-audit: no " d " symbol in the " arch " listing"; bad++ } \
 			if (bad) exit 1; \
-			printf "fma-audit: %d symbols in %d packages, no fused multiply-add (arm64)\n", total, n }' "$$out"
+			printf "fma-audit: %d symbols in %d packages, no fused multiply-add (%s)\n", total, n, arch }' "$$out"; \
+	done
 
 # Allocation audit: escape analysis (-gcflags=-m) of the packages a
 # sweep cell runs through must report no "... argument escapes to

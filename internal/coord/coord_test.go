@@ -222,7 +222,7 @@ func TestLeaseExpiryRequeue(t *testing.T) {
 	clock, advance := fakeClock()
 	c := newTestCoord(t, Config{
 		Experiments: []harness.Experiment{e}, Store: openStore(t),
-		LeaseTTL: time.Minute, MaxExpiries: 2, Clock: clock,
+		LeaseTTL: time.Minute, Clock: clock,
 	})
 	lr := c.lease("w1")
 	if lr.Status != StatusLease {
@@ -260,7 +260,7 @@ func TestLeaseExpiryRequeue(t *testing.T) {
 
 	// A cell that keeps expiring is eventually declared failed, not
 	// requeued forever: keep leasing everything out and expiring it
-	// until every cell has exceeded MaxExpiries.
+	// until every cell has exceeded maxExpiries.
 	advance(2 * time.Minute)
 	for round := 0; round < 4; round++ {
 		for {

@@ -120,7 +120,7 @@ func TestWorkersEndpoint(t *testing.T) {
 }
 
 // TestStaleWorkerLeasesExpireEarly is the heartbeat payoff: a
-// registered worker that goes silent past StaleAfter has its group's
+// registered worker that goes silent for three heartbeats has its group's
 // leases reaped immediately — long before the lease TTL — while a
 // worker that never registered (no heartbeat promise) keeps the plain
 // TTL. Each grant is one model's two cells.
@@ -134,7 +134,7 @@ func TestStaleWorkerLeasesExpireEarly(t *testing.T) {
 
 	c := newTestCoord(t, Config{
 		Experiments: []harness.Experiment{e}, Store: openStore(t),
-		LeaseTTL: time.Hour, Heartbeat: 30 * time.Second, // StaleAfter = 90s
+		LeaseTTL: time.Hour, Heartbeat: 30 * time.Second, // stale after 90s
 		Clock: clock,
 	})
 	c.hello(WorkerHello{Worker: "beating"})
@@ -145,16 +145,16 @@ func TestStaleWorkerLeasesExpireEarly(t *testing.T) {
 		t.Fatalf("unregistered lease = %q", lr.Status)
 	}
 
-	// Within StaleAfter nothing expires.
+	// Within three heartbeats nothing expires.
 	advance(60 * time.Second)
 	c.Reap()
 	if n := c.ActiveLeases(); n != 4 {
 		t.Fatalf("leases after 60s = %d, want both groups' 4", n)
 	}
 
-	// Past StaleAfter the silent registered worker's lease expires; the
+	// Past three heartbeats the silent registered worker's lease expires; the
 	// unregistered worker keeps its TTL.
-	advance(60 * time.Second) // 120s silent > 90s StaleAfter, << 1h TTL
+	advance(60 * time.Second) // 120s silent > 90s, << 1h TTL
 	view := c.Workers()
 	if !view.Workers[0].Stale || view.Workers[1].Stale {
 		t.Fatalf("staleness = %+v, want only 'beating' stale", view.Workers)
@@ -169,7 +169,7 @@ func TestStaleWorkerLeasesExpireEarly(t *testing.T) {
 	}
 
 	// A heartbeat un-stales: hello again, lease again, stay within
-	// StaleAfter of the last hello — the lease survives reaping.
+	// three heartbeats of the last hello — the lease survives reaping.
 	c.hello(WorkerHello{Worker: "beating"})
 	if lr := c.lease("beating"); lr.Status != StatusLease {
 		t.Fatalf("re-lease after heartbeat = %q", lr.Status)

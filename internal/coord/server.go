@@ -58,25 +58,28 @@ type Config struct {
 	// requeue, so it bounds one cell, not a group. Default 5m — generous
 	// against the zoo's slowest cells, small against a whole sweep.
 	LeaseTTL time.Duration
-	// MaxExpiries bounds how often one cell may time out before it is
-	// declared failed (a cell that keeps killing workers should stop
-	// the sweep from spinning). Default 3.
-	MaxExpiries int
 	// WaitRetry is the retry hint handed to workers when every pending
 	// cell is leased out. Default 1s.
 	WaitRetry time.Duration
 	// Heartbeat is how often registered workers are asked to re-hello
-	// (sent back in WorkerAck). Default 15s.
+	// (sent back in WorkerAck). A registered worker silent for
+	// staleHeartbeats of them is stale. Default 15s.
 	Heartbeat time.Duration
-	// StaleAfter is how long a *registered* worker may be silent before
-	// it is declared stale and its leases expire early — a crashed
-	// worker then costs one missed heartbeat window instead of a full
-	// lease TTL. Workers that never sent a hello (no heartbeat loop)
-	// keep the plain TTL. Default 3×Heartbeat.
-	StaleAfter time.Duration
 	// Clock injects time for tests. Default time.Now.
 	Clock func() time.Time
 }
+
+// maxExpiries bounds how often one cell may time out before it is
+// declared failed: a cell that keeps killing workers should stop the
+// sweep from spinning.
+const maxExpiries = 3
+
+// staleHeartbeats is how many heartbeat periods a *registered* worker
+// may be silent before it is declared stale and its leases expire
+// early: a crashed worker then costs one missed heartbeat window
+// instead of a full lease TTL. Workers that never sent a hello (no
+// heartbeat loop) keep the plain TTL.
+const staleHeartbeats = 3
 
 // Coordinator owns the schedule state. Create with New, expose with
 // Handler, and drive shutdown with Drain + PersistCost.
@@ -133,17 +136,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 5 * time.Minute
 	}
-	if cfg.MaxExpiries <= 0 {
-		cfg.MaxExpiries = 3
-	}
 	if cfg.WaitRetry <= 0 {
 		cfg.WaitRetry = time.Second
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 15 * time.Second
-	}
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = 3 * cfg.Heartbeat
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -289,12 +286,12 @@ func (c *Coordinator) checkCompleteLocked() {
 }
 
 // reapLocked expires overdue grants: a cell sent to the worker and
-// not pushed requeues (or fails after MaxExpiries timeouts), so a
+// not pushed requeues (or fails after maxExpiries timeouts), so a
 // crashed worker costs one timeout; cells it never received requeue
 // without counting a timeout. A grant held by a registered worker that
-// has gone stale (silent past StaleAfter) expires early — the
-// heartbeat's whole point — while unregistered workers keep the plain
-// TTL.
+// has gone stale (silent for staleHeartbeats heartbeats) expires early
+// — the heartbeat's whole point — while unregistered workers keep the
+// plain TTL.
 func (c *Coordinator) reapLocked(now time.Time) {
 	reaped := false
 	for id, g := range c.grants {
@@ -310,7 +307,7 @@ func (c *Coordinator) reapLocked(now time.Time) {
 			if k < g.sent {
 				it.expiries++
 			}
-			if it.expiries > c.cfg.MaxExpiries {
+			if it.expiries > maxExpiries {
 				it.state = stateFailed // FailedCells names the expiries
 				continue
 			}
@@ -332,11 +329,11 @@ func (c *Coordinator) Reap() {
 }
 
 // workerStaleLocked reports whether a registered worker has been
-// silent past StaleAfter. Workers known only from lease/push traffic
-// never go stale — they did not promise heartbeats.
+// silent for staleHeartbeats heartbeats. Workers known only from
+// lease/push traffic never go stale — they did not promise heartbeats.
 func (c *Coordinator) workerStaleLocked(name string, now time.Time) bool {
 	rec, ok := c.workers[name]
-	return ok && rec.registered && now.Sub(rec.lastSeen) > c.cfg.StaleAfter
+	return ok && rec.registered && now.Sub(rec.lastSeen) > staleHeartbeats*c.cfg.Heartbeat
 }
 
 // touchWorkerLocked records traffic from a worker, creating an

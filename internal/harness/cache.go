@@ -42,10 +42,9 @@ func Store() *resultstore.Store {
 	return store
 }
 
-// ClearMemo drops every in-process cache — the cell memo, the
-// per-model FP32 reference cache, the fig6/table4 generation
-// references, and the models' memoized BatchNorm warm-ups and input
-// batches (the disk store is untouched). Tests use it to simulate a
+// ClearMemo drops every in-process cache — the cell memo, the FP32
+// references (refcache.go) and the models' memoized BatchNorm warm-ups
+// (the disk store is untouched). Tests use it to simulate a
 // process boundary and force store round trips and cold builds;
 // long-lived embedders can use it to release sweep memory.
 //
@@ -55,7 +54,6 @@ func ClearMemo() {
 	memo = map[string]evalx.Result{}
 	cacheMu.Unlock()
 	clearRefs()
-	clearGenRefs()
 	models.ClearMemo()
 }
 

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 
 	"fp8quant/internal/diffusion"
 	"fp8quant/internal/evalx"
@@ -41,32 +40,12 @@ var fig6Cfgs = []struct {
 	{"INT8-Static", quant.StandardINT8(false)},
 }
 
-// genRefMu guards the lazily computed fig6/table4 FP32 references:
-// pure deterministic data, computed at most once between ClearMemo
-// calls and only when some cell actually misses every cache. ClearMemo
-// resets them (clearGenRefs) so its "drop every in-process cache"
-// contract holds and memory can actually be released.
-var (
-	genRefMu     sync.Mutex
-	fig6Ref      *tensor.Tensor
-	table4RefGen []int
-)
-
-func clearGenRefs() {
-	genRefMu.Lock()
-	fig6Ref = nil
-	table4RefGen = nil
-	genRefMu.Unlock()
-}
-
+// fig6Reference returns the FP32 pipeline's generations, the FID
+// reference of every fig6 cell.
 func fig6Reference() *tensor.Tensor {
-	genRefMu.Lock()
-	defer genRefMu.Unlock()
-	if fig6Ref == nil {
-		//fp8vet:ignore cellpurity mutex-guarded compute-once cache of seeded reference data; every caller computes the identical value, so fill order cannot matter
-		fig6Ref = diffusion.NewPipeline(fig6Seed, fig6Prompts).Generate(fig6ImagesPerPrompt)
-	}
-	return fig6Ref
+	return cachedRef("fig6", func() any {
+		return diffusion.NewPipeline(fig6Seed, fig6Prompts).Generate(fig6ImagesPerPrompt)
+	}).(*tensor.Tensor)
 }
 
 func fig6Spec() GridSpec {
@@ -152,18 +131,13 @@ func table4Prompt(vocab int) []int {
 	return prompt
 }
 
-// table4Reference lazily computes the FP32 beam-search generation the
-// quantized cells diverge from — needed only on cache misses, reset by
-// ClearMemo (see genRefMu).
+// table4Reference returns the FP32 beam-search generation the quantized
+// table4 cells diverge from.
 func table4Reference() []int {
-	genRefMu.Lock()
-	defer genRefMu.Unlock()
-	if table4RefGen == nil {
+	return cachedRef("table4", func() any {
 		lm := models.NewGenLM(table4Seed)
-		//fp8vet:ignore cellpurity mutex-guarded compute-once cache of seeded reference data; every caller computes the identical value, so fill order cannot matter
-		table4RefGen = textgen.BeamSearch(lm, table4Prompt(lm.Vocab()), table4BeamWidth, table4MaxNew)
-	}
-	return table4RefGen
+		return textgen.BeamSearch(lm, table4Prompt(lm.Vocab()), table4BeamWidth, table4MaxNew)
+	}).([]int)
 }
 
 // table4Spec puts the FP32 reference row on the grid as cell 0: its

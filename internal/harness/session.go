@@ -8,23 +8,25 @@
 //
 // A model's first cell builds the network on the session's plan
 // (models.BuildOn), so its BatchNorm warm-up runs in the chunks the
-// cells then reuse. Later cells of the model, under the same kernel
-// tier, take the same network with the plan still installed. They stay
-// pure because every model cell ends with quant.Handle.Release, which
-// restores the weights, the BatchNorm statistics and every QState
-// exactly (TestReleaseRestoresZooNetworks): the network a cell takes
-// is, bit for bit, what a fresh build would return. The tier is part of
-// the match because the warm-up ran that tier's kernels. The session
-// drops the network when the worker moves to another model or tier, and
-// when a cell panics, since that cell may have left it half quantized.
+// cells then reuse. Later cells of the model take the same network with
+// the plan still installed, and read the calibration batches it
+// memoizes. They stay pure because every model cell ends with
+// quant.Handle.Release, which restores the weights, the BatchNorm
+// statistics and every QState exactly (TestReleaseRestoresZooNetworks):
+// the network a cell takes is, bit for bit, what a fresh build would
+// return. A session lives for one RunGrid or one coord.Worker.Run, and
+// the kernel tier is fixed for the process, so the network matches by
+// model alone. The session drops the network when the worker moves to
+// another model, and when a cell panics, since that cell may have left
+// it half quantized.
 //
 // Next to the network the session holds the model's eval split
 // (evalx.Split), made on the model's first cell from the process's
 // cached FP32 reference: the stream buffer the split's batches are
 // generated into and the packed kept samples that row-independent
 // cells forward. It is dropped with the network, so the memory it
-// holds is bounded by the number of workers, not by the number of
-// models a process has run.
+// holds, like the network's batches, is bounded by the number of
+// workers, not by the number of models a process has run.
 
 package harness
 
@@ -32,26 +34,22 @@ import (
 	"fp8quant/internal/evalx"
 	"fp8quant/internal/models"
 	"fp8quant/internal/nn"
-	"fp8quant/internal/tensor/kernels"
 )
 
 // Session is one claim-loop worker's model state. The zero value is
 // ready to use; a Session is not safe for concurrent use.
 type Session struct {
-	plan    *nn.Plan
-	net     *models.Network
-	split   *evalx.Split
-	name    string
-	variant kernels.Variant
+	plan  *nn.Plan
+	net   *models.Network
+	split *evalx.Split
+	name  string
 }
 
-// network returns the session's FP32 network of the named model under
-// the active kernel tier, with the session's plan installed. If the
-// session holds another model's network, or one warmed under another
-// tier, it drops that one and builds the model on the plan.
+// network returns the session's FP32 network of the named model, with
+// the session's plan installed. If the session holds another model's
+// network, it drops that one and builds the model on the plan.
 func (s *Session) network(name string) (*models.Network, error) {
-	v := kernels.Active()
-	if s.net != nil && s.name == name && s.variant == v {
+	if s.net != nil && s.name == name {
 		return s.net, nil
 	}
 	s.net, s.split = nil, nil
@@ -62,7 +60,7 @@ func (s *Session) network(name string) (*models.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.net, s.name, s.variant = net, name, v
+	s.net, s.name = net, name
 	return net, nil
 }
 

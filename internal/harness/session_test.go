@@ -11,7 +11,6 @@ import (
 	"fp8quant/internal/models"
 	"fp8quant/internal/nn"
 	"fp8quant/internal/quant"
-	"fp8quant/internal/tensor/kernels"
 )
 
 // restoreFamilies is one zoo model per builder family.
@@ -264,40 +263,5 @@ func TestNetPoolGridMatchesFreshBuilds(t *testing.T) {
 					workers, e.Spec().KeyString(e.Spec().CellAt(i)), g.Results[i], want[i])
 			}
 		}
-	}
-}
-
-// TestNetPoolKeysByVariant checks that a session never hands a network
-// warmed under one kernel variant to a cell running another: a tier
-// change rebuilds the network.
-func TestNetPoolKeysByVariant(t *testing.T) {
-	withCleanCache(t)
-	const name = "cifar_resnet20"
-	prev := kernels.Active()
-	other := kernels.VariantGeneric
-	if prev == other {
-		other = kernels.Available()[0]
-	}
-	if prev == other {
-		t.Skip("the host has one kernel variant")
-	}
-	defer func() {
-		if err := kernels.ForceVariant(prev); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	var s Session
-	net, err := s.network(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same, err := s.network(name); err != nil || same != net {
-		t.Fatalf("a second %s cell did not take the session's network (err %v)", prev, err)
-	}
-	if err := kernels.ForceVariant(other); err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt, err := s.network(name); err != nil || rebuilt == net {
-		t.Fatalf("a %s cell took the network warmed under %s (err %v)", other, prev, err)
 	}
 }

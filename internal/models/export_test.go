@@ -5,12 +5,9 @@ import "fp8quant/internal/data"
 // MemoBatches returns every batch net's memo holds, and beside each a
 // fresh generation from an unwrapped copy of the model's dataset.
 func MemoBatches(net *Network) (memo, fresh map[int]data.Sample) {
-	set := net.Data.(*memoDataset).set
 	raw := buildRaw(net.Meta.Name).Data
-	set.mu.Lock()
-	defer set.mu.Unlock()
 	memo, fresh = map[int]data.Sample{}, map[int]data.Sample{}
-	for i, s := range set.batches {
+	for i, s := range net.Data.(*memoDataset).batches {
 		memo[i], fresh[i] = s, raw.Batch(i)
 	}
 	return memo, fresh

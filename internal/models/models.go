@@ -196,7 +196,7 @@ func InfoFor(name string) (Info, bool) {
 }
 
 // Build constructs the named model with a deterministic per-name seed.
-// Its Data generates each batch once per process (batches.go), and
+// Its Data generates each batch once per network (batches.go), and
 // BatchNorm networks come with warmed statistics (warm.go): the first
 // Build of a model in a process runs the warm-up, later ones copy it.
 // The network comes back unplanned: Build is BuildOn with a fresh plan,
@@ -221,30 +221,18 @@ func BuildOn(name string, p *nn.Plan) (*Network, error) {
 	}
 	n := b(nameSeed(name))
 	n.InstallPlan(p)
-	memoBatches(n)
+	n.Data = &memoDataset{inner: n.Data, batches: map[int]data.Sample{}}
 	warmMemoized(n, func(n *Network) { WarmBatchNorms(n, warmBatches) })
 	return n, nil
 }
 
-// ClearMemo drops the memoized BatchNorm warm-ups and batches, so the
-// next Build of each model runs as in a new process.
+// ClearMemo drops the memoized BatchNorm warm-ups, so the next Build
+// of each model runs as in a new process.
 func ClearMemo() {
-	clearWarmMemo()
-	clearBatchMemo()
-}
-
-// MemoLens reports how many BatchNorm warm-ups and model batch sets are
-// memoized.
-//
-//fp8vet:ignore unused harness's plan tests check that ClearMemo empties both memos
-func MemoLens() (warmUps, batchSets int) {
-	warmMemo.Range(func(_, _ any) bool {
-		warmUps++
+	warmMemo.Range(func(k, _ any) bool {
+		warmMemo.Delete(k)
 		return true
 	})
-	batchMemo.mu.Lock()
-	defer batchMemo.mu.Unlock()
-	return warmUps, len(batchMemo.sets)
 }
 
 // nameSeed derives a stable seed from the model name (FNV-1a).

@@ -1,10 +1,11 @@
 // BatchNorm warm-up. Synthetic weights come with random BatchNorm
 // statistics, so Build replaces them with the network's true FP32 data
 // statistics — the stand-in for a trained checkpoint's running stats.
-// The warm-up depends only on the model name and the GEMM kernel variant
-// (its forwards run that variant's kernels), so Build runs it once per
-// (name, variant) per process and copies the memoized statistics into
-// every later network of the model. The warm-up's forwards run on the
+// The warm-up depends only on the model name and the GEMM kernel tier
+// (its forwards run that tier's kernels), and a process runs one tier
+// (kernels.ForceVariant runs at process start), so Build runs it once
+// per model per process and copies the memoized statistics into every
+// later network of the model. The warm-up's forwards run on the
 // plan the build installed (BuildOn): a harness session's plan, whose
 // chunks the cell's FP32 reference then reuses, or Build's fresh one.
 // Planned forwards are byte-identical to heap forwards, so the plan
@@ -19,16 +20,10 @@ import (
 	"sync"
 
 	"fp8quant/internal/nn"
-	"fp8quant/internal/tensor/kernels"
 )
 
 // warmBatches is the number of calibration batches per warm-up cycle.
 const warmBatches = 4
-
-type warmKey struct {
-	name    string
-	variant kernels.Variant
-}
 
 // warmEntry is one memoized warm-up: per BatchNorm in walk order, its
 // Mean followed by its Var (nn.SnapshotBatchNorms).
@@ -37,7 +32,7 @@ type warmEntry struct {
 	stats []float32
 }
 
-var warmMemo sync.Map // warmKey -> *warmEntry
+var warmMemo sync.Map // model name -> *warmEntry
 
 // warmMemoized gives a freshly built network its warmed BatchNorm
 // statistics: the memoized ones of its model, or, for the first Build of
@@ -47,7 +42,7 @@ func warmMemoized(n *Network, warmUp func(*Network)) {
 	if len(bns) == 0 {
 		return
 	}
-	key := warmKey{n.Meta.Name, kernels.Active()}
+	key := n.Meta.Name
 	for {
 		v, _ := warmMemo.LoadOrStore(key, &warmEntry{})
 		e := v.(*warmEntry)
@@ -69,14 +64,6 @@ func warmMemoized(n *Network, warmUp func(*Network)) {
 		// The Build that ran e's warm-up panicked and dropped e; warm
 		// through a fresh entry.
 	}
-}
-
-// clearWarmMemo drops every memoized warm-up.
-func clearWarmMemo() {
-	warmMemo.Range(func(k, _ any) bool {
-		warmMemo.Delete(k)
-		return true
-	})
 }
 
 // WarmBatchNorms replaces n's BatchNorm statistics with the true FP32

@@ -21,6 +21,16 @@ var warmMemoModels = []string{
 // warm-up: the random initial BatchNorm statistics.
 func buildRaw(name string) *Network { return registry[name](nameSeed(name)) }
 
+// warmUps counts the memoized BatchNorm warm-ups.
+func warmUps() int {
+	n := 0
+	warmMemo.Range(func(_, _ any) bool {
+		n++
+		return true
+	})
+	return n
+}
+
 func bnStats(n *Network) []float32 { return nn.SnapshotBatchNorms(nn.BatchNorms(n.root), nil) }
 
 // bitEqual compares tensors bit for bit (NaN-safe, distinguishes ±0).
@@ -88,7 +98,7 @@ func TestWarmMemoMatchesUnplannedWarm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n, _ := MemoLens(); n != 1 {
+			if n := warmUps(); n != 1 {
 				t.Fatalf("cold Build left %d memo entries, want 1", n)
 			}
 			// Build's own path, with a warm-up that must not run.
@@ -143,7 +153,7 @@ func TestConcurrentBuildsWarmOnce(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if n, _ := MemoLens(); n != 1 {
+	if n := warmUps(); n != 1 {
 		t.Errorf("%d concurrent Builds left %d memo entries, want 1", len(nets), n)
 	}
 	want := bnStats(nets[0])
@@ -168,7 +178,7 @@ func TestWarmPanicLeavesNoEntry(t *testing.T) {
 		}()
 		warmMemoized(buildRaw(name), func(*Network) { panic("injected warm-up failure") })
 	}()
-	if n, _ := MemoLens(); n != 0 {
+	if n := warmUps(); n != 0 {
 		t.Fatalf("a panicked warm-up left %d memo entries", n)
 	}
 	net, err := Build(name)

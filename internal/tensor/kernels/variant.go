@@ -95,7 +95,9 @@ func Available() []Variant {
 // the dispatcher's choice; it errors if the host does not support v.
 // It is meant for process start (test mains, the FP8_KERNEL escape
 // hatch in cmd wiring) — calling it concurrently with running GEMMs is
-// a data race.
+// a data race. The harness keeps a process's BatchNorm warm-ups, FP32
+// references and cell results per model and cell, not per tier, so a
+// caller switching tiers after cells have run calls harness.ClearMemo.
 func ForceVariant(v Variant) error {
 	for _, k := range available {
 		if k.variant == v {
