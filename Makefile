@@ -115,8 +115,11 @@ bench:
 # allocs/op is the fleet wire's per-cell heap cost on both sides), and
 # one zoo network's planned forward on a fresh plan
 # (BenchmarkArenaFootprint, whose bytes/op is the forward arena's
-# chunk bytes). One fast iteration set; used as the CI smoke step.
-KERNEL_BENCH = BenchmarkMatmulT|BenchmarkMatmulTNaive|BenchmarkConv2dIm2col|BenchmarkConv2dDirect|BenchmarkBatchMatMul|BenchmarkBatchEncode|BenchmarkForwardUnplanned|BenchmarkForwardPlanned|BenchmarkQuantizeWarm|BenchmarkCellBookkeeping|BenchmarkFleetCell|BenchmarkArenaFootprint
+# chunk bytes) and one Quantize/Release cycle into a fresh cell arena
+# (BenchmarkCellArenaFootprint, whose bytes/op is the cell arena's
+# chunk bytes and so pins its chunk floor). One fast iteration set;
+# used as the CI smoke step.
+KERNEL_BENCH = BenchmarkMatmulT|BenchmarkMatmulTNaive|BenchmarkConv2dIm2col|BenchmarkConv2dDirect|BenchmarkBatchMatMul|BenchmarkBatchEncode|BenchmarkForwardUnplanned|BenchmarkForwardPlanned|BenchmarkQuantizeWarm|BenchmarkCellBookkeeping|BenchmarkFleetCell|BenchmarkArenaFootprint|BenchmarkCellArenaFootprint
 KERNEL_BENCH_PKGS = ./internal/tensor/kernels ./internal/nn ./internal/fp8 ./internal/evalx ./internal/harness ./internal/coord ./internal/models
 bench-kernels:
 	$(GO) test -run xxx -bench '$(KERNEL_BENCH)' -benchtime 1x $(KERNEL_BENCH_PKGS)

@@ -56,6 +56,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -254,6 +256,8 @@ func main() {
 				fmt.Fprintf(os.Stderr, "json encode: %v\n", err)
 				os.Exit(1)
 			}
+		} else {
+			fmt.Println(footprintLine())
 		}
 		if failed > 0 {
 			stopProfiles() // os.Exit skips the deferred call
@@ -460,6 +464,35 @@ func runOne(id string, f harness.Filter, jsonMode bool) (out expReport) {
 		fmt.Println(rep.Text)
 	}
 	return out
+}
+
+// footprintLine is the footer after the last experiment: the process's
+// peak resident set (VmHWM, left out where /proc/self/status is absent)
+// and how many collections it ran. Like the other parenthesized
+// footers it is out of band: it never enters a report, the -json
+// output or a cell, and the smoke comparisons skip it.
+func footprintLine() string {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	rss := ""
+	if status, err := os.ReadFile("/proc/self/status"); err == nil {
+		if kb, ok := vmHWM(string(status)); ok {
+			rss = fmt.Sprintf("peak RSS %.1f MiB, ", float64(kb)/1024)
+		}
+	}
+	return fmt.Sprintf("(footprint: %s%d collections)", rss, ms.NumGC)
+}
+
+// vmHWM returns the VmHWM line's value in kB from the text of a
+// /proc/<pid>/status file.
+func vmHWM(status string) (int64, bool) {
+	for _, line := range strings.Split(status, "\n") {
+		if v, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			kb, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(v), " kB"), 10, 64)
+			return kb, err == nil
+		}
+	}
+	return 0, false
 }
 
 // progressMu serializes the progress line across cell workers.

@@ -184,3 +184,21 @@ func silenceStdout(t *testing.T) {
 	os.Stdout = devnull
 	t.Cleanup(func() { os.Stdout = old; devnull.Close() })
 }
+
+// TestVMHWM pins the peak-RSS footer's parse of /proc/self/status: the
+// VmHWM value in kB, and no value where the line is absent or garbled.
+func TestVMHWM(t *testing.T) {
+	for _, c := range []struct {
+		status string
+		kb     int64
+		ok     bool
+	}{
+		{"Name:\tfp8bench\nVmPeak:\t 1300000 kB\nVmHWM:\t   22630 kB\nVmRSS:\t   21000 kB\n", 22630, true},
+		{"Name:\tfp8bench\nVmRSS:\t   21000 kB\n", 0, false},
+		{"VmHWM:\t  n/a kB\n", 0, false},
+	} {
+		if kb, ok := vmHWM(c.status); kb != c.kb || ok != c.ok {
+			t.Errorf("vmHWM(%q) = %d, %v; want %d, %v", c.status, kb, ok, c.kb, c.ok)
+		}
+	}
+}

@@ -259,15 +259,20 @@ func TestLeaseExpiryRequeue(t *testing.T) {
 	}
 
 	// A cell that keeps expiring is eventually declared failed, not
-	// requeued forever: keep leasing everything out and expiring it
-	// until every cell has exceeded maxExpiries.
+	// requeued forever: on its expiry past maxExpiries. Every cell has
+	// now been sent once more; cells 1, 3, 4 and 5 hold the fewest
+	// expiries (1 once the next lease reaps). Leasing everything out
+	// and expiring it once a round, they fail on the lease after
+	// maxExpiries rounds, and not one round sooner: every round, the
+	// last included, still leases cells.
 	advance(2 * time.Minute)
-	for round := 0; round < 4; round++ {
-		for {
-			lr := c.lease("w4")
-			if lr.Status != StatusLease {
-				break
-			}
+	for round := 1; round <= maxExpiries; round++ {
+		leased := 0
+		for c.lease("w4").Status == StatusLease {
+			leased++
+		}
+		if leased == 0 {
+			t.Fatalf("round %d of %d leased no cell: cells failed before exceeding %d expiries", round, maxExpiries, maxExpiries)
 		}
 		advance(2 * time.Minute)
 	}
@@ -279,8 +284,15 @@ func TestLeaseExpiryRequeue(t *testing.T) {
 	default:
 		t.Fatal("coordinator not complete after every cell failed out")
 	}
-	if failed := c.FailedCells(); len(failed) != 6 || !strings.Contains(failed[0], "lease expired") {
+	// Each cell failed on its fourth expiry, as the README says.
+	failed := c.FailedCells()
+	if len(failed) != 6 {
 		t.Fatalf("FailedCells = %v, want 6 lease-expiry entries", failed)
+	}
+	for _, f := range failed {
+		if !strings.Contains(f, "lease expired 4 times") {
+			t.Fatalf("FailedCells entry %q, want a cell that failed on its fourth expiry", f)
+		}
 	}
 }
 

@@ -24,20 +24,33 @@
 // (evalx.Split), made on the model's first cell from the process's
 // cached FP32 reference: the stream buffer the split's batches are
 // generated into and the packed kept samples that row-independent
-// cells forward. It is dropped with the network, so the memory it
-// holds, like the network's batches, is bounded by the number of
-// workers, not by the number of models a process has run.
+// cells forward. It is dropped with the network (drop).
+//
+// Before it builds a network after dropping one, the session collects
+// (runtime.GC): nothing else holds the dropped network, its site
+// table, its batches or its split (the process's caches keep FP32
+// references and BatchNorm statistics, never a network), so the next
+// build, reference and cells reuse that memory instead of growing the
+// heap until the collector's pacer catches up. Collections follow
+// model switches, not cells, and a session's first model collects
+// nothing. The heap, and with it the process's peak RSS, is then
+// bounded by the number of workers' live models, not by the number
+// of models a process has run.
 
 package harness
 
 import (
+	"runtime"
+
 	"fp8quant/internal/evalx"
 	"fp8quant/internal/models"
 	"fp8quant/internal/nn"
 )
 
-// Session is one claim-loop worker's model state. The zero value is
-// ready to use; a Session is not safe for concurrent use.
+// Session is one claim-loop worker's model state. It holds one model
+// at a time, and collects the one it dropped before it builds the next.
+// The zero value is ready to use; a Session is not safe for concurrent
+// use.
 type Session struct {
 	plan  *nn.Plan
 	net   *models.Network
@@ -47,14 +60,18 @@ type Session struct {
 
 // network returns the session's FP32 network of the named model, with
 // the session's plan installed. If the session holds another model's
-// network, it drops that one and builds the model on the plan.
+// network, it drops that one; a session whose plan has served a network
+// before collects the dropped one's memory, then builds the model on
+// the plan.
 func (s *Session) network(name string) (*models.Network, error) {
 	if s.net != nil && s.name == name {
 		return s.net, nil
 	}
-	s.net, s.split = nil, nil
 	if s.plan == nil {
 		s.plan = nn.NewPlan(nil)
+	} else {
+		s.drop()
+		runtime.GC()
 	}
 	net, err := models.BuildOn(name, s.plan)
 	if err != nil {
@@ -86,10 +103,15 @@ func withModelCell(s *Session, name, label string, eval func(*models.Network, *e
 	returned := false
 	defer func() {
 		if !returned {
-			s.net, s.split = nil, nil
+			s.drop()
 		}
 	}()
 	r := eval(net, s.split)
 	returned = true
 	return r
 }
+
+// drop lets go of the session's network and its split. The memory they
+// hold is collected before the session builds its next network
+// (network), once the frames of a panicking cell no longer reach it.
+func (s *Session) drop() { s.net, s.split = nil, nil }

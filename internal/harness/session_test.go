@@ -4,13 +4,17 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
+	"time"
 
 	"fp8quant/internal/evalx"
 	"fp8quant/internal/models"
 	"fp8quant/internal/nn"
 	"fp8quant/internal/quant"
+	"fp8quant/internal/tensor"
 )
 
 // restoreFamilies is one zoo model per builder family.
@@ -226,6 +230,75 @@ func TestPanickingCellDropsNetwork(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("the cell after the panic:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSessionCollectsOnModelSwitch checks when a session collects: with
+// the collector's pacer off, moving to another model runs a collection
+// (the dropped model's memory is reclaimed before the next build), and
+// a second cell of the same model runs none.
+func TestSessionCollectsOnModelSwitch(t *testing.T) {
+	withCleanCache(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	numGC := func() uint32 {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.NumGC
+	}
+	recipe := func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E4M3) }
+	var s Session
+	evalModelCell(&s, "cifar_resnet20", "E4M3", recipe)
+	gcs := numGC()
+	evalModelCell(&s, "cifar_resnet20", "E4M3", recipe)
+	if got := numGC(); got != gcs {
+		t.Errorf("a second cell of the same model collected %d times, want 0", got-gcs)
+	}
+	evalModelCell(&s, "tinybert_mrpc", "E4M3", recipe)
+	if numGC() == gcs {
+		t.Error("moving the session to another model did not collect")
+	}
+}
+
+// TestSessionDropsModelForCollection checks that nothing keeps a model
+// the session dropped alive: after a quantized cell of model A (its site
+// table, batches, split and FP32 reference all made) and a move to
+// model B, a finalizer on A's network and one on the backing array of
+// A's largest weight both run. A plan, memo or cache that held either
+// would keep the dropped model's memory from the next build.
+func TestSessionDropsModelForCollection(t *testing.T) {
+	withCleanCache(t)
+	recipe := func(*models.Network) quant.Recipe { return quant.StandardFP8(quant.E4M3) }
+	netFreed, weightFreed := make(chan struct{}), make(chan struct{})
+	var s Session
+	withModelCell(&s, "cifar_resnet20", "E4M3", func(net *models.Network, sp *evalx.Split) evalx.Result {
+		var w *tensor.Tensor
+		nn.Walk(net.Root(), func(_ string, m nn.Module) {
+			if p, ok := m.(nn.Parametric); ok && (w == nil || p.WeightTensor().Len() > w.Len()) {
+				w = p.WeightTensor()
+			}
+		})
+		runtime.SetFinalizer(net, func(*models.Network) { close(netFreed) })
+		runtime.SetFinalizer(&w.Data[0], func(*float32) { close(weightFreed) })
+		return evalx.EvaluateOn(net, recipe(net), true, sp)
+	})
+	evalModelCell(&s, "tinybert_mrpc", "E4M3", recipe)
+	for _, f := range []struct {
+		what  string
+		freed chan struct{}
+	}{{"network", netFreed}, {"largest weight", weightFreed}} {
+		deadline := time.Now().Add(5 * time.Second)
+	wait:
+		for {
+			select {
+			case <-f.freed:
+				break wait
+			case <-time.After(10 * time.Millisecond):
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("the dropped model's %s was not collected within 5s", f.what)
+			}
+			runtime.GC()
+		}
 	}
 }
 

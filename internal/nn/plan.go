@@ -12,7 +12,9 @@ import "fp8quant/internal/tensor"
 //     network the plan serves: quant.Quantize rewinds it and carves
 //     each weight's FP32 master from it, and Handle.Release copies the
 //     masters back. Begin never touches it, so masters survive every
-//     forward of the cell.
+//     forward of the cell. Its chunks have a smaller floor than the
+//     forward arena's (tensor.CellArena), since a CNN's masters fill
+//     a fraction of a forward chunk.
 //
 // Both arenas keep their chunks across cycles and models, so a warm
 // plan's cell copies its masters, and runs its forwards, in memory the
@@ -52,7 +54,7 @@ type Plan struct {
 
 // NewPlan returns a plan for m (nil when the plan only lends its arenas
 // through Begin and Cell); its arenas hold no chunks yet.
-func NewPlan(m Module) *Plan { return &Plan{m: m} }
+func NewPlan(m Module) *Plan { return &Plan{m: m, cell: tensor.CellArena()} }
 
 // Bind points the plan at a different module (typically the same
 // architecture with different weights). Binding nil detaches the

@@ -49,17 +49,38 @@ type Arena struct {
 	f chunks[float32]
 	h chunks[Tensor] // headers, so &Tensor{...} does not escape
 	i chunks[int]
+	// floor is the float chunk floor; 0 means floatChunk.
+	floor int
 }
 
 // Chunk floors per storage kind. floatChunk (64Ki floats, 256 KiB)
 // holds every intermediate of a zoo token model, so those forwards run
 // over a handful of equal chunks; larger CNN activations get a chunk of
-// their own size.
+// their own size. masterChunk (16Ki floats, 64 KiB) is a cell arena's
+// float floor (CellArena): a CNN's weight masters total 15-22 KiB,
+// so a 256 KiB chunk would hold mostly slack, while a token model's
+// larger weights still share chunks across models. Exact-size chunks
+// (no floor) would keep one chunk per weight size across models.
 const (
 	floatChunk  = 64 << 10
+	masterChunk = 16 << 10
 	headerChunk = 256
 	intChunk    = 1024
 )
+
+// CellArena returns an empty arena for a quantization cycle's weight
+// masters (nn.Plan's cell arena): its float chunks have a floor of
+// masterChunk, not floatChunk. It is returned by value for its owner
+// to embed; like any arena, it must not be copied once carved from.
+func CellArena() Arena { return Arena{floor: masterChunk} }
+
+// floatFloor is the arena's float chunk floor.
+func (a *Arena) floatFloor() int {
+	if a.floor == 0 {
+		return floatChunk
+	}
+	return a.floor
+}
 
 // chunks is one kind's storage: carving is a stack over the
 // concatenation of list, at chunk cur, element off. used marks the
@@ -151,7 +172,7 @@ func (a *Arena) Trim() {
 	if a == nil {
 		return
 	}
-	a.f.trim(floatChunk)
+	a.f.trim(a.floatFloor())
 	a.Reset()
 }
 
@@ -179,7 +200,7 @@ func (a *Arena) Keep(m Mark, y *Tensor) *Tensor {
 	// The destination may overlap y's own storage, which the rewind
 	// just released: copy moves like memmove, and nothing is cleared
 	// first, so the bits arrive intact.
-	t.Data = a.f.carve(len(data), floatChunk)
+	t.Data = a.f.carve(len(data), a.floatFloor())
 	copy(t.Data, data)
 	t.Shape = a.shapeOf(shape)
 	return t
@@ -234,7 +255,7 @@ func (a *Arena) Alloc(n int) []float32 {
 	if a == nil {
 		return make([]float32, n)
 	}
-	s := a.f.carve(n, floatChunk)
+	s := a.f.carve(n, a.floatFloor())
 	clear(s)
 	return s
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -255,6 +256,29 @@ func TestArenaTrim(t *testing.T) {
 	}
 	var nilArena *Arena
 	nilArena.Trim()
+}
+
+// TestCellArenaChunkFloor pins the float chunk floors: a zero arena
+// appends floatChunk-sized chunks and a cell arena (CellArena)
+// masterChunk-sized ones; a carve larger than the floor gets a chunk of
+// its own size in both.
+func TestCellArenaChunkFloor(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		a     Arena
+		floor int
+	}{{"zero", Arena{}, floatChunk}, {"cell", CellArena(), masterChunk}} {
+		c.a.Alloc(100)
+		c.a.Alloc(c.floor)
+		c.a.Keep(c.a.Mark(), FromSlice(make([]float32, 2*c.floor), 2*c.floor))
+		var got []int
+		for _, s := range c.a.f.list {
+			got = append(got, len(s))
+		}
+		if want := []int{c.floor, c.floor, 2 * c.floor}; !slices.Equal(got, want) {
+			t.Errorf("%s arena: chunk lengths %v, want %v", c.name, got, want)
+		}
+	}
 }
 
 // TestArenaKeepOverlapping pins the overlap case: the kept tensor sits
