@@ -40,12 +40,11 @@ vet-contracts:
 # ppc64le and s390x, FNMSUBD, ...), so the match takes an optional
 # S/D/F suffix. The audit attributes an op to the package of the
 # symbol it sits in, so tensor code inlined into data is checked as
-# data. internal/coord stays out: its one fused op is the cost model's
-# moving average of wall-clock times, which orders the work but never
-# reaches a payload. A listing without a symbol of one of the packages
-# fails too, so the check cannot pass vacuously.
+# data. internal/coord is audited too: it owns the schedule and the
+# ingest of every payload. A listing without a symbol of one of the
+# packages fails too, so the check cannot pass vacuously.
 fma-audit:
-	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; pkgs="nn quant evalx fp8 textgen tensor data models diffusion harness"; \
+	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; pkgs="nn quant evalx fp8 textgen tensor data models diffusion harness coord"; \
 	for arch in arm64 ppc64le s390x riscv64 loong64; do \
 	GOARCH=$$arch $(GO) build -gcflags=-S $$(for p in $$pkgs; do echo ./internal/$$p; done) 2> "$$out" || { cat "$$out"; exit 1; }; \
 	awk -v pkgs="$$pkgs" -v arch="$$arch" ' \
@@ -176,8 +175,9 @@ smoke:
 # complete table3 over HTTP into a fresh store. One worker is killed
 # mid-sweep (SIGKILL, no drain) to prove a lost lease costs one
 # -lease-ttl timeout, not the sweep. Afterwards -coverage must report
-# the store complete, a warm run against it must have 0 misses, and
-# its report must be byte-identical to an uncoordinated -workers 1 run
+# the store complete, the store must equal (diff -r) the one an
+# uncoordinated -workers 1 run fills, a warm run against it must have 0
+# misses, and its report must be byte-identical to that local run's
 # (timing/cache footer lines, which start with "(", are excluded). The
 # EXIT trap kills the background jobs still running (bg lists them
 # until they are waited for), so a failed step never leaves a -once
@@ -205,7 +205,9 @@ coord-smoke:
 	"$$d/fp8bench" -exp table3 -coverage -cache-dir "$$d/store" | tee "$$d/cov.txt"; \
 	grep -q "all experiment grids complete" "$$d/cov.txt" || { \
 		echo "coord-smoke: coordinated store incomplete"; cat "$$d/coord.log"; exit 1; }; \
-	"$$d/fp8bench" -exp table3 -workers 1 -no-cache > "$$d/ref.txt"; \
+	"$$d/fp8bench" -exp table3 -workers 1 -cache-dir "$$d/local" > "$$d/ref.txt"; \
+	diff -r "$$d/store" "$$d/local" || { \
+		echo "coord-smoke: coordinated store differs from a local run's"; exit 1; }; \
 	"$$d/fp8bench" -exp table3 -workers 1 -cache-dir "$$d/store" > "$$d/warm.txt"; \
 	grep -q ", 0 misses," "$$d/warm.txt" || { \
 		echo "coord-smoke: warm run over coordinated store had misses:"; \
@@ -213,7 +215,7 @@ coord-smoke:
 	grep -v "^(" "$$d/ref.txt" > "$$d/r1"; grep -v "^(" "$$d/warm.txt" > "$$d/r2"; \
 	cmp "$$d/r1" "$$d/r2" || { \
 		echo "coord-smoke: coordinated report differs from local run"; exit 1; }; \
-	echo "coord-smoke: sweep complete, killed worker survived, report identical, 0 misses"
+	echo "coord-smoke: sweep complete, killed worker survived, store and report identical, 0 misses"
 
 # Chaos smoke: the fault-injection layer (internal/faultline) batters a
 # coordinated table3 sweep with a seeded plan spanning four fault kinds

@@ -275,6 +275,10 @@ func main() {
 // then exits instead of leasing more — a drained worker never wastes
 // completed work or strands a lease until its timeout.
 func runWorker(url, name string) int {
+	// A worker computes one cell at a time on one goroutine, so one P is
+	// its useful share of the host; with more, workers sharing a host
+	// oversubscribe it with their collectors' background work.
+	runtime.GOMAXPROCS(1)
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	// An empty name is filled by the worker itself (host-pid-counter),

@@ -2,9 +2,8 @@
 // control plane that owns a grid schedule end to end. It derives the
 // cell set from the requested experiments, grants it to pull-based
 // fp8bench workers one model group (every pending cell of one model)
-// at a time and leases them the group's cells one by one, most
-// expensive group first by a cost model learned from observed
-// durations and persisted as a store sidecar, ingests pushed payloads
+// at a time and leases them the group's cells one by one, the group
+// with the most pending cells first, ingests pushed payloads
 // into its content-addressed result store under the store's ingest
 // conflict rules, and serves live coverage over a long-poll endpoint.
 // It is how a sweep spans machines.
@@ -27,12 +26,13 @@
 // until every worker it told to wait can have come back and been told
 // done, so no worker spends its retry budget against a closed port. SIGINT/SIGTERM drain gracefully: new leases
 // are refused and cells reserved but not yet sent requeue, in-flight
-// pushes are accepted until -drain-timeout, the cost model is
-// persisted, and the final coverage table is printed.
-// Results land in the same store layout as local runs, so a warm
-// `fp8bench -exp ...` against the store renders reports byte-identical
-// to a local run, -coverage works unchanged, and `fp8bench -warm-from`
-// copies the cells into another machine's store.
+// pushes are accepted until -drain-timeout, and the final coverage
+// table is printed.
+// The coordinator keeps no timing state, so its store ends up
+// byte-identical to a local run's (cells and manifests only): a warm
+// `fp8bench -exp ...` against it renders the local run's reports,
+// -coverage works unchanged, and `fp8bench -warm-from` copies the cells
+// into another machine's store.
 package main
 
 import (
@@ -192,9 +192,6 @@ func run() int {
 		code = 1
 	}
 
-	if err := c.PersistCost(); err != nil {
-		fmt.Fprintf(os.Stderr, "fp8coord: persisting cost model: %v\n", err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

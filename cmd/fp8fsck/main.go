@@ -1,7 +1,7 @@
 // Command fp8fsck verifies and repairs fp8bench result store
 // directories, the way fsck verifies a filesystem: every cell,
-// manifest, sidecar and leftover temp file is classified, damage is
-// reported, and -repair quarantines damaged entries (into the store's
+// manifest, leftover temp file and foreign file is classified, damage
+// is reported, and -repair quarantines damaged entries (into the store's
 // quarantine/ subdirectory) so the next sweep recomputes exactly the
 // cells that were lost.
 //
@@ -71,8 +71,8 @@ func run(args []string, stdout, stderr *os.File) int {
 			}
 			fmt.Fprintf(stdout, "fp8fsck: %s/%s: %s [%s]: %s\n", dir, f.File, f.Kind, mark, f.Detail)
 		}
-		fmt.Fprintf(stdout, "fp8fsck: %s: %d cells, %d manifests, %d sidecars scanned; %d damaged, %d repaired\n",
-			dir, rep.Cells, rep.Manifests, rep.Sidecars, rep.Damage, rep.Repaired)
+		fmt.Fprintf(stdout, "fp8fsck: %s: %d cells, %d manifests scanned; %d damaged, %d repaired\n",
+			dir, rep.Cells, rep.Manifests, rep.Damage, rep.Repaired)
 		if !rep.Healthy() {
 			unhealthy = true
 		}

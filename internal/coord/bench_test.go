@@ -105,7 +105,7 @@ func BenchmarkFleetCell(b *testing.B) {
 		win.mark(b, i)
 		l := lr.Lease
 		push := PushRequest{Worker: w.Name, LeaseID: l.ID, Fingerprint: l.Fingerprint, Payload: payloads[l.Index],
-			DurationMs: 1, Computed: true, KernelVariant: variant, Next: true}
+			Computed: true, KernelVariant: variant, Next: true}
 		var pr PushResponse
 		if err := w.call(ctx, "/v1/push", push, &pr, 0); err != nil {
 			b.Fatal(err)

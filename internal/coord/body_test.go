@@ -165,7 +165,7 @@ func realPush(t testing.TB, e testExp, idx int, variant string) []byte {
 		t.Fatal(err)
 	}
 	b, err := json.Marshal(PushRequest{Worker: "w", Fingerprint: a.FP, Payload: payload,
-		Computed: true, DurationMs: 3, KernelVariant: variant})
+		Computed: true, KernelVariant: variant})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -293,9 +293,7 @@ func (w *Worker) computeLease(l Lease, stats *WorkerStats, s *harness.Session) P
 		push.Err = fmt.Sprintf("fingerprint mismatch on %s cell %d: coordinator says %s, worker derives %s (schedule skew)", l.Exp, l.Index, l.Fingerprint, a.FP)
 		return push
 	}
-	start := time.Now()
 	res, computed := harness.ComputeCell(e, l.Index, a, s)
-	elapsed := time.Since(start)
 	if res.Err != "" {
 		// Cell failures are deterministic (runCellSafe converts panics);
 		// report them so the coordinator stops rescheduling the cell.
@@ -310,7 +308,6 @@ func (w *Worker) computeLease(l Lease, stats *WorkerStats, s *harness.Session) P
 		return push
 	}
 	push.Payload = payload
-	push.DurationMs = float64(elapsed) / float64(time.Millisecond)
 	push.Computed = computed
 	if computed {
 		// Provenance travels with fresh work only, matching the local

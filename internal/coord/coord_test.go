@@ -394,7 +394,7 @@ func TestPushRejections(t *testing.T) {
 	}
 
 	fp, payload := payloadFor(t, e, 0)
-	if pr, code, _ := doPush(PushRequest{Fingerprint: fp, Payload: payload, Computed: true, DurationMs: 5}); code != 200 || pr.Status != PushStored {
+	if pr, code, _ := doPush(PushRequest{Fingerprint: fp, Payload: payload, Computed: true}); code != 200 || pr.Status != PushStored {
 		t.Fatalf("first push = %v/%d, want stored/200", pr, code)
 	}
 	// Identical duplicate: idempotent (an expired lease whose work was
@@ -548,78 +548,6 @@ func TestPushVariantCheckedInMemory(t *testing.T) {
 	}
 }
 
-// TestCostModelRoundTrip checks persistence through the store sidecar
-// and the per-model estimate fallback, and that a schema-1 (per-cell,
-// per-axis) or corrupt sidecar loads as an empty model.
-func TestCostModelRoundTrip(t *testing.T) {
-	store := openStore(t)
-	m := NewCostModel()
-	m.Observe("bloom_176b", 800*time.Millisecond)
-	m.Observe("bloom_176b", 400*time.Millisecond)
-	m.Observe("", 200*time.Millisecond)
-	if err := m.Persist(store); err != nil {
-		t.Fatal(err)
-	}
-	got := LoadCostModel(store)
-	if got.all.N != 3 || len(got.models) != 1 {
-		t.Fatalf("loaded %d observations of %d models, want 3 of 1", got.all.N, len(got.models))
-	}
-	// EMA: 0.3*400 + 0.7*800 = 680.
-	if a, b := m.EstimateMs("bloom_176b"), got.EstimateMs("bloom_176b"); a != 680 || b != 680 {
-		t.Fatalf("model estimate = %v before and %v after the round trip, want 680", a, b)
-	}
-	// An unseen model and a cell without one: the global mean,
-	// 0.3*200 + 0.7*680 = 536.
-	for _, model := range []string{"squeezenet", ""} {
-		if e := got.EstimateMs(model); e != 536 {
-			t.Fatalf("estimate for %q = %v, want the global mean 536", model, e)
-		}
-	}
-	// Empty model: default.
-	if e := NewCostModel().EstimateMs("bloom_176b"); e != defaultCostMs {
-		t.Fatalf("default estimate = %v, want %v", e, float64(defaultCostMs))
-	}
-	// A schema-1 sidecar and a corrupt one load as empty, never fail.
-	for _, b := range []string{
-		`{"schema":1,"cells":{"f1":{"ema_ms":680,"n":2}},"axes":{"model=bloom_176b":{"ema_ms":680,"n":2}},"all":{"ema_ms":680,"n":2}}`,
-		"not json",
-	} {
-		if err := store.SaveSidecar(CostSidecarName, []byte(b)); err != nil {
-			t.Fatal(err)
-		}
-		if m := LoadCostModel(store); m.all.N != 0 || len(m.models) != 0 {
-			t.Fatalf("sidecar %.20q loaded %d observations, want an empty model", b, m.all.N)
-		}
-	}
-}
-
-// TestExpensiveCellsLeaseFirst seeds per-model estimates and checks the
-// scheduler grants model groups by estimate times pending cells: m0's
-// three cells at 1s (3s) outrank m1's one pending cell at 2.5s, which
-// outranks m2's three at 0.4s (1.2s). Within a group the cells come in
-// grid order.
-func TestExpensiveCellsLeaseFirst(t *testing.T) {
-	withHarnessState(t)
-	e := modelGrid("lpt", 3, 3) // cells 0-2 m0, 3-5 m1, 6-8 m2
-	store := openStore(t)
-	for _, i := range []int{3, 4} {
-		cell := e.spec.CellAt(i)
-		if err := store.SaveCell(e.spec.CellKey(cell), e.run(cell)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: store})
-	observe(c, "m0", 1000)
-	observe(c, "m1", 2500)
-	observe(c, "m2", 400)
-	want := [][]int{{0, 1, 2}, {5}, {6, 7, 8}}
-	for n, cells := range want {
-		if got := indices(grant(t, c, "w")); !slices.Equal(got, cells) {
-			t.Fatalf("grant order[%d] = cells %v, want %v (want order %v)", n, got, cells, want)
-		}
-	}
-}
-
 // TestSeedFromStore checks a coordinator over a half-full store
 // schedules only the missing cells.
 func TestSeedFromStore(t *testing.T) {
@@ -726,11 +654,6 @@ func TestGracefulDrain(t *testing.T) {
 	snap := c.Snapshot()
 	if !snap.Draining || snap.Experiments[0].Done != 1 {
 		t.Fatalf("post-drain snapshot = %+v, want draining with the in-flight cell done", snap)
-	}
-	// The cost model persisted through the push: a fresh load sees the
-	// observation.
-	if m := LoadCostModel(store); m.all.N != 1 {
-		t.Fatalf("persisted cost observations = %d, want 1", m.all.N)
 	}
 }
 

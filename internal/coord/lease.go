@@ -4,7 +4,7 @@
 // the local memo) — queued by model group: every pending cell of one
 // model, a cell without a model being a group of its own. A worker
 // without unsent cells that asks for one (a lease request, or a push
-// with Next) is granted the group with the largest cost estimate, and
+// with Next) is granted the group with the most pending cells, and
 // each following ask is sent the grant's next cell, so a worker builds,
 // warms and references each model it is granted once, and a fleet pays
 // one setup per model. A grant has one deadline, renewed by each answer
@@ -50,7 +50,7 @@ type workItem struct {
 	fp  string
 	// model is the cell's model (harness.GridSpec.CellModels; "" for a
 	// grid without one): the unit whose setup a worker pays once per
-	// process, and so the grant and cost-model unit.
+	// process, and so the grant unit.
 	model string
 
 	state itemState
@@ -73,7 +73,7 @@ func (it *workItem) group() string {
 }
 
 // compareItems orders cells by (model, exp, index): a group's compute
-// order, and the tie-break between equally estimated groups.
+// order, and the tie-break between groups of equal size.
 func compareItems(a, b *workItem) int {
 	if c := strings.Compare(a.model, b.model); c != 0 {
 		return c
@@ -153,14 +153,12 @@ func (es *expSchedule) progress() ExpProgress {
 // queue and returns its cells in compute order, or nil when no cell is
 // pending. Each group keeps only its pending cells (a late push may
 // have settled a queued one) and a group left empty leaves the queue.
-// The next group is the one with the largest estimate (its model's
-// per-cell estimate times its cell count; longest-processing-time-first
-// over groups), ties broken by compareItems on any one cell of each
-// (named groups differ by model, and a model-less group is one cell),
-// so the choice is deterministic for a given model state.
+// The next group is the one with the most cells, ties broken by
+// compareItems on any one cell of each (named groups differ by model,
+// and a model-less group is one cell), so the choice is deterministic
+// for a given queue.
 func (c *Coordinator) takeGroupLocked() []*workItem {
 	var best []*workItem
-	bestMs := 0.0
 	for k, g := range c.pending {
 		g = slices.DeleteFunc(g, func(it *workItem) bool { return it.state != statePending })
 		if len(g) == 0 {
@@ -168,9 +166,8 @@ func (c *Coordinator) takeGroupLocked() []*workItem {
 			continue
 		}
 		c.pending[k] = g
-		ms := c.cost.EstimateMs(g[0].model) * float64(len(g))
-		if best == nil || ms > bestMs || ms == bestMs && compareItems(g[0], best[0]) < 0 {
-			best, bestMs = g, ms
+		if best == nil || len(g) > len(best) || len(g) == len(best) && compareItems(g[0], best[0]) < 0 {
+			best = g
 		}
 	}
 	if best == nil {
@@ -183,8 +180,8 @@ func (c *Coordinator) takeGroupLocked() []*workItem {
 
 // releaseLocked renews g's deadline and, with unsent, requeues the
 // cells it has not sent. Once nothing of g is left to send or push, g
-// is settled: it leaves the lease table and releaseLocked reports true.
-func (c *Coordinator) releaseLocked(g *grantRec, unsent bool) bool {
+// is settled and leaves the lease table.
+func (c *Coordinator) releaseLocked(g *grantRec, unsent bool) {
 	g.deadline = c.cfg.Clock().Add(c.cfg.LeaseTTL)
 	if unsent {
 		for _, it := range g.cells[g.sent:] {
@@ -194,11 +191,9 @@ func (c *Coordinator) releaseLocked(g *grantRec, unsent bool) bool {
 		}
 		g.cells = g.cells[:g.sent]
 	}
-	if g.next() || g.outstanding() > 0 {
-		return false
+	if !g.next() && g.outstanding() == 0 {
+		delete(c.grants, g.id)
 	}
-	delete(c.grants, g.id)
-	return true
 }
 
 // requeueLocked puts a cell back in its group of the pending queue.

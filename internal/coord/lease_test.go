@@ -1,9 +1,13 @@
 package coord
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -13,6 +17,7 @@ import (
 	"fp8quant/internal/evalx"
 	"fp8quant/internal/faultline"
 	"fp8quant/internal/harness"
+	"fp8quant/internal/resultstore"
 )
 
 // fakeClock returns a Config.Clock and a way to move it forward.
@@ -77,16 +82,11 @@ func indices(ls []Lease) []int {
 func pushLease(t *testing.T, c *Coordinator, e testExp, worker string, l Lease) PushResponse {
 	t.Helper()
 	fp, payload := payloadFor(t, e, l.Index)
-	pr, code, msg := c.push(PushRequest{Worker: worker, LeaseID: l.ID, Fingerprint: fp, Payload: payload, Computed: true, DurationMs: 5})
+	pr, code, msg := c.push(PushRequest{Worker: worker, LeaseID: l.ID, Fingerprint: fp, Payload: payload, Computed: true})
 	if code != 200 {
 		t.Fatalf("push of cell %d = %d %s", l.Index, code, msg)
 	}
 	return pr
-}
-
-// observe seeds the cost model with one cell duration of model.
-func observe(c *Coordinator, model string, ms float64) {
-	c.cost.Observe(model, time.Duration(ms*float64(time.Millisecond)))
 }
 
 // threeRecipes is a 2-model x 3-recipe grid: cells 0-2 are ma's, 3-5
@@ -214,9 +214,8 @@ func TestExitingWorkerReleasesGroup(t *testing.T) {
 }
 
 // TestNoModelAxisLeasesInLPTOrder: on a grid without a model axis every
-// cell is a group of one, estimated at the global mean, so each grant
-// is one cell and the grants come in grid order, whoever asks and
-// whatever has been observed.
+// cell is a group of one, so each grant is one cell and the grants
+// come in grid order, whoever asks.
 func TestNoModelAxisLeasesInLPTOrder(t *testing.T) {
 	withHarnessState(t)
 	e := axisExp("nomodel",
@@ -225,8 +224,6 @@ func TestNoModelAxisLeasesInLPTOrder(t *testing.T) {
 	)
 	clock, _ := fakeClock()
 	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: openStore(t), Clock: clock})
-	observe(c, "", 5000)
-	observe(c, "other", 2000)
 	for i := 0; i < 6; i++ {
 		w := []string{"w0", "w1"}[i%2]
 		if got := indices(grant(t, c, w)); !slices.Equal(got, []int{i}) {
@@ -300,29 +297,45 @@ func TestFleetSetsUpEachModelOnce(t *testing.T) {
 	}
 }
 
-// TestCostModelWrittenOncePerGroup: a full sweep writes the cost-model
-// sidecar at most once per model group, not once per push, and the
-// last write holds every observation.
-func TestCostModelWrittenOncePerGroup(t *testing.T) {
+// TestSweepWritesOnlyCellsAndManifests: a full sweep writes each cell
+// once and the grid's manifest twice (its schedule, then the first
+// pushed kernel variant), and leaves nothing else in the store, so a
+// coordinated store holds what a local run's does.
+func TestSweepWritesOnlyCellsAndManifests(t *testing.T) {
 	withHarnessState(t)
 	const models, recipes = 8, 6
-	e := modelGrid("costwrites", models, recipes)
+	e := modelGrid("writes", models, recipes)
 	if err := faultline.Arm(faultline.Plan{}); err != nil { // counts hits, injects nothing
 		t.Fatal(err)
 	}
 	t.Cleanup(faultline.Disarm)
 	c := runFleet(t, e, 2)
-	writes := 0
+	writes := map[string]int{}
 	for _, ps := range faultline.Stats() {
-		if ps.Name == "resultstore.sidecar.create" {
-			writes = ps.Hits
+		if strings.HasPrefix(ps.Name, "resultstore.") && strings.HasSuffix(ps.Name, ".create") {
+			writes[ps.Name] = ps.Hits
 		}
 	}
-	if writes < 1 || writes > models {
-		t.Fatalf("cost-model sidecar written %d times for %d groups, want 1..%d", writes, models, models)
+	want := map[string]int{"resultstore.save.create": models * recipes, "resultstore.manifest.create": 2}
+	if !maps.Equal(writes, want) {
+		t.Fatalf("store writes by class = %v, want %v", writes, want)
 	}
-	if m := LoadCostModel(c.cfg.Store); m.all.N != models*recipes {
-		t.Fatalf("persisted cost observations = %d, want %d", m.all.N, models*recipes)
+	ents, err := os.ReadDir(c.cfg.Store.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var other []string
+	cells := 0
+	for _, ent := range ents {
+		switch name := ent.Name(); {
+		case strings.HasPrefix(name, "c-"):
+			cells++
+		case !strings.HasPrefix(name, "m-"):
+			other = append(other, name)
+		}
+	}
+	if cells != models*recipes || len(other) != 0 {
+		t.Fatalf("store holds %d cells and other files %v, want %d cells, manifests and nothing else", cells, other, models*recipes)
 	}
 }
 
@@ -357,37 +370,55 @@ func TestColdSweepGrantsLargestGroupFirst(t *testing.T) {
 	}
 }
 
-// TestCostModelTransfersAcrossGrids: the per-model costs a sweep of one
-// grid learns order the groups of another grid that reads its model
-// from a config axis ("x/ma"), in a later coordinator over the same
-// store: mb's cells took 9s against ma's 1s, so mb goes first although
-// the groups are the same size and ma sorts first by name.
-func TestCostModelTransfersAcrossGrids(t *testing.T) {
+// TestLegacyCostModelIgnored: a store holding the costmodel.json an
+// older coordinator persisted (schema 2: one running mean per model)
+// schedules as a fresh one. The file rates ma's 2 cells far above mb's
+// 3, yet mb's larger group is granted first; the sweep leaves the file's
+// bytes alone, fsck reports it as a foreign file of a healthy store,
+// and Prune keeps it.
+func TestLegacyCostModelIgnored(t *testing.T) {
 	withHarnessState(t)
 	store := openStore(t)
-	first := axisExp("learn",
-		harness.Axis{Name: "model", Values: []string{"ma", "mb"}},
-		harness.Axis{Name: "recipe", Values: []string{"r1", "r2"}},
-	)
-	c := newTestCoord(t, Config{Experiments: []harness.Experiment{first}, Store: store})
-	for i, ms := range []float64{1000, 1000, 9000, 9000} {
-		fp, payload := payloadFor(t, first, i)
-		if _, code, msg := c.push(PushRequest{Fingerprint: fp, Payload: payload, Computed: true, DurationMs: ms}); code != 200 {
-			t.Fatalf("push of cell %d = %d %s", i, code, msg)
-		}
-	}
-	if err := c.PersistCost(); err != nil {
+	legacy := filepath.Join(store.Dir(), "costmodel.json")
+	old := []byte(`{"schema":2,"models":{"ma":{"ema_ms":90000,"n":4},"mb":{"ema_ms":1,"n":6}},"all":{"ema_ms":36000,"n":10}}`)
+	if err := os.WriteFile(legacy, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	second := axisExp("reuse",
-		harness.Axis{Name: "config", Values: []string{"x/ma", "x/mb"}},
-		harness.Axis{Name: "recipe", Values: []string{"r1", "r2"}},
+	e := axisExp("legacy",
+		harness.Axis{Name: "config", Values: []string{"a/ma", "b/ma", "a/mb", "b/mb", "c/mb"}},
+		harness.Axis{Name: "recipe", Values: []string{"r1"}},
 	)
-	c = newTestCoord(t, Config{Experiments: []harness.Experiment{second}, Store: store})
-	for n, cells := range [][]int{{2, 3}, {0, 1}} {
-		if got := indices(grant(t, c, "w")); !slices.Equal(got, cells) {
-			t.Fatalf("grant %d = cells %v, want %v: mb's learned cost first", n, got, cells)
+	c := newTestCoord(t, Config{Experiments: []harness.Experiment{e}, Store: store})
+	for n, cells := range [][]int{{2, 3, 4}, {0, 1}} {
+		ls := grant(t, c, "w")
+		if got := indices(ls); !slices.Equal(got, cells) {
+			t.Fatalf("grant %d = cells %v, want %v: the larger group first", n, got, cells)
 		}
+		for _, l := range ls {
+			pushLease(t, c, e, "w", l)
+		}
+	}
+	if !c.Snapshot().Complete {
+		t.Fatal("sweep incomplete after every group was pushed")
+	}
+	rep, err := store.Fsck(resultstore.FsckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, f := range rep.Findings {
+		if f.File == "costmodel.json" {
+			kinds = append(kinds, f.Kind)
+		}
+	}
+	if !rep.Healthy() || !slices.Equal(kinds, []string{resultstore.FindForeign}) {
+		t.Fatalf("fsck: healthy %v, costmodel.json findings %v; want a healthy store and one %s finding", rep.Healthy(), kinds, resultstore.FindForeign)
+	}
+	if _, err := store.Prune(0); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(legacy); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("costmodel.json after the sweep and Prune = %q, %v; want its bytes unchanged", got, err)
 	}
 }
 

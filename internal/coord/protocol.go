@@ -105,10 +105,8 @@ type PushRequest struct {
 	// Payload is the exact store envelope (resultstore.EncodeCell) for
 	// a successful cell; empty when Err is set.
 	Payload json.RawMessage `json:"payload,omitempty"`
-	// DurationMs is the worker-observed wall time of the computation.
-	DurationMs float64 `json:"duration_ms"`
 	// Computed is true when the worker actually ran the cell (false for
-	// a local cache hit, whose duration says nothing about cell cost).
+	// a local cache hit, which says nothing about the worker's tier).
 	Computed bool `json:"computed"`
 	// KernelVariant is the GEMM tier the worker dispatched (avx2, sse,
 	// generic), set only for freshly computed cells — the same rule the

@@ -4,16 +4,16 @@
 // seeded done from whatever the store already holds, so restarting a
 // coordinator over a half-full store schedules only the missing
 // cells), grants them to pull-based workers one model group at a time,
-// the most expensive group first via the learned cost model, ingests
-// pushed payloads under IngestCell's conflict rules, and publishes live
-// coverage over a long-poll endpoint. Its unit is the model group end
-// to end: the pending queue, the lease table (one grant record per
-// group) and the cost model are all keyed by it. The coordinator owns
+// the group with the most pending cells first, ingests pushed payloads
+// under IngestCell's conflict rules, and publishes live coverage over a
+// long-poll endpoint. Its unit is the model group end to end: the
+// pending queue and the lease table (one grant record per group) are
+// keyed by it. The coordinator owns
 // its store's grid manifests while it runs: it reads each once at
 // startup and checks pushed kernel variants against that copy. All
 // state lives behind one mutex; handlers are thin.
 //
-// Wall-clock use (lease deadlines, cost observations) is confined to
+// Wall-clock use (lease deadlines, heartbeats) is confined to
 // this control plane and never reaches RunCell — cell payloads are
 // computed by the same pure harness path as local runs and stay
 // byte-identical; the clock only decides *when* work is re-queued,
@@ -82,10 +82,9 @@ const maxExpiries = 3
 const staleHeartbeats = 3
 
 // Coordinator owns the schedule state. Create with New, expose with
-// Handler, and drive shutdown with Drain + PersistCost.
+// Handler, and drive shutdown with Drain.
 type Coordinator struct {
-	cfg  Config
-	cost *CostModel
+	cfg Config
 
 	mu       sync.Mutex
 	items    map[string]*workItem   // by fingerprint
@@ -147,7 +146,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:     cfg,
-		cost:    LoadCostModel(cfg.Store),
 		items:   map[string]*workItem{},
 		pending: map[string][]*workItem{},
 		grants:  map[string]*grantRec{},
@@ -436,11 +434,6 @@ func (c *Coordinator) Linger(d time.Duration) {
 	}
 }
 
-// PersistCost writes the learned cost model to its store sidecar.
-func (c *Coordinator) PersistCost() error {
-	return c.cost.Persist(c.cfg.Store)
-}
-
 // FailedCells returns "exp cell: reason" lines for permanently failed
 // cells, in schedule order.
 func (c *Coordinator) FailedCells() []string {
@@ -599,10 +592,8 @@ func (c *Coordinator) pushLocked(req PushRequest) (PushResponse, int, string) {
 		// a transient store failure left leased stays outstanding: if
 		// the worker dies instead of retrying, the grant expires and
 		// requeues it rather than stranding it.
-		if g := c.grants[req.LeaseID]; g != nil && c.releaseLocked(g, req.Exiting) {
-			// Persist once per settled grant, so a killed coordinator
-			// keeps what its finished groups taught; the write is atomic.
-			_ = c.cost.Persist(c.cfg.Store)
+		if g := c.grants[req.LeaseID]; g != nil {
+			c.releaseLocked(g, req.Exiting)
 		}
 		c.bumpLocked()
 		c.checkCompleteLocked()
@@ -645,9 +636,6 @@ func (c *Coordinator) pushLocked(req PushRequest) (PushResponse, int, string) {
 			fmt.Sprintf("store ingest failed for cell %s: %v", req.Fingerprint, err)
 	}
 	it.state = stateDone
-	if req.Computed && req.DurationMs > 0 {
-		c.cost.Observe(it.model, time.Duration(req.DurationMs*float64(time.Millisecond)))
-	}
 	if status == resultstore.IngestIdentical {
 		return PushResponse{Status: PushIdentical}, http.StatusOK, ""
 	}

@@ -128,9 +128,9 @@ func RunGrid(e Experiment, f Filter, _ ...Shard) (*Grid, []int, error) {
 // that cell — panic-isolated like any pool cell — and pushes the
 // payload back. A worker passes the same s for all its cells, so a
 // granted group's cells share one network; nil serves the cell alone.
-// The fresh/cached flag lets workers report honest durations to the
-// coordinator's cost model (a cache hit says nothing about how
-// expensive the cell is).
+// The fresh/cached flag decides whether a worker's push carries its
+// kernel variant (a cache hit says nothing about which tier computed
+// the stored bytes).
 func ComputeCell(e Experiment, idx int, a resultstore.Addr, s *Session) (evalx.Result, bool) {
 	spec := e.Spec()
 	if idx < 0 || idx >= spec.NumCells() {

@@ -7,6 +7,7 @@ package resultstore
 // reports/repairs whatever the simulated crash left on the floor.
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -145,34 +146,39 @@ func TestCrashAtEverySaveStage(t *testing.T) {
 	}
 }
 
-func TestCrashDuringManifestAndSidecarWrites(t *testing.T) {
-	for _, st := range []struct {
-		point string
-		write func(s *Store) error
-	}{
-		{"resultstore.manifest.rename", func(s *Store) error { return s.SaveManifest(testManifest()) }},
-		{"resultstore.sidecar.temp", func(s *Store) error { return s.SaveSidecar("costmodel.json", []byte(`{}`)) }},
-	} {
-		t.Run(strings.ReplaceAll(st.point, ".", "_"), func(t *testing.T) {
+// TestCrashDuringManifestWrites: a manifest write that crashes after
+// its temp file exists (a torn temp write, a failed rename) leaves that
+// temp file as evidence; a retry heals, and fsck repair clears the
+// leftover without touching a foreign file next to it (an older
+// coordinator's costmodel.json).
+func TestCrashDuringManifestWrites(t *testing.T) {
+	for _, point := range []string{"resultstore.manifest.rename", "resultstore.manifest.temp"} {
+		t.Run(strings.ReplaceAll(point, ".", "_"), func(t *testing.T) {
 			dir := t.TempDir()
 			s, err := Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
+			foreign := filepath.Join(dir, "costmodel.json")
+			legacy := []byte(`{"schema":2,"models":{},"all":{"ema_ms":0,"n":0}}`)
+			if err := os.WriteFile(foreign, legacy, 0o644); err != nil {
+				t.Fatal(err)
+			}
 			kind := faultline.KindErr
 			var frac float64
-			if strings.HasSuffix(st.point, ".temp") {
+			if strings.HasSuffix(point, ".temp") {
 				kind, frac = faultline.KindTorn, 0.5
 			}
-			armOnce(t, st.point, kind, frac)
-			if err := st.write(s); !errors.Is(err, faultline.ErrInjected) {
+			armOnce(t, point, kind, frac)
+			write := func() error { return s.SaveManifest(testManifest()) }
+			if err := write(); !errors.Is(err, faultline.ErrInjected) {
 				t.Fatalf("write error = %v, want injected", err)
 			}
 			if len(tmpFiles(t, dir)) == 0 {
 				t.Fatal("crash left no tmp evidence")
 			}
 			// Retry heals; fsck repair clears the leftover.
-			if err := st.write(s); err != nil {
+			if err := write(); err != nil {
 				t.Fatalf("healing rewrite: %v", err)
 			}
 			rep, err := s.Fsck(FsckOptions{Repair: true})
@@ -184,6 +190,12 @@ func TestCrashDuringManifestAndSidecarWrites(t *testing.T) {
 			}
 			if len(tmpFiles(t, dir)) != 0 {
 				t.Fatal("repair left tmp files behind")
+			}
+			if b, err := os.ReadFile(foreign); err != nil || !bytes.Equal(b, legacy) {
+				t.Fatalf("foreign file after repair = %q, %v; want it untouched", b, err)
+			}
+			if _, ok := s.LoadManifest(testManifest().Grid, testManifest().Seed); !ok {
+				t.Fatal("healed manifest does not load")
 			}
 		})
 	}

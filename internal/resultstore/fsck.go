@@ -59,8 +59,8 @@ const (
 	// unhealthy cells (informational — "resume will recompute these",
 	// not damage; an interrupted sweep is incomplete, not broken).
 	FindIncompleteGrid = "incomplete-grid"
-	// FindForeign: a file the store did not name and that is not a
-	// valid sidecar name either (informational — left alone).
+	// FindForeign: a file the store did not name, such as an older
+	// coordinator's costmodel.json (informational — left alone).
 	FindForeign = "foreign"
 )
 
@@ -73,7 +73,7 @@ var findDetail = map[string]string{
 	FindMisplacedManifest: "manifest's grid and seed belong at another file name",
 	FindStaleSchema:       fmt.Sprintf("entry from another schema generation (current is %d)", SchemaVersion),
 	FindOrphanCell:        "healthy cell not referenced by any manifest",
-	FindForeign:           "not a store file or valid sidecar name; left alone",
+	FindForeign:           "not a store file; left alone",
 }
 
 // FsckOptions configures a store check.
@@ -103,9 +103,9 @@ type FsckFinding struct {
 
 // FsckReport is the result of one store check.
 type FsckReport struct {
-	// Cells, Manifests and Sidecars count the store files scanned
-	// (healthy or not), by class.
-	Cells, Manifests, Sidecars int
+	// Cells and Manifests count the store files scanned (healthy or
+	// not), by class.
+	Cells, Manifests int
 	// Findings lists problems and notable facts in deterministic
 	// (file-name, then kind) order.
 	Findings []FsckFinding
@@ -160,9 +160,9 @@ type storeScan struct {
 	// orphans are, sorted, the fingerprints of the healthy cells no
 	// healthy manifest references.
 	orphans []string
-	// cellFiles, manifestFiles and sidecars count the files of each
-	// class, healthy or not.
-	cellFiles, manifestFiles, sidecars int
+	// cellFiles and manifestFiles count the files of each class,
+	// healthy or not.
+	cellFiles, manifestFiles int
 	// unreadable holds one error per store-named file the walk could
 	// not read.
 	unreadable []error
@@ -211,8 +211,6 @@ func (s *Store) scan(tmpAge time.Duration) (*storeScan, error) {
 			default:
 				sc.cells[name[2:34]] = ent
 			}
-		case validSidecarName(name) == nil:
-			sc.sidecars++
 		default:
 			found(name, FindForeign)
 		}
@@ -253,7 +251,7 @@ func (s *Store) Fsck(opts FsckOptions) (FsckReport, error) {
 	if len(sc.unreadable) > 0 {
 		return FsckReport{}, sc.unreadable[0]
 	}
-	rep := FsckReport{Cells: sc.cellFiles, Manifests: sc.manifestFiles, Sidecars: sc.sidecars, Findings: sc.files}
+	rep := FsckReport{Cells: sc.cellFiles, Manifests: sc.manifestFiles, Findings: sc.files}
 	for i, f := range rep.Findings {
 		if f.Damage {
 			rep.Damage++
@@ -305,7 +303,7 @@ func (s *Store) Fsck(opts FsckOptions) (FsckReport, error) {
 // still expects to find it. Manifests never age out: they are tiny
 // and carry the schedule that gives the cells meaning. A file that
 // cannot be read right now is skipped, and files the store did not
-// name (sidecars included) are left alone. Returns the number of files
+// name (foreign files) are left alone. Returns the number of files
 // removed.
 func (s *Store) Prune(maxAge time.Duration) (int, error) {
 	if s == nil {

@@ -41,9 +41,6 @@ func TestFsckCleanStore(t *testing.T) {
 	if err := s.SaveManifest(testManifest()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveSidecar("costmodel.json", []byte(`{}`)); err != nil {
-		t.Fatal(err)
-	}
 	rep, err := s.Fsck(FsckOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -51,8 +48,8 @@ func TestFsckCleanStore(t *testing.T) {
 	if !rep.Healthy() || rep.Damage != 0 {
 		t.Fatalf("clean store unhealthy: %+v", rep)
 	}
-	if rep.Cells != 1 || rep.Manifests != 1 || rep.Sidecars != 1 {
-		t.Fatalf("counts = %d/%d/%d", rep.Cells, rep.Manifests, rep.Sidecars)
+	if rep.Cells != 1 || rep.Manifests != 1 {
+		t.Fatalf("counts = %d/%d", rep.Cells, rep.Manifests)
 	}
 	if len(rep.Findings) != 0 {
 		t.Fatalf("clean store findings: %v", findKinds(rep))
@@ -305,7 +302,7 @@ type classStore struct {
 	refNew, refOld, orphanNew, orphanOld   string // healthy cells
 	corrupt, mismatched, staleCell, legacy string // flawed cells
 	badManifest, misplaced, goodManifest   string // manifests
-	youngTmp, oldTmp, sidecar, foreign     string
+	youngTmp, oldTmp, costModel, foreign   string
 	quarantined                            string // earlier evidence at corrupt's quarantine name
 }
 
@@ -314,7 +311,8 @@ type classStore struct {
 // a stale-schema cell and a legacy whole-grid blob; a healthy manifest
 // (scheduling both referenced cells, the corrupt one and an absent
 // one), a corrupt and a misplaced one; temp files either side of
-// tmpGrace; a sidecar, a foreign file and a quarantine directory that
+// tmpGrace; two foreign files (an older coordinator's costmodel.json
+// and a hidden one) and a quarantine directory that
 // already holds a file under the corrupt cell's name.
 func newClassStore(t *testing.T, maxAge time.Duration) classStore {
 	t.Helper()
@@ -379,7 +377,7 @@ func newClassStore(t *testing.T, maxAge time.Duration) classStore {
 
 	cs.youngTmp = write(".cell-young.tmp", []byte(`{"part`), 0)
 	cs.oldTmp = write(".cell-old.tmp", []byte(`{"part`), 2*tmpGrace)
-	cs.sidecar = write("costmodel.json", []byte(`{}`), old)
+	cs.costModel = write("costmodel.json", []byte(`{}`), old)
 	cs.foreign = write(".notes", []byte("mine"), old)
 	if err := os.Mkdir(filepath.Join(dir, QuarantineDir), 0o755); err != nil {
 		t.Fatal(err)
@@ -440,6 +438,7 @@ func TestOneWalkEveryFileClass(t *testing.T) {
 	// What every check of the full store reports but never repairs.
 	informational := func(cs classStore) []finding {
 		return []finding{
+			{cs.costModel, FindForeign, false, false},
 			{cs.foreign, FindForeign, false, false},
 			{cs.legacy, FindStaleSchema, false, false},
 			{cs.staleCell, FindStaleSchema, false, false},
@@ -470,9 +469,9 @@ func TestOneWalkEveryFileClass(t *testing.T) {
 		if got := findings(rep); !reflect.DeepEqual(got, want) {
 			t.Errorf("findings\n got %v\nwant %v", got, want)
 		}
-		if rep.Cells != 7 || rep.Manifests != 3 || rep.Sidecars != 1 || rep.Damage != 6 || rep.Repaired != 0 || rep.Healthy() {
-			t.Errorf("report = %d cells, %d manifests, %d sidecars, %d damage, %d repaired",
-				rep.Cells, rep.Manifests, rep.Sidecars, rep.Damage, rep.Repaired)
+		if rep.Cells != 7 || rep.Manifests != 3 || rep.Damage != 6 || rep.Repaired != 0 || rep.Healthy() {
+			t.Errorf("report = %d cells, %d manifests, %d damage, %d repaired",
+				rep.Cells, rep.Manifests, rep.Damage, rep.Repaired)
 		}
 		if after := cs.files(t); !reflect.DeepEqual(after, before) {
 			t.Errorf("a check without Repair changed the store: %v → %v", before, after)
@@ -510,7 +509,7 @@ func TestOneWalkEveryFileClass(t *testing.T) {
 			t.Errorf("repair run: %d damage, %d repaired", rep.Damage, rep.Repaired)
 		}
 		wantFiles := sortedNames(cs.refNew, cs.refOld, cs.orphanNew, cs.orphanOld, cs.staleCell, cs.legacy,
-			cs.goodManifest, cs.sidecar, cs.foreign, QuarantineDir)
+			cs.goodManifest, cs.costModel, cs.foreign, QuarantineDir)
 		if got := cs.files(t); !reflect.DeepEqual(got, wantFiles) {
 			t.Errorf("after repair\n got %v\nwant %v", got, wantFiles)
 		}
@@ -535,10 +534,10 @@ func TestOneWalkEveryFileClass(t *testing.T) {
 
 	// Prune removes exactly what fsck calls damage or stale, minus the
 	// temp file too young to be abandoned; with maxAge also the orphan
-	// older than it. Referenced cells, manifests, sidecars, foreign
+	// older than it. Referenced cells, manifests, foreign
 	// files and quarantine/ stay whatever their age.
 	kept := func(cs classStore) []string {
-		return []string{cs.refNew, cs.refOld, cs.orphanNew, cs.goodManifest, cs.youngTmp, cs.sidecar, cs.foreign, QuarantineDir}
+		return []string{cs.refNew, cs.refOld, cs.orphanNew, cs.goodManifest, cs.youngTmp, cs.costModel, cs.foreign, QuarantineDir}
 	}
 	t.Run("Prune0", func(t *testing.T) {
 		cs := newClassStore(t, maxAge)

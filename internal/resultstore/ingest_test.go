@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fp8quant/internal/evalx"
 )
 
 // keyFor builds a distinct cell key per model name.
@@ -156,8 +158,9 @@ func TestCoverageCountsValidCells(t *testing.T) {
 
 // TestPruneRemovesWhatReadsMiss: Prune judges by the same verdict as
 // the reads, so a key-mismatched cell and a misplaced manifest go,
-// while a healthy cell and manifest, a fresh temp file, a sidecar, a
-// foreign file and a directory stay.
+// while a healthy cell and manifest, a fresh temp file, foreign files
+// (an older coordinator's costmodel.json among them) and a directory
+// stay.
 func TestPruneRemovesWhatReadsMiss(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
@@ -165,9 +168,6 @@ func TestPruneRemovesWhatReadsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := s.SaveManifest(testManifest()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveSidecar("costmodel.json", []byte(`{}`)); err != nil {
 		t.Fatal(err)
 	}
 	other, _ := EncodeCell(keyFor("densenet121"), testResult())
@@ -181,6 +181,7 @@ func TestPruneRemovesWhatReadsMiss(t *testing.T) {
 	}
 	os.WriteFile(filepath.Join(dir, ".cell-1.tmp"), []byte("in flight"), 0o644)
 	os.WriteFile(filepath.Join(dir, "notes.json"), []byte(`{}`), 0o644)
+	os.WriteFile(filepath.Join(dir, "costmodel.json"), []byte(`{"schema":2}`), 0o644)
 	// A directory is never a store file, whatever its name.
 	dirNamed := "c-fedcba9876543210fedcba9876543210.json"
 	if err := os.Mkdir(filepath.Join(dir, dirNamed), 0o755); err != nil {
@@ -205,5 +206,57 @@ func TestPruneRemovesWhatReadsMiss(t *testing.T) {
 	}
 	if _, ok := s.LoadManifest("table2-sweep", 0); !ok {
 		t.Error("healthy manifest must survive Prune(0)")
+	}
+}
+
+// TestIngestCell covers the ingest contract for one cell handed over
+// as raw bytes: invalid payloads never land, an identical duplicate is
+// skipped, a valid payload replaces a corrupt entry, and two differing
+// valid payloads are a conflict.
+func TestIngestCell(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := keyFor("m2")
+	fp := k.Fingerprint()
+	payload, err := EncodeCell(k, evalx.Result{Model: "m2", QAcc: 0.99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Invalid payloads never land: garbage, and a valid envelope under
+	// the wrong fingerprint.
+	if _, err := s.IngestCell(fp, []byte("junk")); err == nil {
+		t.Fatal("garbage payload ingested")
+	}
+	wrong := keyFor("other").Fingerprint()
+	if _, err := s.IngestCell(wrong, payload); err == nil {
+		t.Fatal("payload ingested under a mismatched fingerprint")
+	}
+	// Absent: stored.
+	if st, err := s.IngestCell(fp, payload); err != nil || st != IngestStored {
+		t.Fatalf("first ingest = %v/%v, want stored", st, err)
+	}
+	// Identical duplicate: idempotent.
+	if st, err := s.IngestCell(fp, payload); err != nil || st != IngestIdentical {
+		t.Fatalf("duplicate ingest = %v/%v, want identical", st, err)
+	}
+	// Differing valid payload: hard error naming the fingerprint.
+	conflicting, err := EncodeCell(k, evalx.Result{Model: "m2", QAcc: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.IngestCell(fp, conflicting); err == nil || !strings.Contains(err.Error(), fp) {
+		t.Fatalf("conflicting ingest err = %v, want conflict naming %s", err, fp)
+	}
+	// A corrupt destination is replaced, like a recompute would.
+	if err := os.WriteFile(s.CellPath(fp), []byte("torn"), 0o644); err != nil { //nolint — deliberate corruption
+		t.Fatal(err)
+	}
+	if st, err := s.IngestCell(fp, payload); err != nil || st != IngestStored {
+		t.Fatalf("ingest over corrupt dst = %v/%v, want stored", st, err)
+	}
+	if got, ok := s.CellBytesByFingerprint(fp); !ok || !bytes.Equal(got, payload) {
+		t.Fatal("store does not hold the valid payload after corruption recovery")
 	}
 }

@@ -394,8 +394,8 @@ var storeFilePattern = regexp.MustCompile(`^(c-|m-)?[0-9a-f]{32}\.json$`)
 // the write's crash windows — "resultstore.<class>.create" (before the
 // temp file exists), ".temp" (a WriteBytes point, so torn/corrupt rules
 // can truncate the payload), and ".rename" (after a complete temp
-// write, before it becomes visible) — where <class> is save, manifest
-// or sidecar by the destination file's name. Injected temp/rename
+// write, before it becomes visible) — where <class> is save (cells)
+// or manifest by the destination file's name. Injected temp/rename
 // faults deliberately leave the temp file behind, because that is what
 // the crash they simulate would do; real write errors still clean up.
 func (s *Store) writeAtomic(path string, b []byte) error {
@@ -435,15 +435,10 @@ func (s *Store) writeAtomic(path string, b []byte) error {
 type writePoints struct{ create, temp, rename string }
 
 // writePointsOf names the failpoints of a write by the kind of store
-// file its path holds: "save" (cells), "manifest", or "sidecar"
-// (everything else).
+// file its path holds: "manifest" for a manifest, else "save" (cells).
 func writePointsOf(path string) writePoints {
-	switch name := filepath.Base(path); {
-	case strings.HasPrefix(name, "c-"):
-		return writePoints{"resultstore.save.create", "resultstore.save.temp", "resultstore.save.rename"}
-	case strings.HasPrefix(name, "m-"):
+	if strings.HasPrefix(filepath.Base(path), "m-") {
 		return writePoints{"resultstore.manifest.create", "resultstore.manifest.temp", "resultstore.manifest.rename"}
-	default:
-		return writePoints{"resultstore.sidecar.create", "resultstore.sidecar.temp", "resultstore.sidecar.rename"}
 	}
+	return writePoints{"resultstore.save.create", "resultstore.save.temp", "resultstore.save.rename"}
 }
