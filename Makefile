@@ -293,9 +293,12 @@ chaos-smoke:
 	echo "chaos-smoke: sweep survived 4 fault kinds, fsck repaired, report identical, warm-from complete"
 
 # Kernel differential tests once per forced GEMM tier, with the data
-# generators and evalx's kept-path identity tests (TestSplit*: the
-# packed kept samples against the full-split oracle). The pin is
-# honored by the kernels, nn and evalx TestMains; a tier the CPU cannot
+# generators, evalx's kept-path identity tests (TestSplit*: the packed
+# kept samples against the full-split oracle) and the zoo digests
+# (TestPlannedForwardBitIdentical: every model's outputs in FP32,
+# static and dynamic E4M3 and INT8 against the tier's key of
+# internal/models/testdata/zoo_golden.json). The pin is honored by the
+# kernels, nn, evalx and models TestMains; a tier the CPU cannot
 # execute (e.g. avx2 without FMA) is a logged vacuous pass rather than
 # a failure, so the loop is safe on any amd64 host. -count=1 because
 # the test cache does not key on FP8_KERNEL.
@@ -305,6 +308,7 @@ tiers:
 		echo "tiers: FP8_KERNEL=$$v"; \
 		FP8_KERNEL=$$v $(GO) test -count=1 ./internal/tensor/kernels/ ./internal/nn/ ./internal/data/; \
 		FP8_KERNEL=$$v $(GO) test -count=1 -run TestSplit ./internal/evalx/; \
+		FP8_KERNEL=$$v $(GO) test -count=1 -run TestPlannedForwardBitIdentical ./internal/models/; \
 	done
 
 # The portable-code tests on a 32-bit target: GOARCH=386 binaries run
@@ -312,12 +316,15 @@ tiers:
 # runs) and 32-bit int, so this covers the codec, tensors and arena,
 # kernels, nn, quant, the data generators and the analyzers'
 # other-configuration variants, and evalx's kept-path identity tests.
-# TestGoldenDigests checks the 386/generic key of the harness golden
-# file: the same digests as amd64/generic.
+# TestGoldenDigests and TestPlannedForwardBitIdentical check the
+# 386/generic keys of the harness golden file and of the zoo digests
+# (internal/models/testdata/zoo_golden.json): the same digests as
+# amd64/generic.
 arch386:
 	GOARCH=386 $(GO) test -count=1 ./internal/fp8 ./internal/tensor/... ./internal/nn ./internal/quant ./internal/data ./internal/analyzers
 	GOARCH=386 $(GO) test -count=1 -run TestSplit ./internal/evalx
 	GOARCH=386 $(GO) test -count=1 -run TestGoldenDigests ./internal/harness
+	GOARCH=386 $(GO) test -count=1 -run TestPlannedForwardBitIdentical ./internal/models
 
 # Short bounded pass over each native fuzz target (the codec oracle
 # equivalence, the fault-plan round trip, read-path/fsck agreement on

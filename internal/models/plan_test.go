@@ -1,7 +1,17 @@
 package models_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"hash"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sort"
+	"sync"
 	"testing"
 
 	"fp8quant/internal/data"
@@ -10,6 +20,7 @@ import (
 	"fp8quant/internal/nn"
 	"fp8quant/internal/quant"
 	"fp8quant/internal/tensor"
+	"fp8quant/internal/tensor/kernels"
 )
 
 // bitEqual compares tensors bit-for-bit (NaN-safe, distinguishes ±0 —
@@ -66,6 +77,101 @@ func samples(net *models.Network) []data.Sample {
 	return out
 }
 
+// zooStages are the outputs TestPlannedForwardBitIdentical digests per
+// model, in the order it computes them.
+var zooStages = []string{"fp32", "e4m3", "e4m3-dynamic", "int8"}
+
+// outputDigest is a running sha256 over forward outputs: each tensor's
+// shape, then its float32 bits, little-endian.
+type outputDigest struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func newOutputDigest() *outputDigest { return &outputDigest{h: sha256.New()} }
+
+func (d *outputDigest) add(x *tensor.Tensor) {
+	d.buf = d.buf[:0]
+	for _, n := range x.Shape {
+		d.buf = binary.LittleEndian.AppendUint32(d.buf, uint32(n))
+	}
+	for _, v := range x.Data {
+		d.buf = binary.LittleEndian.AppendUint32(d.buf, math.Float32bits(v))
+	}
+	d.h.Write(d.buf)
+}
+
+func (d *outputDigest) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
+
+// zooGolden pins the zoo's outputs: the digests of
+// testdata/zoo_golden.json under the active variant's "GOARCH/variant"
+// key, keyed "model/stage". Every digest a subtest computes goes
+// through record; with no key for this host, the digests are logged at
+// the end instead of compared.
+type zooGolden struct {
+	key    string
+	want   map[string]string
+	pinned bool
+
+	mu  sync.Mutex
+	got map[string]string
+}
+
+func loadZooGolden(t *testing.T) *zooGolden {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "zoo_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all map[string]map[string]string
+	if err := json.Unmarshal(b, &all); err != nil {
+		t.Fatalf("testdata/zoo_golden.json: %v", err)
+	}
+	g := &zooGolden{key: runtime.GOARCH + "/" + string(kernels.Active()), got: map[string]string{}}
+	g.want, g.pinned = all[g.key]
+	return g
+}
+
+func (g *zooGolden) record(t *testing.T, name, stage, digest string) {
+	t.Helper()
+	id := name + "/" + stage
+	g.mu.Lock()
+	g.got[id] = digest
+	g.mu.Unlock()
+	if !g.pinned {
+		return
+	}
+	if want, ok := g.want[id]; !ok {
+		t.Errorf("%s: no golden digest under %s (computed %s)", id, g.key, digest)
+	} else if digest != want {
+		t.Errorf("%s: digest %s, golden %s under %s", id, digest, want, g.key)
+	}
+}
+
+// finish runs once every subtest is done: it logs the computed digests
+// of an unpinned host and, when the whole zoo ran, reports golden
+// digests no model computed.
+func (g *zooGolden) finish(t *testing.T) {
+	if !g.pinned {
+		js, _ := json.MarshalIndent(g.got, "", "  ")
+		t.Logf("testdata/zoo_golden.json has no %s digests; computed:\n%s", g.key, js)
+		return
+	}
+	if len(g.got) != len(models.Names())*len(zooStages) {
+		return
+	}
+	stale := []string{}
+	for id := range g.want {
+		if _, ok := g.got[id]; !ok {
+			stale = append(stale, id)
+		}
+	}
+	sort.Strings(stale)
+	for _, id := range stale {
+		t.Errorf("%s: golden digest for an output the test no longer computes", id)
+	}
+}
+
 // TestPlannedForwardBitIdentical proves the plan contract on every zoo
 // network: a planned forward is byte-for-byte the unplanned forward,
 // over three cycles (so chunk reuse and scope release, not just the
@@ -74,8 +180,12 @@ func samples(net *models.Network) []data.Sample {
 // It then quantizes and runs the planned network with dynamic E4M3 and
 // with INT8, and proves the batch memo's read-only contract: every
 // memoized batch the two networks ran is bit-identical to a fresh
-// generation.
+// generation. The outputs of each stage are also pinned: their sha256
+// per model must equal testdata/zoo_golden.json's, so no refactor of
+// an op moves any zoo model's outputs silently.
 func TestPlannedForwardBitIdentical(t *testing.T) {
+	golden := loadZooGolden(t)
+	t.Cleanup(func() { golden.finish(t) })
 	for _, name := range models.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -84,9 +194,11 @@ func TestPlannedForwardBitIdentical(t *testing.T) {
 			net.InstallPlan(nn.NewPlan(nil))
 			ss := samples(ref)
 			check := func(stage string) {
+				d := newOutputDigest()
 				want := make([]*tensor.Tensor, len(ss))
 				for i, s := range ss {
 					want[i] = ref.Run(s).Clone()
+					d.add(want[i])
 				}
 				for cycle := 0; cycle < 3; cycle++ {
 					for i, s := range ss {
@@ -95,20 +207,23 @@ func TestPlannedForwardBitIdentical(t *testing.T) {
 						}
 					}
 				}
+				golden.record(t, name, stage, d.sum())
 			}
-			check("fp32")
+			check(zooStages[0])
 			e4m3(ref)
 			h := e4m3(net)
-			check("e4m3")
-			for _, base := range []quant.Recipe{
+			check(zooStages[1])
+			for i, base := range []quant.Recipe{
 				quant.DynamicFP8(quant.E4M3),
 				quant.StandardINT8(net.Meta.Domain != models.CV),
 			} {
 				h.Release()
 				h = quantize(net, base)
+				d := newOutputDigest()
 				for _, s := range ss {
-					net.Run(s)
+					d.add(net.Run(s))
 				}
+				golden.record(t, name, zooStages[2+i], d.sum())
 			}
 			for _, n := range []*models.Network{ref, net} {
 				memo, fresh := models.MemoBatches(n)
