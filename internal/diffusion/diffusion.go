@@ -119,7 +119,7 @@ func NewDenoiser(seed uint64) *Denoiser {
 
 // compensate scales conv input-channel weights by 1/|gamma_prev|.
 func compensate(c *nn.Conv2d, prevGamma []float32) {
-	per := c.K * c.K
+	per := c.KH * c.KW
 	for oc := 0; oc < c.OutC; oc++ {
 		for ic := 0; ic < c.InC; ic++ {
 			g := prevGamma[ic]
@@ -138,7 +138,7 @@ func compensate(c *nn.Conv2d, prevGamma []float32) {
 }
 
 func fillConv(c *nn.Conv2d, r *tensor.RNG) {
-	fan := c.InC * c.K * c.K
+	fan := c.InC * c.KH * c.KW
 	std := 1.2 / float32(math.Sqrt(float64(fan)))
 	for i := range c.W.Data {
 		c.W.Data[i] = std * float32(r.Norm())

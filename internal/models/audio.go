@@ -8,11 +8,12 @@ import (
 	"fp8quant/internal/tensor"
 )
 
-// audioNet is the wav2vec2/HuBERT skeleton: a strided Conv1d feature
-// extractor over raw waveform, LayerNorm, a transformer encoder stack,
-// and a token classifier (CTC-style head).
+// audioNet is the wav2vec2/HuBERT skeleton: a strided 1-D feature
+// extractor over raw waveform (Conv2d with 1×K kernels over the
+// waveform viewed one row high), LayerNorm, a transformer encoder
+// stack, and a token classifier (CTC-style head).
 type audioNet struct {
-	Convs  []*nn.Conv1d
+	Convs  []*nn.Conv2d
 	LN     *nn.LayerNorm
 	Layers []*nn.TransformerEncoderLayer
 	Head   *nn.Linear
@@ -35,14 +36,16 @@ func (a *audioNet) Visit(path string, v nn.Visitor) {
 }
 
 // Forward transcribes a waveform batch [N,1,T] to frame logits pooled
-// to [N, classes].
+// to [N, classes]. The convolutions run on a view of the batch as
+// [N,1,1,T], sharing its data.
 func (a *audioNet) Forward(ar *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	var act nn.GELU
+	x = ar.View(x.Data, x.Shape[0], x.Shape[1], 1, x.Shape[2])
 	for _, c := range a.Convs {
 		x = act.Forward(ar, c.Forward(ar, x))
 	}
-	// [N, D, T'] -> tokens [N, T', D]
-	n, d, t := x.Shape[0], x.Shape[1], x.Shape[2]
+	// [N, D, 1, T'] -> tokens [N, T', D]
+	n, d, t := x.Shape[0], x.Shape[1], x.Shape[3]
 	toks := ar.New(n, t, d)
 	for ni := 0; ni < n; ni++ {
 		for di := 0; di < d; di++ {
@@ -68,8 +71,9 @@ func buildAudio(info Info, seed uint64, dim, layers, classes int, outlier float6
 	}
 	chans := []int{1, 8, dim}
 	for i := 0; i+1 < len(chans); i++ {
-		c := nn.NewConv1d(chans[i], chans[i+1], 5, 4, 2)
-		initConv1d(c, r)
+		c := &nn.Conv2d{InC: chans[i], OutC: chans[i+1], KH: 1, KW: 5, Stride: 4, PadW: 2, Groups: 1,
+			W: tensor.New(chans[i+1], chans[i], 1, 5), B: make([]float32, chans[i+1])}
+		initConv(c, r)
 		net.Convs = append(net.Convs, c)
 	}
 	initLN(net.LN, r)

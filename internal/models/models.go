@@ -263,21 +263,8 @@ func initLinear(l *nn.Linear, r *tensor.RNG) {
 
 // initConv fills a Conv2d similarly (per-output-filter spread).
 func initConv(c *nn.Conv2d, r *tensor.RNG) {
-	fanIn := (c.InC / c.Groups) * c.K * c.K
+	fanIn := (c.InC / c.Groups) * c.KH * c.KW
 	base := kaiming(fanIn)
-	per := c.W.Len() / c.OutC
-	for o := 0; o < c.OutC; o++ {
-		std := base * chanSpread(r)
-		for i := 0; i < per; i++ {
-			c.W.Data[o*per+i] = float32(std * r.Norm())
-		}
-		c.B[o] = float32(0.01 * r.Norm())
-	}
-}
-
-// initConv1d fills a Conv1d.
-func initConv1d(c *nn.Conv1d, r *tensor.RNG) {
-	base := kaiming(c.InC * c.K)
 	per := c.W.Len() / c.OutC
 	for o := 0; o < c.OutC; o++ {
 		std := base * chanSpread(r)

@@ -266,7 +266,7 @@ func TestModelWalkFindsQuantizableOps(t *testing.T) {
 		"bert_base_mrpc":       {"Linear", "LayerNorm", "Embedding", "BatchMatMul", "Add"},
 		"resnet18":             {"Conv2d", "BatchNorm", "Linear", "Add"},
 		"dlrm_criteo":          {"Linear", "EmbeddingBag"},
-		"wav2vec2_librispeech": {"Conv1d", "Linear", "LayerNorm"},
+		"wav2vec2_librispeech": {"Conv2d", "Linear", "LayerNorm"},
 	}
 	for name, kinds := range cases {
 		net, _ := Build(name)

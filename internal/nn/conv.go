@@ -9,14 +9,16 @@ import (
 
 // Conv2d is a 2-D convolution over NCHW tensors with optional grouping
 // (Groups == InC == OutC gives a depthwise convolution, the op that
-// makes INT8 struggle on MobileNet/EfficientNet-style models).
+// makes INT8 struggle on MobileNet/EfficientNet-style models). Kernel
+// size and padding are per axis: a 1×K kernel over an [N, C, 1, T]
+// view is the speech models' 1-D feature extractor.
 type Conv2d struct {
-	InC, OutC int
-	K         int // square kernel size
-	Stride    int
-	Pad       int
-	Groups    int
-	// W has shape [OutC, InC/Groups, K, K].
+	InC, OutC  int
+	KH, KW     int // kernel height and width
+	Stride     int
+	PadH, PadW int
+	Groups     int
+	// W has shape [OutC, InC/Groups, KH, KW].
 	W *tensor.Tensor
 	// B has length OutC; may be nil.
 	B []float32
@@ -24,7 +26,7 @@ type Conv2d struct {
 	QS QState
 }
 
-// NewConv2d allocates a convolution layer with zero weights.
+// NewConv2d allocates a square K×K convolution layer with zero weights.
 func NewConv2d(inC, outC, k, stride, pad, groups int) *Conv2d {
 	if groups <= 0 {
 		groups = 1
@@ -33,7 +35,7 @@ func NewConv2d(inC, outC, k, stride, pad, groups int) *Conv2d {
 		panic(fmt.Sprintf("nn: conv channels %d->%d not divisible by groups %d", inC, outC, groups))
 	}
 	return &Conv2d{
-		InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad, Groups: groups,
+		InC: inC, OutC: outC, KH: k, KW: k, Stride: stride, PadH: pad, PadW: pad, Groups: groups,
 		W: tensor.New(outC, inC/groups, k, k),
 		B: make([]float32, outC),
 	}
@@ -51,9 +53,9 @@ func (c *Conv2d) WeightTensor() *tensor.Tensor { return c.W }
 // OutChannelDim implements Parametric.
 func (c *Conv2d) OutChannelDim() int { return 0 }
 
-// OutSize returns the spatial output size for input size n.
-func (c *Conv2d) OutSize(n int) int {
-	return (n+2*c.Pad-c.K)/c.Stride + 1
+// OutSize returns the spatial output size for an h×w input.
+func (c *Conv2d) OutSize(h, w int) (oh, ow int) {
+	return (h+2*c.PadH-c.KH)/c.Stride + 1, (w+2*c.PadW-c.KW)/c.Stride + 1
 }
 
 // Forward convolves x [N, InC, H, W] producing [N, OutC, H', W'].
@@ -69,7 +71,7 @@ func (c *Conv2d) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Conv2d expects [N,%d,H,W], got %v", c.InC, x.Shape))
 	}
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	oh, ow := c.OutSize(h), c.OutSize(w)
+	oh, ow := c.OutSize(h, w)
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: Conv2d output empty for input %v", x.Shape))
 	}
@@ -82,10 +84,10 @@ func (c *Conv2d) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	return c.QS.applyOut(y)
 }
 
-// tapClass is a rectangle of output pixels [y0,y1)×[x0,x1) whose K×K
+// tapClass is a rectangle of output pixels [y0,y1)×[x0,x1) whose KH×KW
 // windows all keep the same in-bounds kernel taps [ky0,ky1)×[kx0,kx1).
-// With Pad == 0 the whole output is one class; 3×3/pad 1 gives at most
-// nine (the interior, four edges, four corners).
+// Without padding the whole output is one class; 3×3/pad 1 gives at
+// most nine (the interior, four edges, four corners).
 type tapClass struct {
 	y0, y1, x0, x1     int
 	ky0, ky1, kx0, kx1 int
@@ -95,14 +97,15 @@ func (t tapClass) pixels() int { return (t.y1 - t.y0) * (t.x1 - t.x0) }
 func (t tapClass) taps() int   { return (t.ky1 - t.ky0) * (t.kx1 - t.kx0) }
 
 // tapRun returns the run [o0,o1) of output indices along one axis (on
-// outputs over n inputs) whose windows keep o0's in-bounds kernel taps
-// [k0,k1). The range is empty where a window misses the input entirely
-// (e.g. the corners of K=1, Pad=1).
-func (c *Conv2d) tapRun(o0, on, n int) (o1, k0, k1 int) {
+// outputs over n inputs, with kernel size k and padding pad) whose
+// windows keep o0's in-bounds kernel taps [k0,k1). The range is empty
+// where a window misses the input entirely (e.g. the corners of K=1,
+// Pad=1).
+func (c *Conv2d) tapRun(o0, on, n, k, pad int) (o1, k0, k1 int) {
 	taps := func(o int) (int, int) {
-		i0 := o*c.Stride - c.Pad
+		i0 := o*c.Stride - pad
 		lo := max(0, -i0)
-		return lo, max(lo, min(c.K, n-i0))
+		return lo, max(lo, min(k, n-i0))
 	}
 	k0, k1 = taps(o0)
 	for o1 = o0 + 1; o1 < on; o1++ {
@@ -118,9 +121,9 @@ func (c *Conv2d) tapRun(o0, on, n int) (o1, k0, k1 int) {
 // ranges form one contiguous run per axis.
 func (c *Conv2d) eachClass(h, w, oh, ow int, fn func(tapClass)) {
 	for y0 := 0; y0 < oh; {
-		y1, ky0, ky1 := c.tapRun(y0, oh, h)
+		y1, ky0, ky1 := c.tapRun(y0, oh, h, c.KH, c.PadH)
 		for x0 := 0; x0 < ow; {
-			x1, kx0, kx1 := c.tapRun(x0, ow, w)
+			x1, kx0, kx1 := c.tapRun(x0, ow, w, c.KW, c.PadW)
 			fn(tapClass{y0, y1, x0, x1, ky0, ky1, kx0, kx1})
 			x0 = x1
 		}
@@ -132,10 +135,10 @@ func (c *Conv2d) eachClass(h, w, oh, ow int, fn func(tapClass)) {
 func (c *Conv2d) forwardInto(a *tensor.Arena, y, x *tensor.Tensor, n, h, w, oh, ow int) {
 	icg := c.InC / c.Groups
 	ocg := c.OutC / c.Groups
-	// Degenerate GEMMs (depthwise: ocg=1, kdim=K²) spend more on the
+	// Degenerate GEMMs (depthwise: ocg=1, kdim=KH·KW) spend more on the
 	// gather/pack/scatter round trip than the multiply, so they take the
 	// bit-identical direct loop instead.
-	if ocg*icg*c.K*c.K < 64 {
+	if ocg*icg*c.KH*c.KW < 64 {
 		c.forwardDirect(y, x, n, h, w, oh, ow)
 		return
 	}
@@ -177,17 +180,17 @@ func (c *Conv2d) forwardInto(a *tensor.Arena, y, x *tensor.Tensor, n, h, w, oh, 
 // row-major [ocg, icg·taps] matrix in (ic, ky, kx) order, copied into
 // dst unless t keeps every tap.
 func (c *Conv2d) tapWeights(dst []float32, g int, t tapClass) []float32 {
-	k := c.K
-	rows := c.OutC / c.Groups * (c.InC / c.Groups) // one K×K block per (oc, ic)
-	wg := c.W.Data[g*rows*k*k : (g+1)*rows*k*k]
-	if t.taps() == k*k {
+	block := c.KH * c.KW
+	rows := c.OutC / c.Groups * (c.InC / c.Groups) // one KH×KW block per (oc, ic)
+	wg := c.W.Data[g*rows*block : (g+1)*rows*block]
+	if t.taps() == block {
 		return wg
 	}
 	kw := t.kx1 - t.kx0
 	i := 0
 	for r := 0; r < rows; r++ {
 		for ky := t.ky0; ky < t.ky1; ky++ {
-			off := (r*k+ky)*k + t.kx0
+			off := (r*c.KH+ky)*c.KW + t.kx0
 			i += copy(dst[i:i+kw], wg[off:off+kw])
 		}
 	}
@@ -207,9 +210,9 @@ func (c *Conv2d) im2col(dst []float32, x *tensor.Tensor, ni, g, h, w int, t tapC
 	kw := t.kx1 - t.kx0
 	i := 0
 	for oy := t.y0; oy < t.y1; oy++ {
-		iy := oy*c.Stride - c.Pad
+		iy := oy*c.Stride - c.PadH
 		for ox := t.x0; ox < t.x1; ox++ {
-			ix := ox*c.Stride - c.Pad + t.kx0
+			ix := ox*c.Stride - c.PadW + t.kx0
 			for ic := 0; ic < icg; ic++ {
 				for ky := t.ky0; ky < t.ky1; ky++ {
 					off := (ic*h+iy+ky)*w + ix
@@ -245,15 +248,15 @@ func (c *Conv2d) convPixel(x *tensor.Tensor, ni, oc, g, icg, h, w, oy, ox int, b
 	acc := bias
 	for ic := 0; ic < icg; ic++ {
 		inC := g*icg + ic
-		for ky := 0; ky < c.K; ky++ {
-			iy := oy*c.Stride - c.Pad + ky
+		for ky := 0; ky < c.KH; ky++ {
+			iy := oy*c.Stride - c.PadH + ky
 			if iy < 0 || iy >= h {
 				continue
 			}
 			xRow := x.Data[((ni*c.InC+inC)*h+iy)*w:]
-			wRow := c.W.Data[((oc*icg+ic)*c.K+ky)*c.K:]
-			for kx := 0; kx < c.K; kx++ {
-				ix := ox*c.Stride - c.Pad + kx
+			wRow := c.W.Data[((oc*icg+ic)*c.KH+ky)*c.KW:]
+			for kx := 0; kx < c.KW; kx++ {
+				ix := ox*c.Stride - c.PadW + kx
 				if ix < 0 || ix >= w {
 					continue
 				}

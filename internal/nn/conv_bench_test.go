@@ -10,27 +10,29 @@ import (
 // 3x3 over a mid-size feature map, a strided downsampler, a depthwise
 // 3x3 (the MobileNet-style op), and the small deep-layer maps where the
 // padded border is most of the output (12 of 16 pixels on 4x4, all of
-// them on 2x2).
+// them on 2x2); and the speech models' second feature-extractor layer,
+// a 1x5 stride-4 kernel over a batch of 8 waveforms 64 samples long.
 var convBenchCases = []struct {
-	name                              string
-	inC, outC, k, stride, pad, groups int
-	n, h, w                           int
+	name                                          string
+	inC, outC, kh, kw, stride, padH, padW, groups int
+	n, h, w                                       int
 }{
-	{"3x3pad1_16c16x16", 16, 16, 3, 1, 1, 1, 4, 16, 16},
-	{"3x3s2_32c32x32", 32, 32, 3, 2, 1, 1, 1, 32, 32},
-	{"dw3x3_64c16x16", 64, 64, 3, 1, 1, 64, 1, 16, 16},
-	{"3x3pad1_64c4x4", 64, 64, 3, 1, 1, 1, 8, 4, 4},
-	{"3x3pad1_32c2x2", 32, 32, 3, 1, 1, 1, 8, 2, 2},
+	{"3x3pad1_16c16x16", 16, 16, 3, 3, 1, 1, 1, 1, 4, 16, 16},
+	{"3x3s2_32c32x32", 32, 32, 3, 3, 2, 1, 1, 1, 1, 32, 32},
+	{"dw3x3_64c16x16", 64, 64, 3, 3, 1, 1, 1, 64, 1, 16, 16},
+	{"3x3pad1_64c4x4", 64, 64, 3, 3, 1, 1, 1, 1, 8, 4, 4},
+	{"3x3pad1_32c2x2", 32, 32, 3, 3, 1, 1, 1, 1, 8, 2, 2},
+	{"1x5s4_8to32c1x64", 8, 32, 1, 5, 4, 0, 2, 1, 8, 1, 64},
 }
 
 func benchConv(b *testing.B, idx int, direct bool) {
 	tc := convBenchCases[idx]
-	c := NewConv2d(tc.inC, tc.outC, tc.k, tc.stride, tc.pad, tc.groups)
+	c := newRectConv(tc.inC, tc.outC, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW, tc.groups)
 	rng := tensor.NewRNG(0xC0B)
 	c.W.FillNormal(rng, 0, 0.1)
 	x := tensor.New(tc.n, tc.inC, tc.h, tc.w)
 	x.FillNormal(rng, 0, 1)
-	oh, ow := c.OutSize(tc.h), c.OutSize(tc.w)
+	oh, ow := c.OutSize(tc.h, tc.w)
 	b.SetBytes(int64((x.Len() + c.W.Len() + tc.n*tc.outC*oh*ow) * 4))
 	// The im2col path runs under one arena, reset each iteration and
 	// warmed once before the timer, as a sweep cell's plan runs it.

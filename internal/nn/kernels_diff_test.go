@@ -118,6 +118,13 @@ func TestLinearForwardMatchesOracle(t *testing.T) {
 	}
 }
 
+// newRectConv allocates a KH×KW convolution with zero weights, as the
+// speech models build their 1×K feature extractor.
+func newRectConv(inC, outC, kh, kw, stride, padH, padW, groups int) *Conv2d {
+	return &Conv2d{InC: inC, OutC: outC, KH: kh, KW: kw, Stride: stride, PadH: padH, PadW: padW,
+		Groups: groups, W: tensor.New(outC, inC/groups, kh, kw), B: make([]float32, outC)}
+}
+
 func TestConv2dForwardMatchesDirectOracle(t *testing.T) {
 	rng := tensor.NewRNG(0xC0F)
 	cases := []struct {
@@ -149,6 +156,33 @@ func TestConv2dForwardMatchesDirectOracle(t *testing.T) {
 		fillTensor(x, rng, 1)
 		requireConvMatchesDirect(t, c, x, fmt.Sprintf("Conv2d %+v", tc))
 	}
+	// Rectangular kernels with per-axis padding: the speech models'
+	// 1×K feature extractor over a waveform viewed one row high, and
+	// one shape on each side of the direct path's 64-product threshold.
+	rect := []struct {
+		inC, outC, kh, kw, stride, padH, padW int
+		n, h, w                               int
+	}{
+		{1, 8, 1, 5, 4, 0, 2, 2, 1, 256}, // audio conv0: 40 products, direct
+		{8, 32, 1, 5, 4, 0, 2, 2, 1, 64}, // audio conv1: tap-class GEMM
+		{1, 1, 1, 1, 1, 0, 0, 1, 1, 8},   // 1×1 over a row
+		{2, 4, 1, 5, 4, 0, 2, 2, 1, 64},  // 1×5 stride 4, pad 2
+		{1, 1, 1, 3, 1, 0, 0, 1, 1, 4},   // 1×3, no pad
+		{2, 3, 1, 3, 1, 0, 1, 1, 1, 6},   // 1×3, pad 1
+		{3, 4, 5, 1, 1, 2, 0, 2, 7, 6},   // 5×1: 60 products, direct
+		{2, 4, 4, 2, 1, 1, 0, 2, 6, 5},   // 4×2: 64 products, tap-class GEMM
+		{3, 5, 3, 5, 2, 1, 2, 1, 9, 11},  // 3×5, stride 2, pads 1 and 2
+	}
+	for _, tc := range rect {
+		c := newRectConv(tc.inC, tc.outC, tc.kh, tc.kw, tc.stride, tc.padH, tc.padW, 1)
+		fillTensor(c.W, rng, 0.3)
+		for i := range c.B {
+			c.B[i] = float32(rng.Norm())
+		}
+		x := tensor.New(tc.n, tc.inC, tc.h, tc.w)
+		fillTensor(x, rng, 1)
+		requireConvMatchesDirect(t, c, x, fmt.Sprintf("Conv2d %+v", tc))
+	}
 }
 
 // requireConvMatchesDirect checks that the unplanned and planned
@@ -156,7 +190,7 @@ func TestConv2dForwardMatchesDirectOracle(t *testing.T) {
 func requireConvMatchesDirect(t *testing.T, c *Conv2d, x *tensor.Tensor, what string) {
 	t.Helper()
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	oh, ow := c.OutSize(h), c.OutSize(w)
+	oh, ow := c.OutSize(h, w)
 	want := tensor.New(n, c.OutC, oh, ow)
 	c.forwardDirect(want, x, n, h, w, oh, ow)
 	requireBitsEqual(t, c.Forward(nil, x).Data, want.Data, what+" unplanned")

@@ -100,6 +100,12 @@ func TestConv2dStridePad(t *testing.T) {
 	if y.Shape[1] != 4 || y.Shape[2] != 4 || y.Shape[3] != 4 {
 		t.Errorf("shape = %v, want [1 4 4 4]", y.Shape)
 	}
+	// The speech models' 1×5, stride 4, pad 2 kernel over a row.
+	c = newRectConv(2, 4, 1, 5, 4, 0, 2, 1)
+	y = c.Forward(nil, tensor.New(2, 2, 1, 64))
+	if y.Shape[0] != 2 || y.Shape[1] != 4 || y.Shape[2] != 1 || y.Shape[3] != 16 {
+		t.Errorf("1x5 shape = %v, want [2 4 1 16]", y.Shape)
+	}
 }
 
 func TestConv2dSumKernel(t *testing.T) {
@@ -110,6 +116,13 @@ func TestConv2dSumKernel(t *testing.T) {
 	y := c.Forward(nil, x)
 	if y.Len() != 1 || y.Data[0] != 10 {
 		t.Errorf("sum conv = %v, want [10]", y.Data)
+	}
+	// 1x3 all-ones kernel over a row: sums along the width only.
+	c = newRectConv(1, 1, 1, 3, 1, 0, 0, 1)
+	fillOnes(c.W.Data)
+	y = c.Forward(nil, tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 1, 4))
+	if y.Len() != 2 || y.Data[0] != 6 || y.Data[1] != 9 {
+		t.Errorf("1x3 sum conv = %v, want [6 9]", y.Data)
 	}
 }
 

@@ -31,7 +31,7 @@ import "fp8quant/internal/tensor"
 // the chunks its peak live set needs, later ones reuse them. Scopes
 // keep that peak to the live bytes, not the sum of a forward's
 // intermediates, by two rules. An op releases its scratch: Conv2d,
-// Conv1d, Linear, BatchMatMulOp, AddOp and MulOp carve their output
+// Linear, BatchMatMulOp, AddOp and MulOp carve their output
 // first and release their quantized input copies, im2col patches and
 // packed panels (Arena.Release) before returning. A block that builds
 // one tensor from many releases its children: a Sequential moves each

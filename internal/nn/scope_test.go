@@ -59,7 +59,7 @@ func TestOpsLeaveOnlyOutput(t *testing.T) {
 	gemm.W.FillNormal(tensor.NewRNG(1), 0, 0.2)
 	direct := NewConv2d(4, 4, 3, 2, 1, 4) // depthwise: the direct loop
 	direct.W.FillNormal(tensor.NewRNG(2), 0, 0.2)
-	conv1 := NewConv1d(3, 5, 3, 1, 1)
+	conv1 := newRectConv(3, 8, 1, 3, 1, 0, 1, 1) // 1×K over a row, 8·3·1·3 ≥ 64
 	conv1.W.FillNormal(tensor.NewRNG(3), 0, 0.2)
 	lin := NewLinear(16, 12)
 	lin.W.FillNormal(tensor.NewRNG(4), 0, 0.2)
@@ -69,7 +69,7 @@ func TestOpsLeaveOnlyOutput(t *testing.T) {
 
 	img := randTensor(5, 2, 3, 7, 7)
 	dw := randTensor(6, 2, 4, 7, 7)
-	seq := randTensor(7, 2, 3, 9)
+	seq := randTensor(7, 2, 3, 1, 9)
 	tok := randTensor(8, 2, 5, 16)
 	q, k := randTensor(9, 2, 2, 5, 4), randTensor(10, 2, 2, 6, 4)
 	probs, v := randTensor(11, 2, 2, 5, 6), randTensor(12, 2, 2, 6, 4)
@@ -82,7 +82,7 @@ func TestOpsLeaveOnlyOutput(t *testing.T) {
 	}{
 		{"Conv2d/gemm", []*QState{&gemm.QS}, func(a *tensor.Arena) *tensor.Tensor { return gemm.Forward(a, img) }},
 		{"Conv2d/direct", []*QState{&direct.QS}, func(a *tensor.Arena) *tensor.Tensor { return direct.Forward(a, dw) }},
-		{"Conv1d", []*QState{&conv1.QS}, func(a *tensor.Arena) *tensor.Tensor { return conv1.Forward(a, seq) }},
+		{"Conv2d/1xK", []*QState{&conv1.QS}, func(a *tensor.Arena) *tensor.Tensor { return conv1.Forward(a, seq) }},
 		{"Linear", []*QState{&lin.QS}, func(a *tensor.Arena) *tensor.Tensor { return lin.Forward(a, tok) }},
 		{"BatchMatMul/transB", []*QState{&qk.QA, &qk.QB}, func(a *tensor.Arena) *tensor.Tensor { return qk.Apply(a, q, k) }},
 		{"BatchMatMul", []*QState{&pv.QA, &pv.QB}, func(a *tensor.Arena) *tensor.Tensor { return pv.Apply(a, probs, v) }},

@@ -284,7 +284,7 @@ func (s *Sites) build(root nn.Module) {
 		lo := len(s.targets)
 		add := func(t target) { s.targets = append(s.targets, t) }
 		switch mod.(type) {
-		case *nn.Linear, *nn.Conv2d, *nn.Conv1d:
+		case *nn.Linear, *nn.Conv2d:
 			if _, ok := mod.(*nn.Conv2d); ok && !haveConv {
 				s.firstConv, haveConv = path, true
 			}

@@ -151,7 +151,13 @@ func (s *Store) StampVariants(grid string, seed uint64, variants []string) error
 // and reports whether the list changed. A union of more than one
 // distinct variant is an ErrVariantConflict and leaves m untouched.
 // Empty variant names (older workers, legacy stores) union as nothing.
+// A union that adds nothing to a recorded list of at most one variant
+// (every push on the grid's own tier) copies nothing.
 func (m *Manifest) AddVariants(variants []string) (bool, error) {
+	isNew := func(v string) bool { return v != "" && !slices.Contains(m.KernelVariants, v) }
+	if len(m.KernelVariants) <= 1 && !slices.Contains(m.KernelVariants, "") && !slices.ContainsFunc(variants, isNew) {
+		return false, nil
+	}
 	var merged []string
 	for _, v := range append(slices.Clone(m.KernelVariants), variants...) {
 		if v != "" && !slices.Contains(merged, v) {

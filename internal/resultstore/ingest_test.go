@@ -65,6 +65,16 @@ func TestStampVariants(t *testing.T) {
 	if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
 		t.Error("a same-variant stamp or a refused one rewrote the manifest")
 	}
+	// A union that adds nothing, as every push on the grid's tier
+	// makes, copies nothing.
+	variants := []string{"sse"}
+	if n := testing.AllocsPerRun(100, func() {
+		if grew, err := got.AddVariants(variants); grew || err != nil {
+			t.Fatalf("[sse] ∪ [sse] = %v, %v", grew, err)
+		}
+	}); n != 0 {
+		t.Errorf("a union that adds nothing allocates %.0f times, want 0", n)
+	}
 }
 
 // TestPruneKeepsManifestReferencedCells: an age-bounded prune must
