@@ -100,12 +100,6 @@ func TestConv2dStridePad(t *testing.T) {
 	if y.Shape[1] != 4 || y.Shape[2] != 4 || y.Shape[3] != 4 {
 		t.Errorf("shape = %v, want [1 4 4 4]", y.Shape)
 	}
-	// The speech models' 1×5, stride 4, pad 2 kernel over a row.
-	c = newRectConv(2, 4, 1, 5, 4, 0, 2, 1)
-	y = c.Forward(nil, tensor.New(2, 2, 1, 64))
-	if y.Shape[0] != 2 || y.Shape[1] != 4 || y.Shape[2] != 1 || y.Shape[3] != 16 {
-		t.Errorf("1x5 shape = %v, want [2 4 1 16]", y.Shape)
-	}
 }
 
 func TestConv2dSumKernel(t *testing.T) {
@@ -117,10 +111,42 @@ func TestConv2dSumKernel(t *testing.T) {
 	if y.Len() != 1 || y.Data[0] != 10 {
 		t.Errorf("sum conv = %v, want [10]", y.Data)
 	}
+}
+
+// The Conv1d tests run a 1-D convolution as a 1xK Conv2d over a [N, C, 1, T]
+// row, the layout the speech models' feature extractor uses.
+
+func TestConv1dIdentity(t *testing.T) {
+	c := newRectConv(1, 1, 1, 1, 1, 0, 0, 1)
+	c.W.Data[0] = 1
+	x := tensor.New(1, 1, 1, 8)
+	x.FillNormal(tensor.NewRNG(1), 0, 1)
+	y := c.Forward(nil, x)
+	for i := range x.Data {
+		if y.Data[i] != x.Data[i] {
+			t.Fatal("identity conv1d mismatch")
+		}
+	}
+}
+
+func TestConv1dStride(t *testing.T) {
+	// The speech models' 1×5, stride 4, pad 2 kernel over a row.
+	c := newRectConv(2, 4, 1, 5, 4, 0, 2, 1)
+	y := c.Forward(nil, tensor.New(2, 2, 1, 64))
+	oh, ow := c.OutSize(1, 64)
+	if y.Shape[0] != 2 || y.Shape[1] != 4 || y.Shape[2] != oh || y.Shape[3] != ow {
+		t.Fatalf("shape %v", y.Shape)
+	}
+	if oh != 1 || ow != 16 {
+		t.Errorf("OutSize(1, 64) = %d, %d, want 1, 16", oh, ow)
+	}
+}
+
+func TestConv1dSumKernel(t *testing.T) {
 	// 1x3 all-ones kernel over a row: sums along the width only.
-	c = newRectConv(1, 1, 1, 3, 1, 0, 0, 1)
+	c := newRectConv(1, 1, 1, 3, 1, 0, 0, 1)
 	fillOnes(c.W.Data)
-	y = c.Forward(nil, tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 1, 4))
+	y := c.Forward(nil, tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 1, 4))
 	if y.Len() != 2 || y.Data[0] != 6 || y.Data[1] != 9 {
 		t.Errorf("1x3 sum conv = %v, want [6 9]", y.Data)
 	}
